@@ -202,7 +202,8 @@ chaos-smoke: build
 
 # 2D BIRA gate: (1) the default row-TLB report must still match the
 # committed golden bytes (test/golden_row_tlb.json) — the BIRA layer
-# must be invisible unless asked for; (2) every BIRA allocator's report
+# must be invisible unless asked for — and the bira-bnb report must
+# match test/golden_bira_bnb.json; (2) every BIRA allocator's report
 # must be byte-identical across worker counts and lane widths, since
 # fault-list collection rides the batched kernels; (3) a bogus
 # --repair name must be rejected with the usage exit code (2).
@@ -210,6 +211,10 @@ bira-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 60 --seed 7 --jobs 1 \
 	  > .ci-bira-golden.json
 	cmp .ci-bira-golden.json test/golden_row_tlb.json
+	dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
+	  --mode poisson --mean 3 --spare-cols 2 --repair bira-bnb --jobs 1 \
+	  > .ci-bira-golden-bnb.json
+	cmp .ci-bira-golden-bnb.json test/golden_bira_bnb.json
 	for s in bira-greedy bira-essential bira-bnb; do \
 	  dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
 	    --mode poisson --mean 3 --spare-cols 2 --repair $$s \
@@ -221,7 +226,8 @@ bira-smoke: build
 	done
 	dune exec bin/bisramgen.exe -- campaign --repair frobnicate \
 	  > /dev/null 2>&1; test $$? -eq 2
-	rm -f .ci-bira-golden.json .ci-bira-bira-greedy-a.json \
+	rm -f .ci-bira-golden.json .ci-bira-golden-bnb.json \
+	  .ci-bira-bira-greedy-a.json \
 	  .ci-bira-bira-greedy-b.json .ci-bira-bira-essential-a.json \
 	  .ci-bira-bira-essential-b.json .ci-bira-bira-bnb-a.json \
 	  .ci-bira-bira-bnb-b.json

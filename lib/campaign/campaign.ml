@@ -157,13 +157,6 @@ let success = function
   | Repair.Passed_clean | Repair.Repaired _ -> true
   | Repair.Repair_unsuccessful _ -> false
 
-let outcome_equal (a : Repair.outcome) (b : Repair.outcome) =
-  match (a, b) with
-  | Repair.Passed_clean, Repair.Passed_clean -> true
-  | Repair.Repaired ra, Repair.Repaired rb -> ra = rb
-  | Repair.Repair_unsuccessful ra, Repair.Repair_unsuccessful rb -> ra = rb
-  | _, _ -> false
-
 let model_with cfg faults =
   let m = Model.create cfg.org in
   Model.set_faults m faults;
@@ -181,8 +174,8 @@ type verdicts = {
 }
 
 (* Flush the per-model access-regime counters into the telemetry
-   registry; summed over the three per-trial models (and over trials by
-   the registry merge), they give the campaign-wide fast/legacy hit
+   registry; summed over the models of a trial's sides (and over trials
+   by the registry merge), they give the campaign-wide fast/legacy hit
    ratios.  Deterministic values, so the merged counters are identical
    at every job count. *)
 let flush_model_stats m =
@@ -196,161 +189,171 @@ let flush_model_stats m =
   Obs.add "model.rows_migrated" s.Model.s_rows_migrated;
   Obs.add "model.rows_cleared" s.Model.s_rows_cleared
 
-(* The BIRA analogue of the TLB trial below.  There is no
-   microprogrammed controller for the 2D flow, so the differential
-   oracle holds the packed-word comparator analog ([fast:true] fault
-   extraction) against the bit-by-bit reference, on outcome AND on the
-   allocation itself; [cycles] is 0.  The flow is inherently iterated
-   (spare burning), so the two-pass and iterated verdicts coincide, and
-   both armed models are swept for silent escapes. *)
-let run_faults_bira cfg strat faults =
-  let bgs = backgrounds cfg in
-  let mc = model_with cfg faults in
-  let c_res =
-    Obs.span ~cat:"campaign" "march" (fun () ->
-        Bira.run ~max_rounds:cfg.max_rounds ~fast:true strat mc cfg.march
-          ~backgrounds:bgs)
-  in
-  Pool.check_deadline ();
-  let mr = model_with cfg faults in
-  let r_res =
-    Obs.span ~cat:"campaign" "oracle" (fun () ->
-        Bira.run ~max_rounds:cfg.max_rounds ~fast:false strat mr cfg.march
-          ~backgrounds:bgs)
-  in
-  Pool.check_deadline ();
-  let anomalies = ref [] in
-  let push a = anomalies := a :: !anomalies in
-  let alloc_str = function
-    | None -> "none"
-    | Some a ->
-        Printf.sprintf "rows [%s] cols [%s]"
-          (String.concat "," (List.map string_of_int a.Bira.a_rows))
-          (String.concat "," (List.map string_of_int a.Bira.a_cols))
-  in
-  if not (outcome_equal c_res.Bira.b_outcome r_res.Bira.b_outcome) then
-    push
-      (Divergence
-         { detail =
-             Format.asprintf "outcome: controller %a, reference %a"
-               Repair.pp_outcome c_res.Bira.b_outcome Repair.pp_outcome
-               r_res.Bira.b_outcome
-         })
-  else if
-    success c_res.Bira.b_outcome && c_res.Bira.b_alloc <> r_res.Bira.b_alloc
-  then
-    push
-      (Divergence
-         { detail =
-             Printf.sprintf "BIRA alloc: controller %s, reference %s"
-               (alloc_str c_res.Bira.b_alloc)
-               (alloc_str r_res.Bira.b_alloc)
-         });
-  if success c_res.Bira.b_outcome then begin
-    match Obs.span ~cat:"campaign" "escape-sweep" (fun () -> Sweep.run mc) with
-    | [] -> ()
-    | mismatches -> push (Escape { flow = Two_pass; mismatches })
-  end;
-  if success r_res.Bira.b_outcome then begin
-    match Obs.span ~cat:"campaign" "escape-sweep" (fun () -> Sweep.run mr) with
-    | [] -> ()
-    | mismatches -> push (Escape { flow = Iterated; mismatches })
-  end;
-  if Obs.enabled () then begin
-    flush_model_stats mc;
-    flush_model_stats mr;
-    Obs.observe "campaign.repair_rounds" c_res.Bira.b_rounds
-  end;
-  ( { controller = c_res.Bira.b_outcome
-    ; reference = r_res.Bira.b_outcome
-    ; iterated = c_res.Bira.b_outcome
-    ; rounds = c_res.Bira.b_rounds
-    ; cycles = 0
-    ; alloc =
-        Option.map
-          (fun a -> (a.Bira.a_rows, a.Bira.a_cols))
-          c_res.Bira.b_alloc
-    }
-  , List.rev !anomalies )
+(* A trial runs one flow — detect, allocate, arm, verify — per role,
+   each side on its own freshly armed model (a run mutates array
+   contents and remap): the flow [Under_test], the [Oracle] it is held
+   against, and the [Iterating] flow behind the repair-effort
+   histogram. *)
+type role = Under_test | Oracle | Iterating
 
-let run_faults_tlb cfg faults =
-  let bgs = backgrounds cfg in
-  (* fresh model per flow: each run mutates array contents and remap *)
-  let mc = model_with cfg faults in
-  let controller, report, c_tlb =
-    Obs.span ~cat:"campaign" "march" (fun () ->
-        Repair.run mc cfg.march ~backgrounds:bgs)
-  in
-  (* between flows: the cooperative per-trial deadline (a no-op unless
-     the caller set one on the pool) *)
-  Pool.check_deadline ();
-  let mr = model_with cfg faults in
-  let reference, r_tlb =
-    Obs.span ~cat:"campaign" "oracle" (fun () ->
-        Repair.run_reference mr cfg.march ~backgrounds:bgs)
-  in
-  Pool.check_deadline ();
-  let mi = model_with cfg faults in
-  let it =
-    Obs.span ~cat:"campaign" "repair" (fun () ->
-        Repair.run_iterated_result ~max_rounds:cfg.max_rounds mi cfg.march
-          ~backgrounds:bgs)
-  in
-  Pool.check_deadline ();
-  let anomalies = ref [] in
-  let push a = anomalies := a :: !anomalies in
-  (* oracle divergence: microprogrammed controller vs functional engine *)
-  if not (outcome_equal controller reference) then
-    push
-      (Divergence
-         { detail =
-             Format.asprintf "outcome: controller %a, reference %a"
-               Repair.pp_outcome controller Repair.pp_outcome reference
-         })
-  else if
-    success controller && Tlb.mapped_rows c_tlb <> Tlb.mapped_rows r_tlb
-  then
-    push
-      (Divergence
-         { detail =
-             Format.asprintf "TLB: controller rows [%s], reference rows [%s]"
-               (String.concat ","
-                  (List.map string_of_int (Tlb.mapped_rows c_tlb)))
-               (String.concat ","
-                  (List.map string_of_int (Tlb.mapped_rows r_tlb)))
-         });
-  (* silent escapes: the array disagrees with a passing verdict *)
-  if success controller then begin
-    match Obs.span ~cat:"campaign" "escape-sweep" (fun () -> Sweep.run mc) with
-    | [] -> ()
-    | mismatches -> push (Escape { flow = Two_pass; mismatches })
-  end;
-  if success it.Repair.i_outcome then begin
-    match Obs.span ~cat:"campaign" "escape-sweep" (fun () -> Sweep.run mi) with
-    | [] -> ()
-    | mismatches -> push (Escape { flow = Iterated; mismatches })
-  end;
-  if Obs.enabled () then begin
-    flush_model_stats mc;
-    flush_model_stats mr;
-    flush_model_stats mi;
-    Obs.observe "campaign.cycles"
-      report.Bisram_bist.Controller.cycles;
-    Obs.observe "campaign.repair_rounds" it.Repair.i_rounds
-  end;
-  ( { controller
-    ; reference
-    ; iterated = it.Repair.i_outcome
-    ; rounds = it.Repair.i_rounds
-    ; cycles = report.Bisram_bist.Controller.cycles
-    ; alloc = None
-    }
-  , List.rev !anomalies )
+let role_span = function
+  | Under_test -> "march"
+  | Oracle -> "oracle"
+  | Iterating -> "repair"
+
+(* What the oracle compares: the mapped TLB rows, or the armed BIRA
+   allocation. *)
+type alloc = Tlb_rows of int list | Lines of Bira.alloc option
+
+let pp_alloc =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  function
+  | Tlb_rows r -> Printf.sprintf "rows [%s]" (ints r)
+  | Lines None -> "none"
+  | Lines (Some a) ->
+      Printf.sprintf "rows [%s] cols [%s]" (ints a.Bira.a_rows)
+        (ints a.Bira.a_cols)
+
+(* One side's result: [s_rounds] are the verify rounds (1 for a
+   single-verify flow), [s_model] the armed model an escape sweep
+   reads. *)
+type side = {
+  s_outcome : Repair.outcome;
+  s_alloc : alloc;
+  s_rounds : int;
+  s_cycles : int option;  (** where a microprogrammed controller ran *)
+  s_model : Model.t;
+}
+
+(* The per-architecture facts of the trial flow, in one place. *)
+type arch = {
+  roles : role list;  (** the sides a trial runs, in order *)
+  run_side : role -> Fault.t list -> side;
+  swept : flow -> role;  (** the side an escape of each flow label sweeps *)
+  iterated_by : role;  (** the side whose verdict is reported as iterated *)
+}
+
+(* Row-TLB: the paper's microprogrammed controller under test, the
+   functional two-pass engine as oracle, and the iterated 2k-pass flow;
+   the oracle compares the mapped TLB rows.  BIRA: there is no
+   controller for the 2D flow, so the packed-word comparator analog
+   ([fast:true] fault extraction) is under test against the bit-by-bit
+   reference; the flow iterates (spare burning) on both sides, so the
+   reference also carries the iterated escape sweep, and the analog's
+   verdict is reported for both flows. *)
+let arch cfg =
+  let bgs = backgrounds cfg and march = cfg.march in
+  match cfg.repair with
+  | Row_tlb ->
+      let run_side role faults =
+        let m = model_with cfg faults in
+        let s_outcome, tlb, s_rounds, s_cycles =
+          match role with
+          | Under_test ->
+              let o, report, tlb = Repair.run m march ~backgrounds:bgs in
+              (o, tlb, 1, Some report.Bisram_bist.Controller.cycles)
+          | Oracle ->
+              let o, tlb = Repair.run_reference m march ~backgrounds:bgs in
+              (o, tlb, 1, None)
+          | Iterating ->
+              let it =
+                Repair.run_iterated_result ~max_rounds:cfg.max_rounds m march
+                  ~backgrounds:bgs
+              in
+              (it.Repair.i_outcome, it.Repair.i_tlb, it.Repair.i_rounds, None)
+        in
+        let s_alloc = Tlb_rows (Tlb.mapped_rows tlb) in
+        { s_outcome; s_alloc; s_rounds; s_cycles; s_model = m }
+      in
+      { roles = [ Under_test; Oracle; Iterating ]
+      ; run_side
+      ; swept = (function Two_pass -> Under_test | Iterated -> Iterating)
+      ; iterated_by = Iterating
+      }
+  | Bira strat ->
+      let run_side role faults =
+        let m = model_with cfg faults in
+        let r =
+          Bira.run ~max_rounds:cfg.max_rounds ~fast:(role = Under_test) strat
+            m march ~backgrounds:bgs
+        in
+        { s_outcome = r.Bira.b_outcome
+        ; s_alloc = Lines r.Bira.b_alloc
+        ; s_rounds = r.Bira.b_rounds
+        ; s_cycles = None
+        ; s_model = m
+        }
+      in
+      { roles = [ Under_test; Oracle ]
+      ; run_side
+      ; swept = (function Two_pass -> Under_test | Iterated -> Oracle)
+      ; iterated_by = Under_test
+      }
+
+(* The differential oracle on an under-test/oracle pair: outcome first,
+   then the allocation both passing sides armed. *)
+let divergence c r =
+  let diverged detail = Some (Divergence { detail }) in
+  if c.s_outcome <> r.s_outcome then
+    diverged
+      (Format.asprintf "outcome: controller %a, reference %a" Repair.pp_outcome
+         c.s_outcome Repair.pp_outcome r.s_outcome)
+  else if success c.s_outcome && c.s_alloc <> r.s_alloc then
+    diverged
+      (Printf.sprintf "%s: controller %s, reference %s"
+         (match c.s_alloc with Tlb_rows _ -> "TLB" | Lines _ -> "BIRA alloc")
+         (pp_alloc c.s_alloc) (pp_alloc r.s_alloc))
+  else None
 
 let run_faults cfg faults =
-  match cfg.repair with
-  | Row_tlb -> run_faults_tlb cfg faults
-  | Bira strat -> run_faults_bira cfg strat faults
+  let a = arch cfg in
+  let sides =
+    List.map
+      (fun role ->
+        let s =
+          Obs.span ~cat:"campaign" (role_span role) (fun () ->
+              a.run_side role faults)
+        in
+        (* between flows: the cooperative per-trial deadline (a no-op
+           unless the caller set one on the pool) *)
+        Pool.check_deadline ();
+        (role, s))
+      a.roles
+  in
+  let side role = List.assoc role sides in
+  let c = side Under_test and r = side Oracle and it = side a.iterated_by in
+  let divergences = Option.to_list (divergence c r) in
+  (* silent escapes: the array disagrees with a passing verdict *)
+  let escapes =
+    List.filter_map
+      (fun flow ->
+        let s = side (a.swept flow) in
+        if not (success s.s_outcome) then None
+        else
+          match
+            Obs.span ~cat:"campaign" "escape-sweep" (fun () ->
+                Sweep.run s.s_model)
+          with
+          | [] -> None
+          | mismatches -> Some (Escape { flow; mismatches }))
+      [ Two_pass; Iterated ]
+  in
+  if Obs.enabled () then begin
+    List.iter (fun (_, s) -> flush_model_stats s.s_model) sides;
+    Option.iter (Obs.observe "campaign.cycles") c.s_cycles;
+    Obs.observe "campaign.repair_rounds" it.s_rounds
+  end;
+  ( { controller = c.s_outcome
+    ; reference = r.s_outcome
+    ; iterated = it.s_outcome
+    ; rounds = it.s_rounds
+    ; cycles = Option.value ~default:0 c.s_cycles
+    ; alloc =
+        (match c.s_alloc with
+        | Lines a -> Option.map (fun a -> (a.Bira.a_rows, a.Bira.a_cols)) a
+        | Tlb_rows _ -> None)
+    }
+  , divergences @ escapes )
 
 type trial = {
   t_index : int;  (** -1 for a replay outside a campaign *)
@@ -383,66 +386,23 @@ let replay cfg ~seed = run_seeded cfg ~index:(-1) ~seed
 (* ------------------------------------------------------------------ *)
 (* shrinking *)
 
-(* Cheap re-checks used as the delta-debugging predicate: only the flow
-   that produced the failure is re-run. *)
-let check_escape cfg ~flow faults =
-  let bgs = backgrounds cfg in
-  let m = model_with cfg faults in
-  let outcome =
-    match cfg.repair with
-    | Bira strat ->
-        (* under BIRA the two flow labels name the two extraction
-           sides: Two_pass carries the packed analog, Iterated the
-           bit-by-bit reference (see [run_faults_bira]) *)
-        let fast = match flow with Two_pass -> true | Iterated -> false in
-        (Bira.run ~max_rounds:cfg.max_rounds ~fast strat m cfg.march
-           ~backgrounds:bgs)
-          .Bira.b_outcome
-    | Row_tlb -> (
-        match flow with
-        | Two_pass ->
-            let outcome, _, _ = Repair.run m cfg.march ~backgrounds:bgs in
-            outcome
-        | Iterated ->
-            (Repair.run_iterated_result ~max_rounds:cfg.max_rounds m cfg.march
-               ~backgrounds:bgs)
-              .Repair.i_outcome)
-  in
-  success outcome && not (Sweep.clean m)
-
-let check_divergence cfg faults =
-  let bgs = backgrounds cfg in
-  match cfg.repair with
-  | Bira strat ->
-      let mc = model_with cfg faults in
-      let c =
-        Bira.run ~max_rounds:cfg.max_rounds ~fast:true strat mc cfg.march
-          ~backgrounds:bgs
-      in
-      let mr = model_with cfg faults in
-      let r =
-        Bira.run ~max_rounds:cfg.max_rounds ~fast:false strat mr cfg.march
-          ~backgrounds:bgs
-      in
-      (not (outcome_equal c.Bira.b_outcome r.Bira.b_outcome))
-      || (success c.Bira.b_outcome && c.Bira.b_alloc <> r.Bira.b_alloc)
-  | Row_tlb ->
-      let mc = model_with cfg faults in
-      let controller, _, c_tlb = Repair.run mc cfg.march ~backgrounds:bgs in
-      let mr = model_with cfg faults in
-      let reference, r_tlb =
-        Repair.run_reference mr cfg.march ~backgrounds:bgs
-      in
-      (not (outcome_equal controller reference))
-      || (success controller && Tlb.mapped_rows c_tlb <> Tlb.mapped_rows r_tlb)
-
+(* The delta-debugging predicate re-runs only the sides the anomaly
+   needs: the swept side for an escape, the oracle pair for a
+   divergence. *)
 let shrink_anomaly cfg anomaly faults =
   if not cfg.shrink then faults
   else
+    let a = arch cfg in
     let keep =
       match anomaly with
-      | Escape { flow; _ } -> check_escape cfg ~flow
-      | Divergence _ -> check_divergence cfg
+      | Escape { flow; _ } ->
+          fun fs ->
+            let s = a.run_side (a.swept flow) fs in
+            success s.s_outcome && not (Sweep.clean s.s_model)
+      | Divergence _ ->
+          fun fs ->
+            let c = a.run_side Under_test fs in
+            Option.is_some (divergence c (a.run_side Oracle fs))
     in
     Shrink.minimize ~keep faults
 
@@ -463,32 +423,24 @@ let empty_histogram =
   ; fault_in_second_pass = 0
   }
 
-(* Outcome classes travel as strings because they are exactly what the
-   report histograms and the checkpoint records need — the full
-   [Repair.outcome] payload (the repaired row list) never reaches the
-   report, so serializing it would only widen the checkpoint format. *)
-let outcome_class = function
-  | Repair.Passed_clean -> "passed_clean"
-  | Repair.Repaired _ -> "repaired"
-  | Repair.Repair_unsuccessful Repair.Too_many_faulty_rows ->
-      "too_many_faulty_rows"
-  | Repair.Repair_unsuccessful Repair.Fault_in_second_pass ->
-      "fault_in_second_pass"
+(* A trial's outcome class is what the report histograms and the
+   checkpoint records need: the [Repair.outcome] without its repaired
+   row list, which never reaches the report, so serializing it would
+   only widen the checkpoint format. *)
+type outcome_class = Passed_clean | Repaired | Unsuccessful of Repair.reason
 
-let class_known = function
-  | "passed_clean" | "repaired" | "too_many_faulty_rows"
-  | "fault_in_second_pass" ->
-      true
-  | _ -> false
+let outcome_class : Repair.outcome -> outcome_class = function
+  | Repair.Passed_clean -> Passed_clean
+  | Repair.Repaired _ -> Repaired
+  | Repair.Repair_unsuccessful r -> Unsuccessful r
 
 let count_class h = function
-  | "passed_clean" -> { h with passed_clean = h.passed_clean + 1 }
-  | "repaired" -> { h with repaired = h.repaired + 1 }
-  | "too_many_faulty_rows" ->
+  | Passed_clean -> { h with passed_clean = h.passed_clean + 1 }
+  | Repaired -> { h with repaired = h.repaired + 1 }
+  | Unsuccessful Repair.Too_many_faulty_rows ->
       { h with too_many_faulty_rows = h.too_many_faulty_rows + 1 }
-  | "fault_in_second_pass" ->
+  | Unsuccessful Repair.Fault_in_second_pass ->
       { h with fault_in_second_pass = h.fault_in_second_pass + 1 }
-  | c -> invalid_arg ("Campaign: unknown outcome class " ^ c)
 
 type failure = {
   f_trial : int;
@@ -585,6 +537,36 @@ let analytic_yield cfg =
       | Poisson mean -> Repairable.yield_poisson g ~mean_defects:mean
       | Clustered { mean; alpha } ->
           Repairable.yield g ~mean_defects:mean ~alpha)
+
+let add_rounds tbl rounds count =
+  Hashtbl.replace tbl rounds
+    (count + Option.value ~default:0 (Hashtbl.find_opt tbl rounds))
+
+(* Result assembly shared by [run] and [merge_results]: the observed
+   yields from the histograms and the rounds table as a sorted list. *)
+let make_result config ~trials_run ~resumed_trials ~two_pass ~iterated
+    ~rounds ~escapes ~divergences ~tool_errors ~analytic_yield ~weighted =
+  let frac h =
+    if trials_run = 0 then 0.0
+    else float_of_int (h.passed_clean + h.repaired) /. float_of_int trials_run
+  in
+  { config
+  ; trials_run
+  ; truncated = trials_run < config.trials
+  ; resumed_trials
+  ; two_pass
+  ; iterated
+  ; rounds =
+      Hashtbl.fold (fun r c acc -> (r, c) :: acc) rounds []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  ; escapes
+  ; divergences
+  ; tool_errors
+  ; observed_yield_two_pass = frac two_pass
+  ; observed_yield_iterated = frac iterated
+  ; analytic_yield
+  ; weighted
+  }
 
 let failure_of_anomaly cfg trial anomaly =
   let f_kind, f_flow, f_detail =
@@ -868,8 +850,8 @@ type trial_record = {
 
 and rc_body =
   | Rc_ok of {
-      rc_two_pass : string;
-      rc_iterated : string;
+      rc_two_pass : outcome_class;
+      rc_iterated : outcome_class;
       rc_rounds : int;
       rc_alloc : (int list * int list) option;
           (** BIRA spare allocation (rows, cols); [None] for the TLB
@@ -878,14 +860,22 @@ and rc_body =
     }
   | Rc_error of string
 
+(* the record spelling of each outcome class: its histogram key *)
+let class_names =
+  [ (Passed_clean, "passed_clean")
+  ; (Repaired, "repaired")
+  ; (Unsuccessful Repair.Too_many_faulty_rows, "too_many_faulty_rows")
+  ; (Unsuccessful Repair.Fault_in_second_pass, "fault_in_second_pass")
+  ]
+
 let record_json r =
   let common = [ ("trial", J.Int r.rc_index); ("seed", J.Int r.rc_seed) ] in
   match r.rc_body with
   | Rc_ok o ->
       J.Obj
         (common
-        @ [ ("two_pass", J.String o.rc_two_pass)
-          ; ("iterated", J.String o.rc_iterated)
+        @ [ ("two_pass", J.String (List.assoc o.rc_two_pass class_names))
+          ; ("iterated", J.String (List.assoc o.rc_iterated class_names))
           ; ("rounds", J.Int o.rc_rounds)
           ]
         (* only BIRA trials carry an allocation, so TLB records keep
@@ -908,31 +898,35 @@ let record_of_json j =
   match field_str "error" j with
   | Some e -> Some { rc_index; rc_seed; rc_body = Rc_error e }
   | None ->
-      let* rc_two_pass = field_str "two_pass" j in
-      let* rc_iterated = field_str "iterated" j in
-      if not (class_known rc_two_pass && class_known rc_iterated) then None
-      else
-        let* rc_rounds = field_int "rounds" j in
-        let* rc_alloc =
-          match J.member "alloc" j with
-          | None -> Some None
-          | Some a ->
-              let int_of = function J.Int i -> Some i | _ -> None in
-              let* rl = field_list "rows" a in
-              let* cl = field_list "cols" a in
-              let* rows = all_opt int_of rl in
-              let* cols = all_opt int_of cl in
-              Some (Some (rows, cols))
-        in
-        let* failures = field_list "failures" j in
-        let* rc_failures = all_opt failure_of_json failures in
-        Some
-          { rc_index
-          ; rc_seed
-          ; rc_body =
-              Rc_ok
-                { rc_two_pass; rc_iterated; rc_rounds; rc_alloc; rc_failures }
-          }
+      let field_class k =
+        let* name = field_str k j in
+        List.find_map
+          (fun (c, n) -> if String.equal n name then Some c else None)
+          class_names
+      in
+      let* rc_two_pass = field_class "two_pass" in
+      let* rc_iterated = field_class "iterated" in
+      let* rc_rounds = field_int "rounds" j in
+      let* rc_alloc =
+        match J.member "alloc" j with
+        | None -> Some None
+        | Some a ->
+            let int_of = function J.Int i -> Some i | _ -> None in
+            let* rl = field_list "rows" a in
+            let* cl = field_list "cols" a in
+            let* rows = all_opt int_of rl in
+            let* cols = all_opt int_of cl in
+            Some (Some (rows, cols))
+      in
+      let* failures = field_list "failures" j in
+      let* rc_failures = all_opt failure_of_json failures in
+      Some
+        { rc_index
+        ; rc_seed
+        ; rc_body =
+            Rc_ok
+              { rc_two_pass; rc_iterated; rc_rounds; rc_alloc; rc_failures }
+        }
 
 let compute_record cfg ~index =
   let trial = run_trial cfg ~index in
@@ -989,8 +983,8 @@ let max_lanes = Bisram_sram.Word.max_width
 
 let clean_body =
   Rc_ok
-    { rc_two_pass = "passed_clean"
-    ; rc_iterated = "passed_clean"
+    { rc_two_pass = Passed_clean
+    ; rc_iterated = Passed_clean
     ; rc_rounds = 1
     ; rc_alloc = None
     ; rc_failures = []
@@ -1499,47 +1493,31 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     ref (match weighted_init with Some w -> w | None -> empty_weighted)
   in
   let repair_failed = function
-    | "too_many_faulty_rows" | "fault_in_second_pass" -> true
-    | _ -> false
+    | Unsuccessful _ -> true
+    | Passed_clean | Repaired -> false
   in
   let note_weight rc =
     if Option.is_some cfg.proposal then begin
       let w = trial_weight cfg ~index:rc.rc_index in
       let acc = !weighted_acc in
-      let acc =
-        { acc with
-          wn = acc.wn + 1
+      let fired t cond = if cond then tally_add t w else t in
+      let escaped, tp_failed, it_failed =
+        match rc.rc_body with
+        | Rc_error _ -> (false, false, false) (* observed no failure *)
+        | Rc_ok o ->
+            ( List.exists (fun f -> String.equal f.f_kind "escape")
+                o.rc_failures
+            , repair_failed o.rc_two_pass
+            , repair_failed o.rc_iterated )
+      in
+      weighted_acc :=
+        { wn = acc.wn + 1
         ; w_sum = acc.w_sum +. w
         ; w_sum2 = acc.w_sum2 +. (w *. w)
+        ; w_escape = fired acc.w_escape escaped
+        ; w_repair_fail_two_pass = fired acc.w_repair_fail_two_pass tp_failed
+        ; w_repair_fail_iterated = fired acc.w_repair_fail_iterated it_failed
         }
-      in
-      let acc =
-        match rc.rc_body with
-        | Rc_error _ -> acc (* a crashed trial observed no failure *)
-        | Rc_ok o ->
-            let acc =
-              if
-                List.exists
-                  (fun f -> String.equal f.f_kind "escape")
-                  o.rc_failures
-              then { acc with w_escape = tally_add acc.w_escape w }
-              else acc
-            in
-            let acc =
-              if repair_failed o.rc_two_pass then
-                { acc with
-                  w_repair_fail_two_pass =
-                    tally_add acc.w_repair_fail_two_pass w
-                }
-              else acc
-            in
-            if repair_failed o.rc_iterated then
-              { acc with
-                w_repair_fail_iterated = tally_add acc.w_repair_fail_iterated w
-              }
-            else acc
-      in
-      weighted_acc := acc
     end
   in
   for u = 0 to units_run - 1 do
@@ -1553,10 +1531,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
             | Rc_ok o ->
                 two_pass := count_class !two_pass o.rc_two_pass;
                 iterated := count_class !iterated o.rc_iterated;
-                Hashtbl.replace rounds o.rc_rounds
-                  (1
-                  + Option.value ~default:0
-                      (Hashtbl.find_opt rounds o.rc_rounds));
+                add_rounds rounds o.rc_rounds 1;
                 (* allocation decisions, like the anomaly sub-stream
                    below, are emitted here in strict trial order on the
                    calling domain — jobs/lanes-invariant *)
@@ -1602,10 +1577,6 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                   :: !tool_errors)
           (records_of_job u job)
   done;
-  let frac h =
-    if trials_run = 0 then 0.0
-    else float_of_int (h.passed_clean + h.repaired) /. float_of_int trials_run
-  in
   Events.emit ~domain:"campaign" "run.end"
     [ ("trials_run", J.Int trials_run)
     ; ("truncated", J.Bool (trials_run < cfg.trials))
@@ -1613,24 +1584,11 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     ; ("divergences", J.Int (List.length !divergences))
     ; ("tool_errors", J.Int (List.length !tool_errors))
     ];
-  { config = cfg
-  ; trials_run
-  ; truncated = trials_run < cfg.trials
-  ; resumed_trials = nresumed
-  ; two_pass = !two_pass
-  ; iterated = !iterated
-  ; rounds =
-      Hashtbl.fold (fun r c acc -> (r, c) :: acc) rounds []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  ; escapes = List.rev !escapes
-  ; divergences = List.rev !divergences
-  ; tool_errors = List.rev !tool_errors
-  ; observed_yield_two_pass = frac !two_pass
-  ; observed_yield_iterated = frac !iterated
-  ; analytic_yield = analytic_yield cfg
-  ; weighted =
-      (match cfg.proposal with None -> None | Some _ -> Some !weighted_acc)
-  }
+  make_result cfg ~trials_run ~resumed_trials:nresumed ~two_pass:!two_pass
+    ~iterated:!iterated ~rounds ~escapes:(List.rev !escapes)
+    ~divergences:(List.rev !divergences) ~tool_errors:(List.rev !tool_errors)
+    ~analytic_yield:(analytic_yield cfg)
+    ~weighted:(Option.map (fun _ -> !weighted_acc) cfg.proposal)
 
 (* ------------------------------------------------------------------ *)
 (* merging windowed runs *)
@@ -1665,12 +1623,7 @@ let merge_results = function
       let trials_run = sum (fun r -> r.trials_run) in
       let rounds : (int, int) Hashtbl.t = Hashtbl.create 8 in
       List.iter
-        (fun r ->
-          List.iter
-            (fun (rd, c) ->
-              Hashtbl.replace rounds rd
-                (c + Option.value ~default:0 (Hashtbl.find_opt rounds rd)))
-            r.rounds)
+        (fun r -> List.iter (fun (rd, c) -> add_rounds rounds rd c) r.rounds)
         rs;
       let two_pass = List.fold_left (fun a r -> add_h a r.two_pass)
           empty_histogram rs
@@ -1678,29 +1631,13 @@ let merge_results = function
       let iterated = List.fold_left (fun a r -> add_h a r.iterated)
           empty_histogram rs
       in
-      let frac h =
-        if trials_run = 0 then 0.0
-        else
-          float_of_int (h.passed_clean + h.repaired) /. float_of_int trials_run
-      in
       let last = List.nth rs (List.length rs - 1) in
-      { config = { first.config with trials }
-      ; trials_run
-      ; truncated = trials_run < trials
-      ; resumed_trials = sum (fun r -> r.resumed_trials)
-      ; two_pass
-      ; iterated
-      ; rounds =
-          Hashtbl.fold (fun r c acc -> (r, c) :: acc) rounds []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      ; escapes = List.concat_map (fun r -> r.escapes) rs
-      ; divergences = List.concat_map (fun r -> r.divergences) rs
-      ; tool_errors = List.concat_map (fun r -> r.tool_errors) rs
-      ; observed_yield_two_pass = frac two_pass
-      ; observed_yield_iterated = frac iterated
-      ; analytic_yield = first.analytic_yield
-      ; weighted = last.weighted
-      }
+      make_result { first.config with trials } ~trials_run
+        ~resumed_trials:(sum (fun r -> r.resumed_trials)) ~two_pass ~iterated
+        ~rounds ~escapes:(List.concat_map (fun r -> r.escapes) rs)
+        ~divergences:(List.concat_map (fun r -> r.divergences) rs)
+        ~tool_errors:(List.concat_map (fun r -> r.tool_errors) rs)
+        ~analytic_yield:first.analytic_yield ~weighted:last.weighted
 
 (* ------------------------------------------------------------------ *)
 (* JSON report *)

@@ -1,8 +1,8 @@
 (* Tests for the 2D BIRA subsystem: the line-cover allocators against a
    brute-force oracle, the bounded fault map's packed/scalar extraction
    agreement, the 2D remap layer, the spare-column yield model, and the
-   campaign-facing guarantees — row-tlb golden bytes and jobs x lanes
-   byte-identity for every allocator. *)
+   campaign-facing guarantees — row-tlb and bira-bnb golden bytes and
+   jobs x lanes byte-identity for every allocator. *)
 
 module Cover = Bisram_bira.Cover
 module Fault_map = Bisram_bira.Fault_map
@@ -313,6 +313,21 @@ let test_golden_row_tlb () =
     (read_file "golden_row_tlb.json")
     (C.pretty_json_string r)
 
+(* `--spare-cols 2 --repair bira-bnb` report bytes (the golden file is
+   the CLI output of `campaign --trials 40 --seed 11 --mode poisson
+   --mean 3 --spare-cols 2 --repair bira-bnb --jobs 1`).  Its 7
+   two-pass and 7 iterated escapes exercise both BIRA sweep sides and
+   their shrink predicates. *)
+let test_golden_bira_bnb () =
+  let cfg =
+    C.make_config ~org:org_2d ~repair:(C.Bira Bira.Exhaustive)
+      ~mode:(C.Poisson 3.0) ~trials:40 ~seed:11 ()
+  in
+  Alcotest.(check string)
+    "bira-bnb report is byte-identical to the golden capture"
+    (read_file "golden_bira_bnb.json")
+    (C.pretty_json_string (C.run ~jobs:1 cfg))
+
 (* byte-identity at jobs x lanes for every allocator *)
 let test_jobs_lanes_identical () =
   List.iter
@@ -387,6 +402,7 @@ let () =
         ] )
     ; ( "campaign"
       , [ Alcotest.test_case "golden row-tlb bytes" `Slow test_golden_row_tlb
+        ; Alcotest.test_case "golden bira-bnb bytes" `Slow test_golden_bira_bnb
         ; Alcotest.test_case "jobs x lanes byte-identity" `Slow
             test_jobs_lanes_identical
         ; Alcotest.test_case "no divergences" `Slow test_bira_no_divergence

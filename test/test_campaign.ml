@@ -149,6 +149,55 @@ let test_known_escape_replayable () =
   Alcotest.(check bool) "replay regenerates the fault set" true
     (t.C.t_faults = f.C.f_faults)
 
+(* Trial 257 of the seed-103 Poisson mean-3 campaign
+   (`campaign --mode poisson --mean 3 --replay 540766677`): the only
+   known input that reaches the oracle's divergence detail and the
+   divergence shrink predicate.  This pins the current disagreement
+   between the microprogrammed controller and the functional reference
+   (the controller repairs, the reference fails its second pass); if a
+   fix removes the disagreement, this test is re-goldened with a note
+   in the change log. *)
+let divergence_replay_trace =
+  {|trial seed 540766677: 7 fault(s)
+  TF(r2c11,down)
+  SOF(r4c16)
+  SAF(r19c19=false)
+  CFst(r15c7=false->r16c7~true)
+  DRF(r15c7->true)
+  SAF(r0c15=false)
+  SOF(r19c20)
+controller: repaired rows [0,2,15] (7783 cycles)
+reference : repair unsuccessful: fault in second pass
+iterated  : repair unsuccessful: too many faulty rows (2 round(s))
+DIVERGENCE: outcome: controller repaired rows [0,2,15], reference repair unsuccessful: fault in second pass
+ESCAPE (two-pass flow): 6 mismatching read(s)
+    addr 16 [checker/read-up]: expected 10101010, got 10100010
+    addr 16 [checker/read-down]: expected 10101010, got 10100010
+    addr 16 [checker/retention]: expected 10101010, got 10100010
+    addr 16 [checker-inv/read-up]: expected 01010101, got 01011101
+    addr 16 [checker-inv/read-down]: expected 01010101, got 01011101
+    addr 16 [checker-inv/retention]: expected 01010101, got 01011101
+|}
+
+let test_divergence_replay_pinned () =
+  let cfg = C.make_config ~mode:(C.Poisson 3.0) () in
+  let t = C.replay cfg ~seed:540766677 in
+  Alcotest.(check string) "replay trace" divergence_replay_trace
+    (Format.asprintf "%a" C.pp_trial t);
+  let shrunk =
+    List.map
+      (fun a ->
+        List.map (Format.asprintf "%a" F.pp)
+          (C.shrink_anomaly cfg a t.C.t_faults))
+      t.C.t_anomalies
+  in
+  Alcotest.(check (list (list string)))
+    "shrunk reproducers (divergence, two-pass escape)"
+    [ [ "CFst(r15c7=false->r16c7~true)"; "DRF(r15c7->true)" ]
+    ; [ "SOF(r4c16)" ]
+    ]
+    shrunk
+
 let test_clean_mix_has_no_anomalies () =
   let cfg =
     C.make_config ~mix:I.stuck_at_only ~mode:(C.Uniform 3) ~trials:60 ~seed:3
@@ -428,6 +477,76 @@ let test_checkpoint_corruption_degrades () =
       Alcotest.(check string) "byte-identical despite corrupt checkpoint" full
         (C.json_string r))
 
+(* Checkpoint codec coverage: the first 20 trials of this Poisson
+   mean-3 campaign carry all four outcome classes in their records. *)
+let class_cfg () =
+  C.make_config ~mode:(C.Poisson 3.0) ~trials:20 ~seed:7 ~shrink:false ()
+
+let checkpoint_doc path =
+  match J.of_string (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok doc -> doc
+  | Error e -> Alcotest.fail e
+
+let checkpoint_records doc =
+  match J.member "records" doc with
+  | Some (J.List l) -> l
+  | _ -> Alcotest.fail "checkpoint without records"
+
+let test_checkpoint_classes_round_trip () =
+  with_temp_ckpt (fun path ->
+      let cfg = class_cfg () in
+      let full = C.json_string (C.run cfg) in
+      ignore (C.run ~checkpoint:(C.checkpoint ~path ~every:1 ()) cfg);
+      let seen =
+        List.concat_map
+          (fun r ->
+            List.filter_map
+              (fun k ->
+                match J.member k r with Some (J.String c) -> Some c | _ -> None)
+              [ "two_pass"; "iterated" ])
+          (checkpoint_records (checkpoint_doc path))
+      in
+      List.iter
+        (fun c -> Alcotest.(check bool) (c ^ " recorded") true (List.mem c seen))
+        [ "passed_clean"; "repaired"; "too_many_faulty_rows";
+          "fault_in_second_pass" ];
+      let r =
+        C.run ~checkpoint:(C.checkpoint ~path ~resume:true ()) cfg
+      in
+      Alcotest.(check int) "every record resumed" 20 r.C.resumed_trials;
+      Alcotest.(check string) "byte-identical after resume" full
+        (C.json_string r))
+
+let test_checkpoint_unknown_class_rejected () =
+  with_temp_ckpt (fun path ->
+      let cfg = class_cfg () in
+      let full = C.json_string (C.run cfg) in
+      ignore (C.run ~checkpoint:(C.checkpoint ~path ~every:1 ()) cfg);
+      (* rename the iterated class of record 5: the resume must keep the
+         valid prefix before it and recompute the rest *)
+      let bad = 5 in
+      let set k v = function
+        | J.Obj fs ->
+            J.Obj (List.map (fun (k', x) -> (k', if k' = k then v else x)) fs)
+        | j -> j
+      in
+      let doc = checkpoint_doc path in
+      let records =
+        List.mapi
+          (fun i r -> if i = bad then set "iterated" (J.String "bogus") r else r)
+          (checkpoint_records doc)
+      in
+      let doc = set "records" (J.List records) doc in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (J.to_string doc));
+      let r =
+        C.run ~checkpoint:(C.checkpoint ~path ~resume:true ()) cfg
+      in
+      Alcotest.(check int) "prefix stops at the unknown class" bad
+        r.C.resumed_trials;
+      Alcotest.(check string) "byte-identical after resume" full
+        (C.json_string r))
+
 let test_resume_missing_checkpoint_is_cold () =
   let cfg = C.make_config ~trials:6 ~seed:29 () in
   let cold = C.json_string (C.run cfg) in
@@ -612,6 +731,8 @@ let () =
             test_known_escape_detected_and_shrunk
         ; Alcotest.test_case "known escape replayable" `Quick
             test_known_escape_replayable
+        ; Alcotest.test_case "divergence replay pinned" `Quick
+            test_divergence_replay_pinned
         ; Alcotest.test_case "stuck-at mix is anomaly-free" `Quick
             test_clean_mix_has_no_anomalies
         ; Alcotest.test_case "budget truncates" `Quick test_budget_truncates
@@ -641,6 +762,10 @@ let () =
             test_checkpoint_corruption_degrades
         ; Alcotest.test_case "missing checkpoint is a cold start" `Quick
             test_resume_missing_checkpoint_is_cold
+        ; Alcotest.test_case "checkpoint round-trips every outcome class"
+            `Quick test_checkpoint_classes_round_trip
+        ; Alcotest.test_case "checkpoint rejects an unknown outcome class"
+            `Quick test_checkpoint_unknown_class_rejected
         ; Alcotest.test_case "chaos transients absorbed by retries" `Quick
             test_chaos_transients_absorbed
         ; Alcotest.test_case "crashing trials become tool errors" `Quick
