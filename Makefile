@@ -126,7 +126,9 @@ trace-smoke: build
 # live progress and status file armed must (1) produce a JSONL event
 # log that strict-parses line by line with the run lifecycle pair and
 # a final status snapshot (events_check), and (2) produce a report
-# byte-identical to the same run with every observability channel off.
+# byte-identical to the same run with every observability channel off,
+# and (3) a --trace path in a missing directory must only warn: the run
+# exits 0 with the same report and still writes its event log.
 events-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 7 \
 	  --mix stuck-at --jobs 2 --events .ci-events.jsonl --progress \
@@ -136,8 +138,15 @@ events-smoke: build
 	diff .ci-events-on.json .ci-events-off.json
 	dune exec bench/events_check.exe -- --events .ci-events.jsonl \
 	  --status .ci-status.json
+	rm -rf .ci-missing
+	dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 7 \
+	  --mix stuck-at --jobs 2 --events .ci-events2.jsonl \
+	  --trace .ci-missing/t.json --stats > .ci-events-unwritable.json \
+	  2> /dev/null
+	cmp .ci-events-unwritable.json .ci-events-off.json
+	dune exec bench/events_check.exe -- --events .ci-events2.jsonl
 	rm -f .ci-events.jsonl .ci-status.json .ci-events-on.json \
-	  .ci-events-off.json
+	  .ci-events-off.json .ci-events2.jsonl .ci-events-unwritable.json
 	@echo "events-smoke: OK"
 
 # Bench trajectory page: render BENCH_history.jsonl to a static HTML

@@ -15,7 +15,7 @@
    heavily shared machines can keep the check in `make ci` without
    flaking the whole pipeline; the comparison is still printed. *)
 
-module J = Bisram_campaign.Report
+module J = Bisram_obs.Json
 
 let read_file path =
   let ic = open_in path in

@@ -21,7 +21,7 @@
 module C = Bisram_campaign.Campaign
 module E = Bisram_campaign.Estimator
 module Prop = Bisram_faults.Proposal
-module J = Bisram_campaign.Report
+module J = Bisram_obs.Json
 module Org = Bisram_sram.Org
 module Model = Bisram_sram.Model
 module Word = Bisram_sram.Word

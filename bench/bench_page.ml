@@ -15,7 +15,7 @@
    (conflict markers, truncated appends) are skipped with a warning
    and rendered as a damage note on the page, never a crash. *)
 
-module J = Bisram_campaign.Report
+module J = Bisram_obs.Json
 module History = Bisram_obs.History
 
 let read_file path =

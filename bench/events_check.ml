@@ -7,7 +7,8 @@
    1 with a message on the first violation. *)
 
 module J = Bisram_obs.Json
-module Events = Bisram_obs.Events
+module Obs = Bisram_obs.Obs
+module Export = Bisram_obs.Export
 
 let fail fmt =
   Printf.ksprintf (fun m -> prerr_endline ("events_check: " ^ m); exit 1) fmt
@@ -31,13 +32,13 @@ let check_events path =
   let parsed =
     List.mapi
       (fun i line ->
-        match Events.parse_line line with
+        match Export.parse_event_line line with
         | Ok ev -> ev
         | Error e -> fail "%s:%d: %s" path (i + 1) e)
       lines
   in
   let saw name =
-    List.exists (fun ev -> String.equal ev.Events.ev_name name) parsed
+    List.exists (fun ev -> String.equal ev.Obs.ev_name name) parsed
   in
   (* every run emits exactly one lifecycle pair; a log without them is
      a truncated or mis-merged capture *)
@@ -48,12 +49,12 @@ let check_events path =
   let ordered =
     let rec ok = function
       | a :: (b :: _ as rest) ->
-          let c = Int64.compare a.Events.ev_ts_ns b.Events.ev_ts_ns in
+          let c = Int64.compare a.Obs.ev_ts_ns b.Obs.ev_ts_ns in
           (c < 0
           || (c = 0
-             && (a.Events.ev_tid < b.Events.ev_tid
-                || (a.Events.ev_tid = b.Events.ev_tid
-                   && a.Events.ev_seq <= b.Events.ev_seq))))
+             && (a.Obs.ev_tid < b.Obs.ev_tid
+                || (a.Obs.ev_tid = b.Obs.ev_tid
+                   && a.Obs.ev_seq <= b.Obs.ev_seq))))
           && ok rest
       | _ -> true
     in

@@ -24,7 +24,6 @@ module Estimator = Bisram_campaign.Estimator
 module Proposal = Bisram_faults.Proposal
 module Obs = Bisram_obs.Obs
 module Obs_export = Bisram_obs.Export
-module Events = Bisram_obs.Events
 module Progress = Bisram_obs.Progress
 module Json = Bisram_obs.Json
 
@@ -295,113 +294,158 @@ let retention_only_mix =
   ; data_retention = 1.0
   }
 
-(* Telemetry runs around the campaign, never inside its report: the
-   trace/metrics/stats artifacts are written to their own files (or
-   stderr), and stdout still carries the byte-identical JSON report. *)
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+(* ------------------------------------------------------------------ *)
+(* observability flags, shared by campaign and explore *)
 
-let export_telemetry ~trace ~metrics ~stats =
-  let snap = Obs.snapshot () in
-  (match trace with
-  | None -> ()
-  | Some path ->
-      write_file path (Json.to_pretty_string (Obs_export.chrome_trace_json snap));
-      Printf.eprintf "wrote trace %s (load in Perfetto / chrome://tracing)\n"
-        path);
-  (match metrics with
-  | None -> ()
-  | Some path ->
-      write_file path (Json.to_pretty_string (Obs_export.metrics_json snap));
-      Printf.eprintf "wrote metrics %s\n" path);
-  if stats then prerr_string (Obs_export.stats_table snap)
+(* Every channel runs around the run, never inside its report: trace,
+   metrics and events go to their own files, the stats table and the
+   progress line to stderr, and stdout still carries the byte-identical
+   JSON report. *)
+type observability = {
+  trace : string option;
+  metrics : string option;
+  stats : bool;
+  events : string option;
+  events_level : string;
+  progress : bool;
+  status_file : string option;
+}
 
-(* The event stream works like telemetry: armed before the run, drained
-   to its own JSONL file after it, stdout untouched.  Arming validates
-   the level eagerly so a typo is an exit-2 configuration error, not a
-   silently empty log. *)
-let setup_events ~events ~events_level =
-  match Events.level_of_string events_level with
+(* [spans] names what the command's trace records; every other flag
+   reads the same under both commands *)
+let observability_term ~spans =
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            ("Write a Chrome trace-event JSON with " ^ spans
+           ^ " to $(docv); load it in Perfetto or chrome://tracing.  \
+              Enables telemetry."))
+  in
+  let metrics =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics" ] ~docv:"FILE"
+          ~doc:
+            "Write a flat metrics JSON (counters such as fast/legacy or \
+             cache hit/miss, per-worker busy/idle time, deterministic \
+             histograms) to $(docv).  Enables telemetry.")
+  in
+  let stats =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Print a human-readable phase/counter table to stderr after the \
+             run (stdout still carries the byte-identical JSON report).  \
+             Enables telemetry.")
+  in
+  let events =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "events" ] ~docv:"FILE"
+          ~doc:
+            "Write a structured JSONL event log (run lifecycle, pool retries \
+             and deadline kills, chaos injections, cache quarantines, \
+             checkpoint writes, estimator adaptive batches) to $(docv) after \
+             the run.  Like telemetry, events never change the report.")
+  in
+  let events_level =
+    Arg.(
+      value & opt string "info"
+      & info [ "events-level" ] ~docv:"LEVEL"
+          ~doc:
+            "Minimum level recorded by $(b,--events): debug, info or warn \
+             (debug adds per-key cache hit/miss events).")
+  in
+  let progress =
+    Arg.(
+      value & flag
+      & info [ "progress" ]
+          ~doc:
+            "Maintain a live one-line progress display on stderr (done/total, \
+             anomaly counts, throughput, ETA, and the CI half-width under \
+             adaptive stopping).  stdout still carries the byte-identical \
+             JSON report.")
+  in
+  let status_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "status-file" ] ~docv:"FILE"
+          ~doc:
+            "Atomically rewrite $(docv) with a machine-readable JSON progress \
+             snapshot (schema bisram-progress/1) on each progress tick, for \
+             external pollers; write failures warn once and never kill the \
+             run.")
+  in
+  let make trace metrics stats events events_level progress status_file =
+    { trace; metrics; stats; events; events_level; progress; status_file }
+  in
+  Term.(
+    const make $ trace $ metrics $ stats $ events $ events_level $ progress
+    $ status_file)
+
+(* Arm the registry before the run.  The event level is validated
+   eagerly, so a typo is an exit-2 configuration error, not a silently
+   empty log. *)
+let arm o =
+  match Obs_export.level_of_string o.events_level with
   | Error e -> Error ("--events-level: " ^ e)
   | Ok lvl ->
-      if Option.is_some events then begin
-        Events.set_min_level lvl;
-        Events.set_enabled true;
-        Events.reset ()
-      end;
+      Obs.set_enabled (o.trace <> None || o.metrics <> None || o.stats);
+      Obs.set_event_level (Option.map (Fun.const lvl) o.events);
+      Obs.reset ();
       Ok ()
 
-let export_events ~events =
-  match events with
-  | None -> ()
-  | Some path -> (
-      let evs = Events.drain () in
-      match open_out path with
-      | exception Sys_error e ->
-          Printf.eprintf "bisramgen: cannot write events %s: %s\n" path e
-      | oc ->
-          Events.write_jsonl oc evs;
-          close_out oc;
-          Printf.eprintf "wrote %d event(s) to %s\n" (List.length evs) path)
+(* Write every requested artifact after the run.  A write failure warns
+   and moves on to the next artifact: the report is already on stdout,
+   and the run keeps its exit code. *)
+let export o =
+  let snap = Obs.snapshot () in
+  let write flag path contents note =
+    match Out_channel.with_open_text path contents with
+    | () -> prerr_endline note
+    | exception Sys_error e ->
+        Printf.eprintf "bisramgen: cannot write %s %s: %s\n" flag path e
+  in
+  let json j oc = output_string oc (Json.to_pretty_string j) in
+  Option.iter
+    (fun p ->
+      write "--trace" p (json (Obs_export.chrome_trace_json snap))
+        ("wrote trace " ^ p ^ " (load in Perfetto / chrome://tracing)"))
+    o.trace;
+  Option.iter
+    (fun p ->
+      write "--metrics" p (json (Obs_export.metrics_json snap))
+        ("wrote metrics " ^ p))
+    o.metrics;
+  if o.stats then prerr_string (Obs_export.stats_table snap);
+  Option.iter
+    (fun p ->
+      let evs = Obs.drain_events () in
+      write "--events" p
+        (fun oc -> Obs_export.write_events_jsonl oc evs)
+        (Printf.sprintf "wrote %d event(s) to %s" (List.length evs) p))
+    o.events
 
-(* Progress rendering shares one construction across subcommands: armed
-   by --progress (stderr line) and/or --status-file (atomic JSON
-   snapshot); absent both, no reporter exists and the run pays
-   nothing. *)
-let make_progress ?total ?label ?show_anomalies ~progress ~status_file () =
-  if progress || Option.is_some status_file then
+(* Progress rendering: armed by --progress (stderr line) and/or
+   --status-file (atomic JSON snapshot); absent both, no reporter
+   exists and the run pays nothing. *)
+let make_progress ?total ?label ?show_anomalies o =
+  if o.progress || Option.is_some o.status_file then
     Some
-      (Progress.create ?total ?status_file ~to_stderr:progress ?label
-         ?show_anomalies ())
+      (Progress.create ?total ?status_file:o.status_file ~to_stderr:o.progress
+         ?label ?show_anomalies ())
   else None
-
-(* observability flags shared by campaign and explore *)
-let events_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "events" ] ~docv:"FILE"
-        ~doc:
-          "Write a structured JSONL event log (run lifecycle, pool retries \
-           and deadline kills, chaos injections, cache quarantines, \
-           checkpoint writes, estimator adaptive batches) to $(docv) after \
-           the run.  Like telemetry, events never change the report.")
-
-let events_level_arg =
-  Arg.(
-    value & opt string "info"
-    & info [ "events-level" ] ~docv:"LEVEL"
-        ~doc:
-          "Minimum level recorded by $(b,--events): debug, info or warn \
-           (debug adds per-key cache hit/miss events).")
-
-let progress_arg =
-  Arg.(
-    value & flag
-    & info [ "progress" ]
-        ~doc:
-          "Maintain a live one-line progress display on stderr (done/total, \
-           anomaly counts, throughput, ETA, and the CI half-width under \
-           adaptive stopping).  stdout still carries the byte-identical \
-           JSON report.")
-
-let status_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "status-file" ] ~docv:"FILE"
-        ~doc:
-          "Atomically rewrite $(docv) with a machine-readable JSON progress \
-           snapshot (schema bisram-progress/1) on each progress tick, for \
-           external pollers; write failures warn once and never kill the \
-           run.")
 
 let do_campaign words bpw bpc spares spare_cols march trials seed mode nfaults
     mean alpha mix repair max_seconds no_shrink max_rounds jobs batch_lanes
-    trace metrics stats
-    events events_level progress status_file replay_seed fail_on_anomaly
+    obs replay_seed fail_on_anomaly
     checkpoint_path checkpoint_every resume trial_deadline confidence target_ci
     ci_metric ci_batch ci_max_trials prop_scale prop_shift prop_nonzero
     prop_mix =
@@ -537,26 +581,18 @@ let do_campaign words bpw bpc spares spare_cols march trials seed mode nfaults
         | cfg, ck -> Ok (cfg, jobs, ck, ci_metric)
         | exception Invalid_argument e -> Error e))
   in
-  match cfg_result with
+  (* the registry is armed only once the configuration is valid *)
+  match
+    Result.bind cfg_result (fun c -> Result.map (Fun.const c) (arm obs))
+  with
   | Error e ->
       (* one-line diagnostic, never a backtrace; exit 2 = invalid
          configuration (distinct from 1 = runtime error, 3 = anomaly) *)
       Printf.eprintf "bisramgen: invalid configuration: %s\n" e;
       2
   | Ok (cfg, jobs, ck, ci_metric) -> (
-      match setup_events ~events ~events_level with
-      | Error e ->
-          Printf.eprintf "bisramgen: invalid configuration: %s\n" e;
-          2
-      | Ok () -> (
-      let telemetry = trace <> None || metrics <> None || stats in
-      if telemetry then begin
-        Obs.set_enabled true;
-        Obs.reset ()
-      end;
       let finish code =
-        if telemetry then export_telemetry ~trace ~metrics ~stats;
-        export_events ~events;
+        export obs;
         code
       in
       match replay_seed with
@@ -605,7 +641,7 @@ let do_campaign words bpw bpc spares spare_cols march trials seed mode nfaults
                       (match target_ci with
                       | Some _ -> ci_max_trials
                       | None -> cfg.Campaign.trials)
-                    ~progress ~status_file ()
+                    obs
                 in
                 let on_progress =
                   Option.map
@@ -680,7 +716,7 @@ let do_campaign words bpw bpc spares spare_cols march trials seed mode nfaults
                  fail_on_anomaly
                  && (r.Campaign.escapes <> [] || r.Campaign.divergences <> [])
                then 3
-               else 0)))
+               else 0))
 
 let campaign_cmd =
   (* the campaign simulates every trial word-by-word, so its defaults
@@ -769,36 +805,6 @@ let campaign_cmd =
     Arg.(
       value & opt int 8
       & info [ "max-rounds" ] ~doc:"Iterated (2k-pass) repair round bound.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace-event JSON with per-trial phase spans \
-             (inject, march, oracle, repair, escape-sweep, shrink) and \
-             per-march-element BIST sections to $(docv); load it in \
-             Perfetto or chrome://tracing.  Enables telemetry.")
-  in
-  let metrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write a flat metrics JSON (fast/legacy hit counters, \
-             per-worker busy/idle time, deterministic histograms) to \
-             $(docv).  Enables telemetry.")
-  in
-  let stats_arg =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "Print a human-readable phase/counter table to stderr after the \
-             run (stdout still carries the byte-identical JSON report).  \
-             Enables telemetry.")
   in
   let replay_arg =
     Arg.(
@@ -956,8 +962,12 @@ let campaign_cmd =
       $ march_arg $ trials_arg $ seed_arg $ mode_arg $ nfaults_arg $ mean_arg
       $ alpha_arg $ mix_arg $ repair_arg $ max_seconds_arg $ no_shrink_arg
       $ max_rounds_arg $ jobs_arg
-      $ batch_lanes_arg $ trace_arg $ metrics_arg $ stats_arg $ events_arg
-      $ events_level_arg $ progress_arg $ status_file_arg $ replay_arg
+      $ batch_lanes_arg
+      $ observability_term
+          ~spans:
+            "per-trial phase spans (inject, march, oracle, repair, \
+             escape-sweep, shrink) and per-march-element BIST sections"
+      $ replay_arg
       $ fail_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
       $ trial_deadline_arg $ confidence_arg $ target_ci_arg $ ci_metric_arg
       $ ci_batch_arg $ ci_max_trials_arg $ prop_scale_arg $ prop_shift_arg
@@ -975,8 +985,7 @@ let campaign_cmd =
 (* ------------------------------------------------------------------ *)
 (* explore: parallel design-space sweep *)
 
-let do_explore spec_file jobs cache_dir resume pareto trace metrics stats
-    events events_level progress status_file =
+let do_explore spec_file jobs cache_dir resume pareto obs =
   let spec_result =
     match read_file spec_file with
     | exception Sys_error e -> Error (`Io e)
@@ -985,8 +994,11 @@ let do_explore spec_file jobs cache_dir resume pareto trace metrics stats
         | Ok s -> Ok s
         | Error e -> Error (`Config (spec_file ^ ": " ^ e)))
   in
+  (* arming validates the event level, which reports like a bad --jobs *)
   let jobs_result =
-    Result.map_error (fun e -> `Config e) (resolve_jobs jobs)
+    Result.bind (resolve_jobs jobs) (fun j ->
+        Result.map (Fun.const j) (arm obs))
+    |> Result.map_error (fun e -> `Config e)
   in
   match (spec_result, jobs_result) with
   | Error (`Io e), _ ->
@@ -996,20 +1008,10 @@ let do_explore spec_file jobs cache_dir resume pareto trace metrics stats
       Printf.eprintf "bisramgen: invalid configuration: %s\n" e;
       2
   | Ok spec, Ok jobs -> (
-      match setup_events ~events ~events_level with
-      | Error e ->
-          Printf.eprintf "bisramgen: invalid configuration: %s\n" e;
-          2
-      | Ok () -> (
-      let telemetry = trace <> None || metrics <> None || stats in
-      if telemetry then begin
-        Obs.set_enabled true;
-        Obs.reset ()
-      end;
       let reporter =
         make_progress
           ~total:(Array.length (fst (Bisram_explore.Spec.expand spec)))
-          ~label:"points" ~show_anomalies:false ~progress ~status_file ()
+          ~label:"points" ~show_anomalies:false obs
       in
       let on_progress =
         Option.map
@@ -1054,9 +1056,8 @@ let do_explore spec_file jobs cache_dir resume pareto trace metrics stats
                 io error(s)\n"
                cs.C.st_quarantined cs.C.st_reaped_tmp cs.C.st_io_errors);
           if pareto then prerr_string (E.summary_table r);
-          if telemetry then export_telemetry ~trace ~metrics ~stats;
-          export_events ~events;
-          0))
+          export obs;
+          0)
 
 let explore_cmd =
   let spec_arg =
@@ -1097,37 +1098,11 @@ let explore_cmd =
             "Print the Pareto frontier and best-spares tables human-readably \
              to stderr (stdout still carries the JSON report).")
   in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace-event JSON with per-point and \
-             per-evaluator spans to $(docv).  Enables telemetry.")
-  in
-  let metrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE"
-          ~doc:
-            "Write a flat metrics JSON (point counters, cache hit/miss, \
-             per-worker busy/idle) to $(docv).  Enables telemetry.")
-  in
-  let stats_arg =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "Print a phase/counter table to stderr after the sweep.  \
-             Enables telemetry.")
-  in
   let term =
     Term.(
       const do_explore $ spec_arg $ jobs_arg $ cache_arg $ resume_arg
-      $ pareto_arg $ trace_arg $ metrics_arg $ stats_arg $ events_arg
-      $ events_level_arg $ progress_arg $ status_file_arg)
+      $ pareto_arg
+      $ observability_term ~spans:"per-point and per-evaluator spans")
   in
   Cmd.v
     (Cmd.info "explore"

@@ -10,10 +10,9 @@ module Repairable = Bisram_yield.Repairable
 module Bira = Bisram_bira.Bira
 module Proposal = Bisram_faults.Proposal
 module Obs = Bisram_obs.Obs
-module Events = Bisram_obs.Events
 module Pool = Bisram_parallel.Pool
 module Chaos = Bisram_chaos.Chaos
-module J = Report
+module J = Bisram_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* configuration *)
@@ -1093,13 +1092,13 @@ let write_checkpoint cfg path records =
   with
   | () ->
       Obs.incr "campaign.checkpoints";
-      Events.emit ~domain:"campaign" "checkpoint.write"
+      Obs.emit ~domain:"campaign" "checkpoint.write"
         [ ("path", J.String path)
         ; ("records", J.Int (List.length records))
         ]
   | exception Sys_error e ->
       Obs.incr "campaign.checkpoint_write_failed";
-      Events.emit ~level:Events.Warn ~domain:"campaign"
+      Obs.emit ~level:Obs.Warn ~domain:"campaign"
         "checkpoint.write_failed"
         [ ("path", J.String path); ("error", J.String e) ]
 
@@ -1215,7 +1214,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
      (jobs/lanes): everything else in the stream is a pure function of
      the work, so jobs-invariance checks drop run.start (see DESIGN.md
      §14) *)
-  Events.emit ~domain:"campaign" "run.start"
+  Obs.emit ~domain:"campaign" "run.start"
     [ ("trials", J.Int cfg.trials)
     ; ("offset", J.Int offset)
     ; ("seed", J.Int cfg.seed)
@@ -1262,7 +1261,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
       then begin
         (* keyed on (trial, attempt), so the event payload is as
            deterministic as the injection itself *)
-        Events.emit ~level:Events.Warn ~domain:"chaos" "chaos.inject"
+        Obs.emit ~level:Obs.Warn ~domain:"chaos" "chaos.inject"
           [ ("trial", J.Int start)
           ; ("attempt", J.Int (Pool.current_attempt ()))
           ];
@@ -1404,14 +1403,14 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
   (* retry observability: the pool calls this on the raising worker
      right before a transient re-attempt *)
   let on_retry =
-    if not (Obs.enabled () || Events.enabled ()) then None
+    if not (Obs.enabled () || Obs.would_log Obs.Warn) then None
     else
       Some
         (fun unit ~attempt e ->
           Obs.incr "pool.retry_attempts";
-          if Events.would_log Events.Warn then begin
+          if Obs.would_log Obs.Warn then begin
             let start, len = ranges.(unit) in
-            Events.emit ~level:Events.Warn ~domain:"pool" "pool.retry"
+            Obs.emit ~level:Obs.Warn ~domain:"pool" "pool.retry"
               [ ("trial_start", J.Int start)
               ; ("len", J.Int len)
               ; ("attempt", J.Int attempt)
@@ -1450,7 +1449,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     if units_run = n_units then cfg.trials
     else fst ranges.(units_run) - offset
   in
-  if Obs.enabled () || Events.enabled () then begin
+  if Obs.enabled () || Obs.would_log Obs.Warn then begin
     let retries = ref 0 in
     Array.iteri
       (fun u r ->
@@ -1465,8 +1464,8 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                 if deadline then Obs.incr "pool.deadline_exceeded"
                 else if f.Pool.f_transient then
                   Obs.incr "pool.retry_exhausted";
-                if Events.would_log Events.Warn then
-                  Events.emit ~level:Events.Warn ~domain:"pool"
+                if Obs.would_log Obs.Warn then
+                  Obs.emit ~level:Obs.Warn ~domain:"pool"
                     (if deadline then "pool.deadline_kill"
                      else "pool.job_failed")
                     [ ("trial_start", J.Int start)
@@ -1536,8 +1535,8 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                    below, are emitted here in strict trial order on the
                    calling domain — jobs/lanes-invariant *)
                 (match o.rc_alloc with
-                | Some (arows, acols) when Events.would_log Events.Info ->
-                    Events.emit ~domain:"campaign" "trial.bira_alloc"
+                | Some (arows, acols) when Obs.would_log Obs.Info ->
+                    Obs.emit ~domain:"campaign" "trial.bira_alloc"
                       [ ("trial", J.Int rc.rc_index)
                       ; ("seed", J.Int rc.rc_seed)
                       ; ("rows", J.List (List.map (fun r -> J.Int r) arows))
@@ -1552,8 +1551,8 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                     (* emitted here, in strict trial order on the
                        calling domain, so the anomaly sub-stream is
                        jobs-invariant envelope aside *)
-                    if Events.would_log Events.Info then
-                      Events.emit ~domain:"campaign" ("trial." ^ f.f_kind)
+                    if Obs.would_log Obs.Info then
+                      Obs.emit ~domain:"campaign" ("trial." ^ f.f_kind)
                         [ ("trial", J.Int f.f_trial)
                         ; ("seed", J.Int f.f_seed)
                         ; ("flow", J.String f.f_flow)
@@ -1562,8 +1561,8 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                   o.rc_failures
             | Rc_error e ->
                 Obs.incr "campaign.tool_errors";
-                if Events.would_log Events.Warn then
-                  Events.emit ~level:Events.Warn ~domain:"campaign"
+                if Obs.would_log Obs.Warn then
+                  Obs.emit ~level:Obs.Warn ~domain:"campaign"
                     "trial.tool_error"
                     [ ("trial", J.Int rc.rc_index)
                     ; ("seed", J.Int rc.rc_seed)
@@ -1577,7 +1576,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                   :: !tool_errors)
           (records_of_job u job)
   done;
-  Events.emit ~domain:"campaign" "run.end"
+  Obs.emit ~domain:"campaign" "run.end"
     [ ("trials_run", J.Int trials_run)
     ; ("truncated", J.Bool (trials_run < cfg.trials))
     ; ("escapes", J.Int (List.length !escapes))

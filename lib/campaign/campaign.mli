@@ -24,9 +24,15 @@
     failure), deterministic counters and histograms
     ([campaign.trials], [campaign.escapes], [model.fast_reads] …,
     [campaign.cycles]) and per-worker pool utilization
-    ([pool.workerN.busy_ns] …).  Telemetry is strictly write-only side
-    channel state: nothing it records feeds {!to_json}, so reports are
-    byte-identical with telemetry on or off. *)
+    ([pool.workerN.busy_ns] …).  When {!Bisram_obs.Obs.set_event_level}
+    is on, the run also emits leveled events into the same registry:
+    [run.start] / [run.end], per-anomaly [trial.escape] /
+    [trial.divergence] / [trial.tool_error] and, under BIRA,
+    [trial.bira_alloc] (emitted in trial order on the calling domain),
+    [checkpoint.write], pool [pool.retry] / [pool.deadline_kill] /
+    [pool.job_failed] and [chaos.inject].  Telemetry and events are
+    strictly write-only side channel state: nothing they record feeds
+    {!to_json}, so reports are byte-identical with either on or off. *)
 
 type mode =
   | Uniform of int  (** exactly n faults per trial *)
@@ -132,8 +138,16 @@ type trial = {
   t_anomalies : anomaly list;
 }
 
-(** Run all three flows plus oracle comparison and escape sweeps on an
-    explicit fault list (no randomness). *)
+(** Run one trial on an explicit fault list (no randomness): every side
+    of the repair architecture's role table, each on its own freshly
+    armed model, then the differential oracle and the escape sweeps.
+    Under [Row_tlb] a trial runs three sides: the microprogrammed
+    controller under test, the functional two-pass reference as the
+    oracle, and the iterated 2k-pass flow, whose verdict is reported as
+    [iterated].  Under [Bira _] it runs two: the packed-word comparator
+    analog under test and the bit-by-bit reference as the oracle; the
+    reference also carries the iterated escape sweep, and the analog's
+    verdict is reported for both flows. *)
 val run_faults :
   config -> Bisram_faults.Fault.t list -> verdicts * anomaly list
 
@@ -345,9 +359,9 @@ val run :
 val merge_results : result list -> result
 
 val analytic_yield : config -> float
-val to_json : result -> Report.t
+val to_json : result -> Bisram_obs.Json.t
 val json_string : result -> string
 val pretty_json_string : result -> string
-val fault_json : Bisram_faults.Fault.t -> Report.t
+val fault_json : Bisram_faults.Fault.t -> Bisram_obs.Json.t
 val pp_trial : Format.formatter -> trial -> unit
 val pp_anomaly : Format.formatter -> anomaly -> unit

@@ -9,9 +9,8 @@
    repo, identical bytes on every platform that rounds IEEE doubles
    the same way. *)
 
-module J = Report
+module J = Bisram_obs.Json
 module Obs = Bisram_obs.Obs
-module Events = Bisram_obs.Events
 module Defect = Bisram_faults.Defect
 
 type interval = { lo : float; hi : float }
@@ -363,8 +362,8 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
        Obs.add "estimator.trials" r.Campaign.trials_run;
        if Float.is_finite est.e_n_eff then
          Obs.observe "estimator.n_eff" (int_of_float est.e_n_eff);
-       if Events.would_log Events.Info then
-         Events.emit ~domain:"estimator" "estimator.batch"
+       if Obs.would_log Obs.Info then
+         Obs.emit ~domain:"estimator" "estimator.batch"
            [ ("batch", J.Int (List.length !results))
            ; ("trials_total", J.Int !offset)
            ; ("hits", J.Int est.e_hits)
@@ -387,7 +386,7 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
      done
    with Exit -> ());
   let merged = Campaign.merge_results (List.rev !results) in
-  Events.emit ~domain:"estimator" "estimator.stop"
+  Obs.emit ~domain:"estimator" "estimator.stop"
     [ ("reason", J.String (stop_reason_name !reason))
     ; ("batches", J.Int (List.length !results))
     ; ("trials_total", J.Int !offset)

@@ -132,13 +132,14 @@ val run_adaptive :
 
 (** The [confidence] report section: interval estimates for all three
     metrics at [level] (default 0.95). *)
-val confidence_json : ?level:float -> Campaign.result -> Report.t
+val confidence_json : ?level:float -> Campaign.result -> Bisram_obs.Json.t
 
 (** The schema-[bisram-campaign/3] report: {!Campaign.to_json} with the
     schema field rewritten and [confidence] (always), [estimation]
     (when the result is weighted) and [adaptive] (when given) sections
     appended — a strict superset of the /2 document. *)
-val report_json : ?level:float -> ?adaptive:adaptive -> Campaign.result -> Report.t
+val report_json :
+  ?level:float -> ?adaptive:adaptive -> Campaign.result -> Bisram_obs.Json.t
 
 val report_string : ?level:float -> ?adaptive:adaptive -> Campaign.result -> string
 

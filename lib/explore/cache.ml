@@ -1,6 +1,5 @@
 module J = Bisram_obs.Json
 module Obs = Bisram_obs.Obs
-module Events = Bisram_obs.Events
 module Chaos = Bisram_chaos.Chaos
 
 let version = "bisram-explore-cache/2"
@@ -58,7 +57,7 @@ let create ?dir ~resume () =
   in
   if reaped > 0 then begin
     Obs.add "cache.reaped_tmp" reaped;
-    Events.emit ~level:Events.Warn ~domain:"cache" "cache.reap_tmp"
+    Obs.emit ~level:Obs.Warn ~domain:"cache" "cache.reap_tmp"
       [ ("reaped", J.Int reaped) ]
   end;
   { dir
@@ -133,7 +132,7 @@ let parse_entry key s =
 let quarantine t key path =
   Atomic.incr t.quarantined;
   Obs.incr "cache.quarantined";
-  Events.emit ~level:Events.Warn ~domain:"cache" "cache.quarantine"
+  Obs.emit ~level:Obs.Warn ~domain:"cache" "cache.quarantine"
     [ ("key", J.String key); ("path", J.String path) ];
   match Sys.rename path (path ^ ".quarantine") with
   | () -> ()
@@ -205,15 +204,15 @@ let memo t ~key compute =
   | Some v ->
       Atomic.incr t.hits;
       Obs.incr "cache.hits";
-      if Events.would_log Events.Debug then
-        Events.emit ~level:Events.Debug ~domain:"cache" "cache.hit"
+      if Obs.would_log Obs.Debug then
+        Obs.emit ~level:Obs.Debug ~domain:"cache" "cache.hit"
           [ ("key", J.String key) ];
       v
   | None ->
       Atomic.incr t.misses;
       Obs.incr "cache.misses";
-      if Events.would_log Events.Debug then
-        Events.emit ~level:Events.Debug ~domain:"cache" "cache.miss"
+      if Obs.would_log Obs.Debug then
+        Obs.emit ~level:Obs.Debug ~domain:"cache" "cache.miss"
           [ ("key", J.String key) ];
       let s = entry_string key (compute ()) in
       store t key s;

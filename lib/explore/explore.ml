@@ -8,7 +8,6 @@ module Rel = Bisram_rel.Reliability
 module Campaign = Bisram_campaign.Campaign
 module Pool = Bisram_parallel.Pool
 module Obs = Bisram_obs.Obs
-module Events = Bisram_obs.Events
 module J = Bisram_obs.Json
 
 type result = {
@@ -197,7 +196,7 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
   if jobs < 1 then invalid_arg "Explore.run: jobs must be >= 1";
   let points, skipped = Spec.expand spec in
   let cache = Cache.create ?dir:cache_dir ~resume () in
-  Events.emit ~domain:"explore" "run.start"
+  Obs.emit ~domain:"explore" "run.start"
     [ ("points", J.Int (Array.length points))
     ; ("skipped", J.Int skipped)
     ; ("evaluators", J.Int (List.length spec.Spec.evaluators))
@@ -254,7 +253,7 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
   Obs.add "explore.cache_hits" (Cache.hits cache);
   Obs.add "explore.cache_misses" (Cache.misses cache);
   let st = Cache.stats cache in
-  Events.emit ~domain:"explore" "run.end"
+  Obs.emit ~domain:"explore" "run.end"
     [ ("points", J.Int (Array.length points))
     ; ("cache_hits", J.Int st.Cache.st_hits)
     ; ("cache_misses", J.Int st.Cache.st_misses)

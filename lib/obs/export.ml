@@ -147,3 +147,93 @@ let stats_table (s : Obs.snapshot) =
       s.Obs.hists
   end;
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* bisram-events/1 JSONL *)
+
+let events_schema = "bisram-events/1"
+
+let level_to_string = function
+  | Obs.Debug -> "debug"
+  | Obs.Info -> "info"
+  | Obs.Warn -> "warn"
+
+let level_of_string = function
+  | "debug" -> Ok Obs.Debug
+  | "info" -> Ok Obs.Info
+  | "warn" -> Ok Obs.Warn
+  | s -> Error (Printf.sprintf "unknown level %S" s)
+
+let event_json (ev : Obs.event) =
+  J.Obj
+    [ ("schema", J.String events_schema)
+    ; ("seq", J.Int ev.Obs.ev_seq)
+    ; ("tid", J.Int ev.Obs.ev_tid)
+    ; ("ts_ns", J.Int (Int64.to_int ev.Obs.ev_ts_ns))
+    ; ("level", J.String (level_to_string ev.Obs.ev_level))
+    ; ("domain", J.String ev.Obs.ev_domain)
+    ; ("name", J.String ev.Obs.ev_name)
+    ; ("fields", J.Obj ev.Obs.ev_fields)
+    ]
+
+let ( let* ) = Result.bind
+
+let event_of_json j =
+  match j with
+  | J.Obj kvs ->
+      let known =
+        [ "schema"; "seq"; "tid"; "ts_ns"; "level"; "domain"; "name"; "fields" ]
+      in
+      let* () =
+        match List.find_opt (fun (k, _) -> not (List.mem k known)) kvs with
+        | Some (k, _) -> Error (Printf.sprintf "unknown key %S" k)
+        | None -> Ok ()
+      in
+      let field k what conv =
+        match List.assoc_opt k kvs with
+        | None -> Error (Printf.sprintf "missing key %S" k)
+        | Some v ->
+            Option.to_result (conv v)
+              ~none:(Printf.sprintf "key %S is not %s" k what)
+      in
+      let int_field k =
+        field k "an integer" (function J.Int i -> Some i | _ -> None)
+      in
+      let string_field k =
+        field k "a string" (function J.String s -> Some s | _ -> None)
+      in
+      let* sch = string_field "schema" in
+      let* () =
+        if sch = events_schema then Ok ()
+        else
+          Error (Printf.sprintf "schema is %S, expected %S" sch events_schema)
+      in
+      let* seq = int_field "seq" in
+      let* tid = int_field "tid" in
+      let* ts = int_field "ts_ns" in
+      let* lvl_s = string_field "level" in
+      let* lvl = level_of_string lvl_s in
+      let* domain = string_field "domain" in
+      let* name = string_field "name" in
+      let* fields =
+        field "fields" "an object" (function J.Obj fs -> Some fs | _ -> None)
+      in
+      Ok
+        { Obs.ev_seq = seq
+        ; ev_tid = tid
+        ; ev_ts_ns = Int64.of_int ts
+        ; ev_level = lvl
+        ; ev_domain = domain
+        ; ev_name = name
+        ; ev_fields = fields
+        }
+  | _ -> Error "event is not an object"
+
+let parse_event_line line = Result.bind (J.of_string line) event_of_json
+
+let write_events_jsonl oc evs =
+  List.iter
+    (fun ev ->
+      output_string oc (J.to_string (event_json ev));
+      output_char oc '\n')
+    evs

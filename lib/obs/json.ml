@@ -296,3 +296,8 @@ let of_string s =
 let member k = function
   | Obj fields -> List.assoc_opt k fields
   | _ -> None
+
+(* Confidence intervals render as a two-field object everywhere a
+   report carries one, so the estimator, sweep and bench sections stay
+   mutually greppable. *)
+let interval_json ~lo ~hi = Obj [ ("lo", Float lo); ("hi", Float hi) ]

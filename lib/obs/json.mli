@@ -35,3 +35,7 @@ val of_string : string -> (t, string) result
 (** [member k j] is the value of field [k] when [j] is an [Obj] that
     has one, [None] otherwise. *)
 val member : string -> t -> t option
+
+(** [interval_json ~lo ~hi] — the canonical [{"lo": …, "hi": …}]
+    rendering of a confidence interval in reports. *)
+val interval_json : lo:float -> hi:float -> t

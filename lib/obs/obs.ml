@@ -1,11 +1,26 @@
 module Clock = Bisram_parallel.Clock
 
 (* ------------------------------------------------------------------ *)
-(* global switch *)
+(* switches *)
 
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
+
+type level = Debug | Info | Warn
+
+let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
+
+(* the event floor packed as one int so a single Atomic covers both
+   "on?" and "which level?": a rank above Warn's means off *)
+let events_off = 3
+let event_floor = Atomic.make events_off
+
+let set_event_level = function
+  | None -> Atomic.set event_floor events_off
+  | Some l -> Atomic.set event_floor (level_rank l)
+
+let would_log l = level_rank l >= Atomic.get event_floor
 
 (* ------------------------------------------------------------------ *)
 (* per-domain shards
@@ -13,10 +28,12 @@ let set_enabled b = Atomic.set enabled_flag b
    Every domain that touches the registry gets its own shard (via
    [Domain.DLS]), so the instrumented hot paths never contend: an
    increment is a hashtable hit plus an int-ref bump on memory only the
-   owning domain writes.  Shards register themselves in a global list
-   (mutex-taken once per domain, at first use) and stay registered after
-   their domain dies, which is what lets {!snapshot} merge the work of
-   pool workers after the joins. *)
+   owning domain writes, an event a cons onto the same shard.  Shards
+   register themselves in a global list (mutex-taken once per domain,
+   at first use) and stay registered after their domain dies, which is
+   what lets {!snapshot} and {!drain_events} merge the work of pool
+   workers after the joins.  One shard per domain means a span's [tid]
+   and an event's [ev_tid] name the same domain. *)
 
 let n_buckets = 63
 
@@ -37,11 +54,23 @@ type span_ev = {
   sp_shard : int;
 }
 
+type event = {
+  ev_seq : int;
+  ev_tid : int;
+  ev_ts_ns : int64;
+  ev_level : level;
+  ev_domain : string;
+  ev_name : string;
+  ev_fields : (string * Json.t) list;
+}
+
 type shard = {
   sh_id : int;
   sh_counters : (string, int ref) Hashtbl.t;
   sh_hists : (string, hist) Hashtbl.t;
   mutable sh_spans : span_ev list;
+  mutable sh_seq : int;
+  mutable sh_events : event list;  (* newest first *)
 }
 
 let mu = Mutex.create ()
@@ -55,6 +84,8 @@ let shard_key =
         ; sh_counters = Hashtbl.create 32
         ; sh_hists = Hashtbl.create 16
         ; sh_spans = []
+        ; sh_seq = 0
+        ; sh_events = []
         }
       in
       all_shards := s :: !all_shards;
@@ -69,7 +100,9 @@ let reset () =
     (fun s ->
       Hashtbl.reset s.sh_counters;
       Hashtbl.reset s.sh_hists;
-      s.sh_spans <- [])
+      s.sh_spans <- [];
+      s.sh_seq <- 0;
+      s.sh_events <- [])
     !all_shards;
   Mutex.unlock mu
 
@@ -144,6 +177,23 @@ let time name f =
       ~finally:(fun () ->
         observe name (Int64.to_int (Int64.sub (Clock.now_ns ()) t0)))
       f
+  end
+
+let emit ?(level = Info) ~domain name fields =
+  if would_log level then begin
+    let s = shard () in
+    let seq = s.sh_seq in
+    s.sh_seq <- seq + 1;
+    s.sh_events <-
+      { ev_seq = seq
+      ; ev_tid = s.sh_id
+      ; ev_ts_ns = Clock.now_ns ()
+      ; ev_level = level
+      ; ev_domain = domain
+      ; ev_name = name
+      ; ev_fields = fields
+      }
+      :: s.sh_events
   end
 
 (* ------------------------------------------------------------------ *)
@@ -251,3 +301,24 @@ let snapshot () =
           | c -> c)
         !spans
   }
+
+let drain_events () =
+  Mutex.lock mu;
+  let evs =
+    List.fold_left
+      (fun acc s ->
+        let evs = s.sh_events in
+        s.sh_events <- [];
+        List.rev_append evs acc)
+      [] !all_shards
+  in
+  Mutex.unlock mu;
+  List.sort
+    (fun a b ->
+      match Int64.compare a.ev_ts_ns b.ev_ts_ns with
+      | 0 -> (
+          match Int.compare a.ev_tid b.ev_tid with
+          | 0 -> Int.compare a.ev_seq b.ev_seq
+          | c -> c)
+      | c -> c)
+    evs

@@ -5,7 +5,7 @@
 module C = Bisram_campaign.Campaign
 module Sweep = Bisram_campaign.Sweep
 module Shrink = Bisram_campaign.Shrink
-module J = Bisram_campaign.Report
+module J = Bisram_obs.Json
 module Org = Bisram_sram.Org
 module Model = Bisram_sram.Model
 module F = Bisram_faults.Fault

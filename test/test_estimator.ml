@@ -6,7 +6,7 @@
 
 module C = Bisram_campaign.Campaign
 module E = Bisram_campaign.Estimator
-module J = Bisram_campaign.Report
+module J = Bisram_obs.Json
 module Org = Bisram_sram.Org
 module I = Bisram_faults.Injection
 module P = Bisram_faults.Proposal

@@ -1,4 +1,5 @@
-(* Tests for the structured event stream and its consumers: strict
+(* Tests for the event channel of the observability registry and its
+   consumers: strict
    schema round-trip, level filtering, drain ordering, the
    jobs-invariance of merged campaign event streams (payloads are pure
    functions of work items; only the ts/tid/seq envelope is
@@ -6,24 +7,23 @@
    with events and progress reporting enabled at any jobs x lanes
    combination, and the hardened BENCH_history reader/appender. *)
 
-module Events = Bisram_obs.Events
+module Obs = Bisram_obs.Obs
+module Export = Bisram_obs.Export
 module Progress = Bisram_obs.Progress
 module History = Bisram_obs.History
 module Json = Bisram_obs.Json
 module C = Bisram_campaign.Campaign
 module Chaos = Bisram_chaos.Chaos
 
-(* Every test leaves the stream off, empty and at the default level,
-   so tests are independent of execution order. *)
-let with_events ?(level = Events.Info) f =
-  Events.set_min_level level;
-  Events.set_enabled true;
-  Events.reset ();
+(* Every test leaves the stream off and empty, so tests are
+   independent of execution order. *)
+let with_events ?(level = Obs.Info) f =
+  Obs.set_event_level (Some level);
+  Obs.reset ();
   Fun.protect
     ~finally:(fun () ->
-      Events.set_enabled false;
-      Events.reset ();
-      Events.set_min_level Events.Info)
+      Obs.set_event_level None;
+      Obs.reset ())
     f
 
 let with_chaos cfg f =
@@ -45,94 +45,102 @@ let cleanup path = try Sys.remove path with Sys_error _ -> ()
 (* ------------------------------------------------------------------ *)
 (* stream basics *)
 
+let all_levels = [ Obs.Debug; Obs.Info; Obs.Warn ]
+
 let test_levels () =
   List.iter
     (fun l ->
       Alcotest.(check bool)
         "level round-trips" true
-        (Events.level_of_string (Events.level_to_string l) = Ok l))
-    [ Events.Debug; Events.Info; Events.Warn ];
+        (Export.level_of_string (Export.level_to_string l) = Ok l))
+    all_levels;
   Alcotest.(check bool)
     "bogus level rejected" true
-    (Result.is_error (Events.level_of_string "fatal"))
+    (Result.is_error (Export.level_of_string "fatal"))
 
 let test_disabled_records_nothing () =
-  Events.set_enabled false;
-  Events.reset ();
-  Events.emit ~domain:"t" "e" [];
-  Alcotest.(check int) "nothing buffered" 0 (List.length (Events.drain ()));
-  Alcotest.(check bool) "would_log off" false (Events.would_log Events.Warn)
+  Obs.set_event_level None;
+  Obs.reset ();
+  List.iter (fun level -> Obs.emit ~level ~domain:"t" "e" []) all_levels;
+  Alcotest.(check int) "nothing buffered" 0
+    (List.length (Obs.drain_events ()));
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        ("would_log off at " ^ Export.level_to_string l)
+        false (Obs.would_log l))
+    all_levels
 
 let test_min_level_filters () =
-  with_events ~level:Events.Warn (fun () ->
+  with_events ~level:Obs.Warn (fun () ->
       Alcotest.(check bool) "info below floor" false
-        (Events.would_log Events.Info);
+        (Obs.would_log Obs.Info);
       Alcotest.(check bool) "warn at floor" true
-        (Events.would_log Events.Warn);
-      Events.emit ~level:Events.Debug ~domain:"t" "d" [];
-      Events.emit ~level:Events.Info ~domain:"t" "i" [];
-      Events.emit ~level:Events.Warn ~domain:"t" "w" [];
-      match Events.drain () with
+        (Obs.would_log Obs.Warn);
+      Obs.emit ~level:Obs.Debug ~domain:"t" "d" [];
+      Obs.emit ~level:Obs.Info ~domain:"t" "i" [];
+      Obs.emit ~level:Obs.Warn ~domain:"t" "w" [];
+      match Obs.drain_events () with
       | [ ev ] ->
           Alcotest.(check string) "only the warn survives" "w"
-            ev.Events.ev_name
+            ev.Obs.ev_name
       | evs ->
           Alcotest.fail
             (Printf.sprintf "expected 1 event, got %d" (List.length evs)))
 
 let test_drain_sorted_and_destructive () =
   with_events (fun () ->
-      Events.emit ~domain:"t" "a" [];
-      Events.emit ~domain:"t" "b" [];
-      Events.emit ~domain:"t" "c" [];
-      let evs = Events.drain () in
+      Obs.emit ~domain:"t" "a" [];
+      Obs.emit ~domain:"t" "b" [];
+      Obs.emit ~domain:"t" "c" [];
+      let evs = Obs.drain_events () in
       Alcotest.(check (list string))
         "emission order preserved on one domain" [ "a"; "b"; "c" ]
-        (List.map (fun e -> e.Events.ev_name) evs);
+        (List.map (fun e -> e.Obs.ev_name) evs);
       Alcotest.(check (list int))
         "sequence numbers ascend" [ 0; 1; 2 ]
-        (List.map (fun e -> e.Events.ev_seq) evs);
+        (List.map (fun e -> e.Obs.ev_seq) evs);
       Alcotest.(check int) "drain is destructive" 0
-        (List.length (Events.drain ())))
+        (List.length (Obs.drain_events ())))
 
 (* ------------------------------------------------------------------ *)
 (* schema round-trip and strictness *)
 
 let test_roundtrip () =
-  with_events ~level:Events.Debug (fun () ->
-      Events.emit ~level:Events.Debug ~domain:"cache" "cache.hit"
+  with_events ~level:Obs.Debug (fun () ->
+      Obs.emit ~level:Obs.Debug ~domain:"cache" "cache.hit"
         [ ("key", Json.String "abc"); ("n", Json.Int 3) ];
-      Events.emit ~domain:"campaign" "run.start"
+      Obs.emit ~domain:"campaign" "run.start"
         [ ("f", Json.Float 1.25)
         ; ("b", Json.Bool true)
         ; ("z", Json.Null)
         ; ("l", Json.List [ Json.Int 1; Json.Int 2 ])
         ; ("o", Json.Obj [ ("k", Json.String "v") ])
         ];
-      Events.emit ~level:Events.Warn ~domain:"pool" "pool.retry" [];
+      Obs.emit ~level:Obs.Warn ~domain:"pool" "pool.retry" [];
       List.iter
         (fun ev ->
-          let line = Json.to_string (Events.to_json ev) in
-          match Events.parse_line line with
+          let line = Json.to_string (Export.event_json ev) in
+          match Export.parse_event_line line with
           | Ok ev' ->
               Alcotest.(check bool)
-                ("round-trips: " ^ ev.Events.ev_name)
+                ("round-trips: " ^ ev.Obs.ev_name)
                 true (ev = ev')
-          | Error e -> Alcotest.fail (ev.Events.ev_name ^ ": " ^ e))
-        (Events.drain ()))
+          | Error e -> Alcotest.fail (ev.Obs.ev_name ^ ": " ^ e))
+        (Obs.drain_events ()))
 
 let valid_line =
   {|{"schema":"bisram-events/1","seq":0,"tid":0,"ts_ns":12,"level":"info","domain":"d","name":"n","fields":{"k":1}}|}
 
 let test_parser_strict () =
-  (match Events.parse_line valid_line with
+  (match Export.parse_event_line valid_line with
   | Ok ev ->
-      Alcotest.(check string) "name" "n" ev.Events.ev_name;
-      Alcotest.(check bool) "ts" true (ev.Events.ev_ts_ns = 12L)
+      Alcotest.(check string) "name" "n" ev.Obs.ev_name;
+      Alcotest.(check bool) "ts" true (ev.Obs.ev_ts_ns = 12L)
   | Error e -> Alcotest.fail ("valid line rejected: " ^ e));
   let rejected label line =
     Alcotest.(check bool) label true
-      (Result.is_error (Events.parse_line line))
+      (Result.is_error (Export.parse_event_line line))
   in
   rejected "not json" "nonsense";
   rejected "wrong schema"
@@ -154,15 +162,15 @@ let test_parser_strict () =
    the run.start event (the one event that names its execution
    environment) must leave the same multiset at any job count *)
 let canonical_events () =
-  Events.drain ()
-  |> List.filter (fun ev -> ev.Events.ev_name <> "run.start")
+  Obs.drain_events ()
+  |> List.filter (fun ev -> ev.Obs.ev_name <> "run.start")
   |> List.map (fun ev ->
          Json.to_string
            (Json.Obj
-              [ ("level", Json.String (Events.level_to_string ev.Events.ev_level))
-              ; ("domain", Json.String ev.Events.ev_domain)
-              ; ("name", Json.String ev.Events.ev_name)
-              ; ("fields", Json.Obj ev.Events.ev_fields)
+              [ ("level", Json.String (Export.level_to_string ev.Obs.ev_level))
+              ; ("domain", Json.String ev.Obs.ev_domain)
+              ; ("name", Json.String ev.Obs.ev_name)
+              ; ("fields", Json.Obj ev.Obs.ev_fields)
               ]))
   |> List.sort compare
 
@@ -204,7 +212,7 @@ let test_report_identity_with_observability () =
     (fun (jobs, lanes) ->
       let status = temp_path ".status.json" in
       let observed =
-        with_events ~level:Events.Debug (fun () ->
+        with_events ~level:Obs.Debug (fun () ->
             let reporter =
               Progress.create ~total:cfg.C.trials ~status_file:status
                 ~min_interval_s:0.0 ()

@@ -1,5 +1,6 @@
-(* Tests for the telemetry subsystem: registry merge determinism
-   across job counts, histogram bucketing, span recording, exporter
+(* Tests for the observability registry: merge determinism across job
+   counts, histogram bucketing, span recording, one shard per domain
+   shared by spans and events, one reset for every channel, exporter
    well-formedness, the JSON parser, and the invariant that telemetry
    never changes campaign report bytes. *)
 
@@ -80,6 +81,57 @@ let test_span_records_on_raise () =
       | exception Failure _ -> ());
       Alcotest.(check int) "span recorded despite raise" 1
         (List.length (Obs.snapshot ()).Obs.spans))
+
+(* telemetry and events both on, at the lowest event level *)
+let with_all_channels f =
+  Obs.set_event_level (Some Obs.Debug);
+  Fun.protect
+    ~finally:(fun () -> Obs.set_event_level None)
+    (fun () -> with_obs f)
+
+(* A domain that only emits registers a shard all the same, so the
+   span and event numberings cannot drift apart: the event a domain
+   emits carries the Chrome-trace tid of the spans it records. *)
+let test_event_tid_is_span_tid () =
+  with_all_channels (fun () ->
+      Domain.join
+        (Domain.spawn (fun () -> Obs.emit ~domain:"t" "emit-only" []));
+      Domain.join
+        (Domain.spawn (fun () ->
+             Obs.span "both" (fun () -> Obs.emit ~domain:"t" "both" [])));
+      let span =
+        List.find
+          (fun (sp : Obs.span_snapshot) -> sp.Obs.name = "both")
+          (Obs.snapshot ()).Obs.spans
+      in
+      let evs = Obs.drain_events () in
+      let tid_of name =
+        (List.find (fun ev -> ev.Obs.ev_name = name) evs).Obs.ev_tid
+      in
+      Alcotest.(check int) "event tid = span tid" span.Obs.tid
+        (tid_of "both");
+      Alcotest.(check bool) "distinct domains, distinct tids" true
+        (tid_of "emit-only" <> tid_of "both"))
+
+let test_reset_clears_every_channel () =
+  with_all_channels (fun () ->
+      Obs.incr "c";
+      Obs.observe "h" 3;
+      Obs.span "s" ignore;
+      Obs.emit ~domain:"t" "a" [];
+      Obs.emit ~domain:"t" "b" [];
+      Obs.reset ();
+      let s = Obs.snapshot () in
+      Alcotest.(check int) "no counters" 0 (List.length s.Obs.counters);
+      Alcotest.(check int) "no hists" 0 (List.length s.Obs.hists);
+      Alcotest.(check int) "no spans" 0 (List.length s.Obs.spans);
+      Alcotest.(check int) "no events" 0 (List.length (Obs.drain_events ()));
+      Obs.emit ~domain:"t" "after" [];
+      match Obs.drain_events () with
+      | [ ev ] -> Alcotest.(check int) "seq restarts at 0" 0 ev.Obs.ev_seq
+      | evs ->
+          Alcotest.fail
+            (Printf.sprintf "expected 1 event, got %d" (List.length evs)))
 
 (* ------------------------------------------------------------------ *)
 (* merge determinism across job counts *)
@@ -260,6 +312,10 @@ let () =
         ; Alcotest.test_case "span records" `Quick test_span_records
         ; Alcotest.test_case "span records on raise" `Quick
             test_span_records_on_raise
+        ; Alcotest.test_case "event tid is span tid" `Quick
+            test_event_tid_is_span_tid
+        ; Alcotest.test_case "reset clears every channel" `Quick
+            test_reset_clears_every_channel
         ] )
     ; ( "determinism"
       , [ QCheck_alcotest.to_alcotest prop_merge_jobs_invariant
