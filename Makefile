@@ -178,6 +178,7 @@ explore-smoke: build
 	dune exec bin/bisramgen.exe -- explore --spec examples/explore_smoke.spec \
 	  --jobs 2 --cache .ci-explore-cache --resume \
 	  > .ci-explore-jobs2.json 2> .ci-explore-warm.err
+	cmp .ci-explore-jobs1.json test/golden_explore_smoke.json
 	diff .ci-explore-jobs1.json .ci-explore-jobs2.json
 	grep -q "(100.0% hit rate)" .ci-explore-warm.err
 	rm -rf .ci-explore-cache .ci-explore-jobs1.json .ci-explore-jobs2.json \

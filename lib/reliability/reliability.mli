@@ -23,10 +23,15 @@ val of_org : Bisram_sram.Org.t -> lambda:float -> config
 (** Reliability at time [t] hours; in [0,1], decreasing in [t]. *)
 val reliability : config -> float -> float
 
-(** Failure probability density -dR/dt (central difference). *)
+(** Failure probability density -dR/dt, analytic:
+    mu (S R(t) + W C(W-1,S) q^S (1-q)^W) with mu = lambda*bpw (the
+    second term only when S < W). *)
 val failure_pdf : config -> float -> float
 
-(** Mean time to failure in hours, by adaptive integration of R(t). *)
+(** Mean time to failure in hours, exact.  With x = exp(-mu t) and
+    mu = lambda*bpw, R(t) = sum_{j<=min(S,W)} C(W,j) (1-x)^j x^(W+S-j),
+    so MTTF = (1/mu) sum_{j<=min(S,W)} C(W,j) B(j+1, W+S-j): min(S,W)+1
+    Beta-function terms, with no horizon search or quadrature. *)
 val mttf : config -> float
 
 (** Time at which the reliability of config [a] first drops below that
