@@ -212,15 +212,20 @@ chaos-smoke: build
 
 # 2D BIRA gate: (1) the default row-TLB report must still match the
 # committed golden bytes (test/golden_row_tlb.json) — the BIRA layer
-# must be invisible unless asked for — and the bira-bnb report must
-# match test/golden_bira_bnb.json; (2) every BIRA allocator's report
-# must be byte-identical across worker counts and lane widths, since
-# fault-list collection rides the batched kernels; (3) a bogus
-# --repair name must be rejected with the usage exit code (2).
+# must be invisible unless asked for — as must the repair-limited
+# Poisson mean-3 row-TLB run (test/golden_row_tlb_p3.json), and the
+# bira-bnb report must match test/golden_bira_bnb.json; (2) every BIRA
+# allocator's report must be byte-identical across worker counts and
+# lane widths, since fault-list collection rides the batched kernels;
+# (3) a bogus --repair name must be rejected with the usage exit code
+# (2).
 bira-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 60 --seed 7 --jobs 1 \
 	  > .ci-bira-golden.json
 	cmp .ci-bira-golden.json test/golden_row_tlb.json
+	dune exec bin/bisramgen.exe -- campaign --trials 200 --seed 7 \
+	  --mode poisson --mean 3 --jobs 1 > .ci-bira-golden-p3.json
+	cmp .ci-bira-golden-p3.json test/golden_row_tlb_p3.json
 	dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
 	  --mode poisson --mean 3 --spare-cols 2 --repair bira-bnb --jobs 1 \
 	  > .ci-bira-golden-bnb.json
@@ -236,7 +241,8 @@ bira-smoke: build
 	done
 	dune exec bin/bisramgen.exe -- campaign --repair frobnicate \
 	  > /dev/null 2>&1; test $$? -eq 2
-	rm -f .ci-bira-golden.json .ci-bira-golden-bnb.json \
+	rm -f .ci-bira-golden.json .ci-bira-golden-p3.json \
+	  .ci-bira-golden-bnb.json \
 	  .ci-bira-bira-greedy-a.json \
 	  .ci-bira-bira-greedy-b.json .ci-bira-bira-essential-a.json \
 	  .ci-bira-bira-essential-b.json .ci-bira-bira-bnb-a.json \

@@ -38,7 +38,8 @@ val record : t -> row:int -> [ `Ok | `Full ]
 val would_overflow : t -> row:int -> bool
 
 (** [remap t ~row] is the parallel CAM lookup: physical row for an
-    incoming logical row ([row] itself when unmapped). *)
+    incoming logical row ([row] itself when unmapped).  The TLB keeps
+    the lookup's answer per logical row, so this is one array read. *)
 val remap : t -> row:int -> int
 
 (** [remap_spare t ~row] forces the NEXT spare for a logical row whose

@@ -24,7 +24,8 @@ type outcome = Passed_clean | Repaired | Repair_unsuccessful
    PLA, so a state's guards see the effect of its own work. *)
 type cond = Test_enable | Cmp_fail | Elem_done | Bg_done | Tlb_full | Ret_ack
 
-let all_conds = [ Test_enable; Cmp_fail; Elem_done; Bg_done; Tlb_full; Ret_ack ]
+(* PLA input order after the state bits *)
+let all_conds = [| Test_enable; Cmp_fail; Elem_done; Bg_done; Tlb_full; Ret_ack |]
 
 (* Control outputs.  "Work" actions fire in phase 1 and may only appear
    in a state's work list; "exit" actions fire in phase 2 on the taken
@@ -45,32 +46,50 @@ type action =
   | Reset_background (* exit *)
   | Enable_remap (* exit *)
 
+(* An action's bit in a mask is its PLA output line after the state
+   bits: the order of this list. *)
 let all_actions =
   [ Apply_read; Apply_write; Data_complement; Addr_reset_up; Addr_reset_down
   ; Request_wait; Sig_done; Sig_fail; Addr_step; Record_row; Next_background
   ; Reset_background; Enable_remap
   ]
 
-let action_index a =
+let bit a =
   let rec find i = function
     | [] -> assert false
-    | x :: rest -> if x = a then i else find (i + 1) rest
+    | x :: rest -> if x = a then 1 lsl i else find (i + 1) rest
   in
   find 0 all_actions
 
-let is_work_action = function
-  | Apply_read | Apply_write | Data_complement | Addr_reset_up
-  | Addr_reset_down | Request_wait | Sig_done | Sig_fail ->
-      true
-  | Addr_step | Record_row | Next_background | Reset_background | Enable_remap
-    ->
-      false
+let mask_of actions = List.fold_left (fun m a -> m lor bit a) 0 actions
 
-type sdef = {
+let b_read = bit Apply_read
+let b_write = bit Apply_write
+let b_compl = bit Data_complement
+let b_reset_up = bit Addr_reset_up
+let b_reset_down = bit Addr_reset_down
+let b_wait = bit Request_wait
+let b_step = bit Addr_step
+let b_record = bit Record_row
+let b_next_bg = bit Next_background
+let b_reset_bg = bit Reset_background
+let b_remap = bit Enable_remap
+
+let work_bits =
+  mask_of
+    [ Apply_read; Apply_write; Data_complement; Addr_reset_up; Addr_reset_down
+    ; Request_wait; Sig_done; Sig_fail ]
+
+(* A compiled state: its rows of the TRPLA.  Assignment [m] gives
+   condition [uses.(i)] the value of bit [i] of [m] (unused conditions
+   are don't-cares); [exits.(m)] and [next.(m)] are the transition the
+   state takes under it. *)
+type state = {
   name : string;
-  work : action list;
-  uses : cond list;
-  next : (cond -> bool) -> action list * int;
+  work : int; (* work-action mask, fired in phase 1 *)
+  uses : cond array;
+  exits : int array; (* per assignment: exit-action mask, fired in phase 2 *)
+  next : int array; (* per assignment: next state id *)
 }
 
 type t = {
@@ -79,13 +98,37 @@ type t = {
   backgrounds : Word.t list;
       (* empty for layout-only controllers ({!compile_layout}) *)
   n_backgrounds : int;
-  states : sdef array;
+  states : state array;
   idle : int;
   done_ok : int;
   fail : int;
 }
 
 type report = { outcome : outcome; cycles : int; faults_recorded : int }
+
+(* Enumerate a state's transition function over every assignment of
+   the conditions it samples — the only place the symbolic definition
+   is evaluated. *)
+let tabulate ~name ~work ~uses next_of =
+  let uses = Array.of_list uses in
+  let k = Array.length uses in
+  let exits = Array.make (1 lsl k) 0 and next = Array.make (1 lsl k) 0 in
+  for m = 0 to (1 lsl k) - 1 do
+    let env c =
+      let rec go i =
+        i < k && if uses.(i) = c then m land (1 lsl i) <> 0 else go (i + 1)
+      in
+      go 0
+    in
+    let ex, nx = next_of env in
+    exits.(m) <- mask_of ex;
+    next.(m) <- nx
+  done;
+  let work = mask_of work in
+  (* work/exit disjointness invariant *)
+  assert (work land lnot work_bits = 0);
+  Array.iter (fun x -> assert (x land work_bits = 0)) exits;
+  { name; work; uses; exits; next }
 
 let reset_action = function
   | March.Down -> Addr_reset_down
@@ -140,38 +183,32 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
   let first_item p = item_entry p 0 in
   let next_item p i = if i + 1 < n_items then item_entry p (i + 1) else next_bg_id.(p) in
   (* ----- state definitions ----- *)
-  let states = Array.make n_states
-      { name = "?"; work = []; uses = []; next = (fun _ -> ([], 0)) }
+  let states =
+    Array.make n_states
+      { name = "?"; work = 0; uses = [||]; exits = [| 0 |]; next = [| 0 |] }
   in
-  states.(idle) <-
-    { name = "IDLE"
-    ; work = []
-    ; uses = [ Test_enable ]
-    ; next =
-        (fun c ->
-          if c Test_enable then ([ Reset_background ], first_item 0)
-          else ([], idle))
-    };
+  let define id ~name ~work ~uses next_of =
+    states.(id) <- tabulate ~name ~work ~uses next_of
+  in
+  define idle ~name:"IDLE" ~work:[] ~uses:[ Test_enable ] (fun c ->
+      if c Test_enable then ([ Reset_background ], first_item 0)
+      else ([], idle));
   for p = 0 to 1 do
     let pn = p + 1 in
     for i = 0 to n_items - 1 do
       match items.(i) with
       | March.Wait ->
           let self = wait_id.(p).(i) in
-          states.(self) <-
-            { name = Printf.sprintf "P%d_WAIT%d" pn i
-            ; work = [ Request_wait ]
-            ; uses = [ Ret_ack ]
-            ; next =
-                (fun c -> if c Ret_ack then ([], next_item p i) else ([], self))
-            }
+          define self
+            ~name:(Printf.sprintf "P%d_WAIT%d" pn i)
+            ~work:[ Request_wait ] ~uses:[ Ret_ack ]
+            (fun c -> if c Ret_ack then ([], next_item p i) else ([], self))
       | March.Elem e ->
-          states.(setup_id.(p).(i)) <-
-            { name = Printf.sprintf "P%d_SETUP%d" pn i
-            ; work = [ reset_action e.March.order ]
-            ; uses = []
-            ; next = (fun _ -> ([], op_ids.(p).(i).(0)))
-            };
+          define setup_id.(p).(i)
+            ~name:(Printf.sprintf "P%d_SETUP%d" pn i)
+            ~work:[ reset_action e.March.order ]
+            ~uses:[]
+            (fun _ -> ([], op_ids.(p).(i).(0)));
           let ops = Array.of_list e.March.ops in
           let n_ops = Array.length ops in
           for j = 0 to n_ops - 1 do
@@ -196,55 +233,36 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
                 else (record @ [ Addr_step ], op_ids.(p).(i).(0))
               else (record, op_ids.(p).(i).(j + 1))
             in
-            states.(self) <-
-              { name =
-                  Printf.sprintf "P%d_E%d_%s%d" pn i
-                    (match ops.(j) with
-                    | March.R c -> if c then "R1_" else "R0_"
-                    | March.W c -> if c then "W1_" else "W0_")
-                    j
-              ; work
-              ; uses
-              ; next =
-                  (fun c ->
-                    let failed = is_read && c Cmp_fail in
-                    if failed && p = 1 then ([], fail)
-                    else if failed && c Tlb_full then ([], fail)
-                    else advance c (if failed then [ Record_row ] else []))
-              }
+            define self
+              ~name:
+                (Printf.sprintf "P%d_E%d_%s%d" pn i
+                   (match ops.(j) with
+                   | March.R c -> if c then "R1_" else "R0_"
+                   | March.W c -> if c then "W1_" else "W0_")
+                   j)
+              ~work ~uses
+              (fun c ->
+                let failed = is_read && c Cmp_fail in
+                if failed && p = 1 then ([], fail)
+                else if failed && c Tlb_full then ([], fail)
+                else advance c (if failed then [ Record_row ] else []))
           done
     done;
     let self = next_bg_id.(p) in
-    states.(self) <-
-      { name = Printf.sprintf "P%d_NEXTBG" pn
-      ; work = []
-      ; uses = [ Bg_done ]
-      ; next =
-          (fun c ->
-            if c Bg_done then ([], if p = 0 then !tlb_check else done_ok)
-            else ([ Next_background ], first_item p))
-      }
+    define self
+      ~name:(Printf.sprintf "P%d_NEXTBG" pn)
+      ~work:[] ~uses:[ Bg_done ]
+      (fun c ->
+        if c Bg_done then ([], if p = 0 then !tlb_check else done_ok)
+        else ([ Next_background ], first_item p))
   done;
-  states.(!tlb_check) <-
-    { name = "TLB_CHECK"
-    ; work = []
-    ; uses = []
-    ; next = (fun _ -> ([], !pass2_setup))
-    };
-  states.(!pass2_setup) <-
-    { name = "PASS2_SETUP"
-    ; work = []
-    ; uses = []
-    ; next = (fun _ -> ([ Enable_remap; Reset_background ], first_item 1))
-    };
-  states.(done_ok) <-
-    { name = "DONE_OK"; work = [ Sig_done ]; uses = []; next = (fun _ -> ([], done_ok)) };
-  states.(fail) <-
-    { name = "FAIL"; work = [ Sig_fail ]; uses = []; next = (fun _ -> ([], fail)) };
-  (* work/exit disjointness invariant *)
-  Array.iter
-    (fun s -> List.iter (fun a -> assert (is_work_action a)) s.work)
-    states;
+  define !tlb_check ~name:"TLB_CHECK" ~work:[] ~uses:[] (fun _ ->
+      ([], !pass2_setup));
+  define !pass2_setup ~name:"PASS2_SETUP" ~work:[] ~uses:[] (fun _ ->
+      ([ Enable_remap; Reset_background ], first_item 1));
+  define done_ok ~name:"DONE_OK" ~work:[ Sig_done ] ~uses:[] (fun _ ->
+      ([], done_ok));
+  define fail ~name:"FAIL" ~work:[ Sig_fail ] ~uses:[] (fun _ -> ([], fail));
   { test; words; backgrounds; n_backgrounds; states; idle; done_ok; fail }
 
 let compile test ~words ~backgrounds =
@@ -264,13 +282,15 @@ let flipflop_count t =
 let state_names t = Array.map (fun s -> s.name) t.states
 
 (* ------------------------------------------------------------------ *)
-(* Datapath shared by symbolic and PLA-driven execution *)
+(* Datapath shared by table-driven and PLA-driven execution *)
 
 type datapath = {
   model : Model.t;
+  org : Org.t;
   hooks : hooks;
   addgen : Addgen.t;
   bgs : Word.t array;
+  bgs_c : Word.t array; (* complemented backgrounds *)
   mutable bg_idx : int;
   mutable dir : March.order;
   mutable cmp_fail : bool;
@@ -282,10 +302,13 @@ let make_datapath t model hooks =
   if t.backgrounds = [] then
     invalid_arg "Controller.run: layout-only controller (no backgrounds)";
   Model.clear model;
+  let bgs = Array.of_list t.backgrounds in
   { model
+  ; org = Model.org model
   ; hooks
   ; addgen = Addgen.create ~limit:t.words
-  ; bgs = Array.of_list t.backgrounds
+  ; bgs
+  ; bgs_c = Array.map Word.lnot_ bgs
   ; bg_idx = 0
   ; dir = March.Up
   ; cmp_fail = false
@@ -293,9 +316,10 @@ let make_datapath t model hooks =
   ; waited = false
   }
 
-let current_row dp =
-  Org.row_of_addr (Model.org dp.model) (Addgen.value dp.addgen)
+let current_row dp = Org.row_of_addr dp.org (Addgen.value dp.addgen)
 
+(* [Tlb_full] matters only after a failing pass-1 read (no state's
+   transition consults it otherwise), so the TLB is queried only then. *)
 let eval_cond dp = function
   | Test_enable -> true
   | Cmp_fail -> dp.cmp_fail
@@ -305,51 +329,47 @@ let eval_cond dp = function
       | March.Up | March.Either -> v = Addgen.limit dp.addgen - 1
       | March.Down -> v = 0)
   | Bg_done -> dp.bg_idx = Array.length dp.bgs - 1
-  | Tlb_full -> dp.hooks.would_overflow ~row:(current_row dp)
+  | Tlb_full -> dp.cmp_fail && dp.hooks.would_overflow ~row:(current_row dp)
   | Ret_ack -> dp.waited
 
-let exec_actions dp actions =
-  let compl = List.mem Data_complement actions in
-  let bg () =
-    let b = dp.bgs.(dp.bg_idx) in
-    if compl then Word.lnot_ b else b
-  in
-  List.iter
-    (fun a ->
-      match a with
-      | Data_complement | Sig_done | Sig_fail -> ()
-      | Apply_read ->
-          let got = Model.read_word dp.model (Addgen.value dp.addgen) in
-          dp.cmp_fail <- not (Word.equal (bg ()) got)
-      | Apply_write -> Model.write_word dp.model (Addgen.value dp.addgen) (bg ())
-      | Addr_reset_up ->
-          dp.dir <- March.Up;
-          Addgen.reset dp.addgen ~dir:March.Up
-      | Addr_reset_down ->
-          dp.dir <- March.Down;
-          Addgen.reset dp.addgen ~dir:March.Down
-      | Request_wait ->
-          Model.retention_wait dp.model;
-          dp.waited <- true
-      | Addr_step -> ignore (Addgen.step dp.addgen ~dir:dp.dir)
-      | Record_row -> (
-          match dp.hooks.record_fault ~row:(current_row dp) with
-          | `Ok -> dp.recorded <- dp.hooks.faults_recorded ()
-          | `Full -> (* guarded against by Tlb_full *) assert false)
-      | Next_background -> dp.bg_idx <- dp.bg_idx + 1
-      | Reset_background -> dp.bg_idx <- 0
-      | Enable_remap -> dp.hooks.enable_remap ())
-    actions;
-  (* leaving a wait state consumes the acknowledge *)
-  if not (List.mem Request_wait actions) then dp.waited <- false
+(* Phase 1: the state's work lines. *)
+let exec_work dp w =
+  if w land (b_read lor b_write) <> 0 then begin
+    let bg =
+      Array.unsafe_get (if w land b_compl <> 0 then dp.bgs_c else dp.bgs)
+        dp.bg_idx
+    in
+    let a = Addgen.value dp.addgen in
+    if w land b_read <> 0 then
+      dp.cmp_fail <- not (Word.equal bg (Model.read_word dp.model a))
+    else Model.write_word dp.model a bg
+  end;
+  if w land b_reset_up <> 0 then begin
+    dp.dir <- March.Up;
+    Addgen.reset dp.addgen ~dir:March.Up
+  end;
+  if w land b_reset_down <> 0 then begin
+    dp.dir <- March.Down;
+    Addgen.reset dp.addgen ~dir:March.Down
+  end;
+  dp.waited <- w land b_wait <> 0;
+  if dp.waited then Model.retention_wait dp.model
 
-let finish t dp state cycles =
-  let outcome =
-    if state = t.fail then Repair_unsuccessful
-    else if dp.recorded = 0 then Passed_clean
-    else Repaired
-  in
-  { outcome; cycles; faults_recorded = dp.recorded }
+(* Phase 2: the taken transition's exit lines.  They are simultaneous
+   register updates in hardware: Record_row samples the CURRENT address
+   register, so it fires before Addr_step. *)
+let exec_exits dp x =
+  if x land b_record <> 0 then begin
+    match dp.hooks.record_fault ~row:(current_row dp) with
+    | `Ok -> dp.recorded <- dp.hooks.faults_recorded ()
+    | `Full -> (* guarded against by Tlb_full *) assert false
+  end;
+  if x land b_step <> 0 then ignore (Addgen.step dp.addgen ~dir:dp.dir);
+  if x land b_next_bg <> 0 then dp.bg_idx <- dp.bg_idx + 1;
+  if x land b_reset_bg <> 0 then dp.bg_idx <- 0;
+  if x land b_remap <> 0 then dp.hooks.enable_remap ();
+  (* leaving a wait state consumes the acknowledge *)
+  dp.waited <- false
 
 let cycle_budget t =
   let per_pass =
@@ -357,27 +377,41 @@ let cycle_budget t =
   in
   (8 * (per_pass + 100) * 2) + 1000
 
-let run t model hooks =
-  let dp = make_datapath t model hooks in
+(* Clock [step] (current state -> next state) from IDLE to a terminal
+   state. *)
+let drive t dp ~who step =
   let budget = cycle_budget t in
   let rec go state cycles =
-    if state = t.done_ok || state = t.fail then finish t dp state cycles
-    else if cycles > budget then
-      failwith "Controller.run: cycle budget exceeded (FSM livelock?)"
-    else begin
-      let s = t.states.(state) in
-      exec_actions dp s.work;
-      let exits, next = s.next (eval_cond dp) in
-      exec_actions dp exits;
-      go next (cycles + 1)
+    if state = t.done_ok || state = t.fail then begin
+      let outcome =
+        if state = t.fail then Repair_unsuccessful
+        else if dp.recorded = 0 then Passed_clean
+        else Repaired
+      in
+      { outcome; cycles; faults_recorded = dp.recorded }
     end
+    else if cycles > budget then
+      failwith (who ^ ": cycle budget exceeded (FSM livelock?)")
+    else go (step state) (cycles + 1)
   in
   go t.idle 0
+
+let run t model hooks =
+  let dp = make_datapath t model hooks in
+  drive t dp ~who:"Controller.run" (fun state ->
+      let s = Array.unsafe_get t.states state in
+      exec_work dp s.work;
+      let m = ref 0 in
+      for i = 0 to Array.length s.uses - 1 do
+        if eval_cond dp (Array.unsafe_get s.uses i) then m := !m lor (1 lsl i)
+      done;
+      exec_exits dp (Array.unsafe_get s.exits !m);
+      Array.unsafe_get s.next !m)
 
 (* ------------------------------------------------------------------ *)
 (* PLA compilation *)
 
-let n_conds = List.length all_conds
+let n_conds = Array.length all_conds
 let n_actions = List.length all_actions
 
 let to_pla t =
@@ -387,38 +421,32 @@ let to_pla t =
   let pla = Trpla.create ~n_inputs ~n_outputs in
   Array.iteri
     (fun id s ->
-      let used = s.uses in
-      let k = List.length used in
       (* one term per assignment of the used conditions *)
-      for mask = 0 to (1 lsl k) - 1 do
-        let assignment =
-          List.mapi (fun i c -> (c, mask land (1 lsl i) <> 0)) used
-        in
-        let env c =
-          match List.assoc_opt c assignment with
-          | Some v -> v
-          | None -> false
-        in
-        let exits, next = s.next env in
-        let ands =
-          Array.init n_inputs (fun i ->
-              if i < nbits then
-                (* state encoding, LSB first *)
-                if id land (1 lsl i) <> 0 then Trpla.T else Trpla.F
-              else
-                let c = List.nth all_conds (i - nbits) in
-                match List.assoc_opt c assignment with
-                | Some true -> Trpla.T
-                | Some false -> Trpla.F
-                | None -> Trpla.X)
-        in
-        let ors = Array.make n_outputs false in
-        for b = 0 to nbits - 1 do
-          if next land (1 lsl b) <> 0 then ors.(b) <- true
-        done;
-        List.iter (fun a -> ors.(nbits + action_index a) <- true) (s.work @ exits);
-        Trpla.add_term pla ~ands ~ors
-      done)
+      Array.iteri
+        (fun m next ->
+          let ands =
+            Array.init n_inputs (fun i ->
+                if i < nbits then
+                  (* state encoding, LSB first *)
+                  if id land (1 lsl i) <> 0 then Trpla.T else Trpla.F
+                else
+                  let c = all_conds.(i - nbits) in
+                  let rec lit j =
+                    if j >= Array.length s.uses then Trpla.X
+                    else if s.uses.(j) = c then
+                      if m land (1 lsl j) <> 0 then Trpla.T else Trpla.F
+                    else lit (j + 1)
+                  in
+                  lit 0)
+          in
+          let acts = s.work lor s.exits.(m) in
+          let ors =
+            Array.init n_outputs (fun o ->
+                if o < nbits then next land (1 lsl o) <> 0
+                else acts land (1 lsl (o - nbits)) <> 0)
+          in
+          Trpla.add_term pla ~ands ~ors)
+        s.next)
     t.states;
   pla
 
@@ -426,45 +454,32 @@ let run_via_pla t model hooks =
   let pla = to_pla t in
   let nbits = flipflop_count t in
   let dp = make_datapath t model hooks in
-  let budget = cycle_budget t in
-  let inputs_of state env =
-    Array.init (nbits + n_conds) (fun i ->
-        if i < nbits then state land (1 lsl i) <> 0
-        else env (List.nth all_conds (i - nbits)))
-  in
-  let decode out =
-    let next = ref 0 in
-    for b = 0 to nbits - 1 do
-      if out.(b) then next := !next lor (1 lsl b)
-    done;
-    let actions =
-      List.filter (fun a -> out.(nbits + action_index a)) all_actions
+  (* evaluate the planes; returns (next state, action mask) *)
+  let eval state cond =
+    let out =
+      Trpla.eval pla
+        (Array.init (nbits + n_conds) (fun i ->
+             if i < nbits then state land (1 lsl i) <> 0
+             else cond all_conds.(i - nbits)))
     in
-    (!next, actions)
+    let next = ref 0 and acts = ref 0 in
+    Array.iteri
+      (fun o on ->
+        if on then
+          if o < nbits then next := !next lor (1 lsl o)
+          else acts := !acts lor (1 lsl (o - nbits)))
+      out;
+    (!next, !acts)
   in
-  let rec go state cycles =
-    if state = t.done_ok || state = t.fail then finish t dp state cycles
-    else if cycles > budget then
-      failwith "Controller.run_via_pla: cycle budget exceeded"
-    else begin
-      (* phase 1: work lines are identical on every term of this state,
-         so evaluating with pre-work conditions yields them correctly *)
-      let out_a = Trpla.eval pla (inputs_of state (eval_cond dp)) in
-      let _, acts_a = decode out_a in
-      exec_actions dp (List.filter is_work_action acts_a);
-      (* phase 2: conditions now reflect the work; take the transition.
-         Exit actions are simultaneous register updates in hardware:
-         Record_row samples the CURRENT address register, so it must
-         replay before Addr_step. *)
-      let out_b = Trpla.eval pla (inputs_of state (eval_cond dp)) in
-      let next, acts_b = decode out_b in
-      let exits = List.filter (fun a -> not (is_work_action a)) acts_b in
-      let steps, others = List.partition (fun a -> a = Addr_step) exits in
-      exec_actions dp (others @ steps);
-      go next (cycles + 1)
-    end
-  in
-  go t.idle 0
+  drive t dp ~who:"Controller.run_via_pla" (fun state ->
+      (* phase 1: work lines are identical on every term of a state, so
+         any condition assignment selects them *)
+      let _, acts_a = eval state (fun _ -> false) in
+      exec_work dp (acts_a land work_bits);
+      (* phase 2: conditions now reflect the work; take the transition *)
+      let next, acts_b = eval state (eval_cond dp) in
+      exec_exits dp (acts_b land lnot work_bits);
+      next)
 
 let pp_outcome ppf = function
   | Passed_clean -> Format.pp_print_string ppf "passed (no repair needed)"

@@ -5,9 +5,12 @@
     per operation, one wait state per retention delay and a
     per-background loop state; global states handle idle, the TLB
     overflow check, pass-2 setup and the two terminal statuses.  The
-    state graph is exported as TRPLA plane images, and the interpreter
-    can execute either the symbolic graph or the PLA image — the test
-    suite checks they agree cycle by cycle.
+    state graph is compiled to a dense table — per state, a work-action
+    mask, the conditions its transition samples and, for every
+    assignment of them, an exit-action mask and a next state — which is
+    exactly the TRPLA: {!to_pla} prints one product term per table row.
+    The controller can execute either that table or the PLA image; the
+    test suite checks they agree cycle by cycle.
 
     Pass semantics follow the paper: in the first pass every failing
     row address is recorded in the TLB (mapped to the predetermined,
@@ -57,10 +60,17 @@ type report = {
   faults_recorded : int;
 }
 
-(** Execute the two-pass self-test/self-repair against the RAM model. *)
+(** Execute the two-pass self-test/self-repair against the RAM model by
+    walking the compiled state table: per cycle, the state's work mask,
+    a bit test per sampled condition to index the assignment, then the
+    exit mask ([Record_row] before [Addr_step]) and the next state.  No
+    per-cycle closure, list or word is built beyond the words the RAM
+    reads return.  [hooks.would_overflow] is queried only after a
+    failing pass-1 read. *)
 val run : t -> Bisram_sram.Model.t -> hooks -> report
 
-(** Export the control program as TRPLA planes. *)
+(** Export the control program as TRPLA planes: one term per row of
+    the compiled table, in state order. *)
 val to_pla : t -> Trpla.t
 
 (** Execute by evaluating the TRPLA image each cycle instead of the

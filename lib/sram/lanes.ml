@@ -256,9 +256,9 @@ let write_exp t a exp =
 
 (* Read-and-compare: returns the mask of lanes whose word differs from
    the expanded expected word — the lane-wise comparator/MISR
-   reduction.  The fast path (clean row, no stuck-open anywhere) skips
-   the residue refresh for the same reason the scalar model may: with
-   no open cell the residue is unobservable. *)
+   reduction.  The fast path (clean row, no stuck-open in any lane)
+   skips the residue refresh: with no open cell the residue is
+   unobservable. *)
 let mismatch_exp t a exp =
   let base = Array.unsafe_get t.addr_base a in
   let acc = ref 0 in

@@ -33,7 +33,9 @@ type t = {
   retention : bool option array;
   state_cpl : (int * bool * bool) list array; (* victim -> (agg, state, reads_as) *)
   agg_effects : agg_effect list array; (* aggressor -> effects *)
-  sense_residue : bool array; (* one per I/O (bpw) *)
+  (* Per-I/O sense-amp residue, packed: bit [io] is the last value
+     sensed on I/O [io] (what a stuck-open cell there reads back). *)
+  mutable residue : int;
   mutable remap : (int -> int) option;
   (* Column steering (2D BIRA): maps a regular physical column to the
      physical column actually accessed (a spare column for repaired
@@ -54,10 +56,9 @@ type t = {
   (* Fast-path bookkeeping.  [row_fault] marks every row on which any
      fault machinery is armed (fault site, coupling aggressor or
      victim); [row_written] marks rows whose data may differ from the
-     power-up zeros.  [nfaults]/[nopens] are the armed totals, so the
-     all-clean test is a single integer compare. *)
+     power-up zeros.  [nfaults] is the armed total, so the all-clean
+     test is a single integer compare. *)
   mutable nfaults : int;
-  mutable nopens : int;
   row_fault : Bytes.t;
   row_written : Bytes.t;
   mutable fast : bool; (* test seam: disable to force the legacy path *)
@@ -93,7 +94,7 @@ let create org =
   ; retention = Array.make ncells None
   ; state_cpl = Array.make ncells []
   ; agg_effects = Array.make ncells []
-  ; sense_residue = Array.make org.Org.bpw false
+  ; residue = 0
   ; remap = None
   ; col_remap = None
   ; n_reads = 0
@@ -103,7 +104,6 @@ let create org =
   ; n_rows_migrated = 0
   ; n_rows_cleared = 0
   ; nfaults = 0
-  ; nopens = 0
   ; row_fault = Bytes.make nrows '\000'
   ; row_written = Bytes.make nrows '\000'
   ; fast = true
@@ -207,7 +207,7 @@ let clear t =
   List.iter
     (fun f -> match f with F.Stuck_at (c, v) -> store t (idx t c) v | _ -> ())
     t.fault_list;
-  Array.fill t.sense_residue 0 (Array.length t.sense_residue) false
+  t.residue <- 0
 
 let set_faults t faults =
   (* tear down the previous fault machinery, armed rows only *)
@@ -232,7 +232,6 @@ let set_faults t faults =
   done;
   t.fault_list <- faults;
   t.nfaults <- 0;
-  t.nopens <- 0;
   List.iter
     (fun f ->
       (match f with
@@ -247,8 +246,7 @@ let set_faults t faults =
       | F.Stuck_open c ->
           let i = idx t c in
           mark_row_fault t c.F.row;
-          t.opens.(i) <- true;
-          t.nopens <- t.nopens + 1
+          t.opens.(i) <- true
       | F.Data_retention (c, v) ->
           let i = idx t c in
           mark_row_fault t c.F.row;
@@ -320,17 +318,20 @@ let write_bit t i v =
           fire_coupling t i ~old_v ~new_v:v
         end
 
+(* A state-coupling victim's sensed value: the last entry whose
+   aggressor holds its trigger state wins. *)
+let rec sense_coupled t v = function
+  | [] -> v
+  | (agg, st, reads_as) :: rest ->
+      sense_coupled t (if stored t agg = st then reads_as else v) rest
+
 let read_bit t ~io i =
-  if t.opens.(i) then t.sense_residue.(io) (* SOF: sense amp keeps residue *)
+  if t.opens.(i) then (t.residue lsr io) land 1 = 1
+    (* SOF: sense amp keeps residue *)
   else begin
-    let v0 = stored t i in
-    let v =
-      List.fold_left
-        (fun acc (agg, st, reads_as) ->
-          if stored t agg = st then reads_as else acc)
-        v0 t.state_cpl.(i)
-    in
-    t.sense_residue.(io) <- v;
+    let v = sense_coupled t (stored t i) t.state_cpl.(i) in
+    t.residue <-
+      (if v then t.residue lor (1 lsl io) else t.residue land lnot (1 lsl io));
     v
   end
 
@@ -367,32 +368,35 @@ let write_phys t ~row ~col w =
   mark_row_written t row;
   t.n_writes <- t.n_writes + 1
 
-(* A read is fast when the row is clean AND no stuck-open fault exists
-   anywhere: the legacy path refreshes the per-I/O sense residue on
-   every read, which is observable only through an open cell, so with
-   [nopens = 0] skipping the refresh cannot change any later read.
-   The fast case is a single array load; [of_int] re-masks, which is
-   free on an already-packed value. *)
+(* A read is fast when the row is clean.  The legacy path refreshes
+   the per-I/O sense residue on every read, and on a clean row every
+   I/O senses its stored bit, so the residue becomes the packed word
+   itself: one array load plus one field store, even while a
+   stuck-open cell elsewhere keeps the residue observable.  [of_int]
+   re-masks, which is free on an already-packed value. *)
 let read_phys t ~row ~col =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
   if col < 0 || col >= t.bpc then invalid_arg "Model: col out of range";
   let w =
     match t.col_remap with
     | None ->
-        if
-          t.fast
-          && (t.nfaults = 0 || (t.nopens = 0 && not (row_is_faulty t row)))
-        then begin
+        if t.fast && (t.nfaults = 0 || not (row_is_faulty t row)) then begin
           t.n_fast_reads <- t.n_fast_reads + 1;
-          Word.of_int ~width:t.bpw
-            (Array.unsafe_get t.packed ((row * t.bpc) + col))
+          let v = Array.unsafe_get t.packed ((row * t.bpc) + col) in
+          t.residue <- v;
+          Word.of_int ~width:t.bpw v
         end
-        else
-          (* [Word.init] applies f in increasing bit order, preserving
-             the per-I/O sense-residue update sequence of the legacy
-             path *)
-          Word.init t.bpw (fun bit ->
-              read_bit t ~io:bit ((row * t.tcols) + (bit * t.bpc) + col))
+        else begin
+          (* increasing bit order preserves the per-I/O sense-residue
+             update sequence of the legacy path *)
+          let base = (row * t.tcols) + col in
+          let v = ref 0 in
+          for bit = 0 to t.bpw - 1 do
+            if read_bit t ~io:bit (base + (bit * t.bpc)) then
+              v := !v lor (1 lsl bit)
+          done;
+          Word.of_int ~width:t.bpw !v
+        end
     | Some f ->
         Word.init t.bpw (fun bit ->
             read_bit t ~io:bit ((row * t.tcols) + f ((bit * t.bpc) + col)))

@@ -7,12 +7,16 @@
 
     Storage is split by regime.  Rows with no armed fault machinery
     live in a packed store — one native int per (row, column-mux)
-    word — so a clean-array access is a single array load/store of
-    {!Word.to_int}/{!Word.of_int}.  Fault-armed rows live in a legacy
-    byte-per-cell store driven by the per-cell fault machinery.  A row
-    changes regime only inside {!set_faults} (whose trailing {!clear}
-    restores power-up zeros in both stores) and {!set_fast_path}
-    (which migrates the data), so the stores never disagree. *)
+    word — so a clean-row access is a single array load/store of
+    {!Word.to_int}/{!Word.of_int}, whatever faults sit on other rows.
+    Fault-armed rows live in a legacy byte-per-cell store driven by the
+    per-cell fault machinery.  A row changes regime only inside
+    {!set_faults} (whose trailing {!clear} restores power-up zeros in
+    both stores) and {!set_fast_path} (which migrates the data), so the
+    stores never disagree.  The sense residue is packed too, one bit
+    per I/O: a clean-row read sets it to the word read, exactly what
+    the per-bit path would leave, so a stuck-open cell elsewhere in
+    the array does not slow clean reads down. *)
 
 type t
 
@@ -43,6 +47,10 @@ val set_remap : t -> (int -> int) option -> unit
 val set_col_remap : t -> (int -> int) option -> unit
 
 (** Word access through the addressing logic (column mux + remap).
+    A read of a row with no armed fault machinery (and no column map)
+    is one packed load, and it leaves that word as the sense residue;
+    a read of a fault-armed row resolves bit by bit, I/O 0 first, and
+    a stuck-open cell returns its I/O's residue.
     @raise Invalid_argument if the address is out of range or the word
     width mismatches. *)
 val read_word : t -> int -> Word.t

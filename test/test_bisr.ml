@@ -78,6 +78,76 @@ let prop_tlb_distinct_spares =
       let spares = List.map (fun row -> Tlb.remap t ~row) mapped in
       List.length (List.sort_uniq Int.compare spares) = List.length spares)
 
+(* The TLB against a newest-entry list model: random record /
+   remap_spare / clear sequences, and after every step each lookup
+   (remap, spare_of, would_overflow) on every row — out-of-range rows
+   included — plus mapped_rows and the entry count must match. *)
+let prop_tlb_matches_list_model =
+  let regular_rows = 12 in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [ (5, map (fun r -> `Record r) (int_range 0 (regular_rows - 1)))
+        ; (3, map (fun r -> `Remap_spare r) (int_range 0 (regular_rows - 1)))
+        ; (1, return `Clear)
+        ])
+  in
+  QCheck.Test.make ~name:"TLB matches a newest-entry list model" ~count:300
+    QCheck.(pair (int_range 0 6) (make Gen.(list_size (int_range 0 30) gen_op)))
+    (fun (spares, ops) ->
+      let t = Tlb.create ~spares ~regular_rows in
+      (* model: (row, spare) newest first, and the next spare index *)
+      let entries = ref [] and next = ref 0 in
+      let find row = List.assoc_opt row !entries in
+      let alloc row =
+        if !next >= spares then `Full
+        else begin
+          entries := (row, !next) :: !entries;
+          incr next;
+          `Ok
+        end
+      in
+      let agrees () =
+        let rows = List.init (regular_rows + 2) (fun i -> i - 1) in
+        List.for_all
+          (fun row ->
+            let spare = find row in
+            Tlb.spare_of t ~row = spare
+            && Tlb.remap t ~row
+               = (match spare with Some s -> regular_rows + s | None -> row)
+            && (row < 0 || row >= regular_rows
+               || Tlb.would_overflow t ~row = (spare = None && !next >= spares)))
+          rows
+        && Tlb.mapped_rows t
+           = List.rev
+               (List.filter_map
+                  (fun (row, s) -> if find row = Some s then Some row else None)
+                  !entries)
+        && Tlb.entries t = !next
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | `Record row ->
+                Tlb.record t ~row
+                = (match find row with Some _ -> `Ok | None -> alloc row)
+            | `Remap_spare row -> (
+                let expect =
+                  match find row with None -> None | Some _ -> Some (alloc row)
+                in
+                match Tlb.remap_spare t ~row with
+                | got -> expect = Some got
+                | exception Invalid_argument _ -> expect = None)
+            | `Clear ->
+                Tlb.clear t;
+                entries := [];
+                next := 0;
+                true
+          in
+          same && agrees ())
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Two-pass repair *)
 
@@ -351,6 +421,7 @@ let () =
         ; Alcotest.test_case "clear" `Quick test_tlb_clear
         ; QCheck_alcotest.to_alcotest prop_tlb_strictly_increasing
         ; QCheck_alcotest.to_alcotest prop_tlb_distinct_spares
+        ; QCheck_alcotest.to_alcotest prop_tlb_matches_list_model
         ] )
     ; ( "repair",
         [ Alcotest.test_case "clean" `Quick test_repair_clean

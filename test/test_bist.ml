@@ -411,29 +411,69 @@ let prop_controller_matches_engine_random_march =
       let r = Controller.run ctl m2 Controller.no_repair_hooks in
       engine_clean = (r.Controller.outcome = Controller.Passed_clean))
 
+(* The table-driven run and the PLA-image run must drive the datapath
+   identically: same outcome, cycles and recorded count, and the same
+   hook traffic — every recorded row in order, and the point (datapath
+   op count) where the remap is enabled.  Faults come from the full mix,
+   spare rows included, and the hooks drive a real TLB and remap so
+   pass 2 exercises the spares. *)
 let prop_pla_path_matches_symbolic_random_march =
   QCheck.Test.make ~name:"PLA execution = symbolic on random marches"
-    ~count:15
+    ~count:20
     QCheck.(pair arb_march (int_range 0 1_000_000))
     (fun (march, seed) ->
       let rng = Random.State.make [| seed |] in
       let o = small () in
       let faults =
-        Bisram_faults.Injection.inject rng ~rows:(Org.rows o)
-          ~cols:(Org.cols o) ~mix:Bisram_faults.Injection.stuck_at_only
-          ~n:(Random.State.int rng 3)
+        Bisram_faults.Injection.inject rng ~rows:(Org.total_rows o)
+          ~cols:(Org.cols o) ~mix:Bisram_faults.Injection.default_mix
+          ~n:(Random.State.int rng 7)
       in
+      let ctl = Controller.compile march ~words:o.Org.words ~backgrounds:bgs8 in
       let run f =
         let m = Model.create o in
         Model.set_faults m faults;
-        let ctl =
-          Controller.compile march ~words:o.Org.words ~backgrounds:bgs8
+        let tlb =
+          Bisram_bisr.Tlb.create ~spares:o.Org.spares ~regular_rows:(Org.rows o)
         in
-        f ctl m (hooks_recording (Hashtbl.create 4) 4)
+        let h = Bisram_bisr.Repair.hooks_of_tlb tlb m in
+        let log = ref [] in
+        let ops () = Model.reads m + Model.writes m in
+        let hooks =
+          { h with
+            Controller.record_fault =
+              (fun ~row ->
+                log := `Record row :: !log;
+                h.Controller.record_fault ~row)
+          ; enable_remap =
+              (fun () ->
+                log := `Remap (ops ()) :: !log;
+                h.Controller.enable_remap ())
+          }
+        in
+        let r = f ctl m hooks in
+        (r, List.rev !log)
       in
-      let r1 = run Controller.run and r2 = run Controller.run_via_pla in
+      let r1, log1 = run Controller.run and r2, log2 = run Controller.run_via_pla in
       r1.Controller.outcome = r2.Controller.outcome
-      && r1.Controller.cycles = r2.Controller.cycles)
+      && r1.Controller.cycles = r2.Controller.cycles
+      && r1.Controller.faults_recorded = r2.Controller.faults_recorded
+      && log1 = log2)
+
+(* The compiled controller keeps the datapath allocation-light: a
+   fault-free IFA-9 run allocates only the words its reads return
+   (about 1.5 minor words per cycle). *)
+let test_controller_allocation_budget () =
+  let ctl = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs8 in
+  let m = Model.create (small ()) in
+  ignore (Controller.run ctl m Controller.no_repair_hooks);
+  let before = Gc.minor_words () in
+  let r = Controller.run ctl m Controller.no_repair_hooks in
+  let words = Gc.minor_words () -. before in
+  let per_cycle = words /. float_of_int r.Controller.cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per cycle <= 4" per_cycle)
+    true (per_cycle <= 4.0)
 
 (* ------------------------------------------------------------------ *)
 (* Coverage *)
@@ -601,6 +641,8 @@ let () =
             test_controller_vs_engine_failure_detection
         ; Alcotest.test_case "PLA path agrees" `Quick test_controller_pla_agrees
         ; Alcotest.test_case "PLA size" `Quick test_controller_pla_size
+        ; Alcotest.test_case "allocation budget" `Quick
+            test_controller_allocation_budget
         ; QCheck_alcotest.to_alcotest prop_random_march_roundtrip
         ; QCheck_alcotest.to_alcotest prop_controller_matches_engine_random_march
         ; QCheck_alcotest.to_alcotest prop_pla_path_matches_symbolic_random_march

@@ -386,6 +386,24 @@ let test_golden_v2_bytes_frozen () =
     golden_v2_report
     (C.pretty_json_string (C.run cfg))
 
+(* The row-TLB flow at Poisson mean 3 (the repair-limited reference
+   run): dense in stuck-open faults, spare remaps and shrinking, so it
+   pins the controller table, the packed sense residue and the TLB
+   lookup against report bytes.  The golden file is the CLI output of
+   `campaign --trials 200 --seed 7 --mode poisson --mean 3 --jobs 1`
+   captured before those three kernels were rewritten. *)
+let test_golden_row_tlb_p3 () =
+  let read_file path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let cfg = C.make_config ~mode:(C.Poisson 3.0) ~trials:200 ~seed:7 () in
+  Alcotest.(check string) "poisson-3 row-tlb report bytes"
+    (read_file "golden_row_tlb_p3.json")
+    (C.pretty_json_string (C.run ~jobs:1 cfg))
+
 let test_rounds_histogram_totals () =
   let cfg = C.make_config ~trials:40 ~seed:13 ~mode:(C.Uniform 4) () in
   let r = C.run cfg in
@@ -751,6 +769,8 @@ let () =
         ; Alcotest.test_case "jobs validation" `Quick test_jobs_validation
         ; Alcotest.test_case "golden /2 bytes frozen" `Quick
             test_golden_v2_bytes_frozen
+        ; Alcotest.test_case "golden row-tlb poisson-3 bytes" `Quick
+            test_golden_row_tlb_p3
         ; Alcotest.test_case "observed yield brackets analytic" `Slow
             test_yield_brackets_analytic
         ] )

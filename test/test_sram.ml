@@ -425,6 +425,39 @@ let prop_fast_path_equals_legacy =
       in
       drive true = drive false)
 
+(* A stuck-open cell no longer pushes the rest of the array off the
+   fast path: a read of a clean row is served packed, and it still
+   leaves the sensed word as the per-I/O residue that the open cell on
+   the same I/O reads back next. *)
+let test_stuck_open_fast_read () =
+  let org = small () in
+  (* open cell on row 2, I/O 1, mux column 1 *)
+  let faults = [ F.Stuck_open (cell 2 ((1 * org.Org.bpc) + 1)) ] in
+  let drive fast =
+    let m = Model.create org in
+    Model.set_fast_path m fast;
+    Model.set_faults m faults;
+    Model.write_row_word m ~row:5 ~col:1 (Word.of_int ~width:8 0b10);
+    Model.write_row_word m ~row:6 ~col:1 (Word.zero 8);
+    let fast_before = (Model.stats m).Model.s_fast_reads in
+    let r5 = Model.read_row_word m ~row:5 ~col:1 in
+    let fast_after = (Model.stats m).Model.s_fast_reads in
+    let open_hi = Model.read_row_word m ~row:2 ~col:1 in
+    let r6 = Model.read_row_word m ~row:6 ~col:1 in
+    let open_lo = Model.read_row_word m ~row:2 ~col:1 in
+    (fast_after - fast_before, [ r5; open_hi; r6; open_lo ])
+  in
+  let fast_reads, reads = drive true in
+  Alcotest.(check int) "clean-row read is fast" 1 fast_reads;
+  (match reads with
+  | [ _; open_hi; _; open_lo ] ->
+      Alcotest.(check bool) "open cell reads row 5's bit" true
+        (Word.get open_hi 1);
+      Alcotest.(check bool) "then row 6's bit" false (Word.get open_lo 1)
+  | _ -> assert false);
+  Alcotest.(check (list word)) "same reads as the legacy path"
+    (snd (drive false)) reads
+
 (* Same differential with the BISR remap in the loop: ops install and
    remove logical-to-spare row translations mid-stream, plus fast-path
    toggles (exercising the packed<->byte store migration), so reads
@@ -558,6 +591,8 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_model_rw_roundtrip
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy_remap
+        ; Alcotest.test_case "stuck-open leaves clean reads fast" `Quick
+            test_stuck_open_fast_read
         ; Alcotest.test_case "clear covers dirty rows" `Quick
             test_clear_touches_only_dirty_rows
         ] )
