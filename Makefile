@@ -20,9 +20,11 @@ campaign-smoke: build
 # sequential one for the same config and seed, and the lane-batched
 # scheduler (--batch-lanes 62, the default) must be byte-identical to
 # the scalar one (--batch-lanes 1) — with enough trials to form full
-# 62-wide batches and a ragged tail, at both a faulty and a
-# mostly-clean fault load (clean lanes are the ones the batch engine
-# resolves without unpacking, so both paths must be covered).
+# 62-wide batches and a ragged tail, at a faulty, a mostly-clean and a
+# repair-limited fault load (clean lanes are the ones the batch engine
+# resolves without unpacking, so both paths must be covered; at Poisson
+# mean 3 nearly every lane falls back to the scalar flow, where the
+# fault-masked model path and the shared oracle run dominate).
 campaign-determinism: build
 	dune exec bin/bisramgen.exe -- campaign --trials 50 --seed 7 \
 	  --mix stuck-at --jobs 1 > .ci-campaign-jobs1.json
@@ -41,9 +43,17 @@ campaign-determinism: build
 	  --mode poisson --mean 0.4 --batch-lanes 1 --jobs 1 \
 	  > .ci-campaign-planes1.json
 	diff .ci-campaign-planes62.json .ci-campaign-planes1.json
+	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
+	  --mode poisson --mean 3 --batch-lanes 62 --jobs 2 \
+	  > .ci-campaign-p3lanes62.json
+	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
+	  --mode poisson --mean 3 --batch-lanes 1 --jobs 1 \
+	  > .ci-campaign-p3lanes1.json
+	diff .ci-campaign-p3lanes62.json .ci-campaign-p3lanes1.json
 	rm -f .ci-campaign-jobs1.json .ci-campaign-jobs2.json \
 	  .ci-campaign-lanes62.json .ci-campaign-lanes1.json \
-	  .ci-campaign-planes62.json .ci-campaign-planes1.json
+	  .ci-campaign-planes62.json .ci-campaign-planes1.json \
+	  .ci-campaign-p3lanes62.json .ci-campaign-p3lanes1.json
 	@echo "campaign-determinism: OK"
 
 # Rare-event estimation gate.  (1) Adaptive stopping must actually

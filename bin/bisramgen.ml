@@ -965,8 +965,9 @@ let campaign_cmd =
       $ batch_lanes_arg
       $ observability_term
           ~spans:
-            "per-trial phase spans (inject, march, oracle, repair, \
-             escape-sweep, shrink) and per-march-element BIST sections"
+            "per-trial phase spans (inject, march, repair, oracle under \
+             BIRA, escape-sweep, shrink) and per-march-element BIST \
+             sections"
       $ replay_arg
       $ fail_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
       $ trial_deadline_arg $ confidence_arg $ target_ci_arg $ ci_metric_arg

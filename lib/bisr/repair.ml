@@ -50,7 +50,12 @@ let run model test ~backgrounds =
   in
   (outcome, report, tlb)
 
-let run_reference model test ~backgrounds =
+(* Pass 1 from power-up and its TLB recording, shared by the reference
+   and the iterated flow: the failing rows in detection order, and
+   whether the TLB took them all.  The rows are distinct and the TLB
+   is fresh, so this recording is also the iterated flow's first
+   [record_new]. *)
+let first_pass model test ~backgrounds =
   let tlb = fresh_tlb model in
   Model.set_remap model None;
   let failures = Engine.run model test ~backgrounds in
@@ -60,64 +65,80 @@ let run_reference model test ~backgrounds =
     | row :: rest -> (
         match Tlb.record tlb ~row with `Ok -> record rest | `Full -> `Full)
   in
-  match record rows with
+  (tlb, rows, record rows)
+
+let arm model tlb = Model.set_remap model (Some (fun row -> Tlb.remap tlb ~row))
+
+let two_pass_verdict rows ~verified =
+  if not verified then Repair_unsuccessful Fault_in_second_pass
+  else if rows = [] then Passed_clean
+  else Repaired rows
+
+let run_reference model test ~backgrounds =
+  let tlb, rows, recorded = first_pass model test ~backgrounds in
+  match recorded with
   | `Full -> (Repair_unsuccessful Too_many_faulty_rows, tlb)
   | `Ok ->
-      Model.set_remap model (Some (fun row -> Tlb.remap tlb ~row));
-      if Engine.passes model test ~backgrounds then
-        if rows = [] then (Passed_clean, tlb) else (Repaired rows, tlb)
-      else (Repair_unsuccessful Fault_in_second_pass, tlb)
+      arm model tlb;
+      ( two_pass_verdict rows ~verified:(Engine.passes model test ~backgrounds)
+      , tlb )
 
 type iterated_result = { i_outcome : outcome; i_tlb : Tlb.t; i_rounds : int }
 
-let run_iterated_result ?(max_rounds = 8) model test ~backgrounds =
-  let tlb = fresh_tlb model in
-  Model.set_remap model None;
-  let failures = Engine.run model test ~backgrounds in
-  let first_rows = Engine.failing_rows (Model.org model) failures in
-  let record_new rows =
-    List.fold_left
-      (fun acc row ->
-        match acc with
-        | `Full -> `Full
-        | `Ok -> (
-            match Tlb.spare_of tlb ~row with
-            | None -> Tlb.record tlb ~row
-            | Some _ -> Tlb.remap_spare tlb ~row))
-      `Ok rows
-  in
-  match record_new first_rows with
+type flows = {
+  reference : outcome;
+  reference_rows : int list;
+  iterated : iterated_result;
+}
+
+(* The iterated flow, with the reference verdict read off the way: the
+   reference's second pass is verify round 1 up to its first mismatch
+   (both start from a clear under the same remap), and its TLB is this
+   one before round 1's failures are recorded. *)
+let run_flows ?(max_rounds = 8) model test ~backgrounds =
+  let tlb, first_rows, recorded = first_pass model test ~backgrounds in
+  let reference_rows = Tlb.mapped_rows tlb in
+  let result i_outcome i_rounds = { i_outcome; i_tlb = tlb; i_rounds } in
+  match recorded with
   | `Full ->
-      { i_outcome = Repair_unsuccessful Too_many_faulty_rows
-      ; i_tlb = tlb
-      ; i_rounds = 0
-      }
+      let o = Repair_unsuccessful Too_many_faulty_rows in
+      { reference = o; reference_rows; iterated = result o 0 }
   | `Ok ->
-      Model.set_remap model (Some (fun row -> Tlb.remap tlb ~row));
-      let rec verify round =
-        let failures = Engine.run model test ~backgrounds in
-        if failures = [] then
-          let i_outcome =
-            if first_rows = [] then Passed_clean
-            else Repaired (Tlb.mapped_rows tlb)
-          in
-          { i_outcome; i_tlb = tlb; i_rounds = round }
-        else if round >= max_rounds then
-          { i_outcome = Repair_unsuccessful Fault_in_second_pass
-          ; i_tlb = tlb
-          ; i_rounds = round
-          }
-        else
-          let rows = Engine.failing_rows (Model.org model) failures in
-          match record_new rows with
-          | `Full ->
-              { i_outcome = Repair_unsuccessful Too_many_faulty_rows
-              ; i_tlb = tlb
-              ; i_rounds = round
-              }
-          | `Ok -> verify (round + 1)
+      arm model tlb;
+      let record_new rows =
+        List.fold_left
+          (fun acc row ->
+            match acc with
+            | `Full -> `Full
+            | `Ok -> (
+                match Tlb.spare_of tlb ~row with
+                | None -> Tlb.record tlb ~row
+                | Some _ -> Tlb.remap_spare tlb ~row))
+          `Ok rows
       in
-      verify 1
+      let rec verify round failures =
+        if failures = [] then
+          result
+            (if first_rows = [] then Passed_clean
+             else Repaired (Tlb.mapped_rows tlb))
+            round
+        else if round >= max_rounds then
+          result (Repair_unsuccessful Fault_in_second_pass) round
+        else
+          match
+            record_new (Engine.failing_rows (Model.org model) failures)
+          with
+          | `Full -> result (Repair_unsuccessful Too_many_faulty_rows) round
+          | `Ok -> verify (round + 1) (Engine.run model test ~backgrounds)
+      in
+      let round1 = Engine.run model test ~backgrounds in
+      { reference = two_pass_verdict first_rows ~verified:(round1 = [])
+      ; reference_rows
+      ; iterated = verify 1 round1
+      }
+
+let run_iterated_result ?max_rounds model test ~backgrounds =
+  (run_flows ?max_rounds model test ~backgrounds).iterated
 
 let run_iterated ?max_rounds model test ~backgrounds =
   let r = run_iterated_result ?max_rounds model test ~backgrounds in

@@ -67,4 +67,21 @@ val run_iterated_result :
   backgrounds:Bisram_sram.Word.t list ->
   iterated_result
 
+(** Both engine flows from one run: the iterated flow's result, plus the
+    two-pass reference verdict and TLB rows read off its first verify
+    round, which is the reference's second pass run to the end. *)
+type flows = {
+  reference : outcome;  (** = the outcome of {!run_reference} *)
+  reference_rows : int list;
+      (** = [Tlb.mapped_rows] of {!run_reference}'s TLB *)
+  iterated : iterated_result;  (** = {!run_iterated_result} *)
+}
+
+val run_flows :
+  ?max_rounds:int ->
+  Bisram_sram.Model.t ->
+  Bisram_bist.March.t ->
+  backgrounds:Bisram_sram.Word.t list ->
+  flows
+
 val pp_outcome : Format.formatter -> outcome -> unit

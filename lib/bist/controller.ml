@@ -289,8 +289,8 @@ type datapath = {
   org : Org.t;
   hooks : hooks;
   addgen : Addgen.t;
-  bgs : Word.t array;
-  bgs_c : Word.t array; (* complemented backgrounds *)
+  bgs : int array; (* packed backgrounds *)
+  bgs_c : int array; (* complemented *)
   mutable bg_idx : int;
   mutable dir : March.order;
   mutable cmp_fail : bool;
@@ -301,14 +301,20 @@ type datapath = {
 let make_datapath t model hooks =
   if t.backgrounds = [] then
     invalid_arg "Controller.run: layout-only controller (no backgrounds)";
+  let org = Model.org model in
+  List.iter
+    (fun bg ->
+      if Word.width bg <> org.Org.bpw then
+        invalid_arg "Controller.run: background width mismatch")
+    t.backgrounds;
   Model.clear model;
   let bgs = Array.of_list t.backgrounds in
   { model
-  ; org = Model.org model
+  ; org
   ; hooks
   ; addgen = Addgen.create ~limit:t.words
-  ; bgs
-  ; bgs_c = Array.map Word.lnot_ bgs
+  ; bgs = Array.map Word.to_int bgs
+  ; bgs_c = Array.map (fun bg -> Word.to_int (Word.lnot_ bg)) bgs
   ; bg_idx = 0
   ; dir = March.Up
   ; cmp_fail = false
@@ -341,8 +347,8 @@ let exec_work dp w =
     in
     let a = Addgen.value dp.addgen in
     if w land b_read <> 0 then
-      dp.cmp_fail <- not (Word.equal bg (Model.read_word dp.model a))
-    else Model.write_word dp.model a bg
+      dp.cmp_fail <- bg <> Model.read_int dp.model a
+    else Model.write_int dp.model a bg
   end;
   if w land b_reset_up <> 0 then begin
     dp.dir <- March.Up;

@@ -63,10 +63,12 @@ type report = {
 (** Execute the two-pass self-test/self-repair against the RAM model by
     walking the compiled state table: per cycle, the state's work mask,
     a bit test per sampled condition to index the assignment, then the
-    exit mask ([Record_row] before [Addr_step]) and the next state.  No
-    per-cycle closure, list or word is built beyond the words the RAM
-    reads return.  [hooks.would_overflow] is queried only after a
-    failing pass-1 read. *)
+    exit mask ([Record_row] before [Addr_step]) and the next state.  The
+    datapath compares packed ints through {!Bisram_sram.Model.read_int},
+    so no per-cycle closure, list or word is built.
+    [hooks.would_overflow] is queried only after a failing pass-1 read.
+    @raise Invalid_argument if a background's width is not the model's
+    word width. *)
 val run : t -> Bisram_sram.Model.t -> hooks -> report
 
 (** Export the control program as TRPLA planes: one term per row of

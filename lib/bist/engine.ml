@@ -28,6 +28,37 @@ let ram_of_model model =
   ; retention_wait = (fun () -> Model.retention_wait model)
   }
 
+(* What the march loop drives: the RAM as packed-int word accesses of
+   a fixed width.  A model is driven directly through its int API (no
+   word allocated per read); an abstract [ram] is adapted per access. *)
+type port = {
+  p_words : int;
+  p_width : int;
+  p_read : int -> int;
+  p_write : int -> int -> unit;
+  p_wait : unit -> unit;
+}
+
+let port_of_model model =
+  { p_words = (Model.org model).Org.words
+  ; p_width = (Model.org model).Org.bpw
+  ; p_read = Model.read_int model
+  ; p_write = Model.write_int model
+  ; p_wait = (fun () -> Model.retention_wait model)
+  }
+
+let port_of_ram ram ~width =
+  { p_words = ram.words
+  ; p_width = width
+  ; p_read =
+      (fun a ->
+        let w = ram.read a in
+        if Word.width w <> width then invalid_arg "Engine: word width mismatch";
+        Word.to_int w)
+  ; p_write = (fun a v -> ram.write a (Word.of_int ~width v))
+  ; p_wait = ram.retention_wait
+  }
+
 let iter_addresses n order f =
   match order with
   | March.Up | March.Either ->
@@ -39,15 +70,18 @@ let iter_addresses n order f =
         f a
       done
 
-let run_general ram test ~backgrounds ~stop_at_first =
+let run_general port test ~backgrounds ~stop_at_first =
+  List.iter
+    (fun bg ->
+      if Word.width bg <> port.p_width then
+        invalid_arg "Engine: background width mismatch")
+    backgrounds;
+  let word v = Word.of_int ~width:port.p_width v in
   let failures = ref [] in
   (try
      List.iteri
        (fun bg_idx bg ->
-         (* hoisted out of the address loop: [lnot_] allocates, and the
-            complemented background is needed on every ~r/~w op of every
-            address — the engine's hottest allocation site *)
-         let bg_compl = Word.lnot_ bg in
+         let bg_v = Word.to_int bg and bg_c = Word.to_int (Word.lnot_ bg) in
          List.iteri
            (fun item_idx item ->
              match item with
@@ -57,43 +91,41 @@ let run_general ram test ~backgrounds ~stop_at_first =
                    Obs.span ~cat:"bist"
                      (Printf.sprintf "%s.bg%d.wait%d" test.March.name bg_idx
                         item_idx)
-                     ram.retention_wait
+                     port.p_wait
                  end
-                 else ram.retention_wait ()
+                 else port.p_wait ()
              | March.Elem { order; ops } ->
                  (* per-element op table, resolved against the current
                     background once: the address loop walks a flat array
-                    instead of re-running List.iteri closures, so it
-                    allocates nothing per address *)
+                    of packed words and compares ints, so it allocates
+                    nothing per address *)
                  let n_ops = List.length ops in
                  let is_write = Array.make n_ops false in
-                 let op_word = Array.make n_ops bg in
+                 let op_word = Array.make n_ops bg_v in
                  List.iteri
                    (fun i op ->
                      match op with
                      | March.W compl ->
                          is_write.(i) <- true;
-                         if compl then op_word.(i) <- bg_compl
-                     | March.R compl ->
-                         if compl then op_word.(i) <- bg_compl)
+                         if compl then op_word.(i) <- bg_c
+                     | March.R compl -> if compl then op_word.(i) <- bg_c)
                    ops;
                  let exec () =
-                   iter_addresses ram.words order (fun addr ->
+                   iter_addresses port.p_words order (fun addr ->
                        for op_idx = 0 to n_ops - 1 do
                          let w = Array.unsafe_get op_word op_idx in
                          if Array.unsafe_get is_write op_idx then
-                           ram.write addr w
+                           port.p_write addr w
                          else begin
-                           let got = ram.read addr in
-                           (* packed words: an int compare *)
-                           if not (Word.equal w got) then begin
+                           let got = port.p_read addr in
+                           if w <> got then begin
                              failures :=
                                { background = bg
                                ; item = item_idx
                                ; op = op_idx
                                ; addr
-                               ; expected = w
-                               ; got
+                               ; expected = word w
+                               ; got = word got
                                }
                                :: !failures;
                              if stop_at_first then raise Stop
@@ -105,7 +137,7 @@ let run_general ram test ~backgrounds ~stop_at_first =
                     element keeps the per-op loop untouched when off *)
                  if Obs.enabled () then begin
                    Obs.incr "engine.elements";
-                   Obs.add "engine.ops" (n_ops * ram.words);
+                   Obs.add "engine.ops" (n_ops * port.p_words);
                    Obs.span ~cat:"bist"
                      (Printf.sprintf "%s.bg%d.elem%d" test.March.name bg_idx
                         item_idx)
@@ -118,15 +150,18 @@ let run_general ram test ~backgrounds ~stop_at_first =
   List.rev !failures
 
 let run_ram ram test ~backgrounds =
-  run_general ram test ~backgrounds ~stop_at_first:false
+  (* the width every background must share; a RAM returning another
+     width is caught on its first read *)
+  let width = match backgrounds with [] -> 0 | bg :: _ -> Word.width bg in
+  run_general (port_of_ram ram ~width) test ~backgrounds ~stop_at_first:false
 
 let run model test ~backgrounds =
   Model.clear model;
-  run_general (ram_of_model model) test ~backgrounds ~stop_at_first:false
+  run_general (port_of_model model) test ~backgrounds ~stop_at_first:false
 
 let passes model test ~backgrounds =
   Model.clear model;
-  run_general (ram_of_model model) test ~backgrounds ~stop_at_first:true = []
+  run_general (port_of_model model) test ~backgrounds ~stop_at_first:true = []
 
 let failing_rows org failures =
   let seen = Hashtbl.create 16 in

@@ -27,14 +27,20 @@ type ram = {
 val ram_of_model : Bisram_sram.Model.t -> ram
 
 (** [run_ram ram test ~backgrounds] applies the march once per
-    background (no clearing), collecting every read mismatch. *)
+    background (no clearing), collecting every read mismatch.
+    @raise Invalid_argument if the backgrounds, or the words the RAM
+    returns, differ in width. *)
 val run_ram :
   ram -> March.t -> backgrounds:Bisram_sram.Word.t list -> failure list
 
 (** [run model test ~backgrounds] clears the RAM and applies the march
     test once per background, collecting every read mismatch.  [Either]
     order is executed ascending.  The RAM's remap (if installed) is in
-    effect, so this runs both BIST passes depending on model state. *)
+    effect, so this runs both BIST passes depending on model state.
+    The march compares packed ints through {!Bisram_sram.Model.read_int};
+    words are built only for a mismatch.
+    @raise Invalid_argument if a background's width is not the model's
+    word width. *)
 val run :
   Bisram_sram.Model.t ->
   March.t ->

@@ -188,11 +188,11 @@ let flush_model_stats m =
   Obs.add "model.rows_migrated" s.Model.s_rows_migrated;
   Obs.add "model.rows_cleared" s.Model.s_rows_cleared
 
-(* A trial runs one flow — detect, allocate, arm, verify — per role,
-   each side on its own freshly armed model (a run mutates array
-   contents and remap): the flow [Under_test], the [Oracle] it is held
-   against, and the [Iterating] flow behind the repair-effort
-   histogram. *)
+(* A trial fills three roles: the flow [Under_test], the [Oracle] it is
+   held against, and the [Iterating] flow behind the repair-effort
+   histogram.  Each flow run — detect, allocate, arm, verify — gets its
+   own freshly armed model (a run mutates array contents and remap);
+   one run may fill several roles, which then share its model. *)
 type role = Under_test | Oracle | Iterating
 
 let role_span = function
@@ -226,68 +226,78 @@ type side = {
 
 (* The per-architecture facts of the trial flow, in one place. *)
 type arch = {
-  roles : role list;  (** the sides a trial runs, in order *)
-  run_side : role -> Fault.t list -> side;
+  flows : (role list * (Fault.t list -> side list)) list;
+      (** the flow runs of a trial, in order, each with the roles its
+          sides fill *)
   swept : flow -> role;  (** the side an escape of each flow label sweeps *)
   iterated_by : role;  (** the side whose verdict is reported as iterated *)
 }
 
-(* Row-TLB: the paper's microprogrammed controller under test, the
-   functional two-pass engine as oracle, and the iterated 2k-pass flow;
-   the oracle compares the mapped TLB rows.  BIRA: there is no
-   controller for the 2D flow, so the packed-word comparator analog
-   ([fast:true] fault extraction) is under test against the bit-by-bit
-   reference; the flow iterates (spare burning) on both sides, so the
-   reference also carries the iterated escape sweep, and the analog's
-   verdict is reported for both flows. *)
+(* Row-TLB: the paper's microprogrammed controller under test, and one
+   engine run of the iterated 2k-pass flow, which also yields the
+   functional two-pass oracle (its verdict and TLB rows are read off
+   verify round 1); the oracle compares the mapped TLB rows.  BIRA:
+   there is no controller for the 2D flow, so the packed-word
+   comparator analog ([fast:true] fault extraction) is under test
+   against the bit-by-bit reference; the flow iterates (spare burning)
+   on both sides, so the reference also carries the iterated escape
+   sweep, and the analog's verdict is reported for both flows. *)
 let arch cfg =
   let bgs = backgrounds cfg and march = cfg.march in
+  let side ?(rounds = 1) ?cycles s_outcome s_alloc s_model =
+    { s_outcome; s_alloc; s_rounds = rounds; s_cycles = cycles; s_model }
+  in
   match cfg.repair with
   | Row_tlb ->
-      let run_side role faults =
+      let controller faults =
         let m = model_with cfg faults in
-        let s_outcome, tlb, s_rounds, s_cycles =
-          match role with
-          | Under_test ->
-              let o, report, tlb = Repair.run m march ~backgrounds:bgs in
-              (o, tlb, 1, Some report.Bisram_bist.Controller.cycles)
-          | Oracle ->
-              let o, tlb = Repair.run_reference m march ~backgrounds:bgs in
-              (o, tlb, 1, None)
-          | Iterating ->
-              let it =
-                Repair.run_iterated_result ~max_rounds:cfg.max_rounds m march
-                  ~backgrounds:bgs
-              in
-              (it.Repair.i_outcome, it.Repair.i_tlb, it.Repair.i_rounds, None)
-        in
-        let s_alloc = Tlb_rows (Tlb.mapped_rows tlb) in
-        { s_outcome; s_alloc; s_rounds; s_cycles; s_model = m }
+        let o, report, tlb = Repair.run m march ~backgrounds:bgs in
+        [ side o
+            (Tlb_rows (Tlb.mapped_rows tlb))
+            ~cycles:report.Bisram_bist.Controller.cycles m
+        ]
       in
-      { roles = [ Under_test; Oracle; Iterating ]
-      ; run_side
+      let engine faults =
+        let m = model_with cfg faults in
+        let f =
+          Repair.run_flows ~max_rounds:cfg.max_rounds m march ~backgrounds:bgs
+        in
+        let it = f.Repair.iterated in
+        [ side it.Repair.i_outcome
+            (Tlb_rows (Tlb.mapped_rows it.Repair.i_tlb))
+            ~rounds:it.Repair.i_rounds m
+        ; side f.Repair.reference (Tlb_rows f.Repair.reference_rows) m
+        ]
+      in
+      { flows =
+          [ ([ Under_test ], controller); ([ Iterating; Oracle ], engine) ]
       ; swept = (function Two_pass -> Under_test | Iterated -> Iterating)
       ; iterated_by = Iterating
       }
   | Bira strat ->
-      let run_side role faults =
+      let bira ~fast faults =
         let m = model_with cfg faults in
         let r =
-          Bira.run ~max_rounds:cfg.max_rounds ~fast:(role = Under_test) strat
-            m march ~backgrounds:bgs
+          Bira.run ~max_rounds:cfg.max_rounds ~fast strat m march
+            ~backgrounds:bgs
         in
-        { s_outcome = r.Bira.b_outcome
-        ; s_alloc = Lines r.Bira.b_alloc
-        ; s_rounds = r.Bira.b_rounds
-        ; s_cycles = None
-        ; s_model = m
-        }
+        [ side r.Bira.b_outcome (Lines r.Bira.b_alloc)
+            ~rounds:r.Bira.b_rounds m
+        ]
       in
-      { roles = [ Under_test; Oracle ]
-      ; run_side
+      { flows =
+          [ ([ Under_test ], bira ~fast:true); ([ Oracle ], bira ~fast:false) ]
       ; swept = (function Two_pass -> Under_test | Iterated -> Oracle)
       ; iterated_by = Under_test
       }
+
+let run_flow faults (roles, run) = List.combine roles (run faults)
+
+(* Only the flow runs that fill one of [roles]. *)
+let run_roles a roles faults =
+  List.concat_map (run_flow faults)
+    (List.filter (fun (rs, _) -> List.exists (fun r -> List.mem r roles) rs)
+       a.flows)
 
 (* The differential oracle on an under-test/oracle pair: outcome first,
    then the allocation both passing sides armed. *)
@@ -307,17 +317,18 @@ let divergence c r =
 let run_faults cfg faults =
   let a = arch cfg in
   let sides =
-    List.map
-      (fun role ->
+    List.concat_map
+      (fun ((roles, _) as fl) ->
         let s =
-          Obs.span ~cat:"campaign" (role_span role) (fun () ->
-              a.run_side role faults)
+          Obs.span ~cat:"campaign"
+            (role_span (List.hd roles))
+            (fun () -> run_flow faults fl)
         in
         (* between flows: the cooperative per-trial deadline (a no-op
            unless the caller set one on the pool) *)
         Pool.check_deadline ();
-        (role, s))
-      a.roles
+        s)
+      a.flows
   in
   let side role = List.assoc role sides in
   let c = side Under_test and r = side Oracle and it = side a.iterated_by in
@@ -338,7 +349,11 @@ let run_faults cfg faults =
       [ Two_pass; Iterated ]
   in
   if Obs.enabled () then begin
-    List.iter (fun (_, s) -> flush_model_stats s.s_model) sides;
+    (* roles filled by one run share its model: flush each model once *)
+    List.fold_left
+      (fun ms (_, s) -> if List.memq s.s_model ms then ms else s.s_model :: ms)
+      [] sides
+    |> List.iter flush_model_stats;
     Option.iter (Obs.observe "campaign.cycles") c.s_cycles;
     Obs.observe "campaign.repair_rounds" it.s_rounds
   end;
@@ -385,9 +400,10 @@ let replay cfg ~seed = run_seeded cfg ~index:(-1) ~seed
 (* ------------------------------------------------------------------ *)
 (* shrinking *)
 
-(* The delta-debugging predicate re-runs only the sides the anomaly
-   needs: the swept side for an escape, the oracle pair for a
-   divergence. *)
+(* The delta-debugging predicate re-runs only the flows the anomaly
+   needs: the swept side's for an escape, the oracle pair's for a
+   divergence.  The trial itself established the anomaly on [faults],
+   so the shrinker does not re-check the full list. *)
 let shrink_anomaly cfg anomaly faults =
   if not cfg.shrink then faults
   else
@@ -396,14 +412,18 @@ let shrink_anomaly cfg anomaly faults =
       match anomaly with
       | Escape { flow; _ } ->
           fun fs ->
-            let s = a.run_side (a.swept flow) fs in
+            let role = a.swept flow in
+            let s = List.assoc role (run_roles a [ role ] fs) in
             success s.s_outcome && not (Sweep.clean s.s_model)
       | Divergence _ ->
           fun fs ->
-            let c = a.run_side Under_test fs in
-            Option.is_some (divergence c (a.run_side Oracle fs))
+            let sides = run_roles a [ Under_test; Oracle ] fs in
+            Option.is_some
+              (divergence
+                 (List.assoc Under_test sides)
+                 (List.assoc Oracle sides))
     in
-    Shrink.minimize ~keep faults
+    Shrink.minimize_failing ~keep faults
 
 (* ------------------------------------------------------------------ *)
 (* campaign results *)

@@ -3,12 +3,13 @@
 
     Each trial draws a random fault set (uniform count, Poisson or
     clustered), runs the microprogrammed controller
-    ({!Bisram_bisr.Repair.run}) and the functional reference engine
-    ({!Bisram_bisr.Repair.run_reference}) as a differential oracle, runs
-    the iterated 2k-pass flow for the repair-effort histogram, and then
-    sweeps the post-repair array independently ({!Sweep}) for silent
-    escapes — cells still faulty at a logical address although the flow
-    said [Passed_clean] or [Repaired].
+    ({!Bisram_bisr.Repair.run}) against the functional reference
+    engine as a differential oracle, runs the iterated 2k-pass flow for
+    the repair-effort histogram (one engine run yields both, see
+    {!Bisram_bisr.Repair.run_flows}), and then sweeps the post-repair
+    array independently ({!Sweep}) for silent escapes — cells still
+    faulty at a logical address although the flow said [Passed_clean]
+    or [Repaired].
 
     Reproducibility discipline: every trial has its own integer seed
     derived from the campaign seed; any failing trial can be re-run in
@@ -20,8 +21,8 @@
 
     Telemetry: when {!Bisram_obs.Obs.set_enabled} is on, every trial
     records phase spans (["trial"] > ["inject"] / ["march"] /
-    ["oracle"] / ["repair"] / ["escape-sweep"], plus ["shrink"] per
-    failure), deterministic counters and histograms
+    ["repair"] / ["escape-sweep"], plus ["oracle"] under BIRA and
+    ["shrink"] per failure), deterministic counters and histograms
     ([campaign.trials], [campaign.escapes], [model.fast_reads] …,
     [campaign.cycles]) and per-worker pool utilization
     ([pool.workerN.busy_ns] …).  When {!Bisram_obs.Obs.set_event_level}
@@ -138,16 +139,18 @@ type trial = {
   t_anomalies : anomaly list;
 }
 
-(** Run one trial on an explicit fault list (no randomness): every side
-    of the repair architecture's role table, each on its own freshly
-    armed model, then the differential oracle and the escape sweeps.
-    Under [Row_tlb] a trial runs three sides: the microprogrammed
-    controller under test, the functional two-pass reference as the
-    oracle, and the iterated 2k-pass flow, whose verdict is reported as
-    [iterated].  Under [Bira _] it runs two: the packed-word comparator
-    analog under test and the bit-by-bit reference as the oracle; the
-    reference also carries the iterated escape sweep, and the analog's
-    verdict is reported for both flows. *)
+(** Run one trial on an explicit fault list (no randomness): every flow
+    run of the repair architecture's role table, each on its own
+    freshly armed model, then the differential oracle and the escape
+    sweeps.  Under [Row_tlb] a trial fills three roles with two runs:
+    the microprogrammed controller under test, and one engine run of
+    the iterated 2k-pass flow ({!Bisram_bisr.Repair.run_flows}), whose
+    verdict is reported as [iterated] and which also yields the
+    functional two-pass reference verdict as the oracle.  Under
+    [Bira _] it runs two: the packed-word comparator analog under test
+    and the bit-by-bit reference as the oracle; the reference also
+    carries the iterated escape sweep, and the analog's verdict is
+    reported for both flows. *)
 val run_faults :
   config -> Bisram_faults.Fault.t list -> verdicts * anomaly list
 
@@ -159,7 +162,9 @@ val replay : config -> seed:int -> trial
 
 (** Shrink the fault list of a failing trial to a minimal list that
     still triggers the given anomaly's kind (identity when
-    [config.shrink] is false). *)
+    [config.shrink] is false).  The list must trigger the anomaly, as a
+    trial's own fault list does: it is not re-checked
+    ({!Shrink.minimize_failing}). *)
 val shrink_anomaly :
   config -> anomaly -> Bisram_faults.Fault.t list ->
   Bisram_faults.Fault.t list

@@ -10,3 +10,9 @@
     [keep items] itself must be [true]; if it is not, [items] is
     returned unchanged.  [keep] is assumed deterministic. *)
 val minimize : keep:('a list -> bool) -> 'a list -> 'a list
+
+(** [minimize_failing ~keep items] is {!minimize} for a caller that
+    has already established [keep items]: it never evaluates [keep] on
+    the full list (one call fewer), and returns the same sublist
+    {!minimize} would. *)
+val minimize_failing : keep:('a list -> bool) -> 'a list -> 'a list

@@ -17,6 +17,10 @@ type t = {
   tcols : int;
   bpc : int;
   bpw : int;
+  (* Decode tables (see [decode_of]), so no access divides. *)
+  addr_row : int array;
+  cell_row : int array;
+  col_bit : int array;
   (* Packed fast-path store: one int per (row, col-mux) word, bit [b]
      of slot [row * bpc + col] = cell (row, b*bpc + col).  Authoritative
      for every row without armed fault machinery while [fast] is on. *)
@@ -24,15 +28,23 @@ type t = {
   (* Legacy byte-per-cell store: authoritative for fault-armed rows
      (and for every row when [fast] is off). *)
   cells : Bytes.t;
-  (* fault indices, one slot per physical cell *)
   mutable fault_list : F.t list;
-  pin : bool option array;
-  no_rise : bool array;
-  no_fall : bool array;
-  opens : bool array;
-  retention : bool option array;
-  state_cpl : (int * bool * bool) list array; (* victim -> (agg, state, reads_as) *)
-  agg_effects : agg_effect list array; (* aggressor -> effects *)
+  (* Per-cell fault flags, one byte per physical cell (the [f_*] bits
+     below).  The coupling relations themselves are the two lists,
+     newest fault first: (victim, aggressor, trigger state, reads_as)
+     and (aggressor, effect).  A trial arms a handful of faults, so a
+     flagged cell scans them; every other cell never looks. *)
+  flags : Bytes.t;
+  mutable state_cpl : (int * int * bool * bool) list;
+  mutable agg_effects : (int * agg_effect) list;
+  (* Fault-bit masks per (row, col-mux) word slot, built by
+     [set_faults]: bit [b] of [rmask] marks an I/O whose read needs the
+     per-cell machinery (stuck-open cell or state-coupling victim), bit
+     [b] of [wmask] one whose write does (stuck-open, stuck-at,
+     transition or coupling aggressor).  Every other bit of a
+     fault-armed row is a plain byte-store load or store. *)
+  rmask : int array;
+  wmask : int array;
   (* Per-I/O sense-amp residue, packed: bit [io] is the last value
      sensed on I/O [io] (what a stuck-open cell there reads back). *)
   mutable residue : int;
@@ -66,6 +78,45 @@ type t = {
 
 let org t = t.org
 
+(* Address -> logical row, cell index -> row, and regular physical
+   column -> I/O bit; the column-mux position is then a multiply away
+   ([a - row*bpc] for an address, [c - bit*bpc] for a column).  The
+   tables depend on the organization alone and are never written, so
+   the models a domain creates share the tables of the last
+   organization it built them for (a trial arms several models of one
+   organization). *)
+type decode = {
+  d_org : Org.t;
+  d_addr_row : int array;
+  d_cell_row : int array;
+  d_col_bit : int array;
+}
+
+let decode_key : decode option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let decode_of org =
+  match Domain.DLS.get decode_key with
+  | Some d when d.d_org == org || Org.equal d.d_org org -> d
+  | _ ->
+      (* [rowmajor n stride].(i) = i / stride *)
+      let rowmajor n stride =
+        let a = Array.make (n * stride) 0 in
+        for r = 0 to n - 1 do
+          Array.fill a (r * stride) stride r
+        done;
+        a
+      in
+      let d =
+        { d_org = org
+        ; d_addr_row = rowmajor (Org.rows org) org.Org.bpc
+        ; d_cell_row = rowmajor (Org.total_rows org) (Org.total_cols org)
+        ; d_col_bit = rowmajor org.Org.bpw org.Org.bpc
+        }
+      in
+      Domain.DLS.set decode_key (Some d);
+      d
+
 let create org =
   if not (Org.simulable org) then
     invalid_arg
@@ -77,6 +128,7 @@ let create org =
   let cols = Org.cols org in
   let tcols = Org.total_cols org in
   let ncells = nrows * tcols in
+  let d = decode_of org in
   { org
   ; ncells
   ; nrows
@@ -84,16 +136,17 @@ let create org =
   ; tcols
   ; bpc = org.Org.bpc
   ; bpw = org.Org.bpw
+  ; addr_row = d.d_addr_row
+  ; cell_row = d.d_cell_row
+  ; col_bit = d.d_col_bit
   ; packed = Array.make (nrows * org.Org.bpc) 0
   ; cells = Bytes.make ncells '\000'
   ; fault_list = []
-  ; pin = Array.make ncells None
-  ; no_rise = Array.make ncells false
-  ; no_fall = Array.make ncells false
-  ; opens = Array.make ncells false
-  ; retention = Array.make ncells None
-  ; state_cpl = Array.make ncells []
-  ; agg_effects = Array.make ncells []
+  ; flags = Bytes.make ncells '\000'
+  ; state_cpl = []
+  ; agg_effects = []
+  ; rmask = Array.make (nrows * org.Org.bpc) 0
+  ; wmask = Array.make (nrows * org.Org.bpc) 0
   ; residue = 0
   ; remap = None
   ; col_remap = None
@@ -116,6 +169,16 @@ let idx t (c : F.cell) =
     invalid_arg "Model: fault col out of range";
   (c.F.row * t.tcols) + c.F.col
 
+let f_open = 1
+let f_no_rise = 2
+let f_no_fall = 4
+let f_pinned = 8 (* stuck-at *)
+let f_victim = 16 (* state-coupling victim *)
+let f_aggressor = 32 (* inversion or idempotent coupling aggressor *)
+let flag t i = Char.code (Bytes.unsafe_get t.flags i)
+let set_flag t i f =
+  Bytes.unsafe_set t.flags i (Char.unsafe_chr (flag t i lor f))
+
 let row_is_faulty t row = Bytes.unsafe_get t.row_fault row <> '\000'
 let mark_row_fault t row = Bytes.unsafe_set t.row_fault row '\001'
 let mark_row_written t row = Bytes.unsafe_set t.row_written row '\001'
@@ -130,25 +193,25 @@ let row_in_packed t row = t.fast && not (row_is_faulty t row)
    aware: a State_coupling victim re-reads its aggressor's stored
    state, and the aggressor may sit on a clean (packed) row. *)
 let stored t i =
-  let row = i / t.tcols in
+  let row = t.cell_row.(i) in
   let c = i - (row * t.tcols) in
-  if c < t.cols && row_in_packed t row then begin
-    let col = c mod t.bpc and bit = c / t.bpc in
-    (Array.unsafe_get t.packed ((row * t.bpc) + col) lsr bit) land 1 = 1
-  end
-  else Bytes.get t.cells i <> '\000'
+  if c < t.cols && row_in_packed t row then
+    let bit = Array.unsafe_get t.col_bit c in
+    let mux = c - (bit * t.bpc) in
+    (Array.unsafe_get t.packed ((row * t.bpc) + mux) lsr bit) land 1 = 1
+  else Bytes.unsafe_get t.cells i <> '\000'
 
 let store t i v =
-  let row = i / t.tcols in
+  let row = t.cell_row.(i) in
   let c = i - (row * t.tcols) in
   if c < t.cols && row_in_packed t row then begin
-    let col = c mod t.bpc and bit = c / t.bpc in
-    let slot = (row * t.bpc) + col in
+    let bit = Array.unsafe_get t.col_bit c in
+    let slot = (row * t.bpc) + c - (bit * t.bpc) in
     let cur = Array.unsafe_get t.packed slot in
     Array.unsafe_set t.packed slot
       (if v then cur lor (1 lsl bit) else cur land lnot (1 lsl bit))
   end
-  else Bytes.set t.cells i (if v then '\001' else '\000')
+  else Bytes.unsafe_set t.cells i (if v then '\001' else '\000')
 
 let set_fast_path t on =
   if on <> t.fast then begin
@@ -202,25 +265,29 @@ let clear t =
       t.n_rows_cleared <- t.n_rows_cleared + 1
     end
   done;
-  (* re-assert pinned cells; list order matches the pin-array contents
-     (the last Stuck_at on a cell wins in both) *)
+  (* re-assert pinned cells: the last Stuck_at on a cell wins *)
   List.iter
     (fun f -> match f with F.Stuck_at (c, v) -> store t (idx t c) v | _ -> ())
     t.fault_list;
   t.residue <- 0
+
+(* Flag cell [c]'s I/O in its word slot's fault-bit mask (spare-column
+   cells are reached only through the per-bit column-steering path). *)
+let mask_cell t masks (c : F.cell) =
+  if c.F.col < t.cols then begin
+    let bit = t.col_bit.(c.F.col) in
+    let slot = (c.F.row * t.bpc) + c.F.col - (bit * t.bpc) in
+    masks.(slot) <- masks.(slot) lor (1 lsl bit)
+  end
 
 let set_faults t faults =
   (* tear down the previous fault machinery, armed rows only *)
   for row = 0 to t.nrows - 1 do
     if Bytes.unsafe_get t.row_fault row <> '\000' then begin
       let off = row * t.tcols in
-      Array.fill t.pin off t.tcols None;
-      Array.fill t.no_rise off t.tcols false;
-      Array.fill t.no_fall off t.tcols false;
-      Array.fill t.opens off t.tcols false;
-      Array.fill t.retention off t.tcols None;
-      Array.fill t.state_cpl off t.tcols [];
-      Array.fill t.agg_effects off t.tcols [];
+      Bytes.fill t.flags off t.tcols '\000';
+      Array.fill t.rmask (row * t.bpc) t.bpc 0;
+      Array.fill t.wmask (row * t.bpc) t.bpc 0;
       (* the row may hold non-zero bytes planted by the old config
          without [row_written] being set (pin re-assertion in [clear],
          retention decay, coupling force-stores), so flag it written:
@@ -231,44 +298,57 @@ let set_faults t faults =
     end
   done;
   t.fault_list <- faults;
+  t.state_cpl <- [];
+  t.agg_effects <- [];
   t.nfaults <- 0;
   List.iter
     (fun f ->
       (match f with
-      | F.Stuck_at (c, v) ->
+      | F.Stuck_at (c, _) ->
+          (* [clear] stores the stuck value *)
           let i = idx t c in
           mark_row_fault t c.F.row;
-          t.pin.(i) <- Some v
+          mask_cell t t.wmask c;
+          set_flag t i f_pinned
       | F.Transition (c, up) ->
           let i = idx t c in
           mark_row_fault t c.F.row;
-          if up then t.no_rise.(i) <- true else t.no_fall.(i) <- true
+          mask_cell t t.wmask c;
+          set_flag t i (if up then f_no_rise else f_no_fall)
       | F.Stuck_open c ->
           let i = idx t c in
           mark_row_fault t c.F.row;
-          t.opens.(i) <- true
-      | F.Data_retention (c, v) ->
-          let i = idx t c in
-          mark_row_fault t c.F.row;
-          t.retention.(i) <- Some v
+          mask_cell t t.rmask c;
+          mask_cell t t.wmask c;
+          set_flag t i f_open
+      | F.Data_retention (c, _) ->
+          (* decay walks the fault list ([retention_wait]) *)
+          ignore (idx t c);
+          mark_row_fault t c.F.row
       | F.Coupling_inversion { aggressor; victim } ->
           let a = idx t aggressor and v = idx t victim in
           mark_row_fault t aggressor.F.row;
           mark_row_fault t victim.F.row;
-          t.agg_effects.(a) <- Invert v :: t.agg_effects.(a)
+          mask_cell t t.wmask aggressor;
+          set_flag t a f_aggressor;
+          t.agg_effects <- (a, Invert v) :: t.agg_effects
       | F.Coupling_idempotent { aggressor; rising; victim; forces } ->
           let a = idx t aggressor and v = idx t victim in
           mark_row_fault t aggressor.F.row;
           mark_row_fault t victim.F.row;
-          t.agg_effects.(a) <-
-            Force { rising; victim = v; forces } :: t.agg_effects.(a)
+          mask_cell t t.wmask aggressor;
+          set_flag t a f_aggressor;
+          t.agg_effects <-
+            (a, Force { rising; victim = v; forces }) :: t.agg_effects
       | F.State_coupling { aggressor; when_state; victim; reads_as } ->
           let a = idx t aggressor and v = idx t victim in
           (* only the victim's reads are special; plain writes to the
              aggressor stay on the fast path because the victim re-reads
              the aggressor's stored state on every access *)
           mark_row_fault t victim.F.row;
-          t.state_cpl.(v) <- (a, when_state, reads_as) :: t.state_cpl.(v));
+          mask_cell t t.rmask victim;
+          set_flag t v f_victim;
+          t.state_cpl <- (v, a, when_state, reads_as) :: t.state_cpl);
       t.nfaults <- t.nfaults + 1)
     faults;
   clear t
@@ -290,130 +370,172 @@ let set_col_remap t f =
 
 (* Coupling-driven store: respects pins (a stuck node cannot be flipped
    by crosstalk) but bypasses transition faults. *)
-let force_store t i v =
-  match t.pin.(i) with Some _ -> () | None -> store t i v
+let force_store t i v = if flag t i land f_pinned = 0 then store t i v
 
-(* A successful state change on cell [i] fires its aggressor effects. *)
+(* A successful state change on cell [i] fires its aggressor effects,
+   newest fault first. *)
 let fire_coupling t i ~old_v ~new_v =
   if old_v <> new_v then
     List.iter
-      (fun eff ->
-        match eff with
-        | Invert victim -> force_store t victim (not (stored t victim))
-        | Force { rising; victim; forces } ->
-            if rising = new_v then force_store t victim forces)
-      t.agg_effects.(i)
+      (fun (a, eff) ->
+        if a = i then
+          match eff with
+          | Invert victim -> force_store t victim (not (stored t victim))
+          | Force { rising; victim; forces } ->
+              if rising = new_v then force_store t victim forces)
+      t.agg_effects
 
+(* An open cell is inaccessible and a pinned one stuck: a write to
+   either has no effect. *)
 let write_bit t i v =
-  if t.opens.(i) then () (* inaccessible cell *)
-  else
-    match t.pin.(i) with
-    | Some _ -> () (* stuck node: write has no effect *)
-    | None ->
-        let old_v = stored t i in
-        let blocked = (v && not old_v && t.no_rise.(i))
-                      || ((not v) && old_v && t.no_fall.(i)) in
-        if not blocked then begin
-          store t i v;
-          fire_coupling t i ~old_v ~new_v:v
-        end
-
-(* A state-coupling victim's sensed value: the last entry whose
-   aggressor holds its trigger state wins. *)
-let rec sense_coupled t v = function
-  | [] -> v
-  | (agg, st, reads_as) :: rest ->
-      sense_coupled t (if stored t agg = st then reads_as else v) rest
-
-let read_bit t ~io i =
-  if t.opens.(i) then (t.residue lsr io) land 1 = 1
-    (* SOF: sense amp keeps residue *)
-  else begin
-    let v = sense_coupled t (stored t i) t.state_cpl.(i) in
-    t.residue <-
-      (if v then t.residue lor (1 lsl io) else t.residue land lnot (1 lsl io));
-    v
+  let f = flag t i in
+  if f land (f_open lor f_pinned) = 0 then begin
+    let old_v = stored t i in
+    let blocked =
+      (v && (not old_v) && f land f_no_rise <> 0)
+      || ((not v) && old_v && f land f_no_fall <> 0)
+    in
+    if not blocked then begin
+      store t i v;
+      if f land f_aggressor <> 0 then fire_coupling t i ~old_v ~new_v:v
+    end
   end
+
+(* A state-coupling victim's sensed value: of the entries for victim
+   [i], newest fault first, the last whose aggressor holds its trigger
+   state wins. *)
+let rec sense_coupled t i v = function
+  | [] -> v
+  | (victim, agg, st, reads_as) :: rest ->
+      sense_coupled t i
+        (if victim = i && stored t agg = st then reads_as else v)
+        rest
+
+(* A stuck-open cell returns its I/O's sense residue.  Every word read
+   then stores the word it returns as the new residue: each I/O keeps
+   the bit it sensed, an open cell's being the residue itself. *)
+let read_bit t ~io i =
+  let f = flag t i in
+  if f land f_open <> 0 then (t.residue lsr io) land 1 = 1
+  else if f land f_victim = 0 then stored t i
+  else sense_coupled t i (stored t i) t.state_cpl
 
 let physical_row t row =
   match t.remap with None -> row | Some f -> f row
 
-let check_word t w =
-  if Word.width w <> t.bpw then invalid_arg "Model: word width mismatch"
+(* A word access is fast when the target row has no fault machinery
+   armed: no pins/transition/open faults to consult and no aggressor
+   effects to fire (aggressor rows are always marked).  Then it is one
+   packed array load or store.  On a fault-armed row only the bits of
+   the slot's fault mask go through [read_bit]/[write_bit] (every bit,
+   mask -1, with the fast path off); the others are plain byte-store
+   loads and stores.  Bits go I/O 0 first, which keeps the legacy order
+   of coupling side effects within a word.  Every read, on any path,
+   leaves the word it returns as the sense residue. *)
+let fast_row t row = t.fast && (t.nfaults = 0 || not (row_is_faulty t row))
 
-(* A write lands on the fast path when the target row has no fault
-   machinery armed: no pins/transition/open faults to consult and no
-   aggressor effects to fire (aggressor rows are always marked).  The
-   packed store makes it a single array store of the word's int. *)
-let write_phys t ~row ~col w =
-  check_word t w;
+let write_at t ~row ~col v =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
-  if col < 0 || col >= t.bpc then invalid_arg "Model: col out of range";
   (match t.col_remap with
   | None ->
-      if t.fast && (t.nfaults = 0 || not (row_is_faulty t row)) then begin
-        Array.unsafe_set t.packed ((row * t.bpc) + col) (Word.to_int w);
+      let slot = (row * t.bpc) + col in
+      if fast_row t row then begin
+        Array.unsafe_set t.packed slot v;
         t.n_fast_writes <- t.n_fast_writes + 1
       end
-      else
+      else begin
+        let m = if t.fast then Array.unsafe_get t.wmask slot else -1 in
+        let base = (row * t.tcols) + col in
         for bit = 0 to t.bpw - 1 do
-          write_bit t ((row * t.tcols) + (bit * t.bpc) + col) (Word.get w bit)
+          let i = base + (bit * t.bpc) and b = (v lsr bit) land 1 = 1 in
+          if (m lsr bit) land 1 = 1 then write_bit t i b
+          else Bytes.unsafe_set t.cells i (if b then '\001' else '\000')
         done
+      end
   | Some f ->
       (* steering armed: every access resolves per bit through the
          column map (repaired columns land on their spare column) *)
       for bit = 0 to t.bpw - 1 do
-        write_bit t ((row * t.tcols) + f ((bit * t.bpc) + col)) (Word.get w bit)
+        write_bit t
+          ((row * t.tcols) + f ((bit * t.bpc) + col))
+          ((v lsr bit) land 1 = 1)
       done);
   mark_row_written t row;
   t.n_writes <- t.n_writes + 1
 
-(* A read is fast when the row is clean.  The legacy path refreshes
-   the per-I/O sense residue on every read, and on a clean row every
-   I/O senses its stored bit, so the residue becomes the packed word
-   itself: one array load plus one field store, even while a
-   stuck-open cell elsewhere keeps the residue observable.  [of_int]
-   re-masks, which is free on an already-packed value. *)
-let read_phys t ~row ~col =
+let read_at t ~row ~col =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
-  if col < 0 || col >= t.bpc then invalid_arg "Model: col out of range";
-  let w =
-    match t.col_remap with
-    | None ->
-        if t.fast && (t.nfaults = 0 || not (row_is_faulty t row)) then begin
-          t.n_fast_reads <- t.n_fast_reads + 1;
-          let v = Array.unsafe_get t.packed ((row * t.bpc) + col) in
-          t.residue <- v;
-          Word.of_int ~width:t.bpw v
-        end
-        else begin
-          (* increasing bit order preserves the per-I/O sense-residue
-             update sequence of the legacy path *)
-          let base = (row * t.tcols) + col in
-          let v = ref 0 in
-          for bit = 0 to t.bpw - 1 do
-            if read_bit t ~io:bit (base + (bit * t.bpc)) then
-              v := !v lor (1 lsl bit)
-          done;
-          Word.of_int ~width:t.bpw !v
-        end
-    | Some f ->
-        Word.init t.bpw (fun bit ->
-            read_bit t ~io:bit ((row * t.tcols) + f ((bit * t.bpc) + col)))
-  in
   t.n_reads <- t.n_reads + 1;
-  w
+  match t.col_remap with
+  | None ->
+      let slot = (row * t.bpc) + col in
+      if fast_row t row then begin
+        t.n_fast_reads <- t.n_fast_reads + 1;
+        let v = Array.unsafe_get t.packed slot in
+        t.residue <- v;
+        v
+      end
+      else begin
+        let m = if t.fast then Array.unsafe_get t.rmask slot else -1 in
+        let base = (row * t.tcols) + col in
+        let v = ref 0 in
+        for bit = 0 to t.bpw - 1 do
+          let i = base + (bit * t.bpc) in
+          if
+            if (m lsr bit) land 1 = 1 then read_bit t ~io:bit i
+            else Bytes.unsafe_get t.cells i <> '\000'
+          then v := !v lor (1 lsl bit)
+        done;
+        t.residue <- !v;
+        !v
+      end
+  | Some f ->
+      let v = ref 0 in
+      for bit = 0 to t.bpw - 1 do
+        if read_bit t ~io:bit ((row * t.tcols) + f ((bit * t.bpc) + col)) then
+          v := !v lor (1 lsl bit)
+      done;
+      t.residue <- !v;
+      !v
 
-let read_word t a =
-  let row = physical_row t (Org.row_of_addr t.org a) in
-  read_phys t ~row ~col:(Org.col_of_addr t.org a)
+let check_addr t a =
+  if a < 0 || a >= t.org.Org.words then
+    invalid_arg "Model: address out of range"
+
+let check_value t v =
+  if v lsr t.bpw <> 0 then invalid_arg "Model: word value wider than bpw"
+
+let check_word t w =
+  if Word.width w <> t.bpw then invalid_arg "Model: word width mismatch"
+
+let check_col t col =
+  if col < 0 || col >= t.bpc then invalid_arg "Model: col out of range"
+
+let read_int t a =
+  check_addr t a;
+  let row = Array.unsafe_get t.addr_row a in
+  read_at t ~row:(physical_row t row) ~col:(a - (row * t.bpc))
+
+let write_int t a v =
+  check_addr t a;
+  check_value t v;
+  let row = Array.unsafe_get t.addr_row a in
+  write_at t ~row:(physical_row t row) ~col:(a - (row * t.bpc)) v
+
+let read_word t a = Word.of_int ~width:t.bpw (read_int t a)
 
 let write_word t a w =
-  let row = physical_row t (Org.row_of_addr t.org a) in
-  write_phys t ~row ~col:(Org.col_of_addr t.org a) w
+  check_word t w;
+  write_int t a (Word.to_int w)
 
-let read_row_word t ~row ~col = read_phys t ~row ~col
-let write_row_word t ~row ~col w = write_phys t ~row ~col w
+let read_row_word t ~row ~col =
+  check_col t col;
+  Word.of_int ~width:t.bpw (read_at t ~row ~col)
+
+let write_row_word t ~row ~col w =
+  check_word t w;
+  check_col t col;
+  write_at t ~row ~col (Word.to_int w)
 
 (* Decay is confined to retention-faulty cells, so walking the armed
    fault list replaces the legacy O(ncells) array scan; for several
@@ -424,7 +546,7 @@ let retention_wait t =
       match f with
       | F.Data_retention (c, v) ->
           let i = idx t c in
-          if t.pin.(i) = None then store t i v
+          if flag t i land f_pinned = 0 then store t i v
       | _ -> ())
     t.fault_list
 

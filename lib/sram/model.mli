@@ -16,7 +16,15 @@
     stores never disagree.  The sense residue is packed too, one bit
     per I/O: a clean-row read sets it to the word read, exactly what
     the per-bit path would leave, so a stuck-open cell elsewhere in
-    the array does not slow clean reads down. *)
+    the array does not slow clean reads down.
+
+    On a fault-armed row, {!set_faults} leaves per-word read and write
+    fault-bit masks: only the I/Os whose cell carries read-side
+    (stuck-open, state-coupling victim) or write-side (stuck-open,
+    stuck-at, transition, coupling aggressor) machinery take the
+    per-cell path; the other bits are plain byte-store loads and
+    stores.  Address and cell decoding go through per-model tables, so
+    no access divides. *)
 
 type t
 
@@ -56,6 +64,16 @@ val set_col_remap : t -> (int -> int) option -> unit
 val read_word : t -> int -> Word.t
 
 val write_word : t -> int -> Word.t -> unit
+
+(** {!read_word}/{!write_word} on the packed value ({!Word.to_int}):
+    the allocation-free form the BIST engine, the controller datapath
+    and the escape sweep use.  The word wrappers are these plus a
+    width check and a {!Word.of_int}.
+    @raise Invalid_argument if the address is out of range, or if the
+    written value has bits at or above [bpw]. *)
+val read_int : t -> int -> int
+
+val write_int : t -> int -> int -> unit
 
 (** Direct physical-row access, bypassing the remap (used to test spare
     rows and by white-box tests). *)

@@ -412,6 +412,59 @@ let test_tlb_delay_grows_with_spares () =
   in
   Alcotest.(check bool) "monotone" true (d 4 < d 8 && d 8 < d 16)
 
+(* The campaign reads the two-pass oracle off the iterated flow's first
+   verify round instead of running it; that must give exactly
+   [run_reference]'s verdict and TLB rows.  Besides random sets of
+   every class, one generator rebuilds the shape of the pinned
+   controller-vs-reference divergence: a state coupling across the
+   regular/spare boundary (either side may be the aggressor) with a
+   retention fault on its aggressor, plus random faults. *)
+let prop_flows_match_reference =
+  QCheck.Test.make
+    ~name:"two-pass verdict read off the iterated run = reference"
+    ~count:300
+    QCheck.(triple (int_range 0 100_000) (int_range 0 8) bool)
+    (fun (seed, n, boundary) ->
+      let org = small () in
+      let rng = Random.State.make [| 0x5A4E; seed |] in
+      let random n =
+        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
+          ~mix:I.default_mix ~n
+      in
+      let faults =
+        if not boundary then random n
+        else
+          let col = Random.State.int rng (Org.cols org) in
+          let regular = cell (Random.State.int rng (Org.rows org)) col in
+          let spare =
+            cell (Org.rows org + Random.State.int rng org.Org.spares)
+              (Random.State.int rng (Org.cols org))
+          in
+          let aggressor, victim =
+            if Random.State.bool rng then (regular, spare) else (spare, regular)
+          in
+          F.State_coupling
+            { aggressor
+            ; when_state = Random.State.bool rng
+            ; victim
+            ; reads_as = Random.State.bool rng
+            }
+          :: F.Data_retention (aggressor, Random.State.bool rng)
+          :: random (n / 2)
+      in
+      let march = if seed land 1 = 0 then Alg.ifa_9 else Alg.mats_plus in
+      let fresh () =
+        let m = Model.create org in
+        Model.set_faults m faults;
+        m
+      in
+      let reference, tlb =
+        Repair.run_reference (fresh ()) march ~backgrounds:bgs8
+      in
+      let f = Repair.run_flows (fresh ()) march ~backgrounds:bgs8 in
+      f.Repair.reference = reference
+      && f.Repair.reference_rows = Tlb.mapped_rows tlb)
+
 let () =
   Alcotest.run "bisr"
     [ ( "tlb",
@@ -435,6 +488,7 @@ let () =
             test_repair_reference_agrees
         ; Alcotest.test_case "iterated repair" `Quick
             test_repair_iterated_fixes_faulty_spare
+        ; QCheck_alcotest.to_alcotest prop_flows_match_reference
         ] )
     ; ( "analysis",
         [ Alcotest.test_case "classify" `Quick test_analysis_classify

@@ -461,8 +461,8 @@ let prop_pla_path_matches_symbolic_random_march =
       && log1 = log2)
 
 (* The compiled controller keeps the datapath allocation-light: a
-   fault-free IFA-9 run allocates only the words its reads return
-   (about 1.5 minor words per cycle). *)
+   fault-free IFA-9 run compares packed ints, so it allocates next to
+   nothing per cycle. *)
 let test_controller_allocation_budget () =
   let ctl = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs8 in
   let m = Model.create (small ()) in
@@ -474,6 +474,51 @@ let test_controller_allocation_budget () =
   Alcotest.(check bool)
     (Printf.sprintf "%.2f minor words per cycle <= 4" per_cycle)
     true (per_cycle <= 4.0)
+
+(* The march loop drives the model's int API and builds words only for
+   a mismatch: a fault-free IFA-9 run over the 64x8 array stays well
+   under one minor word per RAM operation. *)
+let test_engine_allocation_budget () =
+  let m = Model.create (small ()) in
+  ignore (Engine.run m Alg.ifa_9 ~backgrounds:bgs8);
+  let before = Gc.minor_words () in
+  let failures = Engine.run m Alg.ifa_9 ~backgrounds:bgs8 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "fault-free" 0 (List.length failures);
+  let ops =
+    Engine.op_count Alg.ifa_9 (small ()) ~backgrounds:(List.length bgs8)
+  in
+  let per_op = words /. float_of_int ops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per op <= 0.5" per_op)
+    true (per_op <= 0.5)
+
+(* Comparing packed ints drops the word-width check [Word.equal] made
+   on every read, so the entry points check the backgrounds instead;
+   an address the remap sends out of range still raises on access. *)
+let test_width_and_range_guards () =
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let bgs4 = Datagen.required_backgrounds ~bpw:4 in
+  let ctl4 = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs4 in
+  raises "Engine.run, 4-bit backgrounds on 8-bit words" (fun () ->
+      Engine.run (Model.create (small ())) Alg.ifa_9 ~backgrounds:bgs4);
+  raises "Engine.passes, 4-bit backgrounds" (fun () ->
+      Engine.passes (Model.create (small ())) Alg.ifa_9 ~backgrounds:bgs4);
+  raises "Controller.run, 4-bit backgrounds" (fun () ->
+      Controller.run ctl4 (Model.create (small ())) Controller.no_repair_hooks);
+  let off_array () =
+    let m = Model.create (small ()) in
+    Model.set_remap m (Some (fun _ -> 1000));
+    m
+  in
+  let ctl = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs8 in
+  raises "Engine.run, row out of range" (fun () ->
+      Engine.run (off_array ()) Alg.ifa_9 ~backgrounds:bgs8);
+  raises "Controller.run, row out of range" (fun () ->
+      Controller.run ctl (off_array ()) Controller.no_repair_hooks)
 
 (* ------------------------------------------------------------------ *)
 (* Coverage *)
@@ -643,6 +688,10 @@ let () =
         ; Alcotest.test_case "PLA size" `Quick test_controller_pla_size
         ; Alcotest.test_case "allocation budget" `Quick
             test_controller_allocation_budget
+        ; Alcotest.test_case "engine allocation budget" `Quick
+            test_engine_allocation_budget
+        ; Alcotest.test_case "width and range guards" `Quick
+            test_width_and_range_guards
         ; QCheck_alcotest.to_alcotest prop_random_march_roundtrip
         ; QCheck_alcotest.to_alcotest prop_controller_matches_engine_random_march
         ; QCheck_alcotest.to_alcotest prop_pla_path_matches_symbolic_random_march

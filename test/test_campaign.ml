@@ -67,17 +67,26 @@ let test_shrink_not_failing () =
     "non-failing input unchanged" [ 1; 2 ]
     (Shrink.minimize ~keep:(fun _ -> false) [ 1; 2 ])
 
+(* [minimize_failing], for a caller that already established [keep
+   items], returns the same list with exactly one [keep] call fewer. *)
 let prop_shrink_minimal =
   QCheck.Test.make ~name:"shrunk list is 1-minimal" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 12) (int_range 0 30))
     (fun items ->
       let keep l = List.exists (fun x -> x mod 3 = 0) l in
       QCheck.assume (keep items);
-      let r = Shrink.minimize ~keep items in
+      let calls = ref 0 in
+      let counted l = incr calls; keep l in
+      let r = Shrink.minimize ~keep:counted items in
+      let full = !calls in
+      calls := 0;
+      let r' = Shrink.minimize_failing ~keep:counted items in
       keep r
       && List.for_all
            (fun x -> not (keep (List.filter (fun y -> y <> x) r)))
-           r)
+           r
+      && r' = r
+      && !calls = full - 1)
 
 (* ------------------------------------------------------------------ *)
 (* sweep *)
@@ -105,6 +114,13 @@ let test_sweep_blind_after_remap () =
   | Repair.Repaired _ -> ()
   | o -> Alcotest.failf "expected repair, got %a" Repair.pp_outcome o);
   Alcotest.(check bool) "repaired fault invisible" true (Sweep.clean m)
+
+let test_sweep_row_out_of_range () =
+  let org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 () in
+  let m = Model.create org in
+  Model.set_remap m (Some (fun _ -> 1000));
+  Alcotest.(check bool) "raises" true
+    (match Sweep.run m with _ -> false | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* campaign determinism and replay *)
@@ -135,6 +151,38 @@ let test_known_escape_detected_and_shrunk () =
         Alcotest.failf "shrunk reproducer has %d faults" n;
       (* a retention-only escape shrinks to a single decaying cell *)
       Alcotest.(check int) "minimal reproducer" 1 n)
+    r.C.escapes
+
+(* The reported reproducers are what [Shrink.minimize] gives with the
+   trial flow itself as the predicate (the escape of the same flow
+   label is still reported), and the campaign's shrinker asks its own
+   predicate one question fewer per shrink. *)
+let test_known_escape_shrunk_like_minimize () =
+  let cfg = known_escape_config () in
+  let r = C.run cfg in
+  Alcotest.(check bool) "escapes found" true (r.C.escapes <> []);
+  List.iter
+    (fun f ->
+      let calls = ref 0 in
+      let keep fs =
+        incr calls;
+        List.exists
+          (function
+            | C.Escape { flow; _ } -> C.flow_name flow = f.C.f_flow
+            | C.Divergence _ -> false)
+          (snd (C.run_faults cfg fs))
+      in
+      let shrunk = Shrink.minimize ~keep f.C.f_faults in
+      let full = !calls in
+      calls := 0;
+      let shrunk' = Shrink.minimize_failing ~keep f.C.f_faults in
+      Alcotest.(check int) "one keep call fewer" (full - 1) !calls;
+      Alcotest.(check (list string)) "same reproducer"
+        (List.map (Format.asprintf "%a" F.pp) shrunk)
+        (List.map (Format.asprintf "%a" F.pp) shrunk');
+      Alcotest.(check (list string)) "f_shrunk"
+        (List.map (Format.asprintf "%a" F.pp) shrunk)
+        (List.map (Format.asprintf "%a" F.pp) f.C.f_shrunk))
     r.C.escapes
 
 let test_known_escape_replayable () =
@@ -665,6 +713,48 @@ let test_tool_errors_in_schema () =
      in
      find 0)
 
+(* The row-TLB oracle and the iterated flow share one engine run and
+   its model, so the per-trial model counters flush that model once:
+   [model.reads] is the controller model's reads plus the shared
+   model's, escape sweeps included. *)
+let test_model_stats_flushed_once () =
+  let module Obs = Bisram_obs.Obs in
+  let cfg = C.make_config ~mode:(C.Poisson 3.0) () in
+  let bgs = Datagen.required_backgrounds ~bpw:8 in
+  let faults = (C.replay cfg ~seed:540766677).C.t_faults in
+  let fresh () =
+    let m = Model.create cfg.C.org in
+    Model.set_faults m faults;
+    m
+  in
+  let success = function
+    | Repair.Passed_clean | Repair.Repaired _ -> true
+    | Repair.Repair_unsuccessful _ -> false
+  in
+  let mc = fresh () in
+  let o, _, _ = Repair.run mc cfg.C.march ~backgrounds:bgs in
+  if success o then ignore (Sweep.run mc);
+  let mi = fresh () in
+  let f =
+    Repair.run_flows ~max_rounds:cfg.C.max_rounds mi cfg.C.march
+      ~backgrounds:bgs
+  in
+  if success f.Repair.iterated.Repair.i_outcome then ignore (Sweep.run mi);
+  Obs.set_enabled true;
+  Obs.reset ();
+  let counted =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        ignore (C.run_faults cfg faults);
+        List.assoc "model.reads" (Obs.snapshot ()).Obs.counters)
+  in
+  Alcotest.(check int) "distinct models"
+    (Model.reads mc + Model.reads mi)
+    counted
+
 (* ------------------------------------------------------------------ *)
 (* properties: differential oracle and no silent escapes *)
 
@@ -739,6 +829,8 @@ let () =
             test_sweep_sees_unrepaired_fault
         ; Alcotest.test_case "repaired fault invisible" `Quick
             test_sweep_blind_after_remap
+        ; Alcotest.test_case "row out of range raises" `Quick
+            test_sweep_row_out_of_range
         ] )
     ; ( "campaign"
       , [ Alcotest.test_case "deterministic report" `Quick
@@ -747,6 +839,8 @@ let () =
             test_campaign_seed_changes_report
         ; Alcotest.test_case "known escape detected+shrunk" `Quick
             test_known_escape_detected_and_shrunk
+        ; Alcotest.test_case "known escape shrunk like minimize" `Quick
+            test_known_escape_shrunk_like_minimize
         ; Alcotest.test_case "known escape replayable" `Quick
             test_known_escape_replayable
         ; Alcotest.test_case "divergence replay pinned" `Quick
@@ -771,6 +865,8 @@ let () =
             test_golden_v2_bytes_frozen
         ; Alcotest.test_case "golden row-tlb poisson-3 bytes" `Quick
             test_golden_row_tlb_p3
+        ; Alcotest.test_case "model stats flushed once per model" `Quick
+            test_model_stats_flushed_once
         ; Alcotest.test_case "observed yield brackets analytic" `Slow
             test_yield_brackets_analytic
         ] )

@@ -366,64 +366,136 @@ let prop_model_rw_roundtrip =
       Model.write_word m addr w;
       Word.equal w (Model.read_word m addr))
 
-(* Differential check of the fault-free fast path against the legacy
-   per-cell machinery: same faults, same operation sequence, every read
-   and the access counters must agree — on fault-free arrays (n = 0)
-   and on random fault sets of every class, including spare rows. *)
+(* Differential check of the fast path against the legacy per-cell
+   machinery: same faults, same operation sequence, every read and the
+   access counters must agree.  Half the cases draw random fault sets of
+   the default mix anywhere (spare rows included; n = 0 is fault-free).
+   The other half confine faults of all seven classes to one or two rows
+   (spare rows included), so fault-masked and plain bits share words,
+   and aim most accesses at those rows.  Every access takes the int API
+   on one side and the word API on the other, and a [`Pair] reads two
+   words back to back, so a stuck-open cell senses the residue the
+   other word's read left. *)
 let prop_fast_path_equals_legacy =
-  QCheck.Test.make ~name:"fast path agrees with legacy path" ~count:150
-    QCheck.(pair (int_range 0 100_000) (int_range 0 6))
-    (fun (seed, n) ->
+  QCheck.Test.make ~name:"fast path agrees with legacy path" ~count:300
+    QCheck.(triple (int_range 0 100_000) (int_range 0 6) bool)
+    (fun (seed, n, confined) ->
       let module I = Bisram_faults.Injection in
       let org = small () in
       let rng = Random.State.make [| 0xFA57; seed |] in
-      let faults =
-        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
-          ~mix:I.default_mix ~n
+      let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+      let rows = Org.total_rows org and cols = Org.cols org in
+      let spare = Org.rows org and bpc = org.Org.bpc in
+      let hot =
+        if confined then List.init (1 + int 2) (fun _ -> int rows) else []
       in
-      let spare = Org.rows org in
+      let one_of l = List.nth l (int (List.length l)) in
+      let faults =
+        if not confined then I.inject rng ~rows ~cols ~mix:I.default_mix ~n
+        else
+          let pick () = cell (one_of hot) (int cols) in
+          List.init (max 1 n) (fun _ ->
+              let c = pick () in
+              match int 7 with
+              | 0 -> F.Stuck_at (c, flip ())
+              | 1 -> F.Transition (c, flip ())
+              | 2 -> F.Stuck_open c
+              | 3 -> F.Data_retention (c, flip ())
+              | 4 -> F.Coupling_inversion { aggressor = c; victim = pick () }
+              | 5 ->
+                  F.Coupling_idempotent
+                    { aggressor = c; rising = flip (); victim = pick ()
+                    ; forces = flip () }
+              | _ ->
+                  F.State_coupling
+                    { aggressor = c; when_state = flip (); victim = pick ()
+                    ; reads_as = flip () })
+      in
+      let hot_regular = List.filter (fun r -> r < spare) hot
+      and hot_spare = List.filter (fun r -> r >= spare) hot in
+      let addr () =
+        if hot_regular <> [] && int 4 > 0 then
+          (one_of hot_regular * bpc) + int bpc
+        else int org.Org.words
+      in
+      let spare_row () =
+        if hot_spare <> [] && flip () then one_of hot_spare
+        else spare + int org.Org.spares
+      in
       let ops =
         List.init 250 (fun _ ->
-            match Random.State.int rng 10 with
+            match int 12 with
             | 0 -> `Wait
             | 1 -> `Clear
-            | 2 -> `Spare_w (Random.State.int rng org.Org.spares,
-                             Random.State.int rng 256)
-            | 3 -> `Spare_r (Random.State.int rng org.Org.spares)
-            | 4 | 5 | 6 ->
-                `W (Random.State.int rng org.Org.words,
-                    Random.State.int rng 256)
-            | _ -> `R (Random.State.int rng org.Org.words))
+            | 2 -> `Spare_w (spare_row (), int bpc, int 256)
+            | 3 -> `Spare_r (spare_row (), int bpc)
+            | 4 | 5 | 6 -> `W (addr (), int 256, flip ())
+            | 7 -> `Pair (addr (), addr (), flip ())
+            | _ -> `R (addr (), flip ()))
       in
       let drive fast =
         let m = Model.create org in
         Model.set_fast_path m fast;
         Model.set_faults m faults;
+        (* the int API on one side, the word API on the other *)
+        let read a via_int =
+          if via_int = fast then Model.read_int m a
+          else Word.to_int (Model.read_word m a)
+        in
         let log =
-          List.filter_map
+          List.concat_map
             (fun op ->
               match op with
-              | `W (a, v) ->
-                  Model.write_word m a (Word.of_int ~width:8 v);
-                  None
-              | `R a -> Some (Word.to_string (Model.read_word m a))
-              | `Spare_w (k, v) ->
-                  Model.write_row_word m ~row:(spare + k) ~col:0
-                    (Word.of_int ~width:8 v);
-                  None
-              | `Spare_r k ->
-                  Some (Word.to_string (Model.read_row_word m ~row:(spare + k) ~col:0))
+              | `W (a, v, via_int) ->
+                  if via_int = fast then Model.write_int m a v
+                  else Model.write_word m a (Word.of_int ~width:8 v);
+                  []
+              | `R (a, via_int) -> [ read a via_int ]
+              | `Pair (a, b, via_int) ->
+                  let x = read a via_int in
+                  [ x; read b (not via_int) ]
+              | `Spare_w (row, col, v) ->
+                  Model.write_row_word m ~row ~col (Word.of_int ~width:8 v);
+                  []
+              | `Spare_r (row, col) ->
+                  [ Word.to_int (Model.read_row_word m ~row ~col) ]
               | `Wait ->
                   Model.retention_wait m;
-                  None
+                  []
               | `Clear ->
                   Model.clear m;
-                  None)
+                  [])
             ops
         in
         (log, Model.reads m, Model.writes m)
       in
       drive true = drive false)
+
+(* The int API keeps the word API's guards: an out-of-range address
+   and a value wider than the word raise, as a wrong-width word does. *)
+let test_int_api_guards () =
+  let org = small () in
+  let m = Model.create org in
+  let raises name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun a ->
+      raises (Printf.sprintf "read_int %d" a) (fun () -> Model.read_int m a);
+      raises (Printf.sprintf "write_int %d" a) (fun () ->
+          Model.write_int m a 0);
+      raises (Printf.sprintf "read_word %d" a) (fun () -> Model.read_word m a);
+      raises (Printf.sprintf "write_word %d" a) (fun () ->
+          Model.write_word m a (Word.zero 8)))
+    [ -1; org.Org.words ];
+  raises "write_int 9-bit value" (fun () -> Model.write_int m 0 256);
+  raises "write_int negative value" (fun () -> Model.write_int m 0 (-1));
+  raises "write_word 4-bit word" (fun () -> Model.write_word m 0 (Word.zero 4));
+  Model.write_int m 5 0xA5;
+  Alcotest.(check int) "int round trip" 0xA5 (Model.read_int m 5);
+  Alcotest.check word "word view" (Word.of_int ~width:8 0xA5)
+    (Model.read_word m 5)
 
 (* A stuck-open cell no longer pushes the rest of the array off the
    fast path: a read of a clean row is served packed, and it still
@@ -590,6 +662,7 @@ let () =
         ; Alcotest.test_case "faulty spare" `Quick test_faulty_spare
         ; QCheck_alcotest.to_alcotest prop_model_rw_roundtrip
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy
+        ; Alcotest.test_case "int API guards" `Quick test_int_api_guards
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy_remap
         ; Alcotest.test_case "stuck-open leaves clean reads fast" `Quick
             test_stuck_open_fast_read
