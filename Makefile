@@ -1,4 +1,4 @@
-.PHONY: all build test campaign-smoke campaign-determinism estimator-smoke bench-json bench-smoke bench-check bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism ci clean
+.PHONY: all build test campaign-smoke campaign-determinism estimator-smoke bench-json bench-smoke bench-check bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact ci clean
 
 all: build
 
@@ -280,7 +280,14 @@ resume-determinism: build
 	  .ci-resume.err
 	@echo "resume-determinism: OK"
 
-ci: build test campaign-smoke campaign-determinism estimator-smoke bench-smoke bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism
+# Exact-counter gate: on every perfbench workload, two traced runs of
+# one seed and different lengths must be correct and report every
+# *.exact work counter (model ops, controller cycles, repair rounds,
+# minor words per trial, ...) bit for bit identically.
+perfbench-exact: build
+	bash perfbench/exact_test.sh
+
+ci: build test campaign-smoke campaign-determinism estimator-smoke bench-smoke bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact
 	@echo "ci: OK"
 
 clean:

@@ -119,19 +119,15 @@ let build_config ~process ~words ~bpw ~bpc ~spares ~spare_cols ~drive ~strap
 (* ------------------------------------------------------------------ *)
 (* compile *)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let do_compile process words bpw bpc spares spare_cols drive strap march
     config_file show_floorplan show_rtl cif_dir =
   let cfg_result =
     match config_file with
     | Some path -> (
-        match Bisram_core.Config_file.of_string (read_file path) with
+        match
+          Bisram_core.Config_file.of_string
+            (In_channel.with_open_bin path In_channel.input_all)
+        with
         | Ok cfg -> Ok cfg
         | Error e -> Error (path ^ ": " ^ e)
         | exception Sys_error e -> Error e)
@@ -988,7 +984,7 @@ let campaign_cmd =
 
 let do_explore spec_file jobs cache_dir resume pareto obs =
   let spec_result =
-    match read_file spec_file with
+    match In_channel.with_open_bin spec_file In_channel.input_all with
     | exception Sys_error e -> Error (`Io e)
     | text -> (
         match Bisram_explore.Spec.of_string text with

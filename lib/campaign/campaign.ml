@@ -129,17 +129,12 @@ let draw_faults cfg rng =
 (* The importance weight of a trial, recovered by redrawing its fault
    list from the derived seed — a pure O(faults) function of
    (config, index), so weights never need to travel through trial
-   records or the checkpoint wire format.  [0.0] log-weight (ratio 1)
-   when estimation is off. *)
-let trial_log_weight cfg ~index =
-  match cfg.proposal with
-  | None -> 0.0
-  | Some p ->
-      let faults = draw_faults cfg (rng_of_seed (trial_seed cfg index)) in
-      Proposal.log_weight p ~count:(count_model_of_mode cfg.mode) ~mix:cfg.mix
-        faults
-
-let trial_weight cfg ~index = exp (trial_log_weight cfg ~index)
+   records or the checkpoint wire format. *)
+let trial_weight cfg p ~index =
+  let faults = draw_faults cfg (rng_of_seed (trial_seed cfg index)) in
+  exp
+    (Proposal.log_weight p ~count:(count_model_of_mode cfg.mode) ~mix:cfg.mix
+       faults)
 
 (* ------------------------------------------------------------------ *)
 (* one trial: differential oracle + escape sweeps *)
@@ -394,7 +389,6 @@ let run_seeded cfg ~index ~seed =
       ; t_anomalies = anomalies
       })
 
-let run_trial cfg ~index = run_seeded cfg ~index ~seed:(trial_seed cfg index)
 let replay cfg ~seed = run_seeded cfg ~index:(-1) ~seed
 
 (* ------------------------------------------------------------------ *)
@@ -461,10 +455,12 @@ let count_class h = function
   | Unsuccessful Repair.Fault_in_second_pass ->
       { h with fault_in_second_pass = h.fault_in_second_pass + 1 }
 
+type failure_kind = Silent_escape | Oracle_divergence
+
 type failure = {
   f_trial : int;
   f_seed : int;
-  f_kind : string;  (** "escape" or "divergence" *)
+  f_kind : failure_kind;
   f_flow : string;  (** "two-pass", "iterated" or "oracle" *)
   f_detail : string;
   f_faults : Fault.t list;
@@ -557,54 +553,24 @@ let analytic_yield cfg =
       | Clustered { mean; alpha } ->
           Repairable.yield g ~mean_defects:mean ~alpha)
 
-let add_rounds tbl rounds count =
-  Hashtbl.replace tbl rounds
-    (count + Option.value ~default:0 (Hashtbl.find_opt tbl rounds))
-
-(* Result assembly shared by [run] and [merge_results]: the observed
-   yields from the histograms and the rounds table as a sorted list. *)
-let make_result config ~trials_run ~resumed_trials ~two_pass ~iterated
-    ~rounds ~escapes ~divergences ~tool_errors ~analytic_yield ~weighted =
-  let frac h =
-    if trials_run = 0 then 0.0
-    else float_of_int (h.passed_clean + h.repaired) /. float_of_int trials_run
-  in
-  { config
-  ; trials_run
-  ; truncated = trials_run < config.trials
-  ; resumed_trials
-  ; two_pass
-  ; iterated
-  ; rounds =
-      Hashtbl.fold (fun r c acc -> (r, c) :: acc) rounds []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  ; escapes
-  ; divergences
-  ; tool_errors
-  ; observed_yield_two_pass = frac two_pass
-  ; observed_yield_iterated = frac iterated
-  ; analytic_yield
-  ; weighted
-  }
-
 let failure_of_anomaly cfg trial anomaly =
   let f_kind, f_flow, f_detail =
     match anomaly with
     | Escape { flow; mismatches } ->
+        Obs.incr "campaign.escapes";
         let first =
           match mismatches with
           | m :: _ -> Format.asprintf "; first: %a" Sweep.pp_mismatch m
           | [] -> ""
         in
-        ( "escape"
+        ( Silent_escape
         , flow_name flow
         , Printf.sprintf "%d mismatching read(s)%s" (List.length mismatches)
             first )
-    | Divergence { detail } -> ("divergence", "oracle", detail)
+    | Divergence { detail } ->
+        Obs.incr "campaign.divergences";
+        (Oracle_divergence, "oracle", detail)
   in
-  (match anomaly with
-  | Escape _ -> Obs.incr "campaign.escapes"
-  | Divergence _ -> Obs.incr "campaign.divergences");
   { f_trial = trial.t_index
   ; f_seed = trial.t_seed
   ; f_kind
@@ -746,11 +712,15 @@ let histogram_json h =
     ; ("fault_in_second_pass", J.Int h.fault_in_second_pass)
     ]
 
+(* the record spelling of each failure kind *)
+let kind_names =
+  [ (Silent_escape, "escape"); (Oracle_divergence, "divergence") ]
+
 let failure_json f =
   J.Obj
     [ ("trial", J.Int f.f_trial)
     ; ("seed", J.Int f.f_seed)
-    ; ("kind", J.String f.f_kind)
+    ; ("kind", J.String (List.assoc f.f_kind kind_names))
     ; ("flow", J.String f.f_flow)
     ; ("detail", J.String f.f_detail)
     ; ("faults", J.List (List.map fault_json f.f_faults))
@@ -786,6 +756,13 @@ let field_bool k j =
 
 let field_list k j =
   match J.member k j with Some (J.List l) -> Some l | _ -> None
+
+(* a variant field by its spelling in [names]; an unknown one is [None] *)
+let field_enum names k j =
+  let* name = field_str k j in
+  List.find_map
+    (fun (c, n) -> if String.equal n name then Some c else None)
+    names
 
 let all_opt f l =
   List.fold_right
@@ -843,7 +820,7 @@ let fault_of_json j =
 let failure_of_json j =
   let* f_trial = field_int "trial" j in
   let* f_seed = field_int "seed" j in
-  let* f_kind = field_str "kind" j in
+  let* f_kind = field_enum kind_names "kind" j in
   let* f_flow = field_str "flow" j in
   let* f_detail = field_str "detail" j in
   let* faults = field_list "faults" j in
@@ -917,14 +894,8 @@ let record_of_json j =
   match field_str "error" j with
   | Some e -> Some { rc_index; rc_seed; rc_body = Rc_error e }
   | None ->
-      let field_class k =
-        let* name = field_str k j in
-        List.find_map
-          (fun (c, n) -> if String.equal n name then Some c else None)
-          class_names
-      in
-      let* rc_two_pass = field_class "two_pass" in
-      let* rc_iterated = field_class "iterated" in
+      let* rc_two_pass = field_enum class_names "two_pass" j in
+      let* rc_iterated = field_enum class_names "iterated" j in
       let* rc_rounds = field_int "rounds" j in
       let* rc_alloc =
         match J.member "alloc" j with
@@ -948,7 +919,7 @@ let record_of_json j =
         }
 
 let compute_record cfg ~index =
-  let trial = run_trial cfg ~index in
+  let trial = run_seeded cfg ~index ~seed:(trial_seed cfg index) in
   let rc_failures =
     List.map (fun a -> failure_of_anomaly cfg trial a) trial.t_anomalies
   in
@@ -964,15 +935,188 @@ let compute_record cfg ~index =
         }
   }
 
-(* A crashed trial becomes a recorded outcome, not a crash of the
-   campaign.  Only the exception's rendering enters the record (the
-   backtrace depends on build flags and would break cross-jobs
-   byte-identity); the full backtrace is still available to the caller
-   through the pool's structured failure if it wants to log it. *)
-let record_of_pool_failure cfg ~index (f : Pool.failure) =
-  { rc_index = index
-  ; rc_seed = trial_seed cfg index
-  ; rc_body = Rc_error (Printexc.to_string f.Pool.f_exn)
+(* ------------------------------------------------------------------ *)
+(* the trial-record tally
+
+   The one definition of how a trial record counts: the outcome
+   histograms, the repair-rounds table, the escape/divergence
+   partition, tool errors and the clean count.  The ordered report
+   fold, the live-progress collector and [merge_results] all go
+   through it.  Only the report fold's tally carries [c_weighted], so
+   importance weights accumulate in strict trial order and nowhere
+   else. *)
+
+(* The record of a trial whose whole flow was clean: what a clean lane
+   resolves to without unpacking, and what [p_clean] counts. *)
+let clean_body =
+  Rc_ok
+    { rc_two_pass = Passed_clean
+    ; rc_iterated = Passed_clean
+    ; rc_rounds = 1
+    ; rc_alloc = None
+    ; rc_failures = []
+    }
+
+type counts = {
+  mutable c_trials : int;
+  mutable c_two_pass : histogram;
+  mutable c_iterated : histogram;
+  c_rounds : (int, int) Hashtbl.t;  (** verify rounds -> trials *)
+  mutable c_escapes : failure list;  (** newest first, like the next two *)
+  mutable c_divergences : failure list;
+  mutable c_tool_errors : tool_error list;
+  mutable c_n_escapes : int;
+  mutable c_n_divergences : int;
+  mutable c_n_tool_errors : int;
+  mutable c_clean : int;  (** records added (a result does not carry it) *)
+  mutable c_weighted : weighted option;
+}
+
+let counts ?weighted () =
+  { c_trials = 0
+  ; c_two_pass = empty_histogram
+  ; c_iterated = empty_histogram
+  ; c_rounds = Hashtbl.create 8
+  ; c_escapes = []
+  ; c_divergences = []
+  ; c_tool_errors = []
+  ; c_n_escapes = 0
+  ; c_n_divergences = 0
+  ; c_n_tool_errors = 0
+  ; c_clean = 0
+  ; c_weighted = weighted
+  }
+
+let add_rounds tbl rounds count =
+  Hashtbl.replace tbl rounds
+    (count + Option.value ~default:0 (Hashtbl.find_opt tbl rounds))
+
+let repair_failed = function
+  | Unsuccessful _ -> true
+  | Passed_clean | Repaired -> false
+
+let add cfg c rc =
+  c.c_trials <- c.c_trials + 1;
+  let escaped, two_pass_failed, iterated_failed =
+    match rc.rc_body with
+    | Rc_error e ->
+        c.c_tool_errors <-
+          { te_trial = rc.rc_index; te_seed = rc.rc_seed; te_error = e }
+          :: c.c_tool_errors;
+        c.c_n_tool_errors <- c.c_n_tool_errors + 1;
+        (* a crashed trial observed no failure *)
+        (false, false, false)
+    | Rc_ok o ->
+        if rc.rc_body = clean_body then c.c_clean <- c.c_clean + 1;
+        c.c_two_pass <- count_class c.c_two_pass o.rc_two_pass;
+        c.c_iterated <- count_class c.c_iterated o.rc_iterated;
+        add_rounds c.c_rounds o.rc_rounds 1;
+        let escaped =
+          List.fold_left
+            (fun escaped f ->
+              match f.f_kind with
+              | Silent_escape ->
+                  c.c_escapes <- f :: c.c_escapes;
+                  c.c_n_escapes <- c.c_n_escapes + 1;
+                  true
+              | Oracle_divergence ->
+                  c.c_divergences <- f :: c.c_divergences;
+                  c.c_n_divergences <- c.c_n_divergences + 1;
+                  escaped)
+            false o.rc_failures
+        in
+        (escaped, repair_failed o.rc_two_pass, repair_failed o.rc_iterated)
+  in
+  match (c.c_weighted, cfg.proposal) with
+  | Some acc, Some p ->
+      let w = trial_weight cfg p ~index:rc.rc_index in
+      let fired t cond = if cond then tally_add t w else t in
+      c.c_weighted <-
+        Some
+          { wn = acc.wn + 1
+          ; w_sum = acc.w_sum +. w
+          ; w_sum2 = acc.w_sum2 +. (w *. w)
+          ; w_escape = fired acc.w_escape escaped
+          ; w_repair_fail_two_pass =
+              fired acc.w_repair_fail_two_pass two_pass_failed
+          ; w_repair_fail_iterated =
+              fired acc.w_repair_fail_iterated iterated_failed
+          }
+  | _ -> ()
+
+(* A finished window's result, folded in as if its records had been
+   added one by one.  Its weighted sums are running totals that already
+   continue the earlier windows' ([run ~weighted_init]), so they are
+   taken, never re-added. *)
+let absorb c r =
+  let sum a b =
+    { passed_clean = a.passed_clean + b.passed_clean
+    ; repaired = a.repaired + b.repaired
+    ; too_many_faulty_rows = a.too_many_faulty_rows + b.too_many_faulty_rows
+    ; fault_in_second_pass = a.fault_in_second_pass + b.fault_in_second_pass
+    }
+  in
+  c.c_trials <- c.c_trials + r.trials_run;
+  c.c_two_pass <- sum c.c_two_pass r.two_pass;
+  c.c_iterated <- sum c.c_iterated r.iterated;
+  List.iter (fun (rounds, n) -> add_rounds c.c_rounds rounds n) r.rounds;
+  c.c_escapes <- List.rev_append r.escapes c.c_escapes;
+  c.c_divergences <- List.rev_append r.divergences c.c_divergences;
+  c.c_tool_errors <- List.rev_append r.tool_errors c.c_tool_errors;
+  c.c_n_escapes <- c.c_n_escapes + List.length r.escapes;
+  c.c_n_divergences <- c.c_n_divergences + List.length r.divergences;
+  c.c_n_tool_errors <- c.c_n_tool_errors + List.length r.tool_errors;
+  c.c_weighted <- r.weighted
+
+let result_of_counts config c ~resumed_trials ~analytic_yield =
+  let trials_run = c.c_trials in
+  let frac h =
+    if trials_run = 0 then 0.0
+    else float_of_int (h.passed_clean + h.repaired) /. float_of_int trials_run
+  in
+  { config
+  ; trials_run
+  ; truncated = trials_run < config.trials
+  ; resumed_trials
+  ; two_pass = c.c_two_pass
+  ; iterated = c.c_iterated
+  ; rounds =
+      Hashtbl.fold (fun r n acc -> (r, n) :: acc) c.c_rounds []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  ; escapes = List.rev c.c_escapes
+  ; divergences = List.rev c.c_divergences
+  ; tool_errors = List.rev c.c_tool_errors
+  ; observed_yield_two_pass = frac c.c_two_pass
+  ; observed_yield_iterated = frac c.c_iterated
+  ; analytic_yield
+  ; weighted = c.c_weighted
+  }
+
+type progress = {
+  p_done : int;
+  p_total : int;
+  p_escapes : int;
+  p_divergences : int;
+  p_tool_errors : int;
+  p_clean : int;
+}
+
+let progress_of_counts ~total c =
+  { p_done = c.c_trials
+  ; p_total = total
+  ; p_escapes = c.c_n_escapes
+  ; p_divergences = c.c_n_divergences
+  ; p_tool_errors = c.c_n_tool_errors
+  ; p_clean = c.c_clean
+  }
+
+let add_progress a b =
+  { p_done = a.p_done + b.p_done
+  ; p_total = a.p_total + b.p_total
+  ; p_escapes = a.p_escapes + b.p_escapes
+  ; p_divergences = a.p_divergences + b.p_divergences
+  ; p_tool_errors = a.p_tool_errors + b.p_tool_errors
+  ; p_clean = a.p_clean + b.p_clean
   }
 
 (* ------------------------------------------------------------------ *)
@@ -999,15 +1143,6 @@ let record_of_pool_failure cfg ~index (f : Pool.failure) =
    - sweep B                    = the iterated flow's escape sweep. *)
 
 let max_lanes = Bisram_sram.Word.max_width
-
-let clean_body =
-  Rc_ok
-    { rc_two_pass = Passed_clean
-    ; rc_iterated = Passed_clean
-    ; rc_rounds = 1
-    ; rc_alloc = None
-    ; rc_failures = []
-    }
 
 let popcount m =
   let n = ref 0 and m = ref m in
@@ -1100,15 +1235,8 @@ let checkpoint_string cfg records =
    checkpoint" — the campaign itself must never die to checkpointing. *)
 let write_checkpoint cfg path records =
   match
-    let dir = Filename.dirname path in
-    let tmp, oc = Filename.open_temp_file ~temp_dir:dir ".ckpt-" ".tmp" in
-    (try output_string oc (checkpoint_string cfg records)
-     with e ->
-       close_out_noerr oc;
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    close_out oc;
-    Sys.rename tmp path
+    Bisram_obs.Atomic_file.write ~prefix:".ckpt-" path
+      (checkpoint_string cfg records)
   with
   | () ->
       Obs.incr "campaign.checkpoints";
@@ -1122,12 +1250,6 @@ let write_checkpoint cfg path records =
         "checkpoint.write_failed"
         [ ("path", J.String path); ("error", J.String e) ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* Load the maximal valid contiguous prefix of a checkpoint.  Any
    defect — unreadable file, parse error, schema or config mismatch, a
    record that is out of place or carries the wrong derived seed —
@@ -1140,7 +1262,7 @@ let load_checkpoint cfg path =
   in
   if not (Sys.file_exists path) then [||]
   else
-    match read_file path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error _ -> reject ()
     | text -> (
         match J.of_string text with
@@ -1160,34 +1282,56 @@ let load_checkpoint cfg path =
             else
               match J.member "records" doc with
               | Some (J.List l) ->
-                  let prefix = ref [] in
-                  let expect = ref 0 in
-                  let ok = ref true in
-                  List.iter
-                    (fun rj ->
-                      if !ok then
-                        match record_of_json rj with
-                        | Some r
-                          when r.rc_index = !expect
-                               && r.rc_seed = trial_seed cfg r.rc_index ->
-                            prefix := r :: !prefix;
-                            incr expect
-                        | _ -> ok := false)
-                    l;
-                  Array.of_list (List.rev !prefix)
+                  (* the records up to the first one out of place *)
+                  List.to_seq l
+                  |> Seq.mapi (fun i rj ->
+                         match record_of_json rj with
+                         | Some r
+                           when r.rc_index = i && r.rc_seed = trial_seed cfg i
+                           ->
+                             Some r
+                         | _ -> None)
+                  |> Seq.take_while Option.is_some
+                  |> Seq.filter_map Fun.id |> Array.of_seq
               | _ -> reject ()))
 
 (* ------------------------------------------------------------------ *)
 (* the campaign run *)
 
-type progress = {
-  p_done : int;
-  p_total : int;
-  p_escapes : int;
-  p_divergences : int;
-  p_tool_errors : int;
-  p_clean : int;
-}
+(* The events and counters of one record in the report fold.  They are
+   emitted there, in strict trial order on the calling domain, so the
+   stream is jobs- and lanes-invariant, envelope aside. *)
+let emit_record rc =
+  match rc.rc_body with
+  | Rc_ok o when Obs.would_log Obs.Info ->
+      Option.iter
+        (fun (arows, acols) ->
+          Obs.emit ~domain:"campaign" "trial.bira_alloc"
+            [ ("trial", J.Int rc.rc_index)
+            ; ("seed", J.Int rc.rc_seed)
+            ; ("rows", J.List (List.map (fun r -> J.Int r) arows))
+            ; ("cols", J.List (List.map (fun c -> J.Int c) acols))
+            ])
+        o.rc_alloc;
+      List.iter
+        (fun f ->
+          Obs.emit ~domain:"campaign"
+            ("trial." ^ List.assoc f.f_kind kind_names)
+            [ ("trial", J.Int f.f_trial)
+            ; ("seed", J.Int f.f_seed)
+            ; ("flow", J.String f.f_flow)
+            ; ("detail", J.String f.f_detail)
+            ])
+        o.rc_failures
+  | Rc_ok _ -> ()
+  | Rc_error e ->
+      Obs.incr "campaign.tool_errors";
+      if Obs.would_log Obs.Warn then
+        Obs.emit ~level:Obs.Warn ~domain:"campaign" "trial.tool_error"
+          [ ("trial", J.Int rc.rc_index)
+          ; ("seed", J.Int rc.rc_seed)
+          ; ("error", J.String e)
+          ]
 
 let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     ?checkpoint ?trial_deadline ?(offset = 0) ?weighted_init ?on_progress cfg =
@@ -1269,7 +1413,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     let start, len = ranges.(unit) in
     if start + len <= nresumed then
       (* fully resumed: served from memory, no chaos consulted *)
-      Array.init len (fun l -> resumed.(start + l))
+      Array.sub resumed start len
     else begin
       (match Chaos.kill_at_trial () with
       | Some k when k >= max start nresumed && k < start + len ->
@@ -1316,109 +1460,70 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
           Obs.add (p ^ "chunks") chunks;
           Obs.add (p ^ "items") items)
   in
-  (* checkpoint writer: completions stream into a mutex-guarded table
-     on the completing worker's own domain; whenever the contiguous
-     prefix has grown by [ck_every] the whole prefix is snapshotted
-     atomically.  Everything under the mutex, so no cross-domain read
-     of the pool's result slots is ever needed. *)
-  let ck_write =
-    match checkpoint with
-    | Some ck when ck.ck_every > 0 -> Some ck
-    | _ -> None
-  in
-  let ck_mutex = Mutex.create () in
-  let ck_table : (int, trial_record) Hashtbl.t =
-    Hashtbl.create (max 16 (2 * nresumed))
-  in
-  let ck_prefix = ref 0 in
-  let ck_last_written = ref nresumed in
-  Array.iteri
-    (fun i r -> if i < nresumed then Hashtbl.replace ck_table i r)
-    resumed;
-  ck_prefix := nresumed;
-  (* a unit whose computation failed yields one error record per
-     contained trial — exactly what the per-trial scheduler recorded *)
+  (* A crashed unit becomes one recorded outcome per contained trial —
+     exactly what the per-trial scheduler recorded — not a crash of the
+     campaign.  Only the exception's rendering enters the record: the
+     backtrace depends on build flags and would break cross-jobs
+     byte-identity. *)
   let records_of_job unit (r : trial_record array Pool.job_result) =
     match r.Pool.outcome with
     | Ok arr -> arr
     | Error f ->
         let start, len = ranges.(unit) in
         Array.init len (fun l ->
-            record_of_pool_failure cfg ~index:(start + l) f)
+            let index = start + l in
+            { rc_index = index
+            ; rc_seed = trial_seed cfg index
+            ; rc_body = Rc_error (Printexc.to_string f.Pool.f_exn)
+            })
   in
-  let ck_hook =
-    match ck_write with
-    | None -> None
-    | Some ck ->
-        Some
-          (fun unit r ->
-            let rcs = records_of_job unit r in
-            Mutex.lock ck_mutex;
-            Array.iter (fun rc -> Hashtbl.replace ck_table rc.rc_index rc) rcs;
-            while Hashtbl.mem ck_table !ck_prefix do
-              incr ck_prefix
-            done;
-            if !ck_prefix - !ck_last_written >= ck.ck_every then begin
-              let records =
-                List.init !ck_prefix (fun i -> Hashtbl.find ck_table i)
-              in
-              write_checkpoint cfg ck.ck_path records;
-              ck_last_written := !ck_prefix
-            end;
-            Mutex.unlock ck_mutex)
+  (* The collector: every completed unit is tallied on the completing
+     worker's domain under one mutex, and the live count goes to
+     [on_progress] inside it, so snapshots never go backwards.  With
+     periodic checkpoints it also keeps the records by index and, each
+     time the contiguous prefix has grown by [ck_every], snapshots the
+     whole prefix.  It is write-only: the report below re-aggregates
+     from the pool's result slots in trial order. *)
+  let ck_write =
+    match checkpoint with
+    | Some ck when ck.ck_every > 0 -> Some ck
+    | _ -> None
   in
-  (* live progress: cumulative counts maintained under their own mutex
-     and pushed to the caller from the completing worker's domain.
-     Purely write-only — the report below re-aggregates from the pool's
-     result slots and never reads these refs. *)
-  let prog_hook =
-    match on_progress with
-    | None -> None
-    | Some f ->
-        let pm = Mutex.create () in
-        let pdone = ref 0
-        and pesc = ref 0
-        and pdiv = ref 0
-        and perr = ref 0
-        and pclean = ref 0 in
-        Some
-          (fun unit r ->
-            let rcs = records_of_job unit r in
-            Mutex.lock pm;
-            Array.iter
-              (fun rc ->
-                match rc.rc_body with
-                | Rc_error _ -> incr perr
-                | Rc_ok o ->
-                    if rc.rc_body = clean_body then incr pclean;
-                    List.iter
-                      (fun fl ->
-                        if String.equal fl.f_kind "escape" then incr pesc
-                        else incr pdiv)
-                      o.rc_failures)
-              rcs;
-            pdone := !pdone + Array.length rcs;
-            let snap =
-              { p_done = !pdone
-              ; p_total = cfg.trials
-              ; p_escapes = !pesc
-              ; p_divergences = !pdiv
-              ; p_tool_errors = !perr
-              ; p_clean = !pclean
-              }
-            in
-            Mutex.unlock pm;
-            f snap)
+  let ck_table : (int, trial_record) Hashtbl.t =
+    Hashtbl.create (max 16 (2 * nresumed))
   in
+  for i = 0 to nresumed - 1 do
+    Hashtbl.replace ck_table i resumed.(i)
+  done;
+  let ck_prefix = ref nresumed in
+  let ck_last_written = ref nresumed in
+  let ck_records () = List.init !ck_prefix (Hashtbl.find ck_table) in
+  let live = counts () in
+  let collector = Mutex.create () in
   let on_result =
-    match (ck_hook, prog_hook) with
-    | None, None -> None
-    | Some h, None | None, Some h -> Some h
-    | Some a, Some b ->
-        Some
-          (fun unit r ->
-            a unit r;
-            b unit r)
+    if Option.is_none ck_write && Option.is_none on_progress then None
+    else
+      Some
+        (fun unit r ->
+          let rcs = records_of_job unit r in
+          Mutex.protect collector (fun () ->
+              Array.iter (add cfg live) rcs;
+              Option.iter
+                (fun ck ->
+                  Array.iter
+                    (fun rc -> Hashtbl.replace ck_table rc.rc_index rc)
+                    rcs;
+                  while Hashtbl.mem ck_table !ck_prefix do
+                    incr ck_prefix
+                  done;
+                  if !ck_prefix - !ck_last_written >= ck.ck_every then begin
+                    write_checkpoint cfg ck.ck_path (ck_records ());
+                    ck_last_written := !ck_prefix
+                  end)
+                ck_write;
+              Option.iter
+                (fun f -> f (progress_of_counts ~total:cfg.trials live))
+                on_progress))
   in
   (* retry observability: the pool calls this on the raising worker
      right before a transient re-attempt *)
@@ -1449,8 +1554,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
      freshest contiguous prefix on disk for the next --resume *)
   (match ck_write with
   | Some ck when !ck_prefix > !ck_last_written ->
-      write_checkpoint cfg ck.ck_path
-        (List.init !ck_prefix (fun i -> Hashtbl.find ck_table i))
+      write_checkpoint cfg ck.ck_path (ck_records ())
   | _ -> ());
   (* Under a budget, workers past the one that tripped the stop may have
      completed units beyond the first unfinished one, leaving holes.
@@ -1464,10 +1568,6 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
       incr u
     done;
     !u
-  in
-  let trials_run =
-    if units_run = n_units then cfg.trials
-    else fst ranges.(units_run) - offset
   in
   if Obs.enabled () || Obs.would_log Obs.Warn then begin
     let retries = ref 0 in
@@ -1498,131 +1598,45 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
       completed;
     if !retries > 0 then Obs.add "pool.retries" !retries
   end;
-  let two_pass = ref empty_histogram in
-  let iterated = ref empty_histogram in
-  let rounds : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let escapes = ref [] in
-  let divergences = ref [] in
-  let tool_errors = ref [] in
-  (* importance-weighted tallies: single-threaded, strict trial order,
-     continuing [weighted_init]'s partial sums when the caller is
-     growing a campaign batch by batch — so the floats come out
-     bit-identical to one big run's regardless of batching *)
-  let weighted_acc =
-    ref (match weighted_init with Some w -> w | None -> empty_weighted)
-  in
-  let repair_failed = function
-    | Unsuccessful _ -> true
-    | Passed_clean | Repaired -> false
-  in
-  let note_weight rc =
-    if Option.is_some cfg.proposal then begin
-      let w = trial_weight cfg ~index:rc.rc_index in
-      let acc = !weighted_acc in
-      let fired t cond = if cond then tally_add t w else t in
-      let escaped, tp_failed, it_failed =
-        match rc.rc_body with
-        | Rc_error _ -> (false, false, false) (* observed no failure *)
-        | Rc_ok o ->
-            ( List.exists (fun f -> String.equal f.f_kind "escape")
-                o.rc_failures
-            , repair_failed o.rc_two_pass
-            , repair_failed o.rc_iterated )
-      in
-      weighted_acc :=
-        { wn = acc.wn + 1
-        ; w_sum = acc.w_sum +. w
-        ; w_sum2 = acc.w_sum2 +. (w *. w)
-        ; w_escape = fired acc.w_escape escaped
-        ; w_repair_fail_two_pass = fired acc.w_repair_fail_two_pass tp_failed
-        ; w_repair_fail_iterated = fired acc.w_repair_fail_iterated it_failed
-        }
-    end
+  (* the report: one tally over the contiguous prefix in strict trial
+     order, its weighted sums continuing [weighted_init]'s when the
+     caller grows a campaign window by window, so the floats come out
+     bit-identical to one big run's *)
+  let report =
+    counts
+      ?weighted:
+        (Option.map
+           (fun _ -> Option.value weighted_init ~default:empty_weighted)
+           cfg.proposal)
+      ()
   in
   for u = 0 to units_run - 1 do
-    match completed.(u) with
-    | None -> assert false (* inside the contiguous prefix *)
-    | Some job ->
-        Array.iter
-          (fun rc ->
-            note_weight rc;
-            match rc.rc_body with
-            | Rc_ok o ->
-                two_pass := count_class !two_pass o.rc_two_pass;
-                iterated := count_class !iterated o.rc_iterated;
-                add_rounds rounds o.rc_rounds 1;
-                (* allocation decisions, like the anomaly sub-stream
-                   below, are emitted here in strict trial order on the
-                   calling domain — jobs/lanes-invariant *)
-                (match o.rc_alloc with
-                | Some (arows, acols) when Obs.would_log Obs.Info ->
-                    Obs.emit ~domain:"campaign" "trial.bira_alloc"
-                      [ ("trial", J.Int rc.rc_index)
-                      ; ("seed", J.Int rc.rc_seed)
-                      ; ("rows", J.List (List.map (fun r -> J.Int r) arows))
-                      ; ("cols", J.List (List.map (fun c -> J.Int c) acols))
-                      ]
-                | _ -> ());
-                List.iter
-                  (fun f ->
-                    if String.equal f.f_kind "escape" then
-                      escapes := f :: !escapes
-                    else divergences := f :: !divergences;
-                    (* emitted here, in strict trial order on the
-                       calling domain, so the anomaly sub-stream is
-                       jobs-invariant envelope aside *)
-                    if Obs.would_log Obs.Info then
-                      Obs.emit ~domain:"campaign" ("trial." ^ f.f_kind)
-                        [ ("trial", J.Int f.f_trial)
-                        ; ("seed", J.Int f.f_seed)
-                        ; ("flow", J.String f.f_flow)
-                        ; ("detail", J.String f.f_detail)
-                        ])
-                  o.rc_failures
-            | Rc_error e ->
-                Obs.incr "campaign.tool_errors";
-                if Obs.would_log Obs.Warn then
-                  Obs.emit ~level:Obs.Warn ~domain:"campaign"
-                    "trial.tool_error"
-                    [ ("trial", J.Int rc.rc_index)
-                    ; ("seed", J.Int rc.rc_seed)
-                    ; ("error", J.String e)
-                    ];
-                tool_errors :=
-                  { te_trial = rc.rc_index
-                  ; te_seed = rc.rc_seed
-                  ; te_error = e
-                  }
-                  :: !tool_errors)
-          (records_of_job u job)
+    (* [Option.get]: inside the contiguous prefix *)
+    Array.iter
+      (fun rc ->
+        add cfg report rc;
+        emit_record rc)
+      (records_of_job u (Option.get completed.(u)))
   done;
   Obs.emit ~domain:"campaign" "run.end"
-    [ ("trials_run", J.Int trials_run)
-    ; ("truncated", J.Bool (trials_run < cfg.trials))
-    ; ("escapes", J.Int (List.length !escapes))
-    ; ("divergences", J.Int (List.length !divergences))
-    ; ("tool_errors", J.Int (List.length !tool_errors))
+    [ ("trials_run", J.Int report.c_trials)
+    ; ("truncated", J.Bool (report.c_trials < cfg.trials))
+    ; ("escapes", J.Int report.c_n_escapes)
+    ; ("divergences", J.Int report.c_n_divergences)
+    ; ("tool_errors", J.Int report.c_n_tool_errors)
     ];
-  make_result cfg ~trials_run ~resumed_trials:nresumed ~two_pass:!two_pass
-    ~iterated:!iterated ~rounds ~escapes:(List.rev !escapes)
-    ~divergences:(List.rev !divergences) ~tool_errors:(List.rev !tool_errors)
+  result_of_counts cfg report ~resumed_trials:nresumed
     ~analytic_yield:(analytic_yield cfg)
-    ~weighted:(Option.map (fun _ -> !weighted_acc) cfg.proposal)
 
 (* ------------------------------------------------------------------ *)
 (* merging windowed runs *)
 
 (* Merge the results of consecutive [run ~offset] windows over the same
    base configuration into what one big run over the union would have
-   produced.  Integer tallies add exactly and failure lists concatenate
-   in trial order; the weighted float sums are taken from the last
-   window, which already holds the running totals (the adaptive driver
-   threads them through [weighted_init]).  Together these make the
-   merged report byte-identical to the single-run report — the property
-   the estimator's adaptive mode leans on. *)
+   produced: the report bytes included, which the estimator's adaptive
+   mode leans on. *)
 let merge_results = function
   | [] -> invalid_arg "Campaign.merge_results: empty result list"
-  | [ r ] -> r
   | first :: _ as rs ->
       let compat r = J.to_string (compat_json r.config) in
       List.iter
@@ -1630,33 +1644,14 @@ let merge_results = function
           if not (String.equal (compat r) (compat first)) then
             invalid_arg "Campaign.merge_results: incompatible configurations")
         rs;
-      let add_h a b =
-        { passed_clean = a.passed_clean + b.passed_clean
-        ; repaired = a.repaired + b.repaired
-        ; too_many_faulty_rows = a.too_many_faulty_rows + b.too_many_faulty_rows
-        ; fault_in_second_pass = a.fault_in_second_pass + b.fault_in_second_pass
-        }
-      in
+      let c = counts () in
+      List.iter (absorb c) rs;
       let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
-      let trials = sum (fun r -> r.config.trials) in
-      let trials_run = sum (fun r -> r.trials_run) in
-      let rounds : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun r -> List.iter (fun (rd, c) -> add_rounds rounds rd c) r.rounds)
-        rs;
-      let two_pass = List.fold_left (fun a r -> add_h a r.two_pass)
-          empty_histogram rs
-      in
-      let iterated = List.fold_left (fun a r -> add_h a r.iterated)
-          empty_histogram rs
-      in
-      let last = List.nth rs (List.length rs - 1) in
-      make_result { first.config with trials } ~trials_run
-        ~resumed_trials:(sum (fun r -> r.resumed_trials)) ~two_pass ~iterated
-        ~rounds ~escapes:(List.concat_map (fun r -> r.escapes) rs)
-        ~divergences:(List.concat_map (fun r -> r.divergences) rs)
-        ~tool_errors:(List.concat_map (fun r -> r.tool_errors) rs)
-        ~analytic_yield:first.analytic_yield ~weighted:last.weighted
+      result_of_counts
+        { first.config with trials = sum (fun r -> r.config.trials) }
+        c
+        ~resumed_trials:(sum (fun r -> r.resumed_trials))
+        ~analytic_yield:first.analytic_yield
 
 (* ------------------------------------------------------------------ *)
 (* JSON report *)

@@ -72,10 +72,6 @@ type config = {
   max_rounds : int;  (** iterated-flow bound *)
 }
 
-(** The campaign fault-count model in the proposal layer's vocabulary
-    (a pure rename of {!mode}). *)
-val count_model_of_mode : mode -> Bisram_faults.Proposal.count_model
-
 (** Defaults: 64x8 words, bpc 4, 4 spares, IFA-9, default mix, 2 faults
     per trial, 100 trials, seed 42, no proposal, no time budget,
     shrinking on, 8 rounds.  @raise Invalid_argument on negative
@@ -99,14 +95,6 @@ val make_config :
 (** The derived per-trial seed (pure function of campaign seed and
     trial index — the value printed in reports and fed to [--replay]). *)
 val trial_seed : config -> int -> int
-
-(** The importance weight of the trial at a campaign index — the
-    likelihood ratio of its fault draw under the nominal versus the
-    proposal distribution, recovered by redrawing the faults from the
-    derived seed.  [log 1 = 0] / [1.0] when no proposal is armed. *)
-val trial_log_weight : config -> index:int -> float
-
-val trial_weight : config -> index:int -> float
 
 (** Widest usable lane batch ({!Bisram_sram.Word.max_width}: one trial
     per bit of a native int). *)
@@ -154,9 +142,6 @@ type trial = {
 val run_faults :
   config -> Bisram_faults.Fault.t list -> verdicts * anomaly list
 
-(** Run the trial at a campaign index (seed derived). *)
-val run_trial : config -> index:int -> trial
-
 (** Re-run a single trial from its reported seed. *)
 val replay : config -> seed:int -> trial
 
@@ -176,10 +161,16 @@ type histogram = {
   fault_in_second_pass : int;
 }
 
+(** What a failure record reports; the report and checkpoint spell it
+    ["escape"] / ["divergence"]. *)
+type failure_kind =
+  | Silent_escape  (** a passing flow left faulty logical addresses *)
+  | Oracle_divergence  (** the flow under test disagrees with its oracle *)
+
 type failure = {
   f_trial : int;
   f_seed : int;
-  f_kind : string;  (** "escape" or "divergence" *)
+  f_kind : failure_kind;
   f_flow : string;  (** "two-pass", "iterated" or "oracle" *)
   f_detail : string;
   f_faults : Bisram_faults.Fault.t list;
@@ -267,15 +258,27 @@ val checkpoint : path:string -> ?every:int -> ?resume:bool -> unit -> checkpoint
 
 (** Cumulative completion counts streamed to [run]'s [on_progress]
     callback — a write-only side channel for live reporting (see
-    {!Bisram_obs.Progress}); nothing in it feeds the report. *)
+    {!Bisram_obs.Progress}); nothing in it feeds the report.  The
+    counts come from the same per-record tally as the report, so once
+    every trial of the window has completed, [p_done], [p_escapes],
+    [p_divergences] and [p_tool_errors] equal the report's
+    [trials_run] and the lengths of its [escapes], [divergences] and
+    [tool_errors]. *)
 type progress = {
   p_done : int;  (** trials completed so far (resumed ones included) *)
   p_total : int;  (** the window's trial count ([config.trials]) *)
-  p_escapes : int;
+  p_escapes : int;  (** escape records (one per escaping flow) *)
   p_divergences : int;
   p_tool_errors : int;
-  p_clean : int;  (** trials whose whole flow was clean *)
+  p_clean : int;
+      (** clean trials: both flows passed clean on the first verify
+          round with no escape or divergence — the record a clean lane
+          resolves to.  A repaired or crashed trial is not clean. *)
 }
+
+(** Two consecutive windows' counts as one stream: every field adds,
+    [p_total] included. *)
+val add_progress : progress -> progress -> progress
 
 (** Run the campaign.  [now] (default {!Bisram_parallel.Clock.now}, a
     monotonic clock immune to wall-time jumps) is only consulted for
@@ -335,6 +338,8 @@ type progress = {
     [on_progress] (default absent) receives cumulative {!progress}
     counts on the completing worker's domain each time a scheduling
     unit finishes (it must be domain-safe; {!Bisram_obs.Progress} is).
+    Calls never overlap: each is made under the lock that tallies the
+    unit, so successive snapshots never decrease.
     Like telemetry and events, it cannot change the report: reports
     are byte-identical with or without it.
 
@@ -367,6 +372,4 @@ val analytic_yield : config -> float
 val to_json : result -> Bisram_obs.Json.t
 val json_string : result -> string
 val pretty_json_string : result -> string
-val fault_json : Bisram_faults.Fault.t -> Bisram_obs.Json.t
 val pp_trial : Format.formatter -> trial -> unit
-val pp_anomaly : Format.formatter -> anomaly -> unit

@@ -311,26 +311,20 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
   let weighted_init = ref None in
   let reason = ref Trial_cap in
   let hw = ref infinity in
-  (* the campaign reports per-window progress; re-base it on the trials
-     already committed by earlier batches so the caller sees one
-     monotonic stream against the trial cap.  [base] is only written
-     between batches, when no pool worker is running. *)
-  let base = ref Campaign.{ p_done = 0; p_total = max_trials; p_escapes = 0
-                          ; p_divergences = 0; p_tool_errors = 0; p_clean = 0 }
-  in
+  (* the campaign reports per-window progress; each window's snapshots
+     continue from the previous window's last one, so the caller sees
+     one monotonic stream against the trial cap.  Snapshots arrive one
+     at a time under the campaign's collector lock; [base] is only
+     written between windows, when no pool worker is running. *)
+  let base = ref None and last = ref None in
   let window_progress =
     Option.map
-      (fun f (p : Campaign.progress) ->
-        let b = !base in
-        f
-          Campaign.
-            { p_done = b.p_done + p.p_done
-            ; p_total = max_trials
-            ; p_escapes = b.p_escapes + p.p_escapes
-            ; p_divergences = b.p_divergences + p.p_divergences
-            ; p_tool_errors = b.p_tool_errors + p.p_tool_errors
-            ; p_clean = b.p_clean + p.p_clean
-            })
+      (fun f p ->
+        let p =
+          Option.fold ~none:p ~some:(fun b -> Campaign.add_progress b p) !base
+        in
+        last := Some p;
+        f { p with Campaign.p_total = max_trials })
       on_progress
   in
   (try
@@ -345,16 +339,7 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
        results := r :: !results;
        offset := !offset + r.Campaign.trials_run;
        weighted_init := r.Campaign.weighted;
-       let b = !base in
-       base :=
-         Campaign.
-           { p_done = b.p_done + r.Campaign.trials_run
-           ; p_total = max_trials
-           ; p_escapes = b.p_escapes + List.length r.Campaign.escapes
-           ; p_divergences = b.p_divergences + List.length r.Campaign.divergences
-           ; p_tool_errors = b.p_tool_errors + List.length r.Campaign.tool_errors
-           ; p_clean = b.p_clean + r.Campaign.two_pass.Campaign.passed_clean
-           };
+       base := !last;
        let merged = Campaign.merge_results (List.rev !results) in
        let est = estimate ~level merged metric in
        hw := rel_half_width est;

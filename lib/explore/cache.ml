@@ -77,12 +77,6 @@ let path_of t key =
   | Some d ->
       Some (Filename.concat d (Digest.to_hex (Digest.string (full_key key)) ^ ".json"))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* The entry document: the full key travels with the value so a digest
    collision or stale format is detected on read instead of silently
    returning the wrong result, and the value's own serialization is
@@ -147,7 +141,7 @@ let lookup t key =
     | Some path ->
         if not (Sys.file_exists path) then None
         else (
-          match read_file path with
+          match In_channel.with_open_bin path In_channel.input_all with
           | exception Sys_error _ ->
               (* the file is there but unreadable (EIO, permissions):
                  degrade to a miss, recompute uncached *)
@@ -180,19 +174,10 @@ let store t key s =
   match path_of t key with
   | None -> ()
   | Some path -> (
-      let dir = Option.get t.dir in
       match
-        let tmp, oc = Filename.open_temp_file ~temp_dir:dir ".cache-" ".tmp" in
-        try
-          if Chaos.write_fails ~key then
-            raise (Sys_error "chaos: injected cache write failure");
-          output_string oc s;
-          close_out oc;
-          Sys.rename tmp path
-        with e ->
-          close_out_noerr oc;
-          (try Sys.remove tmp with Sys_error _ -> ());
-          raise e
+        if Chaos.write_fails ~key then
+          raise (Sys_error "chaos: injected cache write failure");
+        Bisram_obs.Atomic_file.write ~prefix:".cache-" path s
       with
       | () -> ()
       | exception Sys_error _ ->

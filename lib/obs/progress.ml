@@ -110,17 +110,12 @@ let status_json t ~final =
 
 let write_status t ~final path =
   (* atomic replace: readers polling the file never see a torn write *)
-  let tmp = path ^ ".tmp" in
   match
-    let oc = open_out tmp in
-    output_string oc (Json.to_string (status_json t ~final));
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp path
+    Atomic_file.write ~prefix:".status-" path
+      (Json.to_string (status_json t ~final) ^ "\n")
   with
   | () -> ()
   | exception Sys_error e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
       if not t.warned_status then begin
         t.warned_status <- true;
         Printf.eprintf "progress: cannot write status file %s: %s\n%!" path e

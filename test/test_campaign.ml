@@ -583,35 +583,55 @@ let test_checkpoint_classes_round_trip () =
       Alcotest.(check string) "byte-identical after resume" full
         (C.json_string r))
 
+let set_field k v = function
+  | J.Obj fs ->
+      J.Obj (List.map (fun (k', x) -> (k', if k' = k then v else x)) fs)
+  | j -> j
+
+(* Rewrite checkpoint record [bad] with [f]: the resume must keep the
+   valid prefix before it, recompute the rest, and still produce the
+   uninterrupted report bytes. *)
+let check_resume_stops_at ~name path cfg ~full ~bad f =
+  let doc = checkpoint_doc path in
+  let records =
+    List.mapi (fun i r -> if i = bad then f r else r) (checkpoint_records doc)
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (J.to_string (set_field "records" (J.List records) doc)));
+  let r = C.run ~checkpoint:(C.checkpoint ~path ~resume:true ()) cfg in
+  Alcotest.(check int) ("prefix stops at the " ^ name) bad r.C.resumed_trials;
+  Alcotest.(check string) "byte-identical after resume" full (C.json_string r)
+
 let test_checkpoint_unknown_class_rejected () =
   with_temp_ckpt (fun path ->
       let cfg = class_cfg () in
       let full = C.json_string (C.run cfg) in
       ignore (C.run ~checkpoint:(C.checkpoint ~path ~every:1 ()) cfg);
-      (* rename the iterated class of record 5: the resume must keep the
-         valid prefix before it and recompute the rest *)
-      let bad = 5 in
-      let set k v = function
-        | J.Obj fs ->
-            J.Obj (List.map (fun (k', x) -> (k', if k' = k then v else x)) fs)
-        | j -> j
+      check_resume_stops_at ~name:"unknown class" path cfg ~full ~bad:5
+        (set_field "iterated" (J.String "bogus")))
+
+let test_checkpoint_unknown_kind_rejected () =
+  with_temp_ckpt (fun path ->
+      let cfg = class_cfg () in
+      let full = C.json_string (C.run cfg) in
+      ignore (C.run ~checkpoint:(C.checkpoint ~path ~every:1 ()) cfg);
+      (* the first record with a failure gets a kind no version writes *)
+      let failures r =
+        match J.member "failures" r with Some (J.List l) -> l | _ -> []
       in
-      let doc = checkpoint_doc path in
-      let records =
-        List.mapi
-          (fun i r -> if i = bad then set "iterated" (J.String "bogus") r else r)
-          (checkpoint_records doc)
+      let records = checkpoint_records (checkpoint_doc path) in
+      let bad =
+        match List.find_index (fun r -> failures r <> []) records with
+        | Some i -> i
+        | None -> Alcotest.fail "no record with a failure"
       in
-      let doc = set "records" (J.List records) doc in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (J.to_string doc));
-      let r =
-        C.run ~checkpoint:(C.checkpoint ~path ~resume:true ()) cfg
-      in
-      Alcotest.(check int) "prefix stops at the unknown class" bad
-        r.C.resumed_trials;
-      Alcotest.(check string) "byte-identical after resume" full
-        (C.json_string r))
+      check_resume_stops_at ~name:"unknown failure kind" path cfg ~full ~bad
+        (fun r ->
+          set_field "failures"
+            (J.List
+               (List.map (set_field "kind" (J.String "bogus")) (failures r)))
+            r))
 
 let test_resume_missing_checkpoint_is_cold () =
   let cfg = C.make_config ~trials:6 ~seed:29 () in
@@ -882,6 +902,8 @@ let () =
             `Quick test_checkpoint_classes_round_trip
         ; Alcotest.test_case "checkpoint rejects an unknown outcome class"
             `Quick test_checkpoint_unknown_class_rejected
+        ; Alcotest.test_case "checkpoint rejects an unknown failure kind"
+            `Quick test_checkpoint_unknown_kind_rejected
         ; Alcotest.test_case "chaos transients absorbed by retries" `Quick
             test_chaos_transients_absorbed
         ; Alcotest.test_case "crashing trials become tool errors" `Quick

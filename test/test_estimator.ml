@@ -331,6 +331,88 @@ let test_adaptive_validation () =
     ; (fun () -> E.run_adaptive ~target:0.1 ~level:1.0 cfg)
     ]
 
+(* ------------------------------------------------------------------ *)
+(* live progress agrees with the report *)
+
+let progress =
+  Alcotest.testable
+    (fun ppf (p : C.progress) ->
+      Format.fprintf ppf "done %d/%d esc %d div %d err %d clean %d" p.C.p_done
+        p.C.p_total p.C.p_escapes p.C.p_divergences p.C.p_tool_errors
+        p.C.p_clean)
+    ( = )
+
+(* The report of [run on_progress] and every snapshot it streamed, in
+   delivery order. *)
+let with_snapshots run =
+  let seen = ref [] in
+  let r = run (fun p -> seen := p :: !seen) in
+  (r, List.rev !seen)
+
+(* The last snapshot, after checking that no count ever went down and
+   that the last one agrees with the report. *)
+let final_snapshot name (r : C.result) snaps =
+  let counts (p : C.progress) =
+    [ p.C.p_done; p.C.p_escapes; p.C.p_divergences; p.C.p_tool_errors
+    ; p.C.p_clean ]
+  in
+  ignore
+    (List.fold_left
+       (fun prev p ->
+         List.iter2
+           (fun a b ->
+             if b < a then
+               Alcotest.failf "%s: a count went down, %d -> %d" name a b)
+           prev (counts p);
+         counts p)
+       [ 0; 0; 0; 0; 0 ] snaps);
+  match List.rev snaps with
+  | [] -> Alcotest.failf "%s: no snapshot" name
+  | last :: _ ->
+      Alcotest.(check (list int))
+        (name ^ ": trials, escapes, divergences, tool errors")
+        [ r.C.trials_run; List.length r.C.escapes
+        ; List.length r.C.divergences; List.length r.C.tool_errors ]
+        [ last.C.p_done; last.C.p_escapes; last.C.p_divergences
+        ; last.C.p_tool_errors ];
+      last
+
+let test_progress_agrees_with_report () =
+  (* repair-limited density: escapes, divergences, repaired and clean
+     trials all occur in these 200 trials *)
+  let cfg = C.make_config ~mode:(C.Poisson 3.0) ~trials:200 ~seed:7 () in
+  let plain =
+    List.map
+      (fun (jobs, lanes) ->
+        let r, snaps =
+          with_snapshots (fun on_progress ->
+              C.run ~jobs ~lanes ~on_progress cfg)
+        in
+        final_snapshot
+          (Printf.sprintf "run jobs %d lanes %d" jobs lanes)
+          r snaps)
+      [ (1, 1); (1, 62); (2, 1); (2, 62) ]
+  in
+  let expected = List.hd plain in
+  Alcotest.(check bool) "some trials clean, some not" true
+    (expected.C.p_clean > 0 && expected.C.p_clean < 200);
+  List.iter (Alcotest.check progress "same final snapshot" expected) plain;
+  List.iter
+    (fun jobs ->
+      let a, snaps =
+        with_snapshots (fun on_progress ->
+            E.run_adaptive ~jobs ~lanes:62 ~batch:50 ~max_trials:200
+              ~target:1e-9 ~on_progress cfg)
+      in
+      let last =
+        final_snapshot
+          (Printf.sprintf "adaptive jobs %d" jobs)
+          a.E.a_result snaps
+      in
+      Alcotest.check progress "adaptive ends on the plain run's snapshot"
+        expected last)
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "estimator"
     [ ( "intervals"
@@ -369,5 +451,9 @@ let () =
         ; Alcotest.test_case "stratified needs fewer trials" `Slow
             test_adaptive_stratified_needs_fewer_trials
         ; Alcotest.test_case "validation" `Quick test_adaptive_validation
+        ] )
+    ; ( "progress"
+      , [ Alcotest.test_case "final snapshot agrees with the report" `Quick
+            test_progress_agrees_with_report
         ] )
     ]
