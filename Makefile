@@ -283,9 +283,11 @@ resume-determinism: build
 # Exact-counter gate: on every perfbench workload, two traced runs of
 # one seed and different lengths must be correct and report every
 # *.exact work counter (model ops, controller cycles, repair rounds,
-# minor words per trial, ...) bit for bit identically.
+# minor words per trial, ...) bit for bit identically, at the default
+# seed and at the held-out seed 1999.
 perfbench-exact: build
 	bash perfbench/exact_test.sh
+	bash perfbench/exact_test.sh 1999
 
 ci: build test campaign-smoke campaign-determinism estimator-smoke bench-smoke bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact
 	@echo "ci: OK"

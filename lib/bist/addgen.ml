@@ -37,3 +37,11 @@ let width t =
   go 0 1
 
 let gate_count t = 10 * width t
+
+let advance t ~dir n =
+  let v =
+    match dir with March.Down -> t.v - n | March.Up | March.Either -> t.v + n
+  in
+  if n < 0 || v < 0 || v >= t.limit then
+    invalid_arg "Addgen.advance: the counter would wrap";
+  t.v <- v

@@ -23,6 +23,10 @@ val value : t -> int
     wrapped (all addresses visited). *)
 val step : t -> dir:March.order -> bool
 
+(** [advance t ~dir n] is [n] {!step}s, none of which wraps.
+    @raise Invalid_argument if [n < 0] or one of them would wrap. *)
+val advance : t -> dir:March.order -> int -> unit
+
 (** Hardware cost of the counter: flip-flop count (address width). *)
 val width : t -> int
 

@@ -92,13 +92,28 @@ type state = {
   next : int array; (* per assignment: next state id *)
 }
 
+(* A state's clean-address loop, read off the table: the states the
+   controller walks at one address when every sampled condition is
+   false (no mismatch, not the element's last address), from the state
+   back to itself through an [Addr_step].  [l_cycles] is its length,
+   0 for a state that starts no such loop. *)
+type loop = {
+  l_cycles : int;
+  l_reads : bool;
+  l_is_write : bool array;
+  l_words : int array array; (* per background: each op's packed word *)
+}
+
 type t = {
   test : March.t;
   words : int;
   backgrounds : Word.t list;
       (* empty for layout-only controllers ({!compile_layout}) *)
   n_backgrounds : int;
+  bg_words : int array; (* packed backgrounds *)
+  bg_words_c : int array; (* complemented *)
   states : state array;
+  loops : loop array; (* per state *)
   idle : int;
   done_ok : int;
   fail : int;
@@ -129,6 +144,54 @@ let tabulate ~name ~work ~uses next_of =
   assert (work land lnot work_bits = 0);
   Array.iter (fun x -> assert (x land work_bits = 0)) exits;
   { name; work; uses; exits; next }
+
+let no_loop = { l_cycles = 0; l_reads = false; l_is_write = [||]; l_words = [||] }
+
+(* Follow the table from [s0] under assignment 0.  Only states whose
+   work is one RAM operation (optionally complemented) and whose
+   sampled conditions are all false on a clean, non-last address may
+   take part: [Elem_done], and [Cmp_fail]/[Tlb_full] once the loop has
+   read (a matching read clears the comparator; [Tlb_full] needs a
+   mismatch). *)
+let clean_loop states ~bg_words ~bg_words_c s0 =
+  let op_bits = b_read lor b_write lor b_compl in
+  let rec follow s works ~read =
+    let st = states.(s) in
+    let read = read || st.work land b_read <> 0 in
+    let clean_cond = function
+      | Elem_done -> true
+      | Cmp_fail | Tlb_full -> read
+      | Test_enable | Bg_done | Ret_ack -> false
+    in
+    if
+      List.length works >= Array.length states
+      || st.work land lnot op_bits <> 0
+      || st.work land (b_read lor b_write) = 0
+      || not (Array.for_all clean_cond st.uses)
+    then None
+    else
+      let works = st.work :: works in
+      match (st.exits.(0), st.next.(0)) with
+      | x, nx when x = b_step && nx = s0 -> Some (Array.of_list (List.rev works))
+      | 0, nx -> follow nx works ~read
+      | _ -> None
+  in
+  match follow s0 [] ~read:false with
+  | None -> no_loop
+  | Some works ->
+      (* [exec_work]: a read wins over a write *)
+      let is_read w = w land b_read <> 0 in
+      { l_cycles = Array.length works
+      ; l_reads = Array.exists is_read works
+      ; l_is_write = Array.map (fun w -> not (is_read w)) works
+      ; l_words =
+          Array.mapi
+            (fun i bg ->
+              Array.map
+                (fun w -> if w land b_compl <> 0 then bg_words_c.(i) else bg)
+                works)
+            bg_words
+      }
 
 let reset_action = function
   | March.Down -> Addr_reset_down
@@ -263,11 +326,33 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
   define done_ok ~name:"DONE_OK" ~work:[ Sig_done ] ~uses:[] (fun _ ->
       ([], done_ok));
   define fail ~name:"FAIL" ~work:[ Sig_fail ] ~uses:[] (fun _ -> ([], fail));
-  { test; words; backgrounds; n_backgrounds; states; idle; done_ok; fail }
+  let bgs = Array.of_list backgrounds in
+  let bg_words = Array.map Word.to_int bgs in
+  let bg_words_c = Array.map (fun bg -> Word.to_int (Word.lnot_ bg)) bgs in
+  let loops = Array.init n_states (clean_loop states ~bg_words ~bg_words_c) in
+  { test; words; backgrounds; n_backgrounds; bg_words; bg_words_c; states
+  ; loops; idle; done_ok; fail }
+
+(* One controller per domain: a campaign runs every trial, and every
+   shrink step, with the same march, words and backgrounds. *)
+let compiled_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let compile test ~words ~backgrounds =
-  compile_gen test ~words ~backgrounds
-    ~n_backgrounds:(List.length backgrounds)
+  match Domain.DLS.get compiled_key with
+  | Some t
+    when t.words = words
+         && (t.test == test || March.equal t.test test)
+         && List.equal
+              (fun a b -> Word.width a = Word.width b && Word.equal a b)
+              t.backgrounds backgrounds ->
+      t
+  | _ ->
+      let t =
+        compile_gen test ~words ~backgrounds
+          ~n_backgrounds:(List.length backgrounds)
+      in
+      Domain.DLS.set compiled_key (Some t);
+      t
 
 let compile_layout test ~words ~n_backgrounds =
   compile_gen test ~words ~backgrounds:[] ~n_backgrounds
@@ -291,6 +376,7 @@ type datapath = {
   addgen : Addgen.t;
   bgs : int array; (* packed backgrounds *)
   bgs_c : int array; (* complemented *)
+  mutable cycles : int;
   mutable bg_idx : int;
   mutable dir : March.order;
   mutable cmp_fail : bool;
@@ -308,13 +394,13 @@ let make_datapath t model hooks =
         invalid_arg "Controller.run: background width mismatch")
     t.backgrounds;
   Model.clear model;
-  let bgs = Array.of_list t.backgrounds in
   { model
   ; org
   ; hooks
   ; addgen = Addgen.create ~limit:t.words
-  ; bgs = Array.map Word.to_int bgs
-  ; bgs_c = Array.map (fun bg -> Word.to_int (Word.lnot_ bg)) bgs
+  ; bgs = t.bg_words
+  ; bgs_c = t.bg_words_c
+  ; cycles = 0
   ; bg_idx = 0
   ; dir = March.Up
   ; cmp_fail = false
@@ -387,24 +473,50 @@ let cycle_budget t =
    state. *)
 let drive t dp ~who step =
   let budget = cycle_budget t in
-  let rec go state cycles =
+  let rec go state =
     if state = t.done_ok || state = t.fail then begin
       let outcome =
         if state = t.fail then Repair_unsuccessful
         else if dp.recorded = 0 then Passed_clean
         else Repaired
       in
-      { outcome; cycles; faults_recorded = dp.recorded }
+      { outcome; cycles = dp.cycles; faults_recorded = dp.recorded }
     end
-    else if cycles > budget then
+    else if dp.cycles > budget then
       failwith (who ^ ": cycle budget exceeded (FSM livelock?)")
-    else go (step state) (cycles + 1)
+    else begin
+      let next = step state in
+      dp.cycles <- dp.cycles + 1;
+      go next
+    end
   in
-  go t.idle 0
+  go t.idle
+
+(* Run a state's clean-address loop over every clean address up to,
+   not including, the element's last (where [Elem_done] turns true),
+   as the table would: [l_cycles] cycles and one [Addr_step] per
+   address, a matching read clearing the comparator, and no wait
+   acknowledge left. *)
+let fast_forward dp l =
+  let a = Addgen.value dp.addgen in
+  let up = dp.dir <> March.Down in
+  let left = if up then Addgen.limit dp.addgen - 1 - a else a in
+  let n =
+    Model.march_span dp.model ~up ~first:a ~count:left ~is_write:l.l_is_write
+      ~op_word:(Array.unsafe_get l.l_words dp.bg_idx)
+  in
+  if n > 0 then begin
+    dp.cycles <- dp.cycles + (n * l.l_cycles);
+    Addgen.advance dp.addgen ~dir:dp.dir n;
+    if l.l_reads then dp.cmp_fail <- false;
+    dp.waited <- false
+  end
 
 let run t model hooks =
   let dp = make_datapath t model hooks in
   drive t dp ~who:"Controller.run" (fun state ->
+      let l = Array.unsafe_get t.loops state in
+      if l.l_cycles > 0 then fast_forward dp l;
       let s = Array.unsafe_get t.states state in
       exec_work dp s.work;
       let m = ref 0 in

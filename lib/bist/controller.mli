@@ -36,7 +36,9 @@ type outcome = Passed_clean | Repaired | Repair_unsuccessful
 type t
 
 (** Compile the controller for a march test over a given number of
-    words and list of backgrounds. *)
+    words and list of backgrounds.  A repeat compile of the last
+    configuration compiled on this domain (equal march items, words
+    and backgrounds) returns the same, immutable controller. *)
 val compile :
   March.t -> words:int -> backgrounds:Bisram_sram.Word.t list -> t
 
@@ -65,7 +67,12 @@ type report = {
     a bit test per sampled condition to index the assignment, then the
     exit mask ([Record_row] before [Addr_step]) and the next state.  The
     datapath compares packed ints through {!Bisram_sram.Model.read_int},
-    so no per-cycle closure, list or word is built.
+    so no per-cycle closure, list or word is built.  On an element's
+    first op state, the clean-address loop read off the table (every
+    sampled condition false) is fast-forwarded with
+    {!Bisram_sram.Model.march_span} over the clean addresses before
+    the element's last; the cycle count, address register and RAM end
+    as if each cycle had been clocked.
     [hooks.would_overflow] is queried only after a failing pass-1 read.
     @raise Invalid_argument if a background's width is not the model's
     word width. *)
@@ -76,7 +83,8 @@ val run : t -> Bisram_sram.Model.t -> hooks -> report
 val to_pla : t -> Trpla.t
 
 (** Execute by evaluating the TRPLA image each cycle instead of the
-    symbolic graph (slower; used to validate the PLA compilation). *)
+    symbolic graph, with no fast-forward (slower; the reference {!run}
+    is tested against, and the validation of the PLA compilation). *)
 val run_via_pla : t -> Bisram_sram.Model.t -> hooks -> report
 
 val pp_outcome : Format.formatter -> outcome -> unit

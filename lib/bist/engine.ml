@@ -37,6 +37,7 @@ type port = {
   p_read : int -> int;
   p_write : int -> int -> unit;
   p_wait : unit -> unit;
+  p_model : Model.t option; (* clean-row spans ({!Model.march_span}) *)
 }
 
 let port_of_model model =
@@ -45,10 +46,12 @@ let port_of_model model =
   ; p_read = Model.read_int model
   ; p_write = Model.write_int model
   ; p_wait = (fun () -> Model.retention_wait model)
+  ; p_model = Some model
   }
 
 let port_of_ram ram ~width =
-  { p_words = ram.words
+  { p_model = None
+  ; p_words = ram.words
   ; p_width = width
   ; p_read =
       (fun a ->
@@ -110,28 +113,48 @@ let run_general port test ~backgrounds ~stop_at_first =
                          if compl then op_word.(i) <- bg_c
                      | March.R compl -> if compl then op_word.(i) <- bg_c)
                    ops;
+                 let apply addr =
+                   for op_idx = 0 to n_ops - 1 do
+                     let w = Array.unsafe_get op_word op_idx in
+                     if Array.unsafe_get is_write op_idx then
+                       port.p_write addr w
+                     else begin
+                       let got = port.p_read addr in
+                       if w <> got then begin
+                         failures :=
+                           { background = bg
+                           ; item = item_idx
+                           ; op = op_idx
+                           ; addr
+                           ; expected = word w
+                           ; got = word got
+                           }
+                           :: !failures;
+                         if stop_at_first then raise Stop
+                       end
+                     end
+                   done
+                 in
                  let exec () =
-                   iter_addresses port.p_words order (fun addr ->
-                       for op_idx = 0 to n_ops - 1 do
-                         let w = Array.unsafe_get op_word op_idx in
-                         if Array.unsafe_get is_write op_idx then
-                           port.p_write addr w
-                         else begin
-                           let got = port.p_read addr in
-                           if w <> got then begin
-                             failures :=
-                               { background = bg
-                               ; item = item_idx
-                               ; op = op_idx
-                               ; addr
-                               ; expected = word w
-                               ; got = word got
-                               }
-                               :: !failures;
-                             if stop_at_first then raise Stop
-                           end
+                   match port.p_model with
+                   | None -> iter_addresses port.p_words order apply
+                   | Some model ->
+                       (* clean words in one span, the address that
+                          stops it per op, then the next span *)
+                       let up = order <> March.Down in
+                       let stride = if up then 1 else -1 in
+                       let rec go addr left =
+                         let k =
+                           Model.march_span model ~up ~first:addr ~count:left
+                             ~is_write ~op_word
+                         in
+                         if k < left then begin
+                           let addr = addr + (stride * k) in
+                           apply addr;
+                           go (addr + stride) (left - k - 1)
                          end
-                       done)
+                       in
+                       go (if up then 0 else port.p_words - 1) port.p_words
                  in
                  (* per-element telemetry: one enabled check per march
                     element keeps the per-op loop untouched when off *)

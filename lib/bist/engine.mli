@@ -38,7 +38,9 @@ val run_ram :
     order is executed ascending.  The RAM's remap (if installed) is in
     effect, so this runs both BIST passes depending on model state.
     The march compares packed ints through {!Bisram_sram.Model.read_int};
-    words are built only for a mismatch.
+    words are built only for a mismatch.  Each element runs over clean
+    words in {!Bisram_sram.Model.march_span}s, and per op on the
+    address that stops a span.
     @raise Invalid_argument if a background's width is not the model's
     word width. *)
 val run :

@@ -522,6 +522,82 @@ let write_int t a v =
   let row = Array.unsafe_get t.addr_row a in
   write_at t ~row:(physical_row t row) ~col:(a - (row * t.bpc)) v
 
+(* One march element over a run of clean words.  On a packed row the
+   element's effect on a word is decided by the element alone: reads
+   before its first write compare the stored word against [pre] (all
+   of them the same word, or the element mismatches everywhere), reads
+   after a write compare against that write (decided here, [ok]), and
+   the word ends as its last write [final].  So each address is one
+   load, compare and store, and the counters and the residue (the last
+   read's word, a match) are settled once for the whole run. *)
+let march_span t ~up ~first ~count ~is_write ~op_word =
+  let n_ops = Array.length is_write in
+  if Array.length op_word <> n_ops then
+    invalid_arg "Model.march_span: op arrays differ in length";
+  if (not t.fast) || t.col_remap <> None || count <= 0 then 0
+  else begin
+    let pre = ref (-1) and final = ref (-1) and ok = ref true in
+    let n_r = ref 0 and last_read = ref 0 in
+    for i = 0 to n_ops - 1 do
+      let w = op_word.(i) in
+      (* a word wider than [bpw] mismatches or raises on the per-op
+         path, so leave it there *)
+      if w lsr t.bpw <> 0 then ok := false
+      else if is_write.(i) then final := w
+      else begin
+        incr n_r;
+        last_read := w;
+        if !final >= 0 then (if w <> !final then ok := false)
+        else if !pre < 0 then pre := w
+        else if w <> !pre then ok := false
+      end
+    done;
+    let pre = !pre and final = !final in
+    let stride = if up then 1 else -1 in
+    (* addresses past the array's end are left to the per-op path's
+       range check *)
+    let words = t.org.Org.words in
+    let count =
+      if first < 0 || first >= words then 0
+      else min count (if up then words - first else first + 1)
+    in
+    let n = ref 0 and stop = ref (not !ok) in
+    while (not !stop) && !n < count do
+      let a = first + (stride * !n) in
+      let lrow = Array.unsafe_get t.addr_row a in
+      let row = physical_row t lrow in
+      if row < 0 || row >= t.nrows || (t.nfaults > 0 && row_is_faulty t row)
+      then stop := true
+      else begin
+        (* the run's addresses on this logical row, one slot each *)
+        let edge = if up then (lrow * t.bpc) + t.bpc - 1 else lrow * t.bpc in
+        let len = min (count - !n) (abs (edge - a) + 1) in
+        let slot = (row * t.bpc) + a - (lrow * t.bpc) in
+        let k = ref 0 in
+        while
+          !k < len
+          && (pre < 0
+             || Array.unsafe_get t.packed (slot + (stride * !k)) = pre)
+        do
+          if final >= 0 then
+            Array.unsafe_set t.packed (slot + (stride * !k)) final;
+          incr k
+        done;
+        if !k > 0 && final >= 0 then mark_row_written t row;
+        n := !n + !k;
+        if !k < len then stop := true
+      end
+    done;
+    let n = !n and n_r = !n_r in
+    let n_w = n_ops - n_r in
+    t.n_reads <- t.n_reads + (n * n_r);
+    t.n_fast_reads <- t.n_fast_reads + (n * n_r);
+    t.n_writes <- t.n_writes + (n * n_w);
+    t.n_fast_writes <- t.n_fast_writes + (n * n_w);
+    if n > 0 && n_r > 0 then t.residue <- !last_read;
+    n
+  end
+
 let read_word t a = Word.of_int ~width:t.bpw (read_int t a)
 
 let write_word t a w =

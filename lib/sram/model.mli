@@ -75,6 +75,27 @@ val read_int : t -> int -> int
 
 val write_int : t -> int -> int -> unit
 
+(** [march_span t ~up ~first ~count ~is_write ~op_word] applies one
+    march element — op [i] writes [op_word.(i)] if [is_write.(i)], else
+    reads and compares against it — to up to [count] consecutive
+    addresses from [first], ascending if [up], and returns how many
+    addresses it completed.  The run stops before the first address
+    whose physical row (through the remap) is out of range or
+    fault-armed, or on which a read would mismatch; that address is
+    left untouched for {!read_int}/{!write_int}.  The packed store,
+    the written-row marks, the sense residue and every {!stats}
+    counter end exactly as the per-op accesses would leave them.
+    Returns 0 while a column map is armed or the fast path is off.
+    @raise Invalid_argument if the two arrays differ in length. *)
+val march_span :
+  t ->
+  up:bool ->
+  first:int ->
+  count:int ->
+  is_write:bool array ->
+  op_word:int array ->
+  int
+
 (** Direct physical-row access, bypassing the remap (used to test spare
     rows and by white-box tests). *)
 val read_row_word : t -> row:int -> col:int -> Word.t

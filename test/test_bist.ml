@@ -336,6 +336,28 @@ let test_controller_pla_size () =
     (Trpla.term_count pla > Controller.state_count ctl
     && Trpla.term_count pla < 8 * Controller.state_count ctl)
 
+(* A campaign compiles the controller once per configuration: a repeat
+   compile (an equal march rebuilt from its notation included) returns
+   the same table, and any other words count or background list a new
+   one. *)
+let test_controller_compile_cached () =
+  let ctl = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs8 in
+  let same m ~words ~backgrounds =
+    Controller.compile m ~words ~backgrounds == ctl
+  in
+  Alcotest.(check bool) "repeat compile" true
+    (same Alg.ifa_9 ~words:64 ~backgrounds:bgs8);
+  Alcotest.(check bool) "equal march" true
+    (same
+       (March.of_string ~name:"copy" (March.to_string Alg.ifa_9))
+       ~words:64 ~backgrounds:bgs8);
+  Alcotest.(check bool) "other words" false
+    (same Alg.ifa_9 ~words:32 ~backgrounds:bgs8);
+  Alcotest.(check bool) "other backgrounds" false
+    (same Alg.ifa_9 ~words:64 ~backgrounds:(List.tl bgs8));
+  Alcotest.(check bool) "other march" false
+    (same Alg.mats_plus ~words:64 ~backgrounds:bgs8)
+
 (* Random march tests: the microprogrammed controller must agree with
    the functional engine on ANY march algorithm, not just the library
    ones. *)
@@ -411,23 +433,32 @@ let prop_controller_matches_engine_random_march =
       let r = Controller.run ctl m2 Controller.no_repair_hooks in
       engine_clean = (r.Controller.outcome = Controller.Passed_clean))
 
-(* The table-driven run and the PLA-image run must drive the datapath
-   identically: same outcome, cycles and recorded count, and the same
-   hook traffic — every recorded row in order, and the point (datapath
-   op count) where the remap is enabled.  Faults come from the full mix,
-   spare rows included, and the hooks drive a real TLB and remap so
-   pass 2 exercises the spares. *)
+(* The table-driven run (which fast-forwards its clean-address loops)
+   and the PLA-image run (strictly one PLA evaluation per cycle) must
+   drive the datapath identically: same outcome, cycles and recorded
+   count, the same hook traffic — every recorded row in order, and the
+   point (datapath op count) where the remap is enabled — and the same
+   final array (every physical row), access counters and sense residue,
+   which a word of stuck-open cells read after the run returns whole.
+   Faults come from the full mix, spare rows included, and the hooks
+   drive a real TLB and remap so pass 2 exercises the spares. *)
 let prop_pla_path_matches_symbolic_random_march =
   QCheck.Test.make ~name:"PLA execution = symbolic on random marches"
-    ~count:20
+    ~count:100
     QCheck.(pair arb_march (int_range 0 1_000_000))
     (fun (march, seed) ->
       let rng = Random.State.make [| seed |] in
       let o = small () in
+      let open_row = Random.State.int rng (Org.total_rows o)
+      and open_col = Random.State.int rng o.Org.bpc in
       let faults =
         Bisram_faults.Injection.inject rng ~rows:(Org.total_rows o)
           ~cols:(Org.cols o) ~mix:Bisram_faults.Injection.default_mix
           ~n:(Random.State.int rng 7)
+        @ List.init o.Org.bpw (fun b ->
+              Bisram_faults.Fault.Stuck_open
+                { Bisram_faults.Fault.row = open_row
+                ; col = (b * o.Org.bpc) + open_col })
       in
       let ctl = Controller.compile march ~words:o.Org.words ~backgrounds:bgs8 in
       let run f =
@@ -452,13 +483,20 @@ let prop_pla_path_matches_symbolic_random_march =
           }
         in
         let r = f ctl m hooks in
-        (r, List.rev !log)
+        let stats = Model.stats m in
+        let residue = Model.read_row_word m ~row:open_row ~col:open_col in
+        let array =
+          List.init (Org.total_rows o) (fun row ->
+              List.init o.Org.bpc (fun col -> Model.read_row_word m ~row ~col))
+        in
+        (r, List.rev !log, stats, residue, array)
       in
-      let r1, log1 = run Controller.run and r2, log2 = run Controller.run_via_pla in
+      let r1, log1, st1, res1, arr1 = run Controller.run
+      and r2, log2, st2, res2, arr2 = run Controller.run_via_pla in
       r1.Controller.outcome = r2.Controller.outcome
       && r1.Controller.cycles = r2.Controller.cycles
       && r1.Controller.faults_recorded = r2.Controller.faults_recorded
-      && log1 = log2)
+      && log1 = log2 && st1 = st2 && res1 = res2 && arr1 = arr2)
 
 (* The compiled controller keeps the datapath allocation-light: a
    fault-free IFA-9 run compares packed ints, so it allocates next to
@@ -686,6 +724,8 @@ let () =
             test_controller_vs_engine_failure_detection
         ; Alcotest.test_case "PLA path agrees" `Quick test_controller_pla_agrees
         ; Alcotest.test_case "PLA size" `Quick test_controller_pla_size
+        ; Alcotest.test_case "compile cached per configuration" `Quick
+            test_controller_compile_cached
         ; Alcotest.test_case "allocation budget" `Quick
             test_controller_allocation_budget
         ; Alcotest.test_case "engine allocation budget" `Quick

@@ -452,6 +452,26 @@ let test_golden_row_tlb_p3 () =
     (read_file "golden_row_tlb_p3.json")
     (C.pretty_json_string (C.run ~jobs:1 cfg))
 
+(* The same repair-limited load under March C- (no retention wait, so
+   every element is a clean-address loop of the controller).  The
+   golden file is the CLI output of `campaign --trials 60 --seed 7
+   --mode poisson --mean 3 --march "March C-"` captured before the
+   clean-row march spans went in. *)
+let test_golden_marchc_p3 () =
+  let read_file path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let cfg =
+    C.make_config ~march:Alg.march_c_minus
+      ~mode:(C.Poisson 3.0) ~trials:60 ~seed:7 ()
+  in
+  Alcotest.(check string) "poisson-3 March C- report bytes"
+    (read_file "golden_marchc_p3.json")
+    (C.pretty_json_string (C.run ~jobs:1 cfg))
+
 let test_rounds_histogram_totals () =
   let cfg = C.make_config ~trials:40 ~seed:13 ~mode:(C.Uniform 4) () in
   let r = C.run cfg in
@@ -885,6 +905,8 @@ let () =
             test_golden_v2_bytes_frozen
         ; Alcotest.test_case "golden row-tlb poisson-3 bytes" `Quick
             test_golden_row_tlb_p3
+        ; Alcotest.test_case "golden March C- poisson-3 bytes" `Quick
+            test_golden_marchc_p3
         ; Alcotest.test_case "model stats flushed once per model" `Quick
             test_model_stats_flushed_once
         ; Alcotest.test_case "observed yield brackets analytic" `Slow

@@ -604,6 +604,133 @@ let prop_fast_path_equals_legacy_remap =
       in
       drive true = drive false)
 
+(* [march_span] then per-op accesses on the rest of the run must leave
+   the model exactly as per-op accesses throughout: the same
+   mismatching reads, every physical row (spares included), the access
+   counters, the dirty rows a [clear] visits, and the sense residue,
+   which a word of stuck-open cells read right after the march returns
+   whole.  Faults come from the full mix over every row, plus a
+   state coupling across the regular/spare boundary; a random remap
+   sends logical rows onto spares; the element mixes reads and writes
+   in any order (reads before the first write included) over an array
+   whose rows either hold a fill word (often the one those reads
+   expect) or are still power-up zeros and clean. *)
+let prop_march_span_equals_per_op =
+  QCheck.Test.make ~name:"march span = per-op accesses" ~count:300
+    QCheck.(pair (int_range 0 100_000) (int_range 0 5))
+    (fun (seed, n) ->
+      let module I = Bisram_faults.Injection in
+      let org = small () in
+      let rng = Random.State.make [| 0x5BA7; seed |] in
+      let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+      let rows = Org.total_rows org and cols = Org.cols org in
+      let spare = Org.rows org and bpc = org.Org.bpc in
+      let words = org.Org.words in
+      let open_row = int rows and open_col = int bpc in
+      let faults =
+        I.inject rng ~rows ~cols ~mix:I.default_mix ~n
+        @ List.init org.Org.bpw (fun b ->
+              F.Stuck_open (cell open_row ((b * bpc) + open_col)))
+        @
+        if flip () then
+          let reg = cell (int spare) (int cols)
+          and spr = cell (spare + int org.Org.spares) (int cols) in
+          let aggressor, victim = if flip () then (reg, spr) else (spr, reg) in
+          [ F.State_coupling
+              { aggressor; when_state = flip (); victim; reads_as = flip () } ]
+        else []
+      in
+      let remap =
+        let pairs =
+          List.init (int 3) (fun _ -> (int spare, spare + int org.Org.spares))
+        in
+        if pairs = [] then None
+        else
+          Some
+            (fun row ->
+              match List.assoc_opt row pairs with Some s -> s | None -> row)
+      in
+      let bg = if flip () then 0 else int 256 in
+      let n_ops = 1 + int 4 in
+      let is_write = Array.init n_ops (fun _ -> flip ()) in
+      let op_word =
+        Array.init n_ops (fun _ -> if flip () then bg else bg lxor 0xFF)
+      in
+      let up = flip () in
+      let first = int words in
+      let count = int ((if up then words - first else first + 1) + 1) in
+      let fill = if flip () then bg else bg lxor 0xFF in
+      let filled = Array.init spare (fun _ -> flip ()) in
+      let scribbles = List.init (int 6) (fun _ -> (int words, int 256)) in
+      let build () =
+        let m = Model.create org in
+        Model.set_faults m faults;
+        Model.set_remap m remap;
+        (* rows left unfilled stay power-up zeros and not yet dirty *)
+        for a = 0 to words - 1 do
+          if filled.(a / bpc) then Model.write_int m a fill
+        done;
+        List.iter (fun (a, v) -> Model.write_int m a v) scribbles;
+        m
+      in
+      let per_op m ~from =
+        let log = ref [] in
+        for i = from to count - 1 do
+          let a = if up then first + i else first - i in
+          Array.iteri
+            (fun j w ->
+              if is_write.(j) then Model.write_int m a w
+              else
+                let got = Model.read_int m a in
+                if got <> w then log := (a, j, got) :: !log)
+            op_word
+        done;
+        List.rev !log
+      in
+      let observe m =
+        let st = Model.stats m in
+        let residue = Model.read_row_word m ~row:open_row ~col:open_col in
+        let array =
+          List.init rows (fun row ->
+              List.init bpc (fun col -> Model.read_row_word m ~row ~col))
+        in
+        Model.clear m;
+        (st, residue, array, (Model.stats m).Model.s_rows_cleared)
+      in
+      let m_span = build () in
+      let k =
+        Model.march_span m_span ~up ~first ~count ~is_write ~op_word
+      in
+      let log_span = per_op m_span ~from:k in
+      let m_ref = build () in
+      let log_ref = per_op m_ref ~from:0 in
+      let off = build () in
+      Model.set_fast_path off false;
+      let steered = build () in
+      Model.set_col_remap steered (Some Fun.id);
+      let zero m = Model.march_span m ~up ~first ~count ~is_write ~op_word = 0 in
+      k >= 0 && k <= count && log_span = log_ref
+      && observe m_span = observe m_ref
+      && zero off && zero steered)
+
+(* On a fault-free array the span runs the whole element: a fresh
+   array reads as zeros, so u(r0,w1) completes every address and a
+   repeat stops at once on the first address (it now holds ones). *)
+let test_march_span_clean_array () =
+  let org = small () in
+  let m = Model.create org in
+  let span up first =
+    Model.march_span m ~up ~first ~count:org.Org.words
+      ~is_write:[| false; true |] ~op_word:[| 0; 0xFF |]
+  in
+  Alcotest.(check int) "whole element" org.Org.words (span true 0);
+  Alcotest.(check int) "stops on a mismatch" 0 (span false (org.Org.words - 1));
+  let st = Model.stats m in
+  Alcotest.(check (list int)) "counters" [ 64; 64; 64; 64 ]
+    [ st.Model.s_reads; st.Model.s_fast_reads; st.Model.s_writes
+    ; st.Model.s_fast_writes ];
+  Alcotest.check word "stored" (Word.ones 8) (Model.read_word m 17)
+
 let test_clear_touches_only_dirty_rows () =
   (* behavioural check of the dirty-row invariant: after clear,
      every cell reads zero again regardless of what was written,
@@ -664,6 +791,9 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy
         ; Alcotest.test_case "int API guards" `Quick test_int_api_guards
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy_remap
+        ; Alcotest.test_case "march span on a clean array" `Quick
+            test_march_span_clean_array
+        ; QCheck_alcotest.to_alcotest prop_march_span_equals_per_op
         ; Alcotest.test_case "stuck-open leaves clean reads fast" `Quick
             test_stuck_open_fast_read
         ; Alcotest.test_case "clear covers dirty rows" `Quick
