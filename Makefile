@@ -1,4 +1,4 @@
-.PHONY: all build test campaign-smoke campaign-determinism estimator-smoke bench-json bench-smoke bench-check bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact ci clean
+.PHONY: all build test campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact ci clean
 
 all: build
 
@@ -88,38 +88,6 @@ estimator-smoke: build
 	  .ci-est-is2.json
 	@echo "estimator-smoke: OK"
 
-# Machine-readable perf trajectory: campaign throughput at several
-# --jobs levels plus fast-vs-legacy kernel microbenchmarks, written to
-# the repo root so subsequent changes have a baseline to regress
-# against (see EXPERIMENTS.md for the interpretation).
-bench-json: build
-	dune exec bench/bench_json.exe -- -o BENCH_campaign.json
-
-# Wiring check for the bench harness itself: tiny trial/rep counts, a
-# throwaway output file (its numbers are noise by design — bench-json
-# is the one that regenerates the committed baseline).
-bench-smoke: build
-	dune exec bench/bench_json.exe -- --smoke -o .ci-bench-smoke.json
-	rm -f .ci-bench-smoke.json
-	@echo "bench-smoke: OK"
-
-# Perf regression gate: a fresh --quick bench run (campaign + lanes
-# sections only) against the committed baseline, failing when
-# trials_per_sec dropped beyond the noise tolerance.  `make ci` runs
-# it through bench-check-advisory — warn-only — because CI boxes
-# (especially 1-core containers) are too noisy to hard-fail on wall
-# clock; run the strict form manually on a quiet machine.
-BENCH_CHECK_FLAGS ?=
-bench-check: build
-	dune exec bench/bench_json.exe -- --quick -o .ci-bench-fresh.json
-	dune exec bench/bench_check.exe -- --baseline BENCH_campaign.json \
-	  --fresh .ci-bench-fresh.json $(BENCH_CHECK_FLAGS)
-	rm -f .ci-bench-fresh.json
-	@echo "bench-check: OK"
-
-bench-check-advisory:
-	$(MAKE) bench-check BENCH_CHECK_FLAGS=--advisory
-
 # Telemetry wiring check: a tiny instrumented campaign must produce a
 # well-formed Chrome trace and metrics file with the always-present
 # keys (trial spans, campaign/model/pool counters, cycle histogram).
@@ -158,25 +126,6 @@ events-smoke: build
 	rm -f .ci-events.jsonl .ci-status.json .ci-events-on.json \
 	  .ci-events-off.json .ci-events2.jsonl .ci-events-unwritable.json
 	@echo "events-smoke: OK"
-
-# Bench trajectory page: render BENCH_history.jsonl to a static HTML
-# trend page (advisory against the committed baseline — same noise
-# rationale as bench-check-advisory), then prove the --check gate has
-# teeth by rendering a synthetic history whose latest campaign
-# throughput is floored to 1 trial/s: that run must exit non-zero.
-bench-page: build
-	dune exec bench/bench_page.exe -- --history BENCH_history.jsonl \
-	  --baseline BENCH_campaign.json -o .ci-bench-page.html \
-	  --check --advisory
-	sed 's/"campaign_trials_per_sec_jobs1":[0-9.eE+-]*/"campaign_trials_per_sec_jobs1":1.0/' \
-	  BENCH_history.jsonl > .ci-bench-history-regressed.jsonl
-	! dune exec bench/bench_page.exe -- \
-	  --history .ci-bench-history-regressed.jsonl \
-	  --baseline BENCH_campaign.json -o .ci-bench-page-regressed.html \
-	  --check
-	rm -f .ci-bench-page.html .ci-bench-page-regressed.html \
-	  .ci-bench-history-regressed.jsonl
-	@echo "bench-page: OK"
 
 # Explore determinism + cache gate: the tiny example sweep must produce
 # byte-identical reports sequentially and in parallel, and a second run
@@ -284,12 +233,26 @@ resume-determinism: build
 # one seed and different lengths must be correct and report every
 # *.exact work counter (model ops, controller cycles, repair rounds,
 # minor words per trial, ...) bit for bit identically, at the default
-# seed and at the held-out seed 1999.
+# seed and at the held-out seed 1999.  The counters must also equal the
+# pins in test/perfbench_exact.txt, with zero tolerance (minor words
+# depend on the compiler, so the pins hold for the toolchain that wrote
+# them).  A deliberate change in work is re-pinned, with a CHANGES.md
+# note, by copying the failed run's counters over the pins:
+#   cp .ci-perfbench-exact.txt test/perfbench_exact.txt
 perfbench-exact: build
-	bash perfbench/exact_test.sh
-	bash perfbench/exact_test.sh 1999
+	rm -f .ci-perfbench-exact.txt
+	for s in 7 1999; do \
+	  bash perfbench/exact_test.sh $$s || exit 1; \
+	  for w in campaign-p3 campaign-rare campaign-2d explore-cold; do \
+	    sed "s/^/$$s $$w /" perfbench/_work/exact-$$w-1.txt \
+	      >> .ci-perfbench-exact.txt || exit 1; \
+	  done; \
+	done
+	cmp .ci-perfbench-exact.txt test/perfbench_exact.txt
+	rm -f .ci-perfbench-exact.txt
+	@echo "perfbench-exact: OK"
 
-ci: build test campaign-smoke campaign-determinism estimator-smoke bench-smoke bench-check-advisory trace-smoke events-smoke bench-page explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact
+ci: build test campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact
 	@echo "ci: OK"
 
 clean:

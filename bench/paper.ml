@@ -1,6 +1,7 @@
-(* The experiment harness: regenerates every table and figure of the
-   paper's evaluation, then runs Bechamel micro-benchmarks of the core
-   kernels.  See EXPERIMENTS.md for the paper-vs-measured record. *)
+(* The paper reproduction: regenerates every table and figure of the
+   paper's evaluation.  Its stdout is deterministic and pinned as
+   test/golden_paper.txt; see EXPERIMENTS.md for the paper-vs-measured
+   record. *)
 
 module Org = Bisram_sram.Org
 module Word = Bisram_sram.Word
@@ -17,7 +18,6 @@ module Controller = Bisram_bist.Controller
 module Coverage = Bisram_bist.Coverage
 module Tlb_timing = Bisram_bisr.Tlb_timing
 module Repair = Bisram_bisr.Repair
-module Stapper = Bisram_yield.Stapper
 module Repairable = Bisram_yield.Repairable
 module Rel = Bisram_rel.Reliability
 module Chips = Bisram_cost.Chips
@@ -25,7 +25,6 @@ module Mpr = Bisram_cost.Mpr
 module Config = Bisram_core.Config
 module Compiler = Bisram_core.Compiler
 module Floorplan = Bisram_pr.Floorplan
-module Placer = Bisram_pr.Placer
 module Pr = Bisram_tech.Process
 
 let section title =
@@ -139,7 +138,8 @@ let fig4_flow_validation () =
   let rng = Random.State.make [| 1999; 7 |] in
   let backgrounds = Datagen.required_backgrounds ~bpw:4 in
   let trials = 60 in
-  Printf.printf "%6s  %10s  %10s\n" "n" "analytic" "simulated";
+  Printf.printf "%6s  %10s  %10s  %16s\n" "n" "analytic" "simulated"
+    "95% Wilson CI";
   List.iter
     (fun n ->
       let analytic = Repairable.yield g ~mean_defects:n ~alpha in
@@ -170,8 +170,10 @@ let fig4_flow_validation () =
           | Repair.Repair_unsuccessful _, _ -> ()
         end
       done;
-      Printf.printf "%6.1f  %10.4f  %10.4f\n" n analytic
-        (float_of_int !good /. float_of_int trials))
+      let k = float_of_int !good and n_trials = float_of_int trials in
+      let ci = Bisram_campaign.Estimator.wilson ~k ~n:n_trials () in
+      Printf.printf "%6.1f  %10.4f  %10.4f  [%.4f, %.4f]\n" n analytic
+        (k /. n_trials) ci.lo ci.hi)
     [ 1.0; 3.0; 6.0 ];
   Printf.printf "(%d Monte-Carlo RAMs per point; simulated flow includes\n"
     trials;
@@ -755,73 +757,6 @@ let critical_area () =
   | None -> Printf.printf "rails never short\n")
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks *)
-
-let microbenchmarks () =
-  section "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  (* kernels *)
-  let org = Org.make ~words:1024 ~bpw:4 ~bpc:4 ~spares:4 () in
-  let bgs = Datagen.required_backgrounds ~bpw:4 in
-  let model = Model.create org in
-  let tlb = Bisram_bisr.Tlb.create ~spares:4 ~regular_rows:(Org.rows org) in
-  ignore (Bisram_bisr.Tlb.record tlb ~row:17);
-  ignore (Bisram_bisr.Tlb.record tlb ~row:42);
-  let g4 = fig4_geometry 4 in
-  let ctl = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs in
-  let pla = Controller.to_pla ctl in
-  let pla_inputs = Array.make (Trpla.n_inputs pla) false in
-  let blocks =
-    List.mapi
-      (fun i (w, h) ->
-        Bisram_pr.Block.make ~name:(Printf.sprintf "b%d" i) ~w ~h [])
-      [ (400, 300); (80, 300); (480, 60); (100, 60); (120, 60); (90, 50) ]
-  in
-  let tests =
-    [ Test.make ~name:"tlb_lookup"
-        (Staged.stage (fun () -> Bisram_bisr.Tlb.remap tlb ~row:17))
-    ; Test.make ~name:"ifa9_4kb_array"
-        (Staged.stage (fun () ->
-             ignore (Engine.passes model Alg.ifa_9 ~backgrounds:bgs)))
-    ; Test.make ~name:"yield_eval"
-        (Staged.stage (fun () ->
-             ignore (Repairable.yield g4 ~mean_defects:10.0 ~alpha:2.0)))
-    ; Test.make ~name:"pla_eval"
-        (Staged.stage (fun () -> ignore (Trpla.eval pla pla_inputs)))
-    ; Test.make ~name:"placer_6_blocks"
-        (Staged.stage (fun () -> ignore (Placer.place blocks)))
-    ; Test.make ~name:"reliability_eval"
-        (Staged.stage (fun () ->
-             ignore
-               (Rel.reliability
-                  (Rel.of_org org ~lambda:1e-8)
-                  70_000.0)))
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances
-          (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ])
-      in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "%-24s %12.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-24s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Printf.printf "BISRAMGEN experiment harness\n";
@@ -847,5 +782,4 @@ let () =
   campaign_scenario ();
   transparent_bist ();
   critical_area ();
-  microbenchmarks ();
   Printf.printf "\nAll experiments complete.\n"

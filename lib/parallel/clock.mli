@@ -1,6 +1,6 @@
 (** Monotonic time, immune to wall-clock jumps (NTP steps, DST,
     manual resets).  Backed by [CLOCK_MONOTONIC] via the
-    bechamel.monotonic_clock stub already used by the benchmarks.
+    bechamel.monotonic_clock stub.
 
     Chaos seam: when {!Bisram_chaos.Chaos} is armed with a clock skew,
     both readings are shifted by that constant — still monotonic, but

@@ -5,12 +5,11 @@
    functions of work items; only the ts/tid/seq envelope is
    scheduling-shaped), the invariant that reports stay byte-identical
    with events and progress reporting enabled at any jobs x lanes
-   combination, and the hardened BENCH_history reader/appender. *)
+   combination. *)
 
 module Obs = Bisram_obs.Obs
 module Export = Bisram_obs.Export
 module Progress = Bisram_obs.Progress
-module History = Bisram_obs.History
 module Json = Bisram_obs.Json
 module C = Bisram_campaign.Campaign
 module Chaos = Bisram_chaos.Chaos
@@ -34,11 +33,6 @@ let temp_path suffix =
   let p = Filename.temp_file "bisram-test-events" suffix in
   Sys.remove p;
   p
-
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
 
 let cleanup path = try Sys.remove path with Sys_error _ -> ()
 
@@ -241,73 +235,6 @@ let test_report_identity_with_observability () =
     [ (1, 1); (1, 62); (4, 1); (4, 62) ]
 
 (* ------------------------------------------------------------------ *)
-(* hardened history file *)
-
-let test_history_missing_reads_empty () =
-  let p = temp_path ".jsonl" in
-  let records, warnings = History.read ~path:p in
-  Alcotest.(check int) "no records" 0 (List.length records);
-  Alcotest.(check int) "no warnings" 0 (List.length warnings)
-
-let test_history_skips_malformed () =
-  let p = temp_path ".jsonl" in
-  write_file p
-    ("{\"schema\":\"bisram-bench-history/1\",\"utc\":\"A\",\"bench_schema\":\"s\"}\n"
-   ^ "<<<<<<< conflict marker\n" ^ "\n"
-   ^ "{\"schema\":\"bisram-bench-history/1\",\"utc\":\"B\"\n"
-   ^ "{\"schema\":\"bisram-bench-history/1\",\"utc\":\"C\",\"bench_schema\":\"s\"}\n"
-    );
-  let records, warnings = History.read ~path:p in
-  cleanup p;
-  Alcotest.(check int) "two well-formed records survive" 2
-    (List.length records);
-  Alcotest.(check int) "one warning per damaged line" 2
-    (List.length warnings);
-  List.iter
-    (fun w ->
-      Alcotest.(check bool) "warning names the file and says skipping" true
-        (String.length w > 0
-        && String.equal (String.sub w 0 (String.length p)) p))
-    warnings
-
-let record ~utc ~tps =
-  Json.Obj
-    [ ("schema", Json.String "bisram-bench-history/1")
-    ; ("utc", Json.String utc)
-    ; ("bench_schema", Json.String "bisram-bench/7")
-    ; ("campaign_trials_per_sec_jobs1", Json.Float tps)
-    ]
-
-let test_history_append_dedups () =
-  let p = temp_path ".jsonl" in
-  let st1, _ = History.append ~path:p (record ~utc:"2026-01-01T00:00:00Z" ~tps:100.0) in
-  Alcotest.(check bool) "first append lands" true (st1 = `Appended);
-  (* same (utc, bench_schema) identity, different payload: a re-run
-     bench must not double the line *)
-  let st2, _ = History.append ~path:p (record ~utc:"2026-01-01T00:00:00Z" ~tps:999.0) in
-  Alcotest.(check bool) "identical identity deduped" true (st2 = `Duplicate);
-  let st3, _ = History.append ~path:p (record ~utc:"2026-01-02T00:00:00Z" ~tps:101.0) in
-  Alcotest.(check bool) "new identity appends" true (st3 = `Appended);
-  let records, warnings = History.read ~path:p in
-  cleanup p;
-  Alcotest.(check int) "two records on disk" 2 (List.length records);
-  Alcotest.(check int) "no warnings" 0 (List.length warnings)
-
-let test_history_append_survives_damage () =
-  (* damaged lines in the existing file are warned about but never
-     block a fresh append *)
-  let p = temp_path ".jsonl" in
-  write_file p "garbage line\n";
-  let st, warnings =
-    History.append ~path:p (record ~utc:"2026-03-01T00:00:00Z" ~tps:50.0)
-  in
-  let records, _ = History.read ~path:p in
-  cleanup p;
-  Alcotest.(check bool) "append lands past the damage" true (st = `Appended);
-  Alcotest.(check int) "scan warned about the damage" 1 (List.length warnings);
-  Alcotest.(check int) "the appended record reads back" 1 (List.length records)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "events"
@@ -328,15 +255,5 @@ let () =
             test_campaign_events_jobs_invariant
         ; Alcotest.test_case "report bytes with observability on" `Quick
             test_report_identity_with_observability
-        ] )
-    ; ( "history"
-      , [ Alcotest.test_case "missing file reads empty" `Quick
-            test_history_missing_reads_empty
-        ; Alcotest.test_case "malformed lines skipped with warnings" `Quick
-            test_history_skips_malformed
-        ; Alcotest.test_case "append dedups on (utc, schema)" `Quick
-            test_history_append_dedups
-        ; Alcotest.test_case "append survives damaged lines" `Quick
-            test_history_append_survives_damage
         ] )
     ]
