@@ -1,4 +1,4 @@
-.PHONY: all build test campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact ci clean
+.PHONY: all build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact ci clean
 
 all: build
 
@@ -7,6 +7,18 @@ build:
 
 test: build
 	dune runtest
+
+# Hot-path lint: the model, march engine, controller, TLB and escape
+# sweep run per word op, so they must not call polymorphic min/max/
+# compare (a compare_val per call) or the polymorphic Hashtbl (a
+# caml_hash per call).  The lint parses the files, so comments and
+# strings never match; Int.min, Int.compare etc. pass.
+HOT_PATH = lib/sram/model.ml lib/bist/engine.ml lib/bist/controller.ml \
+  lib/bisr/tlb.ml lib/campaign/sweep.ml
+
+hot-path-lint: build
+	dune exec bench/hot_path_lint.exe -- $(HOT_PATH)
+	@echo "hot-path-lint: OK"
 
 # Short randomized campaign as a CI gate: the stuck-at mix is fully
 # covered by IFA-9, so any escape or oracle divergence is a regression
@@ -252,7 +264,7 @@ perfbench-exact: build
 	rm -f .ci-perfbench-exact.txt
 	@echo "perfbench-exact: OK"
 
-ci: build test campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact
+ci: build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact
 	@echo "ci: OK"
 
 clean:

@@ -91,11 +91,12 @@ let check_metrics path =
     | Some _ -> fail "counter %S is not an integer" name
     | None -> fail "metrics lack counter %S" name
   in
-  (* always present in any campaign run: trials always tick, the model
-     always serves reads, and worker 0 (the calling domain) always
-     reports pool utilization *)
+  (* always present in any campaign run: trials always tick, every
+     model flushes its access-regime counters (zero or not), and worker
+     0 (the calling domain) always reports pool utilization *)
   require_counter "campaign.trials";
   require_counter "model.fast_reads";
+  require_counter "model.armed_packed_ops";
   require_counter "pool.worker0.busy_ns";
   (match J.member "campaign.cycles" histograms with
   | Some (J.Obj _) -> ()

@@ -37,7 +37,7 @@ type port = {
   p_read : int -> int;
   p_write : int -> int -> unit;
   p_wait : unit -> unit;
-  p_model : Model.t option; (* clean-row spans ({!Model.march_span}) *)
+  p_model : Model.t option; (* unarmed-slot spans ({!Model.march_span}) *)
 }
 
 let port_of_model model =
@@ -187,13 +187,13 @@ let passes model test ~backgrounds =
   run_general (port_of_model model) test ~backgrounds ~stop_at_first:true = []
 
 let failing_rows org failures =
-  let seen = Hashtbl.create 16 in
+  let seen = Bytes.make (Org.total_rows org) '\000' in
   List.filter_map
     (fun f ->
       let row = Org.row_of_addr org f.addr in
-      if Hashtbl.mem seen row then None
+      if Bytes.get seen row <> '\000' then None
       else begin
-        Hashtbl.add seen row ();
+        Bytes.set seen row '\001';
         Some row
       end)
     failures

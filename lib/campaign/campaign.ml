@@ -170,14 +170,16 @@ type verdicts = {
 (* Flush the per-model access-regime counters into the telemetry
    registry; summed over the models of a trial's sides (and over trials
    by the registry merge), they give the campaign-wide fast/legacy hit
-   ratios.  Deterministic values, so the merged counters are identical
-   at every job count. *)
+   ratios.  "Legacy" is every op on a fault-armed row; the packed store
+   served [armed_packed_ops] of them.  Deterministic values, so the
+   merged counters are identical at every job count. *)
 let flush_model_stats m =
   let s = Model.stats m in
   Obs.add "model.reads" s.Model.s_reads;
   Obs.add "model.writes" s.Model.s_writes;
   Obs.add "model.fast_reads" s.Model.s_fast_reads;
   Obs.add "model.fast_writes" s.Model.s_fast_writes;
+  Obs.add "model.armed_packed_ops" s.Model.s_armed_packed;
   Obs.add "model.legacy_reads" (s.Model.s_reads - s.Model.s_fast_reads);
   Obs.add "model.legacy_writes" (s.Model.s_writes - s.Model.s_fast_writes);
   Obs.add "model.rows_migrated" s.Model.s_rows_migrated;

@@ -23,10 +23,11 @@ type t = {
   col_bit : int array;
   (* Packed fast-path store: one int per (row, col-mux) word, bit [b]
      of slot [row * bpc + col] = cell (row, b*bpc + col).  Authoritative
-     for every row without armed fault machinery while [fast] is on. *)
+     for every unarmed slot (one whose [rmask lor wmask] is zero) while
+     [fast] is on. *)
   packed : int array;
-  (* Legacy byte-per-cell store: authoritative for fault-armed rows
-     (and for every row when [fast] is off). *)
+  (* Legacy byte-per-cell store: authoritative for armed slots and the
+     spare columns (and for every cell when [fast] is off). *)
   cells : Bytes.t;
   mutable fault_list : F.t list;
   (* Per-cell fault flags, one byte per physical cell (the [f_*] bits
@@ -41,8 +42,9 @@ type t = {
      [set_faults]: bit [b] of [rmask] marks an I/O whose read needs the
      per-cell machinery (stuck-open cell or state-coupling victim), bit
      [b] of [wmask] one whose write does (stuck-open, stuck-at,
-     transition or coupling aggressor).  Every other bit of a
-     fault-armed row is a plain byte-store load or store. *)
+     transition or coupling aggressor).  A slot with either mask
+     non-zero is armed and lives in the byte store, where every other
+     bit is a plain load or store. *)
   rmask : int array;
   wmask : int array;
   (* Per-I/O sense-amp residue, packed: bit [io] is the last value
@@ -57,18 +59,23 @@ type t = {
   mutable col_remap : (int -> int) option;
   mutable n_reads : int;
   mutable n_writes : int;
-  (* Access-regime telemetry: how many of the reads/writes took the
-     packed fast path, plus the row traffic of [set_fast_path]
-     migrations and [clear].  Plain unconditional increments adjacent
-     to the ones above — cheaper than any enabled-check would be. *)
+  (* Access-regime telemetry: how many of the reads/writes the packed
+     store served on rows without armed machinery ([n_fast_*]) and on
+     fault-armed rows ([n_armed_packed]), plus the row traffic of
+     [set_fast_path] migrations and [clear].  Plain unconditional
+     increments adjacent to the ones above — cheaper than any
+     enabled-check would be. *)
   mutable n_fast_reads : int;
   mutable n_fast_writes : int;
+  mutable n_armed_packed : int;
   mutable n_rows_migrated : int;
   mutable n_rows_cleared : int;
   (* Fast-path bookkeeping.  [row_fault] marks every row on which any
      fault machinery is armed (fault site, coupling aggressor or
-     victim); [row_written] marks rows whose data may differ from the
-     power-up zeros.  [nfaults] is the armed total, so the all-clean
+     victim): [clear] always wipes both of its stores, and [n_fast_*]
+     skip its ops even where its unarmed slots serve them packed.
+     [row_written] marks rows whose data may differ from the power-up
+     zeros.  [nfaults] is the armed total, so the all-clean
      test is a single integer compare. *)
   mutable nfaults : int;
   row_fault : Bytes.t;
@@ -154,6 +161,7 @@ let create org =
   ; n_writes = 0
   ; n_fast_reads = 0
   ; n_fast_writes = 0
+  ; n_armed_packed = 0
   ; n_rows_migrated = 0
   ; n_rows_cleared = 0
   ; nfaults = 0
@@ -183,30 +191,38 @@ let row_is_faulty t row = Bytes.unsafe_get t.row_fault row <> '\000'
 let mark_row_fault t row = Bytes.unsafe_set t.row_fault row '\001'
 let mark_row_written t row = Bytes.unsafe_set t.row_written row '\001'
 
-(* A cell's data lives in [packed] iff its row is in the fast regime.
-   Rows change regime only inside [set_faults] (whose trailing [clear]
-   wipes both stores back to power-up zeros) and [set_fast_path] (which
-   migrates the data), so the two stores never disagree. *)
-let row_in_packed t row = t.fast && not (row_is_faulty t row)
+(* A slot is armed when any of its bits needs the per-cell machinery;
+   only armed slots leave the packed store.  Masks are non-zero only on
+   fault-armed rows, so an unarmed row's slots are never armed. *)
+let slot_armed t slot =
+  Array.unsafe_get t.rmask slot lor Array.unsafe_get t.wmask slot <> 0
+
+(* A regular cell's data lives in [packed] iff its slot is unarmed and
+   the fast path is on (with no fault armed, no slot is).  Slots change
+   regime only inside [set_faults] (whose trailing [clear] wipes both
+   stores of every old and new armed row back to power-up zeros) and
+   [set_fast_path] (which migrates the data), so the two stores never
+   disagree. *)
+let fast_slot t slot = t.fast && (t.nfaults = 0 || not (slot_armed t slot))
 
 (* Cell-granular access used by the legacy fault machinery.  Regime
-   aware: a State_coupling victim re-reads its aggressor's stored
-   state, and the aggressor may sit on a clean (packed) row. *)
+   aware: a coupling victim, a retention cell or a State_coupling
+   aggressor may sit on an unarmed (packed) slot. *)
 let stored t i =
   let row = t.cell_row.(i) in
   let c = i - (row * t.tcols) in
-  if c < t.cols && row_in_packed t row then
-    let bit = Array.unsafe_get t.col_bit c in
-    let mux = c - (bit * t.bpc) in
-    (Array.unsafe_get t.packed ((row * t.bpc) + mux) lsr bit) land 1 = 1
+  let bit = if c < t.cols then Array.unsafe_get t.col_bit c else 0 in
+  let slot = (row * t.bpc) + c - (bit * t.bpc) in
+  if c < t.cols && fast_slot t slot then
+    (Array.unsafe_get t.packed slot lsr bit) land 1 = 1
   else Bytes.unsafe_get t.cells i <> '\000'
 
 let store t i v =
   let row = t.cell_row.(i) in
   let c = i - (row * t.tcols) in
-  if c < t.cols && row_in_packed t row then begin
-    let bit = Array.unsafe_get t.col_bit c in
-    let slot = (row * t.bpc) + c - (bit * t.bpc) in
+  let bit = if c < t.cols then Array.unsafe_get t.col_bit c else 0 in
+  let slot = (row * t.bpc) + c - (bit * t.bpc) in
+  if c < t.cols && fast_slot t slot then begin
     let cur = Array.unsafe_get t.packed slot in
     Array.unsafe_set t.packed slot
       (if v then cur lor (1 lsl bit) else cur land lnot (1 lsl bit))
@@ -215,16 +231,17 @@ let store t i v =
 
 let set_fast_path t on =
   if on <> t.fast then begin
-    (* migrate every clean row between the two stores so the regime
-       switch is observationally silent (fault-armed rows already live
-       in the byte store on both sides) *)
+    (* migrate every unarmed slot between the two stores so the regime
+       switch is observationally silent (armed slots already live in
+       the byte store on both sides) *)
     for row = 0 to t.nrows - 1 do
-      if not (row_is_faulty t row) then begin
+      if not (row_is_faulty t row) then
         t.n_rows_migrated <- t.n_rows_migrated + 1;
-        (* only the regular [cols] grid migrates; spare-column cells
-           are byte-store residents in both regimes *)
-        for col = 0 to t.bpc - 1 do
-          let slot = (row * t.bpc) + col in
+      (* only the regular [cols] grid migrates; spare-column cells are
+         byte-store residents in both regimes *)
+      for col = 0 to t.bpc - 1 do
+        let slot = (row * t.bpc) + col in
+        if not (slot_armed t slot) then begin
           let base = (row * t.tcols) + col in
           if on then begin
             let v = ref 0 in
@@ -244,8 +261,8 @@ let set_fast_path t on =
             done;
             t.packed.(slot) <- 0
           end
-        done
-      end
+        end
+      done
     done;
     t.fast <- on
   end
@@ -423,25 +440,28 @@ let read_bit t ~io i =
 let physical_row t row =
   match t.remap with None -> row | Some f -> f row
 
-(* A word access is fast when the target row has no fault machinery
-   armed: no pins/transition/open faults to consult and no aggressor
-   effects to fire (aggressor rows are always marked).  Then it is one
-   packed array load or store.  On a fault-armed row only the bits of
-   the slot's fault mask go through [read_bit]/[write_bit] (every bit,
-   mask -1, with the fast path off); the others are plain byte-store
-   loads and stores.  Bits go I/O 0 first, which keeps the legacy order
-   of coupling side effects within a word.  Every read, on any path,
-   leaves the word it returns as the sense residue. *)
-let fast_row t row = t.fast && (t.nfaults = 0 || not (row_is_faulty t row))
+(* A word access is fast when its slot is unarmed ([fast_slot]): no
+   pin, transition or open fault to consult, no aggressor effect to fire
+   and no state-coupled read to resolve.  Then it is one packed array
+   load or store, whatever machinery sits elsewhere on its row (a
+   coupling victim or a retention cell only changes on another access
+   or a wait).  On an armed slot only the bits of the slot's fault mask
+   go through [read_bit]/[write_bit] (every bit, mask -1, with the fast
+   path off); the others are plain byte-store loads and stores.  Bits
+   go I/O 0 first, which keeps the legacy order of coupling side
+   effects within a word.  Every read, on any path, leaves the word it
+   returns as the sense residue. *)
 
 let write_at t ~row ~col v =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
   (match t.col_remap with
   | None ->
       let slot = (row * t.bpc) + col in
-      if fast_row t row then begin
+      if fast_slot t slot then begin
         Array.unsafe_set t.packed slot v;
-        t.n_fast_writes <- t.n_fast_writes + 1
+        (* [n_fast_*] count only rows with no armed machinery *)
+        if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
+        else t.n_fast_writes <- t.n_fast_writes + 1
       end
       else begin
         let m = if t.fast then Array.unsafe_get t.wmask slot else -1 in
@@ -469,8 +489,9 @@ let read_at t ~row ~col =
   match t.col_remap with
   | None ->
       let slot = (row * t.bpc) + col in
-      if fast_row t row then begin
-        t.n_fast_reads <- t.n_fast_reads + 1;
+      if fast_slot t slot then begin
+        if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
+        else t.n_fast_reads <- t.n_fast_reads + 1;
         let v = Array.unsafe_get t.packed slot in
         t.residue <- v;
         v
@@ -522,8 +543,9 @@ let write_int t a v =
   let row = Array.unsafe_get t.addr_row a in
   write_at t ~row:(physical_row t row) ~col:(a - (row * t.bpc)) v
 
-(* One march element over a run of clean words.  On a packed row the
-   element's effect on a word is decided by the element alone: reads
+(* One march element over a run of unarmed slots, on clean and
+   fault-armed rows alike.  On such a slot the element's effect on a
+   word is decided by the element alone: reads
    before its first write compare the stored word against [pre] (all
    of them the same word, or the element mismatches everywhere), reads
    after a write compare against that write (decided here, [ok]), and
@@ -559,23 +581,25 @@ let march_span t ~up ~first ~count ~is_write ~op_word =
     let words = t.org.Org.words in
     let count =
       if first < 0 || first >= words then 0
-      else min count (if up then words - first else first + 1)
+      else Int.min count (if up then words - first else first + 1)
     in
-    let n = ref 0 and stop = ref (not !ok) in
+    let n = ref 0 and n_armed = ref 0 and stop = ref (not !ok) in
     while (not !stop) && !n < count do
       let a = first + (stride * !n) in
       let lrow = Array.unsafe_get t.addr_row a in
       let row = physical_row t lrow in
-      if row < 0 || row >= t.nrows || (t.nfaults > 0 && row_is_faulty t row)
-      then stop := true
+      if row < 0 || row >= t.nrows then stop := true
       else begin
-        (* the run's addresses on this logical row, one slot each *)
+        (* the run's addresses on this logical row, one slot each; on a
+           fault-armed row the run also stops at the first armed slot *)
+        let armed_row = t.nfaults > 0 && row_is_faulty t row in
         let edge = if up then (lrow * t.bpc) + t.bpc - 1 else lrow * t.bpc in
-        let len = min (count - !n) (abs (edge - a) + 1) in
+        let len = Int.min (count - !n) (Int.abs (edge - a) + 1) in
         let slot = (row * t.bpc) + a - (lrow * t.bpc) in
         let k = ref 0 in
         while
           !k < len
+          && ((not armed_row) || not (slot_armed t (slot + (stride * !k))))
           && (pre < 0
              || Array.unsafe_get t.packed (slot + (stride * !k)) = pre)
         do
@@ -584,16 +608,18 @@ let march_span t ~up ~first ~count ~is_write ~op_word =
           incr k
         done;
         if !k > 0 && final >= 0 then mark_row_written t row;
+        if armed_row then n_armed := !n_armed + !k;
         n := !n + !k;
         if !k < len then stop := true
       end
     done;
-    let n = !n and n_r = !n_r in
+    let n = !n and n_armed = !n_armed and n_r = !n_r in
     let n_w = n_ops - n_r in
     t.n_reads <- t.n_reads + (n * n_r);
-    t.n_fast_reads <- t.n_fast_reads + (n * n_r);
+    t.n_fast_reads <- t.n_fast_reads + ((n - n_armed) * n_r);
     t.n_writes <- t.n_writes + (n * n_w);
-    t.n_fast_writes <- t.n_fast_writes + (n * n_w);
+    t.n_fast_writes <- t.n_fast_writes + ((n - n_armed) * n_w);
+    t.n_armed_packed <- t.n_armed_packed + (n_armed * n_ops);
     if n > 0 && n_r > 0 then t.residue <- !last_read;
     n
   end
@@ -634,6 +660,7 @@ type stats = {
   s_writes : int;
   s_fast_reads : int;
   s_fast_writes : int;
+  s_armed_packed : int;
   s_rows_migrated : int;
   s_rows_cleared : int;
 }
@@ -643,6 +670,7 @@ let stats t =
   ; s_writes = t.n_writes
   ; s_fast_reads = t.n_fast_reads
   ; s_fast_writes = t.n_fast_writes
+  ; s_armed_packed = t.n_armed_packed
   ; s_rows_migrated = t.n_rows_migrated
   ; s_rows_cleared = t.n_rows_cleared
   }

@@ -5,25 +5,25 @@
     optional row remap installed by the BISR logic, and a retention
     "wait" operation for IFA-9 data-retention testing.
 
-    Storage is split by regime.  Rows with no armed fault machinery
-    live in a packed store — one native int per (row, column-mux)
-    word — so a clean-row access is a single array load/store of
-    {!Word.to_int}/{!Word.of_int}, whatever faults sit on other rows.
-    Fault-armed rows live in a legacy byte-per-cell store driven by the
-    per-cell fault machinery.  A row changes regime only inside
+    Storage is split by regime, one (row, column-mux) word slot at a
+    time.  {!set_faults} leaves per-slot read and write fault-bit
+    masks: a bit marks an I/O whose cell carries read-side (stuck-open,
+    state-coupling victim) or write-side (stuck-open, stuck-at,
+    transition, coupling aggressor) machinery.  A slot with either mask
+    non-zero is armed and lives in a legacy byte-per-cell store, where
+    only the masked bits take the per-cell path and the others are
+    plain loads and stores.  Every other slot — on a clean row or next
+    to an armed one, including coupling victims, retention cells and
+    state-coupling aggressors — lives in a packed store, one native int
+    per slot, so its access is a single array load/store of
+    {!Word.to_int}/{!Word.of_int}.  A slot changes regime only inside
     {!set_faults} (whose trailing {!clear} restores power-up zeros in
-    both stores) and {!set_fast_path} (which migrates the data), so the
-    stores never disagree.  The sense residue is packed too, one bit
-    per I/O: a clean-row read sets it to the word read, exactly what
-    the per-bit path would leave, so a stuck-open cell elsewhere in
-    the array does not slow clean reads down.
-
-    On a fault-armed row, {!set_faults} leaves per-word read and write
-    fault-bit masks: only the I/Os whose cell carries read-side
-    (stuck-open, state-coupling victim) or write-side (stuck-open,
-    stuck-at, transition, coupling aggressor) machinery take the
-    per-cell path; the other bits are plain byte-store loads and
-    stores.  Address and cell decoding go through per-model tables, so
+    both stores of every armed or dirty row) and {!set_fast_path}
+    (which migrates the data), so the stores never disagree.  The
+    sense residue is packed too, one bit per I/O: a packed read sets
+    it to the word read, exactly what the per-bit path would leave, so
+    a stuck-open cell elsewhere in the array does not slow other reads
+    down.  Address and cell decoding go through per-model tables, so
     no access divides. *)
 
 type t
@@ -55,10 +55,10 @@ val set_remap : t -> (int -> int) option -> unit
 val set_col_remap : t -> (int -> int) option -> unit
 
 (** Word access through the addressing logic (column mux + remap).
-    A read of a row with no armed fault machinery (and no column map)
-    is one packed load, and it leaves that word as the sense residue;
-    a read of a fault-armed row resolves bit by bit, I/O 0 first, and
-    a stuck-open cell returns its I/O's residue.
+    A read of an unarmed slot (with no column map) is one packed load,
+    and it leaves that word as the sense residue; a read of an armed
+    slot resolves bit by bit, I/O 0 first, and a stuck-open cell
+    returns its I/O's residue.
     @raise Invalid_argument if the address is out of range or the word
     width mismatches. *)
 val read_word : t -> int -> Word.t
@@ -80,9 +80,11 @@ val write_int : t -> int -> int -> unit
     reads and compares against it — to up to [count] consecutive
     addresses from [first], ascending if [up], and returns how many
     addresses it completed.  The run stops before the first address
-    whose physical row (through the remap) is out of range or
-    fault-armed, or on which a read would mismatch; that address is
-    left untouched for {!read_int}/{!write_int}.  The packed store,
+    whose physical row (through the remap) is out of range, whose slot
+    on that row is armed, or on which a read would mismatch; that
+    address is left untouched for {!read_int}/{!write_int}.  A
+    fault-armed row's unarmed slots are run through like a clean row's
+    (a row armed only by retention cells or coupling victims in full).  The packed store,
     the written-row marks, the sense residue and every {!stats}
     counter end exactly as the per-op accesses would leave them.
     Returns 0 while a column map is armed or the fast path is off.
@@ -113,15 +115,23 @@ val writes : t -> int
 type stats = {
   s_reads : int;  (** word reads (= {!reads}) *)
   s_writes : int;  (** word writes (= {!writes}) *)
-  s_fast_reads : int;  (** reads served by the packed fast path *)
-  s_fast_writes : int;  (** writes served by the packed fast path *)
+  s_fast_reads : int;
+      (** reads of rows with no armed fault machinery (all packed) *)
+  s_fast_writes : int;
+      (** writes to rows with no armed fault machinery (all packed) *)
+  s_armed_packed : int;
+      (** word ops on fault-armed rows that the packed store served
+          (their unarmed slots), spans included *)
   s_rows_migrated : int;
-      (** clean rows moved between stores by {!set_fast_path} *)
+      (** clean rows moved between stores by {!set_fast_path} (an armed
+          row's unarmed slots move too, uncounted) *)
   s_rows_cleared : int;  (** dirty rows zeroed by {!clear} *)
 }
 
-(** Access-regime counters since creation.  Legacy-path traffic is
-    [s_reads - s_fast_reads] / [s_writes - s_fast_writes].  These are
+(** Access-regime counters since creation.  [s_fast_*] keep meaning
+    "rows with no armed machinery", so traffic on fault-armed rows is
+    [s_reads - s_fast_reads] / [s_writes - s_fast_writes], of which
+    [s_armed_packed] ops were packed loads or stores.  These are
     plain per-model ints (no global telemetry involved); the campaign
     flushes them into the {!Bisram_obs.Obs} registry per trial. *)
 val stats : t -> stats

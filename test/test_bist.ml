@@ -13,6 +13,8 @@ module Org = Bisram_sram.Org
 module Word = Bisram_sram.Word
 module Model = Bisram_sram.Model
 module F = Bisram_faults.Fault
+module Repair = Bisram_bisr.Repair
+module Tlb = Bisram_bisr.Tlb
 
 let word = Alcotest.testable Word.pp Word.equal
 let cell r c = { F.row = r; F.col = c }
@@ -465,9 +467,9 @@ let prop_pla_path_matches_symbolic_random_march =
         let m = Model.create o in
         Model.set_faults m faults;
         let tlb =
-          Bisram_bisr.Tlb.create ~spares:o.Org.spares ~regular_rows:(Org.rows o)
+          Tlb.create ~spares:o.Org.spares ~regular_rows:(Org.rows o)
         in
-        let h = Bisram_bisr.Repair.hooks_of_tlb tlb m in
+        let h = Repair.hooks_of_tlb tlb m in
         let log = ref [] in
         let ops () = Model.reads m + Model.writes m in
         let hooks =
@@ -497,6 +499,111 @@ let prop_pla_path_matches_symbolic_random_march =
       && r1.Controller.cycles = r2.Controller.cycles
       && r1.Controller.faults_recorded = r2.Controller.faults_recorded
       && log1 = log2 && st1 = st2 && res1 = res2 && arr1 = arr2)
+
+(* Only armed word slots leave the packed store, so march spans and the
+   controller's fast-forward run through a faulty row's other words.
+   That must be invisible to both repair flows: the controller flow
+   ([Repair.run]) and the engine flows ([Repair.run_flows]) end the same
+   with the fast path on and off — outcomes, TLB rows, cycles, the
+   failures of an engine run through the installed remap, every physical
+   row (spares included), the sense residue (read back through a word of
+   stuck-open cells when one is armed) and the access counts.  Faults
+   sit in one or two rows: cross-row CFin/CFid onto victims nothing else
+   arms, a row armed by DRFs only, a state-coupling aggressor on an
+   unarmed slot, or faults in a spare row. *)
+let prop_flows_fast_equals_legacy =
+  QCheck.Test.make ~name:"repair flows: fast path = legacy path" ~count:250
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| 0x5107; seed |] in
+      let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+      let o = small () in
+      let spare = Org.rows o and bpc = o.Org.bpc in
+      let scenario = int 4 in
+      let ra = int spare in
+      let rb =
+        if scenario = 3 || flip () then spare + int o.Org.spares
+        else (ra + 1 + int (spare - 1)) mod spare
+      in
+      let c row = cell row (int (Org.cols o)) in
+      let any row =
+        match int 4 with
+        | 0 -> F.Stuck_at (c row, flip ())
+        | 1 -> F.Transition (c row, flip ())
+        | 2 -> F.Stuck_open (c row)
+        | _ -> F.Data_retention (c row, flip ())
+      in
+      let maybe f = if flip () then [ f () ] else [] in
+      let coupling () =
+        if flip () then F.Coupling_inversion { aggressor = c ra; victim = c rb }
+        else
+          F.Coupling_idempotent
+            { aggressor = c ra; rising = flip (); victim = c rb; forces = flip () }
+      in
+      let faults =
+        match scenario with
+        | 0 -> List.init (1 + int 2) (fun _ -> coupling ())
+        | 1 ->
+            List.init (1 + int 2) (fun _ -> F.Data_retention (c rb, flip ()))
+            @ maybe (fun () -> any ra)
+        | 2 ->
+            F.State_coupling
+              { aggressor = c rb; when_state = flip (); victim = c ra
+              ; reads_as = flip () }
+            :: maybe (fun () -> any ra)
+        | _ -> List.init (1 + int 3) (fun _ -> any rb) @ maybe coupling
+      in
+      let open_at =
+        if flip () then Some ((if scenario = 3 then rb else ra), int bpc)
+        else None
+      in
+      let faults =
+        match open_at with
+        | None -> faults
+        | Some (row, col) ->
+            faults
+            @ List.init o.Org.bpw (fun b -> F.Stuck_open (cell row ((b * bpc) + col)))
+      in
+      let march =
+        [| Alg.ifa_9; Alg.ifa_13; Alg.march_c_minus; Alg.mats_plus |].(int 4)
+      in
+      let model fast =
+        let m = Model.create o in
+        Model.set_fast_path m fast;
+        Model.set_faults m faults;
+        m
+      in
+      let observe m =
+        let residue =
+          Option.map (fun (row, col) -> Model.read_row_word m ~row ~col) open_at
+        in
+        let array =
+          List.init (Org.total_rows o) (fun row ->
+              List.init bpc (fun col -> Model.read_row_word m ~row ~col))
+        in
+        (residue, array, Model.reads m, Model.writes m)
+      in
+      let failures m =
+        let fs = Engine.run m march ~backgrounds:bgs8 in
+        (fs, Engine.failing_rows o fs)
+      in
+      let controller fast =
+        let m = model fast in
+        let outcome, r, tlb = Repair.run m march ~backgrounds:bgs8 in
+        let seen = observe m in
+        ( (outcome, r.Controller.cycles, r.Controller.faults_recorded)
+        , Tlb.mapped_rows tlb, seen, failures m, observe m )
+      in
+      let engine fast =
+        let m = model fast in
+        let f = Repair.run_flows m march ~backgrounds:bgs8 in
+        let it = f.Repair.iterated in
+        let seen = observe m in
+        ( (f.Repair.reference, it.Repair.i_outcome, it.Repair.i_rounds)
+        , (f.Repair.reference_rows, Tlb.mapped_rows it.Repair.i_tlb)
+        , seen, failures m, observe m )
+      in
+      controller true = controller false && engine true = engine false)
 
 (* The compiled controller keeps the datapath allocation-light: a
    fault-free IFA-9 run compares packed ints, so it allocates next to
@@ -735,6 +842,7 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_random_march_roundtrip
         ; QCheck_alcotest.to_alcotest prop_controller_matches_engine_random_march
         ; QCheck_alcotest.to_alcotest prop_pla_path_matches_symbolic_random_march
+        ; QCheck_alcotest.to_alcotest prop_flows_fast_equals_legacy
         ] )
     ; ( "coverage",
         [ Alcotest.test_case "IFA-9 exhaustive" `Slow

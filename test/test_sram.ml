@@ -731,6 +731,54 @@ let test_march_span_clean_array () =
     ; st.Model.s_fast_writes ];
   Alcotest.check word "stored" (Word.ones 8) (Model.read_word m 17)
 
+(* Only armed slots leave the packed store.  Machinery that arms no
+   slot (a retention cell, a coupling victim) leaves every word of its
+   row packed, so a span runs through all four; a stuck-at cell arms its
+   slot and the span stops exactly at that address; and a read of an
+   unarmed slot on an armed row is served packed, counted as an
+   armed-row packed op and not as a fast-path (clean-row) read. *)
+let test_march_span_armed_rows () =
+  let org = small () in
+  let bpc = org.Org.bpc and row = 3 in
+  let first = row * bpc in
+  let span faults ~first ~count =
+    let m = Model.create org in
+    Model.set_faults m faults;
+    let k =
+      Model.march_span m ~up:true ~first ~count ~is_write:[| false; true |]
+        ~op_word:[| 0; 0xFF |]
+    in
+    (m, k)
+  in
+  let _, k = span [ F.Data_retention (cell row 5, true) ] ~first ~count:bpc in
+  Alcotest.(check int) "DRF-only row: every slot" bpc k;
+  let m, k =
+    span
+      [ F.Coupling_inversion { aggressor = cell 9 2; victim = cell row 6 } ]
+      ~first ~count:bpc
+  in
+  Alcotest.(check int) "CFin-victim row: every slot" bpc k;
+  let st = Model.stats m in
+  Alcotest.(check (list int)) "armed-row span counters" [ 4; 4; 0; 0; 8 ]
+    [ st.Model.s_reads; st.Model.s_writes; st.Model.s_fast_reads
+    ; st.Model.s_fast_writes; st.Model.s_armed_packed ];
+  (* I/O 2 of mux position 1: the slot of address [first + 1] *)
+  let m, k =
+    span
+      [ F.Stuck_at (cell row ((2 * bpc) + 1), false) ]
+      ~first:0 ~count:org.Org.words
+  in
+  Alcotest.(check int) "stuck-at row: stops at the armed slot" (first + 1) k;
+  let before = Model.stats m in
+  Alcotest.(check int) "past the stop: power-up zeros" 0
+    (Model.read_int m (first + 2));
+  let after = Model.stats m in
+  Alcotest.(check int) "not a fast-path read" before.Model.s_fast_reads
+    after.Model.s_fast_reads;
+  Alcotest.(check int) "an armed-row packed read"
+    (before.Model.s_armed_packed + 1)
+    after.Model.s_armed_packed
+
 let test_clear_touches_only_dirty_rows () =
   (* behavioural check of the dirty-row invariant: after clear,
      every cell reads zero again regardless of what was written,
@@ -794,6 +842,8 @@ let () =
         ; Alcotest.test_case "march span on a clean array" `Quick
             test_march_span_clean_array
         ; QCheck_alcotest.to_alcotest prop_march_span_equals_per_op
+        ; Alcotest.test_case "march span through armed rows" `Quick
+            test_march_span_armed_rows
         ; Alcotest.test_case "stuck-open leaves clean reads fast" `Quick
             test_stuck_open_fast_read
         ; Alcotest.test_case "clear covers dirty rows" `Quick
