@@ -1,4 +1,4 @@
-.PHONY: all build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact ci clean
+.PHONY: all build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact cli-errors ci clean
 
 all: build
 
@@ -264,7 +264,16 @@ perfbench-exact: build
 	rm -f .ci-perfbench-exact.txt
 	@echo "perfbench-exact: OK"
 
-ci: build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact
+# CLI error-surface gate: every invalid flag, config file and explore
+# spec exits with its documented code (2 campaign/explore, 1 compile/
+# selftest/analyze) and one `bisramgen:` line naming the bad value, and
+# the --help=plain option headers of every configuring subcommand match
+# test/cli_options.txt (no flag, alias or default drifts).
+cli-errors: build
+	bash test/cli_errors.sh _build/default/bin/bisramgen.exe
+	@echo "cli-errors: OK"
+
+ci: build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact cli-errors
 	@echo "ci: OK"
 
 clean:

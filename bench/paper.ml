@@ -66,19 +66,12 @@ let table1 () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 4: yield vs number of defects; 1024 rows, bpc = bpw = 4 *)
 
+(* growth factor and logic fraction measured from the compiled module
+   of the same organization *)
 let fig4_geometry spares =
-  if spares = 0 then Repairable.bare ~regular_rows:1024
-  else begin
-    (* growth factor and logic fraction measured from the compiled
-       module of the same organization *)
-    let cfg =
-      Config.make ~process:Pr.cda_07u3m1p ~words:4096 ~bpw:4 ~bpc:4 ~spares ()
-    in
-    let a = (Compiler.compile cfg).Compiler.area in
-    Repairable.make ~regular_rows:1024 ~spares
-      ~logic_fraction:(a.Compiler.logic_mm2 /. a.Compiler.module_mm2)
-      ~growth_factor:(max 1.0 a.Compiler.growth_factor)
-  end
+  Compiler.yield_geometry
+    (Compiler.compile
+       (Config.make ~process:Pr.cda_07u3m1p ~words:4096 ~bpw:4 ~bpc:4 ~spares ()))
 
 let fig4 () =
   section "Fig. 4: yield vs mean defect count (1024 rows, bpc=4, bpw=4)";
@@ -695,25 +688,16 @@ let campaign_scenario () =
       (List.length r.C.escapes)
       (List.length r.C.divergences);
     Printf.printf "%-26s  yield observed %.3f / %.3f analytic %.3f\n" ""
-      r.C.observed_yield_two_pass r.C.observed_yield_iterated r.C.analytic_yield
+      r.C.observed_yield_two_pass r.C.observed_yield_iterated
+      (C.analytic_yield r.C.config)
   in
   (* healthy regime: IFA-9 over the full mix - oracle agreement expected *)
   let cfg = C.make_config ~trials:200 ~mode:(C.Uniform 2) ~seed:1999 () in
   summarize "IFA-9, default mix" (C.run cfg);
   (* deliberate coverage hole: MATS+ has no Wait items, so data-retention
      faults escape the march and are caught only by the post-repair sweep *)
-  let retention_only =
-    { I.stuck_at = 0.0
-    ; transition = 0.0
-    ; stuck_open = 0.0
-    ; coupling_inversion = 0.0
-    ; coupling_idempotent = 0.0
-    ; state_coupling = 0.0
-    ; data_retention = 1.0
-    }
-  in
   let hole =
-    C.make_config ~march:Alg.mats_plus ~mix:retention_only ~mode:(C.Uniform 2)
+    C.make_config ~march:Alg.mats_plus ~mix:I.retention_only ~mode:(C.Uniform 2)
       ~trials:100 ~seed:1999 ()
   in
   let r = C.run hole in

@@ -5,6 +5,7 @@
      selftest   inject faults into the generated RAM and run BIST/BISR
      campaign   randomized Monte Carlo test-and-repair campaign
      explore    parallel design-space sweep with memoized evaluations
+     analyze    yield, reliability and power analysis of a configuration
      processes  list the bundled CMOS processes
      marches    list the bundled march algorithms *)
 
@@ -12,6 +13,7 @@ open Cmdliner
 
 module Config = Bisram_core.Config
 module Compiler = Bisram_core.Compiler
+module Config_file = Bisram_core.Config_file
 module Pr = Bisram_tech.Process
 module Org = Bisram_sram.Org
 module March = Bisram_bist.March
@@ -30,29 +32,41 @@ module Json = Bisram_obs.Json
 (* ------------------------------------------------------------------ *)
 (* shared arguments *)
 
+let ( let* ) = Result.bind
+
+(* A raising validator as a result, so every check lands in one error
+   channel. *)
+let checked f =
+  match f () with v -> Ok v | exception Invalid_argument e -> Error e
+
+(* A name resolved against its table; the diagnostic lists the table's
+   names, so it cannot drift from what is accepted. *)
+let choose what table name =
+  match List.assoc_opt name table with
+  | Some v -> Ok v
+  | None ->
+      Error
+        (Printf.sprintf "unknown %s %S (expected %s)" what name
+           (String.concat ", " (List.map fst table)))
+
 let process_arg =
   let doc = "CMOS process (cda.5u3m1p, mos.6u3m1pHP, cda.7u3m1p)." in
   Arg.(value & opt string "CDA.7u3m1p" & info [ "p"; "process" ] ~doc)
 
-let words_arg =
-  let doc = "Number of words (positive multiple of bpc)." in
-  Arg.(value & opt int 4096 & info [ "w"; "words" ] ~doc)
-
-let bpw_arg =
-  let doc = "Bits per word (power of two)." in
-  Arg.(value & opt int 128 & info [ "bpw" ] ~doc)
-
-let bpc_arg =
-  let doc = "Bits per column / column-mux degree (power of two)." in
-  Arg.(value & opt int 8 & info [ "bpc" ] ~doc)
-
-let spares_arg =
-  let doc = "Spare rows: 0, 4, 8 or 16." in
-  Arg.(value & opt int 4 & info [ "s"; "spares" ] ~doc)
-
-let spare_cols_arg =
-  let doc = "Spare columns for 2D (BIRA) repair: 0 .. 8." in
-  Arg.(value & opt int 0 & info [ "spare-cols" ] ~doc)
+(* The organization flags, declared once for every subcommand that
+   takes them; only the defaults differ (compile sizes a datasheet
+   module, selftest and campaign a simulable one).  [make] receives
+   words, bpw, bpc, spares and spare columns. *)
+let org_term ~words ~bpw ~bpc make =
+  let int names default doc = Arg.(value & opt int default & info names ~doc) in
+  Term.(
+    const make
+    $ int [ "w"; "words" ] words "Number of words (positive multiple of bpc)."
+    $ int [ "bpw" ] bpw
+        "Bits per word (power of two; at most 62 where the RAM is simulated)."
+    $ int [ "bpc" ] bpc "Bits per column / column-mux degree (power of two)."
+    $ int [ "s"; "spares" ] 4 "Spare rows: 0, 4, 8 or 16."
+    $ int [ "spare-cols" ] 0 "Spare columns for 2D (BIRA) repair: 0 .. 8.")
 
 let drive_arg =
   let doc = "Critical-gate size multiplier (1-8)." in
@@ -70,20 +84,30 @@ let march_arg =
   in
   Arg.(value & opt string "IFA-9" & info [ "m"; "march" ] ~doc)
 
-let lookup_process name =
-  match Pr.find name with
-  | Some p -> Ok p
-  | None ->
-      Error
-        (Printf.sprintf "unknown process %S (see `bisramgen processes')" name)
+(* compile, selftest and analyze: the organization plus process, gate
+   sizing, strapping and march, resolved as a config file would be *)
+let config_term ~words ~bpw ~bpc =
+  let config words bpw bpc spares spare_cols process drive strap march =
+    Config_file.config ~process ~march ~words ~bpw ~bpc ~spares ~spare_cols
+      ~drive ~strap
+  in
+  Term.(
+    org_term ~words ~bpw ~bpc config $ process_arg $ drive_arg $ strap_arg
+    $ march_arg)
 
-let lookup_march s =
-  match Alg.find s with
-  | Some m -> Ok m
-  | None -> (
-      match March.of_string ~name:"custom" s with
-      | m -> Ok m
-      | exception Invalid_argument e -> Error e)
+(* compile, selftest and analyze exit 1 on a bad configuration *)
+let with_config cfg k =
+  match cfg with
+  | Error e ->
+      Printf.eprintf "bisramgen: %s\n" e;
+      1
+  | Ok cfg -> k cfg
+
+(* campaign and explore exit 2 (distinct from 1 = runtime error, 3 =
+   anomaly), with a one-line diagnostic, never a backtrace *)
+let invalid_configuration e =
+  Printf.eprintf "bisramgen: invalid configuration: %s\n" e;
+  2
 
 (* The --jobs contract is shared by every parallel subcommand (campaign,
    explore): default 1 (fully sequential), 0 auto-detects the machine's
@@ -104,65 +128,44 @@ let resolve_jobs jobs =
   else if jobs = 0 then Ok (Bisram_parallel.Pool.recommended_jobs ())
   else Ok jobs
 
-let build_config ~process ~words ~bpw ~bpc ~spares ~spare_cols ~drive ~strap
-    ~march =
-  match (lookup_process process, lookup_march march) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok p, Ok m -> (
-      match
-        Config.make ~spares ~spare_cols ~drive ~strap ~march:m ~process:p
-          ~words ~bpw ~bpc ()
-      with
-      | cfg -> Ok cfg
-      | exception Invalid_argument e -> Error e)
-
 (* ------------------------------------------------------------------ *)
 (* compile *)
 
-let do_compile process words bpw bpc spares spare_cols drive strap march
-    config_file show_floorplan show_rtl cif_dir =
-  let cfg_result =
+let do_compile flags config_file show_floorplan show_rtl cif_dir =
+  let cfg =
     match config_file with
+    | None -> flags
     | Some path -> (
-        match
-          Bisram_core.Config_file.of_string
-            (In_channel.with_open_bin path In_channel.input_all)
-        with
-        | Ok cfg -> Ok cfg
-        | Error e -> Error (path ^ ": " ^ e)
-        | exception Sys_error e -> Error e)
-    | None ->
-        build_config ~process ~words ~bpw ~bpc ~spares ~spare_cols ~drive
-          ~strap ~march
+        match In_channel.with_open_bin path In_channel.input_all with
+        | exception Sys_error e -> Error e
+        | text ->
+            Result.map_error (fun e -> path ^ ": " ^ e)
+              (Config_file.of_string text))
   in
-  match cfg_result with
-  | Error e ->
-      Printf.eprintf "bisramgen: %s\n" e;
-      1
-  | Ok cfg ->
-      let d = Compiler.compile cfg in
-      print_string (Compiler.datasheet d);
-      if show_floorplan then begin
-        Format.printf "@.%a@." Floorplan.pp d.Compiler.floorplan;
-        print_string (Floorplan.render ~width:76 d.Compiler.floorplan)
-      end;
-      if show_rtl then begin
-        print_newline ();
-        print_string (Compiler.rtl d)
-      end;
-      (match cif_dir with
-      | None -> ()
-      | Some dir ->
-          (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-          List.iter
-            (fun (name, cif) ->
-              let path = Filename.concat dir (name ^ ".cif") in
-              let oc = open_out path in
-              output_string oc cif;
-              close_out oc;
-              Printf.printf "wrote %s\n" path)
-            (Compiler.leaf_library_cif d));
-      0
+  with_config cfg @@ fun cfg ->
+  let d = Compiler.compile cfg in
+  print_string (Compiler.datasheet d);
+  if show_floorplan then begin
+    Format.printf "@.%a@." Floorplan.pp d.Compiler.floorplan;
+    print_string (Floorplan.render ~width:76 d.Compiler.floorplan)
+  end;
+  if show_rtl then begin
+    print_newline ();
+    print_string (Compiler.rtl d)
+  end;
+  (match cif_dir with
+  | None -> ()
+  | Some dir ->
+      (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+      List.iter
+        (fun (name, cif) ->
+          let path = Filename.concat dir (name ^ ".cif") in
+          let oc = open_out path in
+          output_string oc cif;
+          close_out oc;
+          Printf.printf "wrote %s\n" path)
+        (Compiler.leaf_library_cif d));
+  0
 
 let compile_cmd =
   let floorplan_arg =
@@ -188,8 +191,8 @@ let compile_cmd =
   in
   let term =
     Term.(
-      const do_compile $ process_arg $ words_arg $ bpw_arg $ bpc_arg
-      $ spares_arg $ spare_cols_arg $ drive_arg $ strap_arg $ march_arg
+      const do_compile
+      $ config_term ~words:4096 ~bpw:128 ~bpc:8
       $ config_arg $ floorplan_arg $ rtl_arg $ cif_arg)
   in
   Cmd.v (Cmd.info "compile" ~doc:"Generate a BISR RAM module.") term
@@ -197,61 +200,42 @@ let compile_cmd =
 (* ------------------------------------------------------------------ *)
 (* selftest *)
 
-let do_selftest process words bpw bpc spares spare_cols drive strap march
-    nfaults seed_opt =
-  match
-    build_config ~process ~words ~bpw ~bpc ~spares ~spare_cols ~drive ~strap
-      ~march
-  with
-  | Error e ->
-      Printf.eprintf "bisramgen: %s\n" e;
-      1
-  | Ok cfg when not (Org.simulable cfg.Config.org) ->
-      Printf.eprintf
-        "bisramgen: selftest simulates the RAM word-by-word, which needs bpw \
-         <= %d (got %d); wider organizations are compile-only\n"
-        Bisram_sram.Word.max_width cfg.Config.org.Org.bpw;
-      1
-  | Ok cfg ->
-      let org = cfg.Config.org in
-      (* no --seed: draw one from the system and print it, so any run
-         remains reproducible after the fact *)
-      let seed =
-        match seed_opt with
-        | Some s -> s
-        | None -> Random.State.int (Random.State.make_self_init ()) 0x3FFFFFFF
-      in
-      Format.printf "seed    : %d@." seed;
-      let rng = Random.State.make [| seed |] in
-      let faults =
-        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
-          ~mix:I.default_mix ~n:nfaults
-      in
-      Format.printf "injected %d fault(s):@." nfaults;
-      List.iter (fun f -> Format.printf "  %a@." Bisram_faults.Fault.pp f) faults;
-      let d = Compiler.compile cfg in
-      let outcome, report = Compiler.self_test d ~faults in
-      Format.printf "outcome : %a@." Repair.pp_outcome outcome;
-      Format.printf "cycles  : %d@." report.Bisram_bist.Controller.cycles;
-      Format.printf "recorded: %d row(s)@."
-        report.Bisram_bist.Controller.faults_recorded;
-      (match outcome with Repair.Repair_unsuccessful _ -> 2 | _ -> 0)
+let do_selftest cfg nfaults seed_opt =
+  let simulable cfg =
+    if Org.simulable cfg.Config.org then Ok cfg
+    else
+      Error
+        (Printf.sprintf
+           "selftest simulates the RAM word-by-word, which needs bpw <= %d \
+            (got %d); wider organizations are compile-only"
+           Bisram_sram.Word.max_width cfg.Config.org.Org.bpw)
+  in
+  with_config (Result.bind cfg simulable) @@ fun cfg ->
+  let org = cfg.Config.org in
+  (* no --seed: draw one from the system and print it, so any run
+     remains reproducible after the fact *)
+  let seed =
+    match seed_opt with
+    | Some s -> s
+    | None -> Random.State.int (Random.State.make_self_init ()) 0x3FFFFFFF
+  in
+  Format.printf "seed    : %d@." seed;
+  let rng = Random.State.make [| seed |] in
+  let faults =
+    I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
+      ~mix:I.default_mix ~n:nfaults
+  in
+  Format.printf "injected %d fault(s):@." nfaults;
+  List.iter (fun f -> Format.printf "  %a@." Bisram_faults.Fault.pp f) faults;
+  let d = Compiler.compile cfg in
+  let outcome, report = Compiler.self_test d ~faults in
+  Format.printf "outcome : %a@." Repair.pp_outcome outcome;
+  Format.printf "cycles  : %d@." report.Bisram_bist.Controller.cycles;
+  Format.printf "recorded: %d row(s)@."
+    report.Bisram_bist.Controller.faults_recorded;
+  match outcome with Repair.Repair_unsuccessful _ -> 2 | _ -> 0
 
 let selftest_cmd =
-  (* selftest simulates every word access, so its defaults are a
-     simulable organization (bpw <= Word.max_width), independent of
-     compile's datasheet defaults *)
-  let st_words =
-    Arg.(value & opt int 4096 & info [ "w"; "words" ] ~doc:"Number of words.")
-  in
-  let st_bpw =
-    Arg.(
-      value & opt int 32
-      & info [ "bpw" ] ~doc:"Bits per word (power of two, at most 62).")
-  in
-  let st_bpc =
-    Arg.(value & opt int 8 & info [ "bpc" ] ~doc:"Bits per column.")
-  in
   let nfaults_arg =
     Arg.(value & opt int 2 & info [ "n"; "faults" ] ~doc:"Faults to inject.")
   in
@@ -266,8 +250,8 @@ let selftest_cmd =
   in
   let term =
     Term.(
-      const do_selftest $ process_arg $ st_words $ st_bpw $ st_bpc
-      $ spares_arg $ spare_cols_arg $ drive_arg $ strap_arg $ march_arg
+      const do_selftest
+      $ config_term ~words:4096 ~bpw:32 ~bpc:8
       $ nfaults_arg $ seed_arg)
   in
   Cmd.v
@@ -276,19 +260,6 @@ let selftest_cmd =
          "Inject random faults and run the two-pass self-test/repair \
           (exit code 2 when the repair is unsuccessful).")
     term
-
-(* ------------------------------------------------------------------ *)
-(* campaign *)
-
-let retention_only_mix =
-  { I.stuck_at = 0.0
-  ; transition = 0.0
-  ; stuck_open = 0.0
-  ; coupling_inversion = 0.0
-  ; coupling_idempotent = 0.0
-  ; state_coupling = 0.0
-  ; data_retention = 1.0
-  }
 
 (* ------------------------------------------------------------------ *)
 (* observability flags, shared by campaign and explore *)
@@ -439,153 +410,103 @@ let make_progress ?total ?label ?show_anomalies o =
          ?label ?show_anomalies ())
   else None
 
-let do_campaign words bpw bpc spares spare_cols march trials seed mode nfaults
-    mean alpha mix repair max_seconds no_shrink max_rounds jobs batch_lanes
-    obs replay_seed fail_on_anomaly
-    checkpoint_path checkpoint_every resume trial_deadline confidence target_ci
-    ci_metric ci_batch ci_max_trials prop_scale prop_shift prop_nonzero
-    prop_mix =
-  let jobs_result = resolve_jobs jobs in
-  let named_mix name =
-    match name with
-    | "default" -> Ok I.default_mix
-    | "stuck-at" -> Ok I.stuck_at_only
-    | "retention" -> Ok retention_only_mix
-    | s ->
-        Error
-          (Printf.sprintf
-             "unknown mix %S (expected default, stuck-at or retention)" s)
-  in
-  let mix_result = named_mix mix in
-  (* The proposal is assembled from plain flags; anything it can get
-     wrong (negative shift, stratified fraction outside (0,1), a
-     proposal mix starving a nominal class, …) is caught by
-     [Proposal.validate] inside [make_config] and lands in the same
-     exit-2 diagnostic channel as every other bad flag. *)
-  let proposal_result =
-    let count_result =
+(* ------------------------------------------------------------------ *)
+(* campaign *)
+
+let do_campaign org march trials seed mode nfaults mean alpha mix repair
+    max_seconds no_shrink max_rounds jobs batch_lanes obs replay_seed
+    fail_on_anomaly checkpoint_path checkpoint_every resume trial_deadline
+    confidence target_ci ci_metric ci_batch ci_max_trials prop_scale
+    prop_shift prop_nonzero prop_mix =
+  (* One error channel: the first bad flag is the exit-2 diagnostic.
+     Whatever the proposal gets wrong (negative shift, stratified
+     fraction outside (0,1), a proposal mix starving a nominal class,
+     …) is caught by [Proposal.validate] inside [make_config]. *)
+  let setup =
+    let* march = Config_file.march march in
+    let* mix = choose "--mix" I.named_mixes mix in
+    let* mode =
+      choose "--mode"
+        [ ("uniform", Campaign.Uniform nfaults)
+        ; ("poisson", Campaign.Poisson mean)
+        ; ("clustered", Campaign.Clustered { mean; alpha }) ]
+        mode
+    in
+    let* jobs = resolve_jobs jobs in
+    let* count =
       match prop_nonzero with
-      | Some nonzero ->
-          if prop_scale <> 1.0 || prop_shift <> 0.0 then
-            Error
-              "--proposal-nonzero is exclusive with --proposal-count-scale \
-               and --proposal-count-shift"
-          else Ok (Proposal.Stratified { nonzero })
-      | None ->
-          if prop_scale = 1.0 && prop_shift = 0.0 then Ok Proposal.Count_nominal
-          else Ok (Proposal.Scaled { scale = prop_scale; shift = prop_shift })
+      | Some _ when prop_scale <> 1.0 || prop_shift <> 0.0 ->
+          Error
+            "--proposal-nonzero is exclusive with --proposal-count-scale and \
+             --proposal-count-shift"
+      | Some nonzero -> Ok (Proposal.Stratified { nonzero })
+      | None when prop_scale = 1.0 && prop_shift = 0.0 ->
+          Ok Proposal.Count_nominal
+      | None -> Ok (Proposal.Scaled { scale = prop_scale; shift = prop_shift })
     in
-    let mix_result =
-      match prop_mix with
-      | "nominal" -> Ok None
-      | name -> Result.map Option.some (named_mix name)
+    let* proposal_mix =
+      choose "--proposal-mix"
+        (("nominal", None)
+        :: List.map (fun (name, m) -> (name, Some m)) I.named_mixes)
+        prop_mix
     in
-    match (count_result, mix_result) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok count, Ok mix -> Ok { Proposal.count; mix }
-  in
-  let ci_metric_result =
-    match ci_metric with
-    | "repair-failure" -> Ok Estimator.Repair_failure_two_pass
-    | "repair-failure-iterated" -> Ok Estimator.Repair_failure_iterated
-    | "escape" -> Ok Estimator.Escape
-    | s ->
-        Error
-          (Printf.sprintf
-             "unknown --ci-metric %S (expected repair-failure, \
-              repair-failure-iterated or escape)" s)
-  in
-  let mode_result =
-    match mode with
-    | "uniform" -> Ok (Campaign.Uniform nfaults)
-    | "poisson" -> Ok (Campaign.Poisson mean)
-    | "clustered" -> Ok (Campaign.Clustered { mean; alpha })
-    | s ->
-        Error
-          (Printf.sprintf
-             "unknown mode %S (expected uniform, poisson or clustered)" s)
-  in
-  let repair_result =
-    match Campaign.repair_of_name repair with
-    | Some r -> Ok r
-    | None ->
-        Error
-          (Printf.sprintf
-             "unknown --repair %S (expected row-tlb, bira-greedy, \
-              bira-essential or bira-bnb)" repair)
-  in
-  let cfg_result =
-    match
-      ( lookup_march march
-      , mix_result
-      , mode_result
-      , jobs_result
-      , proposal_result
-      , ci_metric_result )
-    with
-    | Error e, _, _, _, _, _
-    | _, Error e, _, _, _, _
-    | _, _, Error e, _, _, _
-    | _, _, _, Error e, _, _
-    | _, _, _, _, Error e, _
-    | _, _, _, _, _, Error e ->
-        Error e
-    | Ok m, Ok mix, Ok mode, Ok jobs, Ok proposal, Ok ci_metric -> (
-        match repair_result with
-        | Error e -> Error e
-        | Ok repair -> (
-        match
-          let org = Org.make ~spares ~spare_cols ~words ~bpw ~bpc () in
-          let cfg =
-            Campaign.make_config ~org ~march:m ~mix ~mode ~proposal ~repair
-              ~trials ~seed ?max_seconds ~shrink:(not no_shrink) ~max_rounds ()
-          in
-          (match trial_deadline with
-          | Some s when s <= 0.0 ->
-              invalid_arg "--trial-deadline must be positive"
-          | _ -> ());
-          if batch_lanes < 1 || batch_lanes > Campaign.max_lanes then
+    let* ci_metric =
+      choose "--ci-metric"
+        [ ("repair-failure", Estimator.Repair_failure_two_pass)
+        ; ("repair-failure-iterated", Estimator.Repair_failure_iterated)
+        ; ("escape", Estimator.Escape) ]
+        ci_metric
+    in
+    let* repair =
+      choose "--repair"
+        (List.map (fun r -> (Campaign.repair_name r, r)) Campaign.repairs)
+        repair
+    in
+    let* org = org in
+    let* cfg, ck =
+      checked @@ fun () ->
+      let cfg =
+        Campaign.make_config ~org ~march ~mix ~mode
+          ~proposal:{ Proposal.count; mix = proposal_mix } ~repair ~trials
+          ~seed ?max_seconds ~shrink:(not no_shrink) ~max_rounds ()
+      in
+      (match trial_deadline with
+      | Some s when s <= 0.0 -> invalid_arg "--trial-deadline must be positive"
+      | _ -> ());
+      if batch_lanes < 1 || batch_lanes > Campaign.max_lanes then
+        invalid_arg
+          (Printf.sprintf "--batch-lanes must be in 1 .. %d"
+             Campaign.max_lanes);
+      (match target_ci with
+      | None -> ()
+      | Some t ->
+          if t <= 0.0 then invalid_arg "--target-ci must be positive";
+          if ci_batch < 1 then invalid_arg "--ci-batch must be >= 1";
+          if ci_max_trials < 1 then invalid_arg "--ci-max-trials must be >= 1";
+          if checkpoint_every > 0 || resume then
             invalid_arg
-              (Printf.sprintf "--batch-lanes must be in 1 .. %d"
-                 Campaign.max_lanes);
-          (match target_ci with
-          | None -> ()
-          | Some t ->
-              if t <= 0.0 then invalid_arg "--target-ci must be positive";
-              if ci_batch < 1 then invalid_arg "--ci-batch must be >= 1";
-              if ci_max_trials < 1 then
-                invalid_arg "--ci-max-trials must be >= 1";
-              if checkpoint_every > 0 || resume then
-                invalid_arg
-                  "--target-ci (adaptive stopping) is incompatible with \
-                   --checkpoint-every and --resume (checkpoints cover a \
-                   fixed trial count)";
-              if Option.is_some replay_seed then
-                invalid_arg "--target-ci is incompatible with --replay");
-          let ck =
-            if checkpoint_every > 0 || resume then
-              Some
-                (Campaign.checkpoint ~path:checkpoint_path
-                   ~every:checkpoint_every ~resume ())
-            else None
-          in
-          (cfg, ck)
-        with
-        (* the resolved job count stays out of the config: the report
-           must not depend on the machine the campaign happened to
-           run on *)
-        | cfg, ck -> Ok (cfg, jobs, ck, ci_metric)
-        | exception Invalid_argument e -> Error e))
+              "--target-ci (adaptive stopping) is incompatible with \
+               --checkpoint-every and --resume (checkpoints cover a fixed \
+               trial count)";
+          if Option.is_some replay_seed then
+            invalid_arg "--target-ci is incompatible with --replay");
+      let ck =
+        if checkpoint_every > 0 || resume then
+          Some
+            (Campaign.checkpoint ~path:checkpoint_path ~every:checkpoint_every
+               ~resume ())
+        else None
+      in
+      (cfg, ck)
+    in
+    (* the registry is armed only once the configuration is valid *)
+    let* () = arm obs in
+    (* the resolved job count stays out of the config: the report must
+       not depend on the machine the campaign happened to run on *)
+    Ok (cfg, jobs, ck, ci_metric)
   in
-  (* the registry is armed only once the configuration is valid *)
-  match
-    Result.bind cfg_result (fun c -> Result.map (Fun.const c) (arm obs))
-  with
-  | Error e ->
-      (* one-line diagnostic, never a backtrace; exit 2 = invalid
-         configuration (distinct from 1 = runtime error, 3 = anomaly) *)
-      Printf.eprintf "bisramgen: invalid configuration: %s\n" e;
-      2
+  match setup with
+  | Error e -> invalid_configuration e
   | Ok (cfg, jobs, ck, ci_metric) -> (
       let finish code =
         export obs;
@@ -715,24 +636,6 @@ let do_campaign words bpw bpc spares spare_cols march trials seed mode nfaults
                else 0))
 
 let campaign_cmd =
-  (* the campaign simulates every trial word-by-word, so its defaults
-     are a small organization, independent of compile's *)
-  let c_words =
-    Arg.(value & opt int 64 & info [ "w"; "words" ] ~doc:"Number of words.")
-  in
-  let c_bpw = Arg.(value & opt int 8 & info [ "bpw" ] ~doc:"Bits per word.") in
-  let c_bpc =
-    Arg.(value & opt int 4 & info [ "bpc" ] ~doc:"Bits per column.")
-  in
-  let c_spares =
-    Arg.(value & opt int 4 & info [ "s"; "spares" ] ~doc:"Spare rows.")
-  in
-  let c_spare_cols =
-    Arg.(
-      value & opt int 0
-      & info [ "spare-cols" ]
-          ~doc:"Spare columns (0 .. 8), deployed by the BIRA strategies.")
-  in
   let trials_arg =
     Arg.(value & opt int 100 & info [ "trials" ] ~doc:"Trials to run.")
   in
@@ -954,7 +857,10 @@ let campaign_cmd =
   in
   let term =
     Term.(
-      const do_campaign $ c_words $ c_bpw $ c_bpc $ c_spares $ c_spare_cols
+      const do_campaign
+      $ org_term ~words:64 ~bpw:8 ~bpc:4
+          (fun words bpw bpc spares spare_cols ->
+            checked (Org.make ~spares ~spare_cols ~words ~bpw ~bpc))
       $ march_arg $ trials_arg $ seed_arg $ mode_arg $ nfaults_arg $ mean_arg
       $ alpha_arg $ mix_arg $ repair_arg $ max_seconds_arg $ no_shrink_arg
       $ max_rounds_arg $ jobs_arg
@@ -983,78 +889,71 @@ let campaign_cmd =
 (* explore: parallel design-space sweep *)
 
 let do_explore spec_file jobs cache_dir resume pareto obs =
-  let spec_result =
-    match In_channel.with_open_bin spec_file In_channel.input_all with
-    | exception Sys_error e -> Error (`Io e)
-    | text -> (
-        match Bisram_explore.Spec.of_string text with
-        | Ok s -> Ok s
-        | Error e -> Error (`Config (spec_file ^ ": " ^ e)))
-  in
-  (* arming validates the event level, which reports like a bad --jobs *)
-  let jobs_result =
-    Result.bind (resolve_jobs jobs) (fun j ->
-        Result.map (Fun.const j) (arm obs))
-    |> Result.map_error (fun e -> `Config e)
-  in
-  match (spec_result, jobs_result) with
-  | Error (`Io e), _ ->
+  match In_channel.with_open_bin spec_file In_channel.input_all with
+  | exception Sys_error e ->
       Printf.eprintf "bisramgen: %s\n" e;
       1
-  | Error (`Config e), _ | _, Error (`Config e) ->
-      Printf.eprintf "bisramgen: invalid configuration: %s\n" e;
-      2
-  | Ok spec, Ok jobs -> (
-      let reporter =
-        make_progress
-          ~total:(Array.length (fst (Bisram_explore.Spec.expand spec)))
-          ~label:"points" ~show_anomalies:false obs
+  | text -> (
+      let setup =
+        let* spec =
+          Result.map_error (fun e -> spec_file ^ ": " ^ e)
+            (Bisram_explore.Spec.of_string text)
+        in
+        let* jobs = resolve_jobs jobs in
+        let* () = arm obs in
+        Ok (spec, jobs)
       in
-      let on_progress =
-        Option.map
-          (fun p ~done_ ~total:_ ->
-            Progress.update p ~done_ ~escapes:0 ~divergences:0 ~tool_errors:0
-              ~clean:0)
-          reporter
-      in
-      match
-        Fun.protect
-          ~finally:(fun () -> Option.iter Progress.finish reporter)
-          (fun () ->
-            Bisram_explore.Explore.run ~jobs ~cache_dir ~resume ?on_progress
-              spec)
-      with
-      | exception Invalid_argument e ->
-          Printf.eprintf "bisramgen: invalid configuration: %s\n" e;
-          2
-      | r ->
-          (* stdout carries only the byte-identical report; cache
-             statistics and the --pareto table go to stderr *)
-          print_string (Bisram_explore.Explore.pretty_json_string r);
-          let module E = Bisram_explore.Explore in
-          let evals = E.evaluations r in
-          let rate =
-            if evals = 0 then 100.0
-            else 100.0 *. float_of_int r.E.cache_hits /. float_of_int evals
+      match setup with
+      | Error e -> invalid_configuration e
+      | Ok (spec, jobs) -> (
+          let reporter =
+            make_progress
+              ~total:(Array.length (fst (Bisram_explore.Spec.expand spec)))
+              ~label:"points" ~show_anomalies:false obs
           in
-          Printf.eprintf
-            "explore: %d point(s), %d evaluation(s): %d hit(s), %d miss(es) \
-             (%.1f%% hit rate)\n"
-            (Array.length r.E.points)
-            evals r.E.cache_hits r.E.cache_misses rate;
-          (let cs = r.E.cache_stats in
-           let module C = Bisram_explore.Cache in
-           if
-             cs.C.st_quarantined > 0 || cs.C.st_reaped_tmp > 0
-             || cs.C.st_io_errors > 0
-           then
-             Printf.eprintf
-               "explore: cache self-heal: %d quarantined, %d tmp reaped, %d \
-                io error(s)\n"
-               cs.C.st_quarantined cs.C.st_reaped_tmp cs.C.st_io_errors);
-          if pareto then prerr_string (E.summary_table r);
-          export obs;
-          0)
+          let on_progress =
+            Option.map
+              (fun p ~done_ ~total:_ ->
+                Progress.update p ~done_ ~escapes:0 ~divergences:0
+                  ~tool_errors:0 ~clean:0)
+              reporter
+          in
+          match
+            Fun.protect
+              ~finally:(fun () -> Option.iter Progress.finish reporter)
+              (fun () ->
+                Bisram_explore.Explore.run ~jobs ~cache_dir ~resume ?on_progress
+                  spec)
+          with
+          | exception Invalid_argument e -> invalid_configuration e
+          | r ->
+              (* stdout carries only the byte-identical report; cache
+                 statistics and the --pareto table go to stderr *)
+              print_string (Bisram_explore.Explore.pretty_json_string r);
+              let module E = Bisram_explore.Explore in
+              let evals = E.evaluations r in
+              let rate =
+                if evals = 0 then 100.0
+                else 100.0 *. float_of_int r.E.cache_hits /. float_of_int evals
+              in
+              Printf.eprintf
+                "explore: %d point(s), %d evaluation(s): %d hit(s), %d \
+                 miss(es) (%.1f%% hit rate)\n"
+                (Array.length r.E.points)
+                evals r.E.cache_hits r.E.cache_misses rate;
+              (let cs = r.E.cache_stats in
+               let module C = Bisram_explore.Cache in
+               if
+                 cs.C.st_quarantined > 0 || cs.C.st_reaped_tmp > 0
+                 || cs.C.st_io_errors > 0
+               then
+                 Printf.eprintf
+                   "explore: cache self-heal: %d quarantined, %d tmp reaped, \
+                    %d io error(s)\n"
+                   cs.C.st_quarantined cs.C.st_reaped_tmp cs.C.st_io_errors);
+              if pareto then prerr_string (E.summary_table r);
+              export obs;
+              0))
 
 let explore_cmd =
   let spec_arg =
@@ -1114,79 +1013,62 @@ let explore_cmd =
 (* ------------------------------------------------------------------ *)
 (* analyze: yield / reliability / power what-if *)
 
-let do_analyze process words bpw bpc spares spare_cols drive strap march =
-  match
-    build_config ~process ~words ~bpw ~bpc ~spares ~spare_cols ~drive ~strap
-      ~march
-  with
-  | Error e ->
-      Printf.eprintf "bisramgen: %s\n" e;
-      1
-  | Ok cfg ->
-      let d = Compiler.compile cfg in
-      let org = cfg.Config.org in
-      let a = d.Compiler.area in
-      Printf.printf "analysis for %s\n\n"
-        (Format.asprintf "%a" Config.pp cfg);
-      (* yield *)
-      let geom =
-        if org.Org.spares = 0 then
-          Bisram_yield.Repairable.bare ~regular_rows:(Org.rows org)
-        else
-          Bisram_yield.Repairable.make ~regular_rows:(Org.rows org)
-            ~spares:org.Org.spares
-            ~logic_fraction:(a.Compiler.logic_mm2 /. a.Compiler.module_mm2)
-            ~growth_factor:(max 1.0 a.Compiler.growth_factor)
-      in
-      Printf.printf "module yield (alpha = 2):\n";
-      List.iter
-        (fun n ->
-          Printf.printf "  %5.1f mean defects -> %.4f\n" n
-            (Bisram_yield.Repairable.yield geom ~mean_defects:n ~alpha:2.0))
-        [ 0.5; 1.0; 2.0; 5.0; 10.0 ];
-      (* 2D line-cover yield, shown only when spare columns exist *)
-      if org.Org.spare_cols > 0 then begin
-        let g2 =
-          Bisram_yield.Repairable.make2 ~rows:(Org.rows org)
-            ~cols:(Org.cols org) ~spare_rows:org.Org.spares
-            ~spare_cols:org.Org.spare_cols
-        in
-        Printf.printf "\n2D (BIRA) array yield (alpha = 2):\n";
-        List.iter
-          (fun n ->
-            Printf.printf "  %5.1f mean defects -> %.4f\n" n
-              (Bisram_yield.Repairable.yield2 g2 ~mean_defects:n ~alpha:2.0))
-          [ 0.5; 1.0; 2.0; 5.0; 10.0 ]
-      end;
-      (* reliability *)
-      let lambda = 1e-10 in
-      let rel = Bisram_rel.Reliability.of_org org ~lambda in
-      Printf.printf
-        "\nreliability (lambda = %g /bit/h): R(1y) = %.5f, R(10y) = %.5f, \
-         MTTF = %.3g h\n"
-        lambda
-        (Bisram_rel.Reliability.reliability rel 8760.0)
-        (Bisram_rel.Reliability.reliability rel 87600.0)
-        (Bisram_rel.Reliability.mttf rel);
-      (* power *)
-      let pw =
-        Bisram_sram.Power.estimate cfg.Config.process org
-          ~drive:(float_of_int cfg.Config.drive)
-      in
-      Printf.printf "\npower: %s\n" (Format.asprintf "%a" Bisram_sram.Power.pp pw);
-      List.iter
-        (fun mhz ->
-          Printf.printf "  Icc at %3.0f MHz: %.1f mA\n" mhz
-            (Bisram_sram.Power.supply_current pw ~frequency_hz:(mhz *. 1e6)
-            *. 1e3))
-        [ 25.0; 50.0; 100.0 ];
-      0
+let do_analyze cfg =
+  with_config cfg @@ fun cfg ->
+  let d = Compiler.compile cfg in
+  let org = cfg.Config.org in
+  Printf.printf "analysis for %s\n\n"
+    (Format.asprintf "%a" Config.pp cfg);
+  (* yield *)
+  let geom = Compiler.yield_geometry d in
+  Printf.printf "module yield (alpha = 2):\n";
+  List.iter
+    (fun n ->
+      Printf.printf "  %5.1f mean defects -> %.4f\n" n
+        (Bisram_yield.Repairable.yield geom ~mean_defects:n ~alpha:2.0))
+    [ 0.5; 1.0; 2.0; 5.0; 10.0 ];
+  (* 2D line-cover yield, shown only when spare columns exist *)
+  if org.Org.spare_cols > 0 then begin
+    let g2 =
+      Bisram_yield.Repairable.make2 ~rows:(Org.rows org)
+        ~cols:(Org.cols org) ~spare_rows:org.Org.spares
+        ~spare_cols:org.Org.spare_cols
+    in
+    Printf.printf "\n2D (BIRA) array yield (alpha = 2):\n";
+    List.iter
+      (fun n ->
+        Printf.printf "  %5.1f mean defects -> %.4f\n" n
+          (Bisram_yield.Repairable.yield2 g2 ~mean_defects:n ~alpha:2.0))
+      [ 0.5; 1.0; 2.0; 5.0; 10.0 ]
+  end;
+  (* reliability *)
+  let lambda = 1e-10 in
+  let rel = Bisram_rel.Reliability.of_org org ~lambda in
+  Printf.printf
+    "\nreliability (lambda = %g /bit/h): R(1y) = %.5f, R(10y) = %.5f, \
+     MTTF = %.3g h\n"
+    lambda
+    (Bisram_rel.Reliability.reliability rel 8760.0)
+    (Bisram_rel.Reliability.reliability rel 87600.0)
+    (Bisram_rel.Reliability.mttf rel);
+  (* power *)
+  let pw =
+    Bisram_sram.Power.estimate cfg.Config.process org
+      ~drive:(float_of_int cfg.Config.drive)
+  in
+  Printf.printf "\npower: %s\n" (Format.asprintf "%a" Bisram_sram.Power.pp pw);
+  List.iter
+    (fun mhz ->
+      Printf.printf "  Icc at %3.0f MHz: %.1f mA\n" mhz
+        (Bisram_sram.Power.supply_current pw ~frequency_hz:(mhz *. 1e6)
+        *. 1e3))
+    [ 25.0; 50.0; 100.0 ];
+  0
 
 let analyze_cmd =
   let term =
     Term.(
-      const do_analyze $ process_arg $ words_arg $ bpw_arg $ bpc_arg
-      $ spares_arg $ spare_cols_arg $ drive_arg $ strap_arg $ march_arg)
+      const do_analyze $ config_term ~words:4096 ~bpw:128 ~bpc:8)
   in
   Cmd.v
     (Cmd.info "analyze"

@@ -31,9 +31,11 @@ let repair_name = function
   | Row_tlb -> "row-tlb"
   | Bira s -> Bira.strategy_name s
 
-let repair_of_name = function
-  | "row-tlb" -> Some Row_tlb
-  | s -> Option.map (fun st -> Bira st) (Bira.strategy_of_name s)
+let repairs =
+  [ Row_tlb; Bira Bira.Greedy; Bira Bira.Essential; Bira Bira.Exhaustive ]
+
+let repair_of_name s =
+  List.find_opt (fun r -> String.equal (repair_name r) s) repairs
 
 type config = {
   org : Org.t;
@@ -522,7 +524,6 @@ type result = {
   tool_errors : tool_error list;
   observed_yield_two_pass : float;
   observed_yield_iterated : float;
-  analytic_yield : float;
   weighted : weighted option;
 }
 
@@ -1070,7 +1071,7 @@ let absorb c r =
   c.c_n_tool_errors <- c.c_n_tool_errors + List.length r.tool_errors;
   c.c_weighted <- r.weighted
 
-let result_of_counts config c ~resumed_trials ~analytic_yield =
+let result_of_counts config c ~resumed_trials =
   let trials_run = c.c_trials in
   let frac h =
     if trials_run = 0 then 0.0
@@ -1090,7 +1091,6 @@ let result_of_counts config c ~resumed_trials ~analytic_yield =
   ; tool_errors = List.rev c.c_tool_errors
   ; observed_yield_two_pass = frac c.c_two_pass
   ; observed_yield_iterated = frac c.c_iterated
-  ; analytic_yield
   ; weighted = c.c_weighted
   }
 
@@ -1628,7 +1628,6 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     ; ("tool_errors", J.Int report.c_n_tool_errors)
     ];
   result_of_counts cfg report ~resumed_trials:nresumed
-    ~analytic_yield:(analytic_yield cfg)
 
 (* ------------------------------------------------------------------ *)
 (* merging windowed runs *)
@@ -1653,7 +1652,6 @@ let merge_results = function
         { first.config with trials = sum (fun r -> r.config.trials) }
         c
         ~resumed_trials:(sum (fun r -> r.resumed_trials))
-        ~analytic_yield:first.analytic_yield
 
 (* ------------------------------------------------------------------ *)
 (* JSON report *)
@@ -1682,7 +1680,7 @@ let to_json r =
       , J.Obj
           [ ("observed_two_pass", J.Float r.observed_yield_two_pass)
           ; ("observed_iterated", J.Float r.observed_yield_iterated)
-          ; ("analytic", J.Float r.analytic_yield)
+          ; ("analytic", J.Float (analytic_yield r.config))
           ] )
     ]
 

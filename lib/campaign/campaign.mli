@@ -53,6 +53,10 @@ val repair_name : repair -> string
 (** ["row-tlb"], ["bira-greedy"], ["bira-essential"], ["bira-bnb"] —
     the CLI and report spellings. *)
 
+(** Every repair architecture, in documentation order. *)
+val repairs : repair list
+
+(** The architecture whose {!repair_name} is the given string. *)
 val repair_of_name : string -> repair option
 
 type config = {
@@ -224,10 +228,6 @@ type result = {
           observed yields (a trial that crashed did not pass) *)
   observed_yield_two_pass : float;
   observed_yield_iterated : float;
-  analytic_yield : float;
-      (** {!Bisram_yield.Repairable} prediction for the same geometry
-          and fault-count model (array-only: logic fraction 0,
-          growth 1) *)
   weighted : weighted option;
       (** importance-weighted tallies; [Some] exactly when the config
           has a proposal (not serialized into the schema-/2 report) *)
@@ -368,6 +368,10 @@ val run :
     anything but the trial count / time budget. *)
 val merge_results : result list -> result
 
+(** {!Bisram_yield.Repairable} prediction for the config's geometry
+    and fault-count model (array-only: logic fraction 0, growth 1;
+    under BIRA the seeded 2D Monte-Carlo estimate).  A pure function
+    of the config, computed only where a report renders it. *)
 val analytic_yield : config -> float
 val to_json : result -> Bisram_obs.Json.t
 val json_string : result -> string

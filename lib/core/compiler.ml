@@ -178,6 +178,18 @@ let compile cfg =
   in
   { config = cfg; macros; controller; pla; floorplan; area; timing; ctl_report }
 
+(* logic share and growth factor measured from the compiled module;
+   without spares the array is bare (any defect kills it) *)
+let yield_geometry t =
+  let org = t.config.Config.org and a = t.area in
+  if org.Org.spares = 0 then
+    Bisram_yield.Repairable.bare ~regular_rows:(Org.rows org)
+  else
+    Bisram_yield.Repairable.make ~regular_rows:(Org.rows org)
+      ~spares:org.Org.spares
+      ~logic_fraction:(a.logic_mm2 /. a.module_mm2)
+      ~growth_factor:(Float.max 1.0 a.growth_factor)
+
 let self_test t ~faults =
   let model = Model.create t.config.Config.org in
   Model.set_faults model faults;

@@ -53,6 +53,11 @@ type t = {
 
 val compile : Config.t -> t
 
+(** The repairable-yield geometry of the compiled design: the logic
+    fraction and growth factor come from its measured area, and an
+    organization without spare rows is {!Bisram_yield.Repairable.bare}. *)
+val yield_geometry : t -> Bisram_yield.Repairable.geometry
+
 (** Run the built-in two-pass self-test/repair against a behavioural
     model carrying the given faults (small organizations only — the
     simulation is word-accurate). *)

@@ -1,4 +1,6 @@
-(** Key = value configuration files for the CLI.
+(** The configuration front end: key = value files, and the one
+    resolver per configuration name that the CLI flags, config files
+    and explore specs all go through.
 
     {v
     # 64 KB embedded cache
@@ -16,12 +18,28 @@
     Unknown keys are rejected; missing keys take the same defaults as
     the CLI.  [march] accepts a library name or inline notation. *)
 
-(** Parse file contents into key/value pairs.
-    @raise Invalid_argument on malformed lines. *)
-val parse : string -> (string * string) list
+(** Split file contents into key/value pairs: [#] starts a comment,
+    blank lines are skipped, keys are lower-cased and both sides are
+    trimmed.  [Error] names the first line without [=] or with an
+    empty key or value, else the first key not in [keys]. *)
+val parse :
+  keys:string list -> string -> ((string * string) list, string) result
 
-(** Build a configuration; [Error] carries a human-readable message. *)
-val to_config : (string * string) list -> (Config.t, string) result
+(** A bundled process by name, case-insensitively
+    ({!Bisram_tech.Process.find}); [Error] lists the bundled names. *)
+val process : string -> (Bisram_tech.Process.t, string) result
 
-(** Convenience: [parse] + [to_config]. *)
+(** A march library name ({!Bisram_bist.Algorithms.find}), else an
+    inline notation ({!Bisram_bist.March.of_string}, named ["custom"]). *)
+val march : string -> (Bisram_bist.March.t, string) result
+
+(** Resolve [process] and [march] and build the configuration;
+    [Error] carries the first resolver or {!Config.make} message. *)
+val config :
+  process:string -> march:string -> words:int -> bpw:int -> bpc:int ->
+  spares:int -> spare_cols:int -> drive:int -> strap:int ->
+  (Config.t, string) result
+
+(** [parse] the keys above and build the configuration; a non-integer
+    number is an [Error] too. *)
 val of_string : string -> (Config.t, string) result

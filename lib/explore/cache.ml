@@ -2,7 +2,7 @@ module J = Bisram_obs.Json
 module Obs = Bisram_obs.Obs
 module Chaos = Bisram_chaos.Chaos
 
-let version = "bisram-explore-cache/3"
+let version = "bisram-explore-cache/4"
 
 type stats = {
   st_hits : int;

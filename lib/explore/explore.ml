@@ -23,15 +23,6 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* evaluators: each one a pure function of its Spec.cache_key inputs *)
 
-(* yield geometry from the measured layout, as the analyze subcommand
-   derives it: logic share and growth factor of the compiled module *)
-let geometry org (a : Compiler.area_report) =
-  if org.Org.spares = 0 then Repairable.bare ~regular_rows:(Org.rows org)
-  else
-    Repairable.make ~regular_rows:(Org.rows org) ~spares:org.Org.spares
-      ~logic_fraction:(a.Compiler.logic_mm2 /. a.Compiler.module_mm2)
-      ~growth_factor:(max 1.0 a.Compiler.growth_factor)
-
 let area_json (d : Compiler.t) =
   let a = d.Compiler.area in
   J.Obj
@@ -46,7 +37,7 @@ let area_json (d : Compiler.t) =
     ]
 
 let yield_json (p : Spec.point) (d : Compiler.t) =
-  let g = geometry p.Spec.org d.Compiler.area in
+  let g = Compiler.yield_geometry d in
   let y = Repairable.yield g ~mean_defects:p.Spec.mean_defects ~alpha:p.Spec.alpha in
   let yp = Repairable.yield_poisson g ~mean_defects:p.Spec.mean_defects in
   let bare =
@@ -175,7 +166,7 @@ let campaign_json (spec : Spec.t) (p : Spec.point) =
       | _ -> [ ("repair", J.String (Campaign.repair_name repair)) ])
       @ [ ("repair_rate_two_pass", J.Float r.Campaign.observed_yield_two_pass)
         ; ("repair_rate_iterated", J.Float r.Campaign.observed_yield_iterated)
-        ; ("analytic_yield", J.Float r.Campaign.analytic_yield)
+        ; ("analytic_yield", J.Float (Campaign.analytic_yield cfg))
         ; ("escapes", J.Int (List.length r.Campaign.escapes))
         ; ("divergences", J.Int (List.length r.Campaign.divergences))
         ])

@@ -4,6 +4,8 @@ module March = Bisram_bist.March
 module Alg = Bisram_bist.Algorithms
 module Chips = Bisram_cost.Chips
 module Config = Bisram_core.Config
+module Config_file = Bisram_core.Config_file
+module Campaign = Bisram_campaign.Campaign
 module J = Bisram_obs.Json
 
 type t = {
@@ -45,7 +47,7 @@ let default =
   ; mean_defects = [ 0.5; 1.0; 2.0; 5.0; 10.0 ]
   ; alpha = [ 2.0 ]
   ; lambda = [ 1e-10 ]
-  ; process = (match Pr.find "CDA.7u3m1p" with Some p -> p | None -> assert false)
+  ; process = Pr.cda_07u3m1p
   ; march = Alg.ifa_9
   ; drive = 2
   ; strap = 32
@@ -57,43 +59,15 @@ let default =
   ; repair = "row-tlb"
   }
 
-(* same strategy-name surface as the campaign CLI; spec only validates
-   the spelling — resolution to an allocator happens in the evaluator *)
-let known_repairs = [ "row-tlb"; "bira-greedy"; "bira-essential"; "bira-bnb" ]
-
 (* ------------------------------------------------------------------ *)
-(* parsing (same key = value surface syntax as Config_file, with
-   comma-separated lists for the range keys) *)
+(* parsing: Config_file's key = value lines and name resolvers, with
+   comma-separated lists for the range keys *)
 
 let known_keys =
   [ "words"; "bpw"; "bpc"; "spares"; "spare_cols"; "mean_defects"; "alpha"
   ; "lambda"; "process"; "march"; "drive"; "strap"; "chip"; "evaluators"
   ; "campaign_trials"; "campaign_seed"; "repair"
   ]
-
-let parse_kvs text =
-  let strip_comment line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  text
-  |> String.split_on_char '\n'
-  |> List.concat_map (fun line ->
-         let line = String.trim (strip_comment line) in
-         if line = "" then []
-         else
-           match String.index_opt line '=' with
-           | None -> invalid_arg ("missing '=' in: " ^ line)
-           | Some i ->
-               let key = String.trim (String.sub line 0 i) in
-               let value =
-                 String.trim
-                   (String.sub line (i + 1) (String.length line - i - 1))
-               in
-               if key = "" || value = "" then
-                 invalid_arg ("empty key or value in: " ^ line);
-               [ (String.lowercase_ascii key, value) ])
 
 let split_list s =
   s |> String.split_on_char ',' |> List.map String.trim
@@ -136,120 +110,101 @@ let check_range key ok items =
   else Error (Printf.sprintf "key %S: value out of domain" key)
 
 let of_string text =
-  match parse_kvs text with
-  | exception Invalid_argument e -> Error e
-  | kvs -> (
-      match
-        List.find_opt (fun (k, _) -> not (List.mem k known_keys)) kvs
-      with
-      | Some (k, _) -> Error (Printf.sprintf "unknown key %S" k)
-      | None ->
-          let get key = List.assoc_opt key kvs in
-          let ints key dflt =
-            match get key with Some s -> int_list key s | None -> Ok dflt
-          in
-          let floats key dflt =
-            match get key with Some s -> float_list key s | None -> Ok dflt
-          in
-          let int1 key dflt =
-            match get key with Some s -> int_scalar key s | None -> Ok dflt
-          in
-          let* words = ints "words" default.words in
-          let* bpw = ints "bpw" default.bpw in
-          let* bpc = ints "bpc" default.bpc in
-          let* spares = ints "spares" default.spares in
-          let* spare_cols = ints "spare_cols" default.spare_cols in
-          let* mean_defects =
-            Result.bind (floats "mean_defects" default.mean_defects)
-              (check_range "mean_defects" (fun v -> v >= 0.0))
-          in
-          let* alpha =
-            Result.bind (floats "alpha" default.alpha)
-              (check_range "alpha" (fun v -> v > 0.0))
-          in
-          let* lambda =
-            Result.bind (floats "lambda" default.lambda)
-              (check_range "lambda" (fun v -> v > 0.0))
-          in
-          let* drive = int1 "drive" default.drive in
-          let* strap = int1 "strap" default.strap in
-          let* campaign_trials = int1 "campaign_trials" default.campaign_trials in
-          let* campaign_seed = int1 "campaign_seed" default.campaign_seed in
-          let* process =
-            match get "process" with
-            | None -> Ok default.process
-            | Some name -> (
-                match Pr.find name with
-                | Some p -> Ok p
-                | None -> Error (Printf.sprintf "unknown process %S" name))
-          in
-          let* march =
-            match get "march" with
-            | None -> Ok default.march
-            | Some s -> (
-                match Alg.find s with
-                | Some m -> Ok m
-                | None -> (
-                    match March.of_string ~name:"custom" s with
-                    | m -> Ok m
-                    | exception Invalid_argument e -> Error e))
-          in
-          let* chip =
-            match get "chip" with
-            | None -> Ok default.chip
-            | Some name -> (
-                match Chips.find name with
-                | Some c -> Ok c
-                | None -> Error (Printf.sprintf "unknown chip %S" name))
-          in
-          let* evaluators =
-            match get "evaluators" with
-            | None ->
-                Ok
-                  (default.evaluators
-                  @ if campaign_trials > 0 then [ "campaign" ] else [])
-            | Some s -> (
-                let named = split_list s in
-                match
-                  List.find_opt
-                    (fun e -> not (List.mem e known_evaluators))
-                    named
-                with
-                | Some e -> Error (Printf.sprintf "unknown evaluator %S" e)
-                | None ->
-                    if named = [] then Error "key \"evaluators\": empty list"
-                    else
-                      (* fixed report order, regardless of spelling order *)
-                      Ok
-                        (List.filter
-                           (fun e -> List.mem e named)
-                           known_evaluators))
-          in
-          let* repair =
-            match get "repair" with
-            | None -> Ok default.repair
-            | Some s ->
-                if List.mem s known_repairs then Ok s
-                else
-                  Error
-                    (Printf.sprintf
-                       "key \"repair\": unknown strategy %S (expected %s)" s
-                       (String.concat ", " known_repairs))
-          in
-          let* () =
-            if campaign_trials < 0 then
-              Error "key \"campaign_trials\": must be >= 0"
-            else if List.mem "campaign" evaluators && campaign_trials = 0 then
-              Error
-                "the campaign evaluator needs campaign_trials > 0 (it runs a \
-                 Monte Carlo campaign per point)"
-            else Ok ()
-          in
-          Ok
-            { words; bpw; bpc; spares; spare_cols; mean_defects; alpha
-            ; lambda; process; march; drive; strap; chip; evaluators
-            ; campaign_trials; campaign_seed; repair
-            })
+  let* kvs = Config_file.parse ~keys:known_keys text in
+  let get key = List.assoc_opt key kvs in
+  let ints key dflt =
+    match get key with Some s -> int_list key s | None -> Ok dflt
+  in
+  let floats key dflt =
+    match get key with Some s -> float_list key s | None -> Ok dflt
+  in
+  let int1 key dflt =
+    match get key with Some s -> int_scalar key s | None -> Ok dflt
+  in
+  let* words = ints "words" default.words in
+  let* bpw = ints "bpw" default.bpw in
+  let* bpc = ints "bpc" default.bpc in
+  let* spares = ints "spares" default.spares in
+  let* spare_cols = ints "spare_cols" default.spare_cols in
+  let* mean_defects =
+    Result.bind (floats "mean_defects" default.mean_defects)
+      (check_range "mean_defects" (fun v -> v >= 0.0))
+  in
+  let* alpha =
+    Result.bind (floats "alpha" default.alpha)
+      (check_range "alpha" (fun v -> v > 0.0))
+  in
+  let* lambda =
+    Result.bind (floats "lambda" default.lambda)
+      (check_range "lambda" (fun v -> v > 0.0))
+  in
+  let* drive = int1 "drive" default.drive in
+  let* strap = int1 "strap" default.strap in
+  let* campaign_trials = int1 "campaign_trials" default.campaign_trials in
+  let* campaign_seed = int1 "campaign_seed" default.campaign_seed in
+  let resolve key resolver dflt =
+    match get key with Some s -> resolver s | None -> Ok dflt
+  in
+  let* process =
+    resolve "process" Config_file.process default.process
+  in
+  let* march = resolve "march" Config_file.march default.march in
+  let* chip =
+    match get "chip" with
+    | None -> Ok default.chip
+    | Some name -> (
+        match Chips.find name with
+        | Some c -> Ok c
+        | None -> Error (Printf.sprintf "unknown chip %S" name))
+  in
+  let* evaluators =
+    match get "evaluators" with
+    | None ->
+        Ok
+          (default.evaluators
+          @ if campaign_trials > 0 then [ "campaign" ] else [])
+    | Some s -> (
+        let named = split_list s in
+        match
+          List.find_opt
+            (fun e -> not (List.mem e known_evaluators))
+            named
+        with
+        | Some e -> Error (Printf.sprintf "unknown evaluator %S" e)
+        | None ->
+            if named = [] then Error "key \"evaluators\": empty list"
+            else
+              (* fixed report order, regardless of spelling order *)
+              Ok
+                (List.filter
+                   (fun e -> List.mem e named)
+                   known_evaluators))
+  in
+  let* repair =
+    match get "repair" with
+    | None -> Ok default.repair
+    | Some s when Option.is_some (Campaign.repair_of_name s) -> Ok s
+    | Some s ->
+        Error
+          (Printf.sprintf
+             "key \"repair\": unknown strategy %S (expected %s)" s
+             (String.concat ", "
+                (List.map Campaign.repair_name Campaign.repairs)))
+  in
+  let* () =
+    if campaign_trials < 0 then
+      Error "key \"campaign_trials\": must be >= 0"
+    else if List.mem "campaign" evaluators && campaign_trials = 0 then
+      Error
+        "the campaign evaluator needs campaign_trials > 0 (it runs a \
+         Monte Carlo campaign per point)"
+    else Ok ()
+  in
+  Ok
+    { words; bpw; bpc; spares; spare_cols; mean_defects; alpha
+    ; lambda; process; march; drive; strap; chip; evaluators
+    ; campaign_trials; campaign_seed; repair
+    }
 
 (* ------------------------------------------------------------------ *)
 (* lattice expansion *)
@@ -292,7 +247,8 @@ let expand (t : t) =
   (Array.of_list (List.rev !points), !skipped)
 
 let config_of_point t p =
-  Config.make ~spares:p.org.Org.spares ~drive:t.drive ~strap:t.strap
+  Config.make ~spares:p.org.Org.spares ~spare_cols:p.org.Org.spare_cols
+    ~drive:t.drive ~strap:t.strap
     ~march:t.march ~process:t.process ~words:p.org.Org.words
     ~bpw:p.org.Org.bpw ~bpc:p.org.Org.bpc ()
 

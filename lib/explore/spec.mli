@@ -44,8 +44,9 @@ type t = {
   campaign_trials : int;  (** 0 disables the campaign evaluator *)
   campaign_seed : int;
   repair : string;
-      (** campaign repair strategy name (validated against
-          {!known_repairs}); ["row-tlb"] by default *)
+      (** campaign repair strategy name (validated with
+          {!Bisram_campaign.Campaign.repair_of_name}); ["row-tlb"] by
+          default *)
 }
 
 (** One lattice point: an organization under one (defect, alpha,
@@ -63,18 +64,15 @@ type point = {
     ["area"], ["yield"], ["cost"], ["reliability"], ["campaign"]. *)
 val known_evaluators : string list
 
-(** The repair-strategy names the [repair] key accepts — the same
-    surface as the campaign CLI's [--repair]: ["row-tlb"],
-    ["bira-greedy"], ["bira-essential"], ["bira-bnb"]. *)
-val known_repairs : string list
-
 (** Defaults: the paper's Fig.-4 organization (4096 words, bpw 4,
     bpc 4) over spares 0/4/8/16 and mean defects 0.5/1/2/5/10,
     alpha 2, lambda 1e-10, CDA.7u3m1p, IFA-9, drive 2, strap 32,
     Intel Pentium, campaign disabled. *)
 val default : t
 
-(** Parse a spec file.  Unknown keys, empty ranges, malformed numbers,
+(** Parse a spec file: the lines go through
+    {!Bisram_core.Config_file.parse} and the process and march names
+    through its resolvers.  Unknown keys, empty ranges, malformed numbers,
     non-finite or out-of-domain values (negative mean defects,
     alpha <= 0, lambda <= 0), unknown process/march/chip/evaluator
     names and a requested campaign evaluator with [campaign_trials = 0]
@@ -88,7 +86,7 @@ val of_string : string -> (t, string) result
 val expand : t -> point array * int
 
 (** The full compiler configuration of a point (spec scalars + point
-    organization). *)
+    organization, spare columns included). *)
 val config_of_point : t -> point -> Bisram_core.Config.t
 
 (** Canonical, version-free rendering of the sub-spec a given evaluator

@@ -28,6 +28,12 @@ let stuck_at_only =
   ; data_retention = 0.0
   }
 
+let retention_only = { stuck_at_only with stuck_at = 0.0; data_retention = 1.0 }
+
+let named_mixes =
+  [ ("default", default_mix); ("stuck-at", stuck_at_only)
+  ; ("retention", retention_only) ]
+
 let mix_weights mix =
   [ ("stuck_at", mix.stuck_at)
   ; ("transition", mix.transition)

@@ -23,6 +23,14 @@ val default_mix : mix
     for the paper's yield analysis (a defect makes one cell bad). *)
 val stuck_at_only : mix
 
+(** Every weight on data-retention faults: the coverage hole of a march
+    without Wait items (MATS+ lets them escape). *)
+val retention_only : mix
+
+(** The mixes a configuration can name: ["default"], ["stuck-at"] and
+    ["retention"]. *)
+val named_mixes : (string * mix) list
+
 (** @raise Invalid_argument when any weight is negative or NaN (the
     message names the offending key and its value), or when every
     weight is zero (the sampler would silently bias towards stuck-at

@@ -1,0 +1,94 @@
+#!/usr/bin/env bash
+# CLI error-surface gate.
+#
+# (1) Every invalid configuration must exit with its documented code
+#     (2 for campaign and explore, 1 for compile, selftest and analyze)
+#     and print exactly one stderr line, starting "bisramgen: " and
+#     naming the offending value.
+# (2) The option header lines (names, aliases, absent= defaults) of
+#     `bisramgen <cmd> --help=plain` must equal test/cli_options.txt, so
+#     no flag, alias or default drifts unnoticed.
+#
+# Usage: bash test/cli_errors.sh path/to/bisramgen.exe
+# Re-pin (2) after a deliberate option change:
+#   bash test/cli_errors.sh path/to/bisramgen.exe --print-options \
+#     > test/cli_options.txt
+set -u
+exe=$1
+here=$(cd "$(dirname "$0")" && pwd)
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+
+options() {
+  for c in compile selftest campaign explore analyze; do
+    "$exe" "$c" --help=plain | sed -n "s/^       \(-.*\)$/$c \1/p"
+  done
+}
+
+if [ "${2:-}" = "--print-options" ]; then
+  options
+  exit 0
+fi
+
+fail=0
+
+# expect CODE TEXT ARGS...: `bisramgen ARGS` exits CODE and its stderr
+# is one "bisramgen: " line containing TEXT (a fixed string).
+expect() {
+  local code=$1 text=$2
+  shift 2
+  "$exe" "$@" > /dev/null 2> "$dir/err"
+  local got=$?
+  if [ "$got" -ne "$code" ] || [ "$(wc -l < "$dir/err")" -ne 1 ] \
+    || ! grep -q '^bisramgen: ' "$dir/err" \
+    || ! grep -qF -- "$text" "$dir/err"; then
+    echo "cli-errors: FAIL: bisramgen $* exited $got (want $code and one" \
+      "line naming \"$text\"); stderr:"
+    cat "$dir/err"
+    fail=1
+  fi
+}
+
+# campaign: exit 2, "invalid configuration"
+expect 2 bogus-mix campaign --mix bogus-mix
+expect 2 bogus-mode campaign --mode bogus-mode
+expect 2 bogus-repair campaign --repair bogus-repair
+expect 2 bogus-metric campaign --ci-metric bogus-metric
+expect 2 bogus-pmix campaign --proposal-mix bogus-pmix
+expect 2 bogus-level campaign --events-level bogus-level
+expect 2 "bad order b" campaign --march 'bogus('
+expect 2 --batch-lanes campaign --batch-lanes 0
+expect 2 --proposal-nonzero campaign --proposal-nonzero 0.5 \
+  --proposal-count-scale 2
+
+# compile, selftest, analyze: exit 1
+for c in compile selftest analyze; do
+  expect 1 bogus-proc "$c" --process bogus-proc
+  expect 1 "bad order b" "$c" --march 'bogus('
+done
+printf 'words = 64\nwordz = 64\n' > "$dir/key.cfg"
+printf 'words 64\n' > "$dir/noeq.cfg"
+printf 'process = bogus-proc\n' > "$dir/proc.cfg"
+expect 1 wordz compile -c "$dir/key.cfg"
+expect 1 "words 64" compile -c "$dir/noeq.cfg"
+expect 1 bogus-proc compile -c "$dir/proc.cfg"
+
+# explore --spec: exit 2
+printf 'repair = bogus-repair\n' > "$dir/repair.spec"
+printf 'process = bogus-proc\n' > "$dir/proc.spec"
+printf 'words 64\n' > "$dir/noeq.spec"
+printf 'march = bogus(\n' > "$dir/march.spec"
+for s in repair:bogus-repair proc:bogus-proc "noeq:words 64" \
+  "march:bad order b"; do
+  expect 2 "${s#*:}" explore --spec "$dir/${s%%:*}.spec" \
+    --cache "$dir/cache"
+done
+
+options > "$dir/options.txt"
+if ! cmp -s "$dir/options.txt" "$here/cli_options.txt"; then
+  echo "cli-errors: FAIL: option headers differ from test/cli_options.txt:"
+  diff "$here/cli_options.txt" "$dir/options.txt"
+  fail=1
+fi
+
+exit $fail

@@ -14,16 +14,6 @@ module Repair = Bisram_bisr.Repair
 module Alg = Bisram_bist.Algorithms
 module Datagen = Bisram_bist.Datagen
 
-let retention_only =
-  { I.stuck_at = 0.0
-  ; transition = 0.0
-  ; stuck_open = 0.0
-  ; coupling_inversion = 0.0
-  ; coupling_idempotent = 0.0
-  ; state_coupling = 0.0
-  ; data_retention = 1.0
-  }
-
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
@@ -137,7 +127,7 @@ let test_campaign_seed_changes_report () =
   Alcotest.(check bool) "different seeds differ" true (r1 <> r2)
 
 let known_escape_config ?(trials = 30) () =
-  C.make_config ~march:Alg.mats_plus ~mix:retention_only ~mode:(C.Uniform 3)
+  C.make_config ~march:Alg.mats_plus ~mix:I.retention_only ~mode:(C.Uniform 3)
     ~trials ~seed:5 ()
 
 let test_known_escape_detected_and_shrunk () =
@@ -488,9 +478,10 @@ let test_yield_brackets_analytic () =
       ()
   in
   let r = C.run cfg in
-  if r.C.observed_yield_two_pass < r.C.analytic_yield -. 0.06 then
+  let analytic = C.analytic_yield r.C.config in
+  if r.C.observed_yield_two_pass < analytic -. 0.06 then
     Alcotest.failf "two-pass %.3f below strict analytic bound %.3f"
-      r.C.observed_yield_two_pass r.C.analytic_yield;
+      r.C.observed_yield_two_pass analytic;
   Alcotest.(check bool) "iterated dominates two-pass" true
     (r.C.observed_yield_iterated >= r.C.observed_yield_two_pass)
 

@@ -173,6 +173,19 @@ let test_config_file_defaults_and_errors () =
   (match CF.of_string "spares = 5" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "invalid spares accepted");
+  (* the key = value surface shared with explore specs *)
+  List.iter
+    (fun (text, words) ->
+      match CF.of_string text with
+      | Ok cfg -> Alcotest.(check int) text words cfg.Config.org.Org.words
+      | Error e -> Alcotest.failf "%S rejected: %s" text e)
+    [ ("WORDS = 1024", 1024); ("words = 2048 # trailing comment", 2048) ];
+  List.iter
+    (fun text ->
+      match CF.of_string text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S accepted" text)
+    [ "words ="; "words 1024" ];
   match CF.of_string "march = u(w0); u(r0)" with
   | Ok cfg ->
       Alcotest.(check int) "inline march" 2

@@ -3,6 +3,9 @@
    extraction). *)
 
 module Spec = Bisram_explore.Spec
+module Campaign = Bisram_campaign.Campaign
+module Compiler = Bisram_core.Compiler
+module Config = Bisram_core.Config
 module Explore = Bisram_explore.Explore
 module Pareto = Bisram_explore.Pareto
 module J = Bisram_obs.Json
@@ -44,7 +47,19 @@ let test_spec_parses () =
   Alcotest.(check (list string))
     "evaluators in fixed order"
     [ "area"; "yield"; "cost"; "reliability" ]
-    s.Spec.evaluators
+    s.Spec.evaluators;
+  (* the key = value surface shared with Config_file *)
+  List.iter
+    (fun (text, words) ->
+      match Spec.of_string text with
+      | Ok s -> Alcotest.(check (list int)) text words s.Spec.words
+      | Error e -> Alcotest.failf "%S rejected: %s" text e)
+    [ ("WORDS = 1024", [ 1024 ]); ("words = 2048 # trailing comment", [ 2048 ]) ];
+  match Spec.of_string "march = u(w0); u(r0)" with
+  | Ok s ->
+      Alcotest.(check int) "inline march" 2
+        (Bisram_bist.March.ops_per_address s.Spec.march)
+  | Error e -> Alcotest.failf "inline march rejected: %s" e
 
 let test_spec_defaults () =
   match Spec.of_string "" with
@@ -67,8 +82,58 @@ let test_spec_rejects () =
   expect_error "zero alpha" "alpha = 0\n";
   expect_error "non-finite" "alpha = inf\n";
   expect_error "missing equals" "words 64\n";
+  expect_error "empty value" "words =\n";
   expect_error "campaign without trials" "evaluators = campaign\n";
   expect_error "unknown process" "process = unobtainium\n"
+
+let test_spec_repair_names () =
+  List.iter
+    (fun r ->
+      let name = Campaign.repair_name r in
+      match Spec.of_string ("campaign_trials = 5\nrepair = " ^ name) with
+      | Error e -> Alcotest.failf "repair %s rejected: %s" name e
+      | Ok s ->
+          Alcotest.(check string) "repair kept" name s.Spec.repair;
+          let points, _ = Spec.expand s in
+          let key = Spec.cache_key s points.(0) ~evaluator:"campaign" in
+          let suffix = "|r=" ^ name in
+          Alcotest.(check bool)
+            (name ^ " spelled in the campaign key")
+            (name <> "row-tlb")
+            (String.ends_with ~suffix key))
+    Campaign.repairs;
+  expect_error "unknown repair" "repair = frobnicate\n"
+
+(* a 2D point is compiled with its spare columns: the area evaluator
+   reports what Compiler.compile gives for the same organization *)
+let test_spare_cols_area () =
+  match
+    Spec.of_string
+      "words = 64\nbpw = 8\nbpc = 4\nspares = 4\nspare_cols = 0, 2\n\
+       mean_defects = 1\nevaluators = area\n"
+  with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      let r = Explore.run ~jobs:1 s in
+      let module_mm2 i =
+        match List.assoc "area" r.Explore.evals.(i) with
+        | J.Obj fields -> (
+            match List.assoc "module_mm2" fields with
+            | J.Float v -> v
+            | _ -> Alcotest.fail "module_mm2 is not a float")
+        | _ -> Alcotest.fail "area is not an object"
+      in
+      let direct spare_cols =
+        (Compiler.compile
+           (Config.make ~process:s.Spec.process ~spare_cols ~words:64 ~bpw:8
+              ~bpc:4 ~spares:4 ()))
+          .Compiler.area
+          .Compiler.module_mm2
+      in
+      Alcotest.(check (float 1e-12)) "row-only point" (direct 0) (module_mm2 0);
+      Alcotest.(check (float 1e-12)) "2-column point" (direct 2) (module_mm2 1);
+      Alcotest.(check bool) "spare columns cost area" true
+        (module_mm2 1 > module_mm2 0)
 
 let test_expand_counts () =
   let s = tiny_spec () in
@@ -337,6 +402,9 @@ let () =
         [ Alcotest.test_case "parses" `Quick test_spec_parses
         ; Alcotest.test_case "defaults" `Quick test_spec_defaults
         ; Alcotest.test_case "rejects" `Quick test_spec_rejects
+        ; Alcotest.test_case "spec repair names" `Quick test_spec_repair_names
+        ; Alcotest.test_case "spare columns compiled" `Quick
+            test_spare_cols_area
         ; Alcotest.test_case "expand counts" `Quick test_expand_counts
         ] )
     ; ( "engine",

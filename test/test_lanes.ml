@@ -16,16 +16,6 @@ module Datagen = Bisram_bist.Datagen
 module I = Bisram_faults.Injection
 module Pool = Bisram_parallel.Pool
 
-let retention_only =
-  { I.stuck_at = 0.0
-  ; transition = 0.0
-  ; stuck_open = 0.0
-  ; coupling_inversion = 0.0
-  ; coupling_idempotent = 0.0
-  ; state_coupling = 0.0
-  ; data_retention = 1.0
-  }
-
 (* ------------------------------------------------------------------ *)
 (* the correctness keystone: per lane, [Lanes] equals the scalar
    [Model] under arbitrary per-lane fault sets and an arbitrary
@@ -191,7 +181,7 @@ let test_lanes_out_of_range_rejected () =
 
 let test_failing_lane_replay () =
   let cfg =
-    C.make_config ~march:Alg.mats_plus ~mix:retention_only ~mode:(C.Uniform 3)
+    C.make_config ~march:Alg.mats_plus ~mix:I.retention_only ~mode:(C.Uniform 3)
       ~trials:70 ~seed:5 ()
   in
   let batched = C.run ~jobs:1 ~lanes:62 cfg in
