@@ -75,7 +75,10 @@ campaign-determinism: build
 # naive adaptive sampling.  (2) The importance-weighted report must be
 # byte-identical across --jobs counts — the weighted sums accumulate
 # in strict trial order, so parallel fan-out must not perturb a single
-# float.
+# float.  (3) An adaptive report (5 windows of 130 trials: two full
+# 62-lane batches and a ragged tail each) must be byte-identical
+# between the scalar sequential and the lane-batched parallel
+# scheduler, since every window adds to one running tally.
 estimator-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
 	  --mode poisson --mean 0.02 --seed 7 --jobs 2 --no-shrink \
@@ -96,8 +99,15 @@ estimator-smoke: build
 	  --mode poisson --mean 0.05 --seed 7 --trials 400 --no-shrink \
 	  --proposal-count-scale 10 --jobs 2 > .ci-est-is2.json
 	diff .ci-est-is1.json .ci-est-is2.json
+	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
+	  --mode poisson --mean 0.1 --seed 7 --target-ci 0.25 --ci-batch 130 \
+	  --ci-max-trials 5000 --jobs 1 --batch-lanes 1 > .ci-est-ad1.json
+	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
+	  --mode poisson --mean 0.1 --seed 7 --target-ci 0.25 --ci-batch 130 \
+	  --ci-max-trials 5000 --jobs 2 --batch-lanes 62 > .ci-est-ad2.json
+	diff .ci-est-ad1.json .ci-est-ad2.json
 	rm -f .ci-est-strat.json .ci-est-naive.json .ci-est-is1.json \
-	  .ci-est-is2.json
+	  .ci-est-is2.json .ci-est-ad1.json .ci-est-ad2.json
 	@echo "estimator-smoke: OK"
 
 # Telemetry wiring check: a tiny instrumented campaign must produce a

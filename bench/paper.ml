@@ -412,9 +412,9 @@ let repair_demo () =
     [ F.Stuck_at ({ F.row = 3; col = 9 }, true)
     ; F.Stuck_at ({ F.row = Org.rows org; col = 9 }, true)
     ];
-  let outcome, _ = Repair.run_iterated m Alg.ifa_9 ~backgrounds in
+  let r = Repair.run_iterated_result m Alg.ifa_9 ~backgrounds in
   Format.printf "%-28s: %a@." "  ... with 2k-pass iteration" Repair.pp_outcome
-    outcome
+    r.Repair.i_outcome
 
 (* ------------------------------------------------------------------ *)
 (* March synthesis: generated tests vs the hand-designed library *)

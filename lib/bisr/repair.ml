@@ -140,10 +140,6 @@ let run_flows ?(max_rounds = 8) model test ~backgrounds =
 let run_iterated_result ?max_rounds model test ~backgrounds =
   (run_flows ?max_rounds model test ~backgrounds).iterated
 
-let run_iterated ?max_rounds model test ~backgrounds =
-  let r = run_iterated_result ?max_rounds model test ~backgrounds in
-  (r.i_outcome, r.i_tlb)
-
 let pp_outcome ppf = function
   | Passed_clean -> Format.pp_print_string ppf "passed clean"
   | Repaired rows ->

@@ -39,16 +39,6 @@ val run_reference :
   backgrounds:Bisram_sram.Word.t list ->
   outcome * Tlb.t
 
-(** Iterated (2k-pass) flow: on a pass-2 failure caused by a faulty
-    spare, the affected logical rows are remapped to subsequent spares
-    and verification repeats, up to [max_rounds] times. *)
-val run_iterated :
-  ?max_rounds:int ->
-  Bisram_sram.Model.t ->
-  Bisram_bist.March.t ->
-  backgrounds:Bisram_sram.Word.t list ->
-  outcome * Tlb.t
-
 type iterated_result = {
   i_outcome : outcome;
   i_tlb : Tlb.t;
@@ -58,8 +48,11 @@ type iterated_result = {
           recording already overflowed the TLB *)
 }
 
-(** [run_iterated] plus the number of verification rounds consumed —
-    the campaign harness histograms this as the repair-effort metric. *)
+(** Iterated (2k-pass) flow: on a pass-2 failure caused by a faulty
+    spare, the affected logical rows are remapped to subsequent spares
+    and verification repeats, up to [max_rounds] times.  The result
+    also counts the verification rounds consumed — the campaign harness
+    histograms this as the repair-effort metric. *)
 val run_iterated_result :
   ?max_rounds:int ->
   Bisram_sram.Model.t ->

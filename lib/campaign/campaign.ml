@@ -478,37 +478,37 @@ type tool_error = {
 }
 
 (* Weighted-tally machinery for the estimator layer.  When a proposal
-   is armed, every trial carries an importance weight w; a tally keeps
-   the trial count, sum of weights and sum of squared weights of the
-   trials where some indicator fired, which is all the downstream
+   is armed, every trial carries an importance weight w; an indicator
+   keeps the trial count, sum of weights and sum of squared weights of
+   the trials where it fired, which is all the downstream
    effective-sample-size interval math needs.  Sums accumulate in
-   strict trial-index order (and [run ~weighted_init] continues a
-   previous accumulation in place), so they are bit-identical however
-   the trials were batched. *)
+   strict trial-index order (and [run ~tally] continues a previous
+   accumulation in place), so they are bit-identical however the
+   trials were batched. *)
 
-type tally = { t_trials : int; t_w : float; t_w2 : float }
+type indicator = { t_trials : int; t_w : float; t_w2 : float }
 
-let empty_tally = { t_trials = 0; t_w = 0.0; t_w2 = 0.0 }
+let empty_indicator = { t_trials = 0; t_w = 0.0; t_w2 = 0.0 }
 
-let tally_add t w =
+let indicator_add t w =
   { t_trials = t.t_trials + 1; t_w = t.t_w +. w; t_w2 = t.t_w2 +. (w *. w) }
 
 type weighted = {
   wn : int;
   w_sum : float;
   w_sum2 : float;
-  w_escape : tally;
-  w_repair_fail_two_pass : tally;
-  w_repair_fail_iterated : tally;
+  w_escape : indicator;
+  w_repair_fail_two_pass : indicator;
+  w_repair_fail_iterated : indicator;
 }
 
 let empty_weighted =
   { wn = 0
   ; w_sum = 0.0
   ; w_sum2 = 0.0
-  ; w_escape = empty_tally
-  ; w_repair_fail_two_pass = empty_tally
-  ; w_repair_fail_iterated = empty_tally
+  ; w_escape = empty_indicator
+  ; w_repair_fail_two_pass = empty_indicator
+  ; w_repair_fail_iterated = empty_indicator
   }
 
 type result = {
@@ -944,10 +944,9 @@ let compute_record cfg ~index =
    The one definition of how a trial record counts: the outcome
    histograms, the repair-rounds table, the escape/divergence
    partition, tool errors and the clean count.  The ordered report
-   fold, the live-progress collector and [merge_results] all go
-   through it.  Only the report fold's tally carries [c_weighted], so
-   importance weights accumulate in strict trial order and nowhere
-   else. *)
+   fold and the live-progress collector both go through it.  Only the
+   report fold's counts carry [c_weighted], so importance weights
+   accumulate in strict trial order and nowhere else. *)
 
 (* The record of a trial whose whole flow was clean: what a clean lane
    resolves to without unpacking, and what [p_clean] counts. *)
@@ -1033,7 +1032,7 @@ let add cfg c rc =
   match (c.c_weighted, cfg.proposal) with
   | Some acc, Some p ->
       let w = trial_weight cfg p ~index:rc.rc_index in
-      let fired t cond = if cond then tally_add t w else t in
+      let fired t cond = if cond then indicator_add t w else t in
       c.c_weighted <-
         Some
           { wn = acc.wn + 1
@@ -1046,30 +1045,6 @@ let add cfg c rc =
               fired acc.w_repair_fail_iterated iterated_failed
           }
   | _ -> ()
-
-(* A finished window's result, folded in as if its records had been
-   added one by one.  Its weighted sums are running totals that already
-   continue the earlier windows' ([run ~weighted_init]), so they are
-   taken, never re-added. *)
-let absorb c r =
-  let sum a b =
-    { passed_clean = a.passed_clean + b.passed_clean
-    ; repaired = a.repaired + b.repaired
-    ; too_many_faulty_rows = a.too_many_faulty_rows + b.too_many_faulty_rows
-    ; fault_in_second_pass = a.fault_in_second_pass + b.fault_in_second_pass
-    }
-  in
-  c.c_trials <- c.c_trials + r.trials_run;
-  c.c_two_pass <- sum c.c_two_pass r.two_pass;
-  c.c_iterated <- sum c.c_iterated r.iterated;
-  List.iter (fun (rounds, n) -> add_rounds c.c_rounds rounds n) r.rounds;
-  c.c_escapes <- List.rev_append r.escapes c.c_escapes;
-  c.c_divergences <- List.rev_append r.divergences c.c_divergences;
-  c.c_tool_errors <- List.rev_append r.tool_errors c.c_tool_errors;
-  c.c_n_escapes <- c.c_n_escapes + List.length r.escapes;
-  c.c_n_divergences <- c.c_n_divergences + List.length r.divergences;
-  c.c_n_tool_errors <- c.c_n_tool_errors + List.length r.tool_errors;
-  c.c_weighted <- r.weighted
 
 let result_of_counts config c ~resumed_trials =
   let trials_run = c.c_trials in
@@ -1112,13 +1087,21 @@ let progress_of_counts ~total c =
   ; p_clean = c.c_clean
   }
 
-let add_progress a b =
-  { p_done = a.p_done + b.p_done
-  ; p_total = a.p_total + b.p_total
-  ; p_escapes = a.p_escapes + b.p_escapes
-  ; p_divergences = a.p_divergences + b.p_divergences
-  ; p_tool_errors = a.p_tool_errors + b.p_tool_errors
-  ; p_clean = a.p_clean + b.p_clean
+(* The report's counts, carried from window to window of one growing
+   campaign: [tl_config] is the union's configuration (its [trials]
+   sums the windows' requests), so its [c_trials] is where the next
+   window starts. *)
+type tally = {
+  mutable tl_config : config;
+  tl_counts : counts;
+  mutable tl_resumed : int;
+}
+
+let tally cfg =
+  { tl_config = { cfg with trials = 0 }
+  ; tl_counts =
+      counts ?weighted:(Option.map (fun _ -> empty_weighted) cfg.proposal) ()
+  ; tl_resumed = 0
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1336,7 +1319,8 @@ let emit_record rc =
           ]
 
 let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
-    ?checkpoint ?trial_deadline ?(offset = 0) ?weighted_init ?on_progress cfg =
+    ?checkpoint ?trial_deadline ?(offset = 0) ?tally:running ?on_progress
+    cfg =
   if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
   if lanes < 1 || lanes > max_lanes then
     invalid_arg
@@ -1346,6 +1330,25 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     invalid_arg
       "Campaign.run: checkpoints cover trials from 0, so they require \
        offset = 0";
+  (* the counts this window adds to: a fresh tally, or the running one
+     of a campaign grown window by window *)
+  let tl =
+    match running with
+    | None -> tally cfg
+    | Some t ->
+        let compat c = J.to_string (compat_json c) in
+        if not (String.equal (compat t.tl_config) (compat cfg)) then
+          invalid_arg "Campaign.run: the tally has a different configuration";
+        if offset <> t.tl_counts.c_trials then
+          invalid_arg
+            (Printf.sprintf
+               "Campaign.run: offset %d does not continue the tally at trial \
+                %d"
+               offset t.tl_counts.c_trials);
+        t
+  in
+  let report = tl.tl_counts in
+  let total = tl.tl_config.trials + cfg.trials in
   let now =
     match now with Some f -> f | None -> Bisram_parallel.Clock.now
   in
@@ -1447,21 +1450,6 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
             else compute_record cfg ~index)
     end
   in
-  (* per-domain utilization lands in worker-indexed counters; the probe
-     runs on each worker's own domain, so it writes that domain's
-     telemetry shard without contention *)
-  let probe =
-    if not (Obs.enabled ()) then None
-    else
-      Some
-        (fun ~worker ~busy_ns ~total_ns ~chunks ~items ->
-          let p = Printf.sprintf "pool.worker%d." worker in
-          Obs.add (p ^ "busy_ns") (Int64.to_int busy_ns);
-          Obs.add (p ^ "idle_ns")
-            (Int64.to_int (Int64.sub total_ns busy_ns));
-          Obs.add (p ^ "chunks") chunks;
-          Obs.add (p ^ "items") items)
-  in
   (* A crashed unit becomes one recorded outcome per contained trial —
      exactly what the per-trial scheduler recorded — not a crash of the
      campaign.  Only the exception's rendering enters the record: the
@@ -1500,11 +1488,15 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
   let ck_prefix = ref nresumed in
   let ck_last_written = ref nresumed in
   let ck_records () = List.init !ck_prefix (Hashtbl.find ck_table) in
-  let live = counts () in
-  let collector = Mutex.create () in
   let on_result =
     if Option.is_none ck_write && Option.is_none on_progress then None
-    else
+    else begin
+      (* the live counts start where the tally stands, so a growing
+         campaign streams one monotonic count across its windows *)
+      let live =
+        { report with c_rounds = Hashtbl.create 8; c_weighted = None }
+      in
+      let collector = Mutex.create () in
       Some
         (fun unit r ->
           let rcs = records_of_job unit r in
@@ -1524,8 +1516,9 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                   end)
                 ck_write;
               Option.iter
-                (fun f -> f (progress_of_counts ~total:cfg.trials live))
+                (fun f -> f (progress_of_counts ~total live))
                 on_progress))
+    end
   in
   (* retry observability: the pool calls this on the raising worker
      right before a transient re-attempt *)
@@ -1549,8 +1542,8 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     Option.map (fun s -> Int64.of_float (s *. 1e9)) trial_deadline
   in
   let completed =
-    Pool.map_result ~jobs ~should_stop:over_budget ?probe ?deadline_ns
-      ?on_result ?on_retry n_units work
+    Pool.map_result ~jobs ~should_stop:over_budget ?probe:(Obs.pool_probe ())
+      ?deadline_ns ?on_result ?on_retry n_units work
   in
   (* final snapshot: a graceful drain (budget or SIGINT) leaves the
      freshest contiguous prefix on disk for the next --resume *)
@@ -1600,18 +1593,10 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
       completed;
     if !retries > 0 then Obs.add "pool.retries" !retries
   end;
-  (* the report: one tally over the contiguous prefix in strict trial
-     order, its weighted sums continuing [weighted_init]'s when the
-     caller grows a campaign window by window, so the floats come out
-     bit-identical to one big run's *)
-  let report =
-    counts
-      ?weighted:
-        (Option.map
-           (fun _ -> Option.value weighted_init ~default:empty_weighted)
-           cfg.proposal)
-      ()
-  in
+  (* the report: the contiguous prefix added to the tally in strict
+     trial order, so a campaign grown window by window counts, lists and
+     weighs its trials exactly as one big run would, floats included *)
+  let at_start = progress_of_counts ~total report in
   for u = 0 to units_run - 1 do
     (* [Option.get]: inside the contiguous prefix *)
     Array.iter
@@ -1620,38 +1605,19 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
         emit_record rc)
       (records_of_job u (Option.get completed.(u)))
   done;
+  (* the window's own counts *)
+  let trials_run = report.c_trials - at_start.p_done in
   Obs.emit ~domain:"campaign" "run.end"
-    [ ("trials_run", J.Int report.c_trials)
-    ; ("truncated", J.Bool (report.c_trials < cfg.trials))
-    ; ("escapes", J.Int report.c_n_escapes)
-    ; ("divergences", J.Int report.c_n_divergences)
-    ; ("tool_errors", J.Int report.c_n_tool_errors)
+    [ ("trials_run", J.Int trials_run)
+    ; ("truncated", J.Bool (trials_run < cfg.trials))
+    ; ("escapes", J.Int (report.c_n_escapes - at_start.p_escapes))
+    ; ( "divergences"
+      , J.Int (report.c_n_divergences - at_start.p_divergences) )
+    ; ("tool_errors", J.Int (report.c_n_tool_errors - at_start.p_tool_errors))
     ];
-  result_of_counts cfg report ~resumed_trials:nresumed
-
-(* ------------------------------------------------------------------ *)
-(* merging windowed runs *)
-
-(* Merge the results of consecutive [run ~offset] windows over the same
-   base configuration into what one big run over the union would have
-   produced: the report bytes included, which the estimator's adaptive
-   mode leans on. *)
-let merge_results = function
-  | [] -> invalid_arg "Campaign.merge_results: empty result list"
-  | first :: _ as rs ->
-      let compat r = J.to_string (compat_json r.config) in
-      List.iter
-        (fun r ->
-          if not (String.equal (compat r) (compat first)) then
-            invalid_arg "Campaign.merge_results: incompatible configurations")
-        rs;
-      let c = counts () in
-      List.iter (absorb c) rs;
-      let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
-      result_of_counts
-        { first.config with trials = sum (fun r -> r.config.trials) }
-        c
-        ~resumed_trials:(sum (fun r -> r.resumed_trials))
+  tl.tl_config <- { cfg with trials = total };
+  tl.tl_resumed <- tl.tl_resumed + nresumed;
+  result_of_counts tl.tl_config report ~resumed_trials:tl.tl_resumed
 
 (* ------------------------------------------------------------------ *)
 (* JSON report *)

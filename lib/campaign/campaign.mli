@@ -191,24 +191,24 @@ type tool_error = {
   te_error : string;  (** [Printexc.to_string] of the final exception *)
 }
 
-(** Weighted occurrence tally of one failure indicator: how many
+(** Weighted occurrence count of one failure indicator: how many
     trials fired it, and the sums of their importance weights and
     squared weights (what effective-sample-size interval math
     consumes). *)
-type tally = { t_trials : int; t_w : float; t_w2 : float }
+type indicator = { t_trials : int; t_w : float; t_w2 : float }
 
 (** Importance-weighted campaign tallies, accumulated in strict trial
     order when a proposal is armed.  [w_sum] / [w_sum2] run over {e
     all} [wn] trials; the per-indicator tallies only over trials where
     the indicator fired.  An unbiased nominal-probability estimate of
-    an indicator is [tally.t_w /. float wn]. *)
+    an indicator is [indicator.t_w /. float wn]. *)
 type weighted = {
   wn : int;
   w_sum : float;
   w_sum2 : float;
-  w_escape : tally;  (** trials with >= 1 escape (either flow) *)
-  w_repair_fail_two_pass : tally;
-  w_repair_fail_iterated : tally;
+  w_escape : indicator;  (** trials with >= 1 escape (either flow) *)
+  w_repair_fail_two_pass : indicator;
+  w_repair_fail_iterated : indicator;
 }
 
 type result = {
@@ -266,7 +266,9 @@ val checkpoint : path:string -> ?every:int -> ?resume:bool -> unit -> checkpoint
     [tool_errors]. *)
 type progress = {
   p_done : int;  (** trials completed so far (resumed ones included) *)
-  p_total : int;  (** the window's trial count ([config.trials]) *)
+  p_total : int;
+      (** the trials requested so far: [config.trials], plus the
+          earlier windows' under [run ~tally] *)
   p_escapes : int;  (** escape records (one per escaping flow) *)
   p_divergences : int;
   p_tool_errors : int;
@@ -276,9 +278,14 @@ type progress = {
           resolves to.  A repaired or crashed trial is not clean. *)
 }
 
-(** Two consecutive windows' counts as one stream: every field adds,
-    [p_total] included. *)
-val add_progress : progress -> progress -> progress
+(** The running report counts of one campaign grown window by window
+    ({!run}'s [tally]): records, weighted sums and live-progress counts
+    carry over from each window to the next. *)
+type tally
+
+(** [tally cfg] — an empty tally for windows of [cfg] (any trial
+    count and time budget). *)
+val tally : config -> tally
 
 (** Run the campaign.  [now] (default {!Bisram_parallel.Clock.now}, a
     monotonic clock immune to wall-time jumps) is only consulted for
@@ -330,10 +337,17 @@ val add_progress : progress -> progress -> progress
     computes trials [offset .. offset + trials - 1] with their global
     derived seeds, so an adaptive driver can grow a campaign batch by
     batch and match a single larger run trial for trial.
-    [weighted_init] seeds the weighted accumulation with a previous
-    window's running totals, keeping the float sums bit-identical to
-    an unwindowed run's.  Checkpoints require [offset = 0] (they
-    snapshot a prefix from trial 0).
+    Checkpoints require [offset = 0] (they snapshot a prefix from
+    trial 0).
+
+    [tally] (default: a fresh one) is the running count the window adds
+    its records to, in trial order, and the result is the tally's:
+    every window run so far, with [config.trials] the sum of their
+    requests — byte for byte what one run over the union reports,
+    weighted float sums included.  The window must continue the tally
+    ([offset] = the trials it holds) with a configuration that differs
+    from the tally's only in trial count and time budget.  Live
+    progress continues the tally's counts too.
 
     [on_progress] (default absent) receives cumulative {!progress}
     counts on the completing worker's domain each time a scheduling
@@ -344,8 +358,9 @@ val add_progress : progress -> progress -> progress
     are byte-identical with or without it.
 
     @raise Invalid_argument if [jobs < 1], [lanes] is outside
-    [1 .. max_lanes], [offset < 0], or a checkpoint is combined with a
-    nonzero [offset]. *)
+    [1 .. max_lanes], [offset < 0], a checkpoint is combined with a
+    nonzero [offset], or [tally] has another configuration or does not
+    end at [offset]. *)
 val run :
   ?now:(unit -> float) ->
   ?jobs:int ->
@@ -354,19 +369,10 @@ val run :
   ?checkpoint:checkpoint ->
   ?trial_deadline:float ->
   ?offset:int ->
-  ?weighted_init:weighted ->
+  ?tally:tally ->
   ?on_progress:(progress -> unit) ->
   config ->
   result
-
-(** Merge the results of consecutive [run ~offset] windows (same base
-    config, contiguous windows, in order) into the result one run over
-    the union would have produced — byte-identical report included
-    (weighted sums are taken from the last window, which holds the
-    running totals threaded through [weighted_init]).
-    @raise Invalid_argument on an empty list or configs that differ in
-    anything but the trial count / time budget. *)
-val merge_results : result list -> result
 
 (** {!Bisram_yield.Repairable} prediction for the config's geometry
     and fault-count model (array-only: logic fraction 0, growth 1;

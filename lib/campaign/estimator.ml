@@ -306,86 +306,62 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
   if max_trials < 1 then
     invalid_arg "Estimator.run_adaptive: max_trials must be >= 1";
   check_level "run_adaptive" level;
-  let results = ref [] in
-  let offset = ref 0 in
-  let weighted_init = ref None in
-  let reason = ref Trial_cap in
-  let hw = ref infinity in
-  (* the campaign reports per-window progress; each window's snapshots
-     continue from the previous window's last one, so the caller sees
-     one monotonic stream against the trial cap.  Snapshots arrive one
-     at a time under the campaign's collector lock; [base] is only
-     written between windows, when no pool worker is running. *)
-  let base = ref None and last = ref None in
-  let window_progress =
+  let tally = Campaign.tally cfg in
+  (* each window's progress continues the tally's counts, so the caller
+     sees one monotonic stream against the trial cap *)
+  let on_progress =
     Option.map
-      (fun f p ->
-        let p =
-          Option.fold ~none:p ~some:(fun b -> Campaign.add_progress b p) !base
-        in
-        last := Some p;
-        f { p with Campaign.p_total = max_trials })
+      (fun f p -> f { p with Campaign.p_total = max_trials })
       on_progress
   in
-  (try
-     while !offset < max_trials do
-       let n = min batch (max_trials - !offset) in
-       let r =
-         Campaign.run ?now ?jobs ?lanes ?should_stop ?trial_deadline
-           ~offset:!offset ?weighted_init:!weighted_init
-           ?on_progress:window_progress
-           { cfg with Campaign.trials = n }
-       in
-       results := r :: !results;
-       offset := !offset + r.Campaign.trials_run;
-       weighted_init := r.Campaign.weighted;
-       base := !last;
-       let merged = Campaign.merge_results (List.rev !results) in
-       let est = estimate ~level merged metric in
-       hw := rel_half_width est;
-       Obs.incr "estimator.batches";
-       Obs.add "estimator.trials" r.Campaign.trials_run;
-       if Float.is_finite est.e_n_eff then
-         Obs.observe "estimator.n_eff" (int_of_float est.e_n_eff);
-       if Obs.would_log Obs.Info then
-         Obs.emit ~domain:"estimator" "estimator.batch"
-           [ ("batch", J.Int (List.length !results))
-           ; ("trials_total", J.Int !offset)
-           ; ("hits", J.Int est.e_hits)
-           ; ( "rel_half_width"
-             , if Float.is_finite !hw then J.Float !hw else J.Null )
-           ];
-       (match on_batch with
-       | None -> ()
-       | Some f ->
-           f ~batches:(List.length !results) ~trials:!offset
-             ~rel_half_width:!hw);
-       if r.Campaign.truncated then begin
-         reason := Interrupted;
-         raise Exit
-       end;
-       if !hw <= target then begin
-         reason := Target_reached;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  let merged = Campaign.merge_results (List.rev !results) in
-  Obs.emit ~domain:"estimator" "estimator.stop"
-    [ ("reason", J.String (stop_reason_name !reason))
-    ; ("batches", J.Int (List.length !results))
-    ; ("trials_total", J.Int !offset)
-    ; ( "rel_half_width"
-      , if Float.is_finite !hw then J.Float !hw else J.Null )
-    ];
-  { a_result = merged
-  ; a_target = target
-  ; a_metric = metric
-  ; a_batch = batch
-  ; a_batches = List.length !results
-  ; a_reason = !reason
-  ; a_rel_half_width = !hw
-  }
+  let rec window batches offset =
+    let n = min batch (max_trials - offset) in
+    let r =
+      Campaign.run ?now ?jobs ?lanes ?should_stop ?trial_deadline ~offset
+        ~tally ?on_progress
+        { cfg with Campaign.trials = n }
+    in
+    let trials = r.Campaign.trials_run in
+    let est = estimate ~level r metric in
+    let hw = rel_half_width est in
+    Obs.incr "estimator.batches";
+    Obs.add "estimator.trials" (trials - offset);
+    if Float.is_finite est.e_n_eff then
+      Obs.observe "estimator.n_eff" (int_of_float est.e_n_eff);
+    let hw_json = if Float.is_finite hw then J.Float hw else J.Null in
+    if Obs.would_log Obs.Info then
+      Obs.emit ~domain:"estimator" "estimator.batch"
+        [ ("batch", J.Int batches)
+        ; ("trials_total", J.Int trials)
+        ; ("hits", J.Int est.e_hits)
+        ; ("rel_half_width", hw_json)
+        ];
+    Option.iter (fun f -> f ~batches ~trials ~rel_half_width:hw) on_batch;
+    let stop =
+      if r.Campaign.truncated then Some Interrupted
+      else if hw <= target then Some Target_reached
+      else if trials >= max_trials then Some Trial_cap
+      else None
+    in
+    match stop with
+    | None -> window (batches + 1) trials
+    | Some reason ->
+        Obs.emit ~domain:"estimator" "estimator.stop"
+          [ ("reason", J.String (stop_reason_name reason))
+          ; ("batches", J.Int batches)
+          ; ("trials_total", J.Int trials)
+          ; ("rel_half_width", hw_json)
+          ];
+        { a_result = r
+        ; a_target = target
+        ; a_metric = metric
+        ; a_batch = batch
+        ; a_batches = batches
+        ; a_reason = reason
+        ; a_rel_half_width = hw
+        }
+  in
+  window 1 0
 
 (* ------------------------------------------------------------------ *)
 (* the schema-/3 report *)

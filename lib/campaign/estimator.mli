@@ -83,7 +83,7 @@ type stop_reason =
 val stop_reason_name : stop_reason -> string
 
 type adaptive = {
-  a_result : Campaign.result;  (** the merged campaign over all batches *)
+  a_result : Campaign.result;  (** the campaign over all batches *)
   a_target : float;
   a_metric : metric;
   a_batch : int;
@@ -97,16 +97,17 @@ type adaptive = {
     [metric] (default [Repair_failure_two_pass]) reaches [target], the
     total hits [max_trials] (default 1_000_000), or a window is cut
     short by the budget / [should_stop].  Windows run through
-    {!Campaign.run} with increasing [offset] and threaded
-    [weighted_init], so the merged result — and hence the report — is
-    byte-identical to a single fixed-trial run of the same total size.
+    {!Campaign.run} with increasing [offset] into one {!Campaign.tally},
+    so the result — and hence the report — is byte-identical to a
+    single fixed-trial run of the same total size.
     [now], [jobs], [lanes], [should_stop], [trial_deadline] pass
     through to {!Campaign.run}.  Checkpointing is not supported under
     adaptive growth.
 
     [on_progress] passes through to every window's {!Campaign.run},
-    re-based so [p_done]/anomaly counts accumulate across batches and
-    [p_total] is [max_trials] (the only total known up front).
+    whose counts continue the tally's, so [p_done]/anomaly counts
+    accumulate across batches; [p_total] is [max_trials] (the only
+    total known up front).
     [on_batch] fires after each batch's CI evaluation with the batch
     count, cumulative trials and the achieved relative half-width —
     the seam the CLI uses to surface the stopping statistic live.

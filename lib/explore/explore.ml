@@ -225,21 +225,19 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
         tick ();
         evs)
   in
-  let probe =
-    if not (Obs.enabled ()) then None
-    else
-      Some
-        (fun ~worker ~busy_ns ~total_ns ~chunks ~items ->
-          let pre = Printf.sprintf "pool.worker%d." worker in
-          Obs.add (pre ^ "busy_ns") (Int64.to_int busy_ns);
-          Obs.add (pre ^ "idle_ns") (Int64.to_int (Int64.sub total_ns busy_ns));
-          Obs.add (pre ^ "chunks") chunks;
-          Obs.add (pre ^ "items") items)
+  let completed =
+    Pool.map_result ~jobs ?probe:(Obs.pool_probe ()) (Array.length points) work
   in
-  let completed = Pool.map ~jobs ?probe (Array.length points) work in
-  (* no stop condition, so every slot is filled *)
+  (* no stop condition, so every slot is filled; a point that raised
+     fails the run with its own exception, the lowest index first *)
   let evals =
-    Array.map (function Some e -> e | None -> assert false) completed
+    Array.map
+      (function
+        | Some { Pool.outcome = Ok e; _ } -> e
+        | Some { Pool.outcome = Error f; _ } ->
+            Printexc.raise_with_backtrace f.Pool.f_exn f.Pool.f_backtrace
+        | None -> assert false)
+      completed
   in
   Obs.add "explore.cache_hits" (Cache.hits cache);
   Obs.add "explore.cache_misses" (Cache.misses cache);

@@ -54,6 +54,11 @@ type result = {
     completing worker's domain (it must be domain-safe;
     {!Bisram_obs.Progress} is).  Write-only: the report is
     byte-identical with or without it.
+
+    Every point is evaluated even when one raises; the run then
+    re-raises the exception (with its backtrace) of the lowest-index
+    point that raised, so which exception surfaces does not depend on
+    [jobs].
     @raise Invalid_argument if [jobs < 1]. *)
 val run :
   ?jobs:int ->

@@ -169,15 +169,17 @@ let span ?(cat = "span") ?arg name f =
       f
   end
 
-let time name f =
-  if not (enabled ()) then f ()
-  else begin
-    let t0 = Clock.now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        observe name (Int64.to_int (Int64.sub (Clock.now_ns ()) t0)))
-      f
-  end
+(* runs on each pool worker's own domain, so it writes that domain's
+   shard without contention *)
+let pool_probe () =
+  if not (enabled ()) then None
+  else
+    Some
+      (fun ~worker ~busy_ns ~total_ns ~items ->
+        let p = Printf.sprintf "pool.worker%d." worker in
+        add (p ^ "busy_ns") (Int64.to_int busy_ns);
+        add (p ^ "idle_ns") (Int64.to_int (Int64.sub total_ns busy_ns));
+        add (p ^ "items") items)
 
 let emit ?(level = Info) ~domain name fields =
   if would_log level then begin

@@ -12,7 +12,7 @@
       histograms, spans) and events have one switch each: {!set_enabled}
       and {!set_event_level}.  Every recording entry point starts with
       one [Atomic.get] on its switch and returns immediately when it is
-      off ({!span} and {!time} run their thunk directly).  Instrumented
+      off ({!span} runs its thunk directly).  Instrumented
       hot paths only pay that single load, and hot trial loops emit
       events at unit/batch/lifecycle granularity, never per trial.
     - {b Wait-free when on.}  Each domain records into its own shard
@@ -37,8 +37,9 @@
       on or off.
 
     Shards survive their domain (the global list keeps them alive), so
-    a snapshot or drain taken after a {!Bisram_parallel.Pool.map} join
-    sees the workers' full contribution.  Take snapshots and drains
+    a snapshot or drain taken after a
+    {!Bisram_parallel.Pool.map_result} join sees the workers' full
+    contribution.  Take snapshots and drains
     only while no instrumented code is running concurrently. *)
 
 (** Whether telemetry (counters, histograms, spans) is recording.  Off
@@ -86,10 +87,11 @@ val observe : string -> int -> unit
     is exactly [f ()]. *)
 val span : ?cat:string -> ?arg:string * int -> string -> (unit -> 'a) -> 'a
 
-(** [time name f] runs [f] and records its duration in nanoseconds
-    into the histogram [name] (also when [f] raises).  When disabled
-    this is exactly [f ()]. *)
-val time : string -> (unit -> 'a) -> 'a
+(** The pool's per-worker utilization probe while telemetry is on:
+    it adds [pool.workerN.busy_ns], [pool.workerN.idle_ns] and
+    [pool.workerN.items] in worker [N]'s own shard.  [None] while
+    telemetry is off, so the pool's hot loop reads no clock. *)
+val pool_probe : unit -> Bisram_parallel.Pool.probe option
 
 type event = {
   ev_seq : int;  (** per-shard emission sequence number *)

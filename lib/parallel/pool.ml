@@ -1,8 +1,6 @@
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-type probe =
-  worker:int -> busy_ns:int64 -> total_ns:int64 -> chunks:int -> items:int ->
-  unit
+type probe = worker:int -> busy_ns:int64 -> total_ns:int64 -> items:int -> unit
 
 exception Transient of exn
 exception Deadline_exceeded
@@ -14,6 +12,8 @@ type failure = {
 }
 
 type 'a job_result = { outcome : ('a, failure) result; attempts : int }
+
+let retries = 2
 
 (* ------------------------------------------------------------------ *)
 (* per-worker job context: the running attempt number and the current
@@ -30,139 +30,69 @@ let check_deadline () =
   | Some d when Clock.now_ns () > d -> raise Deadline_exceeded
   | _ -> ()
 
-(* bounded spin between retry attempts; the clock is monotonic, so this
-   terminates even under chaos skew.  Exponential in the attempt number
-   and capped so a misconfigured backoff cannot stall a worker. *)
-let backoff_cap_ns = 100_000_000L (* 100 ms *)
-
-let backoff ~base_ns ~attempt =
-  if base_ns > 0L then begin
-    let scale = Int64.shift_left 1L (min 16 (attempt - 1)) in
-    let wait =
-      let w = Int64.mul base_ns scale in
-      if Int64.compare w backoff_cap_ns > 0 || Int64.compare w 0L < 0 then
-        backoff_cap_ns
-      else w
-    in
-    let until = Int64.add (Clock.now_ns ()) wait in
-    while Int64.compare (Clock.now_ns ()) until < 0 do
-      Domain.cpu_relax ()
-    done
-  end
-
 (* ------------------------------------------------------------------ *)
-(* the shared engine
+(* the scheduler
 
-   [mode] decides what a raising item does to the rest of the run:
+   A raising item fails alone: the failure is captured (with backtrace
+   and attempt count) into the item's own slot after [retries] re-runs
+   of [Transient]-flagged raises, and every other item keeps running.
+   Every spawned domain is joined before returning, so a raising worker
+   can never deadlock the pool or leak a domain. *)
 
-   - [`Abort]: legacy [map] semantics — record the first exception,
-     stop handing out work, and re-raise in the caller after the join.
-   - [`Supervise]: fault-tolerant [map_result] semantics — the failure
-     is captured (with backtrace and attempt count) into the item's own
-     slot after bounded retries of [Transient]-flagged raises, and
-     every other chunk keeps running.
-
-   Either way every spawned domain is joined before returning, so a
-   raising worker can never deadlock the pool or leak a domain. *)
-
-type 'a supervise_opts = {
-  retries : int;
-  backoff_ns : int64;
-  deadline_ns : int64 option;
-  on_result : (int -> 'a job_result -> unit) option;
-  on_retry : (int -> attempt:int -> exn -> unit) option;
-}
-
-let run_pool ~jobs ~chunk ~should_stop ~probe ~mode n f_item =
+let map_result ?(jobs = 1) ?(should_stop = fun () -> false) ?probe
+    ?deadline_ns ?on_result ?on_retry n f =
+  if jobs < 1 then invalid_arg "Pool.map_result: jobs must be >= 1";
+  if n < 0 then invalid_arg "Pool.map_result: negative length";
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let stopped = Atomic.make false in
-  let error : (exn * Printexc.raw_backtrace) option Atomic.t =
-    Atomic.make None
-  in
   let probing = probe <> None in
+  let rec attempt i k =
+    Domain.DLS.set attempt_key k;
+    (match deadline_ns with
+    | None -> ()
+    | Some d ->
+        Domain.DLS.set deadline_key (Some (Int64.add (Clock.now_ns ()) d)));
+    match f i with
+    | v -> { outcome = Ok v; attempts = k }
+    | exception Transient e when k <= retries ->
+        (* fires on the raising worker, before the re-attempt: the
+           observability layer logs the retry while the failure is
+           still current *)
+        (match on_retry with None -> () | Some h -> h i ~attempt:k e);
+        attempt i (k + 1)
+    | exception e ->
+        let f_backtrace = Printexc.get_raw_backtrace () in
+        let f_transient, f_exn =
+          match e with Transient e' -> (true, e') | e -> (false, e)
+        in
+        { outcome = Error { f_exn; f_backtrace; f_transient }; attempts = k }
+  in
   let worker widx () =
     let t_start = if probing then Clock.now_ns () else 0L in
     let busy = ref 0L in
-    let chunks = ref 0 in
     let items = ref 0 in
     let continue = ref true in
     while !continue do
-      if Atomic.get stopped then continue := false
+      let i = if Atomic.get stopped then n else Atomic.fetch_and_add next 1 in
+      if i >= n then continue := false
+      else if should_stop () then begin
+        Atomic.set stopped true;
+        continue := false
+      end
       else begin
-        let lo = Atomic.fetch_and_add next chunk in
-        if lo >= n then continue := false
-        else begin
-          incr chunks;
-          let hi = min n (lo + chunk) in
-          let i = ref lo in
-          while !continue && !i < hi do
-            if should_stop () then begin
-              Atomic.set stopped true;
-              continue := false
-            end
-            else begin
-              let t0 = if probing then Clock.now_ns () else 0L in
-              (match mode with
-              | `Abort -> (
-                  match f_item !i with
-                  | v ->
-                      results.(!i) <- Some { outcome = Ok v; attempts = 1 };
-                      incr items
-                  | exception e ->
-                      let bt = Printexc.get_raw_backtrace () in
-                      ignore
-                        (Atomic.compare_and_set error None (Some (e, bt)));
-                      Atomic.set stopped true;
-                      continue := false)
-              | `Supervise o ->
-                  let rec attempt k =
-                    Domain.DLS.set attempt_key k;
-                    (match o.deadline_ns with
-                    | None -> ()
-                    | Some d ->
-                        Domain.DLS.set deadline_key
-                          (Some (Int64.add (Clock.now_ns ()) d)));
-                    match f_item !i with
-                    | v -> { outcome = Ok v; attempts = k }
-                    | exception Transient e when k <= o.retries ->
-                        (* fires on the raising worker, before the
-                           re-attempt: the observability layer logs the
-                           retry while the failure is still current *)
-                        (match o.on_retry with
-                        | None -> ()
-                        | Some h -> h !i ~attempt:k e);
-                        backoff ~base_ns:o.backoff_ns ~attempt:k;
-                        attempt (k + 1)
-                    | exception e ->
-                        let f_backtrace = Printexc.get_raw_backtrace () in
-                        let f_transient, f_exn =
-                          match e with
-                          | Transient e' -> (true, e')
-                          | e -> (false, e)
-                        in
-                        { outcome = Error { f_exn; f_backtrace; f_transient }
-                        ; attempts = k
-                        }
-                  in
-                  let r = attempt 1 in
-                  Domain.DLS.set attempt_key 1;
-                  Domain.DLS.set deadline_key None;
-                  results.(!i) <- Some r;
-                  incr items;
-                  (* runs on the completing worker with the result it
-                     just produced (no cross-domain read): the
-                     campaign's checkpoint hook feeds a mutex-guarded
-                     table from here *)
-                  (match o.on_result with
-                  | None -> ()
-                  | Some h -> h !i r));
-              if probing then
-                busy := Int64.add !busy (Int64.sub (Clock.now_ns ()) t0);
-              incr i
-            end
-          done
-        end
+        let t0 = if probing then Clock.now_ns () else 0L in
+        let r = attempt i 1 in
+        Domain.DLS.set attempt_key 1;
+        Domain.DLS.set deadline_key None;
+        results.(i) <- Some r;
+        incr items;
+        (* runs on the completing worker with the result it just
+           produced (no cross-domain read): the campaign's checkpoint
+           hook feeds a mutex-guarded table from here *)
+        (match on_result with None -> () | Some h -> h i r);
+        if probing then
+          busy := Int64.add !busy (Int64.sub (Clock.now_ns ()) t0)
       end
     done;
     match probe with
@@ -172,7 +102,7 @@ let run_pool ~jobs ~chunk ~should_stop ~probe ~mode n f_item =
            writing to domain-local telemetry shards stays race-free *)
         p ~worker:widx ~busy_ns:!busy
           ~total_ns:(Int64.sub (Clock.now_ns ()) t_start)
-          ~chunks:!chunks ~items:!items
+          ~items:!items
   in
   (* never spawn more helpers than there are items left to hand out *)
   let helpers =
@@ -182,32 +112,7 @@ let run_pool ~jobs ~chunk ~should_stop ~probe ~mode n f_item =
   in
   worker 0 ();
   List.iter Domain.join helpers;
-  (match Atomic.get error with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
   results
-
-let validate ~fn ~jobs ~chunk n =
-  if jobs < 1 then invalid_arg (fn ^ ": jobs must be >= 1");
-  if chunk < 1 then invalid_arg (fn ^ ": chunk must be >= 1");
-  if n < 0 then invalid_arg (fn ^ ": negative length")
-
-let map ?(jobs = 1) ?(chunk = 1) ?(should_stop = fun () -> false) ?probe n f =
-  validate ~fn:"Pool.map" ~jobs ~chunk n;
-  run_pool ~jobs ~chunk ~should_stop ~probe ~mode:`Abort n f
-  |> Array.map (function
-       | Some { outcome = Ok v; _ } -> Some v
-       | Some { outcome = Error _; _ } -> assert false (* `Abort re-raises *)
-       | None -> None)
-
-let map_result ?(jobs = 1) ?(chunk = 1) ?(should_stop = fun () -> false)
-    ?probe ?(retries = 2) ?(backoff_ns = 0L) ?deadline_ns ?on_result ?on_retry
-    n f =
-  validate ~fn:"Pool.map_result" ~jobs ~chunk n;
-  if retries < 0 then invalid_arg "Pool.map_result: retries must be >= 0";
-  run_pool ~jobs ~chunk ~should_stop ~probe
-    ~mode:(`Supervise { retries; backoff_ns; deadline_ns; on_result; on_retry })
-    n f
 
 (* Lane-batch decomposition: the leading [items / width] pool items
    cover [width] consecutive indices each, the ragged tail degrades to

@@ -1,26 +1,20 @@
 (** A small domain-pool scheduler for embarrassingly parallel index
     ranges (OCaml 5 [Domain] + [Atomic], no external dependency).
 
-    Work items are the indices [0 .. n-1].  Workers claim chunks of
-    consecutive indices from a shared atomic counter, so claims are
-    handed out in index order and the completed set under an early stop
-    is (with [chunk = 1] and one worker) an exact prefix.  Results are
-    returned positionally, which lets the caller merge them in input
-    order — the property the campaign relies on for byte-identical
-    reports at any job count.
+    Work items are the indices [0 .. n-1].  Workers claim one index at
+    a time from a shared atomic counter, so claims are handed out in
+    index order and the completed set under an early stop is (with one
+    worker) an exact prefix.  Results are returned positionally, which
+    lets the caller merge them in input order — the property the
+    campaign relies on for byte-identical reports at any job count.
 
-    Two entry points share one engine:
-
-    - {!map} — legacy fail-fast semantics: the first exception stops
-      the pool and re-raises in the caller.
-    - {!map_result} — supervised semantics: a raising item is captured
-      (with its backtrace and attempt count) into a structured
-      {!job_result} in its own slot, [Transient]-flagged raises are
-      retried with bounded backoff, and every other chunk keeps
-      running.
-
-    Both join every spawned domain before returning — a raising worker
-    can never deadlock the pool or leak a domain (unit-tested). *)
+    The pool is supervised: a raising item is captured (with its
+    backtrace and attempt count) into a structured {!job_result} in its
+    own slot, [Transient]-flagged raises are retried, and every other
+    item keeps running.  A caller that wants fail-fast semantics
+    re-raises the first failed slot itself.  Every spawned domain is
+    joined before {!map_result} returns — a raising worker can never
+    deadlock the pool or leak a domain (unit-tested). *)
 
 (** Upper bound the runtime considers useful for [jobs] on this
     machine ({!Domain.recommended_domain_count}). *)
@@ -30,16 +24,14 @@ val recommended_jobs : unit -> int
     the caller, [worker = 0]) on that worker's own domain just before
     it finishes: [busy_ns] is time spent inside [f], [total_ns] the
     worker's whole lifetime (so [total_ns - busy_ns] is idle/scheduling
-    time), [chunks] the chunks claimed and [items] the items
-    completed.  Chunk assignment depends on scheduling, so only the
-    item/chunk {e totals} across workers are deterministic. *)
-type probe =
-  worker:int -> busy_ns:int64 -> total_ns:int64 -> chunks:int -> items:int ->
-  unit
+    time) and [items] the items completed.  Item assignment depends on
+    scheduling, so only the item {e total} across workers is
+    deterministic. *)
+type probe = worker:int -> busy_ns:int64 -> total_ns:int64 -> items:int -> unit
 
 (** Wrap an exception in [Transient] before raising to flag the
-    failure as retryable: {!map_result} re-runs the item (up to
-    [retries] times) instead of recording it.  The wrapper is stripped
+    failure as retryable: {!map_result} re-runs the item (at most
+    twice more) instead of recording it.  The wrapper is stripped
     in the recorded {!failure} when retries are exhausted. *)
 exception Transient of exn
 
@@ -74,52 +66,31 @@ val current_attempt : unit -> int
     when no deadline is set, so library code can poll unconditionally. *)
 val check_deadline : unit -> unit
 
-(** [map ~jobs ~chunk ~should_stop n f] computes [f i] for [i] in
-    [0 .. n-1] on [jobs] workers ([jobs - 1] spawned domains plus the
-    calling one) and returns the results in index order.
+(** [map_result ~jobs ~should_stop ~probe ~deadline_ns ~on_result
+    ~on_retry n f] computes [f i] for [i] in [0 .. n-1] on [jobs]
+    workers ([jobs - 1] spawned domains plus the calling one) and
+    returns one {!job_result} per index, in index order.
 
     [jobs] defaults to [1]: no domain is spawned and the calls happen
-    sequentially in the caller, in index order.  [chunk] (default [1])
-    is the number of consecutive indices a worker claims at a time.
+    sequentially in the caller, in index order.
 
     [should_stop] (default [fun () -> false]) is polled before every
     item; once it returns [true] no further item is started anywhere
     (items already in flight complete), and the corresponding slots are
     [None].  It may be called concurrently from every worker.
 
-    If any [f i] raises, the pool stops claiming work, waits for the
-    workers, and re-raises the first exception (with its backtrace) in
-    the caller.
-
-    [probe] (default absent: the hot loop reads no clock) receives one
-    utilization report per worker.
-
-    @raise Invalid_argument if [jobs < 1], [chunk < 1] or [n < 0]. *)
-val map :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?should_stop:(unit -> bool) ->
-  ?probe:probe ->
-  int ->
-  (int -> 'a) ->
-  'a option array
-
-(** [map_result ~jobs ~chunk ~should_stop ~probe ~retries ~backoff_ns
-    ~deadline_ns ~on_result n f] — like {!map}, but supervised: each
-    slot holds a {!job_result} instead of a bare value, and an item
-    that raises fails {e alone}.
-
-    Retry: an item raising [Transient e] is re-run on the same worker,
-    up to [retries] (default [2]) extra attempts, sleeping
-    [backoff_ns * 2^(attempt-1)] (default [0], capped at 100 ms)
-    between attempts.  A non-[Transient] raise, or a [Transient] one
-    with retries exhausted, is recorded as [Error failure] in the
-    item's slot; every other item still runs.
+    Retry: an item raising [Transient e] is re-run at once on the same
+    worker, up to 2 extra attempts (3 in all).  A non-[Transient] raise,
+    or a [Transient] one with retries exhausted, is recorded as
+    [Error failure] in the item's slot; every other item still runs.
 
     Deadline: with [deadline_ns] each attempt gets a fresh cooperative
     deadline; {!check_deadline} polled inside [f] raises
     {!Deadline_exceeded} past it, recorded like any non-transient
     failure.
+
+    [probe] (default absent: the hot loop reads no clock) receives one
+    utilization report per worker.
 
     [on_result] (default absent) runs on the completing worker's
     domain right after the item's slot is filled, receiving the index
@@ -135,19 +106,14 @@ val map :
     from every worker.
 
     Determinism: with a deterministic [f] (per index and attempt), the
-    returned array is identical at every [jobs]/[chunk] combination —
-    failures land in their own slots, so no result depends on
-    scheduling.
+    returned array is identical at every [jobs] — failures land in
+    their own slots, so no result depends on scheduling.
 
-    @raise Invalid_argument if [jobs < 1], [chunk < 1], [n < 0] or
-    [retries < 0]. *)
+    @raise Invalid_argument if [jobs < 1] or [n < 0]. *)
 val map_result :
   ?jobs:int ->
-  ?chunk:int ->
   ?should_stop:(unit -> bool) ->
   ?probe:probe ->
-  ?retries:int ->
-  ?backoff_ns:int64 ->
   ?deadline_ns:int64 ->
   ?on_result:(int -> 'a job_result -> unit) ->
   ?on_retry:(int -> attempt:int -> exn -> unit) ->

@@ -244,7 +244,9 @@ let test_repair_iterated_fixes_faulty_spare () =
   Alcotest.(check bool) "plain fails" true
     (o_plain = Repair.Repair_unsuccessful Repair.Fault_in_second_pass);
   let m2 = with_faults faults in
-  let o_iter, tlb = Repair.run_iterated m2 Alg.ifa_9 ~backgrounds:bgs8 in
+  let { Repair.i_outcome = o_iter; i_tlb = tlb; _ } =
+    Repair.run_iterated_result m2 Alg.ifa_9 ~backgrounds:bgs8
+  in
   (match o_iter with
   | Repair.Repaired rows -> Alcotest.(check (list int)) "row 3" [ 3 ] rows
   | other ->

@@ -265,19 +265,21 @@ let test_estimation_section_when_weighted () =
 (* adaptive stopping *)
 
 let test_adaptive_merged_equals_fixed_run () =
-  (* the merged adaptive result must be byte-identical to one fixed
-     run of the same total size — naive and weighted alike *)
+  (* the adaptive result must be byte-identical to one fixed run of the
+     same total size — naive and weighted alike, at jobs 1 and 2, with
+     windows of only a ragged tail (40) and of a full 62-lane batch plus
+     a tail (100) *)
   List.iter
-    (fun proposal ->
+    (fun (proposal, jobs, batch) ->
       let cfg = rare_cfg ?proposal ~lambda:0.5 ~trials:1 () in
       let a =
-        E.run_adaptive ~lanes:62 ~batch:40 ~metric:E.Repair_failure_two_pass
+        E.run_adaptive ~jobs ~lanes:62 ~batch ~metric:E.Repair_failure_two_pass
           ~max_trials:400 ~target:0.35 cfg
       in
       Alcotest.(check bool) "stopped on target" true
         (a.E.a_reason = E.Target_reached);
       Alcotest.(check int) "whole batches"
-        (a.E.a_batches * 40)
+        (a.E.a_batches * batch)
         a.E.a_result.C.trials_run;
       let fixed =
         C.run ~lanes:62 { cfg with C.trials = a.E.a_result.C.trials_run }
@@ -285,7 +287,42 @@ let test_adaptive_merged_equals_fixed_run () =
       Alcotest.(check string) "merged == fixed, byte for byte"
         (E.report_string fixed)
         (E.report_string a.E.a_result))
-    [ None; Some { P.count = P.Stratified { nonzero = 0.5 }; mix = None } ]
+    (List.concat_map
+       (fun proposal ->
+         List.concat_map
+           (fun jobs ->
+             List.map (fun batch -> (proposal, jobs, batch)) [ 40; 100 ])
+           [ 1; 2 ])
+       [ None; Some { P.count = P.Stratified { nonzero = 0.5 }; mix = None } ])
+
+(* a window must continue its tally: same configuration up to trial
+   count and time budget, and an offset at the tally's trial count *)
+let test_tally_window_validation () =
+  let cfg = rare_cfg ~lambda:0.5 ~trials:20 () in
+  let tally = C.tally cfg in
+  let rejected name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "gap before the first window" (fun () ->
+      C.run ~offset:5 ~tally cfg);
+  let r = C.run ~tally cfg in
+  Alcotest.(check int) "first window counted" 20 r.C.trials_run;
+  rejected "gap" (fun () -> C.run ~offset:25 ~tally cfg);
+  rejected "overlap" (fun () -> C.run ~offset:10 ~tally cfg);
+  rejected "other seed" (fun () ->
+      C.run ~offset:20 ~tally { cfg with C.seed = cfg.C.seed + 1 });
+  rejected "other density" (fun () ->
+      C.run ~offset:20 ~tally (rare_cfg ~lambda:0.6 ~trials:20 ()));
+  (* a rejected window leaves the tally as it was *)
+  let budget = Some 1e9 in
+  let r =
+    C.run ~offset:20 ~tally { cfg with C.trials = 30; max_seconds = budget }
+  in
+  Alcotest.(check string) "two windows == one run"
+    (C.json_string (C.run { cfg with C.trials = 50; max_seconds = budget }))
+    (C.json_string r)
 
 let test_adaptive_trial_cap () =
   let cfg = rare_cfg ~lambda:0.5 ~trials:1 () in
@@ -447,6 +484,8 @@ let () =
     ; ( "adaptive"
       , [ Alcotest.test_case "merged equals fixed run" `Quick
             test_adaptive_merged_equals_fixed_run
+        ; Alcotest.test_case "tally window validation" `Quick
+            test_tally_window_validation
         ; Alcotest.test_case "trial cap" `Quick test_adaptive_trial_cap
         ; Alcotest.test_case "stratified needs fewer trials" `Slow
             test_adaptive_stratified_needs_fewer_trials

@@ -135,6 +135,30 @@ let test_spare_cols_area () =
       Alcotest.(check bool) "spare columns cost area" true
         (module_mm2 1 > module_mm2 0)
 
+(* a point whose evaluator raises fails the whole run with that
+   exception at any jobs count.  Only the bpw-8 organization is
+   simulable, so only its campaign evaluator reaches the repair name,
+   which is bogus here (Spec.of_string would have rejected it). *)
+let test_evaluator_raise_propagates () =
+  match
+    Spec.of_string
+      "words = 64\nbpw = 8, 64\nbpc = 4\nspares = 4\nmean_defects = 1\n\
+       campaign_trials = 2\nevaluators = campaign\n"
+  with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      let s = { s with Spec.repair = "bogus" } in
+      Alcotest.(check int) "two points" 2 (Array.length (fst (Spec.expand s)));
+      List.iter
+        (fun jobs ->
+          match Explore.run ~jobs s with
+          | _ -> Alcotest.failf "jobs %d: expected the evaluator's raise" jobs
+          | exception Invalid_argument msg ->
+              Alcotest.(check string)
+                (Printf.sprintf "jobs %d: the evaluator's exception" jobs)
+                "Explore: unknown repair strategy bogus" msg)
+        [ 1; 2 ]
+
 let test_expand_counts () =
   let s = tiny_spec () in
   let points, skipped = Spec.expand s in
@@ -410,6 +434,8 @@ let () =
     ; ( "engine",
         [ Alcotest.test_case "jobs + cache determinism" `Quick
             test_determinism
+        ; Alcotest.test_case "evaluator raise propagates" `Quick
+            test_evaluator_raise_propagates
         ; Alcotest.test_case "diskless run" `Quick test_diskless_run
         ; Alcotest.test_case "report round-trip" `Quick test_report_roundtrip
         ; Alcotest.test_case "golden explore_smoke bytes" `Quick

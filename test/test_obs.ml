@@ -148,7 +148,7 @@ let prop_merge_jobs_invariant =
         Obs.set_enabled true;
         Obs.reset ();
         ignore
-          (Pool.map ~jobs ~chunk:3 n (fun i ->
+          (Pool.map_result ~jobs n (fun i ->
                Obs.add "items" 1;
                Obs.add "weight" (i * i);
                Obs.observe "value" ((i * 13 mod 97) + 1);
@@ -161,7 +161,7 @@ let prop_merge_jobs_invariant =
       run 1 = run jobs)
 
 (* Whole-campaign determinism: everything except the pool's own
-   scheduling counters (pool.workerN.*: how chunks landed on workers
+   scheduling counters (pool.workerN.*: how items landed on workers
    is timing-dependent) and the spans (wall-clock stamps) must be
    identical at any jobs count. *)
 let test_campaign_telemetry_jobs_invariant () =

@@ -3,7 +3,14 @@
 module Pool = Bisram_parallel.Pool
 module Clock = Bisram_parallel.Clock
 
-let completed r = Array.to_list r |> List.filter_map Fun.id
+(* the values of the completed slots, in index order *)
+let completed r =
+  Array.to_list r
+  |> List.filter_map (function
+       | Some { Pool.outcome = Ok v; _ } -> Some v
+       | Some { Pool.outcome = Error _; _ } ->
+           Alcotest.fail "unexpected failure"
+       | None -> None)
 
 (* ------------------------------------------------------------------ *)
 (* pool *)
@@ -13,27 +20,25 @@ let test_empty_input () =
     (fun jobs ->
       Alcotest.(check int)
         "no slots" 0
-        (Array.length (Pool.map ~jobs 0 (fun i -> i))))
+        (Array.length (Pool.map_result ~jobs 0 (fun i -> i))))
     [ 1; 4 ]
 
 let test_one_item () =
   Alcotest.(check (list int))
     "single result" [ 10 ]
-    (completed (Pool.map ~jobs:4 1 (fun i -> (i + 1) * 10)))
+    (completed (Pool.map_result ~jobs:4 1 (fun i -> (i + 1) * 10)))
 
-let test_more_chunks_than_workers () =
-  (* 57 items in chunks of 4 = 15 chunks over 3 workers *)
-  let n = 57 in
-  let r = Pool.map ~jobs:3 ~chunk:4 n (fun i -> i * i) in
-  Alcotest.(check int) "every slot filled" n (List.length (completed r));
-  Array.iteri
-    (fun i v -> Alcotest.(check (option int)) "in index order" (Some (i * i)) v)
-    r
+let test_more_items_than_workers () =
+  (* 57 items claimed one at a time by 3 workers *)
+  Alcotest.(check (list int))
+    "every slot filled, in index order"
+    (List.init 57 (fun i -> i * i))
+    (completed (Pool.map_result ~jobs:3 57 (fun i -> i * i)))
 
 let test_sequential_runs_in_order () =
   let order = ref [] in
   let r =
-    Pool.map 5 (fun i ->
+    Pool.map_result 5 (fun i ->
         order := i :: !order;
         i)
   in
@@ -45,36 +50,28 @@ let test_sequential_runs_in_order () =
 
 let test_parallel_matches_sequential () =
   let f i = (i * 37) mod 11 in
-  let seq = Pool.map 100 f in
-  let par = Pool.map ~jobs:4 ~chunk:7 100 f in
+  let seq = Pool.map_result 100 f in
+  let par = Pool.map_result ~jobs:4 100 f in
   Alcotest.(check (list int)) "same results any job count" (completed seq)
     (completed par)
 
 exception Boom of int
 
-let test_exception_propagates () =
-  List.iter
-    (fun jobs ->
-      match Pool.map ~jobs ~chunk:2 20 (fun i -> if i = 13 then raise (Boom i) else i) with
-      | _ -> Alcotest.fail "expected the worker exception to re-raise"
-      | exception Boom 13 -> ())
-    [ 1; 4 ]
-
 let test_should_stop_prefix () =
-  (* one worker, chunk 1: the poll sequence is deterministic, so
-     stopping after the 7th poll completes exactly the 7-trial prefix *)
+  (* one worker: the poll sequence is deterministic, so stopping after
+     the 7th poll completes exactly the 7-trial prefix *)
   let polls = ref 0 in
   let stop () =
     incr polls;
     !polls > 7
   in
-  let r = Pool.map ~jobs:1 ~should_stop:stop 50 (fun i -> i) in
+  let r = Pool.map_result ~jobs:1 ~should_stop:stop 50 (fun i -> i) in
   Alcotest.(check (list int)) "exact prefix" [ 0; 1; 2; 3; 4; 5; 6 ]
     (completed r)
 
 let test_should_stop_parallel_halts () =
   let stop () = true in
-  let r = Pool.map ~jobs:4 50 ~should_stop:stop (fun i -> i) in
+  let r = Pool.map_result ~jobs:4 50 ~should_stop:stop (fun i -> i) in
   Alcotest.(check (list int)) "nothing ran" [] (completed r)
 
 let test_validation () =
@@ -84,19 +81,16 @@ let test_validation () =
       | _ -> false
       | exception Invalid_argument _ -> true)
   in
-  bad (fun () -> Pool.map ~jobs:0 3 (fun i -> i));
-  bad (fun () -> Pool.map ~chunk:0 3 (fun i -> i));
-  bad (fun () -> Pool.map (-1) (fun i -> i))
+  bad (fun () -> Pool.map_result ~jobs:0 3 (fun i -> i));
+  bad (fun () -> Pool.map_result (-1) (fun i -> i))
 
 let prop_pool_positional =
-  QCheck.Test.make ~name:"pool results are positional at any jobs/chunk"
+  QCheck.Test.make ~name:"pool results are positional at any jobs count"
     ~count:60
-    QCheck.(triple (int_range 0 64) (int_range 1 6) (int_range 1 9))
-    (fun (n, jobs, chunk) ->
-      let r = Pool.map ~jobs ~chunk n (fun i -> i * 3) in
-      Array.length r = n
-      && Array.for_all Option.is_some r
-      && List.for_all (fun i -> r.(i) = Some (i * 3)) (List.init n Fun.id))
+    QCheck.(pair (int_range 0 64) (int_range 1 6))
+    (fun (n, jobs) ->
+      let r = Pool.map_result ~jobs n (fun i -> i * 3) in
+      Array.length r = n && completed r = List.init n (fun i -> i * 3))
 
 (* ------------------------------------------------------------------ *)
 (* supervised pool *)
@@ -105,10 +99,10 @@ let test_supervised_captures_failure () =
   List.iter
     (fun jobs ->
       let r =
-        Pool.map_result ~jobs ~chunk:2 20 (fun i ->
+        Pool.map_result ~jobs 20 (fun i ->
             if i = 13 then raise (Boom i) else i)
       in
-      (* no deadlock, every other chunk completed *)
+      (* no deadlock, every other item completed *)
       Alcotest.(check int) "every slot filled" 20
         (Array.length (Array.to_list r |> List.filter Option.is_some |> Array.of_list));
       Array.iteri
@@ -129,8 +123,8 @@ let test_supervised_captures_failure () =
     [ 1; 4 ]
 
 let test_transient_retried () =
-  (* fails on attempts 1 and 2, succeeds on 3: absorbed by the default
-     retries = 2 *)
+  (* fails on attempts 1 and 2, succeeds on 3: absorbed by the pool's
+     2 retries *)
   let r =
     Pool.map_result ~jobs:2 6 (fun i ->
         if i = 4 && Pool.current_attempt () < 3 then
@@ -142,9 +136,9 @@ let test_transient_retried () =
   | _ -> Alcotest.fail "expected success on the third attempt"
 
 let test_on_retry_seam () =
-  (* on_retry fires once per re-attempt, before the backoff, with the
-     attempt number that just raised — and not at all for items that
-     never raise *)
+  (* on_retry fires once per re-attempt, before it, with the attempt
+     number that just raised — and not at all for items that never
+     raise *)
   let mu = Mutex.create () in
   let seen = ref [] in
   let on_retry i ~attempt e =
@@ -153,7 +147,7 @@ let test_on_retry_seam () =
     Mutex.unlock mu
   in
   let r =
-    Pool.map_result ~jobs:2 ~retries:2 ~on_retry 6 (fun i ->
+    Pool.map_result ~jobs:2 ~on_retry 6 (fun i ->
         if i = 4 && Pool.current_attempt () < 3 then
           raise (Pool.Transient (Boom i))
         else i)
@@ -173,12 +167,13 @@ let test_on_retry_seam () =
     calls
 
 let test_transient_exhausted () =
+  (* always transient: the first attempt and both retries fail *)
   let r =
-    Pool.map_result ~jobs:1 ~retries:1 3 (fun i ->
+    Pool.map_result ~jobs:1 3 (fun i ->
         if i = 1 then raise (Pool.Transient (Boom i)) else i)
   in
   match r.(1) with
-  | Some { Pool.outcome = Error f; attempts = 2 } ->
+  | Some { Pool.outcome = Error f; attempts = 3 } ->
       Alcotest.(check bool) "transient flag set" true f.Pool.f_transient;
       Alcotest.(check bool) "wrapper stripped" true (f.Pool.f_exn = Boom 1)
   | _ -> Alcotest.fail "expected exhausted retries as a transient failure"
@@ -186,7 +181,7 @@ let test_transient_exhausted () =
 let test_nontransient_not_retried () =
   let calls = Atomic.make 0 in
   let r =
-    Pool.map_result ~jobs:1 ~retries:5 1 (fun i ->
+    Pool.map_result ~jobs:1 1 (fun i ->
         Atomic.incr calls;
         raise (Boom i))
   in
@@ -253,10 +248,10 @@ let test_on_result_sees_every_completion () =
 
 let prop_supervised_deterministic =
   QCheck.Test.make
-    ~name:"supervised results identical at any jobs/chunk, failures isolated"
+    ~name:"supervised results identical at any jobs, failures isolated"
     ~count:40
-    QCheck.(triple (int_range 1 40) (int_range 1 5) (int_range 1 7))
-    (fun (n, jobs, chunk) ->
+    QCheck.(pair (int_range 1 40) (int_range 1 5))
+    (fun (n, jobs) ->
       let f i = if i mod 5 = 3 then raise (Boom i) else i * 7 in
       let project r =
         Array.map
@@ -267,7 +262,7 @@ let prop_supervised_deterministic =
           r
       in
       let seq = project (Pool.map_result ~jobs:1 n f) in
-      let par = project (Pool.map_result ~jobs ~chunk n f) in
+      let par = project (Pool.map_result ~jobs n f) in
       seq = par
       && Array.to_list seq
          |> List.mapi (fun i s -> (i, s))
@@ -297,14 +292,12 @@ let () =
     [ ( "pool"
       , [ Alcotest.test_case "empty input" `Quick test_empty_input
         ; Alcotest.test_case "one item" `Quick test_one_item
-        ; Alcotest.test_case "more chunks than workers" `Quick
-            test_more_chunks_than_workers
+        ; Alcotest.test_case "more items than workers" `Quick
+            test_more_items_than_workers
         ; Alcotest.test_case "sequential order" `Quick
             test_sequential_runs_in_order
         ; Alcotest.test_case "parallel matches sequential" `Quick
             test_parallel_matches_sequential
-        ; Alcotest.test_case "worker exception propagates" `Quick
-            test_exception_propagates
         ; Alcotest.test_case "should_stop prefix (sequential)" `Quick
             test_should_stop_prefix
         ; Alcotest.test_case "should_stop halts workers" `Quick
