@@ -9,12 +9,15 @@ test: build
 	dune runtest
 
 # Hot-path lint: the model, march engine, controller, TLB and escape
-# sweep run per word op, so they must not call polymorphic min/max/
-# compare (a compare_val per call) or the polymorphic Hashtbl (a
-# caml_hash per call).  The lint parses the files, so comments and
-# strings never match; Int.min, Int.compare etc. pass.
+# sweep run per word op, and the 2D BIRA flow, fault map and remap
+# tables per repair round and per failing cell, so they must not call
+# polymorphic min/max/compare (a compare_val per call) or the
+# polymorphic Hashtbl (a caml_hash per call).  The lint parses the
+# files, so comments and strings never match; Int.min, Int.compare
+# etc. pass.
 HOT_PATH = lib/sram/model.ml lib/bist/engine.ml lib/bist/controller.ml \
-  lib/bisr/tlb.ml lib/campaign/sweep.ml
+  lib/bisr/tlb.ml lib/campaign/sweep.ml lib/bira/bira.ml \
+  lib/bira/fault_map.ml lib/bira/remap2d.ml
 
 hot-path-lint: build
 	dune exec bench/hot_path_lint.exe -- $(HOT_PATH)
@@ -195,9 +198,12 @@ chaos-smoke: build
 # committed golden bytes (test/golden_row_tlb.json) — the BIRA layer
 # must be invisible unless asked for — as must the repair-limited
 # Poisson mean-3 row-TLB run (test/golden_row_tlb_p3.json), and the
-# bira-bnb report must match test/golden_bira_bnb.json; (2) every BIRA
-# allocator's report must be byte-identical across worker counts and
-# lane widths, since fault-list collection rides the batched kernels;
+# bira-bnb reports must match test/golden_bira_bnb.json and the
+# 200-trial Poisson mean-3 test/golden_bira_p3.json (15 of its trials
+# end with a column repair armed, so it pins the steered model); (2)
+# every BIRA allocator's report must be byte-identical across worker
+# counts and lane widths, since fault-list collection rides the
+# batched kernels;
 # (3) a bogus --repair name must be rejected with the usage exit code
 # (2).
 bira-smoke: build
@@ -211,6 +217,10 @@ bira-smoke: build
 	  --mode poisson --mean 3 --spare-cols 2 --repair bira-bnb --jobs 1 \
 	  > .ci-bira-golden-bnb.json
 	cmp .ci-bira-golden-bnb.json test/golden_bira_bnb.json
+	dune exec bin/bisramgen.exe -- campaign --trials 200 --seed 7 \
+	  --mode poisson --mean 3 --spare-cols 2 --repair bira-bnb --jobs 1 \
+	  > .ci-bira-golden-bnb-p3.json
+	cmp .ci-bira-golden-bnb-p3.json test/golden_bira_p3.json
 	for s in bira-greedy bira-essential bira-bnb; do \
 	  dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
 	    --mode poisson --mean 3 --spare-cols 2 --repair $$s \
@@ -223,7 +233,7 @@ bira-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --repair frobnicate \
 	  > /dev/null 2>&1; test $$? -eq 2
 	rm -f .ci-bira-golden.json .ci-bira-golden-p3.json \
-	  .ci-bira-golden-bnb.json \
+	  .ci-bira-golden-bnb.json .ci-bira-golden-bnb-p3.json \
 	  .ci-bira-bira-greedy-a.json \
 	  .ci-bira-bira-greedy-b.json .ci-bira-bira-essential-a.json \
 	  .ci-bira-bira-essential-b.json .ci-bira-bira-bnb-a.json \

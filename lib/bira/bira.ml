@@ -43,8 +43,8 @@ let run ?(max_rounds = 4) ~fast strategy model march ~backgrounds =
   if failures = [] then
     { b_outcome = Repair.Passed_clean; b_alloc = None; b_rounds = 1 }
   else
-    let burned_r = Array.make (max org.Org.spares 1) false
-    and burned_c = Array.make (max org.Org.spare_cols 1) false in
+    let burned_r = Array.make (Int.max org.Org.spares 1) false
+    and burned_c = Array.make (Int.max org.Org.spare_cols 1) false in
     let too_many rounds =
       Model.set_remap model None;
       Model.set_col_remap model None;
@@ -70,8 +70,8 @@ let run ?(max_rounds = 4) ~fast strategy model march ~backgrounds =
           {
             Cover.rows = Org.rows org;
             cols = Org.cols org;
-            spare_rows = min org.Org.spares (unburned burned_r);
-            spare_cols = min org.Org.spare_cols (unburned burned_c);
+            spare_rows = Int.min org.Org.spares (unburned burned_r);
+            spare_cols = Int.min org.Org.spare_cols (unburned burned_c);
             cells = Fault_map.cells fmap;
           }
         in

@@ -5,7 +5,9 @@ module Engine = Bisram_bist.Engine
 type t = {
   org : Org.t;
   bound : int;  (* max distinct cells any in-budget cover can span *)
-  seen : (int, unit) Hashtbl.t;  (* key = row * cols + col *)
+  seen : Bytes.t;  (* one byte per regular cell, at row * cols + col *)
+  mutable keys : int list;  (* the seen cells' indices, newest first *)
+  mutable count : int;
   mutable overflowed : bool;
 }
 
@@ -13,16 +15,26 @@ let create org =
   let bound =
     (org.Org.spares * Org.cols org) + (org.Org.spare_cols * Org.rows org)
   in
-  { org; bound; seen = Hashtbl.create 64; overflowed = false }
+  { org
+  ; bound
+  ; seen = Bytes.make (Org.rows org * Org.cols org) '\000'
+  ; keys = []
+  ; count = 0
+  ; overflowed = false
+  }
 
 let add_cell t ~row ~col =
   if row < 0 || row >= Org.rows t.org || col < 0 || col >= Org.cols t.org
   then invalid_arg "Fault_map.add_cell: cell outside the regular grid";
   if not t.overflowed then begin
     let key = (row * Org.cols t.org) + col in
-    if not (Hashtbl.mem t.seen key) then
-      if Hashtbl.length t.seen >= t.bound then t.overflowed <- true
-      else Hashtbl.add t.seen key ()
+    if Bytes.get t.seen key = '\000' then
+      if t.count >= t.bound then t.overflowed <- true
+      else begin
+        Bytes.set t.seen key '\001';
+        t.keys <- key :: t.keys;
+        t.count <- t.count + 1
+      end
   end
 
 let failure_cells ~fast org (f : Engine.failure) =
@@ -61,9 +73,9 @@ let add_failures ~fast t failures =
     failures
 
 let overflowed t = t.overflowed
-let count t = Hashtbl.length t.seen
+let count t = t.count
 
+(* a key orders cells as (row, col) does *)
 let cells t =
   let cols = Org.cols t.org in
-  Hashtbl.fold (fun key () acc -> (key / cols, key mod cols) :: acc) t.seen []
-  |> List.sort compare
+  List.map (fun key -> (key / cols, key mod cols)) (List.sort Int.compare t.keys)

@@ -16,27 +16,25 @@ let assign ~spares ~burned lines =
             | None -> None
             | Some rest -> Some ((line, s) :: rest)))
   in
-  go 0 (List.sort compare lines)
+  go 0 (List.sort Int.compare lines)
 
-let lookup_fn pairs base x =
-  match List.assoc_opt x pairs with Some s -> base + s | None -> x
+(* Validate [pairs] and tabulate them once, so an access is one array
+   lookup; the first pair for a line wins, and the map is the identity
+   outside [0 .. n-1]. *)
+let tabulate ~name ~line ~n ~spares pairs =
+  let tbl = Array.init n Fun.id in
+  List.iter
+    (fun (x, s) ->
+      if x < 0 || x >= n then invalid_arg (name ^ ": bad " ^ line);
+      if s < 0 || s >= spares then invalid_arg (name ^ ": bad spare index");
+      if tbl.(x) = x then tbl.(x) <- n + s)
+    pairs;
+  fun x -> if x >= 0 && x < n then Array.unsafe_get tbl x else x
 
 let row_remap org pairs =
-  let base = Org.rows org in
-  List.iter
-    (fun (row, s) ->
-      if row < 0 || row >= base then invalid_arg "Remap2d.row_remap: bad row";
-      if s < 0 || s >= org.Org.spares then
-        invalid_arg "Remap2d.row_remap: bad spare index")
-    pairs;
-  lookup_fn pairs base
+  tabulate ~name:"Remap2d.row_remap" ~line:"row" ~n:(Org.rows org)
+    ~spares:org.Org.spares pairs
 
 let col_remap org pairs =
-  let base = Org.cols org in
-  List.iter
-    (fun (col, s) ->
-      if col < 0 || col >= base then invalid_arg "Remap2d.col_remap: bad col";
-      if s < 0 || s >= org.Org.spare_cols then
-        invalid_arg "Remap2d.col_remap: bad spare index")
-    pairs;
-  lookup_fn pairs base
+  tabulate ~name:"Remap2d.col_remap" ~line:"col" ~n:(Org.cols org)
+    ~spares:org.Org.spare_cols pairs

@@ -4,6 +4,13 @@ type agg_effect =
   | Invert of int (* victim idx *)
   | Force of { rising : bool; victim : int; forces : bool }
 
+(* Column steering (2D BIRA), tabulated once by [set_col_remap]:
+   [st_target.(c)] is the physical column regular column [c] resolves
+   to (a spare column for a repaired line, [c] itself elsewhere), and
+   bit [b] of [st_mask.(col)] marks an I/O whose column at mux position
+   [col] is steered away from itself. *)
+type steering = { st_target : int array; st_mask : int array }
+
 type t = {
   org : Org.t;
   ncells : int;
@@ -51,12 +58,10 @@ type t = {
      sensed on I/O [io] (what a stuck-open cell there reads back). *)
   mutable residue : int;
   mutable remap : (int -> int) option;
-  (* Column steering (2D BIRA): maps a regular physical column to the
-     physical column actually accessed (a spare column for repaired
-     lines, itself everywhere else).  While armed, every word access
-     takes the per-bit path — the packed fast path assumes the identity
-     column map. *)
-  mutable col_remap : (int -> int) option;
+  (* Column steering: [None] is the identity map.  Only a slot whose
+     mux position has a non-zero steer mask resolves its steered bits
+     elsewhere; every other slot keeps its regime (see [write_at]). *)
+  mutable steering : steering option;
   mutable n_reads : int;
   mutable n_writes : int;
   (* Access-regime telemetry: how many of the reads/writes the packed
@@ -156,7 +161,7 @@ let create org =
   ; wmask = Array.make (nrows * org.Org.bpc) 0
   ; residue = 0
   ; remap = None
-  ; col_remap = None
+  ; steering = None
   ; n_reads = 0
   ; n_writes = 0
   ; n_fast_reads = 0
@@ -288,8 +293,9 @@ let clear t =
     t.fault_list;
   t.residue <- 0
 
-(* Flag cell [c]'s I/O in its word slot's fault-bit mask (spare-column
-   cells are reached only through the per-bit column-steering path). *)
+(* Flag cell [c]'s I/O in its word slot's fault-bit mask.  Spare-column
+   cells have no slot: a steered access checks their flags itself
+   ([steer_plain]). *)
 let mask_cell t masks (c : F.cell) =
   if c.F.col < t.cols then begin
     let bit = t.col_bit.(c.F.col) in
@@ -374,16 +380,32 @@ let faults t = t.fault_list
 let set_remap t f = t.remap <- f
 
 let set_col_remap t f =
-  (match f with
-  | None -> ()
-  | Some g ->
-      (* validate the whole map up front so the hot path can trust it *)
-      for p = 0 to t.cols - 1 do
-        let q = g p in
-        if q < 0 || q >= t.tcols then
-          invalid_arg "Model.set_col_remap: mapped column out of range"
-      done);
-  t.col_remap <- f
+  t.steering <-
+    (match f with
+    | None -> None
+    | Some g ->
+        (* validate and tabulate the whole map up front, so the hot path
+           neither checks nor calls it *)
+        let st_target =
+          Array.init t.cols (fun c ->
+              let q = g c in
+              if q < 0 || q >= t.tcols then
+                invalid_arg "Model.set_col_remap: mapped column out of range";
+              q)
+        in
+        let st_mask = Array.make t.bpc 0 in
+        Array.iteri
+          (fun c q ->
+            if q <> c then begin
+              let bit = t.col_bit.(c) in
+              let col = c - (bit * t.bpc) in
+              st_mask.(col) <- st_mask.(col) lor (1 lsl bit)
+            end)
+          st_target;
+        (* a map that steers nothing arms nothing, so an armed map
+           stops [march_span]'s cap scan within [bpc] addresses *)
+        if Array.fold_left ( lor ) 0 st_mask = 0 then None
+        else Some { st_target; st_mask })
 
 (* Coupling-driven store: respects pins (a stuck node cannot be flipped
    by crosstalk) but bypasses transition faults. *)
@@ -440,22 +462,95 @@ let read_bit t ~io i =
 let physical_row t row =
   match t.remap with None -> row | Some f -> f row
 
-(* A word access is fast when its slot is unarmed ([fast_slot]): no
-   pin, transition or open fault to consult, no aggressor effect to fire
-   and no state-coupled read to resolve.  Then it is one packed array
-   load or store, whatever machinery sits elsewhere on its row (a
-   coupling victim or a retention cell only changes on another access
-   or a wait).  On an armed slot only the bits of the slot's fault mask
-   go through [read_bit]/[write_bit] (every bit, mask -1, with the fast
-   path off); the others are plain byte-store loads and stores.  Bits
-   go I/O 0 first, which keeps the legacy order of coupling side
-   effects within a word.  Every read, on any path, leaves the word it
-   returns as the sense residue. *)
+(* A word access is fast when its slot is unarmed ([fast_slot]) and
+   unsteered: no pin, transition or open fault to consult, no aggressor
+   effect to fire and no state-coupled read to resolve.  Then it is one
+   packed array load or store, whatever machinery sits elsewhere on its
+   row (a coupling victim or a retention cell only changes on another
+   access or a wait).  On an armed slot only the bits of the slot's
+   fault mask go through [read_bit]/[write_bit] (every bit, mask -1,
+   with the fast path off); the others are plain byte-store loads and
+   stores.  A steered slot (non-zero steer mask [s]) whose steered bits
+   all land on unflagged spare-column cells ([steer_plain]) is the
+   packed word outside [s] plus those spare bytes, and nothing it
+   touches can fire; any other steered slot resolves every bit through
+   the column map.  Bits go I/O 0 first, which keeps the legacy order
+   of coupling side effects within a word.  Every read, on any path,
+   leaves the word it returns as the sense residue. *)
+
+(* Can the steered slot [slot] at mux position [col] skip the per-bit
+   path?  Its own bits must be packed and each steered bit's target an
+   unflagged spare-column cell; a flagged cell sits on a fault-armed
+   row, so a clean row needs no flag lookups. *)
+let steer_plain t st ~row ~col ~slot s =
+  fast_slot t slot
+  &&
+  let base = row * t.tcols and armed_row = row_is_faulty t row in
+  let ok = ref true and bit = ref 0 in
+  while !ok && !bit < t.bpw do
+    if (s lsr !bit) land 1 = 1 then begin
+      let q = Array.unsafe_get st.st_target ((!bit * t.bpc) + col) in
+      ok := q >= t.cols && ((not armed_row) || flag t (base + q) = 0)
+    end;
+    incr bit
+  done;
+  !ok
+
+(* The cell that I/O [bit] of mux position [col] on the row at cell
+   offset [base] reaches through steering [st]. *)
+let steered_cell t st ~base ~col bit =
+  base + Array.unsafe_get st.st_target ((bit * t.bpc) + col)
+
+(* A write to the steered slot at mux position [col] (steer mask
+   [s]). *)
+let write_steered t st ~row ~col s v =
+  let slot = (row * t.bpc) + col and base = row * t.tcols in
+  if steer_plain t st ~row ~col ~slot s then begin
+    let cur = Array.unsafe_get t.packed slot in
+    Array.unsafe_set t.packed slot ((cur land s) lor (v land lnot s));
+    for bit = 0 to t.bpw - 1 do
+      if (s lsr bit) land 1 = 1 then
+        Bytes.unsafe_set t.cells
+          (steered_cell t st ~base ~col bit)
+          (if (v lsr bit) land 1 = 1 then '\001' else '\000')
+    done;
+    if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
+    else t.n_fast_writes <- t.n_fast_writes + 1
+  end
+  else
+    for bit = 0 to t.bpw - 1 do
+      write_bit t (steered_cell t st ~base ~col bit) ((v lsr bit) land 1 = 1)
+    done
+
+(* A read of the steered slot at mux position [col] (steer mask [s]);
+   the caller leaves the word as the residue. *)
+let read_steered t st ~row ~col s =
+  let slot = (row * t.bpc) + col and base = row * t.tcols in
+  let v = ref 0 in
+  if steer_plain t st ~row ~col ~slot s then begin
+    if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
+    else t.n_fast_reads <- t.n_fast_reads + 1;
+    v := Array.unsafe_get t.packed slot land lnot s;
+    for bit = 0 to t.bpw - 1 do
+      if
+        (s lsr bit) land 1 = 1
+        && Bytes.unsafe_get t.cells (steered_cell t st ~base ~col bit) <> '\000'
+      then v := !v lor (1 lsl bit)
+    done
+  end
+  else
+    for bit = 0 to t.bpw - 1 do
+      if read_bit t ~io:bit (steered_cell t st ~base ~col bit) then
+        v := !v lor (1 lsl bit)
+    done;
+  !v
 
 let write_at t ~row ~col v =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
-  (match t.col_remap with
-  | None ->
+  (match t.steering with
+  | Some st when Array.unsafe_get st.st_mask col <> 0 ->
+      write_steered t st ~row ~col (Array.unsafe_get st.st_mask col) v
+  | _ ->
       let slot = (row * t.bpc) + col in
       if fast_slot t slot then begin
         Array.unsafe_set t.packed slot v;
@@ -471,23 +566,19 @@ let write_at t ~row ~col v =
           if (m lsr bit) land 1 = 1 then write_bit t i b
           else Bytes.unsafe_set t.cells i (if b then '\001' else '\000')
         done
-      end
-  | Some f ->
-      (* steering armed: every access resolves per bit through the
-         column map (repaired columns land on their spare column) *)
-      for bit = 0 to t.bpw - 1 do
-        write_bit t
-          ((row * t.tcols) + f ((bit * t.bpc) + col))
-          ((v lsr bit) land 1 = 1)
-      done);
+      end);
   mark_row_written t row;
   t.n_writes <- t.n_writes + 1
 
 let read_at t ~row ~col =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
   t.n_reads <- t.n_reads + 1;
-  match t.col_remap with
-  | None ->
+  match t.steering with
+  | Some st when Array.unsafe_get st.st_mask col <> 0 ->
+      let v = read_steered t st ~row ~col (Array.unsafe_get st.st_mask col) in
+      t.residue <- v;
+      v
+  | _ ->
       let slot = (row * t.bpc) + col in
       if fast_slot t slot then begin
         if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
@@ -510,14 +601,6 @@ let read_at t ~row ~col =
         t.residue <- !v;
         !v
       end
-  | Some f ->
-      let v = ref 0 in
-      for bit = 0 to t.bpw - 1 do
-        if read_bit t ~io:bit ((row * t.tcols) + f ((bit * t.bpc) + col)) then
-          v := !v lor (1 lsl bit)
-      done;
-      t.residue <- !v;
-      !v
 
 let check_addr t a =
   if a < 0 || a >= t.org.Org.words then
@@ -543,8 +626,8 @@ let write_int t a v =
   let row = Array.unsafe_get t.addr_row a in
   write_at t ~row:(physical_row t row) ~col:(a - (row * t.bpc)) v
 
-(* One march element over a run of unarmed slots, on clean and
-   fault-armed rows alike.  On such a slot the element's effect on a
+(* One march element over a run of unarmed, unsteered slots, on clean
+   and fault-armed rows alike.  On such a slot the element's effect on a
    word is decided by the element alone: reads
    before its first write compare the stored word against [pre] (all
    of them the same word, or the element mismatches everywhere), reads
@@ -556,7 +639,7 @@ let march_span t ~up ~first ~count ~is_write ~op_word =
   let n_ops = Array.length is_write in
   if Array.length op_word <> n_ops then
     invalid_arg "Model.march_span: op arrays differ in length";
-  if (not t.fast) || t.col_remap <> None || count <= 0 then 0
+  if (not t.fast) || count <= 0 then 0
   else begin
     let pre = ref (-1) and final = ref (-1) and ok = ref true in
     let n_r = ref 0 and last_read = ref 0 in
@@ -582,6 +665,27 @@ let march_span t ~up ~first ~count ~is_write ~op_word =
     let count =
       if first < 0 || first >= words then 0
       else Int.min count (if up then words - first else first + 1)
+    in
+    (* a column map steers the same mux positions on every row, so the
+       run ends before the first address at a steered position: capped
+       here, once, at most [bpc] addresses on ([set_col_remap] arms no
+       map that steers nothing) *)
+    let count =
+      match t.steering with
+      | None -> count
+      | Some st ->
+          let j = ref 0 in
+          while
+            !j < count
+            &&
+            let a = first + (stride * !j) in
+            Array.unsafe_get st.st_mask
+              (a - (Array.unsafe_get t.addr_row a * t.bpc))
+            = 0
+          do
+            incr j
+          done;
+          !j
     in
     let n = ref 0 and n_armed = ref 0 and stop = ref (not !ok) in
     while (not !stop) && !n < count do

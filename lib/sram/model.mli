@@ -19,7 +19,9 @@
     {!Word.to_int}/{!Word.of_int}.  A slot changes regime only inside
     {!set_faults} (whose trailing {!clear} restores power-up zeros in
     both stores of every armed or dirty row) and {!set_fast_path}
-    (which migrates the data), so the stores never disagree.  The
+    (which migrates the data), so the stores never disagree.
+    Spare-column cells always live in the byte store; column steering
+    ({!set_col_remap}) serves a steered bit from them.  The
     sense residue is packed too, one bit per I/O: a packed read sets
     it to the word read, exactly what the per-bit path would leave, so
     a stuck-open cell elsewhere in the array does not slow other reads
@@ -47,18 +49,24 @@ val set_remap : t -> (int -> int) option -> unit
     BIRA allocation's output): a word access to mux position [col]
     resolves bit [b] at physical column [f (b*bpc + col)] instead of
     [b*bpc + col].  Spare columns occupy physical columns
-    [cols .. total_cols - 1].  While a map is armed every word access
-    takes the per-bit path (the packed fast path assumes identity
-    steering); [None] restores identity and re-enables the fast path.
+    [cols .. total_cols - 1].  The map is validated and tabulated once
+    here, so [f] is never called again: per column-mux position, the
+    I/O bits whose column is steered away from itself.  A slot with no
+    steered bit keeps its unsteered regime (packed or fault-masked).  A
+    steered slot whose own bits are packed and whose steered bits all
+    land on spare-column cells without fault machinery is the packed
+    word with those bits replaced by the spare cells; any other steered
+    slot resolves every bit through the map, I/O 0 first.  [None], or
+    a map that steers no column, restores identity.
     @raise Invalid_argument if the map sends any regular column outside
-    [0 .. total_cols - 1]. *)
+    [0 .. total_cols - 1]; the previous map then stays armed. *)
 val set_col_remap : t -> (int -> int) option -> unit
 
 (** Word access through the addressing logic (column mux + remap).
-    A read of an unarmed slot (with no column map) is one packed load,
-    and it leaves that word as the sense residue; a read of an armed
-    slot resolves bit by bit, I/O 0 first, and a stuck-open cell
-    returns its I/O's residue.
+    A read of an unarmed, unsteered slot is one packed load, and it
+    leaves that word as the sense residue; a read of an armed slot
+    resolves bit by bit, I/O 0 first, and a stuck-open cell returns
+    its I/O's residue.
     @raise Invalid_argument if the address is out of range or the word
     width mismatches. *)
 val read_word : t -> int -> Word.t
@@ -81,13 +89,14 @@ val write_int : t -> int -> int -> unit
     addresses from [first], ascending if [up], and returns how many
     addresses it completed.  The run stops before the first address
     whose physical row (through the remap) is out of range, whose slot
-    on that row is armed, or on which a read would mismatch; that
-    address is left untouched for {!read_int}/{!write_int}.  A
+    on that row is armed, whose mux position is steered by the column
+    map, or on which a read would mismatch; that address is left
+    untouched for {!read_int}/{!write_int}.  A
     fault-armed row's unarmed slots are run through like a clean row's
     (a row armed only by retention cells or coupling victims in full).  The packed store,
     the written-row marks, the sense residue and every {!stats}
     counter end exactly as the per-op accesses would leave them.
-    Returns 0 while a column map is armed or the fast path is off.
+    Returns 0 while the fast path is off.
     @raise Invalid_argument if the two arrays differ in length. *)
 val march_span :
   t ->
@@ -116,12 +125,16 @@ type stats = {
   s_reads : int;  (** word reads (= {!reads}) *)
   s_writes : int;  (** word writes (= {!writes}) *)
   s_fast_reads : int;
-      (** reads of rows with no armed fault machinery (all packed) *)
+      (** reads of rows with no armed fault machinery on the packed
+          path (a steered word's steered bits come from spare-column
+          cells) *)
   s_fast_writes : int;
-      (** writes to rows with no armed fault machinery (all packed) *)
+      (** writes to rows with no armed fault machinery on the packed
+          path *)
   s_armed_packed : int;
-      (** word ops on fault-armed rows that the packed store served
-          (their unarmed slots), spans included *)
+      (** word ops on fault-armed rows that the packed path served
+          (their unarmed slots, steered ones included), spans
+          included *)
   s_rows_migrated : int;
       (** clean rows moved between stores by {!set_fast_path} (an armed
           row's unarmed slots move too, uncounted) *)

@@ -256,6 +256,92 @@ let test_bira_strategies_agree_on_verdict () =
   Alcotest.(check bool) "essential repairs" true (ok Bira.Essential);
   Alcotest.(check bool) "bnb repairs" true (ok Bira.Exhaustive)
 
+(* The 2D repair flow does not depend on its fast paths: [Bira.run]
+   with the packed or the per-bit fault-list extraction, on a model
+   with the packed store on or off, gives the same result, leaves the
+   same array (spare rows and spare columns included), the same sense
+   residue and the same access counts, for every allocator.  Faults
+   force column repairs (a column defect over several rows), sit on
+   spare-column cells (so verification burns spares, and a steered
+   slot must leave the spare-byte path when its target is flagged),
+   couple across the regular/spare-column boundary, and fill one word
+   with stuck-open cells (so a read returns the sense residue). *)
+let prop_flow_fast_paths_agree =
+  let module I = Bisram_faults.Injection in
+  QCheck.Test.make ~name:"2D repair flow: fast paths = per-bit paths"
+    ~count:250 QCheck.(int_range 0 100_000) (fun seed ->
+      let org = org_2d in
+      let rng = Random.State.make [| 0xB12A; seed |] in
+      let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+      let rows = Org.rows org and cols = Org.cols org in
+      let trows = Org.total_rows org and tcols = Org.total_cols org in
+      let bpc = org.Org.bpc and bpw = org.Org.bpw in
+      let cell row col = { F.row; col } in
+      let open_row = int trows and open_col = int bpc in
+      let spare_cell () =
+        (* the first spare column is the one a single column repair uses *)
+        cell (int trows) (cols + if int 4 = 0 then int (tcols - cols) else 0)
+      in
+      let faults =
+        (let c = int cols in
+         List.init (int 5) (fun _ -> F.Stuck_at (cell (int rows) c, flip ())))
+        @ I.inject rng ~rows:trows ~cols:tcols ~mix:I.default_mix ~n:(int 3)
+        @ List.init (int 4) (fun _ ->
+              let c = spare_cell () in
+              match int 3 with
+              | 0 -> F.Stuck_at (c, flip ())
+              | 1 -> F.Transition (c, flip ())
+              | _ -> F.Stuck_open c)
+        @ (let reg = cell (int trows) (int cols) and spr = spare_cell () in
+           let aggressor, victim = if flip () then (reg, spr) else (spr, reg) in
+           match int 3 with
+           | 0 -> [ F.Coupling_inversion { aggressor; victim } ]
+           | 1 ->
+               [ F.Coupling_idempotent
+                   { aggressor; rising = flip (); victim; forces = flip () } ]
+           | _ ->
+               [ F.State_coupling
+                   { aggressor; when_state = flip (); victim; reads_as = flip () }
+               ])
+        @
+        if flip () then
+          List.init bpw (fun b ->
+              F.Stuck_open (cell open_row ((b * bpc) + open_col)))
+        else []
+      in
+      let backgrounds = Datagen.required_backgrounds ~bpw in
+      let run strategy ~fast ~model_fast =
+        let m = Model.create org in
+        Model.set_fast_path m model_fast;
+        Model.set_faults m faults;
+        let r = Bira.run ~fast strategy m Alg.ifa_9 ~backgrounds in
+        let reads = Model.reads m and writes = Model.writes m in
+        (* the residue first (read whole through a stuck-open word,
+           unsteered), then every regular word, then each spare column:
+           steering every regular column onto spare column [k] reads its
+           cell on all I/Os *)
+        Model.set_remap m None;
+        Model.set_col_remap m None;
+        let residue = Model.read_row_word m ~row:open_row ~col:open_col in
+        let regular =
+          List.init trows (fun row ->
+              List.init bpc (fun col -> Model.read_row_word m ~row ~col))
+        in
+        let spare_cols =
+          List.init (tcols - cols) (fun k ->
+              Model.set_col_remap m (Some (fun _ -> cols + k));
+              List.init trows (fun row -> Model.read_row_word m ~row ~col:0))
+        in
+        (r, reads, writes, residue, regular, spare_cols)
+      in
+      List.for_all
+        (fun strategy ->
+          let base = run strategy ~fast:true ~model_fast:true in
+          List.for_all
+            (fun (fast, model_fast) -> run strategy ~fast ~model_fast = base)
+            [ (false, true); (true, false); (false, false) ])
+        [ Bira.Greedy; Bira.Essential; Bira.Exhaustive ])
+
 (* ------------------------------------------------------------------ *)
 (* 2D yield model *)
 
@@ -295,13 +381,6 @@ let test_yield2_sanity () =
 (* ------------------------------------------------------------------ *)
 (* campaign guarantees *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* `--repair row-tlb` reproduces the pre-PR report bytes (the golden
    file is the CLI output of `campaign --trials 60 --seed 7 --jobs 1`
    captured before the BIRA subsystem landed) *)
@@ -310,7 +389,7 @@ let test_golden_row_tlb () =
   let r = C.run ~jobs:1 cfg in
   Alcotest.(check string)
     "row-tlb report is byte-identical to the golden capture"
-    (read_file "golden_row_tlb.json")
+    (Fixture.read "golden_row_tlb.json")
     (C.pretty_json_string r)
 
 (* `--spare-cols 2 --repair bira-bnb` report bytes (the golden file is
@@ -325,7 +404,23 @@ let test_golden_bira_bnb () =
   in
   Alcotest.(check string)
     "bira-bnb report is byte-identical to the golden capture"
-    (read_file "golden_bira_bnb.json")
+    (Fixture.read "golden_bira_bnb.json")
+    (C.pretty_json_string (C.run ~jobs:1 cfg))
+
+(* The same flow at Poisson mean 3 over 200 trials (the golden file is
+   the CLI output of `campaign --trials 200 --seed 7 --mode poisson
+   --mean 3 --spare-cols 2 --repair bira-bnb --jobs 1`, captured before
+   column steering joined the packed store).  15 of its trials end with
+   a column repair armed, so it pins steered verification rounds and
+   escape sweeps against report bytes. *)
+let test_golden_bira_p3 () =
+  let cfg =
+    C.make_config ~org:org_2d ~repair:(C.Bira Bira.Exhaustive)
+      ~mode:(C.Poisson 3.0) ~trials:200 ~seed:7 ()
+  in
+  Alcotest.(check string)
+    "poisson-3 bira-bnb report is byte-identical to the golden capture"
+    (Fixture.read "golden_bira_p3.json")
     (C.pretty_json_string (C.run ~jobs:1 cfg))
 
 (* byte-identity at jobs x lanes for every allocator *)
@@ -394,6 +489,7 @@ let () =
         ; Alcotest.test_case "column repair" `Quick test_bira_col_repair
         ; Alcotest.test_case "strategies agree" `Quick
             test_bira_strategies_agree_on_verdict
+        ; QCheck_alcotest.to_alcotest prop_flow_fast_paths_agree
         ] )
     ; ( "yield2"
       , [ Alcotest.test_case "degenerate inputs raise" `Quick
@@ -403,6 +499,8 @@ let () =
     ; ( "campaign"
       , [ Alcotest.test_case "golden row-tlb bytes" `Slow test_golden_row_tlb
         ; Alcotest.test_case "golden bira-bnb bytes" `Slow test_golden_bira_bnb
+        ; Alcotest.test_case "golden bira-bnb poisson-3 bytes" `Slow
+            test_golden_bira_p3
         ; Alcotest.test_case "jobs x lanes byte-identity" `Slow
             test_jobs_lanes_identical
         ; Alcotest.test_case "no divergences" `Slow test_bira_no_divergence

@@ -431,15 +431,9 @@ let test_golden_v2_bytes_frozen () =
    `campaign --trials 200 --seed 7 --mode poisson --mean 3 --jobs 1`
    captured before those three kernels were rewritten. *)
 let test_golden_row_tlb_p3 () =
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
   let cfg = C.make_config ~mode:(C.Poisson 3.0) ~trials:200 ~seed:7 () in
   Alcotest.(check string) "poisson-3 row-tlb report bytes"
-    (read_file "golden_row_tlb_p3.json")
+    (Fixture.read "golden_row_tlb_p3.json")
     (C.pretty_json_string (C.run ~jobs:1 cfg))
 
 (* The same repair-limited load under March C- (no retention wait, so
@@ -448,18 +442,12 @@ let test_golden_row_tlb_p3 () =
    --mode poisson --mean 3 --march "March C-"` captured before the
    clean-row march spans went in. *)
 let test_golden_marchc_p3 () =
-  let read_file path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
   let cfg =
     C.make_config ~march:Alg.march_c_minus
       ~mode:(C.Poisson 3.0) ~trials:60 ~seed:7 ()
   in
   Alcotest.(check string) "poisson-3 March C- report bytes"
-    (read_file "golden_marchc_p3.json")
+    (Fixture.read "golden_marchc_p3.json")
     (C.pretty_json_string (C.run ~jobs:1 cfg))
 
 let test_rounds_histogram_totals () =

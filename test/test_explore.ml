@@ -365,21 +365,19 @@ let test_report_roundtrip () =
           Alcotest.(check bool) "pretty = compact document" true (compact = doc)
       | Error e -> Alcotest.fail ("compact form does not re-parse: " ^ e)
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 (* The smoke sweep's report bytes (the golden file is the CLI output of
    `explore --spec examples/explore_smoke.spec --jobs 1`, captured
    while MTTF was still computed by numeric integration).  It pins
    every evaluator, the Fig.-5 crossover ages included. *)
 let test_golden_smoke_bytes () =
   let spec =
-    match Spec.of_string (read_file "../examples/explore_smoke.spec") with
+    match Spec.of_string (Fixture.read "../examples/explore_smoke.spec") with
     | Ok s -> s
     | Error e -> Alcotest.fail ("smoke spec rejected: " ^ e)
   in
   Alcotest.(check string)
     "explore_smoke report is byte-identical to the golden capture"
-    (read_file "golden_explore_smoke.json")
+    (Fixture.read "golden_explore_smoke.json")
     (Explore.pretty_json_string (Explore.run ~jobs:1 spec))
 
 (* ------------------------------------------------------------------ *)

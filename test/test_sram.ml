@@ -129,6 +129,7 @@ let prop_word_vs_reference =
 (* Model: fault-free behaviour *)
 
 let small () = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ()
+let spare_col_org () = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ~spare_cols:2 ()
 
 let test_model_rw () =
   let m = Model.create (small ()) in
@@ -531,26 +532,47 @@ let test_stuck_open_fast_read () =
     (snd (drive false)) reads
 
 (* Same differential with the BISR remap in the loop: ops install and
-   remove logical-to-spare row translations mid-stream, plus fast-path
-   toggles (exercising the packed<->byte store migration), so reads
-   through a remap of clean and faulty rows must agree byte for byte
-   with the legacy machinery. *)
+   remove logical-to-spare row translations and column steering
+   mid-stream, plus fast-path toggles (exercising the packed<->byte
+   store migration), so reads through a remap of clean and faulty rows,
+   and through steered columns, must agree byte for byte with the
+   legacy machinery.  The array is the small org (steering between
+   regular columns) or one with two spare columns (steering onto
+   spare-column cells that may carry faults themselves). *)
 let prop_fast_path_equals_legacy_remap =
   QCheck.Test.make ~name:"fast path agrees with legacy path under remap"
     ~count:150
     QCheck.(pair (int_range 0 100_000) (int_range 0 5))
     (fun (seed, n) ->
       let module I = Bisram_faults.Injection in
-      let org = small () in
       let rng = Random.State.make [| 0x4E4A; seed |] in
+      let org = if Random.State.bool rng then small () else spare_col_org () in
+      let cols = Org.cols org and spare_cols = org.Org.spare_cols in
+      (* a steered column lands on a spare column when there is one *)
+      let steer_target () =
+        if spare_cols = 0 then Random.State.int rng cols
+        else cols + Random.State.int rng spare_cols
+      in
       let faults =
-        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.cols org)
+        I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.total_cols org)
           ~mix:I.default_mix ~n
+        @ List.init
+            (if spare_cols = 0 then 0 else 1 + Random.State.int rng 2)
+            (fun _ ->
+              let c =
+                { F.row = Random.State.int rng (Org.total_rows org)
+                ; col = cols + Random.State.int rng spare_cols
+                }
+              in
+              match Random.State.int rng 3 with
+              | 0 -> F.Stuck_at (c, Random.State.bool rng)
+              | 1 -> F.Transition (c, Random.State.bool rng)
+              | _ -> F.Stuck_open c)
       in
       let spare = Org.rows org in
       let ops =
         List.init 300 (fun _ ->
-            match Random.State.int rng 12 with
+            match Random.State.int rng 14 with
             | 0 -> `Wait
             | 1 -> `Clear
             | 2 ->
@@ -559,6 +581,9 @@ let prop_fast_path_equals_legacy_remap =
                   , Random.State.int rng org.Org.spares )
             | 3 -> `Unmap
             | 4 -> `Toggle
+            | 12 ->
+                `Steer (Random.State.int rng cols, steer_target ())
+            | 13 -> `Unsteer
             | 5 | 6 | 7 ->
                 `W (Random.State.int rng org.Org.words,
                     Random.State.int rng 256)
@@ -568,7 +593,7 @@ let prop_fast_path_equals_legacy_remap =
         let m = Model.create org in
         Model.set_fast_path m fast;
         Model.set_faults m faults;
-        let on = ref fast in
+        let on = ref fast and steered = ref [] in
         let log =
           List.filter_map
             (fun op ->
@@ -583,6 +608,20 @@ let prop_fast_path_equals_legacy_remap =
                   None
               | `Unmap ->
                   Model.set_remap m None;
+                  None
+              | `Steer (c, q) ->
+                  let pairs = (c, q) :: !steered in
+                  steered := pairs;
+                  Model.set_col_remap m
+                    (Some
+                       (fun c ->
+                         match List.assoc_opt c pairs with
+                         | Some q -> q
+                         | None -> c));
+                  None
+              | `Unsteer ->
+                  steered := [];
+                  Model.set_col_remap m None;
                   None
               | `Toggle ->
                   (* only meaningful in the fast-driven model: the
@@ -609,21 +648,29 @@ let prop_fast_path_equals_legacy_remap =
    mismatching reads, every physical row (spares included), the access
    counters, the dirty rows a [clear] visits, and the sense residue,
    which a word of stuck-open cells read right after the march returns
-   whole.  Faults come from the full mix over every row, plus a
-   state coupling across the regular/spare boundary; a random remap
-   sends logical rows onto spares; the element mixes reads and writes
-   in any order (reads before the first write included) over an array
-   whose rows either hold a fill word (often the one those reads
-   expect) or are still power-up zeros and clean. *)
+   whole.  The array is the small org or one with two spare columns.
+   Faults come from the full mix over every row, plus a state coupling
+   across the regular/spare boundary and faults on spare-column cells;
+   a random remap sends logical rows onto spares.  Half the cases arm
+   no column map, so spans run through many rows; the other half arm a
+   random non-identity one steering up to three regular columns
+   (mostly onto spare columns, so a steered slot takes the spare-byte
+   path when its targets are unflagged and the per-bit path when they
+   are not), and the span must stop at its steered slots.  The element
+   mixes reads and writes in any order (reads before the first write
+   included) over an array whose rows either hold a fill word (often
+   the one those reads expect) or are still power-up zeros and
+   clean. *)
 let prop_march_span_equals_per_op =
   QCheck.Test.make ~name:"march span = per-op accesses" ~count:300
     QCheck.(pair (int_range 0 100_000) (int_range 0 5))
     (fun (seed, n) ->
       let module I = Bisram_faults.Injection in
-      let org = small () in
       let rng = Random.State.make [| 0x5BA7; seed |] in
       let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+      let org = if flip () then small () else spare_col_org () in
       let rows = Org.total_rows org and cols = Org.cols org in
+      let tcols = Org.total_cols org in
       let spare = Org.rows org and bpc = org.Org.bpc in
       let words = org.Org.words in
       let open_row = int rows and open_col = int bpc in
@@ -631,14 +678,26 @@ let prop_march_span_equals_per_op =
         I.inject rng ~rows ~cols ~mix:I.default_mix ~n
         @ List.init org.Org.bpw (fun b ->
               F.Stuck_open (cell open_row ((b * bpc) + open_col)))
-        @
-        if flip () then
-          let reg = cell (int spare) (int cols)
-          and spr = cell (spare + int org.Org.spares) (int cols) in
-          let aggressor, victim = if flip () then (reg, spr) else (spr, reg) in
-          [ F.State_coupling
-              { aggressor; when_state = flip (); victim; reads_as = flip () } ]
-        else []
+        @ (if flip () then
+             let reg = cell (int spare) (int cols)
+             and spr = cell (spare + int org.Org.spares) (int cols) in
+             let aggressor, victim =
+               if flip () then (reg, spr) else (spr, reg)
+             in
+             [ F.State_coupling
+                 { aggressor; when_state = flip (); victim; reads_as = flip () }
+             ]
+           else [])
+        @ List.init (if tcols > cols then int 4 else 0) (fun _ ->
+              let c = cell (int rows) (cols + int (tcols - cols)) in
+              match int 4 with
+              | 0 -> F.Stuck_at (c, flip ())
+              | 1 -> F.Transition (c, flip ())
+              | 2 -> F.Stuck_open c
+              | _ ->
+                  let reg = cell (int rows) (int cols) in
+                  let aggressor, victim = if flip () then (reg, c) else (c, reg) in
+                  F.Coupling_inversion { aggressor; victim })
       in
       let remap =
         let pairs =
@@ -649,6 +708,17 @@ let prop_march_span_equals_per_op =
           Some
             (fun row ->
               match List.assoc_opt row pairs with Some s -> s | None -> row)
+      in
+      let col_remap =
+        if flip () then None
+        else
+          let pairs =
+            List.init (1 + int 3) (fun _ ->
+                ( int cols,
+                  if tcols = cols || int 5 = 0 then int tcols
+                  else cols + int (tcols - cols) ))
+          in
+          Some (fun c -> match List.assoc_opt c pairs with Some q -> q | None -> c)
       in
       let bg = if flip () then 0 else int 256 in
       let n_ops = 1 + int 4 in
@@ -666,6 +736,7 @@ let prop_march_span_equals_per_op =
         let m = Model.create org in
         Model.set_faults m faults;
         Model.set_remap m remap;
+        Model.set_col_remap m col_remap;
         (* rows left unfilled stay power-up zeros and not yet dirty *)
         for a = 0 to words - 1 do
           if filled.(a / bpc) then Model.write_int m a fill
@@ -687,15 +758,21 @@ let prop_march_span_equals_per_op =
         done;
         List.rev !log
       in
+      (* the unsteered read-back sees every regular cell, the steered
+         one the spare-column cells in place of the steered bits *)
       let observe m =
         let st = Model.stats m in
-        let residue = Model.read_row_word m ~row:open_row ~col:open_col in
-        let array =
+        let array () =
           List.init rows (fun row ->
               List.init bpc (fun col -> Model.read_row_word m ~row ~col))
         in
+        Model.set_col_remap m None;
+        let residue = Model.read_row_word m ~row:open_row ~col:open_col in
+        let regular = array () in
+        Model.set_col_remap m col_remap;
+        let steered = array () in
         Model.clear m;
-        (st, residue, array, (Model.stats m).Model.s_rows_cleared)
+        (st, residue, regular, steered, (Model.stats m).Model.s_rows_cleared)
       in
       let m_span = build () in
       let k =
@@ -706,12 +783,9 @@ let prop_march_span_equals_per_op =
       let log_ref = per_op m_ref ~from:0 in
       let off = build () in
       Model.set_fast_path off false;
-      let steered = build () in
-      Model.set_col_remap steered (Some Fun.id);
-      let zero m = Model.march_span m ~up ~first ~count ~is_write ~op_word = 0 in
       k >= 0 && k <= count && log_span = log_ref
       && observe m_span = observe m_ref
-      && zero off && zero steered)
+      && Model.march_span off ~up ~first ~count ~is_write ~op_word = 0)
 
 (* On a fault-free array the span runs the whole element: a fresh
    array reads as zeros, so u(r0,w1) completes every address and a
