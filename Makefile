@@ -9,15 +9,19 @@ test: build
 	dune runtest
 
 # Hot-path lint: the model, march engine, controller, TLB and escape
-# sweep run per word op, and the 2D BIRA flow, fault map and remap
-# tables per repair round and per failing cell, so they must not call
-# polymorphic min/max/compare (a compare_val per call) or the
+# sweep run per word op, as do the lane model and lane engine of a
+# rare-fault campaign and the controller datapath's words, organization
+# and address generator per cycle; the 2D BIRA flow, fault map and
+# remap tables run per repair round and per failing cell.  So they must
+# not call polymorphic min/max/compare (a compare_val per call) or the
 # polymorphic Hashtbl (a caml_hash per call).  The lint parses the
 # files, so comments and strings never match; Int.min, Int.compare
 # etc. pass.
 HOT_PATH = lib/sram/model.ml lib/bist/engine.ml lib/bist/controller.ml \
   lib/bisr/tlb.ml lib/campaign/sweep.ml lib/bira/bira.ml \
-  lib/bira/fault_map.ml lib/bira/remap2d.ml
+  lib/bira/fault_map.ml lib/bira/remap2d.ml lib/sram/lanes.ml \
+  lib/bist/lane_engine.ml lib/sram/word.ml lib/sram/org.ml \
+  lib/bist/addgen.ml
 
 hot-path-lint: build
 	dune exec bench/hot_path_lint.exe -- $(HOT_PATH)

@@ -93,10 +93,6 @@ let exhaustive_faults ?(include_same_word = false) org =
   done;
   List.rev_append !singles (List.rev !couplings)
 
-let sampled_faults rng org ~mix ~n =
-  Bisram_faults.Injection.inject rng ~rows:(Org.rows org) ~cols:(Org.cols org)
-    ~mix ~n
-
 let pp ppf r =
   Format.fprintf ppf "@[<v>";
   List.iter

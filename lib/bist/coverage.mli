@@ -40,12 +40,4 @@ val evaluate :
 val exhaustive_faults :
   ?include_same_word:bool -> Bisram_sram.Org.t -> Bisram_faults.Fault.t list
 
-(** Random fault sample (one fault per simulation). *)
-val sampled_faults :
-  Random.State.t ->
-  Bisram_sram.Org.t ->
-  mix:Bisram_faults.Injection.mix ->
-  n:int ->
-  Bisram_faults.Fault.t list
-
 val pp : Format.formatter -> result -> unit

@@ -200,7 +200,3 @@ let failing_rows org failures =
 
 let op_count test org ~backgrounds =
   March.ops_per_address test * org.Org.words * backgrounds
-
-let pp_failure ppf f =
-  Format.fprintf ppf "bg=%a item=%d op=%d addr=%d expected=%a got=%a" Word.pp
-    f.background f.item f.op f.addr Word.pp f.expected Word.pp f.got

@@ -64,5 +64,3 @@ val failing_rows : Bisram_sram.Org.t -> failure list -> int list
 (** Total RAM operations the test performs:
     ops_per_address * words * #backgrounds. *)
 val op_count : March.t -> Bisram_sram.Org.t -> backgrounds:int -> int
-
-val pp_failure : Format.formatter -> failure -> unit

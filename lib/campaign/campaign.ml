@@ -169,7 +169,7 @@ type verdicts = {
   alloc : (int list * int list) option;
 }
 
-(* Flush the per-model access-regime counters into the telemetry
+(* Flush the per-model access-path counters into the telemetry
    registry; summed over the models of a trial's sides (and over trials
    by the registry merge), they give the campaign-wide fast/legacy hit
    ratios.  "Legacy" is every op on a fault-armed row; the packed store
@@ -184,7 +184,6 @@ let flush_model_stats m =
   Obs.add "model.armed_packed_ops" s.Model.s_armed_packed;
   Obs.add "model.legacy_reads" (s.Model.s_reads - s.Model.s_fast_reads);
   Obs.add "model.legacy_writes" (s.Model.s_writes - s.Model.s_fast_writes);
-  Obs.add "model.rows_migrated" s.Model.s_rows_migrated;
   Obs.add "model.rows_cleared" s.Model.s_rows_cleared
 
 (* A trial fills three roles: the flow [Under_test], the [Oracle] it is

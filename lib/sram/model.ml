@@ -13,14 +13,12 @@ type steering = { st_target : int array; st_mask : int array }
 
 type t = {
   org : Org.t;
-  ncells : int;
   nrows : int;
   cols : int; (* regular physical columns: bpw * bpc *)
-  (* Row stride of the cell arrays: cols + spare_cols.  Cells at
-     offsets cols .. tcols-1 within a row are the spare columns; they
-     are reachable only through an armed column remap (and by fault
-     arming), and they always live in the byte store — the packed store
-     covers exactly the regular [cols] grid. *)
+  (* Row stride of the cell index: cols + spare_cols.  Cells at offsets
+     cols .. tcols-1 within a row are the spare columns; they are
+     reachable only through an armed column remap (and by fault
+     arming). *)
   tcols : int;
   bpc : int;
   bpw : int;
@@ -28,14 +26,11 @@ type t = {
   addr_row : int array;
   cell_row : int array;
   col_bit : int array;
-  (* Packed fast-path store: one int per (row, col-mux) word, bit [b]
-     of slot [row * bpc + col] = cell (row, b*bpc + col).  Authoritative
-     for every unarmed slot (one whose [rmask lor wmask] is zero) while
-     [fast] is on. *)
+  (* The cell store: one int per (row, col-mux) word, bit [b] of slot
+     [row * bpc + col] = cell (row, b*bpc + col), and one int per row
+     for its spare columns, bit [k] = cell (row, cols + k). *)
   packed : int array;
-  (* Legacy byte-per-cell store: authoritative for armed slots and the
-     spare columns (and for every cell when [fast] is off). *)
-  cells : Bytes.t;
+  spare : int array;
   mutable fault_list : F.t list;
   (* Per-cell fault flags, one byte per physical cell (the [f_*] bits
      below).  The coupling relations themselves are the two lists,
@@ -50,8 +45,8 @@ type t = {
      per-cell machinery (stuck-open cell or state-coupling victim), bit
      [b] of [wmask] one whose write does (stuck-open, stuck-at,
      transition or coupling aggressor).  A slot with either mask
-     non-zero is armed and lives in the byte store, where every other
-     bit is a plain load or store. *)
+     non-zero is armed: its masked bits take the per-cell path, every
+     other bit is a plain load or store. *)
   rmask : int array;
   wmask : int array;
   (* Per-I/O sense-amp residue, packed: bit [io] is the last value
@@ -60,28 +55,26 @@ type t = {
   mutable remap : (int -> int) option;
   (* Column steering: [None] is the identity map.  Only a slot whose
      mux position has a non-zero steer mask resolves its steered bits
-     elsewhere; every other slot keeps its regime (see [write_at]). *)
+     elsewhere; every other slot keeps its access path (see [write_at]). *)
   mutable steering : steering option;
   mutable n_reads : int;
   mutable n_writes : int;
-  (* Access-regime telemetry: how many of the reads/writes the packed
-     store served on rows without armed machinery ([n_fast_*]) and on
-     fault-armed rows ([n_armed_packed]), plus the row traffic of
-     [set_fast_path] migrations and [clear].  Plain unconditional
-     increments adjacent to the ones above — cheaper than any
-     enabled-check would be. *)
+  (* Access-path telemetry: how many of the reads/writes the packed
+     path served on rows without armed machinery ([n_fast_*]) and on
+     fault-armed rows ([n_armed_packed]), plus the rows [clear] zeroed.
+     Plain unconditional increments adjacent to the ones above — cheaper
+     than any enabled-check would be. *)
   mutable n_fast_reads : int;
   mutable n_fast_writes : int;
   mutable n_armed_packed : int;
-  mutable n_rows_migrated : int;
   mutable n_rows_cleared : int;
   (* Fast-path bookkeeping.  [row_fault] marks every row on which any
      fault machinery is armed (fault site, coupling aggressor or
-     victim): [clear] always wipes both of its stores, and [n_fast_*]
-     skip its ops even where its unarmed slots serve them packed.
-     [row_written] marks rows whose data may differ from the power-up
-     zeros.  [nfaults] is the armed total, so the all-clean
-     test is a single integer compare. *)
+     victim): [clear] always wipes it, and [n_fast_*] skip its ops even
+     where its unarmed slots serve them packed.  [row_written] marks
+     rows whose data may differ from the power-up zeros.  [nfaults] is
+     the armed total, so the all-clean test is a single integer
+     compare. *)
   mutable nfaults : int;
   row_fault : Bytes.t;
   row_written : Bytes.t;
@@ -139,10 +132,8 @@ let create org =
   let nrows = Org.total_rows org in
   let cols = Org.cols org in
   let tcols = Org.total_cols org in
-  let ncells = nrows * tcols in
   let d = decode_of org in
   { org
-  ; ncells
   ; nrows
   ; cols
   ; tcols
@@ -152,9 +143,9 @@ let create org =
   ; cell_row = d.d_cell_row
   ; col_bit = d.d_col_bit
   ; packed = Array.make (nrows * org.Org.bpc) 0
-  ; cells = Bytes.make ncells '\000'
+  ; spare = Array.make nrows 0
   ; fault_list = []
-  ; flags = Bytes.make ncells '\000'
+  ; flags = Bytes.make (nrows * tcols) '\000'
   ; state_cpl = []
   ; agg_effects = []
   ; rmask = Array.make (nrows * org.Org.bpc) 0
@@ -167,7 +158,6 @@ let create org =
   ; n_fast_reads = 0
   ; n_fast_writes = 0
   ; n_armed_packed = 0
-  ; n_rows_migrated = 0
   ; n_rows_cleared = 0
   ; nfaults = 0
   ; row_fault = Bytes.make nrows '\000'
@@ -197,80 +187,44 @@ let mark_row_fault t row = Bytes.unsafe_set t.row_fault row '\001'
 let mark_row_written t row = Bytes.unsafe_set t.row_written row '\001'
 
 (* A slot is armed when any of its bits needs the per-cell machinery;
-   only armed slots leave the packed store.  Masks are non-zero only on
+   only armed slots leave the packed path.  Masks are non-zero only on
    fault-armed rows, so an unarmed row's slots are never armed. *)
 let slot_armed t slot =
   Array.unsafe_get t.rmask slot lor Array.unsafe_get t.wmask slot <> 0
 
-(* A regular cell's data lives in [packed] iff its slot is unarmed and
-   the fast path is on (with no fault armed, no slot is).  Slots change
-   regime only inside [set_faults] (whose trailing [clear] wipes both
-   stores of every old and new armed row back to power-up zeros) and
-   [set_fast_path] (which migrates the data), so the two stores never
-   disagree. *)
+(* Can the word slot take the packed path: plain loads and stores of
+   [packed], no per-cell machinery?  With no fault armed, every slot
+   can. *)
 let fast_slot t slot = t.fast && (t.nfaults = 0 || not (slot_armed t slot))
 
-(* Cell-granular access used by the legacy fault machinery.  Regime
-   aware: a coupling victim, a retention cell or a State_coupling
-   aggressor may sit on an unarmed (packed) slot. *)
+let with_bit w bit v = if v then w lor (1 lsl bit) else w land lnot (1 lsl bit)
+
+(* Cell-granular access used by the per-cell fault machinery: cell [i]
+   is a bit of its word slot, or of its row's spare int. *)
 let stored t i =
   let row = t.cell_row.(i) in
   let c = i - (row * t.tcols) in
-  let bit = if c < t.cols then Array.unsafe_get t.col_bit c else 0 in
-  let slot = (row * t.bpc) + c - (bit * t.bpc) in
-  if c < t.cols && fast_slot t slot then
-    (Array.unsafe_get t.packed slot lsr bit) land 1 = 1
-  else Bytes.unsafe_get t.cells i <> '\000'
+  if c < t.cols then
+    let bit = Array.unsafe_get t.col_bit c in
+    (Array.unsafe_get t.packed ((row * t.bpc) + c - (bit * t.bpc)) lsr bit)
+    land 1
+    = 1
+  else (Array.unsafe_get t.spare row lsr (c - t.cols)) land 1 = 1
 
 let store t i v =
   let row = t.cell_row.(i) in
   let c = i - (row * t.tcols) in
-  let bit = if c < t.cols then Array.unsafe_get t.col_bit c else 0 in
-  let slot = (row * t.bpc) + c - (bit * t.bpc) in
-  if c < t.cols && fast_slot t slot then begin
-    let cur = Array.unsafe_get t.packed slot in
+  if c < t.cols then begin
+    let bit = Array.unsafe_get t.col_bit c in
+    let slot = (row * t.bpc) + c - (bit * t.bpc) in
     Array.unsafe_set t.packed slot
-      (if v then cur lor (1 lsl bit) else cur land lnot (1 lsl bit))
+      (with_bit (Array.unsafe_get t.packed slot) bit v)
   end
-  else Bytes.unsafe_set t.cells i (if v then '\001' else '\000')
+  else
+    Array.unsafe_set t.spare row
+      (with_bit (Array.unsafe_get t.spare row) (c - t.cols) v)
 
-let set_fast_path t on =
-  if on <> t.fast then begin
-    (* migrate every unarmed slot between the two stores so the regime
-       switch is observationally silent (armed slots already live in
-       the byte store on both sides) *)
-    for row = 0 to t.nrows - 1 do
-      if not (row_is_faulty t row) then
-        t.n_rows_migrated <- t.n_rows_migrated + 1;
-      (* only the regular [cols] grid migrates; spare-column cells are
-         byte-store residents in both regimes *)
-      for col = 0 to t.bpc - 1 do
-        let slot = (row * t.bpc) + col in
-        if not (slot_armed t slot) then begin
-          let base = (row * t.tcols) + col in
-          if on then begin
-            let v = ref 0 in
-            for bit = 0 to t.bpw - 1 do
-              if Bytes.unsafe_get t.cells (base + (bit * t.bpc)) <> '\000'
-              then v := !v lor (1 lsl bit);
-              Bytes.unsafe_set t.cells (base + (bit * t.bpc)) '\000'
-            done;
-            t.packed.(slot) <- !v
-          end
-          else begin
-            let v = t.packed.(slot) in
-            for bit = 0 to t.bpw - 1 do
-              Bytes.unsafe_set t.cells
-                (base + (bit * t.bpc))
-                (if (v lsr bit) land 1 = 1 then '\001' else '\000')
-            done;
-            t.packed.(slot) <- 0
-          end
-        end
-      done
-    done;
-    t.fast <- on
-  end
+let set_fast_path t on = t.fast <- on
 
 let clear t =
   (* power-up fill, dirty rows only: a row holds non-zero data only if
@@ -281,8 +235,8 @@ let clear t =
       Bytes.unsafe_get t.row_written row <> '\000'
       || Bytes.unsafe_get t.row_fault row <> '\000'
     then begin
-      Bytes.fill t.cells (row * t.tcols) t.tcols '\000';
       Array.fill t.packed (row * t.bpc) t.bpc 0;
+      Array.unsafe_set t.spare row 0;
       Bytes.unsafe_set t.row_written row '\000';
       t.n_rows_cleared <- t.n_rows_cleared + 1
     end
@@ -311,7 +265,7 @@ let set_faults t faults =
       Bytes.fill t.flags off t.tcols '\000';
       Array.fill t.rmask (row * t.bpc) t.bpc 0;
       Array.fill t.wmask (row * t.bpc) t.bpc 0;
-      (* the row may hold non-zero bytes planted by the old config
+      (* the row may hold non-zero cells planted by the old config
          without [row_written] being set (pin re-assertion in [clear],
          retention decay, coupling force-stores), so flag it written:
          once [row_fault] drops, only that flag makes the final [clear]
@@ -469,17 +423,19 @@ let physical_row t row =
    row (a coupling victim or a retention cell only changes on another
    access or a wait).  On an armed slot only the bits of the slot's
    fault mask go through [read_bit]/[write_bit] (every bit, mask -1,
-   with the fast path off); the others are plain byte-store loads and
-   stores.  A steered slot (non-zero steer mask [s]) whose steered bits
+   with the fast path off); the others are plain bits of the packed
+   word.  A steered slot (non-zero steer mask [s]) whose steered bits
    all land on unflagged spare-column cells ([steer_plain]) is the
-   packed word outside [s] plus those spare bytes, and nothing it
+   packed word outside [s] plus those spare bits, and nothing it
    touches can fire; any other steered slot resolves every bit through
-   the column map.  Bits go I/O 0 first, which keeps the legacy order
-   of coupling side effects within a word.  Every read, on any path,
-   leaves the word it returns as the sense residue. *)
+   the column map.  Writes go bit by bit, I/O 0 first, which keeps the
+   legacy order of coupling side effects within a word: a masked
+   aggressor may flip a later, unmasked bit before that bit is written.
+   Every read, on any path, leaves the word it returns as the sense
+   residue. *)
 
 (* Can the steered slot [slot] at mux position [col] skip the per-bit
-   path?  Its own bits must be packed and each steered bit's target an
+   path?  Its own slot must be unarmed and each steered bit's target an
    unflagged spare-column cell; a flagged cell sits on a fault-armed
    row, so a clean row needs no flag lookups. *)
 let steer_plain t st ~row ~col ~slot s =
@@ -496,10 +452,10 @@ let steer_plain t st ~row ~col ~slot s =
   done;
   !ok
 
-(* The cell that I/O [bit] of mux position [col] on the row at cell
-   offset [base] reaches through steering [st]. *)
-let steered_cell t st ~base ~col bit =
-  base + Array.unsafe_get st.st_target ((bit * t.bpc) + col)
+(* The physical column that I/O [bit] of mux position [col] reaches
+   through steering [st]. *)
+let steered_col t st ~col bit =
+  Array.unsafe_get st.st_target ((bit * t.bpc) + col)
 
 (* A write to the steered slot at mux position [col] (steer mask
    [s]). *)
@@ -510,16 +466,14 @@ let write_steered t st ~row ~col s v =
     Array.unsafe_set t.packed slot ((cur land s) lor (v land lnot s));
     for bit = 0 to t.bpw - 1 do
       if (s lsr bit) land 1 = 1 then
-        Bytes.unsafe_set t.cells
-          (steered_cell t st ~base ~col bit)
-          (if (v lsr bit) land 1 = 1 then '\001' else '\000')
+        store t (base + steered_col t st ~col bit) ((v lsr bit) land 1 = 1)
     done;
     if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
     else t.n_fast_writes <- t.n_fast_writes + 1
   end
   else
     for bit = 0 to t.bpw - 1 do
-      write_bit t (steered_cell t st ~base ~col bit) ((v lsr bit) land 1 = 1)
+      write_bit t (base + steered_col t st ~col bit) ((v lsr bit) land 1 = 1)
     done
 
 (* A read of the steered slot at mux position [col] (steer mask [s]);
@@ -532,15 +486,13 @@ let read_steered t st ~row ~col s =
     else t.n_fast_reads <- t.n_fast_reads + 1;
     v := Array.unsafe_get t.packed slot land lnot s;
     for bit = 0 to t.bpw - 1 do
-      if
-        (s lsr bit) land 1 = 1
-        && Bytes.unsafe_get t.cells (steered_cell t st ~base ~col bit) <> '\000'
+      if (s lsr bit) land 1 = 1 && stored t (base + steered_col t st ~col bit)
       then v := !v lor (1 lsl bit)
     done
   end
   else
     for bit = 0 to t.bpw - 1 do
-      if read_bit t ~io:bit (steered_cell t st ~base ~col bit) then
+      if read_bit t ~io:bit (base + steered_col t st ~col bit) then
         v := !v lor (1 lsl bit)
     done;
   !v
@@ -562,9 +514,11 @@ let write_at t ~row ~col v =
         let m = if t.fast then Array.unsafe_get t.wmask slot else -1 in
         let base = (row * t.tcols) + col in
         for bit = 0 to t.bpw - 1 do
-          let i = base + (bit * t.bpc) and b = (v lsr bit) land 1 = 1 in
-          if (m lsr bit) land 1 = 1 then write_bit t i b
-          else Bytes.unsafe_set t.cells i (if b then '\001' else '\000')
+          let b = (v lsr bit) land 1 = 1 in
+          if (m lsr bit) land 1 = 1 then write_bit t (base + (bit * t.bpc)) b
+          else
+            Array.unsafe_set t.packed slot
+              (with_bit (Array.unsafe_get t.packed slot) bit b)
         done
       end);
   mark_row_written t row;
@@ -588,14 +542,12 @@ let read_at t ~row ~col =
         v
       end
       else begin
+        (* a read mutates no cell, so the unmasked bits come in one step *)
         let m = if t.fast then Array.unsafe_get t.rmask slot else -1 in
         let base = (row * t.tcols) + col in
-        let v = ref 0 in
+        let v = ref (Array.unsafe_get t.packed slot land lnot m) in
         for bit = 0 to t.bpw - 1 do
-          let i = base + (bit * t.bpc) in
-          if
-            if (m lsr bit) land 1 = 1 then read_bit t ~io:bit i
-            else Bytes.unsafe_get t.cells i <> '\000'
+          if (m lsr bit) land 1 = 1 && read_bit t ~io:bit (base + (bit * t.bpc))
           then v := !v lor (1 lsl bit)
         done;
         t.residue <- !v;
@@ -743,9 +695,9 @@ let write_row_word t ~row ~col w =
   check_col t col;
   write_at t ~row ~col (Word.to_int w)
 
-(* Decay is confined to retention-faulty cells, so walking the armed
-   fault list replaces the legacy O(ncells) array scan; for several
-   retention faults on one cell the last one wins on both paths. *)
+(* Decay is confined to retention-faulty cells, so it walks the armed
+   fault list; for several retention faults on one cell the last one
+   wins. *)
 let retention_wait t =
   List.iter
     (fun f ->
@@ -765,7 +717,6 @@ type stats = {
   s_fast_reads : int;
   s_fast_writes : int;
   s_armed_packed : int;
-  s_rows_migrated : int;
   s_rows_cleared : int;
 }
 
@@ -775,6 +726,5 @@ let stats t =
   ; s_fast_reads = t.n_fast_reads
   ; s_fast_writes = t.n_fast_writes
   ; s_armed_packed = t.n_armed_packed
-  ; s_rows_migrated = t.n_rows_migrated
   ; s_rows_cleared = t.n_rows_cleared
   }

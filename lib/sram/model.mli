@@ -5,28 +5,23 @@
     optional row remap installed by the BISR logic, and a retention
     "wait" operation for IFA-9 data-retention testing.
 
-    Storage is split by regime, one (row, column-mux) word slot at a
-    time.  {!set_faults} leaves per-slot read and write fault-bit
-    masks: a bit marks an I/O whose cell carries read-side (stuck-open,
-    state-coupling victim) or write-side (stuck-open, stuck-at,
-    transition, coupling aggressor) machinery.  A slot with either mask
-    non-zero is armed and lives in a legacy byte-per-cell store, where
-    only the masked bits take the per-cell path and the others are
-    plain loads and stores.  Every other slot — on a clean row or next
-    to an armed one, including coupling victims, retention cells and
-    state-coupling aggressors — lives in a packed store, one native int
-    per slot, so its access is a single array load/store of
-    {!Word.to_int}/{!Word.of_int}.  A slot changes regime only inside
-    {!set_faults} (whose trailing {!clear} restores power-up zeros in
-    both stores of every armed or dirty row) and {!set_fast_path}
-    (which migrates the data), so the stores never disagree.
-    Spare-column cells always live in the byte store; column steering
-    ({!set_col_remap}) serves a steered bit from them.  The
-    sense residue is packed too, one bit per I/O: a packed read sets
-    it to the word read, exactly what the per-bit path would leave, so
-    a stuck-open cell elsewhere in the array does not slow other reads
-    down.  Address and cell decoding go through per-model tables, so
-    no access divides. *)
+    There is one cell store: a native int per (row, column-mux) word
+    slot, bit [b] being I/O [b]'s cell, and an int per row for its
+    spare-column cells.  {!set_faults} leaves per-slot read and write
+    fault-bit masks: a bit marks an I/O whose cell carries read-side
+    (stuck-open, state-coupling victim) or write-side (stuck-open,
+    stuck-at, transition, coupling aggressor) machinery.  A slot with
+    either mask non-zero is armed: only its masked bits take the
+    per-cell path, the others are plain bits of the word.  Every other
+    slot — on a clean row or next to an armed one, including coupling
+    victims, retention cells and state-coupling aggressors — is served
+    packed, a single array load/store of {!Word.to_int}/{!Word.of_int}.
+    Column steering ({!set_col_remap}) serves a steered bit from the
+    spare-column cells.  The sense residue is packed too, one bit per
+    I/O: a packed read sets it to the word read, exactly what the
+    per-bit path would leave, so a stuck-open cell elsewhere in the
+    array does not slow other reads down.  Address and cell decoding
+    go through per-model tables, so no access divides. *)
 
 type t
 
@@ -52,12 +47,12 @@ val set_remap : t -> (int -> int) option -> unit
     [cols .. total_cols - 1].  The map is validated and tabulated once
     here, so [f] is never called again: per column-mux position, the
     I/O bits whose column is steered away from itself.  A slot with no
-    steered bit keeps its unsteered regime (packed or fault-masked).  A
-    steered slot whose own bits are packed and whose steered bits all
-    land on spare-column cells without fault machinery is the packed
-    word with those bits replaced by the spare cells; any other steered
-    slot resolves every bit through the map, I/O 0 first.  [None], or
-    a map that steers no column, restores identity.
+    steered bit keeps its unsteered access (packed or fault-masked).  A
+    steered unarmed slot whose steered bits all land on spare-column
+    cells without fault machinery is the packed word with those bits
+    replaced by the spare cells; any other steered slot resolves every
+    bit through the map, I/O 0 first.  [None], or a map that steers no
+    column, restores identity.
     @raise Invalid_argument if the map sends any regular column outside
     [0 .. total_cols - 1]; the previous map then stays armed. *)
 val set_col_remap : t -> (int -> int) option -> unit
@@ -91,11 +86,11 @@ val write_int : t -> int -> int -> unit
     whose physical row (through the remap) is out of range, whose slot
     on that row is armed, whose mux position is steered by the column
     map, or on which a read would mismatch; that address is left
-    untouched for {!read_int}/{!write_int}.  A
-    fault-armed row's unarmed slots are run through like a clean row's
-    (a row armed only by retention cells or coupling victims in full).  The packed store,
-    the written-row marks, the sense residue and every {!stats}
-    counter end exactly as the per-op accesses would leave them.
+    untouched for {!read_int}/{!write_int}.  A fault-armed row's
+    unarmed slots are run through like a clean row's (a row armed only
+    by retention cells or coupling victims in full).  The cells, the
+    written-row marks, the sense residue and every {!stats} counter
+    end exactly as the per-op accesses would leave them.
     Returns 0 while the fast path is off.
     @raise Invalid_argument if the two arrays differ in length. *)
 val march_span :
@@ -135,13 +130,10 @@ type stats = {
       (** word ops on fault-armed rows that the packed path served
           (their unarmed slots, steered ones included), spans
           included *)
-  s_rows_migrated : int;
-      (** clean rows moved between stores by {!set_fast_path} (an armed
-          row's unarmed slots move too, uncounted) *)
   s_rows_cleared : int;  (** dirty rows zeroed by {!clear} *)
 }
 
-(** Access-regime counters since creation.  [s_fast_*] keep meaning
+(** Access-path counters since creation.  [s_fast_*] keep meaning
     "rows with no armed machinery", so traffic on fault-armed rows is
     [s_reads - s_fast_reads] / [s_writes - s_fast_writes], of which
     [s_armed_packed] ops were packed loads or stores.  These are
@@ -155,8 +147,10 @@ val stats : t -> stats
 val clear : t -> unit
 
 (** Testing seam: [set_fast_path t false] forces every access through
-    the legacy per-cell fault machinery, even on fault-free rows.  The
-    fast path (on by default) is observationally equivalent — the
-    [test_sram] qcheck property holds the two paths against each
-    other — so this is only for differential tests and benchmarks. *)
+    the per-cell fault machinery, on every bit, even on fault-free
+    rows.  It switches the access path only; the cells stay where they
+    are, so a switch mid-stream is silent.  The fast path (on by
+    default) is observationally equivalent — the [test_sram] qcheck
+    properties hold the two paths against each other — so this is only
+    for differential tests. *)
 val set_fast_path : t -> bool -> unit

@@ -263,7 +263,7 @@ let test_bira_strategies_agree_on_verdict () =
    residue and the same access counts, for every allocator.  Faults
    force column repairs (a column defect over several rows), sit on
    spare-column cells (so verification burns spares, and a steered
-   slot must leave the spare-byte path when its target is flagged),
+   slot must leave the spare-bit path when its target is flagged),
    couple across the regular/spare-column boundary, and fill one word
    with stuck-open cells (so a read returns the sense residue). *)
 let prop_flow_fast_paths_agree =

@@ -533,12 +533,16 @@ let test_stuck_open_fast_read () =
 
 (* Same differential with the BISR remap in the loop: ops install and
    remove logical-to-spare row translations and column steering
-   mid-stream, plus fast-path toggles (exercising the packed<->byte
-   store migration), so reads through a remap of clean and faulty rows,
-   and through steered columns, must agree byte for byte with the
-   legacy machinery.  The array is the small org (steering between
-   regular columns) or one with two spare columns (steering onto
-   spare-column cells that may carry faults themselves). *)
+   mid-stream, plus fast-path toggles (switching the access path
+   mid-stream must be silent), so reads through a remap of clean and
+   faulty rows, and through steered columns, must agree byte for byte
+   with the legacy machinery.  The array is the small org (steering
+   between regular columns) or one with two spare columns (steering
+   onto spare-column cells that may carry faults themselves).  On the
+   latter the ops open by steering a regular column onto one faulty
+   spare-column cell's column and writing and reading the word that
+   reaches it (through a row remap when the cell is on a spare row),
+   so a steered word must consult that cell's fault flags. *)
 let prop_fast_path_equals_legacy_remap =
   QCheck.Test.make ~name:"fast path agrees with legacy path under remap"
     ~count:150
@@ -553,25 +557,51 @@ let prop_fast_path_equals_legacy_remap =
         if spare_cols = 0 then Random.State.int rng cols
         else cols + Random.State.int rng spare_cols
       in
+      let spare_cells =
+        List.init
+          (if spare_cols = 0 then 0 else 1 + Random.State.int rng 2)
+          (fun _ ->
+            { F.row = Random.State.int rng (Org.total_rows org)
+            ; col = cols + Random.State.int rng spare_cols
+            })
+      in
       let faults =
         I.inject rng ~rows:(Org.total_rows org) ~cols:(Org.total_cols org)
           ~mix:I.default_mix ~n
-        @ List.init
-            (if spare_cols = 0 then 0 else 1 + Random.State.int rng 2)
-            (fun _ ->
-              let c =
-                { F.row = Random.State.int rng (Org.total_rows org)
-                ; col = cols + Random.State.int rng spare_cols
-                }
-              in
+        @ List.map
+            (fun c ->
               match Random.State.int rng 3 with
               | 0 -> F.Stuck_at (c, Random.State.bool rng)
               | 1 -> F.Transition (c, Random.State.bool rng)
               | _ -> F.Stuck_open c)
+            spare_cells
       in
       let spare = Org.rows org in
+      (* steer column [c] onto the first faulty spare-column cell's
+         column, then write [v], its complement and [v] again to the
+         word that reaches the cell, reading it back after each write:
+         the steered bit rises and falls from power-up zero *)
+      let hot_ops =
+        match spare_cells with
+        | [] -> []
+        | { F.row; col = q } :: _ ->
+            let c = Random.State.int rng cols in
+            let lrow, remap =
+              if row < spare then (row, [])
+              else
+                let r = Random.State.int rng spare in
+                (r, [ `Remap (r, row - spare) ])
+            in
+            let a = (lrow * org.Org.bpc) + (c mod org.Org.bpc) in
+            let v = Random.State.int rng 256 in
+            (`Steer (c, q) :: remap)
+            @ List.concat_map
+                (fun v -> [ `W (a, v); `R a ])
+                [ v; v lxor 255; v ]
+      in
       let ops =
-        List.init 300 (fun _ ->
+        hot_ops
+        @ List.init 300 (fun _ ->
             match Random.State.int rng 14 with
             | 0 -> `Wait
             | 1 -> `Clear
@@ -654,7 +684,7 @@ let prop_fast_path_equals_legacy_remap =
    a random remap sends logical rows onto spares.  Half the cases arm
    no column map, so spans run through many rows; the other half arm a
    random non-identity one steering up to three regular columns
-   (mostly onto spare columns, so a steered slot takes the spare-byte
+   (mostly onto spare columns, so a steered slot takes the spare-bit
    path when its targets are unflagged and the per-bit path when they
    are not), and the span must stop at its steered slots.  The element
    mixes reads and writes in any order (reads before the first write
