@@ -82,10 +82,10 @@ campaign-determinism: build
 # naive adaptive sampling.  (2) The importance-weighted report must be
 # byte-identical across --jobs counts — the weighted sums accumulate
 # in strict trial order, so parallel fan-out must not perturb a single
-# float.  (3) An adaptive report (5 windows of 130 trials: two full
-# 62-lane batches and a ragged tail each) must be byte-identical
-# between the scalar sequential and the lane-batched parallel
-# scheduler, since every window adds to one running tally.
+# float.  (3) An adaptive report (batches of 130 trials, which 62-lane
+# units do not divide, so the stopping rule fires inside a unit) must
+# be byte-identical between the scalar sequential and the lane-batched
+# parallel scheduler, since one fold counts every trial in trial order.
 estimator-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
 	  --mode poisson --mean 0.02 --seed 7 --jobs 2 --no-shrink \
@@ -131,11 +131,13 @@ trace-smoke: build
 
 # Observability wiring check: a small campaign with the event log,
 # live progress and status file armed must (1) produce a JSONL event
-# log that strict-parses line by line with the run lifecycle pair and
-# a final status snapshot (events_check), and (2) produce a report
-# byte-identical to the same run with every observability channel off,
-# and (3) a --trace path in a missing directory must only warn: the run
-# exits 0 with the same report and still writes its event log.
+# log that strict-parses line by line with exactly one run lifecycle
+# pair and a final status snapshot (events_check), and (2) produce a
+# report byte-identical to the same run with every observability
+# channel off, and (3) a --trace path in a missing directory must only
+# warn: the run exits 0 with the same report and still writes its event
+# log.  (4) An adaptive campaign over several --ci-batch batches is one
+# run, so its log also holds exactly one lifecycle pair.
 events-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 7 \
 	  --mix stuck-at --jobs 2 --events .ci-events.jsonl --progress \
@@ -152,8 +154,14 @@ events-smoke: build
 	  2> /dev/null
 	cmp .ci-events-unwritable.json .ci-events-off.json
 	dune exec bench/events_check.exe -- --events .ci-events2.jsonl
+	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
+	  --mode poisson --mean 0.1 --seed 7 --target-ci 0.25 --ci-batch 130 \
+	  --ci-max-trials 5000 --jobs 2 --events .ci-events3.jsonl \
+	  > /dev/null 2> /dev/null
+	dune exec bench/events_check.exe -- --events .ci-events3.jsonl
 	rm -f .ci-events.jsonl .ci-status.json .ci-events-on.json \
-	  .ci-events-off.json .ci-events2.jsonl .ci-events-unwritable.json
+	  .ci-events-off.json .ci-events2.jsonl .ci-events-unwritable.json \
+	  .ci-events3.jsonl
 	@echo "events-smoke: OK"
 
 # Explore determinism + cache gate: the tiny example sweep must produce

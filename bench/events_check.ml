@@ -37,13 +37,22 @@ let check_events path =
         | Error e -> fail "%s:%d: %s" path (i + 1) e)
       lines
   in
-  let saw name =
-    List.exists (fun ev -> String.equal ev.Obs.ev_name name) parsed
-  in
-  (* every run emits exactly one lifecycle pair; a log without them is
-     a truncated or mis-merged capture *)
-  if not (saw "run.start") then fail "%s lacks a run.start event" path;
-  if not (saw "run.end") then fail "%s lacks a run.end event" path;
+  (* every campaign run emits exactly one lifecycle pair, adaptive ones
+     included; a log with fewer is a truncated capture, one with more a
+     mis-merged one or a campaign split into several runs *)
+  List.iter
+    (fun name ->
+      let n =
+        List.length
+          (List.filter
+             (fun ev ->
+               String.equal ev.Obs.ev_domain "campaign"
+               && String.equal ev.Obs.ev_name name)
+             parsed)
+      in
+      if n <> 1 then
+        fail "%s has %d campaign %s events, expected exactly one" path n name)
+    [ "run.start"; "run.end" ];
   (* drain sorts by (ts_ns, tid, seq); a written log must still be in
      that order or the writer regressed *)
   let ordered =

@@ -756,7 +756,8 @@ let campaign_cmd =
           ~doc:
             "Cooperative per-trial deadline: a trial exceeding it is \
              recorded as a tool error in the report and the campaign \
-             continues.")
+             continues.  With a deadline every trial is scheduled on its \
+             own, so $(b,--batch-lanes) has no effect.")
   in
   let batch_lanes_arg =
     Arg.(
@@ -786,11 +787,13 @@ let campaign_cmd =
       & opt (some float) None
       & info [ "target-ci" ] ~docv:"REL"
           ~doc:
-            "Adaptive stopping: run $(b,--ci-batch)-sized batches until the \
-             Wilson interval's relative half-width on $(b,--ci-metric) \
-             drops to $(docv) (e.g. 0.1 = ±10%), instead of a fixed \
-             $(b,--trials).  The report is byte-identical to a fixed-trial \
-             run of the same total size.")
+            "Adaptive stopping: one campaign of up to $(b,--ci-max-trials) \
+             trials that stops, at the first multiple of $(b,--ci-batch) \
+             trials, once the Wilson interval's relative half-width on \
+             $(b,--ci-metric) is down to $(docv) (e.g. 0.1 = ±10%), \
+             instead of a fixed $(b,--trials).  The report is \
+             byte-identical to a fixed-trial run of the same size; \
+             $(b,--max-seconds) bounds the whole run.")
   in
   let ci_metric_arg =
     Arg.(
@@ -806,16 +809,17 @@ let campaign_cmd =
       value & opt int 992
       & info [ "ci-batch" ] ~docv:"N"
           ~doc:
-            "Adaptive batch size (default 992 = 16 full 62-wide lane \
-             batches, keeping the bit-parallel fast path saturated).")
+            "Trials between evaluations of the adaptive stopping rule; the \
+             run stops only at a multiple of $(docv) (or at \
+             $(b,--ci-max-trials)).")
   in
   let ci_max_trials_arg =
     Arg.(
       value & opt int 1_000_000
       & info [ "ci-max-trials" ] ~docv:"N"
           ~doc:
-            "Upper bound on adaptively grown trials; the run stops there \
-             with reason trial_cap if the target was not reached.")
+            "Trial cap of an adaptive run; it stops there with reason \
+             trial_cap if the target was not reached.")
   in
   let prop_scale_arg =
     Arg.(

@@ -10,12 +10,6 @@ let strategy_name = function
   | Essential -> "bira-essential"
   | Exhaustive -> "bira-bnb"
 
-let strategy_of_name = function
-  | "bira-greedy" -> Some Greedy
-  | "bira-essential" -> Some Essential
-  | "bira-bnb" -> Some Exhaustive
-  | _ -> None
-
 let allocator : strategy -> (module Cover.Allocator) = function
   | Greedy -> (module Cover.Greedy)
   | Essential -> (module Cover.Essential)

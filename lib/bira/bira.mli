@@ -18,7 +18,6 @@ val strategy_name : strategy -> string
 (** ["bira-greedy"], ["bira-essential"], ["bira-bnb"] — the CLI and
     report spellings. *)
 
-val strategy_of_name : string -> strategy option
 val allocator : strategy -> (module Cover.Allocator)
 
 type alloc = {

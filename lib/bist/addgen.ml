@@ -36,8 +36,6 @@ let width t =
   let rec go acc k = if k >= t.limit then acc else go (acc + 1) (k * 2) in
   go 0 1
 
-let gate_count t = 10 * width t
-
 let advance t ~dir n =
   let v =
     match dir with March.Down -> t.v - n | March.Up | March.Either -> t.v + n

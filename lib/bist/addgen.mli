@@ -29,7 +29,3 @@ val advance : t -> dir:March.order -> int -> unit
 
 (** Hardware cost of the counter: flip-flop count (address width). *)
 val width : t -> int
-
-(** Approximate gate count: a loadable up/down counter costs about ten
-    gate equivalents per stage. *)
-val gate_count : t -> int

@@ -39,8 +39,3 @@ let required_backgrounds ~bpw =
       if i = n - 1 then half.(bpw) else half.(min (2 * i) bpw))
 
 let matches ~expected ~got = Word.equal expected got
-let ff_count t = t.bpw
-
-let gate_count t =
-  (* ~6 gates per Johnson stage + 3 per comparator XOR + OR tree *)
-  (6 * t.bpw) + (3 * t.bpw) + t.bpw

@@ -40,9 +40,3 @@ val half_cycle_backgrounds : bpw:int -> Bisram_sram.Word.t list
 (** [matches ~expected ~got] is the comparator: true when equal. *)
 val matches :
   expected:Bisram_sram.Word.t -> got:Bisram_sram.Word.t -> bool
-
-(** Flip-flop count (bpw) — hardware-cost reporting. *)
-val ff_count : t -> int
-
-val gate_count : t -> int
-(** Johnson counter + XOR comparator + OR reduction. *)

@@ -481,8 +481,7 @@ type tool_error = {
    keeps the trial count, sum of weights and sum of squared weights of
    the trials where it fired, which is all the downstream
    effective-sample-size interval math needs.  Sums accumulate in
-   strict trial-index order (and [run ~tally] continues a previous
-   accumulation in place), so they are bit-identical however the
+   strict trial-index order, so they are bit-identical however the
    trials were batched. *)
 
 type indicator = { t_trials : int; t_w : float; t_w2 : float }
@@ -942,10 +941,9 @@ let compute_record cfg ~index =
 
    The one definition of how a trial record counts: the outcome
    histograms, the repair-rounds table, the escape/divergence
-   partition, tool errors and the clean count.  The ordered report
-   fold and the live-progress collector both go through it.  Only the
-   report fold's counts carry [c_weighted], so importance weights
-   accumulate in strict trial order and nowhere else. *)
+   partition, tool errors, the clean count and, under a proposal, the
+   importance weights.  [run]'s fold is its one caller, in strict
+   trial order. *)
 
 (* The record of a trial whose whole flow was clean: what a clean lane
    resolves to without unpacking, and what [p_clean] counts. *)
@@ -973,7 +971,7 @@ type counts = {
   mutable c_weighted : weighted option;
 }
 
-let counts ?weighted () =
+let counts cfg =
   { c_trials = 0
   ; c_two_pass = empty_histogram
   ; c_iterated = empty_histogram
@@ -985,7 +983,7 @@ let counts ?weighted () =
   ; c_n_divergences = 0
   ; c_n_tool_errors = 0
   ; c_clean = 0
-  ; c_weighted = weighted
+  ; c_weighted = Option.map (fun _ -> empty_weighted) cfg.proposal
   }
 
 let add_rounds tbl rounds count =
@@ -1084,23 +1082,6 @@ let progress_of_counts ~total c =
   ; p_divergences = c.c_n_divergences
   ; p_tool_errors = c.c_n_tool_errors
   ; p_clean = c.c_clean
-  }
-
-(* The report's counts, carried from window to window of one growing
-   campaign: [tl_config] is the union's configuration (its [trials]
-   sums the windows' requests), so its [c_trials] is where the next
-   window starts. *)
-type tally = {
-  mutable tl_config : config;
-  tl_counts : counts;
-  mutable tl_resumed : int;
-}
-
-let tally cfg =
-  { tl_config = { cfg with trials = 0 }
-  ; tl_counts =
-      counts ?weighted:(Option.map (fun _ -> empty_weighted) cfg.proposal) ()
-  ; tl_resumed = 0
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1282,9 +1263,9 @@ let load_checkpoint cfg path =
 (* ------------------------------------------------------------------ *)
 (* the campaign run *)
 
-(* The events and counters of one record in the report fold.  They are
-   emitted there, in strict trial order on the calling domain, so the
-   stream is jobs- and lanes-invariant, envelope aside. *)
+(* The events and counters of one record in the fold.  They are emitted
+   there, in strict trial order, so the stream is jobs- and
+   lanes-invariant, envelope aside. *)
 let emit_record rc =
   match rc.rc_body with
   | Rc_ok o when Obs.would_log Obs.Info ->
@@ -1318,8 +1299,7 @@ let emit_record rc =
           ]
 
 let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
-    ?checkpoint ?trial_deadline ?(offset = 0) ?tally:running ?on_progress
-    cfg =
+    ?checkpoint ?trial_deadline ?(offset = 0) ?stop_rule ?on_progress cfg =
   if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
   if lanes < 1 || lanes > max_lanes then
     invalid_arg
@@ -1329,47 +1309,33 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     invalid_arg
       "Campaign.run: checkpoints cover trials from 0, so they require \
        offset = 0";
-  (* the counts this window adds to: a fresh tally, or the running one
-     of a campaign grown window by window *)
-  let tl =
-    match running with
-    | None -> tally cfg
-    | Some t ->
-        let compat c = J.to_string (compat_json c) in
-        if not (String.equal (compat t.tl_config) (compat cfg)) then
-          invalid_arg "Campaign.run: the tally has a different configuration";
-        if offset <> t.tl_counts.c_trials then
-          invalid_arg
-            (Printf.sprintf
-               "Campaign.run: offset %d does not continue the tally at trial \
-                %d"
-               offset t.tl_counts.c_trials);
-        t
-  in
-  let report = tl.tl_counts in
-  let total = tl.tl_config.trials + cfg.trials in
+  (match stop_rule with
+  | Some (every, _) when every < 1 ->
+      invalid_arg "Campaign.run: the stopping rule's period must be >= 1"
+  | _ -> ());
   let now =
     match now with Some f -> f | None -> Bisram_parallel.Clock.now
   in
   let start = now () in
   let caller = Domain.self () in
+  (* set once the stopping rule has ended the campaign *)
+  let halted = Atomic.make false in
   let over_budget () =
     (* only the calling domain consults [now]; helper domains see the
        pool's shared stop flag instead, so an impure [now] (e.g. a test
        stub advancing a ref) never races across domains.  The caller's
        [should_stop] (the SIGINT drain flag in the CLI) must be safe to
        poll from any domain — an [Atomic.get] is. *)
-    should_stop ()
+    Atomic.get halted || should_stop ()
     || (Domain.self () = caller
        && (match cfg.max_seconds with
           | None -> false
           | Some s -> now () -. start >= s))
   in
   (* resume: the checkpoint contributes a contiguous prefix of already
-     computed records; those trial indices are served from memory and
-     everything else is recomputed.  Records are deterministic per
-     (config, index), so the merged report cannot depend on which side
-     a trial came from. *)
+     computed records, folded before scheduling; the pool only runs the
+     trials after it.  Records are deterministic per (config, index), so
+     the report cannot depend on which side a trial came from. *)
   let resumed =
     match checkpoint with
     | Some ck when ck.ck_resume -> load_checkpoint cfg ck.ck_path
@@ -1390,64 +1356,47 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     ; ("lanes", J.Int lanes)
     ; ("resumed", J.Int nresumed)
     ];
-  (* Lane-batch decomposition: one pool item covers [lanes] consecutive
-     trials (full batches only — the ragged tail degrades to one item
-     per trial, keeping the unbatched chaos/retry/checkpoint
-     granularity there).  With [lanes = 1] this is exactly the old
-     one-item-per-trial scheduler. *)
-  (* [offset] shifts the whole window: this call computes the trials
-     [offset .. offset + trials - 1] with their global derived seeds,
-     which is what lets an adaptive driver grow a campaign batch by
-     batch and still match a single larger run trial for trial. *)
+  (* Lane-batch decomposition of the trials after the resumed prefix:
+     one pool item covers [lanes] consecutive trials (full batches only
+     — the ragged tail degrades to one item per trial, keeping the
+     unbatched chaos/retry/checkpoint granularity there).  A per-trial
+     deadline needs one trial per item, since the pool arms it per
+     item.  [offset] shifts the whole window: the call computes trials
+     [offset .. offset + trials - 1] with their global derived seeds. *)
   let ranges =
+    let width = if Option.is_some trial_deadline then 1 else lanes in
     Array.map
-      (fun (s, l) -> (s + offset, l))
-      (Pool.batch_ranges ~items:cfg.trials ~width:lanes)
+      (fun (s, l) -> (s + offset + nresumed, l))
+      (Pool.batch_ranges ~items:(cfg.trials - nresumed) ~width)
   in
   let n_units = Array.length ranges in
   (* Every trial already owns its derived seed, so trials are
      independent and can run on any worker.  Shrinking runs inside the
      worker too (it dominates the cost of a failing trial) and is a
-     deterministic function of the trial.  The merge below walks the
-     positional results in trial order, which keeps the report
-     byte-identical at every job count and lane width (budgeted runs
-     excepted: where the budget fires depends on timing at any job
-     count). *)
+     deterministic function of the trial. *)
   let work unit =
     let start, len = ranges.(unit) in
-    if start + len <= nresumed then
-      (* fully resumed: served from memory, no chaos consulted *)
-      Array.sub resumed start len
-    else begin
-      (match Chaos.kill_at_trial () with
-      | Some k when k >= max start nresumed && k < start + len ->
-          Chaos.kill_now ()
-      | _ -> ());
-      if
-        Chaos.job_fails
-          ~key:(Printf.sprintf "%d.%d" start (Pool.current_attempt ()))
-      then begin
-        (* keyed on (trial, attempt), so the event payload is as
-           deterministic as the injection itself *)
-        Obs.emit ~level:Obs.Warn ~domain:"chaos" "chaos.inject"
-          [ ("trial", J.Int start)
-          ; ("attempt", J.Int (Pool.current_attempt ()))
-          ];
-        raise
-          (Pool.Transient
-             (Chaos.Injected
-                (Printf.sprintf "chaos: injected transient fault (trial %d)"
-                   start)))
-      end;
-      if len > 1 && start >= nresumed then compute_batch cfg ~start ~len
-      else
-        (* single-trial unit, or a batch straddling the resume
-           boundary: scalar per trial (resumed indices from memory) *)
-        Array.init len (fun l ->
-            let index = start + l in
-            if index < nresumed then resumed.(index)
-            else compute_record cfg ~index)
-    end
+    (match Chaos.kill_at_trial () with
+    | Some k when k >= start && k < start + len -> Chaos.kill_now ()
+    | _ -> ());
+    if
+      Chaos.job_fails
+        ~key:(Printf.sprintf "%d.%d" start (Pool.current_attempt ()))
+    then begin
+      (* keyed on (trial, attempt), so the event payload is as
+         deterministic as the injection itself *)
+      Obs.emit ~level:Obs.Warn ~domain:"chaos" "chaos.inject"
+        [ ("trial", J.Int start)
+        ; ("attempt", J.Int (Pool.current_attempt ()))
+        ];
+      raise
+        (Pool.Transient
+           (Chaos.Injected
+              (Printf.sprintf "chaos: injected transient fault (trial %d)"
+                 start)))
+    end;
+    if len > 1 then compute_batch cfg ~start ~len
+    else [| compute_record cfg ~index:start |]
   in
   (* A crashed unit becomes one recorded outcome per contained trial —
      exactly what the per-trial scheduler recorded — not a crash of the
@@ -1466,58 +1415,97 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
             ; rc_body = Rc_error (Printexc.to_string f.Pool.f_exn)
             })
   in
-  (* The collector: every completed unit is tallied on the completing
-     worker's domain under one mutex, and the live count goes to
-     [on_progress] inside it, so snapshots never go backwards.  With
-     periodic checkpoints it also keeps the records by index and, each
-     time the contiguous prefix has grown by [ck_every], snapshots the
-     whole prefix.  It is write-only: the report below re-aggregates
-     from the pool's result slots in trial order. *)
+  (* The fold: the one place a trial record is counted, in strict trial
+     order.  It adds each record to the report counts (importance
+     weights included, so the float sums are jobs- and lanes-invariant),
+     emits its events, keeps the checkpoint prefix and consults the
+     stopping rule; after each step it snapshots the checkpoint and
+     streams progress from the same counts.  The stopping rule sees the
+     running result as a fixed run of the trials folded so far; once it
+     holds, nothing more is folded and the pool schedules nothing new. *)
+  let c = counts cfg in
   let ck_write =
     match checkpoint with
     | Some ck when ck.ck_every > 0 -> Some ck
     | _ -> None
   in
-  let ck_table : (int, trial_record) Hashtbl.t =
-    Hashtbl.create (max 16 (2 * nresumed))
-  in
-  for i = 0 to nresumed - 1 do
-    Hashtbl.replace ck_table i resumed.(i)
-  done;
-  let ck_prefix = ref nresumed in
+  (* the folded records, newest first, kept only for checkpoints *)
+  let ck_records = ref [] in
   let ck_last_written = ref nresumed in
-  let ck_records () = List.init !ck_prefix (Hashtbl.find ck_table) in
-  let on_result =
-    if Option.is_none ck_write && Option.is_none on_progress then None
-    else begin
-      (* the live counts start where the tally stands, so a growing
-         campaign streams one monotonic count across its windows *)
-      let live =
-        { report with c_rounds = Hashtbl.create 8; c_weighted = None }
-      in
-      let collector = Mutex.create () in
-      Some
-        (fun unit r ->
-          let rcs = records_of_job unit r in
-          Mutex.protect collector (fun () ->
-              Array.iter (add cfg live) rcs;
-              Option.iter
-                (fun ck ->
-                  Array.iter
-                    (fun rc -> Hashtbl.replace ck_table rc.rc_index rc)
-                    rcs;
-                  while Hashtbl.mem ck_table !ck_prefix do
-                    incr ck_prefix
-                  done;
-                  if !ck_prefix - !ck_last_written >= ck.ck_every then begin
-                    write_checkpoint cfg ck.ck_path (ck_records ());
-                    ck_last_written := !ck_prefix
-                  end)
-                ck_write;
-              Option.iter
-                (fun f -> f (progress_of_counts ~total live))
-                on_progress))
+  let fold_record rc =
+    if not (Atomic.get halted) then begin
+      add cfg c rc;
+      emit_record rc;
+      if Option.is_some ck_write then ck_records := rc :: !ck_records;
+      match stop_rule with
+      | Some (every, rule)
+        when c.c_trials mod every = 0 || c.c_trials = cfg.trials ->
+          let n = { cfg with trials = c.c_trials } in
+          if rule (result_of_counts n c ~resumed_trials:nresumed) then
+            Atomic.set halted true
+      | _ -> ()
     end
+  in
+  let fold_step () =
+    Option.iter
+      (fun ck ->
+        if c.c_trials - !ck_last_written >= ck.ck_every then begin
+          write_checkpoint cfg ck.ck_path (List.rev !ck_records);
+          ck_last_written := c.c_trials
+        end)
+      ck_write;
+    Option.iter
+      (fun f -> f (progress_of_counts ~total:cfg.trials c))
+      on_progress
+  in
+  (* the pool's telemetry for one folded unit *)
+  let note_unit unit (r : trial_record array Pool.job_result) =
+    if r.Pool.attempts > 1 then Obs.add "pool.retries" (r.Pool.attempts - 1);
+    match r.Pool.outcome with
+    | Ok _ -> ()
+    | Error f ->
+        let start, len = ranges.(unit) in
+        let deadline = f.Pool.f_exn = Pool.Deadline_exceeded in
+        if deadline then Obs.incr "pool.deadline_exceeded"
+        else if f.Pool.f_transient then Obs.incr "pool.retry_exhausted";
+        if Obs.would_log Obs.Warn then
+          Obs.emit ~level:Obs.Warn ~domain:"pool"
+            (if deadline then "pool.deadline_kill" else "pool.job_failed")
+            [ ("trial_start", J.Int start)
+            ; ("len", J.Int len)
+            ; ("attempts", J.Int r.Pool.attempts)
+            ; ("transient", J.Bool f.Pool.f_transient)
+            ; ("error", J.String (Printexc.to_string f.Pool.f_exn))
+            ]
+  in
+  Array.iter fold_record (Array.sub resumed 0 nresumed);
+  if nresumed > 0 then fold_step ();
+  (* The collector: finished units wait here until every unit before
+     them has finished, then fold in unit order, on the completing
+     worker's domain under one mutex — so successive progress snapshots
+     never decrease.  Under a budget, units finished beyond the first
+     unfinished one are never folded: a truncated report is exactly the
+     trials [offset .. offset + trials_run - 1] at every job count. *)
+  let finished = Array.make n_units None in
+  let next = ref 0 in
+  let collector = Mutex.create () in
+  let on_result unit r =
+    Mutex.protect collector (fun () ->
+        finished.(unit) <- Some r;
+        if unit = !next then begin
+          while
+            !next < n_units
+            && Option.is_some finished.(!next)
+            && not (Atomic.get halted)
+          do
+            let r = Option.get finished.(!next) in
+            finished.(!next) <- None;
+            note_unit !next r;
+            Array.iter fold_record (records_of_job !next r);
+            incr next
+          done;
+          fold_step ()
+        end)
   in
   (* retry observability: the pool calls this on the raising worker
      right before a transient re-attempt *)
@@ -1540,83 +1528,28 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
   let deadline_ns =
     Option.map (fun s -> Int64.of_float (s *. 1e9)) trial_deadline
   in
-  let completed =
-    Pool.map_result ~jobs ~should_stop:over_budget ?probe:(Obs.pool_probe ())
-      ?deadline_ns ?on_result ?on_retry n_units work
-  in
+  ignore
+    (Pool.map_result ~jobs ~should_stop:over_budget ?probe:(Obs.pool_probe ())
+       ?deadline_ns ~on_result ?on_retry n_units work);
   (* final snapshot: a graceful drain (budget or SIGINT) leaves the
      freshest contiguous prefix on disk for the next --resume *)
   (match ck_write with
-  | Some ck when !ck_prefix > !ck_last_written ->
-      write_checkpoint cfg ck.ck_path (ck_records ())
+  | Some ck when c.c_trials > !ck_last_written ->
+      write_checkpoint cfg ck.ck_path (List.rev !ck_records)
   | _ -> ());
-  (* Under a budget, workers past the one that tripped the stop may have
-     completed units beyond the first unfinished one, leaving holes.
-     Aggregate only the maximal contiguous prefix of units so a
-     truncated report means the same thing at every job count: exactly
-     the trials [0 .. trials_run - 1], as the sequential loop would
-     produce. *)
-  let units_run =
-    let u = ref 0 in
-    while !u < n_units && Option.is_some completed.(!u) do
-      incr u
-    done;
-    !u
+  (* a stopping rule that held ends the campaign as a fixed run *)
+  let config =
+    if Atomic.get halted then { cfg with trials = c.c_trials } else cfg
   in
-  if Obs.enabled () || Obs.would_log Obs.Warn then begin
-    let retries = ref 0 in
-    Array.iteri
-      (fun u r ->
-        match r with
-        | Some (r : trial_record array Pool.job_result) ->
-            retries := !retries + (r.Pool.attempts - 1);
-            (match r.Pool.outcome with
-            | Ok _ -> ()
-            | Error f ->
-                let start, len = ranges.(u) in
-                let deadline = f.Pool.f_exn = Pool.Deadline_exceeded in
-                if deadline then Obs.incr "pool.deadline_exceeded"
-                else if f.Pool.f_transient then
-                  Obs.incr "pool.retry_exhausted";
-                if Obs.would_log Obs.Warn then
-                  Obs.emit ~level:Obs.Warn ~domain:"pool"
-                    (if deadline then "pool.deadline_kill"
-                     else "pool.job_failed")
-                    [ ("trial_start", J.Int start)
-                    ; ("len", J.Int len)
-                    ; ("attempts", J.Int r.Pool.attempts)
-                    ; ("transient", J.Bool f.Pool.f_transient)
-                    ; ("error", J.String (Printexc.to_string f.Pool.f_exn))
-                    ])
-        | None -> ())
-      completed;
-    if !retries > 0 then Obs.add "pool.retries" !retries
-  end;
-  (* the report: the contiguous prefix added to the tally in strict
-     trial order, so a campaign grown window by window counts, lists and
-     weighs its trials exactly as one big run would, floats included *)
-  let at_start = progress_of_counts ~total report in
-  for u = 0 to units_run - 1 do
-    (* [Option.get]: inside the contiguous prefix *)
-    Array.iter
-      (fun rc ->
-        add cfg report rc;
-        emit_record rc)
-      (records_of_job u (Option.get completed.(u)))
-  done;
-  (* the window's own counts *)
-  let trials_run = report.c_trials - at_start.p_done in
+  let r = result_of_counts config c ~resumed_trials:nresumed in
   Obs.emit ~domain:"campaign" "run.end"
-    [ ("trials_run", J.Int trials_run)
-    ; ("truncated", J.Bool (trials_run < cfg.trials))
-    ; ("escapes", J.Int (report.c_n_escapes - at_start.p_escapes))
-    ; ( "divergences"
-      , J.Int (report.c_n_divergences - at_start.p_divergences) )
-    ; ("tool_errors", J.Int (report.c_n_tool_errors - at_start.p_tool_errors))
+    [ ("trials_run", J.Int r.trials_run)
+    ; ("truncated", J.Bool r.truncated)
+    ; ("escapes", J.Int c.c_n_escapes)
+    ; ("divergences", J.Int c.c_n_divergences)
+    ; ("tool_errors", J.Int c.c_n_tool_errors)
     ];
-  tl.tl_config <- { cfg with trials = total };
-  tl.tl_resumed <- tl.tl_resumed + nresumed;
-  result_of_counts tl.tl_config report ~resumed_trials:tl.tl_resumed
+  r
 
 (* ------------------------------------------------------------------ *)
 (* JSON report *)

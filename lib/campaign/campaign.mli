@@ -29,7 +29,7 @@
     is on, the run also emits leveled events into the same registry:
     [run.start] / [run.end], per-anomaly [trial.escape] /
     [trial.divergence] / [trial.tool_error] and, under BIRA,
-    [trial.bira_alloc] (emitted in trial order on the calling domain),
+    [trial.bira_alloc] (emitted in trial order by {!run}'s fold),
     [checkpoint.write], pool [pool.retry] / [pool.deadline_kill] /
     [pool.job_failed] and [chaos.inject].  Telemetry and events are
     strictly write-only side channel state: nothing they record feeds
@@ -259,16 +259,13 @@ val checkpoint : path:string -> ?every:int -> ?resume:bool -> unit -> checkpoint
 (** Cumulative completion counts streamed to [run]'s [on_progress]
     callback — a write-only side channel for live reporting (see
     {!Bisram_obs.Progress}); nothing in it feeds the report.  The
-    counts come from the same per-record tally as the report, so once
-    every trial of the window has completed, [p_done], [p_escapes],
-    [p_divergences] and [p_tool_errors] equal the report's
-    [trials_run] and the lengths of its [escapes], [divergences] and
-    [tool_errors]. *)
+    counts are the report's own, taken from the fold, so the last
+    snapshot's [p_done], [p_escapes], [p_divergences] and
+    [p_tool_errors] equal the report's [trials_run] and the lengths of
+    its [escapes], [divergences] and [tool_errors]. *)
 type progress = {
-  p_done : int;  (** trials completed so far (resumed ones included) *)
-  p_total : int;
-      (** the trials requested so far: [config.trials], plus the
-          earlier windows' under [run ~tally] *)
+  p_done : int;  (** trials folded so far (resumed ones included) *)
+  p_total : int;  (** the trials requested: [config.trials] *)
   p_escapes : int;  (** escape records (one per escaping flow) *)
   p_divergences : int;
   p_tool_errors : int;
@@ -277,15 +274,6 @@ type progress = {
           round with no escape or divergence — the record a clean lane
           resolves to.  A repaired or crashed trial is not clean. *)
 }
-
-(** The running report counts of one campaign grown window by window
-    ({!run}'s [tally]): records, weighted sums and live-progress counts
-    carry over from each window to the next. *)
-type tally
-
-(** [tally cfg] — an empty tally for windows of [cfg] (any trial
-    count and time budget). *)
-val tally : config -> tally
 
 (** Run the campaign.  [now] (default {!Bisram_parallel.Clock.now}, a
     monotonic clock immune to wall-time jumps) is only consulted for
@@ -301,6 +289,15 @@ val tally : config -> tally
     the CLI routes its SIGINT flag through it.  A stop drains exactly
     like the budget: the report aggregates the maximal contiguous
     prefix of completed trials.
+
+    Every trial record is counted in one place, a fold in trial order:
+    finished scheduling units wait in the pool's [on_result] collector
+    until every unit before them has finished, and are then added to
+    the report counts, importance weights included, so the report —
+    floats and all — is the same at every job count and lane width.
+    The same fold emits the per-record events, keeps the checkpoint
+    prefix and streams [on_progress].  A resumed checkpoint prefix is
+    folded before scheduling; the pool only runs the trials after it.
 
     [jobs] (default 1: fully sequential, no domain spawned) fans the
     trials out over that many domains via {!Bisram_parallel.Pool};
@@ -327,40 +324,42 @@ val tally : config -> tally
     one trial's cell state, so one int operation advances the whole
     batch.  Lanes whose entire flow is clean are resolved without ever
     unpacking; any lane with a march failure or sweep mismatch falls
-    back to the scalar engine (as do the ragged tail, resumed-prefix
-    boundaries and all shrink/replay paths), so the report is
-    byte-identical to the scalar scheduler's at every [lanes] and
-    [jobs] combination.  Chaos injection, retries and checkpointing
-    operate per batch for full batches and per trial on the tail.
+    back to the scalar engine (as do the ragged tail and all
+    shrink/replay paths), so the report is byte-identical to the
+    scalar scheduler's at every [lanes] and [jobs] combination.  Chaos
+    injection, retries and checkpointing operate per batch for full
+    batches and per trial on the tail.  With a [trial_deadline] every
+    unit is one trial, so the deadline is per trial at every [lanes].
 
     [offset] (default [0]) shifts the whole trial window: the call
     computes trials [offset .. offset + trials - 1] with their global
-    derived seeds, so an adaptive driver can grow a campaign batch by
-    batch and match a single larger run trial for trial.
-    Checkpoints require [offset = 0] (they snapshot a prefix from
-    trial 0).
+    derived seeds, so a window's failure records equal those of the
+    same trials in a larger run from 0 (a pilot run followed by a run
+    at [~offset:pilot] covers one campaign).  Checkpoints require
+    [offset = 0] (they snapshot a prefix from trial 0).
 
-    [tally] (default: a fresh one) is the running count the window adds
-    its records to, in trial order, and the result is the tally's:
-    every window run so far, with [config.trials] the sum of their
-    requests — byte for byte what one run over the union reports,
-    weighted float sums included.  The window must continue the tally
-    ([offset] = the trials it holds) with a configuration that differs
-    from the tally's only in trial count and time budget.  Live
-    progress continues the tally's counts too.
+    [stop_rule] [(every, rule)] (default none) is an early-stopping
+    rule on the fold: each time the folded count reaches a multiple of
+    [every], and at the last requested trial, [rule] receives the
+    running result — a fixed run of the trials folded so far.  If it
+    returns [true] the campaign ends there: nothing more is folded or
+    scheduled, and the result reads as a fixed run of that many trials
+    ([config.trials] = [trials_run], not truncated).  The rule runs
+    under the fold's lock on the completing worker's domain, so it
+    must be domain-safe, and it never sees the clock: whether it fires
+    is a function of the trials alone.
 
     [on_progress] (default absent) receives cumulative {!progress}
-    counts on the completing worker's domain each time a scheduling
-    unit finishes (it must be domain-safe; {!Bisram_obs.Progress} is).
-    Calls never overlap: each is made under the lock that tallies the
-    unit, so successive snapshots never decrease.
+    counts on the completing worker's domain each time the fold
+    advances (it must be domain-safe; {!Bisram_obs.Progress} is).
+    Calls never overlap: each is made under the fold's lock, so
+    successive snapshots never decrease.
     Like telemetry and events, it cannot change the report: reports
     are byte-identical with or without it.
 
     @raise Invalid_argument if [jobs < 1], [lanes] is outside
     [1 .. max_lanes], [offset < 0], a checkpoint is combined with a
-    nonzero [offset], or [tally] has another configuration or does not
-    end at [offset]. *)
+    nonzero [offset], or the stopping rule's [every] is below 1. *)
 val run :
   ?now:(unit -> float) ->
   ?jobs:int ->
@@ -369,7 +368,7 @@ val run :
   ?checkpoint:checkpoint ->
   ?trial_deadline:float ->
   ?offset:int ->
-  ?tally:tally ->
+  ?stop_rule:int * (result -> bool) ->
   ?on_progress:(progress -> unit) ->
   config ->
   result

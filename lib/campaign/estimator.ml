@@ -1,7 +1,7 @@
 (* Rare-event estimation over campaign results: confidence intervals
    on the escape / repair-failure rates, effective-count handling of
-   importance-weighted tallies, and an adaptive driver that keeps
-   growing a campaign until a target relative CI half-width is met.
+   importance-weighted tallies, and an adaptive driver that stops a
+   campaign once a target relative CI half-width is met.
 
    Interval machinery is self-contained (normal quantile, regularized
    incomplete beta via a Lentz continued fraction, bisection inverse)
@@ -306,62 +306,59 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
   if max_trials < 1 then
     invalid_arg "Estimator.run_adaptive: max_trials must be >= 1";
   check_level "run_adaptive" level;
-  let tally = Campaign.tally cfg in
-  (* each window's progress continues the tally's counts, so the caller
-     sees one monotonic stream against the trial cap *)
-  let on_progress =
-    Option.map
-      (fun f p -> f { p with Campaign.p_total = max_trials })
-      on_progress
-  in
-  let rec window batches offset =
-    let n = min batch (max_trials - offset) in
-    let r =
-      Campaign.run ?now ?jobs ?lanes ?should_stop ?trial_deadline ~offset
-        ~tally ?on_progress
-        { cfg with Campaign.trials = n }
-    in
+  (* the batches [trials] spans, the last possibly partial *)
+  let batches trials = (trials + batch - 1) / batch in
+  let hw_json hw = if Float.is_finite hw then J.Float hw else J.Null in
+  (* the stopping rule, on the fold of one campaign of up to
+     [max_trials]: at every batch boundary, stop once the interval is
+     narrow enough *)
+  let rule r =
     let trials = r.Campaign.trials_run in
     let est = estimate ~level r metric in
     let hw = rel_half_width est in
-    Obs.incr "estimator.batches";
-    Obs.add "estimator.trials" (trials - offset);
     if Float.is_finite est.e_n_eff then
       Obs.observe "estimator.n_eff" (int_of_float est.e_n_eff);
-    let hw_json = if Float.is_finite hw then J.Float hw else J.Null in
     if Obs.would_log Obs.Info then
       Obs.emit ~domain:"estimator" "estimator.batch"
-        [ ("batch", J.Int batches)
+        [ ("batch", J.Int (batches trials))
         ; ("trials_total", J.Int trials)
         ; ("hits", J.Int est.e_hits)
-        ; ("rel_half_width", hw_json)
+        ; ("rel_half_width", hw_json hw)
         ];
-    Option.iter (fun f -> f ~batches ~trials ~rel_half_width:hw) on_batch;
-    let stop =
-      if r.Campaign.truncated then Some Interrupted
-      else if hw <= target then Some Target_reached
-      else if trials >= max_trials then Some Trial_cap
-      else None
-    in
-    match stop with
-    | None -> window (batches + 1) trials
-    | Some reason ->
-        Obs.emit ~domain:"estimator" "estimator.stop"
-          [ ("reason", J.String (stop_reason_name reason))
-          ; ("batches", J.Int batches)
-          ; ("trials_total", J.Int trials)
-          ; ("rel_half_width", hw_json)
-          ];
-        { a_result = r
-        ; a_target = target
-        ; a_metric = metric
-        ; a_batch = batch
-        ; a_batches = batches
-        ; a_reason = reason
-        ; a_rel_half_width = hw
-        }
+    Option.iter
+      (fun f -> f ~batches:(batches trials) ~trials ~rel_half_width:hw)
+      on_batch;
+    hw <= target
   in
-  window 1 0
+  let r =
+    Campaign.run ?now ?jobs ?lanes ?should_stop ?trial_deadline
+      ~stop_rule:(batch, rule) ?on_progress
+      { cfg with Campaign.trials = max_trials }
+  in
+  let trials = r.Campaign.trials_run in
+  let n_batches = batches trials in
+  let hw = rel_half_width (estimate ~level r metric) in
+  let reason =
+    if r.Campaign.truncated then Interrupted
+    else if hw <= target then Target_reached
+    else Trial_cap
+  in
+  Obs.add "estimator.batches" n_batches;
+  Obs.add "estimator.trials" trials;
+  Obs.emit ~domain:"estimator" "estimator.stop"
+    [ ("reason", J.String (stop_reason_name reason))
+    ; ("batches", J.Int n_batches)
+    ; ("trials_total", J.Int trials)
+    ; ("rel_half_width", hw_json hw)
+    ];
+  { a_result = r
+  ; a_target = target
+  ; a_metric = metric
+  ; a_batch = batch
+  ; a_batches = n_batches
+  ; a_reason = reason
+  ; a_rel_half_width = hw
+  }
 
 (* ------------------------------------------------------------------ *)
 (* the schema-/3 report *)

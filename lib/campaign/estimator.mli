@@ -6,9 +6,9 @@
       the escape and repair-failure rates of any campaign result,
       importance-weighted results included (weighted tallies enter
       through effective counts);
-    - an adaptive driver ({!run_adaptive}) that grows a campaign batch
-      by batch until the Wilson interval's relative half-width on a
-      chosen metric reaches a target;
+    - an adaptive driver ({!run_adaptive}): one campaign with a
+      stopping rule that ends it once the Wilson interval's relative
+      half-width on a chosen metric reaches a target;
     - the schema-[bisram-campaign/3] report: the /2 document with a
       [confidence] section always appended, plus [estimation] /
       [adaptive] sections when biased sampling or adaptive stopping
@@ -78,7 +78,7 @@ val rel_half_width : estimate -> float
 type stop_reason =
   | Target_reached  (** relative half-width <= target *)
   | Trial_cap  (** [max_trials] exhausted first *)
-  | Interrupted  (** a window was truncated (budget or [should_stop]) *)
+  | Interrupted  (** the run was truncated (budget or [should_stop]) *)
 
 val stop_reason_name : stop_reason -> string
 
@@ -87,30 +87,32 @@ type adaptive = {
   a_target : float;
   a_metric : metric;
   a_batch : int;
-  a_batches : int;
+  a_batches : int;  (** batches the trials span, the last possibly partial *)
   a_reason : stop_reason;
   a_rel_half_width : float;  (** achieved value at stop *)
 }
 
-(** Grow the campaign [batch] trials at a time (default 992 = 16 full
-    62-wide lane batches) until the Wilson relative half-width on
-    [metric] (default [Repair_failure_two_pass]) reaches [target], the
-    total hits [max_trials] (default 1_000_000), or a window is cut
-    short by the budget / [should_stop].  Windows run through
-    {!Campaign.run} with increasing [offset] into one {!Campaign.tally},
-    so the result — and hence the report — is byte-identical to a
-    single fixed-trial run of the same total size.
+(** One {!Campaign.run} of up to [max_trials] (default 1_000_000)
+    trials with a stopping rule: every [batch] trials (default 992 =
+    16 full 62-wide lane batches) the Wilson relative half-width on
+    [metric] (default [Repair_failure_two_pass]) is evaluated on the
+    trials so far, and the campaign stops once it reaches [target].
+    It also stops at [max_trials], or when the budget
+    ([cfg.max_seconds], one budget for the whole run) or
+    [should_stop] cuts it short — then [Interrupted], and the result
+    is truncated.  A stop on target reads, report and all, byte for
+    byte as a single fixed-trial run of the same size.
     [now], [jobs], [lanes], [should_stop], [trial_deadline] pass
     through to {!Campaign.run}.  Checkpointing is not supported under
-    adaptive growth.
+    adaptive stopping.
 
-    [on_progress] passes through to every window's {!Campaign.run},
-    whose counts continue the tally's, so [p_done]/anomaly counts
-    accumulate across batches; [p_total] is [max_trials] (the only
-    total known up front).
+    [on_progress] passes through to {!Campaign.run}; [p_total] is
+    [max_trials] (the only total known up front).
     [on_batch] fires after each batch's CI evaluation with the batch
     count, cumulative trials and the achieved relative half-width —
-    the seam the CLI uses to surface the stopping statistic live.
+    the seam the CLI uses to surface the stopping statistic live.  It
+    runs where {!Campaign.run}'s stopping rule does (under the fold's
+    lock, possibly on a worker domain), so it must be domain-safe.
     Both are write-only side channels: reports are identical with or
     without them.
     @raise Invalid_argument unless [target > 0], [batch >= 1],

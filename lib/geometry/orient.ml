@@ -45,10 +45,6 @@ let apply o (p : Point.t) =
   let a, b, c, d = matrix o in
   Point.make ((a * p.Point.x) + (b * p.Point.y)) ((c * p.Point.x) + (d * p.Point.y))
 
-let swaps_axes = function
-  | R90 | R270 | Mx90 | My90 -> true
-  | R0 | R180 | Mx | My -> false
-
 let equal (a : t) b = a = b
 
 let to_string = function

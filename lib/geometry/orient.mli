@@ -17,9 +17,6 @@ val inverse : t -> t
 (** Apply an orientation to a point (about the origin). *)
 val apply : t -> Point.t -> Point.t
 
-(** Whether the orientation swaps the x and y extents of a box. *)
-val swaps_axes : t -> bool
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

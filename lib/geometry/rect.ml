@@ -12,7 +12,6 @@ let height r = r.y1 - r.y0
 let area r = width r * height r
 let center r = Point.make ((r.x0 + r.x1) / 2) ((r.y0 + r.y1) / 2)
 let lower_left r = Point.make r.x0 r.y0
-let upper_right r = Point.make r.x1 r.y1
 let is_empty r = r.x0 = r.x1 || r.y0 = r.y1
 let equal a b = a.x0 = b.x0 && a.y0 = b.y0 && a.x1 = b.x1 && a.y1 = b.y1
 

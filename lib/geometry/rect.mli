@@ -17,7 +17,6 @@ val height : t -> int
 val area : t -> int
 val center : t -> Point.t
 val lower_left : t -> Point.t
-val upper_right : t -> Point.t
 
 val is_empty : t -> bool
 val equal : t -> t -> bool

@@ -32,7 +32,6 @@ let normalize t =
   translate (P.neg ll) t
 
 let find_port t name = List.find_opt (fun p -> p.Port.name = name) t.ports
-let ports_on t edge = List.filter (fun p -> p.Port.edge = edge) t.ports
 
 let shapes_on t layer =
   List.filter_map

@@ -29,7 +29,6 @@ val translate : Bisram_geometry.Point.t -> t -> t
 val normalize : t -> t
 
 val find_port : t -> string -> Port.t option
-val ports_on : t -> Port.edge -> Port.t list
 val shapes_on : t -> Bisram_tech.Layer.t -> Bisram_geometry.Rect.t list
 
 (** Same-layer min-width and spacing DRC over the cell's own shapes. *)

@@ -88,8 +88,8 @@ let map_result ?(jobs = 1) ?(should_stop = fun () -> false) ?probe
         results.(i) <- Some r;
         incr items;
         (* runs on the completing worker with the result it just
-           produced (no cross-domain read): the campaign's checkpoint
-           hook feeds a mutex-guarded table from here *)
+           produced (no cross-domain read): the campaign's
+           mutex-guarded fold is fed from here *)
         (match on_result with None -> () | Some h -> h i r);
         if probing then
           busy := Int64.add !busy (Int64.sub (Clock.now_ns ()) t0)

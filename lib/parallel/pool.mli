@@ -94,9 +94,9 @@ val check_deadline : unit -> unit
 
     [on_result] (default absent) runs on the completing worker's
     domain right after the item's slot is filled, receiving the index
-    and the result it just produced — the seam the campaign uses to
-    feed its checkpoint writer without cross-domain reads.  It must be
-    safe to call concurrently from every worker.
+    and the result it just produced — the seam where the campaign
+    folds its trial records in order, without cross-domain reads.  It
+    must be safe to call concurrently from every worker.
 
     [on_retry] (default absent) runs on the raising worker's domain
     each time a [Transient] raise is about to be retried, receiving the

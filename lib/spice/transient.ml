@@ -169,16 +169,5 @@ let crossing w ~level ~rising =
   in
   if n < 2 then None else go 1
 
-let prop_delay ~vdd ~input ~output =
-  let half = vdd /. 2.0 in
-  let cross w =
-    match crossing w ~level:half ~rising:true with
-    | Some t -> Some t
-    | None -> crossing w ~level:half ~rising:false
-  in
-  match (cross input, cross output) with
-  | Some ti, Some to_ -> Some (to_ -. ti)
-  | _ -> None
-
 let step ~vdd ~at t = if t < at then 0.0 else vdd
 let fall ~vdd ~at t = if t < at then vdd else 0.0

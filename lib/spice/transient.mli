@@ -32,11 +32,6 @@ val final : result -> Circuit.net -> float
     [None] if it never does. *)
 val crossing : waveform -> level:float -> rising:bool -> float option
 
-(** Propagation delay between the 50%-Vdd crossings of input and output
-    waveforms. *)
-val prop_delay :
-  vdd:float -> input:waveform -> output:waveform -> float option
-
 (** Step input: 0 before [at], Vdd after. *)
 val step : vdd:float -> at:float -> float -> float
 

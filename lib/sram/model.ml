@@ -330,7 +330,6 @@ let set_faults t faults =
     faults;
   clear t
 
-let faults t = t.fault_list
 let set_remap t f = t.remap <- f
 
 let set_col_remap t f =

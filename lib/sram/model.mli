@@ -34,8 +34,6 @@ val org : t -> Org.t
     may lie in spare rows ([row < total_rows]). *)
 val set_faults : t -> Bisram_faults.Fault.t list -> unit
 
-val faults : t -> Bisram_faults.Fault.t list
-
 (** [set_remap t f] installs a logical-row to physical-row translation
     (the TLB's output); [None] restores identity. *)
 val set_remap : t -> (int -> int) option -> unit

@@ -713,6 +713,29 @@ let test_trial_deadline_records_tool_errors () =
         te.C.te_error)
     r.C.tool_errors
 
+(* the pool arms a deadline per item, so a deadline must make every item
+   one trial: no lane batch runs, and the report is the scalar one *)
+let test_trial_deadline_per_trial () =
+  let module Obs = Bisram_obs.Obs in
+  let cfg = C.make_config ~mode:(C.Poisson 0.4) ~trials:130 ~seed:7 () in
+  let scalar = C.json_string (C.run ~lanes:1 ~trial_deadline:60.0 cfg) in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let batched, counters =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let r = C.run ~lanes:62 ~trial_deadline:60.0 cfg in
+        (C.json_string r, (Obs.snapshot ()).Obs.counters))
+  in
+  Alcotest.(check bool) "no lane batch" false
+    (List.mem_assoc "campaign.lane_batches" counters);
+  Alcotest.(check int) "every trial counted" 130
+    (List.assoc "campaign.trials" counters);
+  Alcotest.(check string) "same bytes as lanes 1" scalar batched
+
 let test_tool_errors_in_schema () =
   (* schema /2: the field is always present, also when empty *)
   let r = C.run (C.make_config ~trials:3 ~seed:1 ()) in
@@ -913,6 +936,8 @@ let () =
             test_should_stop_drains_prefix
         ; Alcotest.test_case "trial deadline records tool errors" `Quick
             test_trial_deadline_records_tool_errors
+        ; Alcotest.test_case "trial deadline is per trial at any lanes"
+            `Quick test_trial_deadline_per_trial
         ; Alcotest.test_case "tool_errors field in schema" `Quick
             test_tool_errors_in_schema
         ] )

@@ -10,6 +10,7 @@ module J = Bisram_obs.Json
 module Org = Bisram_sram.Org
 module I = Bisram_faults.Injection
 module P = Bisram_faults.Proposal
+module Chaos = Bisram_chaos.Chaos
 
 let close ?(eps = 1e-9) name expected got =
   if Float.abs (expected -. got) > eps then
@@ -295,34 +296,53 @@ let test_adaptive_merged_equals_fixed_run () =
            [ 1; 2 ])
        [ None; Some { P.count = P.Stratified { nonzero = 0.5 }; mix = None } ])
 
-(* a window must continue its tally: same configuration up to trial
-   count and time budget, and an offset at the tally's trial count *)
-let test_tally_window_validation () =
-  let cfg = rare_cfg ~lambda:0.5 ~trials:20 () in
-  let tally = C.tally cfg in
+(* an offset window is the same trials as the matching slice of a run
+   from 0: the same failure and tool-error records, global seeds and all
+   (chaos keys on the trial, so the crashed trials are the same too).
+   Oracle divergences are too rare to occur in 50 trials, so only their
+   equality is checked. *)
+let test_offset_window () =
+  let cfg = C.make_config ~mode:(C.Poisson 3.0) ~trials:50 ~seed:7 () in
+  Chaos.configure { Chaos.off with Chaos.seed = 5; Chaos.job_fail = 0.6 };
+  let full, window =
+    Fun.protect ~finally:Chaos.disarm (fun () ->
+        (C.run cfg, C.run ~offset:20 { cfg with C.trials = 30 }))
+  in
+  let from_20 trial l = List.filter (fun x -> trial x >= 20) l in
+  let failure_trial f = f.C.f_trial in
+  let check_failures ?(present = true) name full window =
+    if present then
+      Alcotest.(check bool) (name ^ " present") true (window <> []);
+    Alcotest.(check bool) (name ^ " = trials 20-49 of the full run") true
+      (from_20 failure_trial full = window);
+    List.iter
+      (fun f ->
+        Alcotest.(check int) (name ^ " global seed")
+          (C.trial_seed cfg f.C.f_trial) f.C.f_seed)
+      window
+  in
+  Alcotest.(check int) "window trials" 30 window.C.trials_run;
+  check_failures "escapes" full.C.escapes window.C.escapes;
+  check_failures ~present:false "divergences" full.C.divergences
+    window.C.divergences;
+  Alcotest.(check bool) "tool errors present" true (window.C.tool_errors <> []);
+  Alcotest.(check bool) "tool errors = trials 20-49 of the full run" true
+    (from_20 (fun e -> e.C.te_trial) full.C.tool_errors = window.C.tool_errors);
+  List.iter
+    (fun e ->
+      Alcotest.(check int) "tool error global seed"
+        (C.trial_seed cfg e.C.te_trial) e.C.te_seed)
+    window.C.tool_errors;
   let rejected name f =
     match f () with
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
     | exception Invalid_argument _ -> ()
   in
-  rejected "gap before the first window" (fun () ->
-      C.run ~offset:5 ~tally cfg);
-  let r = C.run ~tally cfg in
-  Alcotest.(check int) "first window counted" 20 r.C.trials_run;
-  rejected "gap" (fun () -> C.run ~offset:25 ~tally cfg);
-  rejected "overlap" (fun () -> C.run ~offset:10 ~tally cfg);
-  rejected "other seed" (fun () ->
-      C.run ~offset:20 ~tally { cfg with C.seed = cfg.C.seed + 1 });
-  rejected "other density" (fun () ->
-      C.run ~offset:20 ~tally (rare_cfg ~lambda:0.6 ~trials:20 ()));
-  (* a rejected window leaves the tally as it was *)
-  let budget = Some 1e9 in
-  let r =
-    C.run ~offset:20 ~tally { cfg with C.trials = 30; max_seconds = budget }
-  in
-  Alcotest.(check string) "two windows == one run"
-    (C.json_string (C.run { cfg with C.trials = 50; max_seconds = budget }))
-    (C.json_string r)
+  rejected "negative offset" (fun () -> C.run ~offset:(-1) cfg);
+  rejected "offset with a checkpoint" (fun () ->
+      C.run ~offset:20
+        ~checkpoint:(C.checkpoint ~path:"unused.ckpt" ())
+        cfg)
 
 let test_adaptive_trial_cap () =
   let cfg = rare_cfg ~lambda:0.5 ~trials:1 () in
@@ -333,6 +353,26 @@ let test_adaptive_trial_cap () =
   Alcotest.(check int) "ran exactly the cap" 80 a.E.a_result.C.trials_run;
   Alcotest.(check bool) "half-width above target" true
     (a.E.a_rel_half_width > 0.0001)
+
+(* one budget for the whole adaptive run: a stub clock one second per
+   reading exhausts a 5 s budget within the first few batches *)
+let test_adaptive_one_budget () =
+  let cfg =
+    { (rare_cfg ~lambda:0.5 ~trials:1 ()) with C.max_seconds = Some 5.0 }
+  in
+  let clock = ref 0.0 in
+  let now () =
+    clock := !clock +. 1.0;
+    !clock
+  in
+  let a =
+    E.run_adaptive ~now ~lanes:62 ~batch:62 ~max_trials:620 ~target:1e-9 cfg
+  in
+  Alcotest.(check bool) "interrupted" true (a.E.a_reason = E.Interrupted);
+  Alcotest.(check bool) "truncated" true a.E.a_result.C.truncated;
+  if a.E.a_result.C.trials_run >= 620 then
+    Alcotest.failf "ran %d trials past a spent budget"
+      a.E.a_result.C.trials_run
 
 let test_adaptive_stratified_needs_fewer_trials () =
   (* the headline property at low density: the stratified proposal
@@ -484,9 +524,10 @@ let () =
     ; ( "adaptive"
       , [ Alcotest.test_case "merged equals fixed run" `Quick
             test_adaptive_merged_equals_fixed_run
-        ; Alcotest.test_case "tally window validation" `Quick
-            test_tally_window_validation
+        ; Alcotest.test_case "offset window" `Quick test_offset_window
         ; Alcotest.test_case "trial cap" `Quick test_adaptive_trial_cap
+        ; Alcotest.test_case "one budget for the whole run" `Quick
+            test_adaptive_one_budget
         ; Alcotest.test_case "stratified needs fewer trials" `Slow
             test_adaptive_stratified_needs_fewer_trials
         ; Alcotest.test_case "validation" `Quick test_adaptive_validation
