@@ -9,8 +9,8 @@ test: build
 	dune runtest
 
 # Hot-path lint: the model, march engine, controller, TLB and escape
-# sweep run per word op, as do the lane model and lane engine of a
-# rare-fault campaign and the controller datapath's words, organization
+# sweep run per word op, as do the lane model and lane engine of
+# perfbench's re-drive and the controller datapath's words, organization
 # and address generator per cycle; the 2D BIRA flow, fault map and
 # remap tables run per repair round and per failing cell.  So they must
 # not call polymorphic min/max/compare (a compare_val per call) or the
@@ -36,14 +36,13 @@ campaign-smoke: build
 	  --mix stuck-at --fail-on-anomaly --jobs 2 > /dev/null
 
 # Determinism gate: the parallel report must be byte-identical to the
-# sequential one for the same config and seed, and the lane-batched
-# scheduler (--batch-lanes 62, the default) must be byte-identical to
-# the scalar one (--batch-lanes 1) — with enough trials to form full
-# 62-wide batches and a ragged tail, at a faulty, a mostly-clean and a
-# repair-limited fault load (clean lanes are the ones the batch engine
-# resolves without unpacking, so both paths must be covered; at Poisson
-# mean 3 nearly every lane falls back to the scalar flow, where the
-# fault-masked model path and the shared oracle run dominate).
+# sequential one for the same config and seed, and a report must not
+# depend on the pool-item width (--batch-lanes 62, the default, against
+# 1 trial per item) — with enough trials to form full 62-trial items and
+# a ragged tail, at a faulty, a mostly-clean, a repair-limited and a
+# rare fault load.  Trials that draw no fault resolve to the clean
+# record without simulation at every width; the rare pair also runs
+# width 1 under a --trial-deadline, which forces one trial per item.
 campaign-determinism: build
 	dune exec bin/bisramgen.exe -- campaign --trials 50 --seed 7 \
 	  --mix stuck-at --jobs 1 > .ci-campaign-jobs1.json
@@ -69,10 +68,18 @@ campaign-determinism: build
 	  --mode poisson --mean 3 --batch-lanes 1 --jobs 1 \
 	  > .ci-campaign-p3lanes1.json
 	diff .ci-campaign-p3lanes62.json .ci-campaign-p3lanes1.json
+	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
+	  --mode poisson --mean 0.01 --batch-lanes 62 --jobs 2 \
+	  > .ci-campaign-rarelanes62.json
+	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
+	  --mode poisson --mean 0.01 --batch-lanes 1 --jobs 1 \
+	  --trial-deadline 60 > .ci-campaign-rarelanes1.json
+	diff .ci-campaign-rarelanes62.json .ci-campaign-rarelanes1.json
 	rm -f .ci-campaign-jobs1.json .ci-campaign-jobs2.json \
 	  .ci-campaign-lanes62.json .ci-campaign-lanes1.json \
 	  .ci-campaign-planes62.json .ci-campaign-planes1.json \
-	  .ci-campaign-p3lanes62.json .ci-campaign-p3lanes1.json
+	  .ci-campaign-p3lanes62.json .ci-campaign-p3lanes1.json \
+	  .ci-campaign-rarelanes62.json .ci-campaign-rarelanes1.json
 	@echo "campaign-determinism: OK"
 
 # Rare-event estimation gate.  (1) Adaptive stopping must actually
@@ -82,10 +89,11 @@ campaign-determinism: build
 # naive adaptive sampling.  (2) The importance-weighted report must be
 # byte-identical across --jobs counts — the weighted sums accumulate
 # in strict trial order, so parallel fan-out must not perturb a single
-# float.  (3) An adaptive report (batches of 130 trials, which 62-lane
-# units do not divide, so the stopping rule fires inside a unit) must
-# be byte-identical between the scalar sequential and the lane-batched
-# parallel scheduler, since one fold counts every trial in trial order.
+# float.  (3) An adaptive report (batches of 130 trials, which
+# 62-trial pool items do not divide, so the stopping rule fires inside
+# an item) must be byte-identical between one trial per item on one
+# domain and 62 trials per item on two, since one fold counts every
+# trial in trial order.
 estimator-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
 	  --mode poisson --mean 0.02 --seed 7 --jobs 2 --no-shrink \
@@ -214,8 +222,7 @@ chaos-smoke: build
 # 200-trial Poisson mean-3 test/golden_bira_p3.json (15 of its trials
 # end with a column repair armed, so it pins the steered model); (2)
 # every BIRA allocator's report must be byte-identical across worker
-# counts and lane widths, since fault-list collection rides the
-# batched kernels;
+# counts and pool-item widths;
 # (3) a bogus --repair name must be rejected with the usage exit code
 # (2).
 bira-smoke: build

@@ -544,7 +544,7 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
                    (Sys.Signal_handle (fun _ -> Atomic.set sigint true)))
             with Invalid_argument _ | Sys_error _ -> None
           in
-          let r, adaptive =
+          match
             Fun.protect
               ~finally:(fun () ->
                 match prev_sigint with
@@ -593,47 +593,51 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
                         ( Campaign.run ~jobs ~lanes:batch_lanes ~should_stop
                             ?checkpoint:ck ?trial_deadline ?on_progress cfg
                         , None )))
-          in
-          (* estimation fully off: the exact pre-estimator schema-/2
-             bytes.  Any estimation feature (a proposal, adaptive
-             stopping, or an explicit --confidence) switches to the
-             schema-/3 report with the confidence section. *)
-          let estimation_on =
-            confidence
-            || Option.is_some adaptive
-            || Option.is_some cfg.Campaign.proposal
-          in
-          if estimation_on then
-            print_string (Estimator.pretty_report_string ?adaptive r)
-          else print_string (Campaign.pretty_json_string r);
-          (match adaptive with
-          | Some a ->
+          with
+          (* a configuration the campaign refuses to simulate, such as a
+             march that fails a fault-free array *)
+          | exception Failure e -> finish (invalid_configuration e)
+          | r, adaptive ->
+            (* estimation fully off: the exact pre-estimator schema-/2
+               bytes.  Any estimation feature (a proposal, adaptive
+               stopping, or an explicit --confidence) switches to the
+               schema-/3 report with the confidence section. *)
+            let estimation_on =
+              confidence
+              || Option.is_some adaptive
+              || Option.is_some cfg.Campaign.proposal
+            in
+            if estimation_on then
+              print_string (Estimator.pretty_report_string ?adaptive r)
+            else print_string (Campaign.pretty_json_string r);
+            (match adaptive with
+            | Some a ->
+                Printf.eprintf
+                  "bisramgen: adaptive stop after %d trial(s) in %d batch(es): \
+                   %s (rel CI half-width %.4g, target %.4g)\n"
+                  r.Campaign.trials_run a.Estimator.a_batches
+                  (Estimator.stop_reason_name a.Estimator.a_reason)
+                  a.Estimator.a_rel_half_width a.Estimator.a_target
+            | None -> ());
+            if r.Campaign.resumed_trials > 0 then
+              Printf.eprintf "bisramgen: resumed %d trial(s) from checkpoint\n"
+                r.Campaign.resumed_trials;
+            if r.Campaign.tool_errors <> [] then
+              Printf.eprintf "bisramgen: %d trial(s) recorded as tool errors\n"
+                (List.length r.Campaign.tool_errors);
+            if Atomic.get sigint then begin
               Printf.eprintf
-                "bisramgen: adaptive stop after %d trial(s) in %d batch(es): \
-                 %s (rel CI half-width %.4g, target %.4g)\n"
-                r.Campaign.trials_run a.Estimator.a_batches
-                (Estimator.stop_reason_name a.Estimator.a_reason)
-                a.Estimator.a_rel_half_width a.Estimator.a_target
-          | None -> ());
-          if r.Campaign.resumed_trials > 0 then
-            Printf.eprintf "bisramgen: resumed %d trial(s) from checkpoint\n"
-              r.Campaign.resumed_trials;
-          if r.Campaign.tool_errors <> [] then
-            Printf.eprintf "bisramgen: %d trial(s) recorded as tool errors\n"
-              (List.length r.Campaign.tool_errors);
-          if Atomic.get sigint then begin
-            Printf.eprintf
-              "bisramgen: interrupted; report covers the first %d trial(s)\n"
-              r.Campaign.trials_run;
-            finish 130
-          end
-          else
-            finish
-              (if
-                 fail_on_anomaly
-                 && (r.Campaign.escapes <> [] || r.Campaign.divergences <> [])
-               then 3
-               else 0))
+                "bisramgen: interrupted; report covers the first %d trial(s)\n"
+                r.Campaign.trials_run;
+              finish 130
+            end
+            else
+              finish
+                (if
+                   fail_on_anomaly
+                   && (r.Campaign.escapes <> [] || r.Campaign.divergences <> [])
+                 then 3
+                 else 0))
 
 let campaign_cmd =
   let trials_arg =
@@ -764,11 +768,11 @@ let campaign_cmd =
       value & opt int 62
       & info [ "batch-lanes" ] ~docv:"N"
           ~doc:
-            "Lane-sliced batch width: pack $(docv) consecutive trials into \
-             one bit-parallel simulation (one trial per bit of a native \
-             int).  Purely a throughput knob — the report is byte-identical \
-             at every width.  1 disables batching (pure scalar scheduler); \
-             the maximum is the native word width minus one (62 on 64-bit).")
+            "Trials per pool item: each work item a worker claims covers \
+             $(docv) consecutive trials.  Purely a scheduling knob — the \
+             report is byte-identical at every width.  1 schedules every \
+             trial on its own; the maximum is the native word width minus \
+             one (62 on 64-bit).")
   in
   let confidence_arg =
     Arg.(
@@ -929,7 +933,7 @@ let do_explore spec_file jobs cache_dir resume pareto obs =
                 Bisram_explore.Explore.run ~jobs ~cache_dir ~resume ?on_progress
                   spec)
           with
-          | exception Invalid_argument e -> invalid_configuration e
+          | exception (Invalid_argument e | Failure e) -> invalid_configuration e
           | r ->
               (* stdout carries only the byte-identical report; cache
                  statistics and the --pareto table go to stderr *)

@@ -375,24 +375,30 @@ type trial = {
   t_anomalies : anomaly list;
 }
 
-let run_seeded cfg ~index ~seed =
-  Obs.span ~cat:"campaign" ~arg:("trial", index) "trial" (fun () ->
-      let faults =
-        Obs.span ~cat:"campaign" "inject" (fun () ->
-            draw_faults cfg (rng_of_seed seed))
-      in
-      let verdicts, anomalies = run_faults cfg faults in
-      Obs.incr "campaign.trials";
-      Obs.add "campaign.faults_injected" (List.length faults);
-      Obs.observe "campaign.faults_per_trial" (List.length faults);
-      { t_index = index
-      ; t_seed = seed
-      ; t_faults = faults
-      ; t_verdicts = verdicts
-      ; t_anomalies = anomalies
-      })
+let draw_seeded cfg seed =
+  Obs.span ~cat:"campaign" "inject" (fun () ->
+      draw_faults cfg (rng_of_seed seed))
 
-let replay cfg ~seed = run_seeded cfg ~index:(-1) ~seed
+(* the per-trial counters, for simulated and zero-fault trials alike *)
+let count_trial faults =
+  Obs.incr "campaign.trials";
+  Obs.add "campaign.faults_injected" (List.length faults);
+  Obs.observe "campaign.faults_per_trial" (List.length faults)
+
+(* The full flow on a trial's drawn fault list. *)
+let run_drawn cfg ~index ~seed faults =
+  let verdicts, anomalies = run_faults cfg faults in
+  count_trial faults;
+  { t_index = index
+  ; t_seed = seed
+  ; t_faults = faults
+  ; t_verdicts = verdicts
+  ; t_anomalies = anomalies
+  }
+
+let replay cfg ~seed =
+  Obs.span ~cat:"campaign" ~arg:("trial", -1) "trial" (fun () ->
+      run_drawn cfg ~index:(-1) ~seed (draw_seeded cfg seed))
 
 (* ------------------------------------------------------------------ *)
 (* shrinking *)
@@ -919,22 +925,63 @@ let record_of_json j =
               { rc_two_pass; rc_iterated; rc_rounds; rc_alloc; rc_failures }
         }
 
+let body_of_verdicts v rc_failures =
+  Rc_ok
+    { rc_two_pass = outcome_class v.controller
+    ; rc_iterated = outcome_class v.iterated
+    ; rc_rounds = v.rounds
+    ; rc_alloc = v.alloc
+    ; rc_failures
+    }
+
+(* The record of a trial whose whole flow was clean: what a zero-fault
+   trial resolves to, and what [p_clean] counts. *)
+let clean_body =
+  Rc_ok
+    { rc_two_pass = Passed_clean
+    ; rc_iterated = Passed_clean
+    ; rc_rounds = 1
+    ; rc_alloc = None
+    ; rc_failures = []
+    }
+
+(* Resolving a zero-fault trial to [clean_body] is sound only if the
+   flow on a fault-free array is clean: a march that fails a fault-free
+   cell, or a repair flow that arms a spare for one, would make every
+   such record wrong.  [run] simulates that flow once and refuses the
+   configuration otherwise. *)
+let check_zero_fault_flow cfg =
+  match run_faults cfg [] with
+  | v, [] when body_of_verdicts v [] = clean_body -> ()
+  | _ ->
+      failwith
+        (Printf.sprintf
+           "Campaign.run: march %s (%s) is not clean on a fault-free array"
+           cfg.march.March.name (March.to_string cfg.march))
+
+(* One trial, at every pool-item width.  A trial that draws no fault is
+   a pure function of the configuration, so its record is
+   [clean_body] and no model is built; any other trial runs the full
+   flow on the list it drew. *)
 let compute_record cfg ~index =
-  let trial = run_seeded cfg ~index ~seed:(trial_seed cfg index) in
-  let rc_failures =
-    List.map (fun a -> failure_of_anomaly cfg trial a) trial.t_anomalies
+  let seed = trial_seed cfg index in
+  let simulated =
+    Obs.span ~cat:"campaign" ~arg:("trial", index) "trial" (fun () ->
+        match draw_seeded cfg seed with
+        | [] ->
+            count_trial [];
+            Obs.incr "campaign.zero_fault_trials";
+            None
+        | faults -> Some (run_drawn cfg ~index ~seed faults))
   in
-  { rc_index = index
-  ; rc_seed = trial.t_seed
-  ; rc_body =
-      Rc_ok
-        { rc_two_pass = outcome_class trial.t_verdicts.controller
-        ; rc_iterated = outcome_class trial.t_verdicts.iterated
-        ; rc_rounds = trial.t_verdicts.rounds
-        ; rc_alloc = trial.t_verdicts.alloc
-        ; rc_failures
-        }
-  }
+  let rc_body =
+    match simulated with
+    | None -> clean_body
+    | Some t ->
+        body_of_verdicts t.t_verdicts
+          (List.map (failure_of_anomaly cfg t) t.t_anomalies)
+  in
+  { rc_index = index; rc_seed = seed; rc_body }
 
 (* ------------------------------------------------------------------ *)
 (* the trial-record tally
@@ -944,17 +991,6 @@ let compute_record cfg ~index =
    partition, tool errors, the clean count and, under a proposal, the
    importance weights.  [run]'s fold is its one caller, in strict
    trial order. *)
-
-(* The record of a trial whose whole flow was clean: what a clean lane
-   resolves to without unpacking, and what [p_clean] counts. *)
-let clean_body =
-  Rc_ok
-    { rc_two_pass = Passed_clean
-    ; rc_iterated = Passed_clean
-    ; rc_rounds = 1
-    ; rc_alloc = None
-    ; rc_failures = []
-    }
 
 type counts = {
   mutable c_trials : int;
@@ -1085,85 +1121,15 @@ let progress_of_counts ~total c =
   }
 
 (* ------------------------------------------------------------------ *)
-(* lane-sliced batch execution (PPSFP over trials)
+(* pool items
 
-   A batch packs [len] consecutive trials into the bit positions of a
-   [Lanes] store and drives all of them through the flow at once.  The
-   lane engine only has to answer one question per lane: was the whole
-   flow clean?  A clean lane's record is forced — the controller and
-   the reference see no failure (outcomes equal, both TLBs empty, the
-   remap is the identity), the iterated flow verifies on round 1, and
-   both escape sweeps are silent — so it is emitted directly, while
-   every dirty lane is recomputed on the scalar engine, whose records
-   (including shrinking and failure detail) are byte-identical to an
-   unbatched run's by construction.
-
-   The schedule reproduces the state each scalar flow sweeps:
-   - pass 1 from power-up state = controller pass 1 / [Engine.run];
-   - pass 2 on pass-1 state     = controller pass 2 (no clear; the
-     clean lane's remap is the identity);
-   - sweep A                    = the two-pass flow's escape sweep;
-   - pass 3 from power-up state = the iterated flow's verify round
-     ([Engine.run] after an identity remap);
-   - sweep B                    = the iterated flow's escape sweep. *)
+   A pool item covers [lanes] consecutive trials, each computed by
+   [compute_record]; the width trades scheduling overhead against
+   chaos, retry and checkpoint granularity and never changes a record.
+   The bound is the lane width of the bit-parallel store
+   ({!Bisram_sram.Word.max_width}), which the flag shares. *)
 
 let max_lanes = Bisram_sram.Word.max_width
-
-let popcount m =
-  let n = ref 0 and m = ref m in
-  while !m <> 0 do
-    m := !m land (!m - 1);
-    incr n
-  done;
-  !n
-
-let compute_batch cfg ~start ~len =
-  Obs.span ~cat:"campaign" ~arg:("batch", start) "lane-batch" (fun () ->
-      let lanes = Bisram_sram.Lanes.create cfg.org ~lanes:len in
-      let fault_counts =
-        Array.init len (fun l ->
-            let faults =
-              draw_faults cfg (rng_of_seed (trial_seed cfg (start + l)))
-            in
-            Bisram_sram.Lanes.arm lanes ~lane:l faults;
-            List.length faults)
-      in
-      Bisram_sram.Lanes.clear lanes;
-      let bgs = backgrounds cfg in
-      let all = Bisram_sram.Lanes.all_mask lanes in
-      let march = cfg.march in
-      let run_pass ?clear () =
-        Bisram_bist.Lane_engine.run_pass ?clear lanes march ~backgrounds:bgs
-      in
-      let dirty = ref (run_pass ()) in
-      Pool.check_deadline ();
-      if !dirty <> all then begin
-        dirty := !dirty lor run_pass ~clear:false ();
-        if !dirty <> all then dirty := !dirty lor Sweep.run_lanes lanes;
-        Pool.check_deadline ();
-        if !dirty <> all then begin
-          dirty := !dirty lor run_pass ();
-          dirty := !dirty lor Sweep.run_lanes lanes
-        end
-      end;
-      let d = !dirty in
-      Obs.incr "campaign.lane_batches";
-      Obs.add "campaign.lane_occupancy_filled" len;
-      Obs.add "campaign.lane_occupancy_width" len;
-      Obs.add "campaign.lane_fallbacks" (popcount (d land all));
-      Array.init len (fun l ->
-          let index = start + l in
-          if d land (1 lsl l) <> 0 then compute_record cfg ~index
-          else begin
-            Obs.incr "campaign.trials";
-            Obs.incr "campaign.lane_clean_trials";
-            Obs.add "campaign.faults_injected" fault_counts.(l);
-            Obs.observe "campaign.faults_per_trial" fault_counts.(l);
-            { rc_index = index
-            ; rc_seed = trial_seed cfg index
-            ; rc_body = clean_body
-            }
-          end))
 
 (* ------------------------------------------------------------------ *)
 (* checkpoints *)
@@ -1344,6 +1310,8 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
   let nresumed = min (Array.length resumed) cfg.trials in
   if Obs.enabled () && nresumed > 0 then
     Obs.add "campaign.resumed_trials" nresumed;
+  (* once per run, before any trial is scheduled or event emitted *)
+  if cfg.trials > nresumed then check_zero_fault_flow cfg;
   (* the one event whose payload names the execution environment
      (jobs/lanes): everything else in the stream is a pure function of
      the work, so jobs-invariance checks drop run.start (see DESIGN.md
@@ -1356,12 +1324,12 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
     ; ("lanes", J.Int lanes)
     ; ("resumed", J.Int nresumed)
     ];
-  (* Lane-batch decomposition of the trials after the resumed prefix:
-     one pool item covers [lanes] consecutive trials (full batches only
-     — the ragged tail degrades to one item per trial, keeping the
-     unbatched chaos/retry/checkpoint granularity there).  A per-trial
-     deadline needs one trial per item, since the pool arms it per
-     item.  [offset] shifts the whole window: the call computes trials
+  (* Pool items over the trials after the resumed prefix: one item
+     covers [lanes] consecutive trials (full items only — the ragged
+     tail degrades to one item per trial, keeping the per-trial
+     chaos/retry/checkpoint granularity there).  A per-trial deadline
+     needs one trial per item, since the pool arms it per item.
+     [offset] shifts the whole window: the call computes trials
      [offset .. offset + trials - 1] with their global derived seeds. *)
   let ranges =
     let width = if Option.is_some trial_deadline then 1 else lanes in
@@ -1395,8 +1363,7 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
               (Printf.sprintf "chaos: injected transient fault (trial %d)"
                  start)))
     end;
-    if len > 1 then compute_batch cfg ~start ~len
-    else [| compute_record cfg ~index:start |]
+    Array.init len (fun l -> compute_record cfg ~index:(start + l))
   in
   (* A crashed unit becomes one recorded outcome per contained trial —
      exactly what the per-trial scheduler recorded — not a crash of the

@@ -100,8 +100,8 @@ val make_config :
     trial index — the value printed in reports and fed to [--replay]). *)
 val trial_seed : config -> int -> int
 
-(** Widest usable lane batch ({!Bisram_sram.Word.max_width}: one trial
-    per bit of a native int). *)
+(** The most trials one pool item of {!run} may cover: the lane width
+    {!Bisram_sram.Word.max_width} (one trial per bit of a native int). *)
 val max_lanes : int
 
 type flow = Two_pass | Iterated
@@ -271,8 +271,8 @@ type progress = {
   p_tool_errors : int;
   p_clean : int;
       (** clean trials: both flows passed clean on the first verify
-          round with no escape or divergence — the record a clean lane
-          resolves to.  A repaired or crashed trial is not clean. *)
+          round with no escape or divergence — the record a zero-fault
+          trial resolves to.  A repaired or crashed trial is not clean. *)
 }
 
 (** Run the campaign.  [now] (default {!Bisram_parallel.Clock.now}, a
@@ -294,7 +294,7 @@ type progress = {
     finished scheduling units wait in the pool's [on_result] collector
     until every unit before them has finished, and are then added to
     the report counts, importance weights included, so the report —
-    floats and all — is the same at every job count and lane width.
+    floats and all — is the same at every job count and pool-item width.
     The same fold emits the per-record events, keeps the checkpoint
     prefix and streams [on_progress].  A resumed checkpoint prefix is
     folded before scheduling; the pool only runs the trials after it.
@@ -318,18 +318,24 @@ type progress = {
     trials poll it between flows and a trial that exceeds it is
     recorded as a tool error ([Pool.Deadline_exceeded]).
 
-    [lanes] (default [1]: the scalar scheduler) packs that many
-    consecutive trials into one lane-sliced batch
-    ({!Bisram_sram.Lanes}): each bit position of a packed int carries
-    one trial's cell state, so one int operation advances the whole
-    batch.  Lanes whose entire flow is clean are resolved without ever
-    unpacking; any lane with a march failure or sweep mismatch falls
-    back to the scalar engine (as do the ragged tail and all
-    shrink/replay paths), so the report is byte-identical to the
-    scalar scheduler's at every [lanes] and [jobs] combination.  Chaos
-    injection, retries and checkpointing operate per batch for full
-    batches and per trial on the tail.  With a [trial_deadline] every
-    unit is one trial, so the deadline is per trial at every [lanes].
+    Every trial draws its fault list once.  A trial that draws no
+    fault is a pure function of the configuration: its record is the
+    clean one (both flows pass clean on verify round 1, no escape or
+    divergence) and no model is built.  Every other trial runs the
+    full flow of {!run_faults} on the list it drew; {!replay} always
+    simulates.  Before scheduling, when there are trials to run, the
+    fault-free flow is simulated once, and a configuration whose
+    fault-free flow is not clean (a march that fails a fault-free
+    array, say) is refused.
+
+    [lanes] (default [1]) is the number of consecutive trials one pool
+    item covers, in [1 .. max_lanes]: full items of [lanes] trials,
+    then one item per trial for the ragged tail.  It trades scheduling
+    overhead against the granularity of chaos injection, retries and
+    checkpoints, and never changes a record, so the report is
+    byte-identical at every [lanes] and [jobs] combination.  With a
+    [trial_deadline] every item is one trial, so the deadline is per
+    trial at every [lanes].
 
     [offset] (default [0]) shifts the whole trial window: the call
     computes trials [offset .. offset + trials - 1] with their global
@@ -359,7 +365,8 @@ type progress = {
 
     @raise Invalid_argument if [jobs < 1], [lanes] is outside
     [1 .. max_lanes], [offset < 0], a checkpoint is combined with a
-    nonzero [offset], or the stopping rule's [every] is below 1. *)
+    nonzero [offset], or the stopping rule's [every] is below 1.
+    @raise Failure if the fault-free flow is not clean. *)
 val run :
   ?now:(unit -> float) ->
   ?jobs:int ->

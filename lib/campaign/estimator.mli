@@ -94,7 +94,7 @@ type adaptive = {
 
 (** One {!Campaign.run} of up to [max_trials] (default 1_000_000)
     trials with a stopping rule: every [batch] trials (default 992 =
-    16 full 62-wide lane batches) the Wilson relative half-width on
+    16 full 62-trial pool items) the Wilson relative half-width on
     [metric] (default [Repair_failure_two_pass]) is evaluated on the
     trials so far, and the campaign stops once it reaches [target].
     It also stops at [max_trials], or when the budget

@@ -126,6 +126,6 @@ val map_result :
     consecutive indices, then one single-index item per ragged-tail
     index (so the tail keeps the unbatched scheduler's chaos, retry
     and checkpoint granularity).  [width = 1] yields the identity
-    decomposition.  Used by the campaign's lane-batch scheduler.
+    decomposition.  Used by the campaign's pool items.
     @raise Invalid_argument if [items < 0] or [width < 1]. *)
 val batch_ranges : items:int -> width:int -> (int * int) array

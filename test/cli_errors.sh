@@ -58,6 +58,9 @@ expect 2 bogus-pmix campaign --proposal-mix bogus-pmix
 expect 2 bogus-level campaign --events-level bogus-level
 expect 2 "bad order b" campaign --march 'bogus('
 expect 2 --batch-lanes campaign --batch-lanes 0
+# a march that fails a fault-free array: zero-fault trials would not be
+# clean, so the campaign refuses it before running a trial
+expect 2 "u(w0); u(r1)" campaign --march 'u(w0); u(r1)'
 expect 2 --proposal-nonzero campaign --proposal-nonzero 0.5 \
   --proposal-count-scale 2
 
@@ -78,8 +81,10 @@ printf 'repair = bogus-repair\n' > "$dir/repair.spec"
 printf 'process = bogus-proc\n' > "$dir/proc.spec"
 printf 'words 64\n' > "$dir/noeq.spec"
 printf 'march = bogus(\n' > "$dir/march.spec"
+printf 'words = 64\ncampaign_trials = 2\nmarch = u(w0); u(r1)\n' \
+  > "$dir/dirty.spec"
 for s in repair:bogus-repair proc:bogus-proc "noeq:words 64" \
-  "march:bad order b"; do
+  "march:bad order b" "dirty:u(w0); u(r1)"; do
   expect 2 "${s#*:}" explore --spec "$dir/${s%%:*}.spec" \
     --cache "$dir/cache"
 done

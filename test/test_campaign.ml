@@ -713,28 +713,46 @@ let test_trial_deadline_records_tool_errors () =
         te.C.te_error)
     r.C.tool_errors
 
-(* the pool arms a deadline per item, so a deadline must make every item
-   one trial: no lane batch runs, and the report is the scalar one *)
+(* the pool arms a deadline per item, so a deadline makes every item one
+   trial; at width 1 as at 62, a trial that draws no fault still
+   resolves without simulation, and the report is a deadline-free
+   run's *)
 let test_trial_deadline_per_trial () =
   let module Obs = Bisram_obs.Obs in
   let cfg = C.make_config ~mode:(C.Poisson 0.4) ~trials:130 ~seed:7 () in
-  let scalar = C.json_string (C.run ~lanes:1 ~trial_deadline:60.0 cfg) in
-  Obs.set_enabled true;
-  Obs.reset ();
-  let batched, counters =
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.set_enabled false;
-        Obs.reset ())
-      (fun () ->
-        let r = C.run ~lanes:62 ~trial_deadline:60.0 cfg in
-        (C.json_string r, (Obs.snapshot ()).Obs.counters))
+  let free = C.json_string (C.run cfg) in
+  let zero_fault =
+    List.length
+      (List.filter
+         (fun i -> (C.replay cfg ~seed:(C.trial_seed cfg i)).C.t_faults = [])
+         (List.init cfg.C.trials Fun.id))
   in
-  Alcotest.(check bool) "no lane batch" false
-    (List.mem_assoc "campaign.lane_batches" counters);
-  Alcotest.(check int) "every trial counted" 130
-    (List.assoc "campaign.trials" counters);
-  Alcotest.(check string) "same bytes as lanes 1" scalar batched
+  Alcotest.(check bool) "some trials draw no fault" true (zero_fault > 0);
+  List.iter
+    (fun lanes ->
+      Obs.set_enabled true;
+      Obs.reset ();
+      let report, counters =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.set_enabled false;
+            Obs.reset ())
+          (fun () ->
+            let r = C.run ~lanes ~trial_deadline:60.0 cfg in
+            (C.json_string r, (Obs.snapshot ()).Obs.counters))
+      in
+      let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
+      Alcotest.(check int)
+        (Printf.sprintf "lanes=%d zero-fault trials not simulated" lanes)
+        zero_fault
+        (counter "campaign.zero_fault_trials");
+      Alcotest.(check int)
+        (Printf.sprintf "lanes=%d every trial counted" lanes)
+        130 (counter "campaign.trials");
+      Alcotest.(check string)
+        (Printf.sprintf "lanes=%d same bytes as without a deadline" lanes)
+        free report)
+    [ 1; 62 ]
 
 let test_tool_errors_in_schema () =
   (* schema /2: the field is always present, also when empty *)
@@ -796,6 +814,82 @@ let test_model_stats_flushed_once () =
   Alcotest.(check int) "distinct models"
     (Model.reads mc + Model.reads mi)
     counted
+
+(* A trial that draws no fault resolves to the clean record without
+   simulation.  [replay] always simulates, so the report's outcome
+   histograms, rounds table and escape/divergence seeds, rebuilt from
+   the replay of every trial seed, must equal [run]'s: for every
+   library march, under the row TLB and under 2D BIRA with 2 spare
+   columns.  At Poisson mean 0.3 about 74% of the trials draw no
+   fault. *)
+let test_zero_fault_trials_equal_simulation () =
+  let bump (a, b, c, d) = function
+    | Repair.Passed_clean -> (a + 1, b, c, d)
+    | Repair.Repaired _ -> (a, b + 1, c, d)
+    | Repair.Repair_unsuccessful Repair.Too_many_faulty_rows -> (a, b, c + 1, d)
+    | Repair.Repair_unsuccessful Repair.Fault_in_second_pass -> (a, b, c, d + 1)
+  in
+  let tuple h =
+    C.(h.passed_clean, h.repaired, h.too_many_faulty_rows, h.fault_in_second_pass)
+  in
+  let setups =
+    [ ("row-tlb", 0, C.Row_tlb); ("bira-bnb", 2, C.Bira Bisram_bira.Bira.Exhaustive) ]
+  in
+  List.iter
+    (fun march ->
+      List.iter
+        (fun (rname, spare_cols, repair) ->
+          let org = Org.make ~spare_cols ~words:64 ~bpw:8 ~bpc:4 ~spares:4 () in
+          let cfg =
+            C.make_config ~org ~march ~repair ~mode:(C.Poisson 0.3) ~trials:124
+              ~seed:7 ()
+          in
+          let r = C.run ~lanes:62 cfg in
+          let trials =
+            List.init cfg.C.trials (fun i ->
+                C.replay cfg ~seed:(C.trial_seed cfg i))
+          in
+          let name what = Printf.sprintf "%s %s: %s" march.Bisram_bist.March.name rname what in
+          let zero = (0, 0, 0, 0) in
+          let hist f =
+            List.fold_left (fun h t -> bump h (f t.C.t_verdicts)) zero trials
+          in
+          let q4 = Alcotest.(pair (pair int int) (pair int int)) in
+          let pairs (a, b, c, d) = ((a, b), (c, d)) in
+          Alcotest.check q4 (name "two-pass histogram")
+            (pairs (hist (fun v -> v.C.controller)))
+            (pairs (tuple r.C.two_pass));
+          Alcotest.check q4 (name "iterated histogram")
+            (pairs (hist (fun v -> v.C.iterated)))
+            (pairs (tuple r.C.iterated));
+          let rounds =
+            List.fold_left
+              (fun acc t ->
+                let k = t.C.t_verdicts.C.rounds in
+                (k, 1 + Option.value ~default:0 (List.assoc_opt k acc))
+                :: List.remove_assoc k acc)
+              [] trials
+            |> List.sort compare
+          in
+          Alcotest.(check (list (pair int int))) (name "rounds table") rounds
+            r.C.rounds;
+          let seeds keep =
+            List.concat_map
+              (fun t ->
+                List.filter_map
+                  (fun a -> if keep a then Some t.C.t_seed else None)
+                  t.C.t_anomalies)
+              trials
+          in
+          let escape = function C.Escape _ -> true | C.Divergence _ -> false in
+          let failure_seeds = List.map (fun f -> f.C.f_seed) in
+          Alcotest.(check (list int)) (name "escape seeds") (seeds escape)
+            (failure_seeds r.C.escapes);
+          Alcotest.(check (list int)) (name "divergence seeds")
+            (seeds (fun a -> not (escape a)))
+            (failure_seeds r.C.divergences))
+        setups)
+    Alg.all
 
 (* ------------------------------------------------------------------ *)
 (* properties: differential oracle and no silent escapes *)
@@ -911,6 +1005,8 @@ let () =
             test_golden_marchc_p3
         ; Alcotest.test_case "model stats flushed once per model" `Quick
             test_model_stats_flushed_once
+        ; Alcotest.test_case "zero-fault trials equal their simulation" `Quick
+            test_zero_fault_trials_equal_simulation
         ; Alcotest.test_case "observed yield brackets analytic" `Slow
             test_yield_brackets_analytic
         ] )

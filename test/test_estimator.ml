@@ -268,7 +268,7 @@ let test_estimation_section_when_weighted () =
 let test_adaptive_merged_equals_fixed_run () =
   (* the adaptive result must be byte-identical to one fixed run of the
      same total size — naive and weighted alike, at jobs 1 and 2, with
-     windows of only a ragged tail (40) and of a full 62-lane batch plus
+     windows of only a ragged tail (40) and of a full 62-trial pool item plus
      a tail (100) *)
   List.iter
     (fun (proposal, jobs, batch) ->

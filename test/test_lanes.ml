@@ -1,8 +1,9 @@
-(* Tests for the lane-sliced batch engine: the differential property
-   pinning [Lanes] to the scalar [Model] trial-for-trial, report byte
-   identity of the batched campaign scheduler across lane widths and
-   job counts, failing-lane replay, and the batched checkpoint/resume
-   boundary. *)
+(* Tests for the lane-sliced batch engine and for pool-item widths:
+   the differential property pinning [Lanes] to the scalar [Model]
+   trial-for-trial (the engine perfbench's re-drive runs), report byte
+   identity of [Campaign.run] across pool-item widths and job counts,
+   failing-trial replay, and the checkpoint/resume boundary inside and
+   at a pool item. *)
 
 module C = Bisram_campaign.Campaign
 module Sweep = Bisram_campaign.Sweep
@@ -133,9 +134,9 @@ let prop_lane_engine_verdicts =
           (List.mapi (fun l f -> (l, f)) fault_sets))
 
 (* ------------------------------------------------------------------ *)
-(* report byte identity: the batched scheduler is purely a throughput
-   knob.  70 trials so lanes=62 forms one full batch plus a ragged
-   tail and lanes=7 forms ten full batches. *)
+(* report byte identity: the pool-item width is purely a scheduling
+   knob.  70 trials so lanes=62 forms one full item plus a ragged
+   tail and lanes=7 forms ten full items. *)
 
 let check_identity name cfg =
   let scalar = C.json_string (C.run ~jobs:1 ~lanes:1 cfg) in
@@ -175,9 +176,9 @@ let test_lanes_out_of_range_rejected () =
     [ 0; -1; C.max_lanes + 1 ]
 
 (* ------------------------------------------------------------------ *)
-(* failing-lane replay: a failure found by the batched scheduler
-   carries the same trial seed as the scalar one, and replaying that
-   seed alone (pure scalar path) reproduces the anomaly *)
+(* failing-trial replay: a failure found at width 62 carries the same
+   trial seed as at width 1, and replaying that seed alone reproduces
+   the anomaly *)
 
 let test_failing_lane_replay () =
   let cfg =
@@ -199,8 +200,8 @@ let test_failing_lane_replay () =
     (List.map (Format.asprintf "%a" Bisram_faults.Fault.pp) t.C.t_faults)
 
 (* ------------------------------------------------------------------ *)
-(* batched checkpoint/resume: a checkpoint cut inside and at a batch
-   boundary resumes to a byte-identical report *)
+(* checkpoint/resume at width 62: a checkpoint cut inside and at a
+   pool-item boundary resumes to a byte-identical report *)
 
 let test_batched_checkpoint_resume () =
   let cfg = C.make_config ~mode:(C.Uniform 2) ~trials:70 ~seed:17 () in
@@ -231,7 +232,7 @@ let test_batched_checkpoint_resume () =
         [ 30; 62; 65 ])
 
 (* ------------------------------------------------------------------ *)
-(* unit decomposition: full batches then single-trial tail units, so
+(* unit decomposition: full items then single-trial tail units, so
    per-trial chaos/checkpoint semantics survive for short campaigns *)
 
 let test_batch_ranges () =
