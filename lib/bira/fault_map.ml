@@ -64,16 +64,7 @@ let failure_cells ~fast org (f : Engine.failure) =
     !acc
   end
 
-let add_failures ~fast t failures =
-  List.iter
-    (fun f ->
-      List.iter
-        (fun (row, col) -> add_cell t ~row ~col)
-        (failure_cells ~fast t.org f))
-    failures
-
 let overflowed t = t.overflowed
-let count t = t.count
 
 (* a key orders cells as (row, col) does *)
 let cells t =

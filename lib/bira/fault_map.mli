@@ -30,13 +30,9 @@ val failure_cells :
   Bisram_bist.Engine.failure ->
   (int * int) list
 
-(** Record every differing bit of each failure as a (row, col) cell.
-    Detection passes only address the regular grid, so cells always
-    satisfy [row < rows && col < cols].  Duplicate cells are free. *)
-val add_failures :
-  fast:bool -> t -> Bisram_bist.Engine.failure list -> unit
-
-(** Record one cell directly (iterated-flow re-analysis). *)
+(** Record one cell.  Detection passes only address the regular grid,
+    so a failure's cells always satisfy [row < rows && col < cols].
+    Duplicate cells are free. *)
 val add_cell : t -> row:int -> col:int -> unit
 
 val overflowed : t -> bool
@@ -44,5 +40,3 @@ val overflowed : t -> bool
 (** Distinct cells seen so far, sorted by (row, col).  Meaningless when
     {!overflowed} (collection stopped). *)
 val cells : t -> (int * int) list
-
-val count : t -> int

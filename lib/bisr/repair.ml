@@ -11,11 +11,12 @@ type outcome =
   | Repaired of int list
   | Repair_unsuccessful of reason
 
+let arm model tlb = Model.set_remap model (Some (fun row -> Tlb.remap tlb ~row))
+
 let hooks_of_tlb tlb model =
   { Controller.record_fault = (fun ~row -> Tlb.record tlb ~row)
   ; would_overflow = (fun ~row -> Tlb.would_overflow tlb ~row)
-  ; enable_remap =
-      (fun () -> Model.set_remap model (Some (fun row -> Tlb.remap tlb ~row)))
+  ; enable_remap = (fun () -> arm model tlb)
   ; faults_recorded = (fun () -> Tlb.entries tlb)
   }
 
@@ -50,38 +51,71 @@ let run model test ~backgrounds =
   in
   (outcome, report, tlb)
 
-(* Pass 1 from power-up and its TLB recording, shared by the reference
-   and the iterated flow: the failing rows in detection order, and
-   whether the TLB took them all.  The rows are distinct and the TLB
-   is fresh, so this recording is also the iterated flow's first
-   [record_new]. *)
-let first_pass model test ~backgrounds =
+(* The independent two-pass oracle: record pass 1's failing rows
+   (stopping at the first that overflows), then one early-exit verify
+   march through the remap. *)
+let run_reference model test ~backgrounds =
   let tlb = fresh_tlb model in
   Model.set_remap model None;
-  let failures = Engine.run model test ~backgrounds in
-  let rows = Engine.failing_rows (Model.org model) failures in
+  let rows =
+    Engine.failing_rows (Model.org model) (Engine.run model test ~backgrounds)
+  in
+  if List.exists (fun row -> Tlb.record tlb ~row = `Full) rows then
+    (Repair_unsuccessful Too_many_faulty_rows, tlb)
+  else begin
+    arm model tlb;
+    ( (if not (Engine.passes model test ~backgrounds) then
+         Repair_unsuccessful Fault_in_second_pass
+       else match rows with [] -> Passed_clean | _ -> Repaired rows)
+    , tlb )
+  end
+
+type allocator = {
+  learn : Engine.failure list -> [ `Ok | `Full ];
+  arm : unit -> [ `Ok | `Full ];
+  repaired : unit -> int list;
+}
+
+(* The repair flow, once for every allocator.  Rounds count verify
+   marches; a clean detection is its own verify, and the bound is
+   checked before a failed round is learned. *)
+let iterate ?(max_rounds = 8) a model test ~backgrounds =
+  let rec verify round =
+    match a.arm () with
+    | `Full -> (Repair_unsuccessful Too_many_faulty_rows, round - 1)
+    | `Ok -> (
+        match Engine.run model test ~backgrounds with
+        | [] -> (Repaired (a.repaired ()), round)
+        | _ when round >= max_rounds ->
+            (Repair_unsuccessful Fault_in_second_pass, round)
+        | failures -> learn failures (round + 1))
+  and learn failures next =
+    match a.learn failures with
+    | `Full -> (Repair_unsuccessful Too_many_faulty_rows, next - 1)
+    | `Ok -> verify next
+  in
+  Model.set_remap model None;
+  Model.set_col_remap model None;
+  match Engine.run model test ~backgrounds with
+  | [] -> (Passed_clean, 1)
+  | failures -> learn failures 1
+
+(* The row-TLB allocator: a new failing row takes the next spare, and a
+   repaired row whose spare fails moves on to the next one. *)
+let tlb_allocator model tlb =
   let rec record = function
     | [] -> `Ok
     | row :: rest -> (
-        match Tlb.record tlb ~row with `Ok -> record rest | `Full -> `Full)
+        let alloc =
+          if Option.is_none (Tlb.spare_of tlb ~row) then Tlb.record
+          else Tlb.remap_spare
+        in
+        match alloc tlb ~row with `Ok -> record rest | `Full -> `Full)
   in
-  (tlb, rows, record rows)
-
-let arm model tlb = Model.set_remap model (Some (fun row -> Tlb.remap tlb ~row))
-
-let two_pass_verdict rows ~verified =
-  if not verified then Repair_unsuccessful Fault_in_second_pass
-  else if rows = [] then Passed_clean
-  else Repaired rows
-
-let run_reference model test ~backgrounds =
-  let tlb, rows, recorded = first_pass model test ~backgrounds in
-  match recorded with
-  | `Full -> (Repair_unsuccessful Too_many_faulty_rows, tlb)
-  | `Ok ->
-      arm model tlb;
-      ( two_pass_verdict rows ~verified:(Engine.passes model test ~backgrounds)
-      , tlb )
+  { learn = (fun fs -> record (Engine.failing_rows (Model.org model) fs))
+  ; arm = (fun () -> arm model tlb; `Ok)
+  ; repaired = (fun () -> Tlb.mapped_rows tlb)
+  }
 
 type iterated_result = { i_outcome : outcome; i_tlb : Tlb.t; i_rounds : int }
 
@@ -91,51 +125,34 @@ type flows = {
   iterated : iterated_result;
 }
 
-(* The iterated flow, with the reference verdict read off the way: the
-   reference's second pass is verify round 1 up to its first mismatch
-   (both start from a clear under the same remap), and its TLB is this
-   one before round 1's failures are recorded. *)
-let run_flows ?(max_rounds = 8) model test ~backgrounds =
-  let tlb, first_rows, recorded = first_pass model test ~backgrounds in
-  let reference_rows = Tlb.mapped_rows tlb in
-  let result i_outcome i_rounds = { i_outcome; i_tlb = tlb; i_rounds } in
-  match recorded with
-  | `Full ->
-      let o = Repair_unsuccessful Too_many_faulty_rows in
-      { reference = o; reference_rows; iterated = result o 0 }
-  | `Ok ->
-      arm model tlb;
-      let record_new rows =
-        List.fold_left
-          (fun acc row ->
-            match acc with
-            | `Full -> `Full
-            | `Ok -> (
-                match Tlb.spare_of tlb ~row with
-                | None -> Tlb.record tlb ~row
-                | Some _ -> Tlb.remap_spare tlb ~row))
-          `Ok rows
-      in
-      let rec verify round failures =
-        if failures = [] then
-          result
-            (if first_rows = [] then Passed_clean
-             else Repaired (Tlb.mapped_rows tlb))
-            round
-        else if round >= max_rounds then
-          result (Repair_unsuccessful Fault_in_second_pass) round
-        else
-          match
-            record_new (Engine.failing_rows (Model.org model) failures)
-          with
-          | `Full -> result (Repair_unsuccessful Too_many_faulty_rows) round
-          | `Ok -> verify (round + 1) (Engine.run model test ~backgrounds)
-      in
-      let round1 = Engine.run model test ~backgrounds in
-      { reference = two_pass_verdict first_rows ~verified:(round1 = [])
-      ; reference_rows
-      ; iterated = verify 1 round1
-      }
+(* The iterated flow, with the reference read off the way: its TLB is
+   this one after learning detection's rows, and its verify march is
+   verify round 1 (both start from a clear under the same remap), so it
+   passed exactly when the iterated flow ended in round 1 or less
+   without giving up. *)
+let run_flows ?max_rounds model test ~backgrounds =
+  let tlb = fresh_tlb model in
+  let a = tlb_allocator model tlb in
+  let pass1 = ref None in
+  let learn failures =
+    let r = a.learn failures in
+    if Option.is_none !pass1 then pass1 := Some (Tlb.mapped_rows tlb);
+    r
+  in
+  let i_outcome, i_rounds =
+    iterate ?max_rounds { a with learn } model test ~backgrounds
+  in
+  let reference =
+    match i_outcome with
+    | Passed_clean -> i_outcome
+    | Repaired _ when i_rounds = 1 -> i_outcome
+    | Repair_unsuccessful Too_many_faulty_rows when i_rounds = 0 -> i_outcome
+    | _ -> Repair_unsuccessful Fault_in_second_pass
+  in
+  { reference
+  ; reference_rows = Option.value ~default:[] !pass1
+  ; iterated = { i_outcome; i_tlb = tlb; i_rounds }
+  }
 
 let run_iterated_result ?max_rounds model test ~backgrounds =
   (run_flows ?max_rounds model test ~backgrounds).iterated

@@ -5,7 +5,9 @@
     rows — and any remaining mismatch means "Repair Unsuccessful"
     (too many faults, or faulty spares).  The 2k-pass extension iterates
     the cycle so faults within the spares themselves are repaired by
-    allocating further spares. *)
+    allocating further spares.  That iterated loop ({!iterate}) is
+    written once and drives both repair architectures: the row TLB here
+    and the 2D BIRA allocator of [Bisram_bira.Bira]. *)
 
 type reason = Too_many_faulty_rows | Fault_in_second_pass
 
@@ -39,20 +41,45 @@ val run_reference :
   backgrounds:Bisram_sram.Word.t list ->
   outcome * Tlb.t
 
+(** A repair architecture, as {!iterate} drives it: [learn] records a
+    march's failures (new faulty lines, and lines whose spare failed),
+    [arm] allocates spares for them and installs the remap, and
+    [repaired] is the armed repair's logical rows.  [`Full] means no
+    allocation exists. *)
+type allocator = {
+  learn : Bisram_bist.Engine.failure list -> [ `Ok | `Full ];
+  arm : unit -> [ `Ok | `Full ];
+  repaired : unit -> int list;
+}
+
+(** The repair flow: detect from power-up with no remap armed (nothing
+    found is [Passed_clean], with no second march); learn; then arm and
+    verify until a verify march passes ([Repaired]), learning or arming
+    is [`Full] ([Too_many_faulty_rows]), or [max_rounds] (default 8)
+    verify marches have failed ([Fault_in_second_pass], checked before
+    learning that round).  Also returns the verify marches run; the last
+    armed remap stays in the model. *)
+val iterate :
+  ?max_rounds:int ->
+  allocator ->
+  Bisram_sram.Model.t ->
+  Bisram_bist.March.t ->
+  backgrounds:Bisram_sram.Word.t list ->
+  outcome * int
+
 type iterated_result = {
   i_outcome : outcome;
   i_tlb : Tlb.t;
   i_rounds : int;
-      (** verification marches executed: 1 for a first-try success,
-          [max_rounds] at the give-up bound, 0 when the initial fault
-          recording already overflowed the TLB *)
+      (** verification marches executed: 1 for a clean array or a
+          first-try repair, [max_rounds] at the give-up bound, 0 when
+          the initial fault recording already overflowed the TLB *)
 }
 
-(** Iterated (2k-pass) flow: on a pass-2 failure caused by a faulty
-    spare, the affected logical rows are remapped to subsequent spares
-    and verification repeats, up to [max_rounds] times.  The result
-    also counts the verification rounds consumed — the campaign harness
-    histograms this as the repair-effort metric. *)
+(** Iterated (2k-pass) flow: {!iterate} with the row-TLB allocator.  A
+    new failing row takes the next spare; a repaired row whose spare
+    failed moves on to the next one.  The campaign harness histograms
+    the rounds as the repair-effort metric. *)
 val run_iterated_result :
   ?max_rounds:int ->
   Bisram_sram.Model.t ->
@@ -61,8 +88,8 @@ val run_iterated_result :
   iterated_result
 
 (** Both engine flows from one run: the iterated flow's result, plus the
-    two-pass reference verdict and TLB rows read off its first verify
-    round, which is the reference's second pass run to the end. *)
+    two-pass reference verdict and TLB rows read off it (the TLB after
+    learning detection's rows; verify round 1 is the second pass). *)
 type flows = {
   reference : outcome;  (** = the outcome of {!run_reference} *)
   reference_rows : int list;

@@ -17,7 +17,6 @@ let create ~spares ~regular_rows =
   { spares; regular_rows; entries = []; next_spare = 0
   ; spare_at = Array.make regular_rows (-1) }
 
-let capacity t = t.spares
 let entries t = t.next_spare
 let is_full t = t.next_spare >= t.spares
 
@@ -71,12 +70,3 @@ let clear t =
   List.iter (fun e -> t.spare_at.(e.logical_row) <- -1) t.entries;
   t.entries <- [];
   t.next_spare <- 0
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>TLB %d/%d entries@," t.next_spare t.spares;
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "  row %d -> spare %d (phys %d)@," e.logical_row
-        e.spare (t.regular_rows + e.spare))
-    (List.rev t.entries);
-  Format.fprintf ppf "@]"

@@ -18,7 +18,6 @@ type t
     physical row [regular_rows + k]. *)
 val create : spares:int -> regular_rows:int -> t
 
-val capacity : t -> int
 val entries : t -> int
 (** number of spare rows consumed so far *)
 
@@ -55,4 +54,3 @@ val spare_of : t -> row:int -> int option
 val allocation_is_strictly_increasing : t -> bool
 
 val clear : t -> unit
-val pp : Format.formatter -> t -> unit

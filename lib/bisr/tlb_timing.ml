@@ -50,8 +50,3 @@ let maskable p ~org ~drive =
   in
   (* the ATD-triggered precharge phase is ~40% of the read cycle *)
   total (delay p ~org) <= 0.40 *. access
-
-let pp ppf t =
-  Format.fprintf ppf "match %.3f ns + encode %.3f ns + drive %.3f ns = %.3f ns"
-    (t.match_line *. 1e9) (t.priority_encode *. 1e9) (t.drive_out *. 1e9)
-    (total t *. 1e9)

@@ -24,5 +24,3 @@ val delay :
     taken as 40% of the RAM access time (technique 1 of Section VI). *)
 val maskable :
   Bisram_tech.Process.t -> org:Bisram_sram.Org.t -> drive:float -> bool
-
-val pp : Format.formatter -> estimate -> unit

@@ -114,19 +114,12 @@ let rng_of_seed seed = Random.State.make [| 0xB15; seed |]
 
 let draw_faults cfg rng =
   (* the defect field covers the whole physical array, spare lines
-     included; with [spare_cols = 0] this is exactly the old grid *)
-  let rows = Org.total_rows cfg.org and cols = Org.total_cols cfg.org in
-  match cfg.proposal with
-  | Some p ->
-      Proposal.draw p ~count:(count_model_of_mode cfg.mode) ~mix:cfg.mix rng
-        ~rows ~cols
-  | None -> (
-      match cfg.mode with
-      | Uniform n -> Injection.inject rng ~rows ~cols ~mix:cfg.mix ~n
-      | Poisson mean ->
-          Injection.inject_poisson rng ~rows ~cols ~mix:cfg.mix ~mean
-      | Clustered { mean; alpha } ->
-          Injection.inject_clustered rng ~rows ~cols ~mix:cfg.mix ~mean ~alpha)
+     included; with [spare_cols = 0] this is exactly the old grid.  The
+     nominal proposal draws exactly as the unbiased sampler. *)
+  Proposal.draw
+    (Option.value cfg.proposal ~default:Proposal.nominal)
+    ~count:(count_model_of_mode cfg.mode) ~mix:cfg.mix rng
+    ~rows:(Org.total_rows cfg.org) ~cols:(Org.total_cols cfg.org)
 
 (* The importance weight of a trial, recovered by redrawing its fault
    list from the derived seed — a pure O(faults) function of
@@ -1344,24 +1337,27 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
      deterministic function of the trial. *)
   let work unit =
     let start, len = ranges.(unit) in
-    (match Chaos.kill_at_trial () with
-    | Some k when k >= start && k < start + len -> Chaos.kill_now ()
-    | _ -> ());
-    if
-      Chaos.job_fails
-        ~key:(Printf.sprintf "%d.%d" start (Pool.current_attempt ()))
-    then begin
-      (* keyed on (trial, attempt), so the event payload is as
-         deterministic as the injection itself *)
-      Obs.emit ~level:Obs.Warn ~domain:"chaos" "chaos.inject"
-        [ ("trial", J.Int start)
-        ; ("attempt", J.Int (Pool.current_attempt ()))
-        ];
-      raise
-        (Pool.Transient
-           (Chaos.Injected
-              (Printf.sprintf "chaos: injected transient fault (trial %d)"
-                 start)))
+    (* disarmed chaos neither kills nor fails a job: skip the key *)
+    if Chaos.active () then begin
+      (match Chaos.kill_at_trial () with
+      | Some k when k >= start && k < start + len -> Chaos.kill_now ()
+      | _ -> ());
+      if
+        Chaos.job_fails
+          ~key:(Printf.sprintf "%d.%d" start (Pool.current_attempt ()))
+      then begin
+        (* keyed on (trial, attempt), so the event payload is as
+           deterministic as the injection itself *)
+        Obs.emit ~level:Obs.Warn ~domain:"chaos" "chaos.inject"
+          [ ("trial", J.Int start)
+          ; ("attempt", J.Int (Pool.current_attempt ()))
+          ];
+        raise
+          (Pool.Transient
+             (Chaos.Injected
+                (Printf.sprintf "chaos: injected transient fault (trial %d)"
+                   start)))
+      end
     end;
     Array.init len (fun l -> compute_record cfg ~index:(start + l))
   in

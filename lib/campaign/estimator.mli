@@ -47,8 +47,6 @@ val clopper_pearson : ?level:float -> k:float -> n:float -> unit -> interval
     [too_many_faulty_rows] or [fault_in_second_pass]. *)
 type metric = Escape | Repair_failure_two_pass | Repair_failure_iterated
 
-val metric_name : metric -> string
-
 type estimate = {
   e_metric : metric;
   e_rate : float;  (** unbiased estimate of the nominal probability *)
@@ -132,10 +130,6 @@ val run_adaptive :
   target:float ->
   Campaign.config ->
   adaptive
-
-(** The [confidence] report section: interval estimates for all three
-    metrics at [level] (default 0.95). *)
-val confidence_json : ?level:float -> Campaign.result -> Bisram_obs.Json.t
 
 (** The schema-[bisram-campaign/3] report: {!Campaign.to_json} with the
     schema field rewritten and [confidence] (always), [estimation]

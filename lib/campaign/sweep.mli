@@ -24,8 +24,6 @@ type mismatch = {
   got : Bisram_sram.Word.t;
 }
 
-val phase_name : phase -> string
-
 (** [run model] sweeps the model as-is (faults and remap installed) and
     returns every mismatch in detection order.  With
     [~stop_at_first:true] at most one mismatch is returned (cheaper —

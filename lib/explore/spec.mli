@@ -60,10 +60,6 @@ type point = {
   lambda : float;
 }
 
-(** The evaluator ids a spec may name, in report order:
-    ["area"], ["yield"], ["cost"], ["reliability"], ["campaign"]. *)
-val known_evaluators : string list
-
 (** Defaults: the paper's Fig.-4 organization (4096 words, bpw 4,
     bpc 4) over spares 0/4/8/16 and mean defects 0.5/1/2/5/10,
     alpha 2, lambda 1e-10, CDA.7u3m1p, IFA-9, drive 2, strap 32,

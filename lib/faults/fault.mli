@@ -46,7 +46,6 @@ val cells : t -> cell list
 
 val equal_cell : cell -> cell -> bool
 val compare_cell : cell -> cell -> int
-val pp_cell : Format.formatter -> cell -> unit
 val pp : Format.formatter -> t -> unit
 
 (** Short class name: "SAF", "TF", "SOF", "CFin", "CFid", "CFst", "DRF". *)

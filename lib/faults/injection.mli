@@ -42,12 +42,6 @@ val validate_mix : mix -> unit
     ["transition"], …) — the key [validate_mix] diagnostics use. *)
 val class_name : Fault.t -> string
 
-(** Sum of all mix weights (positive after [validate_mix]). *)
-val total_weight : mix -> float
-
-(** The raw mix weight of the given fault's class. *)
-val class_weight : mix -> Fault.t -> float
-
 (** Normalized class-draw probability of the given fault's class under
     the mix — the per-fault factor of an importance-sampling
     likelihood ratio. *)

@@ -29,12 +29,9 @@ val level_of_string : string -> (Obs.level, string) result
     "ts_ns":…,"level":…,"domain":…,"name":…,"fields":{…}}]. *)
 val event_json : Obs.event -> Json.t
 
-(** Strict inverse of {!event_json}: every envelope key required with
-    the right type, schema tag checked, unknown keys rejected. *)
-val event_of_json : Json.t -> (Obs.event, string) result
-
-(** Strict parse of one JSONL line ({!Json.of_string} +
-    {!event_of_json}). *)
+(** Strict parse of one JSONL line, the inverse of {!event_json}: every
+    envelope key required with the right type, schema tag checked,
+    unknown keys rejected. *)
 val parse_event_line : string -> (Obs.event, string) result
 
 (** Write events one compact JSON object per line. *)

@@ -416,7 +416,9 @@ let test_tlb_delay_grows_with_spares () =
 
 (* The campaign reads the two-pass oracle off the iterated flow's first
    verify round instead of running it; that must give exactly
-   [run_reference]'s verdict and TLB rows.  Besides random sets of
+   [run_reference]'s verdict and TLB rows; and the iterated flow bounded
+   at one verify round is the two-pass flow, so its verdict is
+   [run_reference]'s too.  Besides random sets of
    every class, one generator rebuilds the shape of the pinned
    controller-vs-reference divergence: a state coupling across the
    regular/spare boundary (either side may be the aggressor) with a
@@ -464,8 +466,12 @@ let prop_flows_match_reference =
         Repair.run_reference (fresh ()) march ~backgrounds:bgs8
       in
       let f = Repair.run_flows (fresh ()) march ~backgrounds:bgs8 in
+      let one =
+        Repair.run_flows ~max_rounds:1 (fresh ()) march ~backgrounds:bgs8
+      in
       f.Repair.reference = reference
-      && f.Repair.reference_rows = Tlb.mapped_rows tlb)
+      && f.Repair.reference_rows = Tlb.mapped_rows tlb
+      && one.Repair.iterated.Repair.i_outcome = reference)
 
 let () =
   Alcotest.run "bisr"
