@@ -37,13 +37,13 @@ campaign-smoke: build
 	  --mix stuck-at --fail-on-anomaly --jobs 2 > /dev/null
 
 # Determinism gate: the parallel report must be byte-identical to the
-# sequential one for the same config and seed, and a report must not
-# depend on the pool-item width (--batch-lanes 62, the default, against
-# 1 trial per item) — with enough trials to form full 62-trial items and
-# a ragged tail, at a faulty, a mostly-clean, a repair-limited and a
-# rare fault load.  Trials that draw no fault resolve to the clean
-# record without simulation at every width; the rare pair also runs
-# width 1 under a --trial-deadline, which forces one trial per item.
+# sequential one for the same config and seed — with enough trials to
+# form full 62-trial pool items and a ragged tail, at a faulty, a
+# mostly-clean, a repair-limited and a rare fault load.  Trials that
+# draw no fault resolve to the clean record without simulation; the
+# rare pair also runs one side under a --trial-deadline, which every
+# trial meets.  The pool-item width axis is test_campaign's "width and
+# jobs pairs byte-identical" case.
 campaign-determinism: build
 	dune exec bin/bisramgen.exe -- campaign --trials 50 --seed 7 \
 	  --mix stuck-at --jobs 1 > .ci-campaign-jobs1.json
@@ -51,36 +51,31 @@ campaign-determinism: build
 	  --mix stuck-at --jobs 2 > .ci-campaign-jobs2.json
 	diff .ci-campaign-jobs1.json .ci-campaign-jobs2.json
 	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mix stuck-at --batch-lanes 62 --jobs 2 > .ci-campaign-lanes62.json
+	  --mix stuck-at --jobs 2 > .ci-campaign-sa2.json
 	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mix stuck-at --batch-lanes 1 --jobs 1 > .ci-campaign-lanes1.json
-	diff .ci-campaign-lanes62.json .ci-campaign-lanes1.json
+	  --mix stuck-at --jobs 1 > .ci-campaign-sa1.json
+	diff .ci-campaign-sa2.json .ci-campaign-sa1.json
 	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mode poisson --mean 0.4 --batch-lanes 62 --jobs 2 \
-	  > .ci-campaign-planes62.json
+	  --mode poisson --mean 0.4 --jobs 2 > .ci-campaign-p04-2.json
 	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mode poisson --mean 0.4 --batch-lanes 1 --jobs 1 \
-	  > .ci-campaign-planes1.json
-	diff .ci-campaign-planes62.json .ci-campaign-planes1.json
+	  --mode poisson --mean 0.4 --jobs 1 > .ci-campaign-p04-1.json
+	diff .ci-campaign-p04-2.json .ci-campaign-p04-1.json
 	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mode poisson --mean 3 --batch-lanes 62 --jobs 2 \
-	  > .ci-campaign-p3lanes62.json
+	  --mode poisson --mean 3 --jobs 2 > .ci-campaign-p3-2.json
 	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mode poisson --mean 3 --batch-lanes 1 --jobs 1 \
-	  > .ci-campaign-p3lanes1.json
-	diff .ci-campaign-p3lanes62.json .ci-campaign-p3lanes1.json
+	  --mode poisson --mean 3 --jobs 1 > .ci-campaign-p3-1.json
+	diff .ci-campaign-p3-2.json .ci-campaign-p3-1.json
 	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mode poisson --mean 0.01 --batch-lanes 62 --jobs 2 \
-	  > .ci-campaign-rarelanes62.json
+	  --mode poisson --mean 0.01 --jobs 2 > .ci-campaign-rare2.json
 	dune exec bin/bisramgen.exe -- campaign --trials 130 --seed 7 \
-	  --mode poisson --mean 0.01 --batch-lanes 1 --jobs 1 \
-	  --trial-deadline 60 > .ci-campaign-rarelanes1.json
-	diff .ci-campaign-rarelanes62.json .ci-campaign-rarelanes1.json
+	  --mode poisson --mean 0.01 --jobs 1 --trial-deadline 60 \
+	  > .ci-campaign-rare1.json
+	diff .ci-campaign-rare2.json .ci-campaign-rare1.json
 	rm -f .ci-campaign-jobs1.json .ci-campaign-jobs2.json \
-	  .ci-campaign-lanes62.json .ci-campaign-lanes1.json \
-	  .ci-campaign-planes62.json .ci-campaign-planes1.json \
-	  .ci-campaign-p3lanes62.json .ci-campaign-p3lanes1.json \
-	  .ci-campaign-rarelanes62.json .ci-campaign-rarelanes1.json
+	  .ci-campaign-sa2.json .ci-campaign-sa1.json \
+	  .ci-campaign-p04-2.json .ci-campaign-p04-1.json \
+	  .ci-campaign-p3-2.json .ci-campaign-p3-1.json \
+	  .ci-campaign-rare2.json .ci-campaign-rare1.json
 	@echo "campaign-determinism: OK"
 
 # Rare-event estimation gate.  (1) Adaptive stopping must actually
@@ -92,9 +87,9 @@ campaign-determinism: build
 # in strict trial order, so parallel fan-out must not perturb a single
 # float.  (3) An adaptive report (batches of 130 trials, which
 # 62-trial pool items do not divide, so the stopping rule fires inside
-# an item) must be byte-identical between one trial per item on one
-# domain and 62 trials per item on two, since one fold counts every
-# trial in trial order.
+# an item) must be byte-identical on one domain and on two, since one
+# fold counts every trial in trial order; test_estimator's "same report
+# at widths 1 and 62" case covers the pool-item width.
 estimator-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
 	  --mode poisson --mean 0.02 --seed 7 --jobs 2 --no-shrink \
@@ -117,10 +112,10 @@ estimator-smoke: build
 	diff .ci-est-is1.json .ci-est-is2.json
 	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
 	  --mode poisson --mean 0.1 --seed 7 --target-ci 0.25 --ci-batch 130 \
-	  --ci-max-trials 5000 --jobs 1 --batch-lanes 1 > .ci-est-ad1.json
+	  --ci-max-trials 5000 --jobs 1 > .ci-est-ad1.json
 	dune exec bin/bisramgen.exe -- campaign --spares 0 --mix stuck-at \
 	  --mode poisson --mean 0.1 --seed 7 --target-ci 0.25 --ci-batch 130 \
-	  --ci-max-trials 5000 --jobs 2 --batch-lanes 62 > .ci-est-ad2.json
+	  --ci-max-trials 5000 --jobs 2 > .ci-est-ad2.json
 	diff .ci-est-ad1.json .ci-est-ad2.json
 	rm -f .ci-est-strat.json .ci-est-naive.json .ci-est-is1.json \
 	  .ci-est-is2.json .ci-est-ad1.json .ci-est-ad2.json
@@ -223,7 +218,7 @@ chaos-smoke: build
 # 200-trial Poisson mean-3 test/golden_bira_p3.json (15 of its trials
 # end with a column repair armed, so it pins the steered model); (2)
 # every BIRA allocator's report must be byte-identical across worker
-# counts and pool-item widths;
+# counts (test_bira's jobs x lanes case covers pool-item widths);
 # (3) a bogus --repair name must be rejected with the usage exit code
 # (2).
 bira-smoke: build
@@ -244,10 +239,10 @@ bira-smoke: build
 	for s in bira-greedy bira-essential bira-bnb; do \
 	  dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
 	    --mode poisson --mean 3 --spare-cols 2 --repair $$s \
-	    --jobs 1 --batch-lanes 1 > .ci-bira-$$s-a.json && \
+	    --jobs 1 > .ci-bira-$$s-a.json && \
 	  dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
 	    --mode poisson --mean 3 --spare-cols 2 --repair $$s \
-	    --jobs 2 --batch-lanes 62 > .ci-bira-$$s-b.json && \
+	    --jobs 2 > .ci-bira-$$s-b.json && \
 	  diff .ci-bira-$$s-a.json .ci-bira-$$s-b.json || exit 1; \
 	done
 	dune exec bin/bisramgen.exe -- campaign --repair frobnicate \

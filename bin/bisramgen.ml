@@ -414,7 +414,7 @@ let make_progress ?total ?label ?show_anomalies o =
 (* campaign *)
 
 let do_campaign org march trials seed mode nfaults mean alpha mix repair
-    max_seconds no_shrink max_rounds jobs batch_lanes obs replay_seed
+    max_seconds no_shrink max_rounds jobs obs replay_seed
     fail_on_anomaly checkpoint_path checkpoint_every resume trial_deadline
     confidence target_ci ci_metric ci_batch ci_max_trials prop_scale
     prop_shift prop_nonzero prop_mix =
@@ -465,18 +465,19 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
     let* org = org in
     let* cfg, ck =
       checked @@ fun () ->
+      (* under --target-ci the trial count is the adaptive run's cap *)
+      let trials = if Option.is_some target_ci then ci_max_trials else trials in
       let cfg =
         Campaign.make_config ~org ~march ~mix ~mode
           ~proposal:{ Proposal.count; mix = proposal_mix } ~repair ~trials
           ~seed ?max_seconds ~shrink:(not no_shrink) ~max_rounds ()
       in
       (match trial_deadline with
-      | Some s when s <= 0.0 -> invalid_arg "--trial-deadline must be positive"
+      | Some s when not (Float.is_finite s && s > 0.0) ->
+          invalid_arg
+            (Printf.sprintf
+               "--trial-deadline must be finite and positive (got %g)" s)
       | _ -> ());
-      if batch_lanes < 1 || batch_lanes > Campaign.max_lanes then
-        invalid_arg
-          (Printf.sprintf "--batch-lanes must be in 1 .. %d"
-             Campaign.max_lanes);
       (match target_ci with
       | None -> ()
       | Some t ->
@@ -552,14 +553,7 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
                 | None -> ())
               (fun () ->
                 let should_stop () = Atomic.get sigint in
-                let reporter =
-                  make_progress
-                    ~total:
-                      (match target_ci with
-                      | Some _ -> ci_max_trials
-                      | None -> cfg.Campaign.trials)
-                    obs
-                in
+                let reporter = make_progress ~total:cfg.Campaign.trials obs in
                 let on_progress =
                   Option.map
                     (fun p (pr : Campaign.progress) ->
@@ -577,22 +571,26 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
                         Progress.note_ci p ~rel_half_width)
                     reporter
                 in
+                let stop_rule =
+                  Option.map
+                    (fun target ->
+                      Estimator.stop_rule ~batch:ci_batch ~metric:ci_metric
+                        ?on_batch ~target ())
+                    target_ci
+                in
                 Fun.protect
                   ~finally:(fun () -> Option.iter Progress.finish reporter)
                   (fun () ->
-                    match target_ci with
-                    | Some target ->
-                        let a =
-                          Estimator.run_adaptive ~jobs ~lanes:batch_lanes
-                            ~should_stop ?trial_deadline ~batch:ci_batch
-                            ~metric:ci_metric ~max_trials:ci_max_trials
-                            ?on_progress ?on_batch ~target cfg
-                        in
-                        (a.Estimator.a_result, Some a)
-                    | None ->
-                        ( Campaign.run ~jobs ~lanes:batch_lanes ~should_stop
-                            ?checkpoint:ck ?trial_deadline ?on_progress cfg
-                        , None )))
+                    let r =
+                      Campaign.run ~jobs ~should_stop ?checkpoint:ck
+                        ?trial_deadline ?stop_rule ?on_progress cfg
+                    in
+                    ( r
+                    , Option.map
+                        (fun target ->
+                          Estimator.adaptive_of_result ~batch:ci_batch
+                            ~metric:ci_metric ~target r)
+                        target_ci )))
           with
           (* a configuration the campaign refuses to simulate, such as a
              march that fails a fault-free array *)
@@ -760,19 +758,9 @@ let campaign_cmd =
           ~doc:
             "Cooperative per-trial deadline: a trial exceeding it is \
              recorded as a tool error in the report and the campaign \
-             continues.  With a deadline every trial is scheduled on its \
-             own, so $(b,--batch-lanes) has no effect.")
-  in
-  let batch_lanes_arg =
-    Arg.(
-      value & opt int 62
-      & info [ "batch-lanes" ] ~docv:"N"
-          ~doc:
-            "Trials per pool item: each work item a worker claims covers \
-             $(docv) consecutive trials.  Purely a scheduling knob — the \
-             report is byte-identical at every width.  1 schedules every \
-             trial on its own; the maximum is the native word width minus \
-             one (62 on 64-bit).")
+             continues.  A trial that draws no fault never exceeds it, and \
+             the report of a run whose trials all meet it is the \
+             deadline-free report.")
   in
   let confidence_arg =
     Arg.(
@@ -872,7 +860,6 @@ let campaign_cmd =
       $ march_arg $ trials_arg $ seed_arg $ mode_arg $ nfaults_arg $ mean_arg
       $ alpha_arg $ mix_arg $ repair_arg $ max_seconds_arg $ no_shrink_arg
       $ max_rounds_arg $ jobs_arg
-      $ batch_lanes_arg
       $ observability_term
           ~spans:
             "per-trial phase spans (inject, march, repair, oracle under \
@@ -939,26 +926,26 @@ let do_explore spec_file jobs cache_dir resume pareto obs =
                  statistics and the --pareto table go to stderr *)
               print_string (Bisram_explore.Explore.pretty_json_string r);
               let module E = Bisram_explore.Explore in
+              let module C = Bisram_explore.Cache in
+              let cs = r.E.cache_stats in
               let evals = E.evaluations r in
               let rate =
                 if evals = 0 then 100.0
-                else 100.0 *. float_of_int r.E.cache_hits /. float_of_int evals
+                else 100.0 *. float_of_int cs.C.st_hits /. float_of_int evals
               in
               Printf.eprintf
                 "explore: %d point(s), %d evaluation(s): %d hit(s), %d \
                  miss(es) (%.1f%% hit rate)\n"
                 (Array.length r.E.points)
-                evals r.E.cache_hits r.E.cache_misses rate;
-              (let cs = r.E.cache_stats in
-               let module C = Bisram_explore.Cache in
-               if
-                 cs.C.st_quarantined > 0 || cs.C.st_reaped_tmp > 0
-                 || cs.C.st_io_errors > 0
-               then
-                 Printf.eprintf
-                   "explore: cache self-heal: %d quarantined, %d tmp reaped, \
-                    %d io error(s)\n"
-                   cs.C.st_quarantined cs.C.st_reaped_tmp cs.C.st_io_errors);
+                evals cs.C.st_hits cs.C.st_misses rate;
+              if
+                cs.C.st_quarantined > 0 || cs.C.st_reaped_tmp > 0
+                || cs.C.st_io_errors > 0
+              then
+                Printf.eprintf
+                  "explore: cache self-heal: %d quarantined, %d tmp reaped, \
+                   %d io error(s)\n"
+                  cs.C.st_quarantined cs.C.st_reaped_tmp cs.C.st_io_errors;
               if pareto then prerr_string (E.summary_table r);
               export obs;
               0))

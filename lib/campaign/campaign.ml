@@ -17,7 +17,8 @@ module J = Bisram_obs.Json
 (* ------------------------------------------------------------------ *)
 (* configuration *)
 
-type mode =
+(* the proposal layer's count model, under its campaign name *)
+type mode = Proposal.count_model =
   | Uniform of int
   | Poisson of float
   | Clustered of { mean : float; alpha : float }
@@ -51,13 +52,6 @@ type config = {
   max_rounds : int;
 }
 
-(* The proposal layer speaks [Proposal.count_model]; the campaign mode
-   is exactly that plus nothing, so the mapping is a rename. *)
-let count_model_of_mode = function
-  | Uniform n -> Proposal.Fixed n
-  | Poisson mean -> Proposal.Poisson mean
-  | Clustered { mean; alpha } -> Proposal.Clustered { mean; alpha }
-
 let make_config ?(org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
     ?march ?(mix = Injection.default_mix) ?(mode = Uniform 2) ?proposal
     ?(repair = Row_tlb) ?(trials = 100) ?(seed = 42) ?max_seconds
@@ -85,7 +79,7 @@ let make_config ?(org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
     | p -> p
   in
   Option.iter
-    (fun p -> Proposal.validate ~nominal_mix:mix (count_model_of_mode mode) p)
+    (fun p -> Proposal.validate ~nominal_mix:mix mode p)
     proposal;
   { org; march; mix; mode; proposal; repair; trials; seed; max_seconds
   ; shrink; max_rounds }
@@ -118,7 +112,7 @@ let draw_faults cfg rng =
      nominal proposal draws exactly as the unbiased sampler. *)
   Proposal.draw
     (Option.value cfg.proposal ~default:Proposal.nominal)
-    ~count:(count_model_of_mode cfg.mode) ~mix:cfg.mix rng
+    ~count:cfg.mode ~mix:cfg.mix rng
     ~rows:(Org.total_rows cfg.org) ~cols:(Org.total_cols cfg.org)
 
 (* The importance weight of a trial, recovered by redrawing its fault
@@ -127,9 +121,7 @@ let draw_faults cfg rng =
    records or the checkpoint wire format. *)
 let trial_weight cfg p ~index =
   let faults = draw_faults cfg (rng_of_seed (trial_seed cfg index)) in
-  exp
-    (Proposal.log_weight p ~count:(count_model_of_mode cfg.mode) ~mix:cfg.mix
-       faults)
+  exp (Proposal.log_weight p ~count:cfg.mode ~mix:cfg.mix faults)
 
 (* ------------------------------------------------------------------ *)
 (* one trial: differential oracle + escape sweeps *)
@@ -316,7 +308,7 @@ let run_faults cfg faults =
             (fun () -> run_flow faults fl)
         in
         (* between flows: the cooperative per-trial deadline (a no-op
-           unless the caller set one on the pool) *)
+           unless [run] armed one) *)
         Pool.check_deadline ();
         s)
       a.flows
@@ -1119,8 +1111,8 @@ let progress_of_counts ~total c =
    A pool item covers [lanes] consecutive trials, each computed by
    [compute_record]; the width trades scheduling overhead against
    chaos, retry and checkpoint granularity and never changes a record.
-   The bound is the lane width of the bit-parallel store
-   ({!Bisram_sram.Word.max_width}), which the flag shares. *)
+   The bound, and the default, is the lane width of the bit-parallel
+   store ({!Bisram_sram.Word.max_width}). *)
 
 let max_lanes = Bisram_sram.Word.max_width
 
@@ -1257,12 +1249,16 @@ let emit_record rc =
           ; ("error", J.String e)
           ]
 
-let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
+let run ?now ?(jobs = 1) ?(lanes = max_lanes) ?(should_stop = fun () -> false)
     ?checkpoint ?trial_deadline ?(offset = 0) ?stop_rule ?on_progress cfg =
   if jobs < 1 then invalid_arg "Campaign.run: jobs must be >= 1";
   if lanes < 1 || lanes > max_lanes then
     invalid_arg
       (Printf.sprintf "Campaign.run: lanes must be in 1..%d" max_lanes);
+  (match trial_deadline with
+  | Some s when not (Float.is_finite s && s > 0.0) ->
+      invalid_arg "Campaign.run: trial_deadline must be finite and > 0"
+  | _ -> ());
   if offset < 0 then invalid_arg "Campaign.run: offset must be >= 0";
   if offset > 0 && Option.is_some checkpoint then
     invalid_arg
@@ -1320,17 +1316,42 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
   (* Pool items over the trials after the resumed prefix: one item
      covers [lanes] consecutive trials (full items only — the ragged
      tail degrades to one item per trial, keeping the per-trial
-     chaos/retry/checkpoint granularity there).  A per-trial deadline
-     needs one trial per item, since the pool arms it per item.
-     [offset] shifts the whole window: the call computes trials
-     [offset .. offset + trials - 1] with their global derived seeds. *)
+     chaos/retry/checkpoint granularity there).  [offset] shifts the
+     whole window: the call computes trials [offset .. offset + trials
+     - 1] with their global derived seeds. *)
   let ranges =
-    let width = if Option.is_some trial_deadline then 1 else lanes in
     Array.map
       (fun (s, l) -> (s + offset + nresumed, l))
-      (Pool.batch_ranges ~items:(cfg.trials - nresumed) ~width)
+      (Pool.batch_ranges ~items:(cfg.trials - nresumed) ~width:lanes)
   in
   let n_units = Array.length ranges in
+  (* A crashed trial becomes its recorded outcome, not a crash of the
+     campaign.  Only the exception's rendering enters the record: the
+     backtrace depends on build flags and would break cross-jobs
+     byte-identity. *)
+  let error_record index e =
+    { rc_index = index
+    ; rc_seed = trial_seed cfg index
+    ; rc_body = Rc_error (Printexc.to_string e)
+    }
+  in
+  (* The trial is the unit of failure and of deadline: each arms its own
+     cooperative deadline, and a deadline or crash becomes its own tool
+     error, whatever else its pool item holds.  A [Pool.Transient] raise
+     fails the item, so the pool retries it. *)
+  let trial index =
+    match
+      match trial_deadline with
+      | None -> compute_record cfg ~index
+      | Some s -> Pool.with_deadline s (fun () -> compute_record cfg ~index)
+    with
+    | rc -> rc
+    | exception (Pool.Transient _ as e) -> raise e
+    | exception Pool.Deadline_exceeded ->
+        Obs.incr "pool.deadline_exceeded";
+        error_record index Pool.Deadline_exceeded
+    | exception e -> error_record index e
+  in
   (* Every trial already owns its derived seed, so trials are
      independent and can run on any worker.  Shrinking runs inside the
      worker too (it dominates the cost of a failing trial) and is a
@@ -1359,24 +1380,26 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
                    start)))
       end
     end;
-    Array.init len (fun l -> compute_record cfg ~index:(start + l))
+    Array.init len (fun l -> trial (start + l))
   in
-  (* A crashed unit becomes one recorded outcome per contained trial —
-     exactly what the per-trial scheduler recorded — not a crash of the
-     campaign.  Only the exception's rendering enters the record: the
-     backtrace depends on build flags and would break cross-jobs
-     byte-identity. *)
+  (* A finished unit's records, with the pool's telemetry for it: a
+     unit that exhausted its retries is one tool error per trial. *)
   let records_of_job unit (r : trial_record array Pool.job_result) =
+    if r.Pool.attempts > 1 then Obs.add "pool.retries" (r.Pool.attempts - 1);
     match r.Pool.outcome with
     | Ok arr -> arr
     | Error f ->
         let start, len = ranges.(unit) in
-        Array.init len (fun l ->
-            let index = start + l in
-            { rc_index = index
-            ; rc_seed = trial_seed cfg index
-            ; rc_body = Rc_error (Printexc.to_string f.Pool.f_exn)
-            })
+        if f.Pool.f_transient then Obs.incr "pool.retry_exhausted";
+        if Obs.would_log Obs.Warn then
+          Obs.emit ~level:Obs.Warn ~domain:"pool" "pool.job_failed"
+            [ ("trial_start", J.Int start)
+            ; ("len", J.Int len)
+            ; ("attempts", J.Int r.Pool.attempts)
+            ; ("transient", J.Bool f.Pool.f_transient)
+            ; ("error", J.String (Printexc.to_string f.Pool.f_exn))
+            ];
+        Array.init len (fun l -> error_record (start + l) f.Pool.f_exn)
   in
   (* The fold: the one place a trial record is counted, in strict trial
      order.  It adds each record to the report counts (importance
@@ -1421,26 +1444,6 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
       (fun f -> f (progress_of_counts ~total:cfg.trials c))
       on_progress
   in
-  (* the pool's telemetry for one folded unit *)
-  let note_unit unit (r : trial_record array Pool.job_result) =
-    if r.Pool.attempts > 1 then Obs.add "pool.retries" (r.Pool.attempts - 1);
-    match r.Pool.outcome with
-    | Ok _ -> ()
-    | Error f ->
-        let start, len = ranges.(unit) in
-        let deadline = f.Pool.f_exn = Pool.Deadline_exceeded in
-        if deadline then Obs.incr "pool.deadline_exceeded"
-        else if f.Pool.f_transient then Obs.incr "pool.retry_exhausted";
-        if Obs.would_log Obs.Warn then
-          Obs.emit ~level:Obs.Warn ~domain:"pool"
-            (if deadline then "pool.deadline_kill" else "pool.job_failed")
-            [ ("trial_start", J.Int start)
-            ; ("len", J.Int len)
-            ; ("attempts", J.Int r.Pool.attempts)
-            ; ("transient", J.Bool f.Pool.f_transient)
-            ; ("error", J.String (Printexc.to_string f.Pool.f_exn))
-            ]
-  in
   Array.iter fold_record (Array.sub resumed 0 nresumed);
   if nresumed > 0 then fold_step ();
   (* The collector: finished units wait here until every unit before
@@ -1463,7 +1466,6 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
           do
             let r = Option.get finished.(!next) in
             finished.(!next) <- None;
-            note_unit !next r;
             Array.iter fold_record (records_of_job !next r);
             incr next
           done;
@@ -1488,12 +1490,9 @@ let run ?now ?(jobs = 1) ?(lanes = 1) ?(should_stop = fun () -> false)
               ]
           end)
   in
-  let deadline_ns =
-    Option.map (fun s -> Int64.of_float (s *. 1e9)) trial_deadline
-  in
   ignore
     (Pool.map_result ~jobs ~should_stop:over_budget ?probe:(Obs.pool_probe ())
-       ?deadline_ns ~on_result ?on_retry n_units work);
+       ~on_result ?on_retry n_units work);
   (* final snapshot: a graceful drain (budget or SIGINT) leaves the
      freshest contiguous prefix on disk for the next --resume *)
   (match ck_write with

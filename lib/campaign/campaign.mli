@@ -30,12 +30,14 @@
     [run.start] / [run.end], per-anomaly [trial.escape] /
     [trial.divergence] / [trial.tool_error] and, under BIRA,
     [trial.bira_alloc] (emitted in trial order by {!run}'s fold),
-    [checkpoint.write], pool [pool.retry] / [pool.deadline_kill] /
-    [pool.job_failed] and [chaos.inject].  Telemetry and events are
+    [checkpoint.write], pool [pool.retry] / [pool.job_failed] and
+    [chaos.inject].  Telemetry and events are
     strictly write-only side channel state: nothing they record feeds
     {!to_json}, so reports are byte-identical with either on or off. *)
 
-type mode =
+(** The per-trial fault-count model: {!Bisram_faults.Proposal}'s count
+    model, which the proposal layer biases and weights. *)
+type mode = Bisram_faults.Proposal.count_model =
   | Uniform of int  (** exactly n faults per trial *)
   | Poisson of float  (** Poisson-distributed count with the given mean *)
   | Clustered of { mean : float; alpha : float }
@@ -100,8 +102,9 @@ val make_config :
     trial index — the value printed in reports and fed to [--replay]). *)
 val trial_seed : config -> int -> int
 
-(** The most trials one pool item of {!run} may cover: the lane width
-    {!Bisram_sram.Word.max_width} (one trial per bit of a native int). *)
+(** The most trials one pool item of {!run} may cover, and its default:
+    the lane width {!Bisram_sram.Word.max_width} (one trial per bit of a
+    native int). *)
 val max_lanes : int
 
 type flow = Two_pass | Iterated
@@ -310,13 +313,15 @@ type progress = {
     a truncated report at [jobs = n] equals an unbudgeted sequential
     run over its first [trials_run] trials.
 
-    Fault tolerance: a trial that raises is retried (bounded, for
-    {!Bisram_parallel.Pool.Transient}-flagged raises such as injected
-    chaos faults) and otherwise recorded as a {!tool_error} outcome —
-    the campaign never aborts on a crashing trial.  [trial_deadline]
-    (seconds, default none) arms a cooperative per-trial deadline:
-    trials poll it between flows and a trial that exceeds it is
-    recorded as a tool error ([Pool.Deadline_exceeded]).
+    Fault tolerance: a trial that raises is recorded as its own
+    {!tool_error} outcome, whatever else its pool item holds, and the
+    campaign goes on.  A {!Bisram_parallel.Pool.Transient} raise (an
+    injected chaos fault, keyed per item) fails the whole item, which
+    is retried (bounded) and otherwise records one tool error per
+    trial.  [trial_deadline] (seconds, default none) arms a
+    cooperative deadline per trial: trials poll it between flows (a
+    zero-fault trial never does), and one that exceeds it is a tool
+    error ([Pool.Deadline_exceeded]).
 
     Every trial draws its fault list once.  A trial that draws no
     fault is a pure function of the configuration: its record is the
@@ -328,14 +333,13 @@ type progress = {
     fault-free flow is not clean (a march that fails a fault-free
     array, say) is refused.
 
-    [lanes] (default [1]) is the number of consecutive trials one pool
-    item covers, in [1 .. max_lanes]: full items of [lanes] trials,
-    then one item per trial for the ragged tail.  It trades scheduling
-    overhead against the granularity of chaos injection, retries and
-    checkpoints, and never changes a record, so the report is
-    byte-identical at every [lanes] and [jobs] combination.  With a
-    [trial_deadline] every item is one trial, so the deadline is per
-    trial at every [lanes].
+    [lanes] (default {!max_lanes}) is the number of consecutive trials
+    one pool item covers, in [1 .. max_lanes]: full items of [lanes]
+    trials, then one item per trial for the ragged tail.  It trades
+    scheduling overhead against the granularity of chaos injection,
+    retries and checkpoints, and never changes a record, so the report is
+    byte-identical at every [lanes] and [jobs] combination, with or
+    without a [trial_deadline].
 
     [offset] (default [0]) shifts the whole trial window: the call
     computes trials [offset .. offset + trials - 1] with their global
@@ -364,8 +368,9 @@ type progress = {
     are byte-identical with or without it.
 
     @raise Invalid_argument if [jobs < 1], [lanes] is outside
-    [1 .. max_lanes], [offset < 0], a checkpoint is combined with a
-    nonzero [offset], or the stopping rule's [every] is below 1.
+    [1 .. max_lanes], [trial_deadline] is not finite and [> 0],
+    [offset < 0], a checkpoint is combined with a nonzero [offset], or
+    the stopping rule's [every] is below 1.
     @raise Failure if the fault-free flow is not clean. *)
 val run :
   ?now:(unit -> float) ->

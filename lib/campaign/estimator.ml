@@ -1,6 +1,6 @@
 (* Rare-event estimation over campaign results: confidence intervals
    on the escape / repair-failure rates, effective-count handling of
-   importance-weighted tallies, and an adaptive driver that stops a
+   importance-weighted tallies, and a stopping rule that ends a
    campaign once a target relative CI half-width is met.
 
    Interval machinery is self-contained (normal quantile, regularized
@@ -288,7 +288,6 @@ let stop_reason_name = function
   | Interrupted -> "interrupted"
 
 type adaptive = {
-  a_result : Campaign.result;
   a_target : float;
   a_metric : metric;
   a_batch : int;
@@ -297,21 +296,18 @@ type adaptive = {
   a_rel_half_width : float;
 }
 
-let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
-    ?(metric = Repair_failure_two_pass) ?(max_trials = 1_000_000) ?(level = 0.95)
-    ?on_progress ?on_batch ~target cfg =
+(* the batches [trials] span, the last possibly partial *)
+let batches ~batch trials = (trials + batch - 1) / batch
+let hw_json hw = if Float.is_finite hw then J.Float hw else J.Null
+
+(* At every batch boundary of the campaign's fold: stop once the
+   interval is narrow enough. *)
+let stop_rule ?(batch = 992) ?(metric = Repair_failure_two_pass)
+    ?(level = 0.95) ?on_batch ~target () =
   if not (target > 0.0) then
-    invalid_arg "Estimator.run_adaptive: target must be positive";
-  if batch < 1 then invalid_arg "Estimator.run_adaptive: batch must be >= 1";
-  if max_trials < 1 then
-    invalid_arg "Estimator.run_adaptive: max_trials must be >= 1";
-  check_level "run_adaptive" level;
-  (* the batches [trials] spans, the last possibly partial *)
-  let batches trials = (trials + batch - 1) / batch in
-  let hw_json hw = if Float.is_finite hw then J.Float hw else J.Null in
-  (* the stopping rule, on the fold of one campaign of up to
-     [max_trials]: at every batch boundary, stop once the interval is
-     narrow enough *)
+    invalid_arg "Estimator.stop_rule: target must be positive";
+  if batch < 1 then invalid_arg "Estimator.stop_rule: batch must be >= 1";
+  check_level "stop_rule" level;
   let rule r =
     let trials = r.Campaign.trials_run in
     let est = estimate ~level r metric in
@@ -320,23 +316,22 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
       Obs.observe "estimator.n_eff" (int_of_float est.e_n_eff);
     if Obs.would_log Obs.Info then
       Obs.emit ~domain:"estimator" "estimator.batch"
-        [ ("batch", J.Int (batches trials))
+        [ ("batch", J.Int (batches ~batch trials))
         ; ("trials_total", J.Int trials)
         ; ("hits", J.Int est.e_hits)
         ; ("rel_half_width", hw_json hw)
         ];
     Option.iter
-      (fun f -> f ~batches:(batches trials) ~trials ~rel_half_width:hw)
+      (fun f -> f ~batches:(batches ~batch trials) ~trials ~rel_half_width:hw)
       on_batch;
     hw <= target
   in
-  let r =
-    Campaign.run ?now ?jobs ?lanes ?should_stop ?trial_deadline
-      ~stop_rule:(batch, rule) ?on_progress
-      { cfg with Campaign.trials = max_trials }
-  in
+  (batch, rule)
+
+let adaptive_of_result ?(batch = 992) ?(metric = Repair_failure_two_pass)
+    ?(level = 0.95) ~target (r : Campaign.result) =
   let trials = r.Campaign.trials_run in
-  let n_batches = batches trials in
+  let n_batches = batches ~batch trials in
   let hw = rel_half_width (estimate ~level r metric) in
   let reason =
     if r.Campaign.truncated then Interrupted
@@ -351,8 +346,7 @@ let run_adaptive ?now ?jobs ?lanes ?should_stop ?trial_deadline ?(batch = 992)
     ; ("trials_total", J.Int trials)
     ; ("rel_half_width", hw_json hw)
     ];
-  { a_result = r
-  ; a_target = target
+  { a_target = target
   ; a_metric = metric
   ; a_batch = batch
   ; a_batches = n_batches

@@ -6,9 +6,10 @@
       the escape and repair-failure rates of any campaign result,
       importance-weighted results included (weighted tallies enter
       through effective counts);
-    - an adaptive driver ({!run_adaptive}): one campaign with a
-      stopping rule that ends it once the Wilson interval's relative
-      half-width on a chosen metric reaches a target;
+    - adaptive stopping: a {!stop_rule} for {!Campaign.run} that ends
+      the campaign once the Wilson interval's relative half-width on a
+      chosen metric reaches a target, and its {!adaptive_of_result}
+      summary;
     - the schema-[bisram-campaign/3] report: the /2 document with a
       [confidence] section always appended, plus [estimation] /
       [adaptive] sections when biased sampling or adaptive stopping
@@ -75,13 +76,12 @@ val rel_half_width : estimate -> float
 
 type stop_reason =
   | Target_reached  (** relative half-width <= target *)
-  | Trial_cap  (** [max_trials] exhausted first *)
+  | Trial_cap  (** the campaign's [trials] ran out first *)
   | Interrupted  (** the run was truncated (budget or [should_stop]) *)
 
 val stop_reason_name : stop_reason -> string
 
 type adaptive = {
-  a_result : Campaign.result;  (** the campaign over all batches *)
   a_target : float;
   a_metric : metric;
   a_batch : int;
@@ -90,45 +90,45 @@ type adaptive = {
   a_rel_half_width : float;  (** achieved value at stop *)
 }
 
-(** One {!Campaign.run} of up to [max_trials] (default 1_000_000)
-    trials with a stopping rule: every [batch] trials (default 992 =
-    16 full 62-trial pool items) the Wilson relative half-width on
-    [metric] (default [Repair_failure_two_pass]) is evaluated on the
-    trials so far, and the campaign stops once it reaches [target].
-    It also stops at [max_trials], or when the budget
-    ([cfg.max_seconds], one budget for the whole run) or
-    [should_stop] cuts it short — then [Interrupted], and the result
-    is truncated.  A stop on target reads, report and all, byte for
-    byte as a single fixed-trial run of the same size.
-    [now], [jobs], [lanes], [should_stop], [trial_deadline] pass
-    through to {!Campaign.run}.  Checkpointing is not supported under
-    adaptive stopping.
+(** [stop_rule ~target ()] is the [(every, rule)] pair for
+    {!Campaign.run}'s [?stop_rule]: every [batch] trials (default 992
+    = 16 full 62-trial pool items) it evaluates the Wilson relative
+    half-width on [metric] (default [Repair_failure_two_pass]) over
+    the trials so far, and stops the campaign once it reaches
+    [target].  The campaign's [trials] is then the trial cap, and its
+    budget ([max_seconds]) and [should_stop] bound the whole run.  A
+    stop on target reads, report and all, byte for byte as a single
+    fixed-trial run of the same size.  Checkpointing is not supported
+    under adaptive stopping.
 
-    [on_progress] passes through to {!Campaign.run}; [p_total] is
-    [max_trials] (the only total known up front).
-    [on_batch] fires after each batch's CI evaluation with the batch
-    count, cumulative trials and the achieved relative half-width —
-    the seam the CLI uses to surface the stopping statistic live.  It
-    runs where {!Campaign.run}'s stopping rule does (under the fold's
-    lock, possibly on a worker domain), so it must be domain-safe.
-    Both are write-only side channels: reports are identical with or
-    without them.
-    @raise Invalid_argument unless [target > 0], [batch >= 1],
-    [max_trials >= 1] and [level] in (0,1). *)
-val run_adaptive :
-  ?now:(unit -> float) ->
-  ?jobs:int ->
-  ?lanes:int ->
-  ?should_stop:(unit -> bool) ->
-  ?trial_deadline:float ->
+    [on_batch] fires after each evaluation with the batch count,
+    cumulative trials and the achieved relative half-width — the seam
+    the CLI uses to surface the stopping statistic live.  It runs where
+    the rule does (under the fold's lock, possibly on a worker domain),
+    so it must be domain-safe.  It is a write-only side channel:
+    reports are identical with or without it.
+    @raise Invalid_argument unless [target > 0], [batch >= 1] and
+    [level] in (0,1). *)
+val stop_rule :
   ?batch:int ->
   ?metric:metric ->
-  ?max_trials:int ->
   ?level:float ->
-  ?on_progress:(Campaign.progress -> unit) ->
   ?on_batch:(batches:int -> trials:int -> rel_half_width:float -> unit) ->
   target:float ->
-  Campaign.config ->
+  unit ->
+  int * (Campaign.result -> bool)
+
+(** The summary of a campaign run under the {!stop_rule} of the same
+    [batch], [metric], [level] and [target]: [Interrupted] when the run
+    was truncated, else [Target_reached] or [Trial_cap].  Emits the
+    [estimator.stop] event and adds the [estimator.batches] /
+    [estimator.trials] counters. *)
+val adaptive_of_result :
+  ?batch:int ->
+  ?metric:metric ->
+  ?level:float ->
+  target:float ->
+  Campaign.result ->
   adaptive
 
 (** The schema-[bisram-campaign/3] report: {!Campaign.to_json} with the

@@ -203,9 +203,6 @@ let memo t ~key compute =
       store t key s;
       normalize key s
 
-let hits t = Atomic.get t.hits
-let misses t = Atomic.get t.misses
-
 let stats t =
   { st_hits = Atomic.get t.hits
   ; st_misses = Atomic.get t.misses

@@ -64,6 +64,4 @@ val create : ?dir:string -> resume:bool -> unit -> t
     degrade to recomputation (see self-healing above). *)
 val memo : t -> key:string -> (unit -> Bisram_obs.Json.t) -> Bisram_obs.Json.t
 
-val hits : t -> int
-val misses : t -> int
 val stats : t -> stats

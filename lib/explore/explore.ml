@@ -15,8 +15,6 @@ type result = {
   points : Spec.point array;
   evals : (string * J.t) list array;
   skipped : int;
-  cache_hits : int;
-  cache_misses : int;
   cache_stats : Cache.stats;
 }
 
@@ -239,20 +237,16 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
         | None -> assert false)
       completed
   in
-  Obs.add "explore.cache_hits" (Cache.hits cache);
-  Obs.add "explore.cache_misses" (Cache.misses cache);
   let st = Cache.stats cache in
+  Obs.add "explore.cache_hits" st.Cache.st_hits;
+  Obs.add "explore.cache_misses" st.Cache.st_misses;
   Obs.emit ~domain:"explore" "run.end"
     [ ("points", J.Int (Array.length points))
     ; ("cache_hits", J.Int st.Cache.st_hits)
     ; ("cache_misses", J.Int st.Cache.st_misses)
     ; ("cache_quarantined", J.Int st.Cache.st_quarantined)
     ];
-  { spec; points; evals; skipped
-  ; cache_hits = Cache.hits cache
-  ; cache_misses = Cache.misses cache
-  ; cache_stats = st
-  }
+  { spec; points; evals; skipped; cache_stats = st }
 
 let evaluations r =
   Array.length r.points * List.length r.spec.Spec.evaluators

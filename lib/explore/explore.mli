@@ -36,11 +36,9 @@ type result = {
   evals : (string * Bisram_obs.Json.t) list array;
       (** per point: (evaluator id, normalized result), spec order *)
   skipped : int;  (** invalid lattice combinations *)
-  cache_hits : int;
-  cache_misses : int;
   cache_stats : Cache.stats;
-      (** full self-heal counters (quarantines, reaped temp files, IO
-          errors) for the run's cache instance *)
+      (** the run's cache counters: hits, misses and the self-heal
+          counts (quarantines, reaped temp files, IO errors) *)
 }
 
 (** Run the sweep.  [jobs] (default 1) fans points over that many

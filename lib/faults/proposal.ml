@@ -21,7 +21,7 @@
    sampler and weights every trial 1. *)
 
 type count_model =
-  | Fixed of int
+  | Uniform of int
   | Poisson of float
   | Clustered of { mean : float; alpha : float }
 
@@ -40,7 +40,7 @@ let is_nominal p = p = nominal
 
 let log_pmf model k =
   match model with
-  | Fixed n -> if k = n then 0.0 else neg_infinity
+  | Uniform n -> if k = n then 0.0 else neg_infinity
   | Poisson mean -> Defect.poisson_log_pmf ~mean k
   | Clustered { mean; alpha } -> Defect.negative_binomial_log_pmf ~mean ~alpha k
 
@@ -48,7 +48,7 @@ let pmf model k = exp (log_pmf model k)
 
 let scaled_model model ~scale ~shift =
   match model with
-  | Fixed _ ->
+  | Uniform _ ->
       invalid_arg
         "Proposal: count_scale/count_shift need a poisson or clustered \
          fault-count mode (uniform mode has a fixed count)"
@@ -58,7 +58,7 @@ let scaled_model model ~scale ~shift =
 
 let draw_count model rng =
   match model with
-  | Fixed n -> n
+  | Uniform n -> n
   | Poisson mean -> Defect.poisson rng mean
   | Clustered { mean; alpha } -> Defect.negative_binomial rng ~mean ~alpha
 
@@ -67,7 +67,7 @@ let draw_count model rng =
    step. *)
 let pmf_step model k =
   match model with
-  | Fixed _ -> 0.0
+  | Uniform _ -> 0.0
   | Poisson mean -> mean /. float_of_int (k + 1)
   | Clustered { mean; alpha } ->
       let p = mean /. (mean +. alpha) in
@@ -79,7 +79,7 @@ let pmf_step model k =
    steps — constant-ish at the low means this sampler exists for. *)
 let draw_count_nonzero model rng =
   match model with
-  | Fixed n -> n (* point mass; validate requires n >= 1 via P(0) < 1 *)
+  | Uniform n -> n (* point mass; validate requires n >= 1 via P(0) < 1 *)
   | _ ->
   let p0 = pmf model 0 in
   let u = Random.State.float rng 1.0 in
@@ -123,7 +123,7 @@ let validate ~nominal_mix count_model p =
           (Printf.sprintf
              "Proposal: stratified_nonzero must be in (0, 1) (got %g)" nonzero);
       (match count_model with
-      | Fixed _ ->
+      | Uniform _ ->
           invalid_arg
             "Proposal: stratified_nonzero needs a poisson or clustered \
              fault-count mode (uniform mode has a fixed count)"

@@ -11,7 +11,7 @@
 
 (** The campaign's nominal fault-count model. *)
 type count_model =
-  | Fixed of int  (** uniform mode: exactly [n] faults per trial *)
+  | Uniform of int  (** uniform mode: exactly [n] faults per trial *)
   | Poisson of float  (** Poisson defect counts with the given mean *)
   | Clustered of { mean : float; alpha : float }
       (** Stapper clustered (negative-binomial) counts *)
@@ -48,7 +48,7 @@ val is_nominal : t -> bool
     @raise Invalid_argument naming the offending key when: a scale /
     shift / nonzero parameter is non-finite or out of range
     ([scale > 0], [shift >= 0], [0 < nonzero < 1]); the count proposal
-    is non-trivial but the count model is [Fixed], or is stratified
+    is non-trivial but the count model is [Uniform], or is stratified
     with [P(n >= 1) = 0]; either mix fails
     {!Injection.validate_mix}; or the proposal mix gives zero weight
     to a class the nominal mix draws (unbounded weights). *)

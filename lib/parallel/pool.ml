@@ -16,9 +16,9 @@ type 'a job_result = { outcome : ('a, failure) result; attempts : int }
 let retries = 2
 
 (* ------------------------------------------------------------------ *)
-(* per-worker job context: the running attempt number and the current
-   item's cooperative deadline, both domain-local so concurrently
-   running items never observe each other's context *)
+(* per-worker job context: the running attempt number and the
+   cooperative deadline armed by [with_deadline], both domain-local so
+   concurrently running items never observe each other's context *)
 
 let attempt_key = Domain.DLS.new_key (fun () -> 1)
 let deadline_key : int64 option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -30,6 +30,19 @@ let check_deadline () =
   | Some d when Clock.now_ns () > d -> raise Deadline_exceeded
   | _ -> ()
 
+(* A span past 2^62 ns (146 years) saturates: the clock reads below
+   2^62 too, so the sum never wraps and the deadline never expires. *)
+let with_deadline seconds f =
+  if not (Float.is_finite seconds && seconds > 0.0) then
+    invalid_arg "Pool.with_deadline: seconds must be finite and > 0";
+  let ns = seconds *. 1e9 in
+  let outer = Domain.DLS.get deadline_key in
+  Domain.DLS.set deadline_key
+    (Some
+       (if ns >= 0x1p62 then Int64.max_int
+        else Int64.add (Clock.now_ns ()) (Int64.of_float ns)));
+  Fun.protect ~finally:(fun () -> Domain.DLS.set deadline_key outer) f
+
 (* ------------------------------------------------------------------ *)
 (* the scheduler
 
@@ -40,7 +53,7 @@ let check_deadline () =
    can never deadlock the pool or leak a domain. *)
 
 let map_result ?(jobs = 1) ?(should_stop = fun () -> false) ?probe
-    ?deadline_ns ?on_result ?on_retry n f =
+    ?on_result ?on_retry n f =
   if jobs < 1 then invalid_arg "Pool.map_result: jobs must be >= 1";
   if n < 0 then invalid_arg "Pool.map_result: negative length";
   let results = Array.make n None in
@@ -49,10 +62,6 @@ let map_result ?(jobs = 1) ?(should_stop = fun () -> false) ?probe
   let probing = probe <> None in
   let rec attempt i k =
     Domain.DLS.set attempt_key k;
-    (match deadline_ns with
-    | None -> ()
-    | Some d ->
-        Domain.DLS.set deadline_key (Some (Int64.add (Clock.now_ns ()) d)));
     match f i with
     | v -> { outcome = Ok v; attempts = k }
     | exception Transient e when k <= retries ->
@@ -84,7 +93,6 @@ let map_result ?(jobs = 1) ?(should_stop = fun () -> false) ?probe
         let t0 = if probing then Clock.now_ns () else 0L in
         let r = attempt i 1 in
         Domain.DLS.set attempt_key 1;
-        Domain.DLS.set deadline_key None;
         results.(i) <- Some r;
         incr items;
         (* runs on the completing worker with the result it just

@@ -35,11 +35,10 @@ type probe = worker:int -> busy_ns:int64 -> total_ns:int64 -> items:int -> unit
     in the recorded {!failure} when retries are exhausted. *)
 exception Transient of exn
 
-(** Raised by {!check_deadline} once the running item's cooperative
-    deadline has passed.  Deadlines are {e cooperative}: a domain
-    cannot be preempted, so long-running items must poll
-    {!check_deadline} at convenient points; the pool records the raise
-    as a non-transient {!failure}. *)
+(** Raised by {!check_deadline} once the deadline armed by
+    {!with_deadline} has passed.  Deadlines are {e cooperative}: a
+    domain cannot be preempted, so long-running code must poll
+    {!check_deadline} at convenient points. *)
 exception Deadline_exceeded
 
 type failure = {
@@ -60,16 +59,24 @@ type 'a job_result = {
     so a retry re-rolls it. *)
 val current_attempt : unit -> int
 
-(** Poll the running item's cooperative deadline; raises
-    {!Deadline_exceeded} when [deadline_ns] was given to {!map_result}
-    and has elapsed for this item.  A no-op (cheap domain-local read)
-    when no deadline is set, so library code can poll unconditionally. *)
+(** Poll the cooperative deadline of the enclosing {!with_deadline}
+    on this domain; raises {!Deadline_exceeded} once it has elapsed.
+    A no-op (cheap domain-local read) when no deadline is armed, so
+    library code can poll unconditionally. *)
 val check_deadline : unit -> unit
 
-(** [map_result ~jobs ~should_stop ~probe ~deadline_ns ~on_result
-    ~on_retry n f] computes [f i] for [i] in [0 .. n-1] on [jobs]
-    workers ([jobs - 1] spawned domains plus the calling one) and
-    returns one {!job_result} per index, in index order.
+(** [with_deadline seconds f] runs [f ()] with a cooperative deadline
+    [seconds] from now armed on this domain, and restores the enclosing
+    one (usually none) when [f] returns or raises.  A deadline too far
+    ahead to represent in nanoseconds saturates: it never expires.
+    The campaign arms one per trial.
+    @raise Invalid_argument unless [seconds] is finite and [> 0]. *)
+val with_deadline : float -> (unit -> 'a) -> 'a
+
+(** [map_result ~jobs ~should_stop ~probe ~on_result ~on_retry n f]
+    computes [f i] for [i] in [0 .. n-1] on [jobs] workers ([jobs - 1]
+    spawned domains plus the calling one) and returns one {!job_result}
+    per index, in index order.
 
     [jobs] defaults to [1]: no domain is spawned and the calls happen
     sequentially in the caller, in index order.
@@ -83,11 +90,6 @@ val check_deadline : unit -> unit
     worker, up to 2 extra attempts (3 in all).  A non-[Transient] raise,
     or a [Transient] one with retries exhausted, is recorded as
     [Error failure] in the item's slot; every other item still runs.
-
-    Deadline: with [deadline_ns] each attempt gets a fresh cooperative
-    deadline; {!check_deadline} polled inside [f] raises
-    {!Deadline_exceeded} past it, recorded like any non-transient
-    failure.
 
     [probe] (default absent: the hot loop reads no clock) receives one
     utilization report per worker.
@@ -114,7 +116,6 @@ val map_result :
   ?jobs:int ->
   ?should_stop:(unit -> bool) ->
   ?probe:probe ->
-  ?deadline_ns:int64 ->
   ?on_result:(int -> 'a job_result -> unit) ->
   ?on_retry:(int -> attempt:int -> exn -> unit) ->
   int ->

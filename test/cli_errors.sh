@@ -57,7 +57,11 @@ expect 2 bogus-metric campaign --ci-metric bogus-metric
 expect 2 bogus-pmix campaign --proposal-mix bogus-pmix
 expect 2 bogus-level campaign --events-level bogus-level
 expect 2 "bad order b" campaign --march 'bogus('
-expect 2 --batch-lanes campaign --batch-lanes 0
+# a deadline must be finite and positive: nan and inf would otherwise
+# wrap to a deadline in the past and fail every simulated trial
+expect 2 --trial-deadline campaign --trial-deadline nan
+expect 2 --trial-deadline campaign --trial-deadline inf
+expect 2 --trial-deadline campaign --trial-deadline 0
 # a march that fails a fault-free array: zero-fault trials would not be
 # clean, so the campaign refuses it before running a trial
 expect 2 "u(w0); u(r1)" campaign --march 'u(w0); u(r1)'

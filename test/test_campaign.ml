@@ -296,9 +296,9 @@ let test_budget_parallel_prefix_semantics () =
      prefix [0 .. trials_run - 1]: whatever the cutoff landed on, the
      counts equal an unbudgeted sequential run over that many trials *)
   (* only the caller polls [now] (0.02s per poll, 0.12s budget), so it
-     stops after a handful of its own claims; 200 trials guarantee the
-     helpers cannot drain the queue first, so the caller's tripped
-     claim is a hole and the run is always truncated *)
+     stops after a handful of its own claims; 200 one-trial pool items
+     guarantee the helpers cannot drain the queue first, so the caller's
+     tripped claim is a hole and the run is always truncated *)
   let t = ref 0.0 in
   let now () =
     t := !t +. 0.02;
@@ -307,7 +307,7 @@ let test_budget_parallel_prefix_semantics () =
   let cfg =
     { (known_escape_config ~trials:200 ()) with C.max_seconds = Some 0.12 }
   in
-  let r = C.run ~now ~jobs:4 cfg in
+  let r = C.run ~now ~jobs:4 ~lanes:1 cfg in
   Alcotest.(check bool) "truncated" true r.C.truncated;
   let prefix =
     C.run { cfg with C.trials = r.C.trials_run; C.max_seconds = None }
@@ -713,10 +713,9 @@ let test_trial_deadline_records_tool_errors () =
         te.C.te_error)
     r.C.tool_errors
 
-(* the pool arms a deadline per item, so a deadline makes every item one
-   trial; at width 1 as at 62, a trial that draws no fault still
-   resolves without simulation, and the report is a deadline-free
-   run's *)
+(* every trial arms its own deadline, whatever its pool item holds; at
+   width 1 as at 62, a trial that draws no fault still resolves without
+   simulation, and the report is a deadline-free run's *)
 let test_trial_deadline_per_trial () =
   let module Obs = Bisram_obs.Obs in
   let cfg = C.make_config ~mode:(C.Poisson 0.4) ~trials:130 ~seed:7 () in
@@ -753,6 +752,64 @@ let test_trial_deadline_per_trial () =
         (Printf.sprintf "lanes=%d same bytes as without a deadline" lanes)
         free report)
     [ 1; 62 ]
+
+(* A deadline that expires at once, in 62-trial items: a trial that
+   draws no fault never polls it and stays clean, every other trial
+   becomes its own tool error, and the bytes are width 1's. *)
+let test_block_deadline () =
+  let cfg = C.make_config ~mode:(C.Poisson 0.4) ~trials:130 ~seed:7 () in
+  let wide = C.run ~trial_deadline:1e-9 cfg in
+  let faulty =
+    List.filter
+      (fun i -> (C.replay cfg ~seed:(C.trial_seed cfg i)).C.t_faults <> [])
+      (List.init 130 Fun.id)
+  in
+  Alcotest.(check bool) "some trials draw faults" true (faulty <> []);
+  Alcotest.(check (list int)) "exactly the faulty trials are tool errors"
+    faulty
+    (List.map (fun te -> te.C.te_trial) wide.C.tool_errors);
+  Alcotest.(check int) "the rest passed clean"
+    (130 - List.length faulty) wide.C.two_pass.C.passed_clean;
+  Alcotest.(check string) "width 62 = width 1" (C.json_string wide)
+    (C.json_string (C.run ~lanes:1 ~trial_deadline:1e-9 cfg))
+
+(* A deadline too large for a nanosecond int64 saturates instead of
+   wrapping into the past; a non-finite or non-positive one is refused
+   before any trial runs. *)
+let test_deadline_bounds () =
+  let cfg = C.make_config ~mode:(C.Poisson 3.0) ~trials:5 ~seed:7 () in
+  let free = C.json_string (C.run cfg) in
+  List.iter
+    (fun s ->
+      Alcotest.(check string)
+        (Printf.sprintf "deadline %g = no deadline" s)
+        free
+        (C.json_string (C.run ~trial_deadline:s cfg)))
+    [ 60.0; 1e10; Float.max_float ];
+  List.iter
+    (fun s ->
+      match C.run ~trial_deadline:s cfg with
+      | _ -> Alcotest.failf "deadline %g accepted" s
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
+
+(* The pool-item width and the job count are scheduling only: at a
+   faulty, a mostly clean, a repair-limited and a rare fault load, 130
+   trials (two full 62-trial items and a ragged tail) give the same
+   bytes one trial per item on one domain as at the default width on
+   two; the rare pair also runs width 1 under a deadline. *)
+let test_width_pairs () =
+  List.iter
+    (fun (name, mix, mode, trial_deadline) ->
+      let cfg = C.make_config ~mix ~mode ~trials:130 ~seed:7 () in
+      Alcotest.(check string) name
+        (C.json_string (C.run ~jobs:2 cfg))
+        (C.json_string (C.run ~jobs:1 ~lanes:1 ?trial_deadline cfg)))
+    [ ("stuck-at", I.stuck_at_only, C.Uniform 2, None)
+    ; ("poisson 0.4", I.default_mix, C.Poisson 0.4, None)
+    ; ("poisson 3", I.default_mix, C.Poisson 3.0, None)
+    ; ("poisson 0.01 + deadline", I.default_mix, C.Poisson 0.01, Some 60.0)
+    ]
 
 let test_tool_errors_in_schema () =
   (* schema /2: the field is always present, also when empty *)
@@ -1034,6 +1091,12 @@ let () =
             test_trial_deadline_records_tool_errors
         ; Alcotest.test_case "trial deadline is per trial at any lanes"
             `Quick test_trial_deadline_per_trial
+        ; Alcotest.test_case "deadline expiring inside a 62-trial item"
+            `Quick test_block_deadline
+        ; Alcotest.test_case "deadline saturates, bad deadlines refused"
+            `Quick test_deadline_bounds
+        ; Alcotest.test_case "width and jobs pairs byte-identical" `Quick
+            test_width_pairs
         ; Alcotest.test_case "tool_errors field in schema" `Quick
             test_tool_errors_in_schema
         ] )

@@ -157,7 +157,7 @@ let rare_cfg ?proposal ?(trials = 300) ?(seed = 20) ~lambda () =
 
 let test_estimate_unweighted_reduces_to_counts () =
   let cfg = rare_cfg ~lambda:0.5 ~trials:120 () in
-  let r = C.run ~lanes:62 cfg in
+  let r = C.run cfg in
   Alcotest.(check bool) "no weighted tallies without a proposal" true
     (r.C.weighted = None);
   let e = E.estimate r E.Repair_failure_two_pass in
@@ -190,7 +190,7 @@ let prop_weighted_estimate_brackets_analytic =
       let _, proposal = List.nth proposals_under_test pi in
       let lambda = float_of_int lam100 /. 100.0 in
       let cfg = rare_cfg ~proposal ~trials:300 ~seed ~lambda () in
-      let r = C.run ~lanes:62 cfg in
+      let r = C.run cfg in
       let p_true = 1.0 -. exp (-.lambda) in
       (* near-certain level: a violation means bias, not bad luck *)
       let e = E.estimate ~level:(1.0 -. 1e-6) r E.Repair_failure_two_pass in
@@ -265,6 +265,16 @@ let test_estimation_section_when_weighted () =
 (* ------------------------------------------------------------------ *)
 (* adaptive stopping *)
 
+(* One campaign of up to [max_trials] under the adaptive stopping rule,
+   and its summary: what the CLI does under --target-ci. *)
+let adaptive ?now ?jobs ?lanes ?on_progress ~batch ~max_trials ~target cfg =
+  let r =
+    C.run ?now ?jobs ?lanes ?on_progress
+      ~stop_rule:(E.stop_rule ~batch ~target ())
+      { cfg with C.trials = max_trials }
+  in
+  (r, E.adaptive_of_result ~batch ~target r)
+
 let test_adaptive_merged_equals_fixed_run () =
   (* the adaptive result must be byte-identical to one fixed run of the
      same total size — naive and weighted alike, at jobs 1 and 2, with
@@ -273,21 +283,14 @@ let test_adaptive_merged_equals_fixed_run () =
   List.iter
     (fun (proposal, jobs, batch) ->
       let cfg = rare_cfg ?proposal ~lambda:0.5 ~trials:1 () in
-      let a =
-        E.run_adaptive ~jobs ~lanes:62 ~batch ~metric:E.Repair_failure_two_pass
-          ~max_trials:400 ~target:0.35 cfg
-      in
+      let r, a = adaptive ~jobs ~batch ~max_trials:400 ~target:0.35 cfg in
       Alcotest.(check bool) "stopped on target" true
         (a.E.a_reason = E.Target_reached);
-      Alcotest.(check int) "whole batches"
-        (a.E.a_batches * batch)
-        a.E.a_result.C.trials_run;
-      let fixed =
-        C.run ~lanes:62 { cfg with C.trials = a.E.a_result.C.trials_run }
-      in
+      Alcotest.(check int) "whole batches" (a.E.a_batches * batch)
+        r.C.trials_run;
+      let fixed = C.run { cfg with C.trials = r.C.trials_run } in
       Alcotest.(check string) "merged == fixed, byte for byte"
-        (E.report_string fixed)
-        (E.report_string a.E.a_result))
+        (E.report_string fixed) (E.report_string r))
     (List.concat_map
        (fun proposal ->
          List.concat_map
@@ -295,6 +298,21 @@ let test_adaptive_merged_equals_fixed_run () =
              List.map (fun batch -> (proposal, jobs, batch)) [ 40; 100 ])
            [ 1; 2 ])
        [ None; Some { P.count = P.Stratified { nonzero = 0.5 }; mix = None } ])
+
+(* batches of 130 trials, which 62-trial pool items do not divide, so
+   the rule fires inside an item: one trial per item on one domain and
+   62 per item on two give the same report, adaptive section and all *)
+let test_adaptive_width_invariant () =
+  let cfg = rare_cfg ~lambda:0.1 ~seed:7 () in
+  let report (jobs, lanes) =
+    let r, a =
+      adaptive ~jobs ~lanes ~batch:130 ~max_trials:5000 ~target:0.25 cfg
+    in
+    Alcotest.(check bool) "stopped on target" true
+      (a.E.a_reason = E.Target_reached);
+    E.report_string ~adaptive:a r
+  in
+  Alcotest.(check string) "width 1 = width 62" (report (1, 1)) (report (2, 62))
 
 (* an offset window is the same trials as the matching slice of a run
    from 0: the same failure and tool-error records, global seeds and all
@@ -346,11 +364,9 @@ let test_offset_window () =
 
 let test_adaptive_trial_cap () =
   let cfg = rare_cfg ~lambda:0.5 ~trials:1 () in
-  let a =
-    E.run_adaptive ~lanes:62 ~batch:40 ~max_trials:80 ~target:0.0001 cfg
-  in
+  let r, a = adaptive ~batch:40 ~max_trials:80 ~target:0.0001 cfg in
   Alcotest.(check bool) "hit the cap" true (a.E.a_reason = E.Trial_cap);
-  Alcotest.(check int) "ran exactly the cap" 80 a.E.a_result.C.trials_run;
+  Alcotest.(check int) "ran exactly the cap" 80 r.C.trials_run;
   Alcotest.(check bool) "half-width above target" true
     (a.E.a_rel_half_width > 0.0001)
 
@@ -365,35 +381,31 @@ let test_adaptive_one_budget () =
     clock := !clock +. 1.0;
     !clock
   in
-  let a =
-    E.run_adaptive ~now ~lanes:62 ~batch:62 ~max_trials:620 ~target:1e-9 cfg
-  in
+  let r, a = adaptive ~now ~batch:62 ~max_trials:620 ~target:1e-9 cfg in
   Alcotest.(check bool) "interrupted" true (a.E.a_reason = E.Interrupted);
-  Alcotest.(check bool) "truncated" true a.E.a_result.C.truncated;
-  if a.E.a_result.C.trials_run >= 620 then
-    Alcotest.failf "ran %d trials past a spent budget"
-      a.E.a_result.C.trials_run
+  Alcotest.(check bool) "truncated" true r.C.truncated;
+  if r.C.trials_run >= 620 then
+    Alcotest.failf "ran %d trials past a spent budget" r.C.trials_run
 
 let test_adaptive_stratified_needs_fewer_trials () =
   (* the headline property at low density: the stratified proposal
      reaches the same relative-CI target in fewer trials than naive
      sampling *)
   let target = 0.3 and lambda = 0.02 in
-  let naive =
-    E.run_adaptive ~lanes:62 ~batch:100 ~max_trials:8000 ~target
-      (rare_cfg ~lambda ~trials:1 ())
+  let naive, na =
+    adaptive ~batch:100 ~max_trials:8000 ~target (rare_cfg ~lambda ~trials:1 ())
   in
-  let strat =
-    E.run_adaptive ~lanes:62 ~batch:100 ~max_trials:8000 ~target
+  let strat, sa =
+    adaptive ~batch:100 ~max_trials:8000 ~target
       (rare_cfg
          ~proposal:{ P.count = P.Stratified { nonzero = 0.5 }; mix = None }
          ~lambda ~trials:1 ())
   in
   Alcotest.(check bool) "both reached the target" true
-    (naive.E.a_reason = E.Target_reached && strat.E.a_reason = E.Target_reached);
-  if strat.E.a_result.C.trials_run * 2 > naive.E.a_result.C.trials_run then
+    (na.E.a_reason = E.Target_reached && sa.E.a_reason = E.Target_reached);
+  if strat.C.trials_run * 2 > naive.C.trials_run then
     Alcotest.failf "stratified took %d trials vs naive %d — no reduction"
-      strat.E.a_result.C.trials_run naive.E.a_result.C.trials_run
+      strat.C.trials_run naive.C.trials_run
 
 let test_adaptive_validation () =
   let cfg = rare_cfg ~lambda:0.5 ~trials:1 () in
@@ -402,10 +414,10 @@ let test_adaptive_validation () =
       match f () with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ())
-    [ (fun () -> E.run_adaptive ~target:0.0 cfg)
-    ; (fun () -> E.run_adaptive ~target:0.1 ~batch:0 cfg)
-    ; (fun () -> E.run_adaptive ~target:0.1 ~max_trials:0 cfg)
-    ; (fun () -> E.run_adaptive ~target:0.1 ~level:1.0 cfg)
+    [ (fun () -> ignore (E.stop_rule ~target:0.0 ()))
+    ; (fun () -> ignore (E.stop_rule ~target:0.1 ~batch:0 ()))
+    ; (fun () -> ignore (E.stop_rule ~target:0.1 ~level:1.0 ()))
+    ; (fun () -> ignore (C.run ~stop_rule:(0, fun _ -> true) cfg))
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -476,15 +488,13 @@ let test_progress_agrees_with_report () =
   List.iter (Alcotest.check progress "same final snapshot" expected) plain;
   List.iter
     (fun jobs ->
-      let a, snaps =
+      let (r, _), snaps =
         with_snapshots (fun on_progress ->
-            E.run_adaptive ~jobs ~lanes:62 ~batch:50 ~max_trials:200
-              ~target:1e-9 ~on_progress cfg)
+            adaptive ~jobs ~batch:50 ~max_trials:200 ~target:1e-9 ~on_progress
+              cfg)
       in
       let last =
-        final_snapshot
-          (Printf.sprintf "adaptive jobs %d" jobs)
-          a.E.a_result snaps
+        final_snapshot (Printf.sprintf "adaptive jobs %d" jobs) r snaps
       in
       Alcotest.check progress "adaptive ends on the plain run's snapshot"
         expected last)
@@ -524,6 +534,8 @@ let () =
     ; ( "adaptive"
       , [ Alcotest.test_case "merged equals fixed run" `Quick
             test_adaptive_merged_equals_fixed_run
+        ; Alcotest.test_case "same report at widths 1 and 62" `Quick
+            test_adaptive_width_invariant
         ; Alcotest.test_case "offset window" `Quick test_offset_window
         ; Alcotest.test_case "trial cap" `Quick test_adaptive_trial_cap
         ; Alcotest.test_case "one budget for the whole run" `Quick

@@ -8,6 +8,7 @@ module Compiler = Bisram_core.Compiler
 module Config = Bisram_core.Config
 module Explore = Bisram_explore.Explore
 module Pareto = Bisram_explore.Pareto
+module Cache = Bisram_explore.Cache
 module J = Bisram_obs.Json
 
 (* small enough to compile its designs in well under a second: one
@@ -197,11 +198,13 @@ let test_determinism () =
       Alcotest.(check string) "jobs 1 = jobs 2 (cold)" b1
         (Explore.json_string cold2);
       Alcotest.(check string) "cold = warm" b1 (Explore.json_string warm);
-      Alcotest.(check int) "cold run never hits" 0 cold1.Explore.cache_hits;
+      Alcotest.(check int) "cold run never hits" 0
+        cold1.Explore.cache_stats.Cache.st_hits;
       Alcotest.(check int) "warm run always hits"
         (Explore.evaluations warm)
-        warm.Explore.cache_hits;
-      Alcotest.(check int) "warm run never misses" 0 warm.Explore.cache_misses)
+        warm.Explore.cache_stats.Cache.st_hits;
+      Alcotest.(check int) "warm run never misses" 0
+        warm.Explore.cache_stats.Cache.st_misses)
 
 let test_diskless_run () =
   (* no cache_dir: everything is a miss, bytes still identical *)
@@ -217,12 +220,11 @@ let test_diskless_run () =
         (Explore.json_string cached);
       Alcotest.(check int) "diskless misses everything"
         (Explore.evaluations r)
-        r.Explore.cache_misses)
+        r.Explore.cache_stats.Cache.st_misses)
 
 (* ------------------------------------------------------------------ *)
 (* cache self-healing *)
 
-module Cache = Bisram_explore.Cache
 module Chaos = Bisram_chaos.Chaos
 
 let corrupt_every_entry dir =
@@ -262,14 +264,14 @@ let test_corrupt_entries_quarantined () =
       (* a quarantined entry is recomputed and re-stored, so only the
          first lookup of each shared key misses *)
       Alcotest.(check int) "one miss per entry" entries
-        healed.Explore.cache_misses;
+        healed.Explore.cache_stats.Cache.st_misses;
       Alcotest.(check int) "quarantine files on disk" entries
         (count_suffix dir ".quarantine");
       (* the healed entries are good again: a third run hits everything *)
       let warm = Explore.run ~jobs:1 ~cache_dir:dir ~resume:true s in
       Alcotest.(check int) "healed cache hits everything"
         (Explore.evaluations warm)
-        warm.Explore.cache_hits)
+        warm.Explore.cache_stats.Cache.st_hits)
 
 let test_orphan_tmp_reaped () =
   let s = tiny_spec () in

@@ -327,7 +327,7 @@ let test_proposal_validation () =
     P.validate ~nominal_mix:I.default_mix model { P.count; mix }
   in
   (* fine: the identity on every model *)
-  v (P.Fixed 3);
+  v (P.Uniform 3);
   v (P.Poisson 0.05);
   v ~count:(P.Scaled { scale = 20.0; shift = 0.5 }) (P.Poisson 0.05);
   v ~count:(P.Stratified { nonzero = 0.5 })
@@ -340,11 +340,11 @@ let test_proposal_validation () =
   expect_invalid_msg "shift" "count_shift -1 is negative" (fun () ->
       v ~count:(P.Scaled { scale = 1.0; shift = -1.0 }) (P.Poisson 0.05));
   expect_invalid_msg "scaled on fixed" "uniform mode" (fun () ->
-      v ~count:(P.Scaled { scale = 2.0; shift = 0.0 }) (P.Fixed 2));
+      v ~count:(P.Scaled { scale = 2.0; shift = 0.0 }) (P.Uniform 2));
   expect_invalid_msg "nonzero range" "stratified_nonzero" (fun () ->
       v ~count:(P.Stratified { nonzero = 1.0 }) (P.Poisson 0.05));
   expect_invalid_msg "stratified on fixed" "uniform mode" (fun () ->
-      v ~count:(P.Stratified { nonzero = 0.5 }) (P.Fixed 2));
+      v ~count:(P.Stratified { nonzero = 0.5 }) (P.Uniform 2));
   expect_invalid_msg "stratified needs mass" "mean must be positive" (fun () ->
       v ~count:(P.Stratified { nonzero = 0.5 }) (P.Poisson 0.0));
   (* absolute continuity: nominal default mix draws transitions, the
@@ -368,7 +368,7 @@ let test_proposal_identity_draws () =
     Alcotest.(check (float 0.0)) (name ^ " weight 1") 1.0
       (P.weight P.nominal ~count:model ~mix:I.default_mix b)
   in
-  check_model "fixed" (P.Fixed 4) (fun r ->
+  check_model "fixed" (P.Uniform 4) (fun r ->
       I.inject r ~rows:16 ~cols:16 ~mix:I.default_mix ~n:4);
   check_model "poisson" (P.Poisson 1.5) (fun r ->
       I.inject_poisson r ~rows:16 ~cols:16 ~mix:I.default_mix ~mean:1.5);

@@ -191,15 +191,21 @@ let test_nontransient_not_retried () =
   | _ -> Alcotest.fail "expected one failed attempt"
 
 let test_deadline_cooperative () =
-  (* a 1 ns deadline with a polling item: the poll raises, the pool
-     records Deadline_exceeded, other items complete *)
+  (* a 1 ns deadline armed inside a polling item: the poll raises, the
+     pool records Deadline_exceeded in that item's slot, other items
+     complete, and the deadline is disarmed once its call is over *)
   let r =
-    Pool.map_result ~jobs:2 ~deadline_ns:1L 4 (fun i ->
+    Pool.map_result ~jobs:2 4 (fun i ->
         if i = 2 then begin
-          (* the deadline has passed by the first poll *)
-          while true do
-            Pool.check_deadline ()
-          done;
+          (try
+             Pool.with_deadline 1e-9 (fun () ->
+                 (* the deadline has passed by the first poll *)
+                 while true do
+                   Pool.check_deadline ()
+                 done)
+           with Pool.Deadline_exceeded as e ->
+             Pool.check_deadline ();
+             raise e);
           assert false
         end
         else i)
@@ -217,12 +223,26 @@ let test_deadline_cooperative () =
     [ 0; 1; 3 ]
 
 let test_check_deadline_noop_without_deadline () =
-  (* outside map_result (and inside it without ~deadline_ns) the poll
-     never raises *)
+  (* outside with_deadline the poll never raises; a deadline too far
+     ahead to represent saturates instead of wrapping into the past;
+     a non-finite or non-positive one is refused *)
   Pool.check_deadline ();
   let r = Pool.map_result ~jobs:1 2 (fun i -> Pool.check_deadline (); i) in
   Alcotest.(check bool) "completed" true
-    (Array.for_all Option.is_some r)
+    (Array.for_all Option.is_some r);
+  List.iter
+    (fun s ->
+      Alcotest.(check int)
+        (Printf.sprintf "%g s never expires" s)
+        7
+        (Pool.with_deadline s (fun () -> Pool.check_deadline (); 7)))
+    [ 60.0; 1e10; 1e300; Float.max_float ];
+  List.iter
+    (fun s ->
+      match Pool.with_deadline s Fun.id with
+      | () -> Alcotest.failf "%g s accepted" s
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 let test_on_result_sees_every_completion () =
   let seen = Atomic.make [] in
