@@ -463,7 +463,7 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
         repair
     in
     let* org = org in
-    let* cfg, ck =
+    let* cfg, ck, trial_deadline, reporter, stop_rule =
       checked @@ fun () ->
       (* under --target-ci the trial count is the adaptive run's cap *)
       let trials = if Option.is_some target_ci then ci_max_trials else trials in
@@ -472,17 +472,46 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
           ~proposal:{ Proposal.count; mix = proposal_mix } ~repair ~trials
           ~seed ?max_seconds ~shrink:(not no_shrink) ~max_rounds ()
       in
-      (match trial_deadline with
-      | Some s when not (Float.is_finite s && s > 0.0) ->
-          invalid_arg
-            (Printf.sprintf
-               "--trial-deadline must be finite and positive (got %g)" s)
-      | _ -> ());
+      let trial_deadline =
+        Option.map
+          (fun s ->
+            match Bisram_parallel.Pool.deadline s with
+            | Some d -> d
+            | None ->
+                invalid_arg
+                  (Printf.sprintf
+                     "--trial-deadline must be finite and positive (got %g)" s))
+          trial_deadline
+      in
+      let reporter =
+        match replay_seed with
+        | Some _ -> None
+        | None -> make_progress ~total:cfg.Campaign.trials obs
+      in
+      (* the stopping rule checks its own target and batch; the
+         diagnostic names the flag *)
+      let stop_rule =
+        Option.map
+          (fun target ->
+            let on_batch =
+              Option.map
+                (fun p ~batches:_ ~trials:_ ~rel_half_width ->
+                  if Float.is_finite rel_half_width then
+                    Progress.note_ci p ~rel_half_width)
+                reporter
+            in
+            match
+              Estimator.stop_rule ~batch:ci_batch ~metric:ci_metric
+                ?on_batch ~target ()
+            with
+            | Ok rule -> rule
+            | Error `Target -> invalid_arg "--target-ci must be positive"
+            | Error `Batch -> invalid_arg "--ci-batch must be >= 1")
+          target_ci
+      in
       (match target_ci with
       | None -> ()
-      | Some t ->
-          if t <= 0.0 then invalid_arg "--target-ci must be positive";
-          if ci_batch < 1 then invalid_arg "--ci-batch must be >= 1";
+      | Some _ ->
           if ci_max_trials < 1 then invalid_arg "--ci-max-trials must be >= 1";
           if checkpoint_every > 0 || resume then
             invalid_arg
@@ -498,17 +527,17 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
                ~resume ())
         else None
       in
-      (cfg, ck)
+      (cfg, ck, trial_deadline, reporter, stop_rule)
     in
     (* the registry is armed only once the configuration is valid *)
     let* () = arm obs in
     (* the resolved job count stays out of the config: the report must
        not depend on the machine the campaign happened to run on *)
-    Ok (cfg, jobs, ck, ci_metric)
+    Ok (cfg, jobs, ck, ci_metric, trial_deadline, reporter, stop_rule)
   in
   match setup with
   | Error e -> invalid_configuration e
-  | Ok (cfg, jobs, ck, ci_metric) -> (
+  | Ok (cfg, jobs, ck, ci_metric, trial_deadline, reporter, stop_rule) -> (
       let finish code =
         export obs;
         code
@@ -553,7 +582,6 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
                 | None -> ())
               (fun () ->
                 let should_stop () = Atomic.get sigint in
-                let reporter = make_progress ~total:cfg.Campaign.trials obs in
                 let on_progress =
                   Option.map
                     (fun p (pr : Campaign.progress) ->
@@ -563,20 +591,6 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
                         ~tool_errors:pr.Campaign.p_tool_errors
                         ~clean:pr.Campaign.p_clean)
                     reporter
-                in
-                let on_batch =
-                  Option.map
-                    (fun p ~batches:_ ~trials:_ ~rel_half_width ->
-                      if Float.is_finite rel_half_width then
-                        Progress.note_ci p ~rel_half_width)
-                    reporter
-                in
-                let stop_rule =
-                  Option.map
-                    (fun target ->
-                      Estimator.stop_rule ~batch:ci_batch ~metric:ci_metric
-                        ?on_batch ~target ())
-                    target_ci
                 in
                 Fun.protect
                   ~finally:(fun () -> Option.iter Progress.finish reporter)

@@ -62,16 +62,42 @@ let port_of_ram ram ~width =
   ; p_wait = ram.retention_wait
   }
 
-let iter_addresses n order f =
-  match order with
-  | March.Up | March.Either ->
-      for a = 0 to n - 1 do
-        f a
-      done
-  | March.Down ->
-      for a = n - 1 downto 0 do
-        f a
-      done
+(* One element's ops at [addr], per op: at an odd address every op word
+   is [lxor alt]. *)
+let apply_ops port ~alt ~is_write ~op_word ~fail addr =
+  let m = alt land -(addr land 1) in
+  for op = 0 to Array.length is_write - 1 do
+    let w = Array.unsafe_get op_word op lxor m in
+    if Array.unsafe_get is_write op then port.p_write addr w
+    else begin
+      let got = port.p_read addr in
+      if w <> got then fail ~op ~addr ~expected:w ~got
+    end
+  done
+
+(* Clean words in one span, the address that stops it per op, then the
+   next span; a port without a model runs per op throughout. *)
+let run_element ?alt port ~up ~is_write ~op_word ~fail =
+  let altv = match alt with None -> 0 | Some m -> m in
+  let stride = if up then 1 else -1 in
+  let addr = ref (if up then 0 else port.p_words - 1) in
+  let left = ref port.p_words in
+  while !left > 0 do
+    let k =
+      match port.p_model with
+      | None -> 0
+      | Some model ->
+          Model.march_span ?alt model ~up ~first:!addr ~count:!left ~is_write
+            ~op_word
+    in
+    if k < !left then begin
+      let a = !addr + (stride * k) in
+      apply_ops port ~alt:altv ~is_write ~op_word ~fail a;
+      addr := a + stride;
+      left := !left - k - 1
+    end
+    else left := 0
+  done
 
 let run_general port test ~backgrounds ~stop_at_first =
   List.iter
@@ -81,12 +107,29 @@ let run_general port test ~backgrounds ~stop_at_first =
     backgrounds;
   let word v = Word.of_int ~width:port.p_width v in
   let failures = ref [] in
+  (* the background and item the element in flight belongs to, read
+     by the one failure callback of the run *)
+  let cur_bg = ref (Word.zero port.p_width) and cur_item = ref 0 in
+  let fail ~op ~addr ~expected ~got =
+    failures :=
+      { background = !cur_bg
+      ; item = !cur_item
+      ; op
+      ; addr
+      ; expected = word expected
+      ; got = word got
+      }
+      :: !failures;
+    if stop_at_first then raise Stop
+  in
   (try
      List.iteri
        (fun bg_idx bg ->
+         cur_bg := bg;
          let bg_v = Word.to_int bg and bg_c = Word.to_int (Word.lnot_ bg) in
          List.iteri
            (fun item_idx item ->
+             cur_item := item_idx;
              match item with
              | March.Wait ->
                  if Obs.enabled () then begin
@@ -113,49 +156,7 @@ let run_general port test ~backgrounds ~stop_at_first =
                          if compl then op_word.(i) <- bg_c
                      | March.R compl -> if compl then op_word.(i) <- bg_c)
                    ops;
-                 let apply addr =
-                   for op_idx = 0 to n_ops - 1 do
-                     let w = Array.unsafe_get op_word op_idx in
-                     if Array.unsafe_get is_write op_idx then
-                       port.p_write addr w
-                     else begin
-                       let got = port.p_read addr in
-                       if w <> got then begin
-                         failures :=
-                           { background = bg
-                           ; item = item_idx
-                           ; op = op_idx
-                           ; addr
-                           ; expected = word w
-                           ; got = word got
-                           }
-                           :: !failures;
-                         if stop_at_first then raise Stop
-                       end
-                     end
-                   done
-                 in
-                 let exec () =
-                   match port.p_model with
-                   | None -> iter_addresses port.p_words order apply
-                   | Some model ->
-                       (* clean words in one span, the address that
-                          stops it per op, then the next span *)
-                       let up = order <> March.Down in
-                       let stride = if up then 1 else -1 in
-                       let rec go addr left =
-                         let k =
-                           Model.march_span model ~up ~first:addr ~count:left
-                             ~is_write ~op_word
-                         in
-                         if k < left then begin
-                           let addr = addr + (stride * k) in
-                           apply addr;
-                           go (addr + stride) (left - k - 1)
-                         end
-                       in
-                       go (if up then 0 else port.p_words - 1) port.p_words
-                 in
+                 let up = order <> March.Down in
                  (* per-element telemetry: one enabled check per march
                     element keeps the per-op loop untouched when off *)
                  if Obs.enabled () then begin
@@ -164,9 +165,9 @@ let run_general port test ~backgrounds ~stop_at_first =
                    Obs.span ~cat:"bist"
                      (Printf.sprintf "%s.bg%d.elem%d" test.March.name bg_idx
                         item_idx)
-                     exec
+                     (fun () -> run_element port ~up ~is_write ~op_word ~fail)
                  end
-                 else exec ())
+                 else run_element port ~up ~is_write ~op_word ~fail)
            test.March.items)
        backgrounds
    with Stop -> ());

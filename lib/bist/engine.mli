@@ -26,6 +26,32 @@ type ram = {
 
 val ram_of_model : Bisram_sram.Model.t -> ram
 
+(** What the march loop drives: a RAM as packed-int word accesses of a
+    fixed width.  A model's port drives its int API directly and runs
+    clean words as {!Bisram_sram.Model.march_span}s. *)
+type port
+
+val port_of_model : Bisram_sram.Model.t -> port
+
+(** [run_element ?alt port ~up ~is_write ~op_word ~fail] applies one
+    march element to every address of [port], ascending if [up]: op
+    [i] writes [op_word.(i)] if [is_write.(i)], else reads and calls
+    [fail] when the word read is not [op_word.(i)].  At an odd address
+    every op word is [op_word.(i) lxor alt] ([alt] default 0).  On a
+    model's port the clean words run in spans and the address that
+    stops a span per op, then the next span, so the model ends exactly
+    as per-op accesses throughout would leave it; [fail] sees the
+    mismatching reads in address order, each op in turn.  [fail] may
+    raise to end the element. *)
+val run_element :
+  ?alt:int ->
+  port ->
+  up:bool ->
+  is_write:bool array ->
+  op_word:int array ->
+  fail:(op:int -> addr:int -> expected:int -> got:int -> unit) ->
+  unit
+
 (** [run_ram ram test ~backgrounds] applies the march once per
     background (no clearing), collecting every read mismatch.
     @raise Invalid_argument if the backgrounds, or the words the RAM

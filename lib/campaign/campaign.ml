@@ -391,8 +391,11 @@ let replay cfg ~seed =
 (* The delta-debugging predicate re-runs only the flows the anomaly
    needs: the swept side's for an escape, the oracle pair's for a
    divergence.  The trial itself established the anomaly on [faults],
-   so the shrinker does not re-check the full list. *)
-let shrink_anomaly cfg anomaly faults =
+   so the shrinker does not re-check the full list.  With
+   [~fault_free_clean] (the fault-free flow is known to be clean, as
+   [check_zero_fault_flow] establishes for every campaign) the empty
+   list is answered without simulating it: no anomaly there. *)
+let shrink_with cfg ~fault_free_clean anomaly faults =
   if not cfg.shrink then faults
   else
     let a = arch cfg in
@@ -411,7 +414,11 @@ let shrink_anomaly cfg anomaly faults =
                  (List.assoc Under_test sides)
                  (List.assoc Oracle sides))
     in
+    let keep = function [] when fault_free_clean -> false | fs -> keep fs in
     Shrink.minimize_failing ~keep faults
+
+let shrink_anomaly cfg anomaly faults =
+  shrink_with cfg ~fault_free_clean:false anomaly faults
 
 (* ------------------------------------------------------------------ *)
 (* campaign results *)
@@ -571,7 +578,9 @@ let failure_of_anomaly cfg trial anomaly =
   ; f_faults = trial.t_faults
   ; f_shrunk =
       Obs.span ~cat:"campaign" ~arg:("trial", trial.t_index) "shrink"
-        (fun () -> shrink_anomaly cfg anomaly trial.t_faults)
+        (fun () ->
+          (* only [run] computes records, after [check_zero_fault_flow] *)
+          shrink_with cfg ~fault_free_clean:true anomaly trial.t_faults)
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1255,10 +1264,6 @@ let run ?now ?(jobs = 1) ?(lanes = max_lanes) ?(should_stop = fun () -> false)
   if lanes < 1 || lanes > max_lanes then
     invalid_arg
       (Printf.sprintf "Campaign.run: lanes must be in 1..%d" max_lanes);
-  (match trial_deadline with
-  | Some s when not (Float.is_finite s && s > 0.0) ->
-      invalid_arg "Campaign.run: trial_deadline must be finite and > 0"
-  | _ -> ());
   if offset < 0 then invalid_arg "Campaign.run: offset must be >= 0";
   if offset > 0 && Option.is_some checkpoint then
     invalid_arg

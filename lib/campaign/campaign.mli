@@ -156,7 +156,10 @@ val replay : config -> seed:int -> trial
     still triggers the given anomaly's kind (identity when
     [config.shrink] is false).  The list must trigger the anomaly, as a
     trial's own fault list does: it is not re-checked
-    ({!Shrink.minimize_failing}). *)
+    ({!Shrink.minimize_failing}).  Every candidate list is simulated,
+    the empty one included; {!run}'s own shrinking answers the empty
+    list without simulating it, behind its fault-free check, and
+    shrinks to the same list. *)
 val shrink_anomaly :
   config -> anomaly -> Bisram_faults.Fault.t list ->
   Bisram_faults.Fault.t list
@@ -318,7 +321,7 @@ type progress = {
     campaign goes on.  A {!Bisram_parallel.Pool.Transient} raise (an
     injected chaos fault, keyed per item) fails the whole item, which
     is retried (bounded) and otherwise records one tool error per
-    trial.  [trial_deadline] (seconds, default none) arms a
+    trial.  [trial_deadline] (default none) arms a
     cooperative deadline per trial: trials poll it between flows (a
     zero-fault trial never does), and one that exceeds it is a tool
     error ([Pool.Deadline_exceeded]).
@@ -368,9 +371,8 @@ type progress = {
     are byte-identical with or without it.
 
     @raise Invalid_argument if [jobs < 1], [lanes] is outside
-    [1 .. max_lanes], [trial_deadline] is not finite and [> 0],
-    [offset < 0], a checkpoint is combined with a nonzero [offset], or
-    the stopping rule's [every] is below 1.
+    [1 .. max_lanes], [offset < 0], a checkpoint is combined with a
+    nonzero [offset], or the stopping rule's [every] is below 1.
     @raise Failure if the fault-free flow is not clean. *)
 val run :
   ?now:(unit -> float) ->
@@ -378,7 +380,7 @@ val run :
   ?lanes:int ->
   ?should_stop:(unit -> bool) ->
   ?checkpoint:checkpoint ->
-  ?trial_deadline:float ->
+  ?trial_deadline:Bisram_parallel.Pool.deadline ->
   ?offset:int ->
   ?stop_rule:int * (result -> bool) ->
   ?on_progress:(progress -> unit) ->

@@ -302,31 +302,30 @@ let hw_json hw = if Float.is_finite hw then J.Float hw else J.Null
 
 (* At every batch boundary of the campaign's fold: stop once the
    interval is narrow enough. *)
+let ci_rule ~batch ~metric ~level ~on_batch ~target r =
+  let trials = r.Campaign.trials_run in
+  let est = estimate ~level r metric in
+  let hw = rel_half_width est in
+  if Float.is_finite est.e_n_eff then
+    Obs.observe "estimator.n_eff" (int_of_float est.e_n_eff);
+  if Obs.would_log Obs.Info then
+    Obs.emit ~domain:"estimator" "estimator.batch"
+      [ ("batch", J.Int (batches ~batch trials))
+      ; ("trials_total", J.Int trials)
+      ; ("hits", J.Int est.e_hits)
+      ; ("rel_half_width", hw_json hw)
+      ];
+  Option.iter
+    (fun f -> f ~batches:(batches ~batch trials) ~trials ~rel_half_width:hw)
+    on_batch;
+  hw <= target
+
 let stop_rule ?(batch = 992) ?(metric = Repair_failure_two_pass)
     ?(level = 0.95) ?on_batch ~target () =
-  if not (target > 0.0) then
-    invalid_arg "Estimator.stop_rule: target must be positive";
-  if batch < 1 then invalid_arg "Estimator.stop_rule: batch must be >= 1";
   check_level "stop_rule" level;
-  let rule r =
-    let trials = r.Campaign.trials_run in
-    let est = estimate ~level r metric in
-    let hw = rel_half_width est in
-    if Float.is_finite est.e_n_eff then
-      Obs.observe "estimator.n_eff" (int_of_float est.e_n_eff);
-    if Obs.would_log Obs.Info then
-      Obs.emit ~domain:"estimator" "estimator.batch"
-        [ ("batch", J.Int (batches ~batch trials))
-        ; ("trials_total", J.Int trials)
-        ; ("hits", J.Int est.e_hits)
-        ; ("rel_half_width", hw_json hw)
-        ];
-    Option.iter
-      (fun f -> f ~batches:(batches ~batch trials) ~trials ~rel_half_width:hw)
-      on_batch;
-    hw <= target
-  in
-  (batch, rule)
+  if not (target > 0.0) then Error `Target
+  else if batch < 1 then Error `Batch
+  else Ok (batch, ci_rule ~batch ~metric ~level ~on_batch ~target)
 
 let adaptive_of_result ?(batch = 992) ?(metric = Repair_failure_two_pass)
     ?(level = 0.95) ~target (r : Campaign.result) =

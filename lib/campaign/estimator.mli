@@ -90,7 +90,7 @@ type adaptive = {
   a_rel_half_width : float;  (** achieved value at stop *)
 }
 
-(** [stop_rule ~target ()] is the [(every, rule)] pair for
+(** [stop_rule ~target ()] is [Ok (every, rule)], the pair for
     {!Campaign.run}'s [?stop_rule]: every [batch] trials (default 992
     = 16 full 62-trial pool items) it evaluates the Wilson relative
     half-width on [metric] (default [Repair_failure_two_pass]) over
@@ -107,8 +107,11 @@ type adaptive = {
     the rule does (under the fold's lock, possibly on a worker domain),
     so it must be domain-safe.  It is a write-only side channel:
     reports are identical with or without it.
-    @raise Invalid_argument unless [target > 0], [batch >= 1] and
-    [level] in (0,1). *)
+
+    It is [Error `Target] unless [target > 0] and [Error `Batch] unless
+    [batch >= 1]: the one check of each, which a caller such as the
+    CLI reports in its own terms.
+    @raise Invalid_argument unless [level] is in (0,1). *)
 val stop_rule :
   ?batch:int ->
   ?metric:metric ->
@@ -116,7 +119,7 @@ val stop_rule :
   ?on_batch:(batches:int -> trials:int -> rel_half_width:float -> unit) ->
   target:float ->
   unit ->
-  int * (Campaign.result -> bool)
+  (int * (Campaign.result -> bool), [ `Target | `Batch ]) result
 
 (** The summary of a campaign run under the {!stop_rule} of the same
     [batch], [metric], [level] and [target]: [Interrupted] when the run

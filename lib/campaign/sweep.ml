@@ -1,6 +1,7 @@
 module Org = Bisram_sram.Org
 module Model = Bisram_sram.Model
 module Word = Bisram_sram.Word
+module Engine = Bisram_bist.Engine
 
 type phase = Read_up | Read_down | Retention
 
@@ -22,54 +23,62 @@ let phase_name = function
    the checkerboard pair alternates the data along every I/O bit column
    from one address to the next, so a read observes the complement of
    the previous read on the same sense amplifier — the read-after-read
-   sequence that exposes stuck-open cells the march may have missed. *)
+   sequence that exposes stuck-open cells the march may have missed.
+   A pattern is its even addresses' word and a parity mask: an odd
+   address holds [word lxor alt] ([None] for 0). *)
+type pattern = { name : string; word : int; alt : int option }
+
 let patterns org =
   let bpw = org.Org.bpw in
-  let zero = Word.zero bpw and ones = Word.ones bpw in
-  let alt = Word.init bpw (fun i -> i land 1 = 0) in
-  let alt' = Word.lnot_ alt in
-  [ ("all-0", fun _ -> zero)
-  ; ("all-1", fun _ -> ones)
-  ; ("checker", fun a -> if a land 1 = 0 then alt else alt')
-  ; ("checker-inv", fun a -> if a land 1 = 0 then alt' else alt)
+  let ones = Word.to_int (Word.ones bpw) in
+  let checker = Word.to_int (Word.init bpw (fun i -> i land 1 = 0)) in
+  let parity = Some ones in
+  [ { name = "all-0"; word = 0; alt = None }
+  ; { name = "all-1"; word = ones; alt = None }
+  ; { name = "checker"; word = checker; alt = parity }
+  ; { name = "checker-inv"; word = checker lxor ones; alt = parity }
   ]
 
 exception Found of mismatch
 
-(* The scalar sweep drives the model's int API: the patterns hand out
-   preallocated words, so [Word.to_int] is a field read and a clean
-   check allocates nothing.  Words are built only for a mismatch. *)
+(* Each pattern is four march elements — w(up), r(up), r(down), then a
+   wait and r(up) — run by the engine's element loop: clean words in
+   model spans, the address that stops a span per op.  The one failure
+   callback reads the pattern and phase in flight, and words are built
+   only for a mismatch. *)
 let run ?(stop_at_first = false) model =
-  let org = Model.org model in
-  let words = org.Org.words in
+  let width = (Model.org model).Org.bpw in
+  let port = Engine.port_of_model model in
   let mismatches = ref [] in
-  let check ~pattern ~phase ~data addr =
-    let expected = data addr in
-    let got = Model.read_int model addr in
-    if Word.to_int expected <> got then begin
-      let got = Word.of_int ~width:org.Org.bpw got in
-      let m = { addr; pattern; phase; expected; got } in
-      if stop_at_first then raise (Found m);
-      mismatches := m :: !mismatches
-    end
+  let pattern = ref "" and phase = ref Read_up in
+  let fail ~op:_ ~addr ~expected ~got =
+    let m =
+      { addr
+      ; pattern = !pattern
+      ; phase = !phase
+      ; expected = Word.of_int ~width expected
+      ; got = Word.of_int ~width got
+      }
+    in
+    if stop_at_first then raise (Found m);
+    mismatches := m :: !mismatches
   in
+  let write = [| true |] and read = [| false |] and op_word = [| 0 |] in
   try
     List.iter
-      (fun (pattern, data) ->
-        for a = 0 to words - 1 do
-          Model.write_int model a (Word.to_int (data a))
-        done;
-        for a = 0 to words - 1 do
-          check ~pattern ~phase:Read_up ~data a
-        done;
-        for a = words - 1 downto 0 do
-          check ~pattern ~phase:Read_down ~data a
-        done;
+      (fun p ->
+        pattern := p.name;
+        op_word.(0) <- p.word;
+        let alt = p.alt in
+        Engine.run_element ?alt port ~up:true ~is_write:write ~op_word ~fail;
+        phase := Read_up;
+        Engine.run_element ?alt port ~up:true ~is_write:read ~op_word ~fail;
+        phase := Read_down;
+        Engine.run_element ?alt port ~up:false ~is_write:read ~op_word ~fail;
         Model.retention_wait model;
-        for a = 0 to words - 1 do
-          check ~pattern ~phase:Retention ~data a
-        done)
-      (patterns org);
+        phase := Retention;
+        Engine.run_element ?alt port ~up:true ~is_write:read ~op_word ~fail)
+      (patterns (Model.org model));
     List.rev !mismatches
   with Found m -> [ m ]
 
@@ -88,25 +97,29 @@ let run_lanes lanes =
   let words = org.Org.words in
   let all = Lanes.all_mask lanes in
   let fail = ref 0 in
-  let check ~data addr =
-    fail := !fail lor Lanes.read_mismatch lanes addr (data addr);
-    if !fail = all then raise Saturated
-  in
   (try
      List.iter
-       (fun (_pattern, data) ->
+       (fun p ->
+         let word v = Word.of_int ~width:org.Org.bpw v in
+         let even = word p.word
+         and odd = word (p.word lxor Option.value p.alt ~default:0) in
+         let data a = if a land 1 = 0 then even else odd in
+         let check addr =
+           fail := !fail lor Lanes.read_mismatch lanes addr (data addr);
+           if !fail = all then raise Saturated
+         in
          for a = 0 to words - 1 do
            Lanes.write_word lanes a (data a)
          done;
          for a = 0 to words - 1 do
-           check ~data a
+           check a
          done;
          for a = words - 1 downto 0 do
-           check ~data a
+           check a
          done;
          Lanes.retention_wait lanes;
          for a = 0 to words - 1 do
-           check ~data a
+           check a
          done)
        (patterns org);
      !fail

@@ -9,10 +9,16 @@
     background.  Any mismatch is a {e test escape}: a faulty cell still
     reachable at a logical address although verification passed.
 
-    The sweep is deliberately not a march test — it shares no code with
-    {!Bisram_bist.Engine} or the microprogrammed controller, so it can
-    catch faults the march algorithm itself fails to cover (e.g.
-    stuck-open or data-retention faults under a weak march). *)
+    The sweep is deliberately not the campaign's march test: its data
+    and element order are its own, so it can catch faults the march
+    algorithm fails to cover (e.g. stuck-open or data-retention faults
+    under a weak march).  It shares only the loop that applies an
+    element to the array, {!Bisram_bist.Engine.run_element}: each
+    pattern is four elements — w(up), r(up), r(down), then a retention
+    wait and r(up) — with the checkerboards as a parity mask, so clean
+    words move in {!Bisram_sram.Model.march_span}s and the mismatches,
+    their order and every model counter are those of per-op reads and
+    writes. *)
 
 type phase = Read_up | Read_down | Retention
 

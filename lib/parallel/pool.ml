@@ -30,11 +30,14 @@ let check_deadline () =
   | Some d when Clock.now_ns () > d -> raise Deadline_exceeded
   | _ -> ()
 
+type deadline = float
+
+let deadline seconds =
+  if Float.is_finite seconds && seconds > 0.0 then Some seconds else None
+
 (* A span past 2^62 ns (146 years) saturates: the clock reads below
    2^62 too, so the sum never wraps and the deadline never expires. *)
 let with_deadline seconds f =
-  if not (Float.is_finite seconds && seconds > 0.0) then
-    invalid_arg "Pool.with_deadline: seconds must be finite and > 0";
   let ns = seconds *. 1e9 in
   let outer = Domain.DLS.get deadline_key in
   Domain.DLS.set deadline_key

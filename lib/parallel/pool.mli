@@ -65,13 +65,20 @@ val current_attempt : unit -> int
     library code can poll unconditionally. *)
 val check_deadline : unit -> unit
 
-(** [with_deadline seconds f] runs [f ()] with a cooperative deadline
-    [seconds] from now armed on this domain, and restores the enclosing
-    one (usually none) when [f] returns or raises.  A deadline too far
+(** A deadline's span: a finite, positive number of seconds, checked
+    once, where it is made. *)
+type deadline
+
+(** [deadline seconds] is the span, or [None] unless [seconds] is
+    finite and [> 0]. *)
+val deadline : float -> deadline option
+
+(** [with_deadline d f] runs [f ()] with a cooperative deadline [d]
+    from now armed on this domain, and restores the enclosing one
+    (usually none) when [f] returns or raises.  A deadline too far
     ahead to represent in nanoseconds saturates: it never expires.
-    The campaign arms one per trial.
-    @raise Invalid_argument unless [seconds] is finite and [> 0]. *)
-val with_deadline : float -> (unit -> 'a) -> 'a
+    The campaign arms one per trial. *)
+val with_deadline : deadline -> (unit -> 'a) -> 'a
 
 (** [map_result ~jobs ~should_stop ~probe ~on_result ~on_retry n f]
     computes [f i] for [i] in [0 .. n-1] on [jobs] workers ([jobs - 1]

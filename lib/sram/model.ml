@@ -52,7 +52,13 @@ type t = {
   (* Per-I/O sense-amp residue, packed: bit [io] is the last value
      sensed on I/O [io] (what a stuck-open cell there reads back). *)
   mutable residue : int;
-  mutable remap : (int -> int) option;
+  (* The row remap (the TLB's output), tabulated by [set_remap]:
+     [row_map.(r)] is the physical row logical row [r] resolves to while
+     [row_mapped] holds; otherwise every row is itself.  The table is
+     allocated on a model's first remap and unvalidated: an access
+     range-checks the row it reads from it. *)
+  mutable row_map : int array;
+  mutable row_mapped : bool;
   (* Column steering: [None] is the identity map.  Only a slot whose
      mux position has a non-zero steer mask resolves its steered bits
      elsewhere; every other slot keeps its access path (see [write_at]). *)
@@ -151,7 +157,8 @@ let create org =
   ; rmask = Array.make (nrows * org.Org.bpc) 0
   ; wmask = Array.make (nrows * org.Org.bpc) 0
   ; residue = 0
-  ; remap = None
+  ; row_map = [||]
+  ; row_mapped = false
   ; steering = None
   ; n_reads = 0
   ; n_writes = 0
@@ -330,7 +337,23 @@ let set_faults t faults =
     faults;
   clear t
 
-let set_remap t f = t.remap <- f
+(* Tabulated once per install, so no access calls [f].  Every installer
+   either never changes its map after install (2D BIRA's pairs, the
+   hybrid's table) or installs it again after each change: the row TLB
+   learns only in the controller's first pass, with no remap armed,
+   and in [Repair.iterate]'s learn step, which its arm step always
+   follows. *)
+let set_remap t f =
+  t.row_mapped <- false;
+  match f with
+  | None -> ()
+  | Some f ->
+      let n = Org.rows t.org in
+      if Array.length t.row_map <> n then t.row_map <- Array.make n 0;
+      for r = 0 to n - 1 do
+        Array.unsafe_set t.row_map r (f r)
+      done;
+      t.row_mapped <- true
 
 let set_col_remap t f =
   t.steering <-
@@ -413,7 +436,7 @@ let read_bit t ~io i =
   else sense_coupled t i (stored t i) t.state_cpl
 
 let physical_row t row =
-  match t.remap with None -> row | Some f -> f row
+  if t.row_mapped then Array.unsafe_get t.row_map row else row
 
 (* A word access is fast when its slot is unarmed ([fast_slot]) and
    unsteered: no pin, transition or open fault to consult, no aggressor
@@ -577,27 +600,54 @@ let write_int t a v =
   let row = Array.unsafe_get t.addr_row a in
   write_at t ~row:(physical_row t row) ~col:(a - (row * t.bpc)) v
 
+(* Up to [len] unarmed slots of [packed] from [slot], [stride] apart:
+   each compared against [pre] when that is non-negative, then set to
+   [final] when that is; [m] is the first slot's parity mask, flipped
+   by [alt] at every step.  Returns how many slots matched. *)
+let span_slots packed ~slot ~stride ~len ~pre ~final ~alt m =
+  let k = ref 0 and m = ref m and s = ref slot in
+  if pre < 0 then begin
+    if final < 0 then k := len
+    else
+      while !k < len do
+        Array.unsafe_set packed !s (final lxor !m);
+        m := !m lxor alt;
+        s := !s + stride;
+        incr k
+      done
+  end
+  else
+    while !k < len && Array.unsafe_get packed !s = pre lxor !m do
+      if final >= 0 then Array.unsafe_set packed !s (final lxor !m);
+      m := !m lxor alt;
+      s := !s + stride;
+      incr k
+    done;
+  !k
+
 (* One march element over a run of unarmed, unsteered slots, on clean
    and fault-armed rows alike.  On such a slot the element's effect on a
    word is decided by the element alone: reads
    before its first write compare the stored word against [pre] (all
    of them the same word, or the element mismatches everywhere), reads
    after a write compare against that write (decided here, [ok]), and
-   the word ends as its last write [final].  So each address is one
-   load, compare and store, and the counters and the residue (the last
-   read's word, a match) are settled once for the whole run. *)
-let march_span t ~up ~first ~count ~is_write ~op_word =
+   the word ends as its last write [final].  An odd address takes every
+   op word, so [pre], [final] and the last read too, through [lxor alt].
+   So each address is one load, compare and store, and the counters and
+   the residue (the last read's word, a match) are settled once for the
+   whole run. *)
+let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
   let n_ops = Array.length is_write in
   if Array.length op_word <> n_ops then
     invalid_arg "Model.march_span: op arrays differ in length";
   if (not t.fast) || count <= 0 then 0
   else begin
-    let pre = ref (-1) and final = ref (-1) and ok = ref true in
+    (* a word wider than [bpw] mismatches or raises on the per-op path,
+       so leave it there *)
+    let pre = ref (-1) and final = ref (-1) and ok = ref (alt lsr t.bpw = 0) in
     let n_r = ref 0 and last_read = ref 0 in
     for i = 0 to n_ops - 1 do
       let w = op_word.(i) in
-      (* a word wider than [bpw] mismatches or raises on the per-op
-         path, so leave it there *)
       if w lsr t.bpw <> 0 then ok := false
       else if is_write.(i) then final := w
       else begin
@@ -638,34 +688,75 @@ let march_span t ~up ~first ~count ~is_write ~op_word =
           done;
           !j
     in
+    let bpc = t.bpc and packed = t.packed and nrows = t.nrows in
+    let mapped = t.row_mapped and row_map = t.row_map in
+    let any_armed = t.nfaults > 0 in
     let n = ref 0 and n_armed = ref 0 and stop = ref (not !ok) in
     while (not !stop) && !n < count do
       let a = first + (stride * !n) in
       let lrow = Array.unsafe_get t.addr_row a in
-      let row = physical_row t lrow in
-      if row < 0 || row >= t.nrows then stop := true
+      let row = if mapped then Array.unsafe_get row_map lrow else lrow in
+      if row < 0 || row >= nrows then stop := true
       else begin
-        (* the run's addresses on this logical row, one slot each; on a
-           fault-armed row the run also stops at the first armed slot *)
-        let armed_row = t.nfaults > 0 && row_is_faulty t row in
-        let edge = if up then (lrow * t.bpc) + t.bpc - 1 else lrow * t.bpc in
-        let len = Int.min (count - !n) (Int.abs (edge - a) + 1) in
-        let slot = (row * t.bpc) + a - (lrow * t.bpc) in
-        let k = ref 0 in
-        while
-          !k < len
-          && ((not armed_row) || not (slot_armed t (slot + (stride * !k))))
-          && (pre < 0
-             || Array.unsafe_get t.packed (slot + (stride * !k)) = pre)
-        do
-          if final >= 0 then
-            Array.unsafe_set t.packed (slot + (stride * !k)) final;
-          incr k
-        done;
-        if !k > 0 && final >= 0 then mark_row_written t row;
-        if armed_row then n_armed := !n_armed + !k;
-        n := !n + !k;
-        if !k < len then stop := true
+        let armed_row = any_armed && row_is_faulty t row in
+        let col = a - (lrow * bpc) in
+        let head = Int.min (count - !n) (if up then bpc - col else col + 1) in
+        let slot = (row * bpc) + col in
+        (* the run's slots: this row's; a clean row's run goes on through
+           each next logical row that is clean too and lies in step
+           physically, so its slots follow on in [packed].  A
+           fault-armed row's run stops at its first armed slot. *)
+        let len = ref head in
+        if not armed_row then begin
+          let j = ref 1 in
+          while
+            !n + !len < count
+            &&
+            let lr = lrow + (stride * !j) in
+            let r = if mapped then Array.unsafe_get row_map lr else lr in
+            r = row + (stride * !j)
+            && r >= 0 && r < nrows
+            && not (any_armed && row_is_faulty t r)
+          do
+            len := Int.min (count - !n) (!len + bpc);
+            incr j
+          done
+        end;
+        let len = !len in
+        let m = alt land -(a land 1) in
+        let k =
+          if not armed_row then
+            span_slots packed ~slot ~stride ~len ~pre ~final ~alt m
+          else begin
+            (* slot by slot, up to the first armed one *)
+            let k = ref 0 in
+            while
+              !k < len
+              &&
+              let s = slot + (stride * !k) in
+              (not (slot_armed t s))
+              && span_slots packed ~slot:s ~stride ~len:1 ~pre ~final ~alt
+                   (m lxor (alt land -(!k land 1)))
+                 = 1
+            do
+              incr k
+            done;
+            !k
+          end
+        in
+        (* every row the completed slots reach is written *)
+        if k > 0 && final >= 0 then begin
+          mark_row_written t row;
+          let r = ref row and reached = ref head in
+          while !reached < k do
+            r := !r + stride;
+            mark_row_written t !r;
+            reached := !reached + bpc
+          done
+        end;
+        if armed_row then n_armed := !n_armed + k;
+        n := !n + k;
+        if k < len then stop := true
       end
     done;
     let n = !n and n_armed = !n_armed and n_r = !n_r in
@@ -675,7 +766,9 @@ let march_span t ~up ~first ~count ~is_write ~op_word =
     t.n_writes <- t.n_writes + (n * n_w);
     t.n_fast_writes <- t.n_fast_writes + ((n - n_armed) * n_w);
     t.n_armed_packed <- t.n_armed_packed + (n_armed * n_ops);
-    if n > 0 && n_r > 0 then t.residue <- !last_read;
+    if n > 0 && n_r > 0 then
+      t.residue <-
+        !last_read lxor (alt land -((first + (stride * (n - 1))) land 1));
     n
   end
 

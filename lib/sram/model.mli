@@ -35,7 +35,13 @@ val org : t -> Org.t
 val set_faults : t -> Bisram_faults.Fault.t list -> unit
 
 (** [set_remap t f] installs a logical-row to physical-row translation
-    (the TLB's output); [None] restores identity. *)
+    (the TLB's output); [None] restores identity.  The map is read once,
+    here: [f] is called once per regular row and tabulated, and no
+    access calls it again, so an installer whose map changes must
+    install it again (the row TLB is re-armed after every round it
+    learns).  Rows outside [0 .. total_rows - 1] are accepted here and
+    refused by the access that reaches them.  If [f] raises, no map
+    stays armed. *)
 val set_remap : t -> (int -> int) option -> unit
 
 (** [set_col_remap t f] installs a physical-column steering map (the 2D
@@ -76,22 +82,27 @@ val read_int : t -> int -> int
 
 val write_int : t -> int -> int -> unit
 
-(** [march_span t ~up ~first ~count ~is_write ~op_word] applies one
-    march element — op [i] writes [op_word.(i)] if [is_write.(i)], else
-    reads and compares against it — to up to [count] consecutive
+(** [march_span ?alt t ~up ~first ~count ~is_write ~op_word] applies
+    one march element — op [i] writes [op_word.(i)] if [is_write.(i)],
+    else reads and compares against it — to up to [count] consecutive
     addresses from [first], ascending if [up], and returns how many
-    addresses it completed.  The run stops before the first address
-    whose physical row (through the remap) is out of range, whose slot
-    on that row is armed, whose mux position is steered by the column
-    map, or on which a read would mismatch; that address is left
-    untouched for {!read_int}/{!write_int}.  A fault-armed row's
-    unarmed slots are run through like a clean row's (a row armed only
-    by retention cells or coupling victims in full).  The cells, the
-    written-row marks, the sense residue and every {!stats} counter
-    end exactly as the per-op accesses would leave them.
-    Returns 0 while the fast path is off.
+    addresses it completed.  [alt] (default 0) is a parity mask: at an
+    odd address every op word is [op_word.(i) lxor alt] (the escape
+    sweep's checkerboards), so the words an element reads, writes and
+    leaves as the residue alternate along the run.  The run stops
+    before the first address whose physical row (through the remap) is
+    out of range, whose slot on that row is armed, whose mux position
+    is steered by the column map, or on which a read would mismatch;
+    that address is left untouched for {!read_int}/{!write_int}.  A
+    fault-armed row's unarmed slots are run through like a clean row's
+    (a row armed only by retention cells or coupling victims in full).
+    The cells, the written-row marks, the sense residue and every
+    {!stats} counter end exactly as the per-op accesses would leave
+    them.  Returns 0 while the fast path is off, or when an op word or
+    [alt] is wider than [bpw].
     @raise Invalid_argument if the two arrays differ in length. *)
 val march_span :
+  ?alt:int ->
   t ->
   up:bool ->
   first:int ->

@@ -112,6 +112,85 @@ let test_sweep_row_out_of_range () =
   Alcotest.(check bool) "raises" true
     (match Sweep.run m with _ -> false | exception Invalid_argument _ -> true)
 
+(* The sweep runs its elements in model spans; with the fast path off
+   every op is a per-op access.  Both must see the same mismatches, in
+   the same order, leave the same array behind and count the same word
+   ops, for [run] and for [clean].  The arrays carry default-mix faults
+   over every row, spares included, a coupling across the
+   regular/spare boundary, and stuck-open cells to expose the residue;
+   a row TLB sends random rows to spares, and on a two-spare-column
+   array half the cases arm a 2D BIRA column map. *)
+let prop_sweep_spans_equal_per_op =
+  QCheck.Test.make ~name:"sweep spans = per-op sweep" ~count:200
+    QCheck.(pair (int_range 0 100_000) (int_range 0 8))
+    (fun (seed, n) ->
+      let module Tlb = Bisram_bisr.Tlb in
+      let rng = Random.State.make [| 0x5EE9; seed |] in
+      let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+      let org =
+        if flip () then Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ()
+        else Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ~spare_cols:2 ()
+      in
+      let rows = Org.total_rows org and cols = Org.cols org in
+      let regular = Org.rows org and tcols = Org.total_cols org in
+      let cell row col = { F.row; col } in
+      let faults =
+        I.inject rng ~rows ~cols ~mix:I.default_mix ~n
+        @ (if flip () then
+             let reg = cell (int regular) (int cols)
+             and spr = cell (regular + int org.Org.spares) (int cols) in
+             let aggressor, victim = if flip () then (reg, spr) else (spr, reg) in
+             [ (if flip () then F.Coupling_inversion { aggressor; victim }
+                else
+                  F.State_coupling
+                    { aggressor; when_state = flip (); victim; reads_as = flip () })
+             ]
+           else [])
+        @ List.init (int 3) (fun _ -> F.Stuck_open (cell (int rows) (int cols)))
+      in
+      let tlb = Tlb.create ~spares:org.Org.spares ~regular_rows:regular in
+      List.iter
+        (fun _ -> ignore (Tlb.record tlb ~row:(int regular)))
+        (List.init (int (org.Org.spares + 1)) Fun.id);
+      let col_map =
+        if tcols = cols || flip () then None
+        else
+          let pairs =
+            List.init (1 + int 2) (fun k -> (int cols, cols + (k land 1)))
+          in
+          Some (fun c -> match List.assoc_opt c pairs with Some q -> q | None -> c)
+      in
+      let build fast =
+        let m = Model.create org in
+        Model.set_fast_path m fast;
+        Model.set_faults m faults;
+        Model.set_remap m (Some (fun row -> Tlb.remap tlb ~row));
+        Model.set_col_remap m col_map;
+        m
+      in
+      let observe m =
+        Model.set_col_remap m None;
+        ( Model.reads m
+        , Model.writes m
+        , List.init rows (fun row ->
+              List.init org.Org.bpc (fun col ->
+                  Model.read_row_word m ~row ~col)) )
+      in
+      let swept fast =
+        let m = build fast in
+        let r = Sweep.run m in
+        (r, observe m)
+      in
+      let cleaned fast =
+        let m = build fast in
+        let c = Sweep.clean m in
+        (c, observe m)
+      in
+      let ((r, _) as on) = swept true in
+      on = swept false
+      && cleaned true = cleaned false
+      && fst (cleaned true) = (r = []))
+
 (* ------------------------------------------------------------------ *)
 (* campaign determinism and replay *)
 
@@ -296,16 +375,17 @@ let test_budget_parallel_prefix_semantics () =
      prefix [0 .. trials_run - 1]: whatever the cutoff landed on, the
      counts equal an unbudgeted sequential run over that many trials *)
   (* only the caller polls [now] (0.02s per poll, 0.12s budget), so it
-     stops after a handful of its own claims; 200 one-trial pool items
-     guarantee the helpers cannot drain the queue first, so the caller's
-     tripped claim is a hole and the run is always truncated *)
+     stops after a handful of its own claims; 2000 one-trial pool items
+     guarantee the helpers cannot drain the queue first, even while the
+     caller's domain waits for a core, so the caller's tripped claim is
+     a hole and the run is always truncated *)
   let t = ref 0.0 in
   let now () =
     t := !t +. 0.02;
     !t
   in
   let cfg =
-    { (known_escape_config ~trials:200 ()) with C.max_seconds = Some 0.12 }
+    { (known_escape_config ~trials:2000 ()) with C.max_seconds = Some 0.12 }
   in
   let r = C.run ~now ~jobs:4 ~lanes:1 cfg in
   Alcotest.(check bool) "truncated" true r.C.truncated;
@@ -478,6 +558,9 @@ let test_yield_brackets_analytic () =
 
 module Chaos = Bisram_chaos.Chaos
 module Pool = Bisram_parallel.Pool
+
+(* a valid deadline span *)
+let deadline s = Option.get (Pool.deadline s)
 
 let with_temp_ckpt f =
   let path = Filename.temp_file "bisram-ckpt" ".json" in
@@ -703,7 +786,7 @@ let test_trial_deadline_records_tool_errors () =
      march and oracle flows) raises, and every trial lands in the
      report as a deadline tool error *)
   let cfg = C.make_config ~trials:4 ~seed:5 () in
-  let r = C.run ~trial_deadline:1e-9 cfg in
+  let r = C.run ~trial_deadline:(deadline 1e-9) cfg in
   Alcotest.(check int) "every trial deadlined" 4
     (List.length r.C.tool_errors);
   List.iter
@@ -737,7 +820,7 @@ let test_trial_deadline_per_trial () =
             Obs.set_enabled false;
             Obs.reset ())
           (fun () ->
-            let r = C.run ~lanes ~trial_deadline:60.0 cfg in
+            let r = C.run ~lanes ~trial_deadline:(deadline 60.0) cfg in
             (C.json_string r, (Obs.snapshot ()).Obs.counters))
       in
       let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
@@ -758,7 +841,7 @@ let test_trial_deadline_per_trial () =
    becomes its own tool error, and the bytes are width 1's. *)
 let test_block_deadline () =
   let cfg = C.make_config ~mode:(C.Poisson 0.4) ~trials:130 ~seed:7 () in
-  let wide = C.run ~trial_deadline:1e-9 cfg in
+  let wide = C.run ~trial_deadline:(deadline 1e-9) cfg in
   let faulty =
     List.filter
       (fun i -> (C.replay cfg ~seed:(C.trial_seed cfg i)).C.t_faults <> [])
@@ -771,11 +854,11 @@ let test_block_deadline () =
   Alcotest.(check int) "the rest passed clean"
     (130 - List.length faulty) wide.C.two_pass.C.passed_clean;
   Alcotest.(check string) "width 62 = width 1" (C.json_string wide)
-    (C.json_string (C.run ~lanes:1 ~trial_deadline:1e-9 cfg))
+    (C.json_string (C.run ~lanes:1 ~trial_deadline:(deadline 1e-9) cfg))
 
 (* A deadline too large for a nanosecond int64 saturates instead of
-   wrapping into the past; a non-finite or non-positive one is refused
-   before any trial runs. *)
+   wrapping into the past; a non-finite or non-positive span is
+   refused where it is made, so no campaign can arm one. *)
 let test_deadline_bounds () =
   let cfg = C.make_config ~mode:(C.Poisson 3.0) ~trials:5 ~seed:7 () in
   let free = C.json_string (C.run cfg) in
@@ -784,13 +867,14 @@ let test_deadline_bounds () =
       Alcotest.(check string)
         (Printf.sprintf "deadline %g = no deadline" s)
         free
-        (C.json_string (C.run ~trial_deadline:s cfg)))
+        (C.json_string (C.run ~trial_deadline:(deadline s) cfg)))
     [ 60.0; 1e10; Float.max_float ];
   List.iter
     (fun s ->
-      match C.run ~trial_deadline:s cfg with
-      | _ -> Alcotest.failf "deadline %g accepted" s
-      | exception Invalid_argument _ -> ())
+      Alcotest.(check bool)
+        (Printf.sprintf "deadline %g refused" s)
+        true
+        (Option.is_none (Pool.deadline s)))
     [ 0.0; -1.0; Float.nan; Float.infinity ]
 
 (* The pool-item width and the job count are scheduling only: at a
@@ -808,7 +892,10 @@ let test_width_pairs () =
     [ ("stuck-at", I.stuck_at_only, C.Uniform 2, None)
     ; ("poisson 0.4", I.default_mix, C.Poisson 0.4, None)
     ; ("poisson 3", I.default_mix, C.Poisson 3.0, None)
-    ; ("poisson 0.01 + deadline", I.default_mix, C.Poisson 0.01, Some 60.0)
+    ; ( "poisson 0.01 + deadline"
+      , I.default_mix
+      , C.Poisson 0.01
+      , Some (deadline 60.0) )
     ]
 
 let test_tool_errors_in_schema () =
@@ -1024,6 +1111,7 @@ let () =
             test_sweep_blind_after_remap
         ; Alcotest.test_case "row out of range raises" `Quick
             test_sweep_row_out_of_range
+        ; QCheck_alcotest.to_alcotest prop_sweep_spans_equal_per_op
         ] )
     ; ( "campaign"
       , [ Alcotest.test_case "deterministic report" `Quick

@@ -270,7 +270,7 @@ let test_estimation_section_when_weighted () =
 let adaptive ?now ?jobs ?lanes ?on_progress ~batch ~max_trials ~target cfg =
   let r =
     C.run ?now ?jobs ?lanes ?on_progress
-      ~stop_rule:(E.stop_rule ~batch ~target ())
+      ~stop_rule:(Result.get_ok (E.stop_rule ~batch ~target ()))
       { cfg with C.trials = max_trials }
   in
   (r, E.adaptive_of_result ~batch ~target r)
@@ -409,14 +409,19 @@ let test_adaptive_stratified_needs_fewer_trials () =
 
 let test_adaptive_validation () =
   let cfg = rare_cfg ~lambda:0.5 ~trials:1 () in
+  let refused what expected r =
+    match r with
+    | Error e when e = expected -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  refused "target 0" `Target (E.stop_rule ~target:0.0 ());
+  refused "batch 0" `Batch (E.stop_rule ~target:0.1 ~batch:0 ());
   List.iter
     (fun f ->
       match f () with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ())
-    [ (fun () -> ignore (E.stop_rule ~target:0.0 ()))
-    ; (fun () -> ignore (E.stop_rule ~target:0.1 ~batch:0 ()))
-    ; (fun () -> ignore (E.stop_rule ~target:0.1 ~level:1.0 ()))
+    [ (fun () -> ignore (E.stop_rule ~target:0.1 ~level:1.0 ()))
     ; (fun () -> ignore (C.run ~stop_rule:(0, fun _ -> true) cfg))
     ]
 

@@ -691,131 +691,141 @@ let prop_fast_path_equals_legacy_remap =
    included) over an array whose rows either hold a fill word (often
    the one those reads expect) or are still power-up zeros and
    clean. *)
+let march_span_case ~with_alt (seed, n) =
+  let module I = Bisram_faults.Injection in
+  let rng = Random.State.make [| 0x5BA7; seed |] in
+  let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+  let org = if flip () then small () else spare_col_org () in
+  let rows = Org.total_rows org and cols = Org.cols org in
+  let tcols = Org.total_cols org in
+  let spare = Org.rows org and bpc = org.Org.bpc in
+  let words = org.Org.words in
+  let open_row = int rows and open_col = int bpc in
+  let faults =
+    I.inject rng ~rows ~cols ~mix:I.default_mix ~n
+    @ List.init org.Org.bpw (fun b ->
+          F.Stuck_open (cell open_row ((b * bpc) + open_col)))
+    @ (if flip () then
+         let reg = cell (int spare) (int cols)
+         and spr = cell (spare + int org.Org.spares) (int cols) in
+         let aggressor, victim =
+           if flip () then (reg, spr) else (spr, reg)
+         in
+         [ F.State_coupling
+             { aggressor; when_state = flip (); victim; reads_as = flip () }
+         ]
+       else [])
+    @ List.init (if tcols > cols then int 4 else 0) (fun _ ->
+          let c = cell (int rows) (cols + int (tcols - cols)) in
+          match int 4 with
+          | 0 -> F.Stuck_at (c, flip ())
+          | 1 -> F.Transition (c, flip ())
+          | 2 -> F.Stuck_open c
+          | _ ->
+              let reg = cell (int rows) (int cols) in
+              let aggressor, victim = if flip () then (reg, c) else (c, reg) in
+              F.Coupling_inversion { aggressor; victim })
+  in
+  let remap =
+    let pairs =
+      List.init (int 3) (fun _ -> (int spare, spare + int org.Org.spares))
+    in
+    if pairs = [] then None
+    else
+      Some
+        (fun row ->
+          match List.assoc_opt row pairs with Some s -> s | None -> row)
+  in
+  let col_remap =
+    if flip () then None
+    else
+      let pairs =
+        List.init (1 + int 3) (fun _ ->
+            ( int cols,
+              if tcols = cols || int 5 = 0 then int tcols
+              else cols + int (tcols - cols) ))
+      in
+      Some (fun c -> match List.assoc_opt c pairs with Some q -> q | None -> c)
+  in
+  let bg = if flip () then 0 else int 256 in
+  let n_ops = 1 + int 4 in
+  let is_write = Array.init n_ops (fun _ -> flip ()) in
+  let op_word =
+    Array.init n_ops (fun _ -> if flip () then bg else bg lxor 0xFF)
+  in
+  let up = flip () in
+  let first = int words in
+  let count = int ((if up then words - first else first + 1) + 1) in
+  let fill = if flip () then bg else bg lxor 0xFF in
+  let filled = Array.init spare (fun _ -> flip ()) in
+  let scribbles = List.init (int 6) (fun _ -> (int words, int 256)) in
+  (* a parity mask: an odd address takes every op word, and its fill,
+     through [lxor alt] *)
+  let alt = if with_alt then 1 + int 255 else 0 in
+  let odd a = alt land -(a land 1) in
+  let build () =
+    let m = Model.create org in
+    Model.set_faults m faults;
+    Model.set_remap m remap;
+    Model.set_col_remap m col_remap;
+    (* rows left unfilled stay power-up zeros and not yet dirty *)
+    for a = 0 to words - 1 do
+      if filled.(a / bpc) then Model.write_int m a (fill lxor odd a)
+    done;
+    List.iter (fun (a, v) -> Model.write_int m a v) scribbles;
+    m
+  in
+  let per_op m ~from =
+    let log = ref [] in
+    for i = from to count - 1 do
+      let a = if up then first + i else first - i in
+      Array.iteri
+        (fun j w ->
+          let w = w lxor odd a in
+          if is_write.(j) then Model.write_int m a w
+          else
+            let got = Model.read_int m a in
+            if got <> w then log := (a, j, got) :: !log)
+        op_word
+    done;
+    List.rev !log
+  in
+  (* the unsteered read-back sees every regular cell, the steered
+     one the spare-column cells in place of the steered bits *)
+  let observe m =
+    let st = Model.stats m in
+    let array () =
+      List.init rows (fun row ->
+          List.init bpc (fun col -> Model.read_row_word m ~row ~col))
+    in
+    Model.set_col_remap m None;
+    let residue = Model.read_row_word m ~row:open_row ~col:open_col in
+    let regular = array () in
+    Model.set_col_remap m col_remap;
+    let steered = array () in
+    Model.clear m;
+    (st, residue, regular, steered, (Model.stats m).Model.s_rows_cleared)
+  in
+  let m_span = build () in
+  let k = Model.march_span ~alt m_span ~up ~first ~count ~is_write ~op_word in
+  let log_span = per_op m_span ~from:k in
+  let m_ref = build () in
+  let log_ref = per_op m_ref ~from:0 in
+  let off = build () in
+  Model.set_fast_path off false;
+  k >= 0 && k <= count && log_span = log_ref
+  && observe m_span = observe m_ref
+  && Model.march_span ~alt off ~up ~first ~count ~is_write ~op_word = 0
+
 let prop_march_span_equals_per_op =
   QCheck.Test.make ~name:"march span = per-op accesses" ~count:300
     QCheck.(pair (int_range 0 100_000) (int_range 0 5))
-    (fun (seed, n) ->
-      let module I = Bisram_faults.Injection in
-      let rng = Random.State.make [| 0x5BA7; seed |] in
-      let int k = Random.State.int rng k and flip () = Random.State.bool rng in
-      let org = if flip () then small () else spare_col_org () in
-      let rows = Org.total_rows org and cols = Org.cols org in
-      let tcols = Org.total_cols org in
-      let spare = Org.rows org and bpc = org.Org.bpc in
-      let words = org.Org.words in
-      let open_row = int rows and open_col = int bpc in
-      let faults =
-        I.inject rng ~rows ~cols ~mix:I.default_mix ~n
-        @ List.init org.Org.bpw (fun b ->
-              F.Stuck_open (cell open_row ((b * bpc) + open_col)))
-        @ (if flip () then
-             let reg = cell (int spare) (int cols)
-             and spr = cell (spare + int org.Org.spares) (int cols) in
-             let aggressor, victim =
-               if flip () then (reg, spr) else (spr, reg)
-             in
-             [ F.State_coupling
-                 { aggressor; when_state = flip (); victim; reads_as = flip () }
-             ]
-           else [])
-        @ List.init (if tcols > cols then int 4 else 0) (fun _ ->
-              let c = cell (int rows) (cols + int (tcols - cols)) in
-              match int 4 with
-              | 0 -> F.Stuck_at (c, flip ())
-              | 1 -> F.Transition (c, flip ())
-              | 2 -> F.Stuck_open c
-              | _ ->
-                  let reg = cell (int rows) (int cols) in
-                  let aggressor, victim = if flip () then (reg, c) else (c, reg) in
-                  F.Coupling_inversion { aggressor; victim })
-      in
-      let remap =
-        let pairs =
-          List.init (int 3) (fun _ -> (int spare, spare + int org.Org.spares))
-        in
-        if pairs = [] then None
-        else
-          Some
-            (fun row ->
-              match List.assoc_opt row pairs with Some s -> s | None -> row)
-      in
-      let col_remap =
-        if flip () then None
-        else
-          let pairs =
-            List.init (1 + int 3) (fun _ ->
-                ( int cols,
-                  if tcols = cols || int 5 = 0 then int tcols
-                  else cols + int (tcols - cols) ))
-          in
-          Some (fun c -> match List.assoc_opt c pairs with Some q -> q | None -> c)
-      in
-      let bg = if flip () then 0 else int 256 in
-      let n_ops = 1 + int 4 in
-      let is_write = Array.init n_ops (fun _ -> flip ()) in
-      let op_word =
-        Array.init n_ops (fun _ -> if flip () then bg else bg lxor 0xFF)
-      in
-      let up = flip () in
-      let first = int words in
-      let count = int ((if up then words - first else first + 1) + 1) in
-      let fill = if flip () then bg else bg lxor 0xFF in
-      let filled = Array.init spare (fun _ -> flip ()) in
-      let scribbles = List.init (int 6) (fun _ -> (int words, int 256)) in
-      let build () =
-        let m = Model.create org in
-        Model.set_faults m faults;
-        Model.set_remap m remap;
-        Model.set_col_remap m col_remap;
-        (* rows left unfilled stay power-up zeros and not yet dirty *)
-        for a = 0 to words - 1 do
-          if filled.(a / bpc) then Model.write_int m a fill
-        done;
-        List.iter (fun (a, v) -> Model.write_int m a v) scribbles;
-        m
-      in
-      let per_op m ~from =
-        let log = ref [] in
-        for i = from to count - 1 do
-          let a = if up then first + i else first - i in
-          Array.iteri
-            (fun j w ->
-              if is_write.(j) then Model.write_int m a w
-              else
-                let got = Model.read_int m a in
-                if got <> w then log := (a, j, got) :: !log)
-            op_word
-        done;
-        List.rev !log
-      in
-      (* the unsteered read-back sees every regular cell, the steered
-         one the spare-column cells in place of the steered bits *)
-      let observe m =
-        let st = Model.stats m in
-        let array () =
-          List.init rows (fun row ->
-              List.init bpc (fun col -> Model.read_row_word m ~row ~col))
-        in
-        Model.set_col_remap m None;
-        let residue = Model.read_row_word m ~row:open_row ~col:open_col in
-        let regular = array () in
-        Model.set_col_remap m col_remap;
-        let steered = array () in
-        Model.clear m;
-        (st, residue, regular, steered, (Model.stats m).Model.s_rows_cleared)
-      in
-      let m_span = build () in
-      let k =
-        Model.march_span m_span ~up ~first ~count ~is_write ~op_word
-      in
-      let log_span = per_op m_span ~from:k in
-      let m_ref = build () in
-      let log_ref = per_op m_ref ~from:0 in
-      let off = build () in
-      Model.set_fast_path off false;
-      k >= 0 && k <= count && log_span = log_ref
-      && observe m_span = observe m_ref
-      && Model.march_span off ~up ~first ~count ~is_write ~op_word = 0)
+    (march_span_case ~with_alt:false)
+
+let prop_march_span_alt_equals_per_op =
+  QCheck.Test.make ~name:"march span ~alt = per-op accesses" ~count:300
+    QCheck.(pair (int_range 0 100_000) (int_range 0 5))
+    (march_span_case ~with_alt:true)
 
 (* On a fault-free array the span runs the whole element: a fresh
    array reads as zeros, so u(r0,w1) completes every address and a
@@ -946,6 +956,7 @@ let () =
         ; Alcotest.test_case "march span on a clean array" `Quick
             test_march_span_clean_array
         ; QCheck_alcotest.to_alcotest prop_march_span_equals_per_op
+        ; QCheck_alcotest.to_alcotest prop_march_span_alt_equals_per_op
         ; Alcotest.test_case "march span through armed rows" `Quick
             test_march_span_armed_rows
         ; Alcotest.test_case "stuck-open leaves clean reads fast" `Quick
