@@ -22,7 +22,7 @@ HOT_PATH = lib/sram/model.ml lib/bist/engine.ml lib/bist/controller.ml \
   lib/bisr/tlb.ml lib/bisr/repair.ml lib/campaign/sweep.ml lib/bira/bira.ml \
   lib/bira/fault_map.ml lib/bira/remap2d.ml lib/sram/lanes.ml \
   lib/bist/lane_engine.ml lib/sram/word.ml lib/sram/org.ml \
-  lib/bist/addgen.ml
+  lib/bist/addgen.ml lib/yield/repairable.ml
 
 hot-path-lint: build
 	dune exec bench/hot_path_lint.exe -- $(HOT_PATH)
@@ -169,20 +169,25 @@ events-smoke: build
 	@echo "events-smoke: OK"
 
 # Explore determinism + cache gate: the tiny example sweep must produce
-# byte-identical reports sequentially and in parallel, and a second run
-# resuming from the first run's cache must hit on every evaluation.
+# byte-identical reports sequentially and in parallel, cold on two
+# domains (the run's shared evaluations and designs under concurrency),
+# and a second run resuming from the first run's cache must hit on every
+# evaluation.
 explore-smoke: build
-	rm -rf .ci-explore-cache
+	rm -rf .ci-explore-cache .ci-explore-cold2-cache
 	dune exec bin/bisramgen.exe -- explore --spec examples/explore_smoke.spec \
 	  --jobs 1 --cache .ci-explore-cache > .ci-explore-jobs1.json
+	dune exec bin/bisramgen.exe -- explore --spec examples/explore_smoke.spec \
+	  --jobs 2 --cache .ci-explore-cold2-cache > .ci-explore-cold2.json
 	dune exec bin/bisramgen.exe -- explore --spec examples/explore_smoke.spec \
 	  --jobs 2 --cache .ci-explore-cache --resume \
 	  > .ci-explore-jobs2.json 2> .ci-explore-warm.err
 	cmp .ci-explore-jobs1.json test/golden_explore_smoke.json
+	cmp .ci-explore-cold2.json test/golden_explore_smoke.json
 	diff .ci-explore-jobs1.json .ci-explore-jobs2.json
 	grep -q "(100.0% hit rate)" .ci-explore-warm.err
-	rm -rf .ci-explore-cache .ci-explore-jobs1.json .ci-explore-jobs2.json \
-	  .ci-explore-warm.err
+	rm -rf .ci-explore-cache .ci-explore-cold2-cache .ci-explore-jobs1.json \
+	  .ci-explore-cold2.json .ci-explore-jobs2.json .ci-explore-warm.err
 	@echo "explore-smoke: OK"
 
 # Fault-injection gate: with deterministic chaos armed, transient job

@@ -949,9 +949,9 @@ let do_explore spec_file jobs cache_dir resume pareto obs =
               in
               Printf.eprintf
                 "explore: %d point(s), %d evaluation(s): %d hit(s), %d \
-                 miss(es) (%.1f%% hit rate)\n"
+                 miss(es), %d shared (%.1f%% hit rate)\n"
                 (Array.length r.E.points)
-                evals cs.C.st_hits cs.C.st_misses rate;
+                evals cs.C.st_hits cs.C.st_misses cs.C.st_shared rate;
               if
                 cs.C.st_quarantined > 0 || cs.C.st_reaped_tmp > 0
                 || cs.C.st_io_errors > 0

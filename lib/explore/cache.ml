@@ -7,16 +7,23 @@ let version = "bisram-explore-cache/4"
 type stats = {
   st_hits : int;
   st_misses : int;
+  st_shared : int;
   st_quarantined : int;
   st_reaped_tmp : int;
   st_io_errors : int;
 }
 
+module Tbl = Hashtbl.Make (String)
+
 type t = {
   dir : string option;
   resume : bool;
+  lock : Mutex.t;
+  computed : J.t Tbl.t;
+      (** this run's normalized values by key, guarded by [lock] *)
   hits : int Atomic.t;
   misses : int Atomic.t;
+  shared : int Atomic.t;
   quarantined : int Atomic.t;
   reaped_tmp : int Atomic.t;
   io_errors : int Atomic.t;
@@ -62,8 +69,11 @@ let create ?dir ~resume () =
   end;
   { dir
   ; resume
+  ; lock = Mutex.create ()
+  ; computed = Tbl.create 64
   ; hits = Atomic.make 0
   ; misses = Atomic.make 0
+  ; shared = Atomic.make 0
   ; quarantined = Atomic.make 0
   ; reaped_tmp = Atomic.make reaped
   ; io_errors = Atomic.make 0
@@ -184,28 +194,45 @@ let store t key s =
           Atomic.incr t.io_errors;
           Obs.incr "cache.io_errors")
 
+let debug name key =
+  if Obs.would_log Obs.Debug then
+    Obs.emit ~level:Obs.Debug ~domain:"cache" name [ ("key", J.String key) ]
+
+(* Disk first (only under [resume]), so a warm run hits on every
+   evaluation; then this run's table, so a key computed earlier in the
+   run is neither recomputed, stored nor parsed again; only then
+   compute.  Two workers racing on one new key both compute it and
+   write the same bytes; the first insert is kept, and both values are
+   equal anyway. *)
 let memo t ~key compute =
   match lookup t key with
   | Some v ->
       Atomic.incr t.hits;
       Obs.incr "cache.hits";
-      if Obs.would_log Obs.Debug then
-        Obs.emit ~level:Obs.Debug ~domain:"cache" "cache.hit"
-          [ ("key", J.String key) ];
+      debug "cache.hit" key;
       v
-  | None ->
-      Atomic.incr t.misses;
-      Obs.incr "cache.misses";
-      if Obs.would_log Obs.Debug then
-        Obs.emit ~level:Obs.Debug ~domain:"cache" "cache.miss"
-          [ ("key", J.String key) ];
-      let s = entry_string key (compute ()) in
-      store t key s;
-      normalize key s
+  | None -> (
+      match Mutex.protect t.lock (fun () -> Tbl.find_opt t.computed key) with
+      | Some v ->
+          Atomic.incr t.shared;
+          Obs.incr "cache.shared";
+          debug "cache.shared" key;
+          v
+      | None ->
+          Atomic.incr t.misses;
+          Obs.incr "cache.misses";
+          debug "cache.miss" key;
+          let s = entry_string key (compute ()) in
+          store t key s;
+          let v = normalize key s in
+          Mutex.protect t.lock (fun () ->
+              if not (Tbl.mem t.computed key) then Tbl.add t.computed key v);
+          v)
 
 let stats t =
   { st_hits = Atomic.get t.hits
   ; st_misses = Atomic.get t.misses
+  ; st_shared = Atomic.get t.shared
   ; st_quarantined = Atomic.get t.quarantined
   ; st_reaped_tmp = Atomic.get t.reaped_tmp
   ; st_io_errors = Atomic.get t.io_errors

@@ -16,11 +16,19 @@
     from the cache is byte-for-byte the value a cold run reports, which
     is what makes cold and warm sweep reports identical.
 
+    Lookup order: the disk entry first (only under [resume]), then a
+    table local to this cache instance — one run — of every value it
+    has computed, and only then the evaluator.  A warm run therefore
+    still reads the disk on every evaluation, and a key repeated within
+    a cold or diskless run (the ["area"] key is the same at every
+    mean defect count) is computed, stored and parsed once; its later
+    evaluations are served from memory and counted as [shared].
+
     Writes are atomic (temp file + rename in the cache directory), so
     concurrent workers and interrupted runs leave either a complete
-    entry or none.  Workers never write the same key twice in one run,
-    and identical keys produce identical bytes, so a rename race is
-    harmless.
+    entry or none.  Two workers that race on one new key may both
+    compute and write it, but identical keys produce identical bytes,
+    so the rename race is harmless.
 
     Self-healing: the cache treats its own disk state as untrusted.
     Orphaned temp files (a kill between write and rename) are reaped at
@@ -31,7 +39,8 @@
     only costs recomputation, so reports stay byte-identical.  Every
     event is counted in {!stats} and mirrored to {!Bisram_obs.Obs}
     counters ([cache.quarantined], [cache.reaped_tmp],
-    [cache.io_errors]) when telemetry is on. *)
+    [cache.io_errors]; lookups as [cache.hits], [cache.misses] and
+    [cache.shared]) when telemetry is on. *)
 
 type t
 
@@ -40,8 +49,13 @@ val version : string
 
 (** Lifetime event counters for one cache instance. *)
 type stats = {
-  st_hits : int;
-  st_misses : int;
+  st_hits : int;  (** served from a verified disk entry *)
+  st_misses : int;  (** computed (and stored when there is a disk) *)
+  st_shared : int;
+      (** served from this run's table: the key was computed earlier
+          in the run.  On one domain hits + misses + shared is the
+          number of {!memo} calls; with several domains two workers
+          racing on a new key both count a miss. *)
   st_quarantined : int;  (** entries failing verification, moved aside *)
   st_reaped_tmp : int;  (** orphaned temp files removed at open *)
   st_io_errors : int;  (** reads/writes that degraded to uncached *)
@@ -49,19 +63,22 @@ type stats = {
 
 (** [create ?dir ~resume ()] — a cache rooted at [dir] (created if
     missing; orphaned [.cache-*.tmp] files from killed runs are reaped
-    on open).  Without [dir] nothing touches the disk: every lookup is
-    a miss and results are only normalized (serialize + re-parse).
+    on open).  Without [dir] nothing touches the disk: the first
+    lookup of each key is a miss, whose result is only normalized
+    (serialize + re-parse), and its repeats are shared.
     With [resume = false] existing entries are ignored (and
     overwritten), so the run is cache-cold by construction; hits can
     only happen when [resume] is set.
     @raise Sys_error when [dir] exists but is not a directory. *)
 val create : ?dir:string -> resume:bool -> unit -> t
 
-(** [memo t ~key compute] — the normalized cached value for [key],
-    computing (and storing) it on a miss.  Safe to call from pool
-    workers: the counters are atomic and writes go through unique temp
-    files.  Never raises on cache damage or disk errors — those
-    degrade to recomputation (see self-healing above). *)
+(** [memo t ~key compute] — the normalized cached value for [key]:
+    from disk (under [resume]), else from this run's table, else
+    computed, stored and added to the table.  Safe to call from pool
+    workers: the counters are atomic, the table is guarded by a mutex
+    and writes go through unique temp files.  Never raises on cache
+    damage or disk errors — those degrade to recomputation (see
+    self-healing above). *)
 val memo : t -> key:string -> (unit -> Bisram_obs.Json.t) -> Bisram_obs.Json.t
 
 val stats : t -> stats

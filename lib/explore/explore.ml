@@ -201,14 +201,47 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
     | Some f -> f ~done_:(Atomic.fetch_and_add prog_done 1 + 1)
                   ~total:(Array.length points)
   in
+  (* One compiled design per design key, shared across points and
+     workers.  A [Lazy.t] cannot be shared (forcing one from two
+     domains at once raises), so a worker that misses compiles outside
+     the lock and keeps the first insert: compiles are pure, and a lost
+     race only costs a duplicate compile.  A key's design is dropped
+     once every point of that key has finished, so memory is bounded
+     by the designs in flight. *)
+  let lock = Mutex.create () in
+  let designs = Hashtbl.create 8 and pending = Hashtbl.create 8 in
+  let design_keys = Array.map (fun p -> Spec.design_key spec p.Spec.org) points in
+  Array.iter
+    (fun k ->
+      Hashtbl.replace pending k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt pending k)))
+    design_keys;
+  let design_of i =
+    let k = design_keys.(i) in
+    match Mutex.protect lock (fun () -> Hashtbl.find_opt designs k) with
+    | Some d -> d
+    | None ->
+        let d = Compiler.compile (Spec.config_of_point spec points.(i)) in
+        Mutex.protect lock (fun () ->
+            match Hashtbl.find_opt designs k with
+            | Some first -> first
+            | None -> Hashtbl.add designs k d; d)
+  in
+  let point_done i =
+    let k = design_keys.(i) in
+    Mutex.protect lock (fun () ->
+        let left = Hashtbl.find pending k - 1 in
+        Hashtbl.replace pending k left;
+        if left = 0 then Hashtbl.remove designs k)
+  in
   let work i =
     let p = points.(i) in
     Obs.span ~cat:"explore" ~arg:("point", i) "point" (fun () ->
         Obs.incr "explore.points";
-        (* one lazily compiled design per point, shared by the area,
-           yield and cost evaluators; never forced when all three hit
-           the cache *)
-        let design = lazy (Compiler.compile (Spec.config_of_point spec p)) in
+        (* the area, yield and cost evaluators share the key's design,
+           fetched at most once per point and never when all three are
+           served by the cache; the lazy stays on this worker *)
+        let design = lazy (design_of i) in
         let evs =
           List.map
             (fun ev ->
@@ -220,6 +253,9 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
               (ev, v))
             spec.Spec.evaluators
         in
+        (* counted on success only, so a retried point is counted once;
+           a point that fails for good keeps its design to the run's end *)
+        point_done i;
         tick ();
         evs)
   in
@@ -244,6 +280,7 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
     [ ("points", J.Int (Array.length points))
     ; ("cache_hits", J.Int st.Cache.st_hits)
     ; ("cache_misses", J.Int st.Cache.st_misses)
+    ; ("cache_shared", J.Int st.Cache.st_shared)
     ; ("cache_quarantined", J.Int st.Cache.st_quarantined)
     ];
   { spec; points; evals; skipped; cache_stats = st }

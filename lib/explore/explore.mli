@@ -37,8 +37,9 @@ type result = {
       (** per point: (evaluator id, normalized result), spec order *)
   skipped : int;  (** invalid lattice combinations *)
   cache_stats : Cache.stats;
-      (** the run's cache counters: hits, misses and the self-heal
-          counts (quarantines, reaped temp files, IO errors) *)
+      (** the run's cache counters: hits, misses, evaluations shared
+          within the run and the self-heal counts (quarantines, reaped
+          temp files, IO errors) *)
 }
 
 (** Run the sweep.  [jobs] (default 1) fans points over that many
@@ -46,6 +47,12 @@ type result = {
     memoization store; [resume] (default false) lets the run read
     entries left by earlier runs — without it the sweep is cache-cold
     by construction and existing entries are overwritten.
+
+    Each distinct thing is computed once per run: an evaluation whose
+    {!Spec.cache_key} repeats is served from the cache's run table
+    (see {!Cache}), and the points that share a {!Spec.design_key}
+    share one compiled design, compiled on first need and dropped once
+    every point of that key has finished.
 
     [on_progress] (default absent) is called once per completed point
     with the cumulative completion count and the point total, on the
@@ -66,8 +73,9 @@ val run :
   Spec.t ->
   result
 
-(** Evaluations performed (points x selected evaluators) — the
-    denominator of the cache hit rate. *)
+(** Evaluations requested (points x selected evaluators) — the
+    denominator of the cache hit rate.  On one domain it equals hits +
+    misses + shared. *)
 val evaluations : result -> int
 
 (** The ["bisram-explore/1"] report: spec echo, per-point evaluator

@@ -85,6 +85,13 @@ val expand : t -> point array * int
     organization, spare columns included). *)
 val config_of_point : t -> point -> Bisram_core.Config.t
 
+(** Canonical rendering of everything the compiled design of an
+    organization depends on: organization, process, drive, strap and
+    march.  Points that share it share one {!config_of_point} design;
+    it is the design part of the ["area"], ["yield"] and ["cost"]
+    {!cache_key}s. *)
+val design_key : t -> Bisram_sram.Org.t -> string
+
 (** Canonical, version-free rendering of the sub-spec a given evaluator
     depends on — the content-addressed cache key material.  Two points
     that agree on an evaluator's inputs (e.g. the same organization at

@@ -21,54 +21,89 @@ let make ~regular_rows ~spares ~logic_fraction ~growth_factor =
 let bare ~regular_rows =
   make ~regular_rows ~spares:0 ~logic_fraction:0.0 ~growth_factor:1.0
 
+(* The distinct-rows DP state: p.(j) = P(j distinct bins so far), and
+   p.(spares+1) absorbs "too many".  [dp_init] is the state after zero
+   balls; [dp_step] throws one more ball; [dp_at_most] sums the
+   repairable states. *)
+let dp_init ~spares =
+  let p = Array.make (spares + 2) 0.0 in
+  p.(0) <- 1.0;
+  p
+
+let dp_step p ~rf ~spares =
+  for j = spares + 1 downto 1 do
+    let stay = p.(j) *. (float_of_int (Int.min j (spares + 1)) /. rf) in
+    let come = p.(j - 1) *. ((rf -. float_of_int (j - 1)) /. rf) in
+    p.(j) <- (if j <= spares then stay else p.(j)) +. come
+  done;
+  p.(0) <- 0.0 (* after >=1 ball, zero distinct bins impossible *)
+
+let dp_at_most p ~spares =
+  let total = ref 0.0 in
+  for j = 0 to spares do
+    total := !total +. p.(j)
+  done;
+  !total
+
 let p_distinct_rows_at_most ~rows ~spares n =
   assert (rows > 0 && spares >= 0 && n >= 0);
   if spares >= rows then 1.0
   else begin
-    (* p.(j) = P(j distinct bins so far); p.(spares+1) absorbs "too many" *)
-    let p = Array.make (spares + 2) 0.0 in
-    p.(0) <- 1.0;
+    let p = dp_init ~spares in
     let rf = float_of_int rows in
     for _ = 1 to n do
-      for j = spares + 1 downto 1 do
-        let stay = p.(j) *. (float_of_int (min j (spares + 1)) /. rf) in
-        let come = p.(j - 1) *. ((rf -. float_of_int (j - 1)) /. rf) in
-        p.(j) <- (if j <= spares then stay else p.(j)) +. come
-      done;
-      p.(0) <- 0.0 (* after >=1 ball, zero distinct bins impossible *)
+      dp_step p ~rf ~spares
     done;
-    let total = ref 0.0 in
-    for j = 0 to spares do
-      total := !total +. p.(j)
-    done;
-    !total
+    dp_at_most p ~spares
   end
+
+(* probability that one fault lands in the regular array *)
+let f_regular g =
+  let total_rows = g.regular_rows + g.spares in
+  (1.0 -. g.logic_fraction)
+  *. (float_of_int g.regular_rows /. float_of_int total_rows)
 
 let p_repairable g n =
   assert (n >= 0);
   if n = 0 then 1.0
-  else begin
-    let total_rows = g.regular_rows + g.spares in
-    let f_reg =
-      (1.0 -. g.logic_fraction)
-      *. (float_of_int g.regular_rows /. float_of_int total_rows)
-    in
+  else
     (* all n faults must land in the regular array... *)
-    let all_regular = f_reg ** float_of_int n in
+    let all_regular = f_regular g ** float_of_int n in
     (* ...and occupy at most [spares] distinct regular rows *)
     all_regular *. p_distinct_rows_at_most ~rows:g.regular_rows ~spares:g.spares n
-  end
 
+(* Σ pmf(n) · p_repairable g n, with the distinct-rows DP advanced one
+   ball per term instead of rebuilt from zero for every n: O(N·spares)
+   rather than O(N²·spares).  Every float operation is the one
+   [p_repairable] performs, in the same order, so the sum is
+   bit-identical to the per-n form. *)
 let mixture g ~mean ~pmf =
   if mean <= 0.0 then 1.0
   else begin
+    let f_reg = f_regular g in
+    let spares = g.spares in
+    let always = spares >= g.regular_rows in
+    let p = dp_init ~spares and rf = float_of_int g.regular_rows in
     let acc = ref 0.0 and mass = ref 0.0 in
     let n = ref 0 in
     (* sum until the count distribution's tail is negligible *)
     while !mass < 1.0 -. 1e-12 && !n < 100_000 do
-      let p = pmf !n in
-      mass := !mass +. p;
-      acc := !acc +. (p *. p_repairable g !n);
+      let pn = pmf !n in
+      mass := !mass +. pn;
+      let repairable =
+        if !n = 0 then 1.0
+        else begin
+          let distinct =
+            if always then 1.0
+            else begin
+              dp_step p ~rf ~spares;
+              dp_at_most p ~spares
+            end
+          in
+          (f_reg ** float_of_int !n) *. distinct
+        end
+      in
+      acc := !acc +. (pn *. repairable);
       incr n
     done;
     !acc
@@ -113,6 +148,23 @@ let make2 ~rows ~cols ~spare_rows ~spare_cols =
   if spare_cols < 0 then invalid_arg "Repairable.make2: spare_cols";
   { rows; cols; spare_rows; spare_cols }
 
+(* A set of small non-negative ints below a known bound, counting its
+   distinct members: the seen-set of burnt spare lines and of faulty
+   rows. *)
+type seen = { marks : Bytes.t; mutable count : int }
+
+let seen_set n = { marks = Bytes.make n '\000'; count = 0 }
+
+let see s i =
+  if Bytes.get s.marks i = '\000' then begin
+    Bytes.set s.marks i '\001';
+    s.count <- s.count + 1
+  end
+
+let clear s =
+  Bytes.fill s.marks 0 (Bytes.length s.marks) '\000';
+  s.count <- 0
+
 (* Repairability of one explicit fault placement, by the same
    branch-and-bound cover the BIRA flow's optimal allocator uses.  A
    fault on a spare line burns that line (it cannot be deployed); a
@@ -121,11 +173,11 @@ let make2 ~rows ~cols ~spare_rows ~spare_cols =
    spares alone never fail it. *)
 let placement_repairable g cells =
   let reg = ref [] in
-  let burnt_r = Hashtbl.create 4 and burnt_c = Hashtbl.create 4 in
+  let burnt_r = seen_set g.spare_rows and burnt_c = seen_set g.spare_cols in
   List.iter
     (fun (r, c) ->
-      if r >= g.rows then Hashtbl.replace burnt_r r ();
-      if c >= g.cols then Hashtbl.replace burnt_c c ();
+      if r >= g.rows then see burnt_r (r - g.rows);
+      if c >= g.cols then see burnt_c (c - g.cols);
       if r < g.rows && c < g.cols then reg := (r, c) :: !reg)
     cells;
   match !reg with
@@ -135,8 +187,8 @@ let placement_repairable g cells =
         {
           Bisram_bira.Cover.rows = g.rows;
           cols = g.cols;
-          spare_rows = max 0 (g.spare_rows - Hashtbl.length burnt_r);
-          spare_cols = max 0 (g.spare_cols - Hashtbl.length burnt_c);
+          spare_rows = Int.max 0 (g.spare_rows - burnt_r.count);
+          spare_cols = Int.max 0 (g.spare_cols - burnt_c.count);
           cells;
         }
       in
@@ -203,9 +255,10 @@ let yield_monte_carlo rng g ~mean_defects ~alpha ~trials =
   let mean = mean_defects *. g.growth_factor in
   let total_rows = g.regular_rows + g.spares in
   let good = ref 0 in
+  let rows_hit = seen_set g.regular_rows in
   for _ = 1 to trials do
     let n = D.negative_binomial rng ~mean ~alpha in
-    let rows_hit = Hashtbl.create 8 in
+    if rows_hit.count > 0 then clear rows_hit;
     let ok = ref true in
     for _ = 1 to n do
       if !ok then begin
@@ -214,10 +267,10 @@ let yield_monte_carlo rng g ~mean_defects ~alpha ~trials =
         else begin
           let row = Random.State.int rng total_rows in
           if row >= g.regular_rows then ok := false (* hit a spare *)
-          else Hashtbl.replace rows_hit row ()
+          else see rows_hit row
         end
       end
     done;
-    if !ok && Hashtbl.length rows_hit <= g.spares then incr good
+    if !ok && rows_hit.count <= g.spares then incr good
   done;
   float_of_int !good /. float_of_int trials

@@ -29,7 +29,9 @@ val make :
   growth_factor:float -> geometry
 
 (** [p_repairable g n] — probability that a pattern of exactly [n]
-    uniformly placed cell faults is repairable (strict notion). *)
+    uniformly placed cell faults is repairable (strict notion).  Runs
+    the distinct-rows DP from zero, O(n·spares) per call: the per-count
+    form, for callers that need one [n]; {!yield} does not call it. *)
 val p_repairable : geometry -> int -> float
 
 (** [p_distinct_rows_at_most ~rows ~spares n] — probability that [n]
@@ -39,12 +41,18 @@ val p_distinct_rows_at_most : rows:int -> spares:int -> int -> float
 
 (** [yield g ~mean_defects ~alpha] — module yield: the negative-binomial
     mixture of [p_repairable] over the fault count, with the mean
-    already scaled by the growth factor internally.  Raises
+    already scaled by the growth factor internally.  The mixture sums
+    until the count distribution's remaining mass is below 1e-12 (at
+    most 100 000 terms) and advances one distinct-rows DP state per
+    fault count instead of calling [p_repairable] per term, so it costs
+    O(N·spares) rather than O(N²·spares); every float operation is the
+    one [p_repairable] performs, in the same order, so the result is
+    bit-identical to Σ pmf(n)·[p_repairable g n].  Raises
     [Invalid_argument] if [mean_defects] is negative or either argument
     is non-finite or [alpha] is not positive. *)
 val yield : geometry -> mean_defects:float -> alpha:float -> float
 
-(** Same under the pure Poisson count model. *)
+(** Same under the pure Poisson count model (same incremental mixture). *)
 val yield_poisson : geometry -> mean_defects:float -> float
 
 (** 2D geometry for spare-row + spare-column (BIRA) repair.  Unlike

@@ -213,6 +213,52 @@ let prop_occupancy_monotone_in_spares =
       let p s = Rp.p_distinct_rows_at_most ~rows ~spares:s n in
       p 0 <= p 1 +. 1e-12 && p 1 <= p 4 +. 1e-12 && p 4 <= p 16 +. 1e-12)
 
+(* The incremental mixture behind [yield] and [yield_poisson] must be
+   bit-identical to the per-count form it replaced: Σ pmf(n) ·
+   [p_repairable g n], each term rebuilding the distinct-rows DP from
+   zero, summed until the remaining mass is below 1e-12.  Geometries
+   cover [spares = 0] and [spares >= rows]; means cover 0 and clustered
+   heavy tails (alpha down to 0.3), small enough that this quadratic
+   reference stays fast. *)
+module D = Bisram_faults.Defect
+
+let reference_mixture g ~mean ~pmf =
+  if mean <= 0.0 then 1.0
+  else begin
+    let acc = ref 0.0 and mass = ref 0.0 and n = ref 0 in
+    while !mass < 1.0 -. 1e-12 && !n < 100_000 do
+      let p = pmf !n in
+      mass := !mass +. p;
+      acc := !acc +. (p *. Rp.p_repairable g !n);
+      incr n
+    done;
+    !acc
+  end
+
+let prop_mixture_identity =
+  QCheck.Test.make ~name:"incremental mixture = per-count sum (bits)"
+    ~count:150
+    QCheck.(
+      quad (int_range 1 48)
+        (oneof [ int_range 0 0; int_range 0 24; int_range 48 60 ])
+        (pair (float_range 0.0 0.3) (float_range 1.0 1.5))
+        (pair (oneof [ float_range 0.0 0.0; float_range 0.0 8.0 ])
+           (float_range 0.3 4.0)))
+    (fun (rows, spares, (logic, growth), (mean_defects, alpha)) ->
+      let g =
+        Rp.make ~regular_rows:rows ~spares ~logic_fraction:logic
+          ~growth_factor:growth
+      in
+      let mean = mean_defects *. growth in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      same
+        (Rp.yield g ~mean_defects ~alpha)
+        (reference_mixture g ~mean ~pmf:(fun n ->
+             D.negative_binomial_pmf ~mean ~alpha n))
+      && same
+           (Rp.yield_poisson g ~mean_defects)
+           (reference_mixture g ~mean ~pmf:(fun n -> D.poisson_pmf ~mean n)))
+
 let () =
   Alcotest.run "yield"
     [ ( "stapper",
@@ -238,6 +284,7 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_yield_in_unit_interval
         ; QCheck_alcotest.to_alcotest prop_occupancy_monotone_in_spares
         ; QCheck_alcotest.to_alcotest prop_mc_matches_analytic
+        ; QCheck_alcotest.to_alcotest prop_mixture_identity
         ] )
     ; ( "hardening",
         [ Alcotest.test_case "stapper rejects degenerate" `Quick
