@@ -13,7 +13,9 @@ test: build
 # perfbench's re-drive and the controller datapath's words, organization
 # and address generator per cycle; the repair loop and its row-TLB
 # allocator, the 2D BIRA allocator, fault map and remap tables run per
-# repair round and per failing cell.  So they must
+# repair round and per failing cell; the reliability curves run per
+# crossover grid point and the placer per candidate position of every
+# compile in an explore sweep.  So they must
 # not call polymorphic min/max/compare (a compare_val per call) or the
 # polymorphic Hashtbl (a caml_hash per call).  The lint parses the
 # files, so comments and strings never match; Int.min, Int.compare
@@ -22,7 +24,8 @@ HOT_PATH = lib/sram/model.ml lib/bist/engine.ml lib/bist/controller.ml \
   lib/bisr/tlb.ml lib/bisr/repair.ml lib/campaign/sweep.ml lib/bira/bira.ml \
   lib/bira/fault_map.ml lib/bira/remap2d.ml lib/sram/lanes.ml \
   lib/bist/lane_engine.ml lib/sram/word.ml lib/sram/org.ml \
-  lib/bist/addgen.ml lib/yield/repairable.ml
+  lib/bist/addgen.ml lib/yield/repairable.ml \
+  lib/reliability/reliability.ml lib/place_route/placer.ml
 
 hot-path-lint: build
 	dune exec bench/hot_path_lint.exe -- $(HOT_PATH)
@@ -171,14 +174,17 @@ events-smoke: build
 # Explore determinism + cache gate: the tiny example sweep must produce
 # byte-identical reports sequentially and in parallel, cold on two
 # domains (the run's shared evaluations and designs under concurrency),
-# and a second run resuming from the first run's cache must hit on every
-# evaluation.
+# where each of its 42 distinct evaluations is computed exactly once
+# and its 18 repeats are shared, and a second run resuming from the
+# first run's cache must hit on every evaluation.
 explore-smoke: build
 	rm -rf .ci-explore-cache .ci-explore-cold2-cache
 	dune exec bin/bisramgen.exe -- explore --spec examples/explore_smoke.spec \
 	  --jobs 1 --cache .ci-explore-cache > .ci-explore-jobs1.json
 	dune exec bin/bisramgen.exe -- explore --spec examples/explore_smoke.spec \
-	  --jobs 2 --cache .ci-explore-cold2-cache > .ci-explore-cold2.json
+	  --jobs 2 --cache .ci-explore-cold2-cache > .ci-explore-cold2.json \
+	  2> .ci-explore-cold2.err
+	grep -q "0 hit(s), 42 miss(es), 18 shared" .ci-explore-cold2.err
 	dune exec bin/bisramgen.exe -- explore --spec examples/explore_smoke.spec \
 	  --jobs 2 --cache .ci-explore-cache --resume \
 	  > .ci-explore-jobs2.json 2> .ci-explore-warm.err
@@ -187,7 +193,8 @@ explore-smoke: build
 	diff .ci-explore-jobs1.json .ci-explore-jobs2.json
 	grep -q "(100.0% hit rate)" .ci-explore-warm.err
 	rm -rf .ci-explore-cache .ci-explore-cold2-cache .ci-explore-jobs1.json \
-	  .ci-explore-cold2.json .ci-explore-jobs2.json .ci-explore-warm.err
+	  .ci-explore-cold2.json .ci-explore-cold2.err .ci-explore-jobs2.json \
+	  .ci-explore-warm.err
 	@echo "explore-smoke: OK"
 
 # Fault-injection gate: with deterministic chaos armed, transient job

@@ -46,6 +46,8 @@ type t = {
   controller : Bisram_bist.Controller.t;
   pla : Bisram_bist.Trpla.t;
   floorplan : Bisram_pr.Floorplan.t;
+      (** placed; routed only when read through
+          {!Bisram_pr.Floorplan.routing} or printed *)
   area : area_report;
   timing : timing_report;
   ctl_report : controller_report;

@@ -13,14 +13,10 @@ type stats = {
   st_io_errors : int;
 }
 
-module Tbl = Hashtbl.Make (String)
-
 type t = {
   dir : string option;
   resume : bool;
-  lock : Mutex.t;
-  computed : J.t Tbl.t;
-      (** this run's normalized values by key, guarded by [lock] *)
+  computed : J.t Once.t;  (** this run's normalized values by key *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   shared : int Atomic.t;
@@ -69,8 +65,7 @@ let create ?dir ~resume () =
   end;
   { dir
   ; resume
-  ; lock = Mutex.create ()
-  ; computed = Tbl.create 64
+  ; computed = Once.create ()
   ; hits = Atomic.make 0
   ; misses = Atomic.make 0
   ; shared = Atomic.make 0
@@ -200,10 +195,9 @@ let debug name key =
 
 (* Disk first (only under [resume]), so a warm run hits on every
    evaluation; then this run's table, so a key computed earlier in the
-   run is neither recomputed, stored nor parsed again; only then
-   compute.  Two workers racing on one new key both compute it and
-   write the same bytes; the first insert is kept, and both values are
-   equal anyway. *)
+   run, or being computed by another worker, is neither recomputed,
+   stored nor parsed again; only then compute.  Each distinct key is
+   therefore computed once per run at any number of workers. *)
 let memo t ~key compute =
   match lookup t key with
   | Some v ->
@@ -212,7 +206,7 @@ let memo t ~key compute =
       debug "cache.hit" key;
       v
   | None -> (
-      match Mutex.protect t.lock (fun () -> Tbl.find_opt t.computed key) with
+      match Once.claim t.computed key with
       | Some v ->
           Atomic.incr t.shared;
           Obs.incr "cache.shared";
@@ -222,12 +216,10 @@ let memo t ~key compute =
           Atomic.incr t.misses;
           Obs.incr "cache.misses";
           debug "cache.miss" key;
-          let s = entry_string key (compute ()) in
-          store t key s;
-          let v = normalize key s in
-          Mutex.protect t.lock (fun () ->
-              if not (Tbl.mem t.computed key) then Tbl.add t.computed key v);
-          v)
+          Once.fill t.computed key (fun () ->
+              let s = entry_string key (compute ()) in
+              store t key s;
+              normalize key s))
 
 let stats t =
   { st_hits = Atomic.get t.hits

@@ -22,13 +22,17 @@
     still reads the disk on every evaluation, and a key repeated within
     a cold or diskless run (the ["area"] key is the same at every
     mean defect count) is computed, stored and parsed once; its later
-    evaluations are served from memory and counted as [shared].
+    evaluations are served from memory and counted as [shared].  A key
+    being computed is marked in that table: a second worker asking for
+    it waits for the first instead of computing it again, so each
+    distinct key is computed once per run at any number of workers.  If
+    the computing worker raises, the mark is removed and a waiter
+    computes the key itself.
 
     Writes are atomic (temp file + rename in the cache directory), so
-    concurrent workers and interrupted runs leave either a complete
-    entry or none.  Two workers that race on one new key may both
-    compute and write it, but identical keys produce identical bytes,
-    so the rename race is harmless.
+    concurrent runs and interrupted runs leave either a complete entry
+    or none; identical keys produce identical bytes, so a rename race
+    between two runs sharing a directory is harmless.
 
     Self-healing: the cache treats its own disk state as untrusted.
     Orphaned temp files (a kill between write and rename) are reaped at
@@ -53,9 +57,10 @@ type stats = {
   st_misses : int;  (** computed (and stored when there is a disk) *)
   st_shared : int;
       (** served from this run's table: the key was computed earlier
-          in the run.  On one domain hits + misses + shared is the
-          number of {!memo} calls; with several domains two workers
-          racing on a new key both count a miss. *)
+          in the run, or by another worker while this one waited.
+          hits + misses + shared is the number of {!memo} calls; a key
+          whose computation raised counts a second miss when a waiter
+          or a retry computes it again. *)
   st_quarantined : int;  (** entries failing verification, moved aside *)
   st_reaped_tmp : int;  (** orphaned temp files removed at open *)
   st_io_errors : int;  (** reads/writes that degraded to uncached *)
@@ -75,8 +80,10 @@ val create : ?dir:string -> resume:bool -> unit -> t
 (** [memo t ~key compute] — the normalized cached value for [key]:
     from disk (under [resume]), else from this run's table, else
     computed, stored and added to the table.  Safe to call from pool
-    workers: the counters are atomic, the table is guarded by a mutex
-    and writes go through unique temp files.  Never raises on cache
+    workers: the counters are atomic, the table is guarded by a mutex,
+    a worker waits on a key another one is computing, and writes go
+    through unique temp files.  An exception from [compute] propagates
+    to its caller and leaves the key unclaimed.  Never raises on cache
     damage or disk errors — those degrade to recomputation (see
     self-healing above). *)
 val memo : t -> key:string -> (unit -> Bisram_obs.Json.t) -> Bisram_obs.Json.t

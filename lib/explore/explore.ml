@@ -203,13 +203,12 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
   in
   (* One compiled design per design key, shared across points and
      workers.  A [Lazy.t] cannot be shared (forcing one from two
-     domains at once raises), so a worker that misses compiles outside
-     the lock and keeps the first insert: compiles are pure, and a lost
-     race only costs a duplicate compile.  A key's design is dropped
-     once every point of that key has finished, so memory is bounded
-     by the designs in flight. *)
-  let lock = Mutex.create () in
-  let designs = Hashtbl.create 8 and pending = Hashtbl.create 8 in
+     domains at once raises), so a worker that needs a design another
+     one is compiling waits for that compile instead of starting its
+     own.  A key's design is dropped once every point of that key has
+     finished, so memory is bounded by the designs in flight. *)
+  let designs = Once.create () in
+  let lock = Mutex.create () and pending = Hashtbl.create 8 in
   let design_keys = Array.map (fun p -> Spec.design_key spec p.Spec.org) points in
   Array.iter
     (fun k ->
@@ -218,21 +217,18 @@ let run ?(jobs = 1) ?cache_dir ?(resume = false) ?on_progress spec =
     design_keys;
   let design_of i =
     let k = design_keys.(i) in
-    match Mutex.protect lock (fun () -> Hashtbl.find_opt designs k) with
+    match Once.claim designs k with
     | Some d -> d
     | None ->
-        let d = Compiler.compile (Spec.config_of_point spec points.(i)) in
-        Mutex.protect lock (fun () ->
-            match Hashtbl.find_opt designs k with
-            | Some first -> first
-            | None -> Hashtbl.add designs k d; d)
+        Once.fill designs k (fun () ->
+            Compiler.compile (Spec.config_of_point spec points.(i)))
   in
   let point_done i =
     let k = design_keys.(i) in
     Mutex.protect lock (fun () ->
         let left = Hashtbl.find pending k - 1 in
         Hashtbl.replace pending k left;
-        if left = 0 then Hashtbl.remove designs k)
+        if left = 0 then Once.remove designs k)
   in
   let work i =
     let p = points.(i) in

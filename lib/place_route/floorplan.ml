@@ -1,10 +1,10 @@
 module R = Bisram_geometry.Rect
 
-type t = { placement : Placer.result; routing : Router.result }
+type t = { placement : Placer.result; rules : Bisram_tech.Rules.t }
 
-let make rules blocks =
-  let placement = Placer.place blocks in
-  { placement; routing = Router.route rules placement }
+let make rules blocks = { placement = Placer.place blocks; rules }
+
+let routing t = Router.route t.rules t.placement
 
 let epsilon t = (1.0 /. t.placement.Placer.rectangularity) -. 1.0
 
@@ -58,4 +58,4 @@ let render ?(width = 72) t =
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a@,%a@,epsilon = %.3f@]" Placer.pp t.placement
-    Router.pp t.routing (epsilon t)
+    Router.pp (routing t) (epsilon t)

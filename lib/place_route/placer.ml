@@ -49,7 +49,7 @@ let wire_estimate (candidate : placement) placements =
             List.fold_left
               (fun best other ->
                 if other.Block.net = pin.Block.net then
-                  min best (P.manhattan mine (pin_point pl other))
+                  Int.min best (P.manhattan mine (pin_point pl other))
                 else best)
               best pl.block.Block.pins)
           max_int placements
@@ -122,7 +122,7 @@ let stretching (b : Block.t) at placements =
         then
           let nh = R.height r and mh = b.Block.h in
           if nh > mh && float_of_int (nh - mh) <= 0.3 *. float_of_int mh then
-            max acc (nh - mh)
+            Int.max acc (nh - mh)
           else acc
         else acc)
       0 placements
@@ -135,7 +135,7 @@ let stretching (b : Block.t) at placements =
         then
           let nw = R.width r and mw = b.Block.w in
           if nw > mw && float_of_int (nw - mw) <= 0.3 *. float_of_int mw then
-            max acc (nw - mw)
+            Int.max acc (nw - mw)
           else acc
         else acc)
       0 placements
@@ -204,26 +204,28 @@ let place blocks =
   { placements = List.rev placements
   ; bbox
   ; dead_space = R.area bbox - used
-  ; rectangularity = float_of_int used /. float_of_int (max 1 (R.area bbox))
+  ; rectangularity = float_of_int used /. float_of_int (Int.max 1 (R.area bbox))
   }
+
+module Nets = Hashtbl.Make (String)
 
 let hpwl result =
   (* group pins by net over all placements *)
-  let nets = Hashtbl.create 32 in
+  let nets = Nets.create 32 in
   List.iter
     (fun pl ->
       List.iter
         (fun pin ->
           let p = pin_point pl pin in
           let cur =
-            match Hashtbl.find_opt nets pin.Block.net with
+            match Nets.find_opt nets pin.Block.net with
             | Some r -> R.join r (R.make p.P.x p.P.y p.P.x p.P.y)
             | None -> R.make p.P.x p.P.y p.P.x p.P.y
           in
-          Hashtbl.replace nets pin.Block.net cur)
+          Nets.replace nets pin.Block.net cur)
         pl.block.Block.pins)
     result.placements;
-  Hashtbl.fold (fun _ r acc -> acc + R.width r + R.height r) nets 0
+  Nets.fold (fun _ r acc -> acc + R.width r + R.height r) nets 0
 
 let find result name =
   List.find_opt (fun pl -> pl.block.Block.name = name) result.placements

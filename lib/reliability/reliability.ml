@@ -40,21 +40,22 @@ let log_choose n k =
   -. log_gamma (float_of_int k +. 1.0)
   -. log_gamma (float_of_int (n - k) +. 1.0)
 
-(* P(Binomial(w, q) <= s), summed in log space term by term;
-   [log_c.(j)] is [log_choose w j]. *)
+(* The j-th term C(w,j) q^j (1-q)^(w-j), from [log_c.(j)] =
+   [log_choose w j], [lq] = log q and [l1q] = log (1-q). *)
+let binomial_term ~log_c ~w ~lq ~l1q j =
+  exp (log_c.(j) +. (float_of_int j *. lq) +. (float_of_int (w - j) *. l1q))
+
+(* P(Binomial(w, q) <= s), summed in log space term by term. *)
 let binomial_cdf ~log_c ~w ~q s =
   if q <= 0.0 then 1.0
   else if q >= 1.0 then if s >= w then 1.0 else 0.0
   else begin
     let lq = log q and l1q = log (1.0 -. q) in
     let total = ref 0.0 in
-    for j = 0 to min s w do
-      let lt =
-        log_c.(j) +. (float_of_int j *. lq) +. (float_of_int (w - j) *. l1q)
-      in
-      total := !total +. exp lt
+    for j = 0 to Int.min s w do
+      total := !total +. binomial_term ~log_c ~w ~lq ~l1q j
     done;
-    min 1.0 !total
+    Float.min 1.0 !total
   end
 
 let word_fault_prob c t =
@@ -64,7 +65,7 @@ let word_fault_prob c t =
    each evaluation then costs min(S,W)+1 [exp]s. *)
 let curve c =
   let w = c.words and s = c.spare_words in
-  let log_c = Array.init (min s w + 1) (log_choose w) in
+  let log_c = Array.init (Int.min s w + 1) (log_choose w) in
   fun t ->
     assert (t >= 0.0);
     if t = 0.0 then 1.0
@@ -102,7 +103,7 @@ let failure_pdf c t =
    (W-j)/(N-j-1). *)
 let mttf c =
   let w = c.words and n = c.words + c.spare_words in
-  let last = min c.spare_words w in
+  let last = Int.min c.spare_words w in
   let rec sum j term acc =
     let acc = acc +. term in
     if j = last then acc
@@ -113,15 +114,57 @@ let mttf c =
   in
   sum 0 (1.0 /. float_of_int n) 0.0 /. (c.lambda *. float_of_int c.bpw)
 
+(* [R_a(t) < R_b(t)] for configs that share words, bpw and lambda, so
+   share q: one [word_fault_prob], one pair of logs and one term sum
+   up to the larger spare count.  The partial sum at the smaller count
+   is that curve's [binomial_cdf] bit for bit, the same terms added in
+   the same order; each curve keeps its own spare factor and clamp. *)
+let below_shared a b =
+  let w = a.words and sa = a.spare_words and sb = b.spare_words in
+  let lo = Int.min (Int.min sa sb) w and hi = Int.min (Int.max sa sb) w in
+  let log_c = Array.init (hi + 1) (log_choose w) in
+  fun t ->
+    assert (t >= 0.0);
+    if t = 0.0 then false
+    else begin
+      let q = word_fault_prob a t in
+      let cdf_a, cdf_b =
+        if q <= 0.0 then (1.0, 1.0)
+        else if q >= 1.0 then
+          ( (if sa >= w then 1.0 else 0.0)
+          , if sb >= w then 1.0 else 0.0 )
+        else begin
+          let lq = log q and l1q = log (1.0 -. q) in
+          let total = ref 0.0 and at_lo = ref 0.0 in
+          for j = 0 to hi do
+            total := !total +. binomial_term ~log_c ~w ~lq ~l1q j;
+            if j = lo then at_lo := !total
+          done;
+          let small = Float.min 1.0 !at_lo and large = Float.min 1.0 !total in
+          if sa <= sb then (small, large) else (large, small)
+        end
+      in
+      let x = 1.0 -. q in
+      (x ** float_of_int sa) *. cdf_a < (x ** float_of_int sb) *. cdf_b
+    end
+
 let crossover a b ~t0 ~t1 ~steps =
   assert (steps > 1 && t1 > t0);
-  let ra = curve a and rb = curve b in
+  let below =
+    if
+      Int.equal a.words b.words && Int.equal a.bpw b.bpw
+      && Float.equal a.lambda b.lambda
+    then below_shared a b
+    else
+      let ra = curve a and rb = curve b in
+      fun t -> ra t < rb t
+  in
   let h = (t1 -. t0) /. float_of_int (steps - 1) in
   let rec go i =
     if i >= steps then None
     else begin
       let t = t0 +. (h *. float_of_int i) in
-      if ra t < rb t then Some t else go (i + 1)
+      if below t then Some t else go (i + 1)
     end
   in
   go 0

@@ -185,6 +185,15 @@ let test_expand_counts () =
 (* ------------------------------------------------------------------ *)
 (* determinism: jobs count and cache temperature never change bytes *)
 
+(* distinct cache keys of a sweep: what a cold run computes *)
+let distinct_keys s =
+  let points, _ = Spec.expand s in
+  Array.to_list points
+  |> List.concat_map (fun p ->
+         List.map (fun ev -> Spec.cache_key s p ~evaluator:ev) s.Spec.evaluators)
+  |> List.sort_uniq String.compare
+  |> List.length
+
 let test_determinism () =
   let s = tiny_spec () in
   let dir = temp_cache_dir () in
@@ -204,20 +213,21 @@ let test_determinism () =
         (Explore.evaluations cold1)
         (cold1.Explore.cache_stats.Cache.st_misses
         + cold1.Explore.cache_stats.Cache.st_shared);
+      (* a key one worker is computing is waited for, never recomputed,
+         so two workers count exactly what one does *)
+      let distinct = distinct_keys s in
+      Alcotest.(check int) "jobs 2: no hit when cold" 0
+        cold2.Explore.cache_stats.Cache.st_hits;
+      Alcotest.(check int) "jobs 2: each distinct key missed once" distinct
+        cold2.Explore.cache_stats.Cache.st_misses;
+      Alcotest.(check int) "jobs 2: every repeat shared"
+        (Explore.evaluations cold2 - distinct)
+        cold2.Explore.cache_stats.Cache.st_shared;
       Alcotest.(check int) "warm run always hits"
         (Explore.evaluations warm)
         warm.Explore.cache_stats.Cache.st_hits;
       Alcotest.(check int) "warm run never misses" 0
         warm.Explore.cache_stats.Cache.st_misses)
-
-(* distinct cache keys of a sweep: what a cold run computes *)
-let distinct_keys s =
-  let points, _ = Spec.expand s in
-  Array.to_list points
-  |> List.concat_map (fun p ->
-         List.map (fun ev -> Spec.cache_key s p ~evaluator:ev) s.Spec.evaluators)
-  |> List.sort_uniq String.compare
-  |> List.length
 
 let test_diskless_run () =
   (* no cache_dir: each distinct key is a miss and its repeats are
@@ -242,6 +252,94 @@ let test_diskless_run () =
         r.Explore.cache_stats.Cache.st_shared;
       Alcotest.(check int) "no hit without a disk" 0
         r.Explore.cache_stats.Cache.st_hits)
+
+let spin_ns ns =
+  let until = Int64.add (Bisram_parallel.Clock.now_ns ()) ns in
+  while Bisram_parallel.Clock.now_ns () < until do
+    Domain.cpu_relax ()
+  done
+
+(* Two workers ask for one key at once: [first] computes it and
+   [second] arrives while it does.  [first]'s evaluator holds the key
+   until [second] has asked for it, then returns [value] or raises.
+   A waiter that is never woken fails the test after 10 s instead of
+   hanging it. *)
+let race_on_one_key ~first_raises value =
+  let cache = Cache.create ~resume:false () in
+  let computing = Atomic.make false and asked = Atomic.make false in
+  let second_computed = Atomic.make 0 in
+  let first =
+    Domain.spawn (fun () ->
+        match
+          Cache.memo cache ~key:"k" (fun () ->
+              Atomic.set computing true;
+              while not (Atomic.get asked) do Domain.cpu_relax () done;
+              (* give [second] time to reach the wait *)
+              spin_ns 50_000_000L;
+              if first_raises then failwith "injected" else value)
+        with
+        | v -> Ok v
+        | exception Failure msg -> Error msg)
+  in
+  while not (Atomic.get computing) do Domain.cpu_relax () done;
+  Atomic.set asked true;
+  let second = Atomic.make None in
+  let _waiter : unit Domain.t =
+    Domain.spawn (fun () ->
+        Atomic.set second
+          (Some
+             (Cache.memo cache ~key:"k" (fun () ->
+                  Atomic.incr second_computed;
+                  value))))
+  in
+  let deadline = Int64.add (Bisram_parallel.Clock.now_ns ()) 10_000_000_000L in
+  let rec await () =
+    match Atomic.get second with
+    | Some v -> v
+    | None ->
+        if Bisram_parallel.Clock.now_ns () > deadline then
+          Alcotest.fail "the waiter was never woken";
+        spin_ns 1_000_000L;
+        await ()
+  in
+  let second = await () in
+  (Domain.join first, second, Atomic.get second_computed, Cache.stats cache)
+
+let race_value = J.Obj [ ("x", J.Float 1.5); ("n", J.Int 3) ]
+
+(* what one worker alone returns for the key *)
+let one_worker_value () =
+  Cache.memo (Cache.create ~resume:false ()) ~key:"k" (fun () -> race_value)
+
+let test_inflight_key_shared () =
+  let first, second, second_computed, st =
+    race_on_one_key ~first_raises:false race_value
+  in
+  let expected = J.to_string (one_worker_value ()) in
+  (match first with
+  | Ok v -> Alcotest.(check string) "first's value" expected (J.to_string v)
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check string) "second's value" expected (J.to_string second);
+  Alcotest.(check int) "second waited instead of computing" 0 second_computed;
+  Alcotest.(check int) "one miss" 1 st.Cache.st_misses;
+  Alcotest.(check int) "one shared" 1 st.Cache.st_shared
+
+(* The computing worker raises while the other waits on its key: the
+   raise reaches its own caller only, and the waiter computes the key
+   itself and returns what one worker alone returns. *)
+let test_inflight_raise_wakes_waiter () =
+  let first, second, second_computed, st =
+    race_on_one_key ~first_raises:true race_value
+  in
+  (match first with
+  | Error msg -> Alcotest.(check string) "first raised" "injected" msg
+  | Ok _ -> Alcotest.fail "first's evaluator should have raised");
+  Alcotest.(check string) "waiter's value = one-worker value"
+    (J.to_string (one_worker_value ()))
+    (J.to_string second);
+  Alcotest.(check int) "waiter computed the key" 1 second_computed;
+  Alcotest.(check int) "both computations counted" 2 st.Cache.st_misses;
+  Alcotest.(check int) "nothing shared" 0 st.Cache.st_shared
 
 (* ------------------------------------------------------------------ *)
 (* cache self-healing *)
@@ -457,6 +555,10 @@ let () =
     ; ( "engine",
         [ Alcotest.test_case "jobs + cache determinism" `Quick
             test_determinism
+        ; Alcotest.test_case "in-flight key shared" `Quick
+            test_inflight_key_shared
+        ; Alcotest.test_case "in-flight raise wakes the waiter" `Quick
+            test_inflight_raise_wakes_waiter
         ; Alcotest.test_case "evaluator raise propagates" `Quick
             test_evaluator_raise_propagates
         ; Alcotest.test_case "diskless run" `Quick test_diskless_run

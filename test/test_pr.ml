@@ -93,15 +93,16 @@ let test_router_abutted_nets_free () =
   let a = blk "a" 100 100 ~pins:[ pin "n" Port.East 50 ] in
   let b = blk "b" 100 100 ~pins:[ pin "n" Port.West 50 ] in
   let fp = Floorplan.make rules [ a; b ] in
-  Alcotest.(check int) "abutted" 1 fp.Floorplan.routing.Router.abutted_nets;
-  Alcotest.(check int) "no wires" 0 fp.Floorplan.routing.Router.wirelength
+  let routing = Floorplan.routing fp in
+  Alcotest.(check int) "abutted" 1 routing.Router.abutted_nets;
+  Alcotest.(check int) "no wires" 0 routing.Router.wirelength
 
 let test_router_l_routes () =
   (* disconnected pins need routing; wirelength >= manhattan distance *)
   let a = blk "a" 100 100 ~pins:[ pin "n" Port.North 10; pin "m" Port.South 10 ] in
   let b = blk "b" 60 40 ~pins:[ pin "n" Port.South 30; pin "m" Port.North 30 ] in
   let fp = Floorplan.make rules [ a; b ] in
-  let routing = fp.Floorplan.routing in
+  let routing = Floorplan.routing fp in
   Alcotest.(check int) "two nets routed" 2 routing.Router.routed_nets;
   Alcotest.(check bool) "wirelength positive" true (routing.Router.wirelength > 0)
 

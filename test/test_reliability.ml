@@ -186,26 +186,68 @@ let prop_mttf_matches_oracle =
 (* [crossover] returns exactly the first grid point where a falls
    below b, as a naive scan with one [reliability] call per point; a
    config never falls strictly below itself. *)
+let crossover_is_naive a b ~t0 ~t1 ~steps =
+  let h = (t1 -. t0) /. float_of_int (steps - 1) in
+  let naive =
+    List.find_opt
+      (fun t -> Rel.reliability a t < Rel.reliability b t)
+      (List.init steps (fun i -> t0 +. (h *. float_of_int i)))
+  in
+  Rel.crossover a b ~t0 ~t1 ~steps = naive
+  && Rel.crossover a a ~t0 ~t1 ~steps = None
+
+(* Configs that share words, bpw and lambda take the one-pass scan,
+   any other pair two separate curves; both must match the naive scan,
+   also where a spare count reaches the word count and where the grid
+   runs so far past the MTTF that q rounds to 1, from its start (t0
+   half of t1) or after it. *)
 let prop_crossover_is_first_grid_point =
   QCheck.Test.make ~name:"crossover is the first grid point with R_a < R_b"
-    ~count:100
+    ~count:300
     QCheck.(
-      quad (int_range 1 1024)
-        (pair (int_range 0 32) (int_range 0 32))
-        (float_range (-9.0) (-6.0)) (int_range 2 400))
-    (fun (words, (sa, sb), log_l, steps) ->
+      quad
+        (triple (int_range 1 1024) bool bool)
+        (pair (int_range 0 40) (int_range 0 40))
+        (pair (float_range (-9.0) (-6.0)) (oneofl [ 20.0; 1e3; 1e6 ]))
+        (pair (int_range 2 400) (int_range 0 4)))
+    (fun ((words, small, late), (sa, sb), (log_l, horizon), (steps, variant)) ->
+      let words = if small then 1 + (words mod 24) else words in
       let lambda = 10.0 ** log_l in
-      let a = config ~words ~spare_words:sa ~lambda
-      and b = config ~words ~spare_words:sb ~lambda in
-      let t0 = 1.0 and t1 = 20.0 *. Float.max (Rel.mttf a) (Rel.mttf b) in
-      let h = (t1 -. t0) /. float_of_int (steps - 1) in
-      let naive =
-        List.find_opt
-          (fun t -> Rel.reliability a t < Rel.reliability b t)
-          (List.init steps (fun i -> t0 +. (h *. float_of_int i)))
+      let a = config ~words ~spare_words:sa ~lambda in
+      let b =
+        match variant with
+        | 0 -> config ~words:(words + 1 + sb) ~spare_words:sb ~lambda
+        | 1 -> config ~words ~spare_words:sb ~lambda:(lambda *. 1.5)
+        | 2 -> { (config ~words ~spare_words:sb ~lambda) with Rel.bpw = 8 }
+        | _ -> config ~words ~spare_words:sb ~lambda
       in
-      Rel.crossover a b ~t0 ~t1 ~steps = naive
-      && Rel.crossover a a ~t0 ~t1 ~steps = None)
+      let t1 = horizon *. Float.max (Rel.mttf a) (Rel.mttf b) in
+      let t0 = if late then 0.5 *. t1 else 1.0 in
+      crossover_is_naive a b ~t0 ~t1 ~steps)
+
+(* The regimes the property draws, pinned: spares past the word count
+   on either side, and grids with q = 1 (R = 0 for both) in their tail
+   or throughout. *)
+let test_crossover_edges () =
+  List.iter
+    (fun (words, sa, sb, horizon) ->
+      let a = config ~words ~spare_words:sa ~lambda:1e-6
+      and b = config ~words ~spare_words:sb ~lambda:1e-6 in
+      let t1 = horizon *. Float.max (Rel.mttf a) (Rel.mttf b) in
+      List.iter
+        (fun t0 ->
+          Alcotest.(check bool)
+            (Printf.sprintf "W=%d S=%d vs %d, t %g..%g" words sa sb t0 t1)
+            true
+            (crossover_is_naive a b ~t0 ~t1 ~steps:200
+            && crossover_is_naive b a ~t0 ~t1 ~steps:200))
+        [ 1.0; 0.5 *. t1 ];
+      if horizon >= 1e6 then
+        Alcotest.(check (float 0.0)) "R(t1) = 0 once q = 1" 0.0
+          (Rel.reliability a t1))
+    [ (4, 0, 6, 20.0); (4, 4, 9, 1e6); (16, 2, 16, 1e6); (1, 0, 1, 1e6)
+    ; (64, 0, 8, 1e6)
+    ]
 
 let () =
   Alcotest.run "reliability"
@@ -232,6 +274,7 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_reliability_unit_interval
         ; QCheck_alcotest.to_alcotest prop_mttf_decreasing_in_lambda
         ; QCheck_alcotest.to_alcotest prop_mttf_matches_oracle
+        ; Alcotest.test_case "crossover edges" `Quick test_crossover_edges
         ; QCheck_alcotest.to_alcotest prop_crossover_is_first_grid_point
         ] )
     ]
