@@ -15,7 +15,9 @@ test: build
 # allocator, the 2D BIRA allocator, fault map and remap tables run per
 # repair round and per failing cell; the reliability curves run per
 # crossover grid point and the placer per candidate position of every
-# compile in an explore sweep.  So they must
+# compile in an explore sweep; the fault draw (injection, proposal and
+# defect-count samplers) and the campaign's record and tally run once
+# per trial.  So they must
 # not call polymorphic min/max/compare (a compare_val per call) or the
 # polymorphic Hashtbl (a caml_hash per call).  The lint parses the
 # files, so comments and strings never match; Int.min, Int.compare
@@ -25,7 +27,9 @@ HOT_PATH = lib/sram/model.ml lib/bist/engine.ml lib/bist/controller.ml \
   lib/bira/fault_map.ml lib/bira/remap2d.ml lib/sram/lanes.ml \
   lib/bist/lane_engine.ml lib/sram/word.ml lib/sram/org.ml \
   lib/bist/addgen.ml lib/yield/repairable.ml \
-  lib/reliability/reliability.ml lib/place_route/placer.ml
+  lib/reliability/reliability.ml lib/place_route/placer.ml \
+  lib/campaign/campaign.ml lib/faults/injection.ml lib/faults/proposal.ml \
+  lib/faults/defect.ml
 
 hot-path-lint: build
 	dune exec bench/hot_path_lint.exe -- $(HOT_PATH)

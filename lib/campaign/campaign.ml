@@ -52,6 +52,24 @@ type config = {
   max_rounds : int;
 }
 
+(* A count model's parameters: a count of at least 0, a finite mean of
+   at least 0 and a finite positive alpha (a NaN or infinite mean has no
+   draw). *)
+let bad_mode ~who what v =
+  invalid_arg (Printf.sprintf "%s: %s (got %g)" who what v)
+
+let check_mean ~who m =
+  if not (Float.is_finite m && m >= 0.0) then
+    bad_mode ~who "mean must be finite and >= 0" m
+
+let check_mode ~who = function
+  | Uniform n -> if n < 0 then bad_mode ~who "faults must be >= 0" (float_of_int n)
+  | Poisson m -> check_mean ~who m
+  | Clustered { mean; alpha } ->
+      check_mean ~who mean;
+      if not (Float.is_finite alpha && alpha > 0.0) then
+        bad_mode ~who "alpha must be finite and > 0" alpha
+
 let make_config ?(org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
     ?march ?(mix = Injection.default_mix) ?(mode = Uniform 2) ?proposal
     ?(repair = Row_tlb) ?(trials = 100) ?(seed = 42) ?max_seconds
@@ -64,12 +82,7 @@ let make_config ?(org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
     invalid_arg "Campaign.make_config: organization is not simulable (bpw too wide)";
   if trials < 0 then invalid_arg "Campaign.make_config: trials";
   if max_rounds < 1 then invalid_arg "Campaign.make_config: max_rounds";
-  (match mode with
-  | Uniform n when n < 0 -> invalid_arg "Campaign.make_config: faults"
-  | Poisson m when m < 0.0 -> invalid_arg "Campaign.make_config: mean"
-  | Clustered { mean; alpha } when mean < 0.0 || alpha <= 0.0 ->
-      invalid_arg "Campaign.make_config: mean/alpha"
-  | _ -> ());
+  check_mode ~who:"Campaign.make_config" mode;
   (* identity proposals are normalized to [None] so that "no biasing"
      has one spelling: reports, checkpoint compat strings and the
      estimation-on predicate all agree *)
@@ -106,22 +119,33 @@ let rng_of_seed seed = Random.State.make [| 0xB15; seed |]
 (* ------------------------------------------------------------------ *)
 (* fault drawing *)
 
-let draw_faults cfg rng =
-  (* the defect field covers the whole physical array, spare lines
-     included; with [spare_cols = 0] this is exactly the old grid.  The
-     nominal proposal draws exactly as the unbiased sampler. *)
-  Proposal.draw
-    (Option.value cfg.proposal ~default:Proposal.nominal)
-    ~count:cfg.mode ~mix:cfg.mix rng
-    ~rows:(Org.total_rows cfg.org) ~cols:(Org.total_cols cfg.org)
+(* A configuration's trial draw, from a trial seed to its fault list,
+   checked and prepared once per [run] or [replay], before any trial: a
+   configuration made by record update never went through
+   [make_config].  The defect field covers the whole physical array,
+   spare lines included.  The nominal proposal draws exactly as the
+   unbiased sampler. *)
+let drawer ~who cfg =
+  check_mode ~who cfg.mode;
+  if cfg.max_rounds < 1 then invalid_arg (who ^ ": max_rounds");
+  let s =
+    Proposal.sampler
+      (Option.value cfg.proposal ~default:Proposal.nominal)
+      ~count:cfg.mode ~mix:cfg.mix
+  in
+  let rows = Org.total_rows cfg.org and cols = Org.total_cols cfg.org in
+  fun seed -> Proposal.sample s (rng_of_seed seed) ~rows ~cols
 
-(* The importance weight of a trial, recovered by redrawing its fault
-   list from the derived seed — a pure O(faults) function of
-   (config, index), so weights never need to travel through trial
-   records or the checkpoint wire format. *)
-let trial_weight cfg p ~index =
-  let faults = draw_faults cfg (rng_of_seed (trial_seed cfg index)) in
-  exp (Proposal.log_weight p ~count:cfg.mode ~mix:cfg.mix faults)
+(* The importance weight of a drawn fault list; 1 without a proposal. *)
+let weight_of cfg faults =
+  match cfg.proposal with
+  | None -> 1.0
+  | Some p -> exp (Proposal.log_weight p ~count:cfg.mode ~mix:cfg.mix faults)
+
+(* The weight of a trial whose fault list is not at hand (a resumed or
+   crashed trial), recovered by redrawing it from its seed. *)
+let redrawn_weight cfg draw seed =
+  match cfg.proposal with None -> 1.0 | Some _ -> weight_of cfg (draw seed)
 
 (* ------------------------------------------------------------------ *)
 (* one trial: differential oracle + escape sweeps *)
@@ -360,9 +384,7 @@ type trial = {
   t_anomalies : anomaly list;
 }
 
-let draw_seeded cfg seed =
-  Obs.span ~cat:"campaign" "inject" (fun () ->
-      draw_faults cfg (rng_of_seed seed))
+let draw_seeded draw seed = Obs.span ~cat:"campaign" "inject" (fun () -> draw seed)
 
 (* the per-trial counters, for simulated and zero-fault trials alike *)
 let count_trial faults =
@@ -382,8 +404,9 @@ let run_drawn cfg ~index ~seed faults =
   }
 
 let replay cfg ~seed =
+  let draw = drawer ~who:"Campaign.replay" cfg in
   Obs.span ~cat:"campaign" ~arg:("trial", -1) "trial" (fun () ->
-      run_drawn cfg ~index:(-1) ~seed (draw_seeded cfg seed))
+      run_drawn cfg ~index:(-1) ~seed (draw_seeded draw seed))
 
 (* ------------------------------------------------------------------ *)
 (* shrinking *)
@@ -837,12 +860,15 @@ let failure_of_json j =
    outcome classes, repair rounds, failure records — or the recorded
    tool error when the trial itself crashed.  [compute_record] is a
    deterministic function of (config, index), so records parsed back
-   from a checkpoint are indistinguishable from recomputed ones. *)
+   from a checkpoint are indistinguishable from recomputed ones.  The
+   importance weight rides on the in-memory record only: the checkpoint
+   does not carry it, and a resumed record's is recomputed. *)
 
 type trial_record = {
   rc_index : int;
   rc_seed : int;
   rc_body : rc_body;
+  rc_weight : float;  (** importance weight; 1 without a proposal *)
 }
 
 and rc_body =
@@ -889,11 +915,14 @@ let record_json r =
         @ [ ("failures", J.List (List.map failure_json o.rc_failures)) ])
   | Rc_error e -> J.Obj (common @ [ ("error", J.String e) ])
 
+(* The weight is left at 1: [load_checkpoint] recomputes it under a
+   proposal. *)
 let record_of_json j =
   let* rc_index = field_int "trial" j in
   let* rc_seed = field_int "seed" j in
+  let record rc_body = Some { rc_index; rc_seed; rc_body; rc_weight = 1.0 } in
   match field_str "error" j with
-  | Some e -> Some { rc_index; rc_seed; rc_body = Rc_error e }
+  | Some e -> record (Rc_error e)
   | None ->
       let* rc_two_pass = field_enum class_names "two_pass" j in
       let* rc_iterated = field_enum class_names "iterated" j in
@@ -911,13 +940,8 @@ let record_of_json j =
       in
       let* failures = field_list "failures" j in
       let* rc_failures = all_opt failure_of_json failures in
-      Some
-        { rc_index
-        ; rc_seed
-        ; rc_body =
-            Rc_ok
-              { rc_two_pass; rc_iterated; rc_rounds; rc_alloc; rc_failures }
-        }
+      record
+        (Rc_ok { rc_two_pass; rc_iterated; rc_rounds; rc_alloc; rc_failures })
 
 let body_of_verdicts v rc_failures =
   Rc_ok
@@ -929,7 +953,9 @@ let body_of_verdicts v rc_failures =
     }
 
 (* The record of a trial whose whole flow was clean: what a zero-fault
-   trial resolves to, and what [p_clean] counts. *)
+   trial resolves to, and what [p_clean] counts.  Every zero-fault trial
+   shares this one value, so most clean records are recognized by
+   physical equality. *)
 let clean_body =
   Rc_ok
     { rc_two_pass = Passed_clean
@@ -939,6 +965,8 @@ let clean_body =
     ; rc_failures = []
     }
 
+let is_clean body = body == clean_body || body = clean_body
+
 (* Resolving a zero-fault trial to [clean_body] is sound only if the
    flow on a fault-free array is clean: a march that fails a fault-free
    cell, or a repair flow that arms a spare for one, would make every
@@ -946,7 +974,7 @@ let clean_body =
    configuration otherwise. *)
 let check_zero_fault_flow cfg =
   match run_faults cfg [] with
-  | v, [] when body_of_verdicts v [] = clean_body -> ()
+  | v, [] when is_clean (body_of_verdicts v []) -> ()
   | _ ->
       failwith
         (Printf.sprintf
@@ -957,11 +985,11 @@ let check_zero_fault_flow cfg =
    a pure function of the configuration, so its record is
    [clean_body] and no model is built; any other trial runs the full
    flow on the list it drew. *)
-let compute_record cfg ~index =
+let compute_record cfg draw ~index =
   let seed = trial_seed cfg index in
   let simulated =
     Obs.span ~cat:"campaign" ~arg:("trial", index) "trial" (fun () ->
-        match draw_seeded cfg seed with
+        match draw_seeded draw seed with
         | [] ->
             count_trial [];
             Obs.incr "campaign.zero_fault_trials";
@@ -975,7 +1003,8 @@ let compute_record cfg ~index =
         body_of_verdicts t.t_verdicts
           (List.map (failure_of_anomaly cfg t) t.t_anomalies)
   in
-  { rc_index = index; rc_seed = seed; rc_body }
+  let faults = match simulated with None -> [] | Some t -> t.t_faults in
+  { rc_index = index; rc_seed = seed; rc_body; rc_weight = weight_of cfg faults }
 
 (* ------------------------------------------------------------------ *)
 (* the trial-record tally
@@ -990,7 +1019,10 @@ type counts = {
   mutable c_trials : int;
   mutable c_two_pass : histogram;
   mutable c_iterated : histogram;
-  c_rounds : (int, int) Hashtbl.t;  (** verify rounds -> trials *)
+  c_rounds : int array;
+      (** verify rounds below [dense_rounds] -> trials *)
+  mutable c_rounds_over : (int * int) list;
+      (** the rarer round counts past it, ascending *)
   mutable c_escapes : failure list;  (** newest first, like the next two *)
   mutable c_divergences : failure list;
   mutable c_tool_errors : tool_error list;
@@ -1001,11 +1033,17 @@ type counts = {
   mutable c_weighted : weighted option;
 }
 
+(* Rounds are counted in an array up to this bound and in a list past
+   it: a flow seldom runs more than a few rounds, and [max_rounds] is
+   not bounded. *)
+let dense_rounds = 16
+
 let counts cfg =
   { c_trials = 0
   ; c_two_pass = empty_histogram
   ; c_iterated = empty_histogram
-  ; c_rounds = Hashtbl.create 8
+  ; c_rounds = Array.make dense_rounds 0
+  ; c_rounds_over = []
   ; c_escapes = []
   ; c_divergences = []
   ; c_tool_errors = []
@@ -1016,15 +1054,21 @@ let counts cfg =
   ; c_weighted = Option.map (fun _ -> empty_weighted) cfg.proposal
   }
 
-let add_rounds tbl rounds count =
-  Hashtbl.replace tbl rounds
-    (count + Option.value ~default:0 (Hashtbl.find_opt tbl rounds))
+let add_round c r =
+  if r < dense_rounds then c.c_rounds.(r) <- c.c_rounds.(r) + 1
+  else
+    let rec bump = function
+      | (r', n) :: rest when r' = r -> (r, n + 1) :: rest
+      | ((r', _) as p) :: rest when r' < r -> p :: bump rest
+      | l -> (r, 1) :: l
+    in
+    c.c_rounds_over <- bump c.c_rounds_over
 
 let repair_failed = function
   | Unsuccessful _ -> true
   | Passed_clean | Repaired -> false
 
-let add cfg c rc =
+let add c rc =
   c.c_trials <- c.c_trials + 1;
   let escaped, two_pass_failed, iterated_failed =
     match rc.rc_body with
@@ -1036,10 +1080,10 @@ let add cfg c rc =
         (* a crashed trial observed no failure *)
         (false, false, false)
     | Rc_ok o ->
-        if rc.rc_body = clean_body then c.c_clean <- c.c_clean + 1;
+        if is_clean rc.rc_body then c.c_clean <- c.c_clean + 1;
         c.c_two_pass <- count_class c.c_two_pass o.rc_two_pass;
         c.c_iterated <- count_class c.c_iterated o.rc_iterated;
-        add_rounds c.c_rounds o.rc_rounds 1;
+        add_round c o.rc_rounds;
         let escaped =
           List.fold_left
             (fun escaped f ->
@@ -1056,9 +1100,9 @@ let add cfg c rc =
         in
         (escaped, repair_failed o.rc_two_pass, repair_failed o.rc_iterated)
   in
-  match (c.c_weighted, cfg.proposal) with
-  | Some acc, Some p ->
-      let w = trial_weight cfg p ~index:rc.rc_index in
+  match c.c_weighted with
+  | Some acc ->
+      let w = rc.rc_weight in
       let fired t cond = if cond then indicator_add t w else t in
       c.c_weighted <-
         Some
@@ -1071,7 +1115,7 @@ let add cfg c rc =
           ; w_repair_fail_iterated =
               fired acc.w_repair_fail_iterated iterated_failed
           }
-  | _ -> ()
+  | None -> ()
 
 let result_of_counts config c ~resumed_trials =
   let trials_run = c.c_trials in
@@ -1086,8 +1130,9 @@ let result_of_counts config c ~resumed_trials =
   ; two_pass = c.c_two_pass
   ; iterated = c.c_iterated
   ; rounds =
-      Hashtbl.fold (fun r n acc -> (r, n) :: acc) c.c_rounds []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      (List.init dense_rounds (fun r -> (r, c.c_rounds.(r)))
+      |> List.filter (fun (_, n) -> n > 0))
+      @ c.c_rounds_over
   ; escapes = List.rev c.c_escapes
   ; divergences = List.rev c.c_divergences
   ; tool_errors = List.rev c.c_tool_errors
@@ -1140,6 +1185,11 @@ let checkpoint ~path ?(every = 0) ?(resume = false) () =
 
 let checkpoint_schema = "bisram-campaign-checkpoint/1"
 
+(* a verify-round count the config's flow can produce *)
+let rounds_in_range cfg = function
+  | Rc_ok o -> o.rc_rounds >= 0 && o.rc_rounds <= cfg.max_rounds
+  | Rc_error _ -> true
+
 (* The trial count and wall-clock budget may legitimately differ
    between the interrupted and the resuming invocation (a resume
    completes what a budget or kill cut short); everything that shapes a
@@ -1179,8 +1229,9 @@ let write_checkpoint cfg path records =
    defect — unreadable file, parse error, schema or config mismatch, a
    record that is out of place or carries the wrong derived seed —
    degrades to a shorter prefix (or a cold start), never to an error:
-   resuming from a damaged checkpoint just recomputes more. *)
-let load_checkpoint cfg path =
+   resuming from a damaged checkpoint just recomputes more.  Under a
+   proposal, each record's weight is recomputed from its seed. *)
+let load_checkpoint cfg draw path =
   let reject () =
     Obs.incr "campaign.checkpoint_rejected";
     [||]
@@ -1212,9 +1263,13 @@ let load_checkpoint cfg path =
                   |> Seq.mapi (fun i rj ->
                          match record_of_json rj with
                          | Some r
-                           when r.rc_index = i && r.rc_seed = trial_seed cfg i
-                           ->
-                             Some r
+                           when r.rc_index = i
+                                && r.rc_seed = trial_seed cfg i
+                                && rounds_in_range cfg r.rc_body ->
+                             Some
+                               { r with
+                                 rc_weight = redrawn_weight cfg draw r.rc_seed
+                               }
                          | _ -> None)
                   |> Seq.take_while Option.is_some
                   |> Seq.filter_map Fun.id |> Array.of_seq
@@ -1276,6 +1331,8 @@ let run ?now ?(jobs = 1) ?(lanes = max_lanes) ?(should_stop = fun () -> false)
   let now =
     match now with Some f -> f | None -> Bisram_parallel.Clock.now
   in
+  (* the draw is checked and prepared before any trial *)
+  let draw = drawer ~who:"Campaign.run" cfg in
   let start = now () in
   let caller = Domain.self () in
   (* set once the stopping rule has ended the campaign *)
@@ -1298,10 +1355,10 @@ let run ?now ?(jobs = 1) ?(lanes = max_lanes) ?(should_stop = fun () -> false)
      the report cannot depend on which side a trial came from. *)
   let resumed =
     match checkpoint with
-    | Some ck when ck.ck_resume -> load_checkpoint cfg ck.ck_path
+    | Some ck when ck.ck_resume -> load_checkpoint cfg draw ck.ck_path
     | _ -> [||]
   in
-  let nresumed = min (Array.length resumed) cfg.trials in
+  let nresumed = Int.min (Array.length resumed) cfg.trials in
   if Obs.enabled () && nresumed > 0 then
     Obs.add "campaign.resumed_trials" nresumed;
   (* once per run, before any trial is scheduled or event emitted *)
@@ -1335,9 +1392,11 @@ let run ?now ?(jobs = 1) ?(lanes = max_lanes) ?(should_stop = fun () -> false)
      backtrace depends on build flags and would break cross-jobs
      byte-identity. *)
   let error_record index e =
+    let seed = trial_seed cfg index in
     { rc_index = index
-    ; rc_seed = trial_seed cfg index
+    ; rc_seed = seed
     ; rc_body = Rc_error (Printexc.to_string e)
+    ; rc_weight = redrawn_weight cfg draw seed
     }
   in
   (* The trial is the unit of failure and of deadline: each arms its own
@@ -1347,8 +1406,8 @@ let run ?now ?(jobs = 1) ?(lanes = max_lanes) ?(should_stop = fun () -> false)
   let trial index =
     match
       match trial_deadline with
-      | None -> compute_record cfg ~index
-      | Some s -> Pool.with_deadline s (fun () -> compute_record cfg ~index)
+      | None -> compute_record cfg draw ~index
+      | Some s -> Pool.with_deadline s (fun () -> compute_record cfg draw ~index)
     with
     | rc -> rc
     | exception (Pool.Transient _ as e) -> raise e
@@ -1425,7 +1484,7 @@ let run ?now ?(jobs = 1) ?(lanes = max_lanes) ?(should_stop = fun () -> false)
   let ck_last_written = ref nresumed in
   let fold_record rc =
     if not (Atomic.get halted) then begin
-      add cfg c rc;
+      add c rc;
       emit_record rc;
       if Option.is_some ck_write then ck_records := rc :: !ck_records;
       match stop_rule with

@@ -81,7 +81,8 @@ type config = {
 (** Defaults: 64x8 words, bpc 4, 4 spares, IFA-9, default mix, 2 faults
     per trial, 100 trials, seed 42, no proposal, no time budget,
     shrinking on, 8 rounds.  @raise Invalid_argument on negative
-    counts, an invalid mix, or a proposal that fails
+    counts, a negative or non-finite mean, a non-positive or non-finite
+    alpha, an invalid mix, or a proposal that fails
     {!Bisram_faults.Proposal.validate} against the mode and mix. *)
 val make_config :
   ?org:Bisram_sram.Org.t ->
@@ -149,7 +150,9 @@ type trial = {
 val run_faults :
   config -> Bisram_faults.Fault.t list -> verdicts * anomaly list
 
-(** Re-run a single trial from its reported seed. *)
+(** Re-run a single trial from its reported seed, always simulating it.
+    @raise Invalid_argument as {!run} for an invalid mix, proposal,
+    count model or [max_rounds]. *)
 val replay : config -> seed:int -> trial
 
 (** Shrink the fault list of a failing trial to a minimal list that
@@ -326,15 +329,25 @@ type progress = {
     zero-fault trial never does), and one that exceeds it is a tool
     error ([Pool.Deadline_exceeded]).
 
-    Every trial draws its fault list once.  A trial that draws no
-    fault is a pure function of the configuration: its record is the
-    clean one (both flows pass clean on verify round 1, no escape or
-    divergence) and no model is built.  Every other trial runs the
-    full flow of {!run_faults} on the list it drew; {!replay} always
-    simulates.  Before scheduling, when there are trials to run, the
-    fault-free flow is simulated once, and a configuration whose
-    fault-free flow is not clean (a march that fails a fault-free
-    array, say) is refused.
+    Before any trial, the call checks the configuration's draw (its
+    mix, proposal, count model and round bound: a configuration made by
+    record update never went through {!make_config}) and prepares it
+    once ({!Bisram_faults.Proposal.sampler}); an invalid one is refused
+    up front.  Every trial then draws its fault list once, from its own
+    seed, with the same faults and rng consumption as an unprepared
+    draw.  A trial that draws no fault is a pure function of the
+    configuration: its record is the one shared clean record (both
+    flows pass clean on verify round 1, no escape or divergence) and
+    no model is built.  Every other trial runs the full flow of
+    {!run_faults} on the list it drew; {!replay} always simulates.  A
+    trial's importance weight is computed from the list it drew and
+    kept on its in-memory record; a checkpoint does not carry it, and
+    a resumed trial's is recomputed from its seed.
+
+    Before scheduling, when there are trials to run, the fault-free
+    flow is simulated once, and a configuration whose fault-free flow
+    is not clean (a march that fails a fault-free array, say) is
+    refused.
 
     [lanes] (default {!max_lanes}) is the number of consecutive trials
     one pool item covers, in [1 .. max_lanes]: full items of [lanes]
@@ -372,7 +385,9 @@ type progress = {
 
     @raise Invalid_argument if [jobs < 1], [lanes] is outside
     [1 .. max_lanes], [offset < 0], a checkpoint is combined with a
-    nonzero [offset], or the stopping rule's [every] is below 1.
+    nonzero [offset], the stopping rule's [every] is below 1, or the
+    configuration's mix, proposal, count model or [max_rounds] is
+    invalid (as {!make_config} would refuse it).
     @raise Failure if the fault-free flow is not clean. *)
 val run :
   ?now:(unit -> float) ->

@@ -1,3 +1,13 @@
+(* Knuth's product method: count uniforms until their running product
+   drops to [limit] = e^-lambda. *)
+let knuth rng limit =
+  let k = ref 0 and p = ref (1.0 *. Random.State.float rng 1.0) in
+  while not (!p <= limit) do
+    incr k;
+    p := !p *. Random.State.float rng 1.0
+  done;
+  !k
+
 (* Knuth's product method below lambda=30; normal approximation with
    continuity correction above (counts here are small-to-moderate). *)
 let rec poisson rng lambda =
@@ -7,14 +17,49 @@ let rec poisson rng lambda =
     (* split: X ~ Pois(30) + Pois(lambda-30) *)
     poisson rng 30.0 + poisson rng (lambda -. 30.0)
   end
-  else begin
-    let limit = exp (-.lambda) in
-    let rec go k p =
-      let p = p *. Random.State.float rng 1.0 in
-      if p <= limit then k else go (k + 1) p
-    in
-    go 0 1.0
+  else knuth rng (exp (-.lambda))
+
+(* [poisson] with its limits computed once.  The right operand of
+   [poisson]'s split is evaluated first, so the remainder is drawn
+   before the Pois(30) part, here as there. *)
+let rec poisson_sampler lambda =
+  assert (lambda >= 0.0);
+  if lambda = 0.0 then fun _ -> 0
+  else if lambda > 30.0 then begin
+    let first = poisson_sampler 30.0
+    and rest = poisson_sampler (lambda -. 30.0) in
+    fun rng ->
+      let r = rest rng in
+      first rng + r
   end
+  else
+    let limit = exp (-.lambda) in
+    fun rng -> knuth rng limit
+
+(* Marsaglia-Tsang for shape >= 1, from d = shape - 1/3 and
+   c = 1 / sqrt (9 d). *)
+let marsaglia rng ~d ~c ~scale =
+  let rec normal () =
+    (* Box-Muller *)
+    let u1 = Random.State.float rng 1.0 and u2 = Random.State.float rng 1.0 in
+    if u1 <= 0.0 then normal ()
+    else sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+  in
+  let rec try_once () =
+    let x = normal () in
+    let v = (1.0 +. (c *. x)) ** 3.0 in
+    if v <= 0.0 then try_once ()
+    else
+      let u = Random.State.float rng 1.0 in
+      if log u < (0.5 *. x *. x) +. d -. (d *. v) +. (d *. log v) then
+        d *. v *. scale
+      else try_once ()
+  in
+  try_once ()
+
+let marsaglia_constants shape =
+  let d = shape -. (1.0 /. 3.0) in
+  (d, 1.0 /. sqrt (9.0 *. d))
 
 let rec gamma rng ~shape ~scale =
   assert (shape > 0.0 && scale > 0.0);
@@ -22,27 +67,9 @@ let rec gamma rng ~shape ~scale =
     (* boost: Gamma(a) = Gamma(a+1) * U^(1/a) *)
     let u = Random.State.float rng 1.0 in
     gamma rng ~shape:(shape +. 1.0) ~scale *. (u ** (1.0 /. shape))
-  else begin
-    let d = shape -. (1.0 /. 3.0) in
-    let c = 1.0 /. sqrt (9.0 *. d) in
-    let rec normal () =
-      (* Box-Muller *)
-      let u1 = Random.State.float rng 1.0 and u2 = Random.State.float rng 1.0 in
-      if u1 <= 0.0 then normal ()
-      else sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-    in
-    let rec try_once () =
-      let x = normal () in
-      let v = (1.0 +. (c *. x)) ** 3.0 in
-      if v <= 0.0 then try_once ()
-      else
-        let u = Random.State.float rng 1.0 in
-        if log u < (0.5 *. x *. x) +. d -. (d *. v) +. (d *. log v) then
-          d *. v *. scale
-        else try_once ()
-    in
-    try_once ()
-  end
+  else
+    let d, c = marsaglia_constants shape in
+    marsaglia rng ~d ~c ~scale
 
 let negative_binomial rng ~mean ~alpha =
   assert (mean >= 0.0 && alpha > 0.0);
@@ -51,6 +78,24 @@ let negative_binomial rng ~mean ~alpha =
     (* Gamma-Poisson mixture: lambda ~ Gamma(alpha, mean/alpha) *)
     let lambda = gamma rng ~shape:alpha ~scale:(mean /. alpha) in
     poisson rng lambda
+
+(* [negative_binomial] with the Gamma constants computed once; only the
+   drawn lambda's Poisson limit is per draw. *)
+let negative_binomial_sampler ~mean ~alpha =
+  assert (mean >= 0.0 && alpha > 0.0);
+  if mean = 0.0 then fun _ -> 0
+  else begin
+    let scale = mean /. alpha in
+    if alpha < 1.0 then begin
+      let d, c = marsaglia_constants (alpha +. 1.0) and boost = 1.0 /. alpha in
+      fun rng ->
+        let u = Random.State.float rng 1.0 in
+        poisson rng (marsaglia rng ~d ~c ~scale *. (u ** boost))
+    end
+    else
+      let d, c = marsaglia_constants alpha in
+      fun rng -> poisson rng (marsaglia rng ~d ~c ~scale)
+  end
 
 (* Lanczos log-gamma *)
 let rec log_gamma x =

@@ -16,6 +16,18 @@ val gamma : Random.State.t -> shape:float -> scale:float -> float
     clustering; alpha -> infinity recovers Poisson). *)
 val negative_binomial : Random.State.t -> mean:float -> alpha:float -> int
 
+(** [poisson_sampler lambda] is [fun rng -> poisson rng lambda] with
+    [e^-lambda] (and the split above 30) computed once: the same
+    counts from the same uniforms, consumed in the same order. *)
+val poisson_sampler : float -> Random.State.t -> int
+
+(** [negative_binomial_sampler ~mean ~alpha] is
+    [fun rng -> negative_binomial rng ~mean ~alpha] with the Gamma
+    constants computed once: the same counts, the same rng
+    consumption. *)
+val negative_binomial_sampler :
+  mean:float -> alpha:float -> Random.State.t -> int
+
 (** Probability mass function of the clustered count (exact, via log
     Gamma), useful for analytic cross-checks of the samplers. *)
 val negative_binomial_pmf : mean:float -> alpha:float -> int -> float

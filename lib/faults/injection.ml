@@ -105,47 +105,59 @@ let neighbour rng ~rows ~cols (c : Fault.cell) =
       let r, k = List.nth l (Random.State.int rng (List.length l)) in
       { Fault.row = r; col = k }
 
-let random_fault rng ~rows ~cols ~mix =
-  assert (rows > 0 && cols > 0);
+(* the fault classes, in [mix_weights] order *)
+type kind = Saf | Tf | Sof | Cfin | Cfid | Cfst | Drf
+
+let kinds = [| Saf; Tf; Sof; Cfin; Cfid; Cfst; Drf |]
+
+(* A validated mix, ready to draw from: the running sums of its weights
+   in class order.  [pick < cum.(i)] is the test [pick < acc +. w] of a
+   fold over the weights, bit for bit, and the last sum is their
+   total. *)
+type sampler = float array
+
+let sampler mix =
   validate_mix mix;
-  let weights =
-    [ (mix.stuck_at, `Saf)
-    ; (mix.transition, `Tf)
-    ; (mix.stuck_open, `Sof)
-    ; (mix.coupling_inversion, `Cfin)
-    ; (mix.coupling_idempotent, `Cfid)
-    ; (mix.state_coupling, `Cfst)
-    ; (mix.data_retention, `Drf)
-    ]
-  in
-  let total = List.fold_left (fun a (w, _) -> a +. w) 0.0 weights in
-  let pick = Random.State.float rng total in
-  let rec select acc = function
-    | [] -> `Saf
-    | (w, k) :: rest -> if pick < acc +. w then k else select (acc +. w) rest
+  let sum = ref 0.0 in
+  Array.of_list
+    (List.map
+       (fun (_, w) ->
+         sum := !sum +. w;
+         !sum)
+       (mix_weights mix))
+
+let draw_fault cum rng ~rows ~cols =
+  assert (rows > 0 && cols > 0);
+  let last = Array.length cum - 1 in
+  let pick = Random.State.float rng cum.(last) in
+  let rec select i =
+    if i > last then Saf else if pick < cum.(i) then kinds.(i) else select (i + 1)
   in
   let victim = random_cell rng ~rows ~cols in
   let flag = Random.State.bool rng in
-  match select 0.0 weights with
-  | `Saf -> Fault.Stuck_at (victim, flag)
-  | `Tf -> Fault.Transition (victim, flag)
-  | `Sof -> Fault.Stuck_open victim
-  | `Cfin ->
+  match select 0 with
+  | Saf -> Fault.Stuck_at (victim, flag)
+  | Tf -> Fault.Transition (victim, flag)
+  | Sof -> Fault.Stuck_open victim
+  | Cfin ->
       let aggressor = neighbour rng ~rows ~cols victim in
       Fault.Coupling_inversion { aggressor; victim }
-  | `Cfid ->
+  | Cfid ->
       let aggressor = neighbour rng ~rows ~cols victim in
       Fault.Coupling_idempotent
         { aggressor; rising = Random.State.bool rng; victim; forces = flag }
-  | `Cfst ->
+  | Cfst ->
       let aggressor = neighbour rng ~rows ~cols victim in
       Fault.State_coupling
         { aggressor; when_state = Random.State.bool rng; victim; reads_as = flag }
-  | `Drf -> Fault.Data_retention (victim, flag)
+  | Drf -> Fault.Data_retention (victim, flag)
 
-let inject rng ~rows ~cols ~mix ~n =
-  validate_mix mix;
-  List.init n (fun _ -> random_fault rng ~rows ~cols ~mix)
+let sample s rng ~rows ~cols ~n =
+  List.init n (fun _ -> draw_fault s rng ~rows ~cols)
+
+let random_fault rng ~rows ~cols ~mix = draw_fault (sampler mix) rng ~rows ~cols
+
+let inject rng ~rows ~cols ~mix ~n = sample (sampler mix) rng ~rows ~cols ~n
 
 let inject_poisson rng ~rows ~cols ~mix ~mean =
   inject rng ~rows ~cols ~mix ~n:(Defect.poisson rng mean)

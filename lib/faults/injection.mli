@@ -34,8 +34,9 @@ val named_mixes : (string * mix) list
 (** @raise Invalid_argument when any weight is negative or NaN (the
     message names the offending key and its value), or when every
     weight is zero (the sampler would silently bias towards stuck-at
-    faults otherwise).  Called by [random_fault] and the [inject*]
-    functions; exposed so configuration front ends can fail fast. *)
+    faults otherwise).  Called by {!sampler}, so by [random_fault] and
+    the [inject*] functions on every call; exposed so configuration
+    front ends can fail fast. *)
 val validate_mix : mix -> unit
 
 (** The mix field name of a fault's class (["stuck_at"],
@@ -46,6 +47,20 @@ val class_name : Fault.t -> string
     the mix — the per-fault factor of an importance-sampling
     likelihood ratio. *)
 val class_probability : mix -> Fault.t -> float
+
+(** A validated mix, prepared for drawing: its class weights and their
+    total, computed once.  Only {!sampler} makes one, so a draw from it
+    needs no further check. *)
+type sampler
+
+(** @raise Invalid_argument as {!validate_mix}. *)
+val sampler : mix -> sampler
+
+(** [sample s rng ~rows ~cols ~n] draws [n] independent faults: the
+    same faults from the same rng draws, in the same order, as
+    [inject rng ~rows ~cols ~mix ~n] with the mix [s] was made from. *)
+val sample :
+  sampler -> Random.State.t -> rows:int -> cols:int -> n:int -> Fault.t list
 
 (** [random_fault rng ~rows ~cols ~mix] draws one fault.  Coupling
     aggressors are drawn from the victim's neighbourhood (same column,

@@ -56,11 +56,11 @@ let scaled_model model ~scale ~shift =
   | Clustered { mean; alpha } ->
       Clustered { mean = (mean *. scale) +. shift; alpha }
 
-let draw_count model rng =
-  match model with
-  | Uniform n -> n
-  | Poisson mean -> Defect.poisson rng mean
-  | Clustered { mean; alpha } -> Defect.negative_binomial rng ~mean ~alpha
+(* A count model's draw, its constants computed once. *)
+let count_sampler = function
+  | Uniform n -> fun _ -> n
+  | Poisson mean -> Defect.poisson_sampler mean
+  | Clustered { mean; alpha } -> Defect.negative_binomial_sampler ~mean ~alpha
 
 (* pmf recurrence ratio pmf(k+1)/pmf(k), used to invert the CDF of the
    count conditioned on [n >= 1] without evaluating log-Gammas per
@@ -76,23 +76,26 @@ let pmf_step model k =
 (* Inverse-CDF draw of the nominal count conditioned on [n >= 1]:
    target cumulative mass c = p(0) + u * (1 - p(0)), then walk the pmf
    recurrence from k = 1 until the cumulative reaches c.  O(E[n | n>=1])
-   steps — constant-ish at the low means this sampler exists for. *)
-let draw_count_nonzero model rng =
+   steps — constant-ish at the low means this sampler exists for.
+   p(0) and p(1) are computed once. *)
+let nonzero_count_sampler model =
   match model with
-  | Uniform n -> n (* point mass; validate requires n >= 1 via P(0) < 1 *)
+  | Uniform n -> fun _ -> n (* point mass; validate requires n >= 1 via P(0) < 1 *)
   | _ ->
   let p0 = pmf model 0 in
-  let u = Random.State.float rng 1.0 in
-  let c = p0 +. (u *. (1.0 -. p0)) in
-  let k = ref 1 in
-  let pk = ref (p0 *. pmf_step model 0) in
-  let cum = ref (p0 +. !pk) in
-  while !cum < c && !pk > 1e-300 && !k < 1_000_000 do
-    pk := !pk *. pmf_step model !k;
-    incr k;
-    cum := !cum +. !pk
-  done;
-  !k
+  let p1 = p0 *. pmf_step model 0 in
+  fun rng ->
+    let u = Random.State.float rng 1.0 in
+    let c = p0 +. (u *. (1.0 -. p0)) in
+    let k = ref 1 in
+    let pk = ref p1 in
+    let cum = ref (p0 +. !pk) in
+    while !cum < c && !pk > 1e-300 && !k < 1_000_000 do
+      pk := !pk *. pmf_step model !k;
+      incr k;
+      cum := !cum +. !pk
+    done;
+    !k
 
 (* ------------------------------------------------------------------ *)
 (* validation *)
@@ -169,18 +172,32 @@ let validate ~nominal_mix count_model p =
 (* ------------------------------------------------------------------ *)
 (* drawing and weighting *)
 
-let draw p ~count ~mix rng ~rows ~cols =
-  let n =
+(* A proposal's trial draw with every configuration constant computed
+   once: the count draw and the class draw of the mix it draws from. *)
+type sampler = { s_count : Random.State.t -> int; s_faults : Injection.sampler }
+
+let prepare p ~count ~mix =
+  let s_count =
     match p.count with
-    | Count_nominal -> draw_count count rng
-    | Scaled { scale; shift } -> draw_count (scaled_model count ~scale ~shift) rng
+    | Count_nominal -> count_sampler count
+    | Scaled { scale; shift } -> count_sampler (scaled_model count ~scale ~shift)
     | Stratified { nonzero } ->
-        if Random.State.float rng 1.0 < nonzero then
-          draw_count_nonzero count rng
-        else 0
+        let nz = nonzero_count_sampler count in
+        fun rng -> if Random.State.float rng 1.0 < nonzero then nz rng else 0
   in
   let mix = match p.mix with Some q -> q | None -> mix in
-  Injection.inject rng ~rows ~cols ~mix ~n
+  { s_count; s_faults = Injection.sampler mix }
+
+let sampler p ~count ~mix =
+  validate ~nominal_mix:mix count p;
+  prepare p ~count ~mix
+
+let sample s rng ~rows ~cols =
+  let n = s.s_count rng in
+  Injection.sample s.s_faults rng ~rows ~cols ~n
+
+let draw p ~count ~mix rng ~rows ~cols =
+  sample (prepare p ~count ~mix) rng ~rows ~cols
 
 let log_weight p ~count ~mix faults =
   let n = List.length faults in

@@ -54,10 +54,28 @@ val is_nominal : t -> bool
     to a class the nominal mix draws (unbounded weights). *)
 val validate : nominal_mix:Injection.mix -> count_model -> t -> unit
 
+(** A validated proposal, prepared for drawing: its count draw and
+    class draw with every configuration constant computed once (the
+    class weights and their total, Poisson's [e^-lambda], the Gamma
+    constants, the stratified [p(0)]).  Only {!sampler} makes one. *)
+type sampler
+
+(** [sampler p ~count ~mix] checks [p] as {!validate} does, then
+    prepares it.  A campaign makes one per run.
+    @raise Invalid_argument as {!validate}. *)
+val sampler : t -> count:count_model -> mix:Injection.mix -> sampler
+
+(** [sample s rng ~rows ~cols] draws one trial's fault list: the same
+    faults, from the same rng draws in the same order, as {!draw} with
+    the proposal, count model and mix [s] was made from. *)
+val sample : sampler -> Random.State.t -> rows:int -> cols:int -> Fault.t list
+
 (** [draw p ~count ~mix rng ~rows ~cols] draws one trial's fault list
     from the proposal distribution.  With [p = nominal] this consumes
     [rng] exactly like drawing the count from [count] and injecting
-    with [mix] — byte-identical to the unbiased sampler. *)
+    with [mix] — byte-identical to the unbiased sampler.  It prepares
+    the draw on every call, checking the mix it draws from
+    ({!Injection.validate_mix}). *)
 val draw :
   t ->
   count:count_model ->

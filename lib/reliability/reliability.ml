@@ -75,7 +75,7 @@ let curve c =
       spares_ok *. binomial_cdf ~log_c ~w ~q s
     end
 
-let reliability c t = curve c t
+let reliability c = curve c
 
 (* R = x^S F(q) with x = 1-q = exp(-mu t) and F the binomial CDF, whose
    derivative is dF/dq = -W C(W-1,S) q^S x^(W-1-S) for S < W (F = 1

@@ -20,7 +20,9 @@ type config = {
 
 val of_org : Bisram_sram.Org.t -> lambda:float -> config
 
-(** Reliability at time [t] hours; in [0,1], decreasing in [t]. *)
+(** Reliability at time [t] hours; in [0,1], decreasing in [t].
+    [reliability c] is the config's curve, its binomial coefficients
+    computed once: bind it to evaluate one config at many times. *)
 val reliability : config -> float -> float
 
 (** Failure probability density -dR/dt, analytic:

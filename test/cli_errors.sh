@@ -62,6 +62,11 @@ expect 2 "bad order b" campaign --march 'bogus('
 expect 2 --trial-deadline campaign --trial-deadline nan
 expect 2 --trial-deadline campaign --trial-deadline inf
 expect 2 --trial-deadline campaign --trial-deadline 0
+# a count model needs a finite mean and alpha: a NaN mean would crash
+# the analytic yield and an infinite one never finish a draw
+expect 2 "(got nan)" campaign --mode poisson --mean nan
+expect 2 "(got inf)" campaign --mode poisson --mean inf
+expect 2 "(got inf)" campaign --mode clustered --mean 1 --alpha inf
 # a march that fails a fault-free array: zero-fault trials would not be
 # clean, so the campaign refuses it before running a trial
 expect 2 "u(w0); u(r1)" campaign --march 'u(w0); u(r1)'

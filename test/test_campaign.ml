@@ -625,6 +625,37 @@ let test_checkpoint_corruption_degrades () =
       Alcotest.(check string) "byte-identical despite corrupt checkpoint" full
         (C.json_string r))
 
+(* A parsed record whose verify rounds the config's flow cannot produce
+   (beyond [max_rounds]) ends the resumed prefix there, like any other
+   damaged record, instead of indexing past the rounds table. *)
+let test_checkpoint_rounds_out_of_range () =
+  with_temp_ckpt (fun path ->
+      let cfg = C.make_config ~trials:10 ~seed:23 () in
+      let full = C.json_string (C.run cfg) in
+      ignore
+        (C.run
+           ~checkpoint:(C.checkpoint ~path ~every:2 ())
+           { cfg with C.trials = 6 });
+      let s = In_channel.with_open_bin path In_channel.input_all in
+      let at =
+        let sub = "\"rounds\":" in
+        let rec find i =
+          if String.sub s i (String.length sub) = sub then i + String.length sub
+          else find (i + 1)
+        in
+        find 0
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (String.sub s 0 at ^ "99" ^ String.sub s (at + 1) (String.length s - at - 1)));
+      let r =
+        C.run ~checkpoint:(C.checkpoint ~path ~every:2 ~resume:true ()) cfg
+      in
+      Alcotest.(check int) "the damaged record ends the prefix" 0
+        r.C.resumed_trials;
+      Alcotest.(check string) "byte-identical to the cold run" full
+        (C.json_string r))
+
 (* Checkpoint codec coverage: the first 20 trials of this Poisson
    mean-3 campaign carry all four outcome classes in their records. *)
 let class_cfg () =
@@ -898,6 +929,136 @@ let test_width_pairs () =
       , Some (deadline 60.0) )
     ]
 
+(* A configuration made by record update skips [make_config]: [run]
+   and [replay] check its mix and proposal before any trial, so a bad
+   one is refused up front instead of becoming one tool error per
+   trial.  [should_stop] is polled before every trial, so a call that
+   never polls it scheduled none. *)
+let test_bad_draw_refused_before_trials () =
+  let cfg = C.make_config ~mode:(C.Poisson 0.5) ~trials:20 ~seed:7 () in
+  let refused f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, bad) ->
+      let polled = Atomic.make false in
+      let should_stop () = Atomic.set polled true; false in
+      Alcotest.(check bool) (name ^ ": run refused") true
+        (refused (fun () -> C.run ~should_stop bad));
+      Alcotest.(check bool) (name ^ ": no trial scheduled") false
+        (Atomic.get polled);
+      Alcotest.(check bool) (name ^ ": replay refused") true
+        (refused (fun () -> C.replay bad ~seed:(C.trial_seed cfg 0))))
+    [ ("nan", { cfg with C.mix = { I.default_mix with I.transition = Float.nan } })
+    ; ("negative", { cfg with C.mix = { I.default_mix with I.stuck_open = -1.0 } })
+    ; ("all-zero", { cfg with C.mix = { I.stuck_at_only with I.stuck_at = 0.0 } })
+    ; ( "proposal"
+      , { cfg with
+          C.proposal =
+            Some
+              { Bisram_faults.Proposal.count =
+                  Bisram_faults.Proposal.Scaled { scale = -1.0; shift = 0.0 }
+              ; mix = None
+              }
+        } )
+    ]
+
+(* A configuration whose fault-free flow is not clean is refused on
+   every call, not only the first. *)
+let test_dirty_march_refused_every_call () =
+  let march = Bisram_bist.March.of_string ~name:"dirty" "u(w0); u(r1)" in
+  let cfg = C.make_config ~march ~mode:(C.Poisson 0.1) ~trials:10 ~seed:7 () in
+  List.iter
+    (fun call ->
+      Alcotest.(check bool) (Printf.sprintf "call %d refused" call) true
+        (match C.run cfg with _ -> false | exception Failure _ -> true))
+    [ 1; 2 ]
+
+(* Zero-fault trials share one clean record and weights ride on the
+   in-memory records.  A run resumed from a checkpoint of its first half
+   (its clean records parse back as equal, not shared, values) and a
+   run its stopping rule ends (the rule reads the result at every
+   check) give the one-shot run's bytes; so does a weighted run resumed
+   the same way, whose resumed weights are recomputed. *)
+let test_clean_counter_resume_and_stop () =
+  let cfg = C.make_config ~mode:(C.Poisson 0.3) ~trials:124 ~seed:7 () in
+  let weighted =
+    { cfg with
+      C.proposal =
+        Some
+          { Bisram_faults.Proposal.count =
+              Bisram_faults.Proposal.Stratified { nonzero = 0.5 }
+          ; mix = None
+          }
+    }
+  in
+  let module E = Bisram_campaign.Estimator in
+  List.iter
+    (fun (name, cfg, render) ->
+      let full = render (C.run cfg) in
+      with_temp_ckpt (fun path ->
+          ignore
+            (C.run
+               ~checkpoint:(C.checkpoint ~path ~every:31 ())
+               { cfg with C.trials = 62 });
+          let r = C.run ~checkpoint:(C.checkpoint ~path ~resume:true ()) cfg in
+          Alcotest.(check int) (name ^ ": half resumed") 62 r.C.resumed_trials;
+          Alcotest.(check string) (name ^ ": resumed = one-shot") full
+            (render r)))
+    [ ("nominal", cfg, C.json_string)
+    ; ("weighted", weighted, fun r -> E.report_string r) ];
+  let stopped =
+    C.run ~stop_rule:(10, fun r -> r.C.two_pass.C.passed_clean >= 50) cfg
+  in
+  Alcotest.(check bool) "the rule stopped the run" true
+    (stopped.C.trials_run < cfg.C.trials);
+  Alcotest.(check string) "stopped = one-shot of its length"
+    (C.json_string (C.run { cfg with C.trials = stopped.C.trials_run }))
+    (C.json_string stopped)
+
+(* [max_rounds] is not bounded: a bound no flow reaches gives the same
+   tally as the default one, without a table sized by it.  A resumed
+   record may carry any round count up to the bound; one past the
+   counts the tally keeps in its array is still counted, in order. *)
+let test_unbounded_max_rounds () =
+  let cfg = C.make_config ~mode:(C.Poisson 3.0) ~trials:40 ~seed:7 () in
+  let base = C.run cfg in
+  List.iter
+    (fun max_rounds ->
+      let r = C.run { cfg with C.max_rounds } in
+      let name = string_of_int max_rounds in
+      Alcotest.(check (list (pair int int))) (name ^ ": rounds") base.C.rounds
+        r.C.rounds;
+      Alcotest.(check bool) (name ^ ": histograms") true
+        (r.C.two_pass = base.C.two_pass && r.C.iterated = base.C.iterated))
+    [ 1_000_000_000; max_int ];
+  with_temp_ckpt (fun path ->
+      let big = { cfg with C.max_rounds = 1_000_000_000; trials = 10 } in
+      ignore
+        (C.run
+           ~checkpoint:(C.checkpoint ~path ~every:2 ())
+           { big with C.trials = 4 });
+      let s = In_channel.with_open_bin path In_channel.input_all in
+      let at =
+        let sub = "\"rounds\":" in
+        let rec find i =
+          if String.sub s i (String.length sub) = sub then i + String.length sub
+          else find (i + 1)
+        in
+        find 0
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (String.sub s 0 at ^ "20" ^ String.sub s (at + 1) (String.length s - at - 1)));
+      let r =
+        C.run ~checkpoint:(C.checkpoint ~path ~every:2 ~resume:true ()) big
+      in
+      Alcotest.(check int) "the edited prefix resumes" 4 r.C.resumed_trials;
+      Alcotest.(check (option (pair int int))) "round 20 counted last"
+        (Some (20, 1)) (List.nth_opt r.C.rounds (List.length r.C.rounds - 1));
+      Alcotest.(check int) "every trial counted once" 10
+        (List.fold_left (fun n (_, k) -> n + k) 0 r.C.rounds))
+
 let test_tool_errors_in_schema () =
   (* schema /2: the field is always present, also when empty *)
   let r = C.run (C.make_config ~trials:3 ~seed:1 ()) in
@@ -1159,6 +1320,8 @@ let () =
       , [ QCheck_alcotest.to_alcotest prop_kill_resume_byte_identical
         ; Alcotest.test_case "config mismatch rejects checkpoint" `Quick
             test_checkpoint_config_mismatch_rejected
+        ; Alcotest.test_case "out-of-range rounds end the resumed prefix"
+            `Quick test_checkpoint_rounds_out_of_range
         ; Alcotest.test_case "corrupt checkpoint degrades" `Quick
             test_checkpoint_corruption_degrades
         ; Alcotest.test_case "missing checkpoint is a cold start" `Quick
@@ -1187,6 +1350,14 @@ let () =
             test_width_pairs
         ; Alcotest.test_case "tool_errors field in schema" `Quick
             test_tool_errors_in_schema
+        ; Alcotest.test_case "bad mix or proposal refused before any trial"
+            `Quick test_bad_draw_refused_before_trials
+        ; Alcotest.test_case "dirty march refused on every call" `Quick
+            test_dirty_march_refused_every_call
+        ; Alcotest.test_case "resume and stop rule = one-shot" `Quick
+            test_clean_counter_resume_and_stop
+        ; Alcotest.test_case "unbounded max_rounds" `Quick
+            test_unbounded_max_rounds
         ] )
     ; ( "properties"
       , [ QCheck_alcotest.to_alcotest prop_oracle_agreement

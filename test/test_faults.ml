@@ -414,6 +414,197 @@ let prop_proposal_weights_mean_one =
       done;
       Float.abs ((!sum /. float_of_int n) -. 1.0) < 0.15)
 
+(* One fault drawn step by step, independently of [Injection]'s
+   prepared class table: the class by a running sum over the seven
+   weights in declaration order against one uniform pick from their
+   total, then the victim, its flag and, for a coupling class, an
+   adjacent aggressor and the class's extra bit. *)
+let reference_fault rng ~rows ~cols (mix : I.mix) =
+  let weights =
+    [ (mix.I.stuck_at, `Saf)
+    ; (mix.I.transition, `Tf)
+    ; (mix.I.stuck_open, `Sof)
+    ; (mix.I.coupling_inversion, `Cfin)
+    ; (mix.I.coupling_idempotent, `Cfid)
+    ; (mix.I.state_coupling, `Cfst)
+    ; (mix.I.data_retention, `Drf)
+    ]
+  in
+  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weights in
+  let pick = Random.State.float rng total in
+  let rec select acc = function
+    | [] -> `Saf
+    | (w, k) :: rest -> if pick < acc +. w then k else select (acc +. w) rest
+  in
+  let victim =
+    (* the column first: the sampler's record literal evaluates its
+       fields right to left *)
+    let col = Random.State.int rng cols in
+    cell (Random.State.int rng rows) col
+  in
+  let flag = Random.State.bool rng in
+  let aggressor () =
+    let r = victim.F.row and c = victim.F.col in
+    match
+      List.filter
+        (fun (r, c) -> r >= 0 && r < rows && c >= 0 && c < cols)
+        [ (r - 1, c); (r + 1, c); (r, c - 1); (r, c + 1) ]
+    with
+    | [] -> victim
+    | l ->
+        let r, c = List.nth l (Random.State.int rng (List.length l)) in
+        cell r c
+  in
+  match select 0.0 weights with
+  | `Saf -> F.Stuck_at (victim, flag)
+  | `Tf -> F.Transition (victim, flag)
+  | `Sof -> F.Stuck_open victim
+  | `Cfin -> F.Coupling_inversion { aggressor = aggressor (); victim }
+  | `Cfid ->
+      let aggressor = aggressor () in
+      F.Coupling_idempotent
+        { aggressor; rising = Random.State.bool rng; victim; forces = flag }
+  | `Cfst ->
+      let aggressor = aggressor () in
+      F.State_coupling
+        { aggressor; when_state = Random.State.bool rng; victim; reads_as = flag }
+  | `Drf -> F.Data_retention (victim, flag)
+
+let rec reference_faults rng ~rows ~cols mix n =
+  if n = 0 then []
+  else
+    let f = reference_fault rng ~rows ~cols mix in
+    f :: reference_faults rng ~rows ~cols mix (n - 1)
+
+(* A prepared draw ([P.sampler], then [P.sample]) against the draw
+   spelled step by step: the count from the per-call [D.poisson] /
+   [D.negative_binomial] (or, in the nonzero stratum, the inverse CDF
+   of the conditioned count), then [n] faults by [reference_fault] from
+   the mix drawn from.  Mixes keep zero-weight classes, Poisson means
+   reach past the split at 30 and clustered alphas straddle the Gamma
+   boost at 1.  Both sides must return the same faults and leave the
+   rng at the same place; so must [I.inject] and [reference_faults]. *)
+let reference_draw (p : P.t) ~count ~mix rng ~rows ~cols =
+  let nominal = function
+    | P.Uniform n -> n
+    | P.Poisson mean -> D.poisson rng mean
+    | P.Clustered { mean; alpha } -> D.negative_binomial rng ~mean ~alpha
+  in
+  let scaled ~scale ~shift = function
+    | P.Poisson mean -> P.Poisson ((mean *. scale) +. shift)
+    | P.Clustered { mean; alpha } ->
+        P.Clustered { mean = (mean *. scale) +. shift; alpha }
+    | P.Uniform _ as m -> m
+  in
+  let pmf k = function
+    | P.Uniform _ -> 0.0
+    | P.Poisson mean -> D.poisson_pmf ~mean k
+    | P.Clustered { mean; alpha } -> D.negative_binomial_pmf ~mean ~alpha k
+  in
+  let step k = function
+    | P.Uniform _ -> 0.0
+    | P.Poisson mean -> mean /. float_of_int (k + 1)
+    | P.Clustered { mean; alpha } ->
+        (float_of_int k +. alpha) /. float_of_int (k + 1)
+        *. (mean /. (mean +. alpha))
+  in
+  let nonzero_count m =
+    let p0 = pmf 0 m in
+    let c = p0 +. (Random.State.float rng 1.0 *. (1.0 -. p0)) in
+    let rec walk k pk cum =
+      if cum < c && pk > 1e-300 && k < 1_000_000 then
+        let pk = pk *. step k m in
+        walk (k + 1) pk (cum +. pk)
+      else k
+    in
+    let p1 = p0 *. step 0 m in
+    walk 1 p1 (p0 +. p1)
+  in
+  let n =
+    match p.P.count with
+    | P.Count_nominal -> nominal count
+    | P.Scaled { scale; shift } -> nominal (scaled ~scale ~shift count)
+    | P.Stratified { nonzero } ->
+        if Random.State.float rng 1.0 < nonzero then nonzero_count count else 0
+  in
+  reference_faults rng ~rows ~cols (Option.value p.P.mix ~default:mix) n
+
+let prop_prepared_draw_equals_inject =
+  let weight = QCheck.Gen.(frequency [ (1, return 0.0); (3, float_range 0.0 5.0) ]) in
+  let mix_gen =
+    QCheck.Gen.(
+      map
+        (fun ws ->
+          match ws with
+          | [ a; b; c; d; e; f; g ] ->
+              let m =
+                { I.stuck_at = a; transition = b; stuck_open = c
+                ; coupling_inversion = d; coupling_idempotent = e
+                ; state_coupling = f; data_retention = g }
+              in
+              if List.for_all (fun w -> w = 0.0) ws then { m with I.stuck_at = 1.0 }
+              else m
+          | _ -> assert false)
+        (list_repeat 7 weight))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* mix = mix_gen in
+      let* model =
+        oneof
+          [ map (fun n -> P.Uniform n) (int_range 0 6)
+          ; map (fun m -> P.Poisson m) (oneof [ float_range 0.0 3.0; float_range 29.0 42.0 ])
+          ; map2 (fun mean alpha -> P.Clustered { mean; alpha })
+              (float_range 0.0 4.0) (float_range 0.2 4.0) ]
+      in
+      let fixed = match model with P.Uniform _ -> true | _ -> false in
+      let* count =
+        if fixed then return P.Count_nominal
+        else
+          oneof
+            [ return P.Count_nominal
+            ; map2 (fun scale shift -> P.Scaled { scale; shift })
+                (float_range 0.5 8.0) (float_range 0.0 1.0)
+            ; map (fun nonzero -> P.Stratified { nonzero }) (float_range 0.05 0.95) ]
+      in
+      (* a proposal mix covers every class the nominal mix draws *)
+      let* q =
+        opt
+          (map
+             (fun extra ->
+               { I.stuck_at = mix.I.stuck_at +. extra; transition = mix.I.transition
+               ; stuck_open = mix.I.stuck_open +. extra
+               ; coupling_inversion = mix.I.coupling_inversion
+               ; coupling_idempotent = mix.I.coupling_idempotent
+               ; state_coupling = mix.I.state_coupling +. extra
+               ; data_retention = mix.I.data_retention })
+             (float_range 0.0 2.0))
+      in
+      let* seed = int_bound 1_000_000 in
+      return (mix, model, { P.count; mix = q }, seed))
+  in
+  QCheck.Test.make ~name:"pre-validated draw = Injection.inject" ~count:400
+    (QCheck.make gen)
+    (fun (mix, count, p, seed) ->
+      let stratified_needs_mass =
+        match (p.P.count, count) with
+        | P.Stratified _, (P.Poisson 0.0 | P.Clustered { mean = 0.0; _ }) -> true
+        | _ -> false
+      in
+      QCheck.assume (not stratified_needs_mass);
+      let s = P.sampler p ~count ~mix in
+      let a = Random.State.make [| seed |] and b = Random.State.make [| seed |] in
+      let c = Random.State.make [| seed |] and d = Random.State.make [| seed |] in
+      List.for_all
+        (fun _ ->
+          let fa = P.sample s a ~rows:12 ~cols:9 in
+          let fb = reference_draw p ~count ~mix b ~rows:12 ~cols:9 in
+          let fc = I.inject c ~rows:12 ~cols:9 ~mix ~n:3 in
+          let fd = reference_faults d ~rows:12 ~cols:9 mix 3 in
+          fa = fb && Random.State.bits a = Random.State.bits b
+          && fc = fd && Random.State.bits c = Random.State.bits d)
+        (List.init 8 Fun.id))
+
 let () =
   Alcotest.run "faults"
     [ ( "fault",
@@ -457,6 +648,7 @@ let () =
         ; Alcotest.test_case "stratified weights closed form" `Quick
             test_stratified_weights_closed_form
         ; QCheck_alcotest.to_alcotest prop_proposal_weights_mean_one
+        ; QCheck_alcotest.to_alcotest prop_prepared_draw_equals_inject
         ] )
     ; ( "spatial",
         [ Alcotest.test_case "radius distribution" `Quick

@@ -106,16 +106,15 @@ let test_failure_pdf_matches_difference () =
    doubling from 1000 h.  Accurate while the MTTF lies well inside
    [1000 h, 1e15 h]. *)
 let simpson_mttf c =
-  let rec horizon t =
-    if Rel.reliability c t < 1e-10 || t > 1e15 then t else horizon (t *. 2.0)
-  in
+  let r = Rel.reliability c in
+  let rec horizon t = if r t < 1e-10 || t > 1e15 then t else horizon (t *. 2.0) in
   let tmax = horizon 1000.0 in
   let n = 20_000 in
   let h = tmax /. float_of_int n in
-  let sum = ref (Rel.reliability c 0.0 +. Rel.reliability c tmax) in
+  let sum = ref (r 0.0 +. r tmax) in
   for i = 1 to n - 1 do
     let w = if i mod 2 = 1 then 4.0 else 2.0 in
-    sum := !sum +. (w *. Rel.reliability c (h *. float_of_int i))
+    sum := !sum +. (w *. r (h *. float_of_int i))
   done;
   !sum *. h /. 3.0
 
