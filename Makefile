@@ -16,7 +16,8 @@ test: build
 # repair round and per failing cell; the reliability curves run per
 # crossover grid point and the placer per candidate position of every
 # compile in an explore sweep; the fault draw (injection, proposal and
-# defect-count samplers) and the campaign's record and tally run once
+# defect-count samplers) and the campaign's trial flow (trial.ml),
+# records (record.ml), tally (tally.ml) and fold (campaign.ml) run once
 # per trial.  So they must
 # not call polymorphic min/max/compare (a compare_val per call) or the
 # polymorphic Hashtbl (a caml_hash per call).  The lint parses the
@@ -28,7 +29,8 @@ HOT_PATH = lib/sram/model.ml lib/bist/engine.ml lib/bist/controller.ml \
   lib/bist/lane_engine.ml lib/sram/word.ml lib/sram/org.ml \
   lib/bist/addgen.ml lib/yield/repairable.ml \
   lib/reliability/reliability.ml lib/place_route/placer.ml \
-  lib/campaign/campaign.ml lib/faults/injection.ml lib/faults/proposal.ml \
+  lib/campaign/campaign.ml lib/campaign/trial.ml lib/campaign/record.ml \
+  lib/campaign/tally.ml lib/faults/injection.ml lib/faults/proposal.ml \
   lib/faults/defect.ml
 
 hot-path-lint: build

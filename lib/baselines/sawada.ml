@@ -35,11 +35,6 @@ let diverted_ram t model =
         else base.Engine.write addr w)
   }
 
-let attach t model =
-  (* the model's row remap cannot express word diversion; accesses must
-     go through [diverted_ram], so attach only validates compatibility *)
-  if Model.org model <> t.org then invalid_arg "Sawada.attach: wrong org"
-
 let repair model test ~backgrounds =
   let t = create (Model.org model) in
   Model.clear model;

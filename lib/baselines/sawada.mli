@@ -17,10 +17,6 @@ val record : t -> addr:int -> [ `Ok | `Full ]
 
 val registered : t -> int option
 
-(** Install the diversion into a model: the matching address reads and
-    writes a private spare word instead of the array. *)
-val attach : t -> Bisram_sram.Model.t -> unit
-
 (** Two-pass test-and-repair flow with this scheme. *)
 val repair :
   Bisram_sram.Model.t ->

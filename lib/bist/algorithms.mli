@@ -10,7 +10,6 @@ val ifa_9 : March.t
 val ifa_13 : March.t
 val mats_plus : March.t
 val march_c_minus : March.t
-val march_b : March.t
 val zero_one : March.t
 (** The naive u(w0); u(r0); u(w1); u(r1) baseline (MSCAN). *)
 

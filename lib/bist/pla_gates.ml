@@ -3,6 +3,8 @@ module N = Bisram_gates.Netlist
 let cond_names =
   [ "test_enable"; "cmp_fail"; "elem_done"; "bg_done"; "tlb_full"; "ret_ack" ]
 
+(* the controller's control outputs, in PLA output order (after the
+   next-state bits) *)
 let action_names =
   [ "apply_read"; "apply_write"; "data_complement"; "addr_reset_up"
   ; "addr_reset_down"; "request_wait"; "sig_done"; "sig_fail"; "addr_step"

@@ -11,16 +11,12 @@
     (after the state bits). *)
 val cond_names : string list
 
-(** Names of the controller's control outputs, in PLA output order
-    (after the next-state bits). *)
-val action_names : string list
-
 (** Pure combinational AND-OR netlist of a PLA.  Inputs are named
     [in0..]; outputs [out0..]. *)
 val of_trpla : Trpla.t -> Bisram_gates.Netlist.t
 
 (** The controller as a synchronous netlist: inputs are
-    {!cond_names}, outputs are {!action_names} plus the state bits
+    {!cond_names}, outputs are the control lines plus the state bits
     [state0..]; flip-flops reset to the IDLE state. *)
 val controller_netlist : Controller.t -> Bisram_gates.Netlist.t
 

@@ -1,6 +1,9 @@
 module Org = Bisram_sram.Org
 module Model = Bisram_sram.Model
 
+(* The candidate pool: single march elements, plus composite "retention
+   wait then verify read" pairs that a purely single-element greedy
+   could never justify. *)
 let element_pool =
   let elem order ops = March.Elem { order; ops } in
   [ [ elem March.Up [ March.W false ] ]

@@ -8,11 +8,6 @@
     fault sample, until the target coverage is reached.  An extension
     in the paper's "changing the control files" spirit. *)
 
-(** The candidate pool: each candidate is a short item sequence (single
-    march elements, plus composite "retention wait then verify read"
-    pairs, which a purely single-element greedy could never justify). *)
-val element_pool : March.item list list
-
 type result = {
   march : March.t;
   coverage : Coverage.result;

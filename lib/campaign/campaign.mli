@@ -49,7 +49,7 @@ type mode = Bisram_faults.Proposal.count_model =
     {!Bisram_bira.Bira} with allocator [s], holding the packed-word
     comparator analog against the bit-by-bit reference as the
     differential oracle. *)
-type repair = Row_tlb | Bira of Bisram_bira.Bira.strategy
+type repair = Trial.repair = Row_tlb | Bira of Bisram_bira.Bira.strategy
 
 val repair_name : repair -> string
 (** ["row-tlb"], ["bira-greedy"], ["bira-essential"], ["bira-bnb"] —
@@ -61,7 +61,7 @@ val repairs : repair list
 (** The architecture whose {!repair_name} is the given string. *)
 val repair_of_name : string -> repair option
 
-type config = {
+type config = Trial.config = {
   org : Bisram_sram.Org.t;
   march : Bisram_bist.March.t;
   mix : Bisram_faults.Injection.mix;
@@ -108,15 +108,15 @@ val trial_seed : config -> int -> int
     native int). *)
 val max_lanes : int
 
-type flow = Two_pass | Iterated
+type flow = Trial.flow = Two_pass | Iterated
 
 val flow_name : flow -> string
 
-type anomaly =
+type anomaly = Trial.anomaly =
   | Escape of { flow : flow; mismatches : Sweep.mismatch list }
   | Divergence of { detail : string }
 
-type verdicts = {
+type verdicts = Trial.verdicts = {
   controller : Bisram_bisr.Repair.outcome;
   reference : Bisram_bisr.Repair.outcome;
   iterated : Bisram_bisr.Repair.outcome;
@@ -127,7 +127,7 @@ type verdicts = {
           [None] for TLB trials and unrepaired BIRA trials *)
 }
 
-type trial = {
+type trial = Trial.trial = {
   t_index : int;  (** -1 for a replay outside a campaign *)
   t_seed : int;
   t_faults : Bisram_faults.Fault.t list;
@@ -135,17 +135,18 @@ type trial = {
   t_anomalies : anomaly list;
 }
 
-(** Run one trial on an explicit fault list (no randomness): every flow
-    run of the repair architecture's role table, each on its own
-    freshly armed model, then the differential oracle and the escape
-    sweeps.  Under [Row_tlb] a trial fills three roles with two runs:
-    the microprogrammed controller under test, and one engine run of
-    the iterated 2k-pass flow ({!Bisram_bisr.Repair.run_flows}), whose
-    verdict is reported as [iterated] and which also yields the
-    functional two-pass reference verdict as the oracle.  Under
-    [Bira _] it runs two: the packed-word comparator analog under test
-    and the bit-by-bit reference as the oracle; the reference also
-    carries the iterated escape sweep, and the analog's verdict is
+(** Run one trial on an explicit fault list (no randomness): the repair
+    architecture's two flow runs, each on its own freshly armed model,
+    then the differential oracle and the escape sweeps.  The run under
+    test carries the two-pass verdict; the checking run yields the
+    oracle verdict and the side the iterated escape sweep reads.  Under
+    [Row_tlb] the microprogrammed controller is under test, checked by
+    one engine run of the iterated 2k-pass flow
+    ({!Bisram_bisr.Repair.run_flows}), whose verdict is reported as
+    [iterated] and which also yields the functional two-pass reference
+    verdict as the oracle.  Under [Bira _] the packed-word comparator
+    analog is under test, checked by the bit-by-bit reference, which
+    also carries the iterated escape sweep; the analog's verdict is
     reported for both flows. *)
 val run_faults :
   config -> Bisram_faults.Fault.t list -> verdicts * anomaly list
@@ -167,7 +168,7 @@ val shrink_anomaly :
   config -> anomaly -> Bisram_faults.Fault.t list ->
   Bisram_faults.Fault.t list
 
-type histogram = {
+type histogram = Tally.histogram = {
   passed_clean : int;
   repaired : int;
   too_many_faulty_rows : int;
@@ -176,11 +177,11 @@ type histogram = {
 
 (** What a failure record reports; the report and checkpoint spell it
     ["escape"] / ["divergence"]. *)
-type failure_kind =
+type failure_kind = Record.failure_kind =
   | Silent_escape  (** a passing flow left faulty logical addresses *)
   | Oracle_divergence  (** the flow under test disagrees with its oracle *)
 
-type failure = {
+type failure = Record.failure = {
   f_trial : int;
   f_seed : int;
   f_kind : failure_kind;
@@ -194,7 +195,7 @@ type failure = {
     trial, distinct from a detected escape/divergence in the design
     under test): recorded as an outcome in the report instead of
     aborting the campaign. *)
-type tool_error = {
+type tool_error = Record.tool_error = {
   te_trial : int;
   te_seed : int;
   te_error : string;  (** [Printexc.to_string] of the final exception *)
@@ -204,14 +205,14 @@ type tool_error = {
     trials fired it, and the sums of their importance weights and
     squared weights (what effective-sample-size interval math
     consumes). *)
-type indicator = { t_trials : int; t_w : float; t_w2 : float }
+type indicator = Tally.indicator = { t_trials : int; t_w : float; t_w2 : float }
 
 (** Importance-weighted campaign tallies, accumulated in strict trial
     order when a proposal is armed.  [w_sum] / [w_sum2] run over {e
     all} [wn] trials; the per-indicator tallies only over trials where
     the indicator fired.  An unbiased nominal-probability estimate of
     an indicator is [indicator.t_w /. float wn]. *)
-type weighted = {
+type weighted = Tally.weighted = {
   wn : int;
   w_sum : float;
   w_sum2 : float;
@@ -220,7 +221,7 @@ type weighted = {
   w_repair_fail_iterated : indicator;
 }
 
-type result = {
+type result = Tally.result = {
   config : config;
   trials_run : int;
   truncated : bool;  (** stopped early (wall-clock budget or SIGINT) *)
@@ -272,7 +273,7 @@ val checkpoint : path:string -> ?every:int -> ?resume:bool -> unit -> checkpoint
     snapshot's [p_done], [p_escapes], [p_divergences] and
     [p_tool_errors] equal the report's [trials_run] and the lengths of
     its [escapes], [divergences] and [tool_errors]. *)
-type progress = {
+type progress = Tally.progress = {
   p_done : int;  (** trials folded so far (resumed ones included) *)
   p_total : int;  (** the trials requested: [config.trials] *)
   p_escapes : int;  (** escape records (one per escaping flow) *)

@@ -31,6 +31,10 @@ val retention_only : mix
     ["retention"]. *)
 val named_mixes : (string * mix) list
 
+(** Each fault class's mix key and weight, in field order: the one
+    spelling of the class list. *)
+val mix_weights : mix -> (string * float) list
+
 (** @raise Invalid_argument when any weight is negative or NaN (the
     message names the offending key and its value), or when every
     weight is zero (the sampler would silently bias towards stuck-at

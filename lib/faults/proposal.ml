@@ -144,30 +144,16 @@ let validate ~nominal_mix count_model p =
          drawable under the proposal, or its likelihood ratio p/q is
          unbounded and the weighted estimator loses its variance
          guarantee.  Checked key by key for a precise diagnostic. *)
-      List.iter
-        (fun (name, pw, qw) ->
+      List.iter2
+        (fun (name, pw) (_, qw) ->
           if pw > 0.0 && qw <= 0.0 then
             invalid_arg
               (Printf.sprintf
                  "Proposal: proposal mix gives zero weight to %s, which the \
                   nominal mix draws (importance weights would be unbounded)"
                  name))
-        [ ("stuck_at", nominal_mix.Injection.stuck_at, q.Injection.stuck_at)
-        ; ("transition", nominal_mix.Injection.transition, q.Injection.transition)
-        ; ("stuck_open", nominal_mix.Injection.stuck_open, q.Injection.stuck_open)
-        ; ( "coupling_inversion"
-          , nominal_mix.Injection.coupling_inversion
-          , q.Injection.coupling_inversion )
-        ; ( "coupling_idempotent"
-          , nominal_mix.Injection.coupling_idempotent
-          , q.Injection.coupling_idempotent )
-        ; ( "state_coupling"
-          , nominal_mix.Injection.state_coupling
-          , q.Injection.state_coupling )
-        ; ( "data_retention"
-          , nominal_mix.Injection.data_retention
-          , q.Injection.data_retention )
-        ]
+        (Injection.mix_weights nominal_mix)
+        (Injection.mix_weights q)
 
 (* ------------------------------------------------------------------ *)
 (* drawing and weighting *)

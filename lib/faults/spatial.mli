@@ -17,10 +17,6 @@ type defect = {
 (** Sample a radius from p(r) ~ 1/r^3 truncated to [r_min, r_max]. *)
 val sample_radius : Random.State.t -> r_min:int -> r_max:int -> int
 
-(** Uniform position over a [w] x [h] footprint. *)
-val sample_defect :
-  Random.State.t -> w:int -> h:int -> r_min:int -> r_max:int -> defect
-
 (** Cells (row, col) whose [cell_w] x [cell_h] footprint intersects the
     defect disc; clipped to the array. *)
 val cells_hit :

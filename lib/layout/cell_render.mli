@@ -5,8 +5,5 @@
     show; used by the examples and for quick visual inspection of
     generated cells. *)
 
-(** Character used for a layer. *)
-val glyph : Bisram_tech.Layer.t -> char
-
 (** Render the cell; [scale] lambda per character (default 1). *)
 val render : ?scale:int -> Cell.t -> string

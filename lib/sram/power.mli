@@ -23,7 +23,4 @@ val estimate :
     amperes. *)
 val supply_current : estimate -> frequency_hz:float -> float
 
-(** Average power at the given access rate, watts. *)
-val average_power : estimate -> frequency_hz:float -> float
-
 val pp : Format.formatter -> estimate -> unit

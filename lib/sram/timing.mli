@@ -46,7 +46,4 @@ val wordline_length : Bisram_tech.Process.t -> Org.t -> float
 (** Bit-line wire length in meters. *)
 val bitline_length : Bisram_tech.Process.t -> Org.t -> float
 
-(** 6T cell footprint in lambda: (width, height). *)
-val cell_lambda : int * int
-
 val pp : Format.formatter -> breakdown -> unit

@@ -17,7 +17,6 @@ type t = {
 
 val cda_05u3m1p : t
 val cda_07u3m1p : t
-val mosis_06u3m1p_hp : t
 
 val all : t list
 val find : string -> t option

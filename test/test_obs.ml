@@ -252,24 +252,38 @@ let test_exporters_parse () =
                evs)
       | _ -> Alcotest.fail "traceEvents missing")
 
+(* Every per-trial phase is a row of the stats table (a row's first
+   token is its name): on a failing row-TLB run with shrinking on, and
+   on a bira-bnb run, whose checking run is the [oracle] phase. *)
 let test_stats_table_mentions_phases () =
-  with_obs (fun () ->
-      let cfg =
-        C.make_config ~mode:(C.Uniform 1) ~trials:2 ~seed:4 ~shrink:false ()
-      in
-      ignore (C.run cfg);
-      let table = Export.stats_table (Obs.snapshot ()) in
-      List.iter
-        (fun needle ->
-          let contains hay needle =
-            let nh = String.length hay and nn = String.length needle in
-            let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-            go 0
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "table mentions %s" needle)
-            true (contains table needle))
-        [ "trial"; "march"; "campaign.trials"; "campaign.cycles" ])
+  let check cfg needles =
+    with_obs (fun () ->
+        ignore (C.run cfg);
+        let rows =
+          Export.stats_table (Obs.snapshot ())
+          |> String.split_on_char '\n'
+          |> List.map (fun l -> List.hd (String.split_on_char ' ' l))
+        in
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool)
+              (Printf.sprintf "table has row %s" needle)
+              true (List.mem needle rows))
+          needles)
+  in
+  let phases = [ "trial"; "inject"; "march"; "escape-sweep" ] in
+  check
+    (C.make_config ~march:Bisram_bist.Algorithms.mats_plus
+       ~mix:Bisram_faults.Injection.retention_only ~mode:(C.Uniform 1)
+       ~trials:2 ~seed:4 ())
+    (phases @ [ "repair"; "shrink"; "campaign.trials"; "campaign.cycles" ]);
+  check
+    (C.make_config
+       ~org:(Bisram_sram.Org.make ~spares:4 ~spare_cols:2 ~words:64 ~bpw:8
+               ~bpc:4 ())
+       ~mode:(C.Poisson 3.0) ~repair:(C.Bira Bisram_bira.Bira.Exhaustive)
+       ~trials:4 ~seed:4 ())
+    (phases @ [ "oracle" ])
 
 (* ------------------------------------------------------------------ *)
 (* JSON parser *)
