@@ -236,9 +236,10 @@ chaos-smoke: build
 # 200-trial Poisson mean-3 test/golden_bira_p3.json (15 of its trials
 # end with a column repair armed, so it pins the steered model); (2)
 # every BIRA allocator's report must be byte-identical across worker
-# counts (test_bira's jobs x lanes case covers pool-item widths);
-# (3) a bogus --repair name must be rejected with the usage exit code
-# (2).
+# counts (test_bira's jobs x lanes case covers pool-item widths), as
+# must the 200-trial bira-bnb run, whose 78 escapes would show a
+# shrink memo leaking across trials or domains; (3) a bogus --repair
+# name must be rejected with the usage exit code (2).
 bira-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 60 --seed 7 --jobs 1 \
 	  > .ci-bira-golden.json
@@ -254,6 +255,10 @@ bira-smoke: build
 	  --mode poisson --mean 3 --spare-cols 2 --repair bira-bnb --jobs 1 \
 	  > .ci-bira-golden-bnb-p3.json
 	cmp .ci-bira-golden-bnb-p3.json test/golden_bira_p3.json
+	dune exec bin/bisramgen.exe -- campaign --trials 200 --seed 7 \
+	  --mode poisson --mean 3 --spare-cols 2 --repair bira-bnb --jobs 2 \
+	  > .ci-bira-golden-bnb-p3-2.json
+	cmp .ci-bira-golden-bnb-p3.json .ci-bira-golden-bnb-p3-2.json
 	for s in bira-greedy bira-essential bira-bnb; do \
 	  dune exec bin/bisramgen.exe -- campaign --trials 40 --seed 11 \
 	    --mode poisson --mean 3 --spare-cols 2 --repair $$s \
@@ -267,6 +272,7 @@ bira-smoke: build
 	  > /dev/null 2>&1; test $$? -eq 2
 	rm -f .ci-bira-golden.json .ci-bira-golden-p3.json \
 	  .ci-bira-golden-bnb.json .ci-bira-golden-bnb-p3.json \
+	  .ci-bira-golden-bnb-p3-2.json \
 	  .ci-bira-bira-greedy-a.json \
 	  .ci-bira-bira-greedy-b.json .ci-bira-bira-essential-a.json \
 	  .ci-bira-bira-essential-b.json .ci-bira-bira-bnb-a.json \

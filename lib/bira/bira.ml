@@ -35,8 +35,9 @@ let rec spare_of line = function
    repaired line means the spare serving it is itself faulty, so it is
    burned (rows take precedence when both lines are repaired); a
    mismatch elsewhere is a newly learned fault cell.  Arming: cover the
-   learned cells with the unburned spares, then steer. *)
-let run ?max_rounds ~fast strategy model march ~backgrounds =
+   learned cells with the unburned spares, then steer.  [extract]
+   turns each march failure into its failing cells. *)
+let flow ?max_rounds ~extract strategy model march ~backgrounds =
   let org = Model.org model in
   let (module A : Cover.Allocator) = allocator strategy in
   let fmap = Fault_map.create org in
@@ -54,7 +55,7 @@ let run ?max_rounds ~fast strategy model march ~backgrounds =
   in
   let learn failures =
     List.iter
-      (fun f -> List.iter learn_cell (Fault_map.failure_cells ~fast org f))
+      (fun f -> List.iter learn_cell (extract org f))
       failures;
     if Fault_map.overflowed fmap then `Full else `Ok
   in
@@ -97,3 +98,21 @@ let run ?max_rounds ~fast strategy model march ~backgrounds =
       let b_alloc = Some { a_rows = lines rpairs; a_cols = lines cpairs } in
       { b_outcome; b_alloc; b_rounds }
   | b_outcome, b_rounds -> { b_outcome; b_alloc = None; b_rounds }
+
+let run ?max_rounds ~fast =
+  flow ?max_rounds ~extract:(Fault_map.failure_cells ~fast)
+
+(* Had every failure's cells agreed, the [fast:false] flow would have
+   learned, allocated and driven the model the same, op for op. *)
+let run_checked ?max_rounds strategy model march ~backgrounds =
+  let agreed = ref true in
+  let same (r, c) (r', c') = Int.equal r r' && Int.equal c c' in
+  let extract org f =
+    let cells = Fault_map.failure_cells ~fast:true org f in
+    if !agreed then
+      agreed :=
+        List.equal same cells (Fault_map.failure_cells ~fast:false org f);
+    cells
+  in
+  let r = flow ?max_rounds ~extract strategy model march ~backgrounds in
+  (r, !agreed)

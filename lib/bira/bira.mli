@@ -52,3 +52,14 @@ val run :
   Bisram_bist.March.t ->
   backgrounds:Bisram_sram.Word.t list ->
   result
+
+(** [run ~fast:true], plus whether the bit-by-bit extraction gave the
+    same cells on every failure; if so, the run is [run ~fast:false]'s
+    too, to the model state and access counts. *)
+val run_checked :
+  ?max_rounds:int ->
+  strategy ->
+  Bisram_sram.Model.t ->
+  Bisram_bist.March.t ->
+  backgrounds:Bisram_sram.Word.t list ->
+  result * bool

@@ -147,7 +147,10 @@ type trial = Trial.trial = {
     verdict as the oracle.  Under [Bira _] the packed-word comparator
     analog is under test, checked by the bit-by-bit reference, which
     also carries the iterated escape sweep; the analog's verdict is
-    reported for both flows. *)
+    reported for both flows.  The analog's run compares the two
+    extractions on every failure ({!Bisram_bira.Bira.run_checked}); if
+    all agree it is the reference run too, swept once, and only a
+    disagreement runs the reference on a model of its own. *)
 val run_faults :
   config -> Bisram_faults.Fault.t list -> verdicts * anomaly list
 

@@ -34,7 +34,7 @@ type tool_error = {
   te_error : string;
 }
 
-let failure_of_anomaly cfg trial anomaly =
+let failure_of_anomaly ?memo cfg trial anomaly =
   let f_kind, f_flow, f_detail =
     match anomaly with
     | Escape { flow; mismatches } ->
@@ -60,9 +60,16 @@ let failure_of_anomaly cfg trial anomaly =
   ; f_faults = trial.t_faults
   ; f_shrunk =
       Obs.span ~cat:"campaign" ~arg:("trial", trial.t_index) "shrink"
-        (fun () ->
-          (* only [run] computes records, after [check_zero_fault_flow] *)
-          shrink_with cfg ~fault_free_clean:true anomaly trial.t_faults)
+        (* only [run] computes records, after [check_zero_fault_flow];
+           most records have no memo, and their closure holds none *)
+        (match memo with
+        | None ->
+            fun () ->
+              shrink_with cfg ~fault_free_clean:true anomaly trial.t_faults
+        | Some memo ->
+            fun () ->
+              shrink_with cfg ~memo ~fault_free_clean:true anomaly
+                trial.t_faults)
   }
 
 (* ------------------------------------------------------------------ *)
@@ -443,8 +450,16 @@ let compute_record cfg draw ~index =
     match simulated with
     | None -> clean_body
     | Some t ->
+        (* escapes read off one sweep of one self-checked run;
+           [List.map] shrinks the two-pass escape first *)
+        let memo =
+          match t.t_anomalies with
+          | [ Escape { mismatches = m; _ }; Escape { mismatches = m'; _ } ]
+            when m == m' -> Some (ref None)
+          | _ -> None
+        in
         body_of_verdicts t.t_verdicts
-          (List.map (failure_of_anomaly cfg t) t.t_anomalies)
+          (List.map (fun a -> failure_of_anomaly ?memo cfg t a) t.t_anomalies)
   in
   let faults = match simulated with None -> [] | Some t -> t.t_faults in
   { rc_index = index; rc_seed = seed; rc_body; rc_weight = weight_of cfg faults }

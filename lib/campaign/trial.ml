@@ -209,6 +209,10 @@ let pp_alloc =
       Printf.sprintf "rows [%s] cols [%s]" (ints a.Bira.a_rows)
         (ints a.Bira.a_cols)
 
+(* What ran a side: the microprogrammed controller, a flow, or a flow
+   whose extraction agreed bit by bit on every failure (its own check). *)
+type run = Controller of int | Flow | Self_checked
+
 (* One side's result: [s_rounds] are the verify rounds (1 for a
    single-verify flow), [s_model] the armed model an escape sweep
    reads. *)
@@ -216,7 +220,7 @@ type side = {
   s_outcome : Repair.outcome;
   s_alloc : alloc;
   s_rounds : int;
-  s_cycles : int option;  (** where a microprogrammed controller ran *)
+  s_run : run;
   s_model : Model.t;
 }
 
@@ -243,20 +247,22 @@ type arch = {
    comparator analog ([fast:true] fault extraction) is under test
    against the bit-by-bit reference; the flow iterates (spare burning)
    on both sides, so the reference also carries the iterated escape
-   sweep, and the analog's verdict is reported for both flows. *)
+   sweep, and the analog's verdict is reported for both flows.  The
+   analog checks each failure bit by bit; only a disagreement runs the
+   reference, on a model of its own. *)
 let arch cfg =
   let bgs = backgrounds cfg and march = cfg.march in
-  let side ?(rounds = 1) ?cycles s_outcome s_alloc s_model =
-    { s_outcome; s_alloc; s_rounds = rounds; s_cycles = cycles; s_model }
+  let side ?(rounds = 1) s_run s_outcome s_alloc s_model =
+    { s_outcome; s_alloc; s_rounds = rounds; s_run; s_model }
   in
   match cfg.repair with
   | Row_tlb ->
       let controller faults =
         let m = model_with cfg faults in
         let o, report, tlb = Repair.run m march ~backgrounds:bgs in
-        side o
+        side (Controller report.Bisram_bist.Controller.cycles) o
           (Tlb_rows (Tlb.mapped_rows tlb))
-          ~cycles:report.Bisram_bist.Controller.cycles m
+          m
       in
       let engine faults =
         let m = model_with cfg faults in
@@ -264,8 +270,8 @@ let arch cfg =
           Repair.run_flows ~max_rounds:cfg.max_rounds m march ~backgrounds:bgs
         in
         let it = f.Repair.iterated in
-        ( side f.Repair.reference (Tlb_rows f.Repair.reference_rows) m
-        , side it.Repair.i_outcome
+        ( side Flow f.Repair.reference (Tlb_rows f.Repair.reference_rows) m
+        , side Flow it.Repair.i_outcome
             (Tlb_rows (Tlb.mapped_rows it.Repair.i_tlb))
             ~rounds:it.Repair.i_rounds m )
       in
@@ -276,12 +282,15 @@ let arch cfg =
       }
   | Bira strat ->
       let bira ~fast faults =
-        let m = model_with cfg faults in
-        let r =
-          Bira.run ~max_rounds:cfg.max_rounds ~fast strat m march
-            ~backgrounds:bgs
+        let m = model_with cfg faults and max_rounds = cfg.max_rounds in
+        let r, checked =
+          if fast then
+            Bira.run_checked ~max_rounds strat m march ~backgrounds:bgs
+          else
+            (Bira.run ~max_rounds ~fast strat m march ~backgrounds:bgs, false)
         in
-        side r.Bira.b_outcome (Lines r.Bira.b_alloc) ~rounds:r.Bira.b_rounds m
+        side (if checked then Self_checked else Flow) r.Bira.b_outcome
+          (Lines r.Bira.b_alloc) ~rounds:r.Bira.b_rounds m
       in
       { under_test = bira ~fast:true
       ; check =
@@ -296,19 +305,26 @@ let arch cfg =
    then the allocation both passing sides armed. *)
 let divergence c r =
   let diverged detail = Some (Divergence { detail }) in
+  let what, tested =
+    match c.s_alloc with
+    | Tlb_rows _ -> ("TLB", "controller")
+    | Lines _ -> ("BIRA alloc", "fast")
+  in
   if c.s_outcome <> r.s_outcome then
     diverged
-      (Format.asprintf "outcome: controller %a, reference %a" Repair.pp_outcome
+      (Format.asprintf "outcome: %s %a, reference %a" tested Repair.pp_outcome
          c.s_outcome Repair.pp_outcome r.s_outcome)
   else if success c.s_outcome && c.s_alloc <> r.s_alloc then
     diverged
-      (Printf.sprintf "%s: controller %s, reference %s"
-         (match c.s_alloc with Tlb_rows _ -> "TLB" | Lines _ -> "BIRA alloc")
+      (Printf.sprintf "%s: %s %s, reference %s" what tested
          (pp_alloc c.s_alloc) (pp_alloc r.s_alloc))
   else None
 
 (* a silent escape: the array disagrees with a passing verdict *)
 let escaped s = success s.s_outcome && not (Sweep.clean s.s_model)
+
+let self_checked s =
+  match s.s_run with Self_checked -> true | Controller _ | Flow -> false
 
 let run_faults cfg faults =
   let a = arch cfg in
@@ -320,34 +336,39 @@ let run_faults cfg faults =
     s
   in
   let c = timed "march" a.under_test in
-  let r, swept = timed a.check_span a.check in
+  let r, swept =
+    timed a.check_span (if self_checked c then fun _ -> (c, c) else a.check)
+  in
   let it = if a.iterated_by_check then swept else c in
   let divergences = Option.to_list (divergence c r) in
+  let sweep s =
+    if not (success s.s_outcome) then []
+    else Obs.span ~cat:"campaign" "escape-sweep" (fun () -> Sweep.run s.s_model)
+  in
+  (* a model is swept once: a second sweep would read another residue *)
+  let two_pass = sweep c in
+  let iterated = if swept == c then two_pass else sweep swept in
   let escapes =
     List.filter_map
-      (fun (flow, s) ->
-        if not (success s.s_outcome) then None
-        else
-          match
-            Obs.span ~cat:"campaign" "escape-sweep" (fun () ->
-                Sweep.run s.s_model)
-          with
-          | [] -> None
-          | mismatches -> Some (Escape { flow; mismatches }))
-      [ (Two_pass, c); (Iterated, swept) ]
+      (function
+        | _, [] -> None
+        | flow, mismatches -> Some (Escape { flow; mismatches }))
+      [ (Two_pass, two_pass); (Iterated, iterated) ]
   in
   if Obs.enabled () then begin
-    (* the checking run's sides share its one model *)
+    (* each distinct model once: the check's sides share one *)
     flush_model_stats c.s_model;
-    flush_model_stats r.s_model;
-    Option.iter (Obs.observe "campaign.cycles") c.s_cycles;
+    if r.s_model != c.s_model then flush_model_stats r.s_model;
+    (match c.s_run with
+    | Controller n -> Obs.observe "campaign.cycles" n
+    | Flow | Self_checked -> ());
     Obs.observe "campaign.repair_rounds" it.s_rounds
   end;
   ( { controller = c.s_outcome
     ; reference = r.s_outcome
     ; iterated = it.s_outcome
     ; rounds = it.s_rounds
-    ; cycles = Option.value ~default:0 c.s_cycles
+    ; cycles = (match c.s_run with Controller n -> n | Flow | Self_checked -> 0)
     ; alloc =
         (match c.s_alloc with
         | Lines a -> Option.map (fun a -> (a.Bira.a_rows, a.Bira.a_cols)) a
@@ -391,22 +412,41 @@ let run_drawn cfg ~index ~seed faults =
    does not re-check the full list.  With [~fault_free_clean] (the
    fault-free flow is known to be clean, as [check_zero_fault_flow]
    establishes for every campaign) the empty list is answered without
-   simulating it: no anomaly there. *)
-let shrink_with cfg ~fault_free_clean anomaly faults =
-  if not cfg.shrink then faults
-  else
-    let a = arch cfg in
-    let keep =
-      match anomaly with
-      | Escape { flow = Two_pass; _ } -> fun fs -> escaped (a.under_test fs)
-      | Escape { flow = Iterated; _ } -> fun fs -> escaped (snd (a.check fs))
-      | Divergence _ ->
-          fun fs ->
+   simulating it: no anomaly there.  A [memo], given when one
+   self-checked run carried both of a trial's flows, keeps the two-pass
+   escape's reproducer if every candidate's run was self-checked too:
+   each iterated answer was then the two-pass one, so the iterated
+   shrink would return the same reproducer. *)
+let shrink_with cfg ?memo ~fault_free_clean anomaly faults =
+  match (anomaly, memo) with
+  | _ when not cfg.shrink -> faults
+  | Escape { flow = Iterated; _ }, Some { contents = Some shrunk } -> shrunk
+  | Escape { flow = Two_pass; _ }, Some memo ->
+      let a = arch cfg and checked = ref true in
+      let keep = function
+        | [] when fault_free_clean -> false
+        | fs ->
             let c = a.under_test fs in
-            Option.is_some (divergence c (fst (a.check fs)))
-    in
-    let keep = function [] when fault_free_clean -> false | fs -> keep fs in
-    Shrink.minimize_failing ~keep faults
+            checked := !checked && self_checked c;
+            escaped c
+      in
+      let shrunk = Shrink.minimize_failing ~keep faults in
+      if !checked then memo := Some shrunk;
+      shrunk
+  | _ ->
+      let a = arch cfg in
+      let keep =
+        match anomaly with
+        | Escape { flow = Two_pass; _ } -> fun fs -> escaped (a.under_test fs)
+        | Escape { flow = Iterated; _ } -> fun fs -> escaped (snd (a.check fs))
+        | Divergence _ ->
+            fun fs ->
+              let c = a.under_test fs in
+              let r = if self_checked c then c else fst (a.check fs) in
+              Option.is_some (divergence c r)
+      in
+      let keep = function [] when fault_free_clean -> false | fs -> keep fs in
+      Shrink.minimize_failing ~keep faults
 
 let shrink_anomaly cfg anomaly faults =
   shrink_with cfg ~fault_free_clean:false anomaly faults

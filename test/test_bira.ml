@@ -256,65 +256,75 @@ let test_bira_strategies_agree_on_verdict () =
   Alcotest.(check bool) "essential repairs" true (ok Bira.Essential);
   Alcotest.(check bool) "bnb repairs" true (ok Bira.Exhaustive)
 
-(* The 2D repair flow does not depend on its fast paths: [Bira.run]
-   with the packed or the per-bit fault-list extraction, on a model
-   with the packed store on or off, gives the same result, leaves the
-   same array (spare rows and spare columns included), the same sense
-   residue and the same access counts, for every allocator.  Faults
-   force column repairs (a column defect over several rows), sit on
-   spare-column cells (so verification burns spares, and a steered
-   slot must leave the spare-bit path when its target is flagged),
-   couple across the regular/spare-column boundary, and fill one word
-   with stuck-open cells (so a read returns the sense residue). *)
-let prop_flow_fast_paths_agree =
+(* Faults that force column repairs (a column defect over several
+   rows), sit on spare-column cells (so verification burns spares, and a
+   steered slot must leave the spare-bit path when its target is
+   flagged), couple across the regular/spare-column boundary, and, on a
+   coin flip, fill the word at [(open_row, open_col)] with stuck-open
+   cells (so a read returns the sense residue). *)
+let faults_2d seed =
   let module I = Bisram_faults.Injection in
+  let org = org_2d in
+  let rng = Random.State.make [| 0xB12A; seed |] in
+  let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+  let rows = Org.rows org and cols = Org.cols org in
+  let trows = Org.total_rows org and tcols = Org.total_cols org in
+  let bpc = org.Org.bpc and bpw = org.Org.bpw in
+  let cell row col = { F.row; col } in
+  let open_row = int trows and open_col = int bpc in
+  let spare_cell () =
+    (* the first spare column is the one a single column repair uses *)
+    cell (int trows) (cols + if int 4 = 0 then int (tcols - cols) else 0)
+  in
+  let faults =
+    (let c = int cols in
+     List.init (int 5) (fun _ -> F.Stuck_at (cell (int rows) c, flip ())))
+    @ I.inject rng ~rows:trows ~cols:tcols ~mix:I.default_mix ~n:(int 3)
+    @ List.init (int 4) (fun _ ->
+          let c = spare_cell () in
+          match int 3 with
+          | 0 -> F.Stuck_at (c, flip ())
+          | 1 -> F.Transition (c, flip ())
+          | _ -> F.Stuck_open c)
+    @ (let reg = cell (int trows) (int cols) and spr = spare_cell () in
+       let aggressor, victim = if flip () then (reg, spr) else (spr, reg) in
+       match int 3 with
+       | 0 -> [ F.Coupling_inversion { aggressor; victim } ]
+       | 1 ->
+           [ F.Coupling_idempotent
+               { aggressor; rising = flip (); victim; forces = flip () } ]
+       | _ ->
+           [ F.State_coupling
+               { aggressor; when_state = flip (); victim; reads_as = flip () }
+           ])
+    @
+    if flip () then
+      List.init bpw (fun b -> F.Stuck_open (cell open_row ((b * bpc) + open_col)))
+    else []
+  in
+  (faults, open_row, open_col)
+
+(* The 2D repair flow does not depend on its fast paths: [Bira.run]
+   with the packed or the per-bit fault-list extraction, and
+   [Bira.run_checked], on a model with the packed store on or off, give
+   the same result, leave the same array (spare rows and spare columns
+   included), the same sense residue and the same access counts, for
+   every allocator; the checked run reports that every extraction
+   agreed. *)
+let prop_flow_fast_paths_agree =
   QCheck.Test.make ~name:"2D repair flow: fast paths = per-bit paths"
     ~count:250 QCheck.(int_range 0 100_000) (fun seed ->
       let org = org_2d in
-      let rng = Random.State.make [| 0xB12A; seed |] in
-      let int k = Random.State.int rng k and flip () = Random.State.bool rng in
-      let rows = Org.rows org and cols = Org.cols org in
+      let faults, open_row, open_col = faults_2d seed in
       let trows = Org.total_rows org and tcols = Org.total_cols org in
-      let bpc = org.Org.bpc and bpw = org.Org.bpw in
-      let cell row col = { F.row; col } in
-      let open_row = int trows and open_col = int bpc in
-      let spare_cell () =
-        (* the first spare column is the one a single column repair uses *)
-        cell (int trows) (cols + if int 4 = 0 then int (tcols - cols) else 0)
-      in
-      let faults =
-        (let c = int cols in
-         List.init (int 5) (fun _ -> F.Stuck_at (cell (int rows) c, flip ())))
-        @ I.inject rng ~rows:trows ~cols:tcols ~mix:I.default_mix ~n:(int 3)
-        @ List.init (int 4) (fun _ ->
-              let c = spare_cell () in
-              match int 3 with
-              | 0 -> F.Stuck_at (c, flip ())
-              | 1 -> F.Transition (c, flip ())
-              | _ -> F.Stuck_open c)
-        @ (let reg = cell (int trows) (int cols) and spr = spare_cell () in
-           let aggressor, victim = if flip () then (reg, spr) else (spr, reg) in
-           match int 3 with
-           | 0 -> [ F.Coupling_inversion { aggressor; victim } ]
-           | 1 ->
-               [ F.Coupling_idempotent
-                   { aggressor; rising = flip (); victim; forces = flip () } ]
-           | _ ->
-               [ F.State_coupling
-                   { aggressor; when_state = flip (); victim; reads_as = flip () }
-               ])
-        @
-        if flip () then
-          List.init bpw (fun b ->
-              F.Stuck_open (cell open_row ((b * bpc) + open_col)))
-        else []
-      in
-      let backgrounds = Datagen.required_backgrounds ~bpw in
-      let run strategy ~fast ~model_fast =
+      let bpc = org.Org.bpc and cols = Org.cols org in
+      let backgrounds = Datagen.required_backgrounds ~bpw:org.Org.bpw in
+      (* [flow] returns the result and whether every extraction agreed *)
+      let run ~model_fast flow =
         let m = Model.create org in
         Model.set_fast_path m model_fast;
         Model.set_faults m faults;
-        let r = Bira.run ~fast strategy m Alg.ifa_9 ~backgrounds in
+        let r, agreed = flow m in
         let reads = Model.reads m and writes = Model.writes m in
         (* the residue first (read whole through a stuck-open word,
            unsteered), then every regular word, then each spare column:
@@ -332,15 +342,90 @@ let prop_flow_fast_paths_agree =
               Model.set_col_remap m (Some (fun _ -> cols + k));
               List.init trows (fun row -> Model.read_row_word m ~row ~col:0))
         in
-        (r, reads, writes, residue, regular, spare_cols)
+        (r, agreed, reads, writes, residue, regular, spare_cols)
       in
       List.for_all
         (fun strategy ->
-          let base = run strategy ~fast:true ~model_fast:true in
+          let plain ~fast m =
+            (Bira.run ~fast strategy m Alg.ifa_9 ~backgrounds, true)
+          and checked m = Bira.run_checked strategy m Alg.ifa_9 ~backgrounds in
+          let base = run ~model_fast:true (plain ~fast:true) in
           List.for_all
-            (fun (fast, model_fast) -> run strategy ~fast ~model_fast = base)
-            [ (false, true); (true, false); (false, false) ])
+            (fun (model_fast, flow) -> run ~model_fast flow = base)
+            [ (true, plain ~fast:false); (false, plain ~fast:true)
+            ; (false, plain ~fast:false); (true, checked); (false, checked) ])
         [ Bira.Greedy; Bira.Essential; Bira.Exhaustive ])
+
+(* The BIRA trial flow runs one self-checked flow and sweeps its model
+   once; it must report what two independent runs report: [Bira.run
+   ~fast:true] and [~fast:false], each on its own fresh model and with
+   its own escape sweep, the fast run under test and reported for both
+   flows, and no divergence.  Each anomaly's shrunk reproducer must
+   equal ddmin over re-runs of the independent flow it swept. *)
+let prop_trial_equals_independent_runs =
+  let module Sweep = Bisram_campaign.Sweep in
+  let module Shrink = Bisram_campaign.Shrink in
+  let module Repair = Bisram_bisr.Repair in
+  QCheck.Test.make ~name:"2D trial = two independent runs" ~count:100
+    QCheck.(pair (int_range 0 100_000) (int_range 0 2))
+    (fun (seed, s) ->
+      let strategy = List.nth [ Bira.Greedy; Bira.Essential; Bira.Exhaustive ] s in
+      let cfg = C.make_config ~org:org_2d ~repair:(C.Bira strategy) () in
+      let faults, _, _ = faults_2d seed in
+      let backgrounds = Datagen.required_backgrounds ~bpw:org_2d.Org.bpw in
+      let flow ~fast fs =
+        let m = Model.create org_2d in
+        Model.set_faults m fs;
+        let r =
+          Bira.run ~max_rounds:cfg.C.max_rounds ~fast strategy m cfg.C.march
+            ~backgrounds
+        in
+        (r, m)
+      in
+      let success (r, _) =
+        match r.Bira.b_outcome with
+        | Repair.Passed_clean | Repair.Repaired _ -> true
+        | Repair.Repair_unsuccessful _ -> false
+      in
+      let escaped ~fast fs =
+        let ((_, m) as run) = flow ~fast fs in
+        success run && not (Sweep.clean m)
+      in
+      let ((f, _) as fast) = flow ~fast:true faults
+      and ((r, _) as reference) = flow ~fast:false faults in
+      let sweep ((_, m) as run) = if success run then Sweep.run m else [] in
+      let escape flow = function
+        | [] -> []
+        | mismatches -> [ C.Escape { flow; mismatches } ]
+      in
+      let diverged =
+        f.Bira.b_outcome <> r.Bira.b_outcome
+        || (success fast && f.Bira.b_alloc <> r.Bira.b_alloc)
+      in
+      let expected =
+        ( { C.controller = f.Bira.b_outcome
+          ; reference = r.Bira.b_outcome
+          ; iterated = f.Bira.b_outcome
+          ; rounds = f.Bira.b_rounds
+          ; cycles = 0
+          ; alloc =
+              Option.map (fun a -> (a.Bira.a_rows, a.Bira.a_cols)) f.Bira.b_alloc
+          }
+        , escape C.Two_pass (sweep fast) @ escape C.Iterated (sweep reference) )
+      in
+      let verdicts, anomalies = C.run_faults cfg faults in
+      (not diverged)
+      && (verdicts, anomalies) = expected
+      && List.for_all
+           (fun a ->
+             let keep =
+               match a with
+               | C.Escape { flow = C.Two_pass; _ } -> escaped ~fast:true
+               | C.Escape { flow = C.Iterated; _ } -> escaped ~fast:false
+               | C.Divergence _ -> assert false (* none expected *)
+             in
+             C.shrink_anomaly cfg a faults = Shrink.minimize_failing ~keep faults)
+           anomalies)
 
 (* ------------------------------------------------------------------ *)
 (* 2D yield model *)
@@ -490,6 +575,7 @@ let () =
         ; Alcotest.test_case "strategies agree" `Quick
             test_bira_strategies_agree_on_verdict
         ; QCheck_alcotest.to_alcotest prop_flow_fast_paths_agree
+        ; QCheck_alcotest.to_alcotest prop_trial_equals_independent_runs
         ] )
     ; ( "yield2"
       , [ Alcotest.test_case "degenerate inputs raise" `Quick

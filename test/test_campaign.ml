@@ -1081,17 +1081,33 @@ let test_tool_errors_in_schema () =
 (* The row-TLB oracle and the iterated flow share one engine run and
    its model, so the per-trial model counters flush that model once:
    [model.reads] is the controller model's reads plus the shared
-   model's, escape sweeps included. *)
+   model's, escape sweeps included.  A 2D BIRA trial whose extractions
+   all agree runs one flow on one model, which is also the reference
+   and the iterated side: [model.reads] is that model's reads with one
+   escape sweep, although the trial escapes on both flows. *)
 let test_model_stats_flushed_once () =
   let module Obs = Bisram_obs.Obs in
+  let module Bira = Bisram_bira.Bira in
+  let counted_reads cfg faults =
+    Obs.set_enabled true;
+    Obs.reset ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        ignore (C.run_faults cfg faults);
+        List.assoc "model.reads" (Obs.snapshot ()).Obs.counters)
+  in
   let cfg = C.make_config ~mode:(C.Poisson 3.0) () in
   let bgs = Datagen.required_backgrounds ~bpw:8 in
   let faults = (C.replay cfg ~seed:540766677).C.t_faults in
-  let fresh () =
+  let model_with cfg faults =
     let m = Model.create cfg.C.org in
     Model.set_faults m faults;
     m
   in
+  let fresh () = model_with cfg faults in
   let success = function
     | Repair.Passed_clean | Repair.Repaired _ -> true
     | Repair.Repair_unsuccessful _ -> false
@@ -1105,20 +1121,27 @@ let test_model_stats_flushed_once () =
       ~backgrounds:bgs
   in
   if success f.Repair.iterated.Repair.i_outcome then ignore (Sweep.run mi);
-  Obs.set_enabled true;
-  Obs.reset ();
-  let counted =
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.set_enabled false;
-        Obs.reset ())
-      (fun () ->
-        ignore (C.run_faults cfg faults);
-        List.assoc "model.reads" (Obs.snapshot ()).Obs.counters)
-  in
   Alcotest.(check int) "distinct models"
     (Model.reads mc + Model.reads mi)
-    counted
+    (counted_reads cfg faults);
+  let org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ~spare_cols:2 () in
+  let cfg =
+    C.make_config ~org ~mode:(C.Poisson 3.0) ~repair:(C.Bira Bira.Exhaustive) ()
+  in
+  (* an escape on both flows in test/golden_bira_p3.json *)
+  let faults = (C.replay cfg ~seed:850162625).C.t_faults in
+  let m = model_with cfg faults in
+  let r, agreed =
+    Bira.run_checked ~max_rounds:cfg.C.max_rounds Bira.Exhaustive m
+      cfg.C.march ~backgrounds:bgs
+  in
+  Alcotest.(check bool) "extractions agree" true agreed;
+  Alcotest.(check bool) "verdict passes" true (success r.Bira.b_outcome);
+  Alcotest.(check int) "escapes on both flows" 2
+    (List.length (snd (C.run_faults cfg faults)));
+  ignore (Sweep.run m);
+  Alcotest.(check int) "one model, one sweep" (Model.reads m)
+    (counted_reads cfg faults)
 
 (* A trial that draws no fault resolves to the clean record without
    simulation.  [replay] always simulates, so the report's outcome
