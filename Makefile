@@ -307,7 +307,9 @@ resume-determinism: build
 # seed and at the held-out seed 1999.  The counters must also equal the
 # pins in test/perfbench_exact.txt, with zero tolerance (minor words
 # depend on the compiler, so the pins hold for the toolchain that wrote
-# them).  A deliberate change in work is re-pinned, with a CHANGES.md
+# them).  On a mismatch the diff of the pins against the run prints
+# first, so the log names the counters that moved; cmp stays the gate.
+# A deliberate change in work is re-pinned, with a CHANGES.md
 # note, by copying the failed run's counters over the pins:
 #   cp .ci-perfbench-exact.txt test/perfbench_exact.txt
 perfbench-exact: build
@@ -319,6 +321,7 @@ perfbench-exact: build
 	      >> .ci-perfbench-exact.txt || exit 1; \
 	  done; \
 	done
+	diff test/perfbench_exact.txt .ci-perfbench-exact.txt || true
 	cmp .ci-perfbench-exact.txt test/perfbench_exact.txt
 	rm -f .ci-perfbench-exact.txt
 	@echo "perfbench-exact: OK"

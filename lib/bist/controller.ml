@@ -96,12 +96,17 @@ type state = {
    controller walks at one address when every sampled condition is
    false (no mismatch, not the element's last address), from the state
    back to itself through an [Addr_step].  [l_cycles] is its length,
-   0 for a state that starts no such loop. *)
+   0 for a state that starts no such loop.  [l_exit] is the state the
+   loop leaves to after a clean pass over the element's last address
+   ([Elem_done] true, every other condition false), or -1 when that
+   walk differs from a clean address's before the closing state or
+   fires an exit action there. *)
 type loop = {
   l_cycles : int;
   l_reads : bool;
   l_is_write : bool array;
   l_words : int array array; (* per background: each op's packed word *)
+  l_exit : int;
 }
 
 type t = {
@@ -145,7 +150,20 @@ let tabulate ~name ~work ~uses next_of =
   Array.iter (fun x -> assert (x land work_bits = 0)) exits;
   { name; work; uses; exits; next }
 
-let no_loop = { l_cycles = 0; l_reads = false; l_is_write = [||]; l_words = [||] }
+let no_loop =
+  { l_cycles = 0
+  ; l_reads = false
+  ; l_is_write = [||]
+  ; l_words = [||]
+  ; l_exit = -1
+  }
+
+(* The transition state [st] takes at an element's last address after a
+   clean op: [Elem_done] true, every other sampled condition false. *)
+let done_assignment st =
+  let m = ref 0 in
+  Array.iteri (fun i c -> if c = Elem_done then m := !m lor (1 lsl i)) st.uses;
+  !m
 
 (* Follow the table from [s0] under assignment 0.  Only states whose
    work is one RAM operation (optionally complemented) and whose
@@ -170,15 +188,31 @@ let clean_loop states ~bg_words ~bg_words_c s0 =
       || not (Array.for_all clean_cond st.uses)
     then None
     else
-      let works = st.work :: works in
+      let works = s :: works in
       match (st.exits.(0), st.next.(0)) with
-      | x, nx when x = b_step && nx = s0 -> Some (Array.of_list (List.rev works))
+      | x, nx when x = b_step && nx = s0 -> Some (List.rev works)
       | 0, nx -> follow nx works ~read
       | _ -> None
   in
+  (* the loop's walk over the last address: the states before the
+     closing one must take their clean transitions *)
+  let rec exit_of = function
+    | [] -> -1
+    | [ s ] ->
+        let st = states.(s) in
+        let m = done_assignment st in
+        if st.exits.(m) = 0 then st.next.(m) else -1
+    | s :: rest ->
+        let st = states.(s) in
+        let m = done_assignment st in
+        if st.exits.(m) = st.exits.(0) && st.next.(m) = st.next.(0) then
+          exit_of rest
+        else -1
+  in
   match follow s0 [] ~read:false with
   | None -> no_loop
-  | Some works ->
+  | Some ids ->
+      let works = Array.of_list (List.map (fun s -> states.(s).work) ids) in
       (* [exec_work]: a read wins over a write *)
       let is_read w = w land b_read <> 0 in
       { l_cycles = Array.length works
@@ -191,6 +225,7 @@ let clean_loop states ~bg_words ~bg_words_c s0 =
                 (fun w -> if w land b_compl <> 0 then bg_words_c.(i) else bg)
                 works)
             bg_words
+      ; l_exit = exit_of ids
       }
 
 let reset_action = function
@@ -492,39 +527,56 @@ let drive t dp ~who step =
   in
   go t.idle
 
-(* Run a state's clean-address loop over every clean address up to,
-   not including, the element's last (where [Elem_done] turns true),
-   as the table would: [l_cycles] cycles and one [Addr_step] per
-   address, a matching read clearing the comparator, and no wait
-   acknowledge left. *)
+(* Run a state's clean-address loop over every clean address from the
+   current one, as the table would: [l_cycles] cycles and one
+   [Addr_step] per address, a matching read clearing the comparator,
+   and no wait acknowledge left.  With an [l_exit] the run may take in
+   the element's last address (where [Elem_done] turns true) too: then
+   it returns [l_exit], the address register stays on that address, and
+   it charges one cycle less, the step's own.  Otherwise it returns -1
+   and the state steps at the address that stopped the run. *)
 let fast_forward dp l =
   let a = Addgen.value dp.addgen in
   let up = dp.dir <> March.Down in
   let left = if up then Addgen.limit dp.addgen - 1 - a else a in
   let n =
-    Model.march_span dp.model ~up ~first:a ~count:left ~is_write:l.l_is_write
+    Model.march_span dp.model ~up ~first:a
+      ~count:(if l.l_exit >= 0 then left + 1 else left)
+      ~is_write:l.l_is_write
       ~op_word:(Array.unsafe_get l.l_words dp.bg_idx)
   in
-  if n > 0 then begin
-    dp.cycles <- dp.cycles + (n * l.l_cycles);
-    Addgen.advance dp.addgen ~dir:dp.dir n;
+  if n = 0 then -1
+  else begin
     if l.l_reads then dp.cmp_fail <- false;
-    dp.waited <- false
+    dp.waited <- false;
+    if n > left then begin
+      dp.cycles <- dp.cycles + (n * l.l_cycles) - 1;
+      Addgen.advance dp.addgen ~dir:dp.dir left;
+      l.l_exit
+    end
+    else begin
+      dp.cycles <- dp.cycles + (n * l.l_cycles);
+      Addgen.advance dp.addgen ~dir:dp.dir n;
+      -1
+    end
   end
 
 let run t model hooks =
   let dp = make_datapath t model hooks in
   drive t dp ~who:"Controller.run" (fun state ->
       let l = Array.unsafe_get t.loops state in
-      if l.l_cycles > 0 then fast_forward dp l;
-      let s = Array.unsafe_get t.states state in
-      exec_work dp s.work;
-      let m = ref 0 in
-      for i = 0 to Array.length s.uses - 1 do
-        if eval_cond dp (Array.unsafe_get s.uses i) then m := !m lor (1 lsl i)
-      done;
-      exec_exits dp (Array.unsafe_get s.exits !m);
-      Array.unsafe_get s.next !m)
+      let exit = if l.l_cycles > 0 then fast_forward dp l else -1 in
+      if exit >= 0 then exit
+      else begin
+        let s = Array.unsafe_get t.states state in
+        exec_work dp s.work;
+        let m = ref 0 in
+        for i = 0 to Array.length s.uses - 1 do
+          if eval_cond dp (Array.unsafe_get s.uses i) then m := !m lor (1 lsl i)
+        done;
+        exec_exits dp (Array.unsafe_get s.exits !m);
+        Array.unsafe_get s.next !m
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* PLA compilation *)

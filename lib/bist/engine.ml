@@ -99,12 +99,77 @@ let run_element ?alt port ~up ~is_write ~op_word ~fail =
     else left := 0
   done
 
+(* A march's per-element op tables, resolved against each background:
+   the address loop walks a flat array of packed words and compares
+   ints, so it allocates nothing per address.  [items.(i)] is [None]
+   for a wait. *)
+type elem = {
+  e_up : bool;
+  e_is_write : bool array;
+  e_words : int array array; (* per background: each op's packed word *)
+}
+
+type tables = {
+  t_test : March.t;
+  t_bgs : Word.t list;
+  t_items : elem option array;
+}
+
+(* The last march's tables, shared by every domain: a campaign runs
+   every trial, and every shrink step, with the same march and
+   backgrounds.  A run compares its own against them structurally, as
+   {!Controller.compile} does, and a miss replaces them; the tables are
+   never written once built. *)
+let last_tables : tables option Atomic.t = Atomic.make None
+
+let tables_of test backgrounds =
+  match Atomic.get last_tables with
+  | Some tb
+    when (tb.t_test == test || March.equal tb.t_test test)
+         && List.equal
+              (fun a b -> Word.width a = Word.width b && Word.equal a b)
+              tb.t_bgs backgrounds ->
+      tb
+  | _ ->
+      let bgs = Array.of_list backgrounds in
+      let elem order ops =
+        let ops = Array.of_list ops in
+        let compl = function March.W c | March.R c -> c in
+        { e_up = order <> March.Down
+        ; e_is_write =
+            Array.map (function March.W _ -> true | March.R _ -> false) ops
+        ; e_words =
+            Array.map
+              (fun bg ->
+                let bg_c = Word.lnot_ bg in
+                Array.map
+                  (fun op -> Word.to_int (if compl op then bg_c else bg))
+                  ops)
+              bgs
+        }
+      in
+      let tb =
+        { t_test = test
+        ; t_bgs = backgrounds
+        ; t_items =
+            Array.of_list
+              (List.map
+                 (function
+                   | March.Wait -> None
+                   | March.Elem { order; ops } -> Some (elem order ops))
+                 test.March.items)
+        }
+      in
+      Atomic.set last_tables (Some tb);
+      tb
+
 let run_general port test ~backgrounds ~stop_at_first =
   List.iter
     (fun bg ->
       if Word.width bg <> port.p_width then
         invalid_arg "Engine: background width mismatch")
     backgrounds;
+  let items = (tables_of test backgrounds).t_items in
   let word v = Word.of_int ~width:port.p_width v in
   let failures = ref [] in
   (* the background and item the element in flight belongs to, read
@@ -126,49 +191,33 @@ let run_general port test ~backgrounds ~stop_at_first =
      List.iteri
        (fun bg_idx bg ->
          cur_bg := bg;
-         let bg_v = Word.to_int bg and bg_c = Word.to_int (Word.lnot_ bg) in
-         List.iteri
-           (fun item_idx item ->
-             cur_item := item_idx;
-             match item with
-             | March.Wait ->
-                 if Obs.enabled () then begin
-                   Obs.incr "engine.waits";
-                   Obs.span ~cat:"bist"
-                     (Printf.sprintf "%s.bg%d.wait%d" test.March.name bg_idx
-                        item_idx)
-                     port.p_wait
-                 end
-                 else port.p_wait ()
-             | March.Elem { order; ops } ->
-                 (* per-element op table, resolved against the current
-                    background once: the address loop walks a flat array
-                    of packed words and compares ints, so it allocates
-                    nothing per address *)
-                 let n_ops = List.length ops in
-                 let is_write = Array.make n_ops false in
-                 let op_word = Array.make n_ops bg_v in
-                 List.iteri
-                   (fun i op ->
-                     match op with
-                     | March.W compl ->
-                         is_write.(i) <- true;
-                         if compl then op_word.(i) <- bg_c
-                     | March.R compl -> if compl then op_word.(i) <- bg_c)
-                   ops;
-                 let up = order <> March.Down in
-                 (* per-element telemetry: one enabled check per march
-                    element keeps the per-op loop untouched when off *)
-                 if Obs.enabled () then begin
-                   Obs.incr "engine.elements";
-                   Obs.add "engine.ops" (n_ops * port.p_words);
-                   Obs.span ~cat:"bist"
-                     (Printf.sprintf "%s.bg%d.elem%d" test.March.name bg_idx
-                        item_idx)
-                     (fun () -> run_element port ~up ~is_write ~op_word ~fail)
-                 end
-                 else run_element port ~up ~is_write ~op_word ~fail)
-           test.March.items)
+         for item_idx = 0 to Array.length items - 1 do
+           cur_item := item_idx;
+           match Array.unsafe_get items item_idx with
+           | None ->
+               if Obs.enabled () then begin
+                 Obs.incr "engine.waits";
+                 Obs.span ~cat:"bist"
+                   (Printf.sprintf "%s.bg%d.wait%d" test.March.name bg_idx
+                      item_idx)
+                   port.p_wait
+               end
+               else port.p_wait ()
+           | Some e ->
+               let up = e.e_up and is_write = e.e_is_write in
+               let op_word = Array.unsafe_get e.e_words bg_idx in
+               (* per-element telemetry: one enabled check per march
+                  element keeps the per-op loop untouched when off *)
+               if Obs.enabled () then begin
+                 Obs.incr "engine.elements";
+                 Obs.add "engine.ops" (Array.length is_write * port.p_words);
+                 Obs.span ~cat:"bist"
+                   (Printf.sprintf "%s.bg%d.elem%d" test.March.name bg_idx
+                      item_idx)
+                   (fun () -> run_element port ~up ~is_write ~op_word ~fail)
+               end
+               else run_element port ~up ~is_write ~op_word ~fail
+         done)
        backgrounds
    with Stop -> ());
   List.rev !failures

@@ -49,6 +49,17 @@ type t = {
      other bit is a plain load or store. *)
   rmask : int array;
   wmask : int array;
+  (* The armed slots [march_span] runs bitwise, tabulated by
+     [set_faults] per fault-armed row: a row's [row_fault] byte is 1 +
+     its entry (255: none), and slot [col] of entry [e] holds at
+     [4 * ((e * bpc) + col)] the bits that keep their value (pinned or
+     open), cannot rise, cannot fall (a cell with both transition
+     faults is in both), and read the sense residue (open).  A keep of
+     -1 marks a slot with a coupling aggressor or state-coupling victim
+     bit, which only the per-op path resolves.  Allocated on a model's
+     first armed fault and reused while large enough. *)
+  mutable bitwise : int array;
+  mutable armed_rows : int;
   (* Per-I/O sense-amp residue, packed: bit [io] is the last value
      sensed on I/O [io] (what a stuck-open cell there reads back). *)
   mutable residue : int;
@@ -156,6 +167,8 @@ let create org =
   ; agg_effects = []
   ; rmask = Array.make (nrows * org.Org.bpc) 0
   ; wmask = Array.make (nrows * org.Org.bpc) 0
+  ; bitwise = [||]
+  ; armed_rows = 0
   ; residue = 0
   ; row_map = [||]
   ; row_mapped = false
@@ -190,7 +203,15 @@ let set_flag t i f =
   Bytes.unsafe_set t.flags i (Char.unsafe_chr (flag t i lor f))
 
 let row_is_faulty t row = Bytes.unsafe_get t.row_fault row <> '\000'
-let mark_row_fault t row = Bytes.unsafe_set t.row_fault row '\001'
+(* A row's first mark numbers it, so its [bitwise] entry is [byte - 1];
+   past the 254th armed row the byte is 255, no entry. *)
+let mark_row_fault t row =
+  if Bytes.unsafe_get t.row_fault row = '\000' then begin
+    t.armed_rows <- t.armed_rows + 1;
+    Bytes.unsafe_set t.row_fault row
+      (Char.unsafe_chr (Int.min 255 t.armed_rows))
+  end
+
 let mark_row_written t row = Bytes.unsafe_set t.row_written row '\001'
 
 (* A slot is armed when any of its bits needs the per-cell machinery;
@@ -264,6 +285,43 @@ let mask_cell t masks (c : F.cell) =
     masks.(slot) <- masks.(slot) lor (1 lsl bit)
   end
 
+(* Regular cell [c]'s [bitwise] slot entry, or -1 for a spare-column
+   cell (it has no slot) or a row past the table. *)
+let bitwise_entry t (c : F.cell) =
+  let e = Char.code (Bytes.unsafe_get t.row_fault c.F.row) in
+  if c.F.col >= t.cols || e = 255 then -1
+  else 4 * (((e - 1) * t.bpc) + c.F.col - (t.col_bit.(c.F.col) * t.bpc))
+
+let tabulate_bitwise t =
+  let n = 4 * Int.min t.armed_rows 254 * t.bpc in
+  if n > 0 then begin
+    if Array.length t.bitwise < n then t.bitwise <- Array.make n 0
+    else Array.fill t.bitwise 0 n 0;
+    let set (c : F.cell) k =
+      let b = bitwise_entry t c in
+      if b >= 0 then
+        t.bitwise.(b + k) <- t.bitwise.(b + k) lor (1 lsl t.col_bit.(c.F.col))
+    in
+    let couple c =
+      let b = bitwise_entry t c in
+      if b >= 0 then t.bitwise.(b) <- -1
+    in
+    List.iter
+      (fun f ->
+        match f with
+        | F.Stuck_at (c, _) -> set c 0
+        | F.Transition (c, up) -> set c (if up then 1 else 2)
+        | F.Stuck_open c ->
+            set c 0;
+            set c 3
+        | F.Coupling_inversion { aggressor = c; _ }
+        | F.Coupling_idempotent { aggressor = c; _ }
+        | F.State_coupling { victim = c; _ } ->
+            couple c
+        | F.Data_retention _ -> ())
+      t.fault_list
+  end
+
 let set_faults t faults =
   (* tear down the previous fault machinery, armed rows only *)
   for row = 0 to t.nrows - 1 do
@@ -281,6 +339,7 @@ let set_faults t faults =
       Bytes.unsafe_set t.row_fault row '\000'
     end
   done;
+  t.armed_rows <- 0;
   t.fault_list <- faults;
   t.state_cpl <- [];
   t.agg_effects <- [];
@@ -335,6 +394,7 @@ let set_faults t faults =
           t.state_cpl <- (v, a, when_state, reads_as) :: t.state_cpl);
       t.nfaults <- t.nfaults + 1)
     faults;
+  tabulate_bitwise t;
   clear t
 
 (* Tabulated once per install, so no access calls [f].  Every installer
@@ -625,6 +685,33 @@ let span_slots packed ~slot ~stride ~len ~pre ~final ~alt m =
     done;
   !k
 
+(* One element's ops on an armed slot holding [w] whose masked bits
+   are all stuck-at, transition or stuck-open cells ([bitwise] entry
+   [b]), from sense residue [r], with parity mask [m]: what
+   [write_at]/[read_at]'s per-bit path does, a word at a time.  A
+   write keeps the bits that cannot change, a read takes the open bits
+   from the residue and leaves the word read as the residue.  Returns
+   the word the slot ends with, or -1 if a read mismatches. *)
+let bitwise_ops bitwise b ~is_write ~op_word ~m w r =
+  let keep = Array.unsafe_get bitwise b
+  and no_rise = Array.unsafe_get bitwise (b + 1)
+  and no_fall = Array.unsafe_get bitwise (b + 2)
+  and opens = Array.unsafe_get bitwise (b + 3) in
+  let w = ref w and r = ref r and i = ref 0 and ok = ref true in
+  while !ok && !i < Array.length is_write do
+    let v = Array.unsafe_get op_word !i lxor m in
+    if Array.unsafe_get is_write !i then
+      (* a changing bit keeps its old value where it is blocked *)
+      let blocked = (v land no_rise) lor (!w land no_fall) lor keep in
+      w := v lxor ((v lxor !w) land blocked)
+    else begin
+      r := (!w land lnot opens) lor (!r land opens);
+      ok := !r = v
+    end;
+    incr i
+  done;
+  if !ok then !w else -1
+
 (* One march element over a run of unarmed, unsteered slots, on clean
    and fault-armed rows alike.  On such a slot the element's effect on a
    word is decided by the element alone: reads
@@ -635,7 +722,11 @@ let span_slots packed ~slot ~stride ~len ~pre ~final ~alt m =
    op word, so [pre], [final] and the last read too, through [lxor alt].
    So each address is one load, compare and store, and the counters and
    the residue (the last read's word, a match) are settled once for the
-   whole run. *)
+   whole run.  On a fault-armed row an armed slot runs too when its
+   [bitwise] entry has no coupling bit: its ops run on a copy of the
+   word and of the residue ([bitwise_ops]), committed only if every read
+   matches, so the address that stops a run still mismatches, or holds
+   coupling machinery, as the per-op path would find it. *)
 let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
   let n_ops = Array.length is_write in
   if Array.length op_word <> n_ops then
@@ -658,7 +749,7 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
         else if w <> !pre then ok := false
       end
     done;
-    let pre = !pre and final = !final in
+    let pre = !pre and final = !final and n_r = !n_r in
     let stride = if up then 1 else -1 in
     (* addresses past the array's end are left to the per-op path's
        range check *)
@@ -691,7 +782,8 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
     let bpc = t.bpc and packed = t.packed and nrows = t.nrows in
     let mapped = t.row_mapped and row_map = t.row_map in
     let any_armed = t.nfaults > 0 in
-    let n = ref 0 and n_armed = ref 0 and stop = ref (not !ok) in
+    let n = ref 0 and n_armed = ref 0 and n_bitwise = ref 0 in
+    let stop = ref (not !ok) and last_read = !last_read in
     while (not !stop) && !n < count do
       let a = first + (stride * !n) in
       let lrow = Array.unsafe_get t.addr_row a in
@@ -705,7 +797,7 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
         (* the run's slots: this row's; a clean row's run goes on through
            each next logical row that is clean too and lies in step
            physically, so its slots follow on in [packed].  A
-           fault-armed row's run stops at its first armed slot. *)
+           fault-armed row's run goes slot by slot. *)
         let len = ref head in
         if not armed_row then begin
           let j = ref 1 in
@@ -728,18 +820,38 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
           if not armed_row then
             span_slots packed ~slot ~stride ~len ~pre ~final ~alt m
           else begin
-            (* slot by slot, up to the first armed one *)
-            let k = ref 0 in
-            while
-              !k < len
-              &&
+            (* slot by slot, up to the first that does not complete: an
+               unarmed slot packed, an armed one bitwise where its entry
+               allows *)
+            let e = Char.code (Bytes.unsafe_get t.row_fault row) in
+            let k = ref 0 and go = ref true in
+            while !go && !k < len do
               let s = slot + (stride * !k) in
-              (not (slot_armed t s))
-              && span_slots packed ~slot:s ~stride ~len:1 ~pre ~final ~alt
-                   (m lxor (alt land -(!k land 1)))
-                 = 1
-            do
-              incr k
+              let mk = m lxor (alt land -(!k land 1)) in
+              let b = 4 * (((e - 1) * bpc) + col + (stride * !k)) in
+              (if not (slot_armed t s) then
+                 go :=
+                   span_slots packed ~slot:s ~stride ~len:1 ~pre ~final ~alt mk
+                   = 1
+               else if e = 255 || Array.unsafe_get t.bitwise b < 0 then
+                 go := false
+               else
+                 (* from the residue the previous address's last read
+                    left *)
+                 let r =
+                   if !n + !k > 0 && n_r > 0 then last_read lxor mk lxor alt
+                   else t.residue
+                 in
+                 let w =
+                   bitwise_ops t.bitwise b ~is_write ~op_word ~m:mk
+                     (Array.unsafe_get packed s) r
+                 in
+                 if w < 0 then go := false
+                 else begin
+                   Array.unsafe_set packed s w;
+                   incr n_bitwise
+                 end);
+              if !go then incr k
             done;
             !k
           end
@@ -759,16 +871,18 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
         if k < len then stop := true
       end
     done;
-    let n = !n and n_armed = !n_armed and n_r = !n_r in
+    (* a bitwise address counts as the per-op path counts it: as reads
+       and writes only *)
+    let n = !n and n_armed = !n_armed in
     let n_w = n_ops - n_r in
     t.n_reads <- t.n_reads + (n * n_r);
     t.n_fast_reads <- t.n_fast_reads + ((n - n_armed) * n_r);
     t.n_writes <- t.n_writes + (n * n_w);
     t.n_fast_writes <- t.n_fast_writes + ((n - n_armed) * n_w);
-    t.n_armed_packed <- t.n_armed_packed + (n_armed * n_ops);
+    t.n_armed_packed <- t.n_armed_packed + ((n_armed - !n_bitwise) * n_ops);
     if n > 0 && n_r > 0 then
       t.residue <-
-        !last_read lxor (alt land -((first + (stride * (n - 1))) land 1));
+        last_read lxor (alt land -((first + (stride * (n - 1))) land 1));
     n
   end
 

@@ -89,17 +89,24 @@ val write_int : t -> int -> int -> unit
     addresses it completed.  [alt] (default 0) is a parity mask: at an
     odd address every op word is [op_word.(i) lxor alt] (the escape
     sweep's checkerboards), so the words an element reads, writes and
-    leaves as the residue alternate along the run.  The run stops
-    before the first address whose physical row (through the remap) is
-    out of range, whose slot on that row is armed, whose mux position
-    is steered by the column map, or on which a read would mismatch;
-    that address is left untouched for {!read_int}/{!write_int}.  A
-    fault-armed row's unarmed slots are run through like a clean row's
-    (a row armed only by retention cells or coupling victims in full).
-    The cells, the written-row marks, the sense residue and every
-    {!stats} counter end exactly as the per-op accesses would leave
-    them.  Returns 0 while the fast path is off, or when an op word or
-    [alt] is wider than [bpw].
+    leaves as the residue alternate along the run.  A fault-armed
+    row's unarmed slots are run through like a clean row's (a row armed
+    only by retention cells or coupling victims in full), and so is an
+    armed slot whose masked cells carry only stuck-at, transition and
+    stuck-open faults: the element's ops run on its word a word at a
+    time, pinned and open bits kept, blocked transitions held, open
+    bits read from the running sense residue, and the address commits
+    only if every read matches.  The run stops before the first
+    address whose physical row (through the remap) is out of range,
+    whose slot holds a coupling aggressor or state-coupling victim bit,
+    whose mux position is steered by the column map, or on which a read
+    mismatches; that address is left untouched for
+    {!read_int}/{!write_int}.  The cells, the written-row marks, the
+    sense residue and every {!stats} counter end exactly as the per-op
+    accesses would leave them: an armed slot's ops count as reads and
+    writes only, as on the per-op path, and not in [s_fast_*] or
+    [s_armed_packed].  Returns 0 while the fast path is off, or when an
+    op word or [alt] is wider than [bpw].
     @raise Invalid_argument if the two arrays differ in length. *)
 val march_span :
   ?alt:int ->

@@ -443,20 +443,47 @@ let prop_controller_matches_engine_random_march =
    final array (every physical row), access counters and sense residue,
    which a word of stuck-open cells read after the run returns whole.
    Faults come from the full mix, spare rows included, and the hooks
-   drive a real TLB and remap so pass 2 exercises the spares. *)
+   drive a real TLB and remap so pass 2 exercises the spares.  In half
+   the cases they are single-cell faults only (stuck-at, transition,
+   stuck-open), which spans run through, so the fast-forward takes
+   faulty rows and element ends in one jump; of those, a third run the
+   march's first element alone, and a third a one-word array, where
+   each element's first address is its last. *)
 let prop_pla_path_matches_symbolic_random_march =
   QCheck.Test.make ~name:"PLA execution = symbolic on random marches"
     ~count:100
     QCheck.(pair arb_march (int_range 0 1_000_000))
     (fun (march, seed) ->
       let rng = Random.State.make [| seed |] in
-      let o = small () in
-      let open_row = Random.State.int rng (Org.total_rows o)
-      and open_col = Random.State.int rng o.Org.bpc in
+      let int k = Random.State.int rng k in
+      let single_cell = Random.State.bool rng and shape = int 3 in
+      let o =
+        if single_cell && shape = 2 then
+          Org.make ~words:1 ~bpw:8 ~bpc:1 ~spares:4 ()
+        else small ()
+      in
+      let march =
+        if single_cell && shape = 1 then
+          March.make ~name:"rand"
+            [ List.find
+                (function March.Elem _ -> true | March.Wait -> false)
+                march.March.items
+            ]
+        else march
+      in
+      let open_row = int (Org.total_rows o) and open_col = int o.Org.bpc in
       let faults =
-        Bisram_faults.Injection.inject rng ~rows:(Org.total_rows o)
-          ~cols:(Org.cols o) ~mix:Bisram_faults.Injection.default_mix
-          ~n:(Random.State.int rng 7)
+        (if single_cell then
+           List.init (int 7) (fun _ ->
+               let c = cell (int (Org.total_rows o)) (int (Org.cols o)) in
+               match int 3 with
+               | 0 -> F.Stuck_at (c, Random.State.bool rng)
+               | 1 -> F.Transition (c, Random.State.bool rng)
+               | _ -> F.Stuck_open c)
+         else
+           Bisram_faults.Injection.inject rng ~rows:(Org.total_rows o)
+             ~cols:(Org.cols o) ~mix:Bisram_faults.Injection.default_mix
+             ~n:(int 7))
         @ List.init o.Org.bpw (fun b ->
               Bisram_faults.Fault.Stuck_open
                 { Bisram_faults.Fault.row = open_row

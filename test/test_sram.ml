@@ -690,7 +690,13 @@ let prop_fast_path_equals_legacy_remap =
    mixes reads and writes in any order (reads before the first write
    included) over an array whose rows either hold a fill word (often
    the one those reads expect) or are still power-up zeros and
-   clean. *)
+   clean.  In a third of the cases the mix is replaced by single-cell
+   faults (stuck-at, transition, stuck-open) on filled regular rows,
+   each stuck value the fill's bit, so those slots read the fill back
+   and a span can run through them; [armed_commits] counts the spans
+   that did. *)
+let armed_commits = ref 0
+
 let march_span_case ~with_alt (seed, n) =
   let module I = Bisram_faults.Injection in
   let rng = Random.State.make [| 0x5BA7; seed |] in
@@ -701,8 +707,25 @@ let march_span_case ~with_alt (seed, n) =
   let spare = Org.rows org and bpc = org.Org.bpc in
   let words = org.Org.words in
   let open_row = int rows and open_col = int bpc in
+  let bg = if flip () then 0 else int 256 in
+  let fill = if flip () then bg else bg lxor 0xFF in
+  let filled = Array.init spare (fun _ -> flip ()) in
+  (* a parity mask: an odd address takes every op word, and its fill,
+     through [lxor alt] *)
+  let alt = if with_alt then 1 + int 255 else 0 in
+  let odd a = alt land -(a land 1) in
+  let single_cell row c =
+    let v = (fill lxor odd ((row * bpc) + (c mod bpc))) lsr (c / bpc) in
+    filled.(row) <- true;
+    match int 3 with
+    | 0 -> F.Stuck_at (cell row c, v land 1 = 1)
+    | 1 -> F.Transition (cell row c, flip ())
+    | _ -> F.Stuck_open (cell row c)
+  in
   let faults =
-    I.inject rng ~rows ~cols ~mix:I.default_mix ~n
+    (if int 3 = 0 then
+       List.init (1 + n) (fun _ -> single_cell (int spare) (int cols))
+     else I.inject rng ~rows ~cols ~mix:I.default_mix ~n)
     @ List.init org.Org.bpw (fun b ->
           F.Stuck_open (cell open_row ((b * bpc) + open_col)))
     @ (if flip () then
@@ -747,7 +770,6 @@ let march_span_case ~with_alt (seed, n) =
       in
       Some (fun c -> match List.assoc_opt c pairs with Some q -> q | None -> c)
   in
-  let bg = if flip () then 0 else int 256 in
   let n_ops = 1 + int 4 in
   let is_write = Array.init n_ops (fun _ -> flip ()) in
   let op_word =
@@ -756,13 +778,7 @@ let march_span_case ~with_alt (seed, n) =
   let up = flip () in
   let first = int words in
   let count = int ((if up then words - first else first + 1) + 1) in
-  let fill = if flip () then bg else bg lxor 0xFF in
-  let filled = Array.init spare (fun _ -> flip ()) in
   let scribbles = List.init (int 6) (fun _ -> (int words, int 256)) in
-  (* a parity mask: an odd address takes every op word, and its fill,
-     through [lxor alt] *)
-  let alt = if with_alt then 1 + int 255 else 0 in
-  let odd a = alt land -(a land 1) in
   let build () =
     let m = Model.create org in
     Model.set_faults m faults;
@@ -807,7 +823,17 @@ let march_span_case ~with_alt (seed, n) =
     (st, residue, regular, steered, (Model.stats m).Model.s_rows_cleared)
   in
   let m_span = build () in
+  let before = Model.stats m_span in
   let k = Model.march_span ~alt m_span ~up ~first ~count ~is_write ~op_word in
+  (* ops a span counts as neither fast nor armed-packed are the armed
+     slots it ran bitwise *)
+  let st = Model.stats m_span in
+  let d f = f st - f before in
+  if
+    d (fun s -> s.Model.s_reads + s.Model.s_writes)
+    > d (fun s ->
+          s.Model.s_fast_reads + s.Model.s_fast_writes + s.Model.s_armed_packed)
+  then incr armed_commits;
   let log_span = per_op m_span ~from:k in
   let m_ref = build () in
   let log_ref = per_op m_ref ~from:0 in
@@ -816,6 +842,17 @@ let march_span_case ~with_alt (seed, n) =
   k >= 0 && k <= count && log_span = log_ref
   && observe m_span = observe m_ref
   && Model.march_span ~alt off ~up ~first ~count ~is_write ~op_word = 0
+
+(* The property, then: some of its spans ran an armed slot bitwise. *)
+let committing_armed_slots prop =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name,
+    speed,
+    fun () ->
+      armed_commits := 0;
+      run ();
+      Alcotest.(check bool) "some span committed an armed slot" true
+        (!armed_commits > 0) )
 
 let prop_march_span_equals_per_op =
   QCheck.Test.make ~name:"march span = per-op accesses" ~count:300
@@ -847,10 +884,13 @@ let test_march_span_clean_array () =
 
 (* Only armed slots leave the packed store.  Machinery that arms no
    slot (a retention cell, a coupling victim) leaves every word of its
-   row packed, so a span runs through all four; a stuck-at cell arms its
-   slot and the span stops exactly at that address; and a read of an
+   row packed, so a span runs through all four, and a read of an
    unarmed slot on an armed row is served packed, counted as an
-   armed-row packed op and not as a fast-path (clean-row) read. *)
+   armed-row packed op and not as a fast-path (clean-row) read.  A
+   stuck-at slot whose reads match is run through bitwise and counted
+   as the per-op path counts it: reads and writes, neither fast nor
+   armed-packed; the span stops before one whose read mismatches, and
+   at a coupling aggressor's or a state-coupling victim's slot. *)
 let test_march_span_armed_rows () =
   let org = small () in
   let bpc = org.Org.bpc and row = 3 in
@@ -864,6 +904,11 @@ let test_march_span_armed_rows () =
     in
     (m, k)
   in
+  let counters m =
+    let st = Model.stats m in
+    [ st.Model.s_reads; st.Model.s_writes; st.Model.s_fast_reads
+    ; st.Model.s_fast_writes; st.Model.s_armed_packed ]
+  in
   let _, k = span [ F.Data_retention (cell row 5, true) ] ~first ~count:bpc in
   Alcotest.(check int) "DRF-only row: every slot" bpc k;
   let m, k =
@@ -872,26 +917,138 @@ let test_march_span_armed_rows () =
       ~first ~count:bpc
   in
   Alcotest.(check int) "CFin-victim row: every slot" bpc k;
-  let st = Model.stats m in
   Alcotest.(check (list int)) "armed-row span counters" [ 4; 4; 0; 0; 8 ]
-    [ st.Model.s_reads; st.Model.s_writes; st.Model.s_fast_reads
-    ; st.Model.s_fast_writes; st.Model.s_armed_packed ];
+    (counters m);
   (* I/O 2 of mux position 1: the slot of address [first + 1] *)
-  let m, k =
-    span
-      [ F.Stuck_at (cell row ((2 * bpc) + 1), false) ]
-      ~first:0 ~count:org.Org.words
-  in
-  Alcotest.(check int) "stuck-at row: stops at the armed slot" (first + 1) k;
+  let c = cell row ((2 * bpc) + 1) and words = org.Org.words in
+  let m, k = span [ F.Stuck_at (c, false) ] ~first:0 ~count:words in
+  Alcotest.(check int) "stuck-at slot, reads match: run through" words k;
+  (* 60 clean-row addresses, 3 packed on the armed row, 1 bitwise *)
+  Alcotest.(check (list int)) "bitwise slot: reads and writes only"
+    [ 64; 64; 60; 60; 6 ] (counters m);
+  Alcotest.(check int) "the pinned bit kept" 0xFB
+    (Model.read_int m (first + 1));
+  let m, k = span [ F.Stuck_at (c, true) ] ~first:0 ~count:words in
+  Alcotest.(check int) "stuck-at slot, read mismatches: stops before it"
+    (first + 1) k;
+  Alcotest.(check (list int)) "before the stop"
+    [ 0xFF; 0b100; 0 ]
+    (List.map (Model.read_int m) [ first; first + 1; first + 2 ]);
   let before = Model.stats m in
-  Alcotest.(check int) "past the stop: power-up zeros" 0
-    (Model.read_int m (first + 2));
+  ignore (Model.read_int m (first + 2));
   let after = Model.stats m in
   Alcotest.(check int) "not a fast-path read" before.Model.s_fast_reads
     after.Model.s_fast_reads;
   Alcotest.(check int) "an armed-row packed read"
     (before.Model.s_armed_packed + 1)
-    after.Model.s_armed_packed
+    after.Model.s_armed_packed;
+  let _, k =
+    span
+      [ F.Coupling_inversion { aggressor = c; victim = cell 9 2 } ]
+      ~first:0 ~count:words
+  in
+  Alcotest.(check int) "CFin-aggressor slot: stops at it" (first + 1) k;
+  let _, k =
+    span
+      [ F.State_coupling
+          { aggressor = cell 9 2; when_state = true; victim = c
+          ; reads_as = false }
+      ]
+      ~first:0 ~count:words
+  in
+  Alcotest.(check int) "CFst-victim slot: stops at it" (first + 1) k
+
+(* One fault slot (address 13: row 3, I/O 2 of mux position 1) under a
+   march of read/write elements in both orders and two backgrounds,
+   each element driven as spans with per-op accesses at the addresses
+   that stop them, against per-op accesses throughout: the same
+   mismatching reads, array, counters and sense residue.  A span stops
+   only before an address with a mismatching read, and it runs through
+   the fault slot on some element that reads it. *)
+let test_march_span_one_slot () =
+  let org = small () in
+  let words = org.Org.words and bpc = org.Org.bpc in
+  let c = cell 3 ((2 * bpc) + 1) and slot_addr = (3 * bpc) + 1 in
+  let elements =
+    List.concat_map
+      (fun bg ->
+        let nb = bg lxor 0xFF in
+        [ (true, [ (true, bg) ]); (true, [ (false, bg); (true, nb) ])
+        ; (true, [ (false, nb); (true, bg) ])
+        ; (false, [ (false, bg); (true, nb); (false, nb) ])
+        ; (false, [ (false, nb); (true, bg); (false, bg) ])
+        ; (true, [ (false, bg); (false, bg) ]); (true, [ (true, nb) ])
+        ; (false, [ (false, nb) ]) ])
+      [ 0; 0x55 ]
+  in
+  let drive faults ~span =
+    let m = Model.create org in
+    Model.set_faults m faults;
+    let log = ref [] and clean_stops = ref 0 and spanned = ref 0 in
+    List.iter
+      (fun (up, ops) ->
+        let is_write = Array.of_list (List.map fst ops) in
+        let op_word = Array.of_list (List.map snd ops) in
+        let at i = if up then i else words - 1 - i in
+        let i = ref 0 in
+        while !i < words do
+          let k =
+            if span then
+              Model.march_span m ~up ~first:(at !i) ~count:(words - !i)
+                ~is_write ~op_word
+            else 0
+          in
+          (* a span that reads covered the fault slot *)
+          if k > 0 && Array.mem false is_write then begin
+            let a0 = at !i and a1 = at (!i + k - 1) in
+            if Int.min a0 a1 <= slot_addr && slot_addr <= Int.max a0 a1 then
+              incr spanned
+          end;
+          i := !i + k;
+          if !i < words then begin
+            let a = at !i in
+            let bad = ref false in
+            Array.iteri
+              (fun j w ->
+                if is_write.(j) then Model.write_int m a w
+                else
+                  let got = Model.read_int m a in
+                  if got <> w then begin
+                    bad := true;
+                    log := (a, j, got) :: !log
+                  end)
+              op_word;
+            if span && not !bad then incr clean_stops;
+            incr i
+          end
+        done)
+      elements;
+    let st = Model.stats m in
+    (* the residue first: an open cell reads what the march left *)
+    let residue = Model.read_row_word m ~row:3 ~col:1 in
+    let array =
+      List.init (Org.total_rows org) (fun row ->
+          List.init bpc (fun col -> Model.read_row_word m ~row ~col))
+    in
+    ((List.rev !log, st, residue, array), !clean_stops, !spanned)
+  in
+  List.iter
+    (fun (name, faults) ->
+      let ends, clean_stops, spanned = drive faults ~span:true in
+      let ends', _, _ = drive faults ~span:false in
+      Alcotest.(check bool) (name ^ ": same as per-op") true (ends = ends');
+      Alcotest.(check int)
+        (name ^ ": stops only before mismatching reads")
+        0 clean_stops;
+      Alcotest.(check bool) (name ^ ": runs through the slot") true
+        (spanned > 0))
+    [ ("SAF", [ F.Stuck_at (c, true) ])
+    ; ("TF rising", [ F.Transition (c, true) ])
+    ; ("TF falling", [ F.Transition (c, false) ])
+    ; ("TF both ways", [ F.Transition (c, true); F.Transition (c, false) ])
+    ; ("SOF", [ F.Stuck_open c ])
+    ; ("pin plus open", [ F.Stuck_at (c, true); F.Stuck_open c ])
+    ]
 
 let test_clear_touches_only_dirty_rows () =
   (* behavioural check of the dirty-row invariant: after clear,
@@ -955,10 +1112,12 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy_remap
         ; Alcotest.test_case "march span on a clean array" `Quick
             test_march_span_clean_array
-        ; QCheck_alcotest.to_alcotest prop_march_span_equals_per_op
-        ; QCheck_alcotest.to_alcotest prop_march_span_alt_equals_per_op
+        ; committing_armed_slots prop_march_span_equals_per_op
+        ; committing_armed_slots prop_march_span_alt_equals_per_op
         ; Alcotest.test_case "march span through armed rows" `Quick
             test_march_span_armed_rows
+        ; Alcotest.test_case "march span through one fault slot" `Quick
+            test_march_span_one_slot
         ; Alcotest.test_case "stuck-open leaves clean reads fast" `Quick
             test_stuck_open_fast_read
         ; Alcotest.test_case "clear covers dirty rows" `Quick
