@@ -1,4 +1,4 @@
-.PHONY: all build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact cli-errors ci clean
+.PHONY: all build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact cli-errors ci loc clean
 
 all: build
 
@@ -337,6 +337,20 @@ cli-errors: build
 
 ci: build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact cli-errors
 	@echo "ci: OK"
+
+# Line counts of .ml + .mli that the simplicity aim tracks (ROADMAP aim
+# 2): bin/ + lib/, each lib/ directory, and each file the aim names.
+# Run it on two commits to compare them; not part of ci.
+LOC_FILES = bin/bisramgen.ml lib/campaign/campaign.ml \
+  lib/campaign/trial.ml lib/campaign/record.ml lib/campaign/tally.ml \
+  lib/sram/model.ml lib/bist/controller.ml
+
+loc:
+	@printf '%7d  %s\n' $$(cat $$(find bin lib -name '*.ml' -o -name '*.mli') | wc -l) 'bin/ + lib/'
+	@for d in lib/*/; do \
+	  printf '%7d  %s\n' $$(cat $$(find $$d -name '*.ml' -o -name '*.mli') | wc -l) $$d; \
+	done
+	@for f in $(LOC_FILES); do printf '%7d  %s\n' $$(wc -l < $$f) $$f; done
 
 clean:
 	dune clean

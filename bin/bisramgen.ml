@@ -509,24 +509,24 @@ let do_campaign org march trials seed mode nfaults mean alpha mix repair
             | Error `Batch -> invalid_arg "--ci-batch must be >= 1")
           target_ci
       in
+      let ck =
+        if checkpoint_every <> 0 || resume then
+          Some
+            (Campaign.checkpoint ~path:checkpoint_path ~every:checkpoint_every
+               ~resume ())
+        else None
+      in
       (match target_ci with
       | None -> ()
       | Some _ ->
           if ci_max_trials < 1 then invalid_arg "--ci-max-trials must be >= 1";
-          if checkpoint_every > 0 || resume then
+          if Option.is_some ck then
             invalid_arg
               "--target-ci (adaptive stopping) is incompatible with \
                --checkpoint-every and --resume (checkpoints cover a fixed \
                trial count)";
           if Option.is_some replay_seed then
             invalid_arg "--target-ci is incompatible with --replay");
-      let ck =
-        if checkpoint_every > 0 || resume then
-          Some
-            (Campaign.checkpoint ~path:checkpoint_path ~every:checkpoint_every
-               ~resume ())
-        else None
-      in
       (cfg, ck, trial_deadline, reporter, stop_rule)
     in
     (* the registry is armed only once the configuration is valid *)

@@ -92,15 +92,14 @@ type state = {
   next : int array; (* per assignment: next state id *)
 }
 
-(* A state's clean-address loop, read off the table: the states the
-   controller walks at one address when every sampled condition is
-   false (no mismatch, not the element's last address), from the state
-   back to itself through an [Addr_step].  [l_cycles] is its length,
-   0 for a state that starts no such loop.  [l_exit] is the state the
-   loop leaves to after a clean pass over the element's last address
-   ([Elem_done] true, every other condition false), or -1 when that
-   walk differs from a clean address's before the closing state or
-   fires an exit action there. *)
+(* An element's clean-address loop, emitted with the element on its
+   first op state: the op states the controller walks at one address
+   when every sampled condition is false (no mismatch, not the
+   element's last address), back to the first through an [Addr_step].
+   [l_cycles] is its length, 0 for a state that starts no loop.
+   [l_exit] is the state the last op state enters after a clean pass
+   over the element's last address ([Elem_done] true), with no exit
+   action. *)
 type loop = {
   l_cycles : int;
   l_reads : bool;
@@ -118,7 +117,7 @@ type t = {
   bg_words : int array; (* packed backgrounds *)
   bg_words_c : int array; (* complemented *)
   states : state array;
-  loops : loop array; (* per state *)
+  loops : loop array; (* per state; an element's on its first op state *)
   idle : int;
   done_ok : int;
   fail : int;
@@ -157,76 +156,6 @@ let no_loop =
   ; l_words = [||]
   ; l_exit = -1
   }
-
-(* The transition state [st] takes at an element's last address after a
-   clean op: [Elem_done] true, every other sampled condition false. *)
-let done_assignment st =
-  let m = ref 0 in
-  Array.iteri (fun i c -> if c = Elem_done then m := !m lor (1 lsl i)) st.uses;
-  !m
-
-(* Follow the table from [s0] under assignment 0.  Only states whose
-   work is one RAM operation (optionally complemented) and whose
-   sampled conditions are all false on a clean, non-last address may
-   take part: [Elem_done], and [Cmp_fail]/[Tlb_full] once the loop has
-   read (a matching read clears the comparator; [Tlb_full] needs a
-   mismatch). *)
-let clean_loop states ~bg_words ~bg_words_c s0 =
-  let op_bits = b_read lor b_write lor b_compl in
-  let rec follow s works ~read =
-    let st = states.(s) in
-    let read = read || st.work land b_read <> 0 in
-    let clean_cond = function
-      | Elem_done -> true
-      | Cmp_fail | Tlb_full -> read
-      | Test_enable | Bg_done | Ret_ack -> false
-    in
-    if
-      List.length works >= Array.length states
-      || st.work land lnot op_bits <> 0
-      || st.work land (b_read lor b_write) = 0
-      || not (Array.for_all clean_cond st.uses)
-    then None
-    else
-      let works = s :: works in
-      match (st.exits.(0), st.next.(0)) with
-      | x, nx when x = b_step && nx = s0 -> Some (List.rev works)
-      | 0, nx -> follow nx works ~read
-      | _ -> None
-  in
-  (* the loop's walk over the last address: the states before the
-     closing one must take their clean transitions *)
-  let rec exit_of = function
-    | [] -> -1
-    | [ s ] ->
-        let st = states.(s) in
-        let m = done_assignment st in
-        if st.exits.(m) = 0 then st.next.(m) else -1
-    | s :: rest ->
-        let st = states.(s) in
-        let m = done_assignment st in
-        if st.exits.(m) = st.exits.(0) && st.next.(m) = st.next.(0) then
-          exit_of rest
-        else -1
-  in
-  match follow s0 [] ~read:false with
-  | None -> no_loop
-  | Some ids ->
-      let works = Array.of_list (List.map (fun s -> states.(s).work) ids) in
-      (* [exec_work]: a read wins over a write *)
-      let is_read w = w land b_read <> 0 in
-      { l_cycles = Array.length works
-      ; l_reads = Array.exists is_read works
-      ; l_is_write = Array.map (fun w -> not (is_read w)) works
-      ; l_words =
-          Array.mapi
-            (fun i bg ->
-              Array.map
-                (fun w -> if w land b_compl <> 0 then bg_words_c.(i) else bg)
-                works)
-            bg_words
-      ; l_exit = exit_of ids
-      }
 
 let reset_action = function
   | March.Down -> Addr_reset_down
@@ -288,6 +217,8 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
   let define id ~name ~work ~uses next_of =
     states.(id) <- tabulate ~name ~work ~uses next_of
   in
+  let bgs = Array.of_list backgrounds in
+  let loops = Array.make n_states no_loop in
   define idle ~name:"IDLE" ~work:[] ~uses:[ Test_enable ] (fun c ->
       if c Test_enable then ([ Reset_background ], first_item 0)
       else ([], idle));
@@ -344,7 +275,15 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
                 if failed && p = 1 then ([], fail)
                 else if failed && c Tlb_full then ([], fail)
                 else advance c (if failed then [ Record_row ] else []))
-          done
+          done;
+          let el = Engine.elem e bgs in
+          loops.(op_ids.(p).(i).(0)) <-
+            { l_cycles = n_ops
+            ; l_reads = Array.exists not el.Engine.e_is_write
+            ; l_is_write = el.Engine.e_is_write
+            ; l_words = el.Engine.e_words
+            ; l_exit = next_item p i
+            }
     done;
     let self = next_bg_id.(p) in
     define self
@@ -361,10 +300,8 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
   define done_ok ~name:"DONE_OK" ~work:[ Sig_done ] ~uses:[] (fun _ ->
       ([], done_ok));
   define fail ~name:"FAIL" ~work:[ Sig_fail ] ~uses:[] (fun _ -> ([], fail));
-  let bgs = Array.of_list backgrounds in
   let bg_words = Array.map Word.to_int bgs in
   let bg_words_c = Array.map (fun bg -> Word.to_int (Word.lnot_ bg)) bgs in
-  let loops = Array.init n_states (clean_loop states ~bg_words ~bg_words_c) in
   { test; words; backgrounds; n_backgrounds; bg_words; bg_words_c; states
   ; loops; idle; done_ok; fail }
 
@@ -527,23 +464,21 @@ let drive t dp ~who step =
   in
   go t.idle
 
-(* Run a state's clean-address loop over every clean address from the
-   current one, as the table would: [l_cycles] cycles and one
+(* Run an element's clean-address loop over every clean address from
+   the current one, as the table would: [l_cycles] cycles and one
    [Addr_step] per address, a matching read clearing the comparator,
-   and no wait acknowledge left.  With an [l_exit] the run may take in
-   the element's last address (where [Elem_done] turns true) too: then
-   it returns [l_exit], the address register stays on that address, and
-   it charges one cycle less, the step's own.  Otherwise it returns -1
-   and the state steps at the address that stopped the run. *)
+   and no wait acknowledge left.  When the run takes in the element's
+   last address (where [Elem_done] turns true) too, it returns
+   [l_exit], the address register stays on that address, and it
+   charges one cycle less, the step's own.  Otherwise it returns -1 and
+   the state steps at the address that stopped the run. *)
 let fast_forward dp l =
   let a = Addgen.value dp.addgen in
   let up = dp.dir <> March.Down in
   let left = if up then Addgen.limit dp.addgen - 1 - a else a in
   let n =
-    Model.march_span dp.model ~up ~first:a
-      ~count:(if l.l_exit >= 0 then left + 1 else left)
-      ~is_write:l.l_is_write
-      ~op_word:(Array.unsafe_get l.l_words dp.bg_idx)
+    Model.march_span dp.model ~up ~first:a ~count:(left + 1)
+      ~is_write:l.l_is_write ~op_word:(Array.unsafe_get l.l_words dp.bg_idx)
   in
   if n = 0 then -1
   else begin

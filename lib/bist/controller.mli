@@ -68,12 +68,13 @@ type report = {
     exit mask ([Record_row] before [Addr_step]) and the next state.  The
     datapath compares packed ints through {!Bisram_sram.Model.read_int},
     so no per-cycle closure, list or word is built.  On an element's
-    first op state, the clean-address loop read off the table (every
-    sampled condition false) is fast-forwarded with
+    first op state, the element's clean-address loop, emitted with its
+    op states by {!compile} (the states walked when every sampled
+    condition is false), is fast-forwarded with
     {!Bisram_sram.Model.march_span} over the clean addresses; when the
     span takes in the element's last address too, the run jumps to the
-    state the table enters there ([Elem_done] true, no exit action),
-    so a clean element end is not stepped op by op.  The cycle count,
+    state after the element ([Elem_done] true, no exit action), so a
+    clean element end is not stepped op by op.  The cycle count,
     address register and RAM end as if each cycle had been clocked.
     [hooks.would_overflow] is queried only after a failing pass-1 read.
     @raise Invalid_argument if a background's width is not the model's

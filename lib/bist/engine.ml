@@ -99,16 +99,32 @@ let run_element ?alt port ~up ~is_write ~op_word ~fail =
     else left := 0
   done
 
-(* A march's per-element op tables, resolved against each background:
-   the address loop walks a flat array of packed words and compares
-   ints, so it allocates nothing per address.  [items.(i)] is [None]
-   for a wait. *)
+(* A march element's op table, resolved against each background: the
+   address loop walks a flat array of packed words and compares ints,
+   so it allocates nothing per address. *)
 type elem = {
   e_up : bool;
   e_is_write : bool array;
   e_words : int array array; (* per background: each op's packed word *)
 }
 
+let elem { March.order; ops } bgs =
+  let ops = Array.of_list ops in
+  let compl = function March.W c | March.R c -> c in
+  { e_up = order <> March.Down
+  ; e_is_write =
+      Array.map (function March.W _ -> true | March.R _ -> false) ops
+  ; e_words =
+      Array.map
+        (fun bg ->
+          let bg_c = Word.lnot_ bg in
+          Array.map
+            (fun op -> Word.to_int (if compl op then bg_c else bg))
+            ops)
+        bgs
+  }
+
+(* [items.(i)] is [None] for a wait. *)
 type tables = {
   t_test : March.t;
   t_bgs : Word.t list;
@@ -132,22 +148,6 @@ let tables_of test backgrounds =
       tb
   | _ ->
       let bgs = Array.of_list backgrounds in
-      let elem order ops =
-        let ops = Array.of_list ops in
-        let compl = function March.W c | March.R c -> c in
-        { e_up = order <> March.Down
-        ; e_is_write =
-            Array.map (function March.W _ -> true | March.R _ -> false) ops
-        ; e_words =
-            Array.map
-              (fun bg ->
-                let bg_c = Word.lnot_ bg in
-                Array.map
-                  (fun op -> Word.to_int (if compl op then bg_c else bg))
-                  ops)
-              bgs
-        }
-      in
       let tb =
         { t_test = test
         ; t_bgs = backgrounds
@@ -156,7 +156,7 @@ let tables_of test backgrounds =
               (List.map
                  (function
                    | March.Wait -> None
-                   | March.Elem { order; ops } -> Some (elem order ops))
+                   | March.Elem e -> Some (elem e bgs))
                  test.March.items)
         }
       in

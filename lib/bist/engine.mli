@@ -59,6 +59,19 @@ val run_element :
 val run_ram :
   ram -> March.t -> backgrounds:Bisram_sram.Word.t list -> failure list
 
+(** A march element's op table: its address order ([Either] runs
+    ascending), each op's write flag, and per background each op's
+    packed word (the background, or its complement for an op on [1]).
+    The engine builds one per element of a march, and
+    {!Controller.compile} one per element's clean-address loop. *)
+type elem = {
+  e_up : bool;
+  e_is_write : bool array;
+  e_words : int array array;
+}
+
+val elem : March.element -> Bisram_sram.Word.t array -> elem
+
 (** [run model test ~backgrounds] clears the RAM and applies the march
     test once per background, collecting every read mismatch.  [Either]
     order is executed ascending.  The RAM's remap (if installed) is in

@@ -73,7 +73,8 @@ type config = Trial.config = {
   repair : repair;
   trials : int;
   seed : int;
-  max_seconds : float option;  (** wall-clock budget; [None] = unbounded *)
+  max_seconds : float option;
+      (** wall-clock budget, finite and > 0; [None] = unbounded *)
   shrink : bool;  (** delta-debug failing fault sets *)
   max_rounds : int;  (** iterated-flow bound *)
 }
@@ -82,8 +83,9 @@ type config = Trial.config = {
     per trial, 100 trials, seed 42, no proposal, no time budget,
     shrinking on, 8 rounds.  @raise Invalid_argument on negative
     counts, a negative or non-finite mean, a non-positive or non-finite
-    alpha, an invalid mix, or a proposal that fails
-    {!Bisram_faults.Proposal.validate} against the mode and mix. *)
+    alpha, a [max_seconds] that is not finite and > 0, an invalid mix,
+    or a proposal that fails {!Bisram_faults.Proposal.validate} against
+    the mode and mix. *)
 val make_config :
   ?org:Bisram_sram.Org.t ->
   ?march:Bisram_bist.March.t ->
@@ -156,7 +158,7 @@ val run_faults :
 
 (** Re-run a single trial from its reported seed, always simulating it.
     @raise Invalid_argument as {!run} for an invalid mix, proposal,
-    count model or [max_rounds]. *)
+    count model, [max_rounds] or [max_seconds]. *)
 val replay : config -> seed:int -> trial
 
 (** Shrink the fault list of a failing trial to a minimal list that
@@ -266,7 +268,7 @@ type checkpoint
     resuming config; everything else must match or the snapshot is
     rejected.
 
-    @raise Invalid_argument if [every < 0]. *)
+    @raise Invalid_argument if [every < 0], naming the value. *)
 val checkpoint : path:string -> ?every:int -> ?resume:bool -> unit -> checkpoint
 
 (** Cumulative completion counts streamed to [run]'s [on_progress]
@@ -334,10 +336,11 @@ type progress = Tally.progress = {
     error ([Pool.Deadline_exceeded]).
 
     Before any trial, the call checks the configuration's draw (its
-    mix, proposal, count model and round bound: a configuration made by
-    record update never went through {!make_config}) and prepares it
-    once ({!Bisram_faults.Proposal.sampler}); an invalid one is refused
-    up front.  Every trial then draws its fault list once, from its own
+    mix, proposal, count model, round bound and time budget: a
+    configuration made by record update never went through
+    {!make_config}) and prepares it once
+    ({!Bisram_faults.Proposal.sampler}); an invalid one is refused up
+    front.  Every trial then draws its fault list once, from its own
     seed, with the same faults and rng consumption as an unprepared
     draw.  A trial that draws no fault is a pure function of the
     configuration: its record is the one shared clean record (both
@@ -390,8 +393,8 @@ type progress = Tally.progress = {
     @raise Invalid_argument if [jobs < 1], [lanes] is outside
     [1 .. max_lanes], [offset < 0], a checkpoint is combined with a
     nonzero [offset], the stopping rule's [every] is below 1, or the
-    configuration's mix, proposal, count model or [max_rounds] is
-    invalid (as {!make_config} would refuse it).
+    configuration's mix, proposal, count model, [max_rounds] or
+    [max_seconds] is invalid (as {!make_config} would refuse it).
     @raise Failure if the fault-free flow is not clean. *)
 val run :
   ?now:(unit -> float) ->

@@ -474,7 +474,9 @@ type checkpoint = {
 }
 
 let checkpoint ~path ?(every = 0) ?(resume = false) () =
-  if every < 0 then invalid_arg "Campaign.checkpoint: every must be >= 0";
+  if every < 0 then
+    invalid_arg
+      (Printf.sprintf "Campaign.checkpoint: every must be >= 0 (got %d)" every);
   { ck_path = path; ck_every = every; ck_resume = resume }
 
 let checkpoint_schema = "bisram-campaign-checkpoint/1"

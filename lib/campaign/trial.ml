@@ -55,21 +55,27 @@ type config = {
 
 (* A count model's parameters: a count of at least 0, a finite mean of
    at least 0 and a finite positive alpha (a NaN or infinite mean has no
-   draw). *)
-let bad_mode ~who what v =
+   draw).  A time budget is finite and positive: a NaN one never stops
+   the run, and an infinite one is not JSON. *)
+let bad_value ~who what v =
   invalid_arg (Printf.sprintf "%s: %s (got %g)" who what v)
 
 let check_mean ~who m =
   if not (Float.is_finite m && m >= 0.0) then
-    bad_mode ~who "mean must be finite and >= 0" m
+    bad_value ~who "mean must be finite and >= 0" m
 
 let check_mode ~who = function
-  | Uniform n -> if n < 0 then bad_mode ~who "faults must be >= 0" (float_of_int n)
+  | Uniform n -> if n < 0 then bad_value ~who "faults must be >= 0" (float_of_int n)
   | Poisson m -> check_mean ~who m
   | Clustered { mean; alpha } ->
       check_mean ~who mean;
       if not (Float.is_finite alpha && alpha > 0.0) then
-        bad_mode ~who "alpha must be finite and > 0" alpha
+        bad_value ~who "alpha must be finite and > 0" alpha
+
+let check_max_seconds ~who = function
+  | Some s when not (Float.is_finite s && s > 0.0) ->
+      bad_value ~who "max_seconds must be finite and > 0" s
+  | _ -> ()
 
 let make_config ?(org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
     ?march ?(mix = Injection.default_mix) ?(mode = Uniform 2) ?proposal
@@ -84,6 +90,7 @@ let make_config ?(org = Org.make ~words:64 ~bpw:8 ~bpc:4 ~spares:4 ())
   if trials < 0 then invalid_arg "Campaign.make_config: trials";
   if max_rounds < 1 then invalid_arg "Campaign.make_config: max_rounds";
   check_mode ~who:"Campaign.make_config" mode;
+  check_max_seconds ~who:"Campaign.make_config" max_seconds;
   (* identity proposals are normalized to [None] so that "no biasing"
      has one spelling: reports, checkpoint compat strings and the
      estimation-on predicate all agree *)
@@ -129,6 +136,7 @@ let rng_of_seed seed = Random.State.make [| 0xB15; seed |]
 let drawer ~who cfg =
   check_mode ~who cfg.mode;
   if cfg.max_rounds < 1 then invalid_arg (who ^ ": max_rounds");
+  check_max_seconds ~who cfg.max_seconds;
   let s =
     Proposal.sampler
       (Option.value cfg.proposal ~default:Proposal.nominal)

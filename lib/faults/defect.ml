@@ -8,20 +8,9 @@ let knuth rng limit =
   done;
   !k
 
-(* Knuth's product method below lambda=30; normal approximation with
-   continuity correction above (counts here are small-to-moderate). *)
-let rec poisson rng lambda =
-  assert (lambda >= 0.0);
-  if lambda = 0.0 then 0
-  else if lambda > 30.0 then begin
-    (* split: X ~ Pois(30) + Pois(lambda-30) *)
-    poisson rng 30.0 + poisson rng (lambda -. 30.0)
-  end
-  else knuth rng (exp (-.lambda))
-
-(* [poisson] with its limits computed once.  The right operand of
-   [poisson]'s split is evaluated first, so the remainder is drawn
-   before the Pois(30) part, here as there. *)
+(* Knuth's product method below lambda=30, with its limit e^-lambda
+   computed once; above, the split X ~ Pois(30) + Pois(lambda-30), the
+   remainder drawn first. *)
 let rec poisson_sampler lambda =
   assert (lambda >= 0.0);
   if lambda = 0.0 then fun _ -> 0
@@ -35,6 +24,8 @@ let rec poisson_sampler lambda =
   else
     let limit = exp (-.lambda) in
     fun rng -> knuth rng limit
+
+let poisson rng lambda = poisson_sampler lambda rng
 
 (* Marsaglia-Tsang for shape >= 1, from d = shape - 1/3 and
    c = 1 / sqrt (9 d). *)
@@ -61,41 +52,34 @@ let marsaglia_constants shape =
   let d = shape -. (1.0 /. 3.0) in
   (d, 1.0 /. sqrt (9.0 *. d))
 
-let rec gamma rng ~shape ~scale =
+(* Marsaglia-Tsang's constants computed once; below shape 1, the
+   boost Gamma(a) = Gamma(a+1) * U^(1/a), U drawn first. *)
+let gamma_sampler ~shape ~scale =
   assert (shape > 0.0 && scale > 0.0);
-  if shape < 1.0 then
-    (* boost: Gamma(a) = Gamma(a+1) * U^(1/a) *)
-    let u = Random.State.float rng 1.0 in
-    gamma rng ~shape:(shape +. 1.0) ~scale *. (u ** (1.0 /. shape))
+  if shape < 1.0 then begin
+    let d, c = marsaglia_constants (shape +. 1.0) and boost = 1.0 /. shape in
+    fun rng ->
+      let u = Random.State.float rng 1.0 in
+      marsaglia rng ~d ~c ~scale *. (u ** boost)
+  end
   else
     let d, c = marsaglia_constants shape in
-    marsaglia rng ~d ~c ~scale
+    fun rng -> marsaglia rng ~d ~c ~scale
 
-let negative_binomial rng ~mean ~alpha =
-  assert (mean >= 0.0 && alpha > 0.0);
-  if mean = 0.0 then 0
-  else
-    (* Gamma-Poisson mixture: lambda ~ Gamma(alpha, mean/alpha) *)
-    let lambda = gamma rng ~shape:alpha ~scale:(mean /. alpha) in
-    poisson rng lambda
+let gamma rng ~shape ~scale = gamma_sampler ~shape ~scale rng
 
-(* [negative_binomial] with the Gamma constants computed once; only the
-   drawn lambda's Poisson limit is per draw. *)
+(* Gamma-Poisson mixture: lambda ~ Gamma(alpha, mean/alpha), its
+   constants computed once; only the drawn lambda's Poisson limit is
+   per draw. *)
 let negative_binomial_sampler ~mean ~alpha =
   assert (mean >= 0.0 && alpha > 0.0);
   if mean = 0.0 then fun _ -> 0
-  else begin
-    let scale = mean /. alpha in
-    if alpha < 1.0 then begin
-      let d, c = marsaglia_constants (alpha +. 1.0) and boost = 1.0 /. alpha in
-      fun rng ->
-        let u = Random.State.float rng 1.0 in
-        poisson rng (marsaglia rng ~d ~c ~scale *. (u ** boost))
-    end
-    else
-      let d, c = marsaglia_constants alpha in
-      fun rng -> poisson rng (marsaglia rng ~d ~c ~scale)
-  end
+  else
+    let lambda = gamma_sampler ~shape:alpha ~scale:(mean /. alpha) in
+    fun rng -> poisson rng (lambda rng)
+
+let negative_binomial rng ~mean ~alpha =
+  negative_binomial_sampler ~mean ~alpha rng
 
 (* Lanczos log-gamma *)
 let rec log_gamma x =

@@ -62,6 +62,14 @@ expect 2 "bad order b" campaign --march 'bogus('
 expect 2 --trial-deadline campaign --trial-deadline nan
 expect 2 --trial-deadline campaign --trial-deadline inf
 expect 2 --trial-deadline campaign --trial-deadline 0
+# a time budget must be finite and positive: a NaN one never stops the
+# run and an infinite one is not JSON; a negative checkpoint period
+# would write no checkpoint
+expect 2 "max_seconds must be finite and > 0 (got nan)" campaign --max-seconds=nan
+expect 2 "max_seconds must be finite and > 0 (got inf)" campaign --max-seconds=inf
+expect 2 "max_seconds must be finite and > 0 (got 0)" campaign --max-seconds=0
+expect 2 "max_seconds must be finite and > 0 (got -1)" campaign --max-seconds=-1
+expect 2 "every must be >= 0 (got -1)" campaign --checkpoint-every=-1
 # a count model needs a finite mean and alpha: a NaN mean would crash
 # the analytic yield and an infinite one never finish a draw
 expect 2 "(got nan)" campaign --mode poisson --mean nan

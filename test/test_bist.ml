@@ -314,21 +314,38 @@ let test_controller_vs_engine_failure_detection () =
         ctl_clean)
     cases
 
+(* Every library march, on a clean array and on a faulty one: its
+   single-op elements (MATS+'s u(w0)), retention waits (IFA-9, IFA-13)
+   and element orders all take the table path and the PLA path alike. *)
 let test_controller_pla_agrees () =
-  let faults = [ F.Stuck_at (cell 3 9, true); F.Transition (cell 7 0, false) ] in
-  let ctl = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs8 in
-  let run f =
-    let m = Model.create (small ()) in
-    Model.set_faults m faults;
-    f ctl m (hooks_recording (Hashtbl.create 4) 4)
-  in
-  let r1 = run Controller.run in
-  let r2 = run Controller.run_via_pla in
-  Alcotest.(check bool) "same outcome" true
-    (r1.Controller.outcome = r2.Controller.outcome);
-  Alcotest.(check int) "same cycles" r1.Controller.cycles r2.Controller.cycles;
-  Alcotest.(check int) "same recorded" r1.Controller.faults_recorded
-    r2.Controller.faults_recorded
+  let faulty = [ F.Stuck_at (cell 3 9, true); F.Transition (cell 7 0, false) ] in
+  List.iter
+    (fun test ->
+      let ctl = Controller.compile test ~words:64 ~backgrounds:bgs8 in
+      List.iter
+        (fun faults ->
+          let run f =
+            let m = Model.create (small ()) in
+            Model.set_faults m faults;
+            let rows = Hashtbl.create 4 in
+            let r = f ctl m (hooks_recording rows 4) in
+            (r, List.sort Int.compare (List.of_seq (Hashtbl.to_seq_keys rows)))
+          in
+          let r1, rows1 = run Controller.run in
+          let r2, rows2 = run Controller.run_via_pla in
+          let what =
+            Printf.sprintf "%s, %d fault(s): " test.March.name
+              (List.length faults)
+          in
+          Alcotest.(check bool) (what ^ "same outcome") true
+            (r1.Controller.outcome = r2.Controller.outcome);
+          Alcotest.(check int) (what ^ "same cycles") r1.Controller.cycles
+            r2.Controller.cycles;
+          Alcotest.(check int) (what ^ "same recorded")
+            r1.Controller.faults_recorded r2.Controller.faults_recorded;
+          Alcotest.(check (list int)) (what ^ "same rows") rows1 rows2)
+        [ []; faulty ])
+    Alg.all
 
 let test_controller_pla_size () =
   let ctl = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs8 in

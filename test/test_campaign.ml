@@ -963,6 +963,29 @@ let test_bad_draw_refused_before_trials () =
         } )
     ]
 
+(* A time budget must be finite and positive: a NaN one never stops the
+   run and an infinite one is not JSON.  [make_config] refuses it, and
+   [run] and [replay] refuse it in a configuration made by record
+   update. *)
+let test_bad_max_seconds_refused () =
+  let cfg = C.make_config ~mode:(C.Poisson 0.5) ~trials:20 ~seed:7 () in
+  let refused f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun s ->
+      let name = Printf.sprintf "%g" s in
+      Alcotest.(check bool) (name ^ ": make_config refused") true
+        (refused (fun () -> C.make_config ~max_seconds:s ()));
+      let bad = { cfg with C.max_seconds = Some s } in
+      Alcotest.(check bool) (name ^ ": run refused") true
+        (refused (fun () -> C.run bad));
+      Alcotest.(check bool) (name ^ ": replay refused") true
+        (refused (fun () -> C.replay bad ~seed:(C.trial_seed cfg 0))))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -1.0 ];
+  Alcotest.(check int) "a positive budget runs" 20
+    (C.run { cfg with C.max_seconds = Some 1000.0 }).C.trials_run
+
 (* A configuration whose fault-free flow is not clean is refused on
    every call, not only the first. *)
 let test_dirty_march_refused_every_call () =
@@ -1375,6 +1398,8 @@ let () =
             test_tool_errors_in_schema
         ; Alcotest.test_case "bad mix or proposal refused before any trial"
             `Quick test_bad_draw_refused_before_trials
+        ; Alcotest.test_case "bad max_seconds refused" `Quick
+            test_bad_max_seconds_refused
         ; Alcotest.test_case "dirty march refused on every call" `Quick
             test_dirty_march_refused_every_call
         ; Alcotest.test_case "resume and stop rule = one-shot" `Quick
