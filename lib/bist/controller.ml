@@ -218,6 +218,22 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
     states.(id) <- tabulate ~name ~work ~uses next_of
   in
   let bgs = Array.of_list backgrounds in
+  (* each element's op tables, built once and shared by both passes'
+     loops; only the exit differs per pass *)
+  let item_loops =
+    Array.map
+      (function
+        | March.Wait -> no_loop
+        | March.Elem e ->
+            let el = Engine.elem e bgs in
+            { l_cycles = Array.length el.Engine.e_is_write
+            ; l_reads = Array.exists not el.Engine.e_is_write
+            ; l_is_write = el.Engine.e_is_write
+            ; l_words = el.Engine.e_words
+            ; l_exit = -1
+            })
+      items
+  in
   let loops = Array.make n_states no_loop in
   define idle ~name:"IDLE" ~work:[] ~uses:[ Test_enable ] (fun c ->
       if c Test_enable then ([ Reset_background ], first_item 0)
@@ -276,14 +292,8 @@ let compile_gen test ~words ~backgrounds ~n_backgrounds =
                 else if failed && c Tlb_full then ([], fail)
                 else advance c (if failed then [ Record_row ] else []))
           done;
-          let el = Engine.elem e bgs in
           loops.(op_ids.(p).(i).(0)) <-
-            { l_cycles = n_ops
-            ; l_reads = Array.exists not el.Engine.e_is_write
-            ; l_is_write = el.Engine.e_is_write
-            ; l_words = el.Engine.e_words
-            ; l_exit = next_item p i
-            }
+            { item_loops.(i) with l_exit = next_item p i }
     done;
     let self = next_bg_id.(p) in
     define self

@@ -32,34 +32,20 @@ type t = {
   packed : int array;
   spare : int array;
   mutable fault_list : F.t list;
-  (* Per-cell fault flags, one byte per physical cell (the [f_*] bits
-     below).  The coupling relations themselves are the two lists,
-     newest fault first: (victim, aggressor, trigger state, reads_as)
-     and (aggressor, effect).  A trial arms a handful of faults, so a
-     flagged cell scans them; every other cell never looks. *)
-  flags : Bytes.t;
+  (* The fault table, filled by [set_faults]: [row_masks.(row)] is
+     [[||]] on a row with no fault machinery and, on a fault-armed row
+     (fault site, coupling aggressor or victim), one block of [blk] ints
+     per word slot, then one for the row's spare word.  A block's ints
+     are a summary (the OR of the rest: a slot is armed when it is
+     non-zero) and one mask per kind, [k_open] .. [k_aggressor], bit [b]
+     marking I/O [b]'s cell (spare column [b] in the spare word).  The
+     coupling relations themselves are the two lists, newest fault
+     first: (victim, aggressor, trigger state, reads_as) and (aggressor,
+     effect).  A trial arms a handful of faults, so a flagged cell scans
+     them; every other cell never looks. *)
+  row_masks : int array array;
   mutable state_cpl : (int * int * bool * bool) list;
   mutable agg_effects : (int * agg_effect) list;
-  (* Fault-bit masks per (row, col-mux) word slot, built by
-     [set_faults]: bit [b] of [rmask] marks an I/O whose read needs the
-     per-cell machinery (stuck-open cell or state-coupling victim), bit
-     [b] of [wmask] one whose write does (stuck-open, stuck-at,
-     transition or coupling aggressor).  A slot with either mask
-     non-zero is armed: its masked bits take the per-cell path, every
-     other bit is a plain load or store. *)
-  rmask : int array;
-  wmask : int array;
-  (* The armed slots [march_span] runs bitwise, tabulated by
-     [set_faults] per fault-armed row: a row's [row_fault] byte is 1 +
-     its entry (255: none), and slot [col] of entry [e] holds at
-     [4 * ((e * bpc) + col)] the bits that keep their value (pinned or
-     open), cannot rise, cannot fall (a cell with both transition
-     faults is in both), and read the sense residue (open).  A keep of
-     -1 marks a slot with a coupling aggressor or state-coupling victim
-     bit, which only the per-op path resolves.  Allocated on a model's
-     first armed fault and reused while large enough. *)
-  mutable bitwise : int array;
-  mutable armed_rows : int;
   (* Per-I/O sense-amp residue, packed: bit [io] is the last value
      sensed on I/O [io] (what a stuck-open cell there reads back). *)
   mutable residue : int;
@@ -85,15 +71,8 @@ type t = {
   mutable n_fast_writes : int;
   mutable n_armed_packed : int;
   mutable n_rows_cleared : int;
-  (* Fast-path bookkeeping.  [row_fault] marks every row on which any
-     fault machinery is armed (fault site, coupling aggressor or
-     victim): [clear] always wipes it, and [n_fast_*] skip its ops even
-     where its unarmed slots serve them packed.  [row_written] marks
-     rows whose data may differ from the power-up zeros.  [nfaults] is
-     the armed total, so the all-clean test is a single integer
-     compare. *)
-  mutable nfaults : int;
-  row_fault : Bytes.t;
+  (* [row_written] marks rows whose data may differ from the power-up
+     zeros. *)
   row_written : Bytes.t;
   mutable fast : bool; (* test seam: disable to force the legacy path *)
 }
@@ -162,13 +141,9 @@ let create org =
   ; packed = Array.make (nrows * org.Org.bpc) 0
   ; spare = Array.make nrows 0
   ; fault_list = []
-  ; flags = Bytes.make (nrows * tcols) '\000'
+  ; row_masks = Array.make nrows [||]
   ; state_cpl = []
   ; agg_effects = []
-  ; rmask = Array.make (nrows * org.Org.bpc) 0
-  ; wmask = Array.make (nrows * org.Org.bpc) 0
-  ; bitwise = [||]
-  ; armed_rows = 0
   ; residue = 0
   ; row_map = [||]
   ; row_mapped = false
@@ -179,8 +154,6 @@ let create org =
   ; n_fast_writes = 0
   ; n_armed_packed = 0
   ; n_rows_cleared = 0
-  ; nfaults = 0
-  ; row_fault = Bytes.make nrows '\000'
   ; row_written = Bytes.make nrows '\000'
   ; fast = true
   }
@@ -192,38 +165,68 @@ let idx t (c : F.cell) =
     invalid_arg "Model: fault col out of range";
   (c.F.row * t.tcols) + c.F.col
 
-let f_open = 1
-let f_no_rise = 2
-let f_no_fall = 4
-let f_pinned = 8 (* stuck-at *)
-let f_victim = 16 (* state-coupling victim *)
-let f_aggressor = 32 (* inversion or idempotent coupling aggressor *)
-let flag t i = Char.code (Bytes.unsafe_get t.flags i)
-let set_flag t i f =
-  Bytes.unsafe_set t.flags i (Char.unsafe_chr (flag t i lor f))
+(* A fault-table block ([row_masks]): the summary at offset 0, then one
+   mask per fault kind. *)
+let blk = 7
+let k_open = 1
+let k_no_rise = 2
+let k_no_fall = 3
+let k_pinned = 4 (* stuck-at *)
+let k_victim = 5 (* state-coupling victim *)
+let k_aggressor = 6 (* inversion or idempotent coupling aggressor *)
 
-let row_is_faulty t row = Bytes.unsafe_get t.row_fault row <> '\000'
-(* A row's first mark numbers it, so its [bitwise] entry is [byte - 1];
-   past the 254th armed row the byte is 255, no entry. *)
-let mark_row_fault t row =
-  if Bytes.unsafe_get t.row_fault row = '\000' then begin
-    t.armed_rows <- t.armed_rows + 1;
-    Bytes.unsafe_set t.row_fault row
-      (Char.unsafe_chr (Int.min 255 t.armed_rows))
+(* Row-relative column [c]'s block offset in its row's masks and its bit
+   there: its word slot's, or the spare word's. *)
+let[@inline] block_of t c =
+  if c < t.cols then blk * (c - (t.col_bit.(c) * t.bpc)) else blk * t.bpc
+
+let[@inline] bit_of t c = if c < t.cols then t.col_bit.(c) else c - t.cols
+
+(* Cell [i]'s fault kinds: bit [k] set for each kind [k] it carries. *)
+let flag t i =
+  let row = t.cell_row.(i) in
+  let ms = Array.unsafe_get t.row_masks row in
+  if Array.length ms = 0 then 0
+  else begin
+    let c = i - (row * t.tcols) in
+    let b = block_of t c and bit = bit_of t c in
+    let f = ref 0 in
+    for k = 1 to blk - 1 do
+      f := !f lor (((Array.unsafe_get ms (b + k) lsr bit) land 1) lsl k)
+    done;
+    !f
   end
+
+let has f k = (f lsr k) land 1 = 1
+let row_is_faulty t row = Array.length (Array.unsafe_get t.row_masks row) > 0
+
+(* Mask [k] of the slot at mux position [col] (the spare word at
+   [bpc]) on a fault-armed row with masks [ms]; 0 is the summary.  The
+   annotation keeps the load an int load: a polymorphic [ms] would make
+   every inlined copy a generic array access that tests for floats. *)
+let[@inline] mask (ms : int array) col k =
+  Array.unsafe_get ms ((blk * col) + k)
+
+let arm_row t row =
+  if not (row_is_faulty t row) then
+    t.row_masks.(row) <- Array.make (blk * (t.bpc + 1)) 0
+
+(* Mark cell [c] with fault kind [k] in its row's masks. *)
+let arm t (c : F.cell) k =
+  arm_row t c.F.row;
+  let ms = t.row_masks.(c.F.row) in
+  let b = block_of t c.F.col and bit = 1 lsl bit_of t c.F.col in
+  ms.(b) <- ms.(b) lor bit;
+  ms.(b + k) <- ms.(b + k) lor bit
 
 let mark_row_written t row = Bytes.unsafe_set t.row_written row '\001'
 
-(* A slot is armed when any of its bits needs the per-cell machinery;
-   only armed slots leave the packed path.  Masks are non-zero only on
-   fault-armed rows, so an unarmed row's slots are never armed. *)
-let slot_armed t slot =
-  Array.unsafe_get t.rmask slot lor Array.unsafe_get t.wmask slot <> 0
-
-(* Can the word slot take the packed path: plain loads and stores of
-   [packed], no per-cell machinery?  With no fault armed, every slot
-   can. *)
-let fast_slot t slot = t.fast && (t.nfaults = 0 || not (slot_armed t slot))
+(* Can the word slot at mux position [col] of a row with masks [ms] take
+   the packed path: plain loads and stores of [packed], no per-cell
+   machinery?  Only an armed slot leaves it, and only a fault-armed row
+   has one. *)
+let[@inline] fast_slot t ms col =
+  t.fast && (Array.length ms = 0 || mask ms col 0 = 0)
 
 let with_bit w bit v = if v then w lor (1 lsl bit) else w land lnot (1 lsl bit)
 
@@ -260,8 +263,7 @@ let clear t =
      fault-armed rows) since the previous clear *)
   for row = 0 to t.nrows - 1 do
     if
-      Bytes.unsafe_get t.row_written row <> '\000'
-      || Bytes.unsafe_get t.row_fault row <> '\000'
+      Bytes.unsafe_get t.row_written row <> '\000' || row_is_faulty t row
     then begin
       Array.fill t.packed (row * t.bpc) t.bpc 0;
       Array.unsafe_set t.spare row 0;
@@ -275,126 +277,55 @@ let clear t =
     t.fault_list;
   t.residue <- 0
 
-(* Flag cell [c]'s I/O in its word slot's fault-bit mask.  Spare-column
-   cells have no slot: a steered access checks their flags itself
-   ([steer_plain]). *)
-let mask_cell t masks (c : F.cell) =
-  if c.F.col < t.cols then begin
-    let bit = t.col_bit.(c.F.col) in
-    let slot = (c.F.row * t.bpc) + c.F.col - (bit * t.bpc) in
-    masks.(slot) <- masks.(slot) lor (1 lsl bit)
-  end
-
-(* Regular cell [c]'s [bitwise] slot entry, or -1 for a spare-column
-   cell (it has no slot) or a row past the table. *)
-let bitwise_entry t (c : F.cell) =
-  let e = Char.code (Bytes.unsafe_get t.row_fault c.F.row) in
-  if c.F.col >= t.cols || e = 255 then -1
-  else 4 * (((e - 1) * t.bpc) + c.F.col - (t.col_bit.(c.F.col) * t.bpc))
-
-let tabulate_bitwise t =
-  let n = 4 * Int.min t.armed_rows 254 * t.bpc in
-  if n > 0 then begin
-    if Array.length t.bitwise < n then t.bitwise <- Array.make n 0
-    else Array.fill t.bitwise 0 n 0;
-    let set (c : F.cell) k =
-      let b = bitwise_entry t c in
-      if b >= 0 then
-        t.bitwise.(b + k) <- t.bitwise.(b + k) lor (1 lsl t.col_bit.(c.F.col))
-    in
-    let couple c =
-      let b = bitwise_entry t c in
-      if b >= 0 then t.bitwise.(b) <- -1
-    in
-    List.iter
-      (fun f ->
-        match f with
-        | F.Stuck_at (c, _) -> set c 0
-        | F.Transition (c, up) -> set c (if up then 1 else 2)
-        | F.Stuck_open c ->
-            set c 0;
-            set c 3
-        | F.Coupling_inversion { aggressor = c; _ }
-        | F.Coupling_idempotent { aggressor = c; _ }
-        | F.State_coupling { victim = c; _ } ->
-            couple c
-        | F.Data_retention _ -> ())
-      t.fault_list
-  end
-
 let set_faults t faults =
+  (* refuse a bad list before the old configuration goes *)
+  List.iter (fun f -> List.iter (fun c -> ignore (idx t c)) (F.cells f)) faults;
   (* tear down the previous fault machinery, armed rows only *)
   for row = 0 to t.nrows - 1 do
-    if Bytes.unsafe_get t.row_fault row <> '\000' then begin
-      let off = row * t.tcols in
-      Bytes.fill t.flags off t.tcols '\000';
-      Array.fill t.rmask (row * t.bpc) t.bpc 0;
-      Array.fill t.wmask (row * t.bpc) t.bpc 0;
+    if row_is_faulty t row then begin
       (* the row may hold non-zero cells planted by the old config
          without [row_written] being set (pin re-assertion in [clear],
          retention decay, coupling force-stores), so flag it written:
-         once [row_fault] drops, only that flag makes the final [clear]
+         once its masks go, only that flag makes the final [clear]
          restore the power-up zeros *)
       mark_row_written t row;
-      Bytes.unsafe_set t.row_fault row '\000'
+      t.row_masks.(row) <- [||]
     end
   done;
-  t.armed_rows <- 0;
   t.fault_list <- faults;
   t.state_cpl <- [];
   t.agg_effects <- [];
-  t.nfaults <- 0;
   List.iter
     (fun f ->
-      (match f with
+      match f with
       | F.Stuck_at (c, _) ->
           (* [clear] stores the stuck value *)
-          let i = idx t c in
-          mark_row_fault t c.F.row;
-          mask_cell t t.wmask c;
-          set_flag t i f_pinned
-      | F.Transition (c, up) ->
-          let i = idx t c in
-          mark_row_fault t c.F.row;
-          mask_cell t t.wmask c;
-          set_flag t i (if up then f_no_rise else f_no_fall)
-      | F.Stuck_open c ->
-          let i = idx t c in
-          mark_row_fault t c.F.row;
-          mask_cell t t.rmask c;
-          mask_cell t t.wmask c;
-          set_flag t i f_open
+          arm t c k_pinned
+      | F.Transition (c, up) -> arm t c (if up then k_no_rise else k_no_fall)
+      | F.Stuck_open c -> arm t c k_open
       | F.Data_retention (c, _) ->
           (* decay walks the fault list ([retention_wait]) *)
-          ignore (idx t c);
-          mark_row_fault t c.F.row
+          arm_row t c.F.row
       | F.Coupling_inversion { aggressor; victim } ->
-          let a = idx t aggressor and v = idx t victim in
-          mark_row_fault t aggressor.F.row;
-          mark_row_fault t victim.F.row;
-          mask_cell t t.wmask aggressor;
-          set_flag t a f_aggressor;
-          t.agg_effects <- (a, Invert v) :: t.agg_effects
-      | F.Coupling_idempotent { aggressor; rising; victim; forces } ->
-          let a = idx t aggressor and v = idx t victim in
-          mark_row_fault t aggressor.F.row;
-          mark_row_fault t victim.F.row;
-          mask_cell t t.wmask aggressor;
-          set_flag t a f_aggressor;
+          arm t aggressor k_aggressor;
+          arm_row t victim.F.row;
           t.agg_effects <-
-            (a, Force { rising; victim = v; forces }) :: t.agg_effects
+            (idx t aggressor, Invert (idx t victim)) :: t.agg_effects
+      | F.Coupling_idempotent { aggressor; rising; victim; forces } ->
+          arm t aggressor k_aggressor;
+          arm_row t victim.F.row;
+          t.agg_effects <-
+            (idx t aggressor, Force { rising; victim = idx t victim; forces })
+            :: t.agg_effects
       | F.State_coupling { aggressor; when_state; victim; reads_as } ->
-          let a = idx t aggressor and v = idx t victim in
           (* only the victim's reads are special; plain writes to the
              aggressor stay on the fast path because the victim re-reads
              the aggressor's stored state on every access *)
-          mark_row_fault t victim.F.row;
-          mask_cell t t.rmask victim;
-          set_flag t v f_victim;
-          t.state_cpl <- (v, a, when_state, reads_as) :: t.state_cpl);
-      t.nfaults <- t.nfaults + 1)
+          arm t victim k_victim;
+          t.state_cpl <-
+            (idx t victim, idx t aggressor, when_state, reads_as)
+            :: t.state_cpl)
     faults;
-  tabulate_bitwise t;
   clear t
 
 (* Tabulated once per install, so no access calls [f].  Every installer
@@ -445,7 +376,7 @@ let set_col_remap t f =
 
 (* Coupling-driven store: respects pins (a stuck node cannot be flipped
    by crosstalk) but bypasses transition faults. *)
-let force_store t i v = if flag t i land f_pinned = 0 then store t i v
+let force_store t i v = if not (has (flag t i) k_pinned) then store t i v
 
 (* A successful state change on cell [i] fires its aggressor effects,
    newest fault first. *)
@@ -464,15 +395,15 @@ let fire_coupling t i ~old_v ~new_v =
    either has no effect. *)
 let write_bit t i v =
   let f = flag t i in
-  if f land (f_open lor f_pinned) = 0 then begin
+  if not (has f k_open || has f k_pinned) then begin
     let old_v = stored t i in
     let blocked =
-      (v && (not old_v) && f land f_no_rise <> 0)
-      || ((not v) && old_v && f land f_no_fall <> 0)
+      (v && (not old_v) && has f k_no_rise)
+      || ((not v) && old_v && has f k_no_fall)
     in
     if not blocked then begin
       store t i v;
-      if f land f_aggressor <> 0 then fire_coupling t i ~old_v ~new_v:v
+      if has f k_aggressor then fire_coupling t i ~old_v ~new_v:v
     end
   end
 
@@ -491,8 +422,8 @@ let rec sense_coupled t i v = function
    the bit it sensed, an open cell's being the residue itself. *)
 let read_bit t ~io i =
   let f = flag t i in
-  if f land f_open <> 0 then (t.residue lsr io) land 1 = 1
-  else if f land f_victim = 0 then stored t i
+  if has f k_open then (t.residue lsr io) land 1 = 1
+  else if not (has f k_victim) then stored t i
   else sense_coupled t i (stored t i) t.state_cpl
 
 let physical_row t row =
@@ -504,9 +435,10 @@ let physical_row t row =
    packed array load or store, whatever machinery sits elsewhere on its
    row (a coupling victim or a retention cell only changes on another
    access or a wait).  On an armed slot only the bits of the slot's
-   fault mask go through [read_bit]/[write_bit] (every bit, mask -1,
-   with the fast path off); the others are plain bits of the packed
-   word.  A steered slot (non-zero steer mask [s]) whose steered bits
+   read masks (open, victim) or write masks (open, pinned, no-rise,
+   no-fall, aggressor) go through [read_bit]/[write_bit] (every bit,
+   mask -1, with the fast path off); the others are plain bits of the
+   packed word.  A steered slot (non-zero steer mask [s]) whose steered bits
    all land on unflagged spare-column cells ([steer_plain]) is the
    packed word outside [s] plus those spare bits, and nothing it
    touches can fire; any other steered slot resolves every bit through
@@ -516,19 +448,19 @@ let physical_row t row =
    Every read, on any path, leaves the word it returns as the sense
    residue. *)
 
-(* Can the steered slot [slot] at mux position [col] skip the per-bit
-   path?  Its own slot must be unarmed and each steered bit's target an
-   unflagged spare-column cell; a flagged cell sits on a fault-armed
-   row, so a clean row needs no flag lookups. *)
-let steer_plain t st ~row ~col ~slot s =
-  fast_slot t slot
+(* Can the steered slot at mux position [col] skip the per-bit path?
+   Its own slot must be unarmed and each steered bit's target a
+   spare-column cell that the spare word's summary leaves unarmed. *)
+let steer_plain t st ~row ~col s =
+  let ms = Array.unsafe_get t.row_masks row in
+  fast_slot t ms col
   &&
-  let base = row * t.tcols and armed_row = row_is_faulty t row in
+  let armed = if Array.length ms = 0 then 0 else mask ms t.bpc 0 in
   let ok = ref true and bit = ref 0 in
   while !ok && !bit < t.bpw do
     if (s lsr !bit) land 1 = 1 then begin
       let q = Array.unsafe_get st.st_target ((!bit * t.bpc) + col) in
-      ok := q >= t.cols && ((not armed_row) || flag t (base + q) = 0)
+      ok := q >= t.cols && (armed lsr (q - t.cols)) land 1 = 0
     end;
     incr bit
   done;
@@ -543,7 +475,7 @@ let steered_col t st ~col bit =
    [s]). *)
 let write_steered t st ~row ~col s v =
   let slot = (row * t.bpc) + col and base = row * t.tcols in
-  if steer_plain t st ~row ~col ~slot s then begin
+  if steer_plain t st ~row ~col s then begin
     let cur = Array.unsafe_get t.packed slot in
     Array.unsafe_set t.packed slot ((cur land s) lor (v land lnot s));
     for bit = 0 to t.bpw - 1 do
@@ -563,7 +495,7 @@ let write_steered t st ~row ~col s v =
 let read_steered t st ~row ~col s =
   let slot = (row * t.bpc) + col and base = row * t.tcols in
   let v = ref 0 in
-  if steer_plain t st ~row ~col ~slot s then begin
+  if steer_plain t st ~row ~col s then begin
     if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
     else t.n_fast_reads <- t.n_fast_reads + 1;
     v := Array.unsafe_get t.packed slot land lnot s;
@@ -586,14 +518,21 @@ let write_at t ~row ~col v =
       write_steered t st ~row ~col (Array.unsafe_get st.st_mask col) v
   | _ ->
       let slot = (row * t.bpc) + col in
-      if fast_slot t slot then begin
+      let ms = Array.unsafe_get t.row_masks row in
+      if fast_slot t ms col then begin
         Array.unsafe_set t.packed slot v;
         (* [n_fast_*] count only rows with no armed machinery *)
-        if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
+        if Array.length ms > 0 then t.n_armed_packed <- t.n_armed_packed + 1
         else t.n_fast_writes <- t.n_fast_writes + 1
       end
       else begin
-        let m = if t.fast then Array.unsafe_get t.wmask slot else -1 in
+        let m =
+          if not t.fast then -1
+          else
+            mask ms col k_open lor mask ms col k_pinned
+            lor mask ms col k_no_rise lor mask ms col k_no_fall
+            lor mask ms col k_aggressor
+        in
         let base = (row * t.tcols) + col in
         for bit = 0 to t.bpw - 1 do
           let b = (v lsr bit) land 1 = 1 in
@@ -616,8 +555,9 @@ let read_at t ~row ~col =
       v
   | _ ->
       let slot = (row * t.bpc) + col in
-      if fast_slot t slot then begin
-        if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
+      let ms = Array.unsafe_get t.row_masks row in
+      if fast_slot t ms col then begin
+        if Array.length ms > 0 then t.n_armed_packed <- t.n_armed_packed + 1
         else t.n_fast_reads <- t.n_fast_reads + 1;
         let v = Array.unsafe_get t.packed slot in
         t.residue <- v;
@@ -625,7 +565,9 @@ let read_at t ~row ~col =
       end
       else begin
         (* a read mutates no cell, so the unmasked bits come in one step *)
-        let m = if t.fast then Array.unsafe_get t.rmask slot else -1 in
+        let m =
+          if t.fast then mask ms col k_open lor mask ms col k_victim else -1
+        in
         let base = (row * t.tcols) + col in
         let v = ref (Array.unsafe_get t.packed slot land lnot m) in
         for bit = 0 to t.bpw - 1 do
@@ -685,18 +627,19 @@ let span_slots packed ~slot ~stride ~len ~pre ~final ~alt m =
     done;
   !k
 
-(* One element's ops on an armed slot holding [w] whose masked bits
-   are all stuck-at, transition or stuck-open cells ([bitwise] entry
-   [b]), from sense residue [r], with parity mask [m]: what
+(* One element's ops on the armed slot at mux position [col] of a row
+   with masks [ms], holding [w], whose cells are all stuck-at,
+   transition or stuck-open, from sense residue [r], with parity mask
+   [m]: what
    [write_at]/[read_at]'s per-bit path does, a word at a time.  A
    write keeps the bits that cannot change, a read takes the open bits
    from the residue and leaves the word read as the residue.  Returns
    the word the slot ends with, or -1 if a read mismatches. *)
-let bitwise_ops bitwise b ~is_write ~op_word ~m w r =
-  let keep = Array.unsafe_get bitwise b
-  and no_rise = Array.unsafe_get bitwise (b + 1)
-  and no_fall = Array.unsafe_get bitwise (b + 2)
-  and opens = Array.unsafe_get bitwise (b + 3) in
+let bitwise_ops ms col ~is_write ~op_word ~m w r =
+  let opens = mask ms col k_open in
+  let keep = mask ms col k_pinned lor opens
+  and no_rise = mask ms col k_no_rise
+  and no_fall = mask ms col k_no_fall in
   let w = ref w and r = ref r and i = ref 0 and ok = ref true in
   while !ok && !i < Array.length is_write do
     let v = Array.unsafe_get op_word !i lxor m in
@@ -722,8 +665,8 @@ let bitwise_ops bitwise b ~is_write ~op_word ~m w r =
    op word, so [pre], [final] and the last read too, through [lxor alt].
    So each address is one load, compare and store, and the counters and
    the residue (the last read's word, a match) are settled once for the
-   whole run.  On a fault-armed row an armed slot runs too when its
-   [bitwise] entry has no coupling bit: its ops run on a copy of the
+   whole run.  On a fault-armed row an armed slot runs too when it has
+   no victim or aggressor bit: its ops run on a copy of the
    word and of the residue ([bitwise_ops]), committed only if every read
    matches, so the address that stops a run still mismatches, or holds
    coupling machinery, as the per-op path would find it. *)
@@ -781,7 +724,6 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
     in
     let bpc = t.bpc and packed = t.packed and nrows = t.nrows in
     let mapped = t.row_mapped and row_map = t.row_map in
-    let any_armed = t.nfaults > 0 in
     let n = ref 0 and n_armed = ref 0 and n_bitwise = ref 0 in
     let stop = ref (not !ok) and last_read = !last_read in
     while (not !stop) && !n < count do
@@ -790,7 +732,8 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
       let row = if mapped then Array.unsafe_get row_map lrow else lrow in
       if row < 0 || row >= nrows then stop := true
       else begin
-        let armed_row = any_armed && row_is_faulty t row in
+        let ms = Array.unsafe_get t.row_masks row in
+        let armed_row = Array.length ms > 0 in
         let col = a - (lrow * bpc) in
         let head = Int.min (count - !n) (if up then bpc - col else col + 1) in
         let slot = (row * bpc) + col in
@@ -808,7 +751,7 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
             let r = if mapped then Array.unsafe_get row_map lr else lr in
             r = row + (stride * !j)
             && r >= 0 && r < nrows
-            && not (any_armed && row_is_faulty t r)
+            && not (row_is_faulty t r)
           do
             len := Int.min (count - !n) (!len + bpc);
             incr j
@@ -821,19 +764,17 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
             span_slots packed ~slot ~stride ~len ~pre ~final ~alt m
           else begin
             (* slot by slot, up to the first that does not complete: an
-               unarmed slot packed, an armed one bitwise where its entry
-               allows *)
-            let e = Char.code (Bytes.unsafe_get t.row_fault row) in
+               unarmed slot packed, an armed one bitwise unless it holds
+               coupling machinery *)
             let k = ref 0 and go = ref true in
             while !go && !k < len do
-              let s = slot + (stride * !k) in
+              let s = slot + (stride * !k) and c = col + (stride * !k) in
               let mk = m lxor (alt land -(!k land 1)) in
-              let b = 4 * (((e - 1) * bpc) + col + (stride * !k)) in
-              (if not (slot_armed t s) then
+              (if mask ms c 0 = 0 then
                  go :=
                    span_slots packed ~slot:s ~stride ~len:1 ~pre ~final ~alt mk
                    = 1
-               else if e = 255 || Array.unsafe_get t.bitwise b < 0 then
+               else if mask ms c k_victim lor mask ms c k_aggressor <> 0 then
                  go := false
                else
                  (* from the residue the previous address's last read
@@ -843,7 +784,7 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
                    else t.residue
                  in
                  let w =
-                   bitwise_ops t.bitwise b ~is_write ~op_word ~m:mk
+                   bitwise_ops ms c ~is_write ~op_word ~m:mk
                      (Array.unsafe_get packed s) r
                  in
                  if w < 0 then go := false
@@ -910,7 +851,7 @@ let retention_wait t =
       match f with
       | F.Data_retention (c, v) ->
           let i = idx t c in
-          if flag t i land f_pinned = 0 then store t i v
+          if not (has (flag t i) k_pinned) then store t i v
       | _ -> ())
     t.fault_list
 

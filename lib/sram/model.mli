@@ -7,12 +7,14 @@
 
     There is one cell store: a native int per (row, column-mux) word
     slot, bit [b] being I/O [b]'s cell, and an int per row for its
-    spare-column cells.  {!set_faults} leaves per-slot read and write
-    fault-bit masks: a bit marks an I/O whose cell carries read-side
-    (stuck-open, state-coupling victim) or write-side (stuck-open,
-    stuck-at, transition, coupling aggressor) machinery.  A slot with
-    either mask non-zero is armed: only its masked bits take the
-    per-cell path, the others are plain bits of the word.  Every other
+    spare-column cells.  {!set_faults} fills one fault table: on each
+    fault-armed row, per word slot (and for the row's spare word), one
+    mask per fault kind (stuck-open, no-rise, no-fall, stuck-at,
+    state-coupling victim, coupling aggressor) and their OR.  A slot
+    whose OR is non-zero is armed: only the bits with read-side
+    (stuck-open, victim) or write-side (stuck-open, stuck-at,
+    transition, aggressor) machinery take the per-cell path, the others
+    are plain bits of the word.  Every other
     slot — on a clean row or next to an armed one, including coupling
     victims, retention cells and state-coupling aggressors — is served
     packed, a single array load/store of {!Word.to_int}/{!Word.of_int}.
@@ -31,7 +33,11 @@ val create : Org.t -> t
 val org : t -> Org.t
 
 (** Install functional faults (replaces any previous set).  Fault cells
-    may lie in spare rows ([row < total_rows]). *)
+    may lie in spare rows ([row < total_rows]) and spare columns
+    ([col < total_cols]).
+    @raise Invalid_argument if any cell of the list lies outside the
+    array; every cell is checked first, so the previous set then stays
+    armed and the model unchanged. *)
 val set_faults : t -> Bisram_faults.Fault.t list -> unit
 
 (** [set_remap t f] installs a logical-row to physical-row translation

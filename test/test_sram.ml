@@ -288,6 +288,39 @@ let test_set_faults_reuse_restores_powerup_zeros () =
   Alcotest.check word "decayed row back to power-up zeros" (Word.zero 8)
     (Model.read_word m 13)
 
+(* [set_faults] checks every cell of a new list before it tears the old
+   configuration down: after a refused list, reads, [clear] and an
+   IFA-9 run match a model that never saw the call. *)
+let test_set_faults_refused_list_keeps_config () =
+  let module Engine = Bisram_bist.Engine in
+  let org = small () in
+  let armed () =
+    let m = Model.create org in
+    Model.set_faults m [ F.Stuck_at (cell 3 9, true) ];
+    m
+  in
+  let m = armed () and untouched = armed () in
+  Alcotest.check_raises "row 999 refused"
+    (Invalid_argument "Model: fault row out of range") (fun () ->
+      Model.set_faults m
+        [ F.Stuck_at (cell 1 0, true); F.Stuck_at (cell 999 0, true) ]);
+  let reads m = List.init org.Org.words (Model.read_int m) in
+  let before = reads m in
+  Alcotest.(check (list int)) "reads" (reads untouched) before;
+  Alcotest.(check int) "the pin still reads" 4 (List.nth before 13);
+  Model.clear m;
+  Model.clear untouched;
+  Alcotest.(check (list int)) "reads after clear" (reads untouched) (reads m);
+  let run m =
+    Engine.run m Bisram_bist.Algorithms.ifa_9
+      ~backgrounds:(Bisram_bist.Datagen.required_backgrounds ~bpw:8)
+  in
+  let failures = run m in
+  Alcotest.(check bool) "IFA-9 finds the pin" true (failures <> []);
+  Alcotest.(check bool) "same IFA-9 run" true (failures = run untouched);
+  Alcotest.(check bool) "same counters" true
+    (Model.stats m = Model.stats untouched)
+
 let test_remap () =
   let org = small () in
   let m = Model.create org in
@@ -376,7 +409,11 @@ let prop_model_rw_roundtrip =
    and aim most accesses at those rows.  Every access takes the int API
    on one side and the word API on the other, and a [`Pair] reads two
    words back to back, so a stuck-open cell senses the residue the
-   other word's read left. *)
+   other word's read left.  In half the cases the model is re-armed, as
+   [Coverage.evaluate] and [Module_model.inject] reuse one: it first
+   arms another random fault list and runs ops under it, so the case's
+   list finds the previous fault table to tear down on both paths, and
+   must then read as on a model that never held another list. *)
 let prop_fast_path_equals_legacy =
   QCheck.Test.make ~name:"fast path agrees with legacy path" ~count:300
     QCheck.(triple (int_range 0 100_000) (int_range 0 6) bool)
@@ -423,8 +460,8 @@ let prop_fast_path_equals_legacy =
         if hot_spare <> [] && flip () then one_of hot_spare
         else spare + int org.Org.spares
       in
-      let ops =
-        List.init 250 (fun _ ->
+      let ops_of n =
+        List.init n (fun _ ->
             match int 12 with
             | 0 -> `Wait
             | 1 -> `Clear
@@ -434,16 +471,23 @@ let prop_fast_path_equals_legacy =
             | 7 -> `Pair (addr (), addr (), flip ())
             | _ -> `R (addr (), flip ()))
       in
-      let drive fast =
+      let ops = ops_of 250 in
+      let prior =
+        if flip () then
+          let n = 1 + int 6 in
+          [ (I.inject rng ~rows ~cols ~mix:I.default_mix ~n, ops_of 80) ]
+        else []
+      in
+      let drive fast prior =
         let m = Model.create org in
         Model.set_fast_path m fast;
-        Model.set_faults m faults;
         (* the int API on one side, the word API on the other *)
         let read a via_int =
           if via_int = fast then Model.read_int m a
           else Word.to_int (Model.read_word m a)
         in
-        let log =
+        let run (faults, ops) =
+          Model.set_faults m faults;
           List.concat_map
             (fun op ->
               match op with
@@ -468,9 +512,13 @@ let prop_fast_path_equals_legacy =
                   [])
             ops
         in
-        (log, Model.reads m, Model.writes m)
+        let logs = List.map run (prior @ [ (faults, ops) ]) in
+        (logs, Model.reads m, Model.writes m)
       in
-      drive true = drive false)
+      let last (logs, _, _) = List.nth logs (List.length logs - 1) in
+      let re_armed = drive true prior in
+      re_armed = drive false prior
+      && (prior = [] || last re_armed = last (drive false [])))
 
 (* The int API keeps the word API's guards: an out-of-range address
    and a value wider than the word raise, as a wrong-width word does. *)
@@ -1050,6 +1098,68 @@ let test_march_span_one_slot () =
     ; ("pin plus open", [ F.Stuck_at (c, true); F.Stuck_open c ])
     ]
 
+(* Past the 254th fault-armed row: on a 320-row array whose rows hold a
+   fill word, with a stuck-at on each of 300 rows at the value the fill
+   stores there and a word of stuck-open cells on row 310, one span
+   runs an element that reads, writes and reads the fill through every
+   armed slot bitwise, and leaves the model as per-op accesses do: the
+   same reads, counters, array and sense residue. *)
+let test_march_span_many_armed_rows () =
+  let org = Org.make ~words:1280 ~bpw:8 ~bpc:4 ~spares:4 () in
+  let words = org.Org.words and bpc = org.Org.bpc and bpw = org.Org.bpw in
+  let fill = 0xA5 and open_row = 310 in
+  let faults =
+    List.init 300 (fun row ->
+        let io = row mod bpw in
+        let c = cell row ((io * bpc) + (row mod bpc)) in
+        F.Stuck_at (c, (fill lsr io) land 1 = 1))
+    @ List.init bpw (fun io -> F.Stuck_open (cell open_row (io * bpc)))
+  in
+  let is_write = [| false; true; false |] and op_word = [| fill; fill; fill |]
+  in
+  let build () =
+    let m = Model.create org in
+    Model.set_faults m faults;
+    for a = 0 to words - 1 do
+      Model.write_int m a fill
+    done;
+    m
+  in
+  let observe m =
+    let st = Model.stats m in
+    let residue = Model.read_row_word m ~row:open_row ~col:0 in
+    let array =
+      List.init (Org.total_rows org) (fun row ->
+          List.init bpc (fun col -> Model.read_row_word m ~row ~col))
+    in
+    (st, residue, array)
+  in
+  let m = build () in
+  let before = Model.stats m in
+  let k =
+    Model.march_span m ~up:true ~first:0 ~count:words ~is_write ~op_word
+  in
+  Alcotest.(check int) "one span, whole element" words k;
+  let d f = f (Model.stats m) - f before in
+  Alcotest.(check int) "301 armed slots run bitwise" (301 * 3)
+    (d (fun s -> s.Model.s_reads + s.Model.s_writes)
+    - d (fun s ->
+          s.Model.s_fast_reads + s.Model.s_fast_writes
+          + s.Model.s_armed_packed));
+  let per_op = build () in
+  let log = ref [] in
+  for a = 0 to words - 1 do
+    Array.iteri
+      (fun j w ->
+        if is_write.(j) then Model.write_int per_op a w
+        else
+          let got = Model.read_int per_op a in
+          if got <> w then log := (a, j, got) :: !log)
+      op_word
+  done;
+  Alcotest.(check (list (triple int int int))) "no mismatch per op" [] !log;
+  Alcotest.(check bool) "same as per-op" true (observe m = observe per_op)
+
 let test_clear_touches_only_dirty_rows () =
   (* behavioural check of the dirty-row invariant: after clear,
      every cell reads zero again regardless of what was written,
@@ -1104,6 +1214,8 @@ let () =
         ; Alcotest.test_case "data retention" `Quick test_data_retention
         ; Alcotest.test_case "set_faults reuse restores power-up zeros"
             `Quick test_set_faults_reuse_restores_powerup_zeros
+        ; Alcotest.test_case "refused fault list keeps the old one" `Quick
+            test_set_faults_refused_list_keeps_config
         ; Alcotest.test_case "remap" `Quick test_remap
         ; Alcotest.test_case "faulty spare" `Quick test_faulty_spare
         ; QCheck_alcotest.to_alcotest prop_model_rw_roundtrip
@@ -1118,6 +1230,8 @@ let () =
             test_march_span_armed_rows
         ; Alcotest.test_case "march span through one fault slot" `Quick
             test_march_span_one_slot
+        ; Alcotest.test_case "march span past 254 armed rows" `Quick
+            test_march_span_many_armed_rows
         ; Alcotest.test_case "stuck-open leaves clean reads fast" `Quick
             test_stuck_open_fast_read
         ; Alcotest.test_case "clear covers dirty rows" `Quick
