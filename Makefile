@@ -239,7 +239,11 @@ chaos-smoke: build
 # counts (test_bira's jobs x lanes case covers pool-item widths), as
 # must the 200-trial bira-bnb run, whose 78 escapes would show a
 # shrink memo leaking across trials or domains; (3) a bogus --repair
-# name must be rejected with the usage exit code (2).
+# name must be rejected with the usage exit code (2); (4) every BIRA
+# allocator must repair a stuck-at Poisson mean-4 load with 2 spare
+# columns without an escape or a divergence: IFA-9 covers that mix
+# fully, and column repairs there run the steered words' packed path
+# (--fail-on-anomaly exits 3 otherwise).
 bira-smoke: build
 	dune exec bin/bisramgen.exe -- campaign --trials 60 --seed 7 --jobs 1 \
 	  > .ci-bira-golden.json
@@ -270,6 +274,11 @@ bira-smoke: build
 	done
 	dune exec bin/bisramgen.exe -- campaign --repair frobnicate \
 	  > /dev/null 2>&1; test $$? -eq 2
+	for s in bira-bnb bira-greedy bira-essential; do \
+	  dune exec bin/bisramgen.exe -- campaign --trials 300 --seed 7 \
+	    --mode poisson --mean 4 --spare-cols 2 --mix stuck-at \
+	    --repair $$s --fail-on-anomaly --jobs 1 > /dev/null || exit 1; \
+	done
 	rm -f .ci-bira-golden.json .ci-bira-golden-p3.json \
 	  .ci-bira-golden-bnb.json .ci-bira-golden-bnb-p3.json \
 	  .ci-bira-golden-bnb-p3-2.json \

@@ -16,11 +16,15 @@ val assign :
 
 (** [row_remap org pairs] — [pairs] maps logical rows to spare-row
     indices; the result diverts those rows to
-    [regular_rows + spare] and is the identity elsewhere. *)
+    [regular_rows + spare] and is the identity elsewhere.
+    @raise Invalid_argument if a row or spare index is out of range, or
+    if a row or a spare appears in two pairs (the message names it):
+    two rows on one spare would alias one physical row. *)
 val row_remap : Bisram_sram.Org.t -> (int * int) list -> int -> int
 
 (** [col_remap org pairs] — [pairs] maps regular physical columns to
     spare-column indices; the result steers those columns to
     [cols + spare] and is the identity elsewhere.  Suitable for
-    {!Bisram_sram.Model.set_col_remap}. *)
+    {!Bisram_sram.Model.set_col_remap}.
+    @raise Invalid_argument as {!row_remap}, for columns. *)
 val col_remap : Bisram_sram.Org.t -> (int * int) list -> int -> int

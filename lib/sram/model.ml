@@ -4,12 +4,20 @@ type agg_effect =
   | Invert of int (* victim idx *)
   | Force of { rising : bool; victim : int; forces : bool }
 
-(* Column steering (2D BIRA), tabulated once by [set_col_remap]:
-   [st_target.(c)] is the physical column regular column [c] resolves
-   to (a spare column for a repaired line, [c] itself elsewhere), and
-   bit [b] of [st_mask.(col)] marks an I/O whose column at mux position
-   [col] is steered away from itself. *)
-type steering = { st_target : int array; st_mask : int array }
+(* Column steering (2D BIRA), tabulated once by [set_col_remap]: bit [b]
+   of [st_mask.(col)] marks an I/O whose column at mux position [col] is
+   steered away from itself; [st_spare.(col)] is the mask of the spare
+   columns those I/Os land on, or -1 unless each lands on a spare column
+   of its own; and [st_pairs] holds, per mux position from
+   [st_off.(col)] to [st_off.(col + 1)], I/O 0 first, each steered I/O
+   and its target [k] (physical column [cols + k], so a negative [k] is
+   a regular column). *)
+type steering = {
+  st_mask : int array;
+  st_spare : int array;
+  st_off : int array;
+  st_pairs : int array;
+}
 
 type t = {
   org : Org.t;
@@ -347,32 +355,50 @@ let set_remap t f =
       t.row_mapped <- true
 
 let set_col_remap t f =
-  t.steering <-
-    (match f with
-    | None -> None
-    | Some g ->
-        (* validate and tabulate the whole map up front, so the hot path
-           neither checks nor calls it *)
-        let st_target =
-          Array.init t.cols (fun c ->
-              let q = g c in
-              if q < 0 || q >= t.tcols then
-                invalid_arg "Model.set_col_remap: mapped column out of range";
-              q)
-        in
-        let st_mask = Array.make t.bpc 0 in
-        Array.iteri
-          (fun c q ->
-            if q <> c then begin
-              let bit = t.col_bit.(c) in
-              let col = c - (bit * t.bpc) in
-              st_mask.(col) <- st_mask.(col) lor (1 lsl bit)
-            end)
-          st_target;
-        (* a map that steers nothing arms nothing, so an armed map
-           stops [march_span]'s cap scan within [bpc] addresses *)
-        if Array.fold_left ( lor ) 0 st_mask = 0 then None
-        else Some { st_target; st_mask })
+  match f with
+  | None -> t.steering <- None
+  | Some g ->
+      (* validate and tabulate the whole map up front, so the hot path
+         neither checks nor calls [g]: a first pass over the columns
+         validates and finds the steered I/Os, a second lists their
+         pairs *)
+      let st_mask = Array.make t.bpc 0 and n = ref 0 in
+      for c = 0 to t.cols - 1 do
+        let q = g c in
+        if q < 0 || q >= t.tcols then
+          invalid_arg "Model.set_col_remap: mapped column out of range";
+        if q <> c then begin
+          let bit = t.col_bit.(c) in
+          let col = c - (bit * t.bpc) in
+          st_mask.(col) <- st_mask.(col) lor (1 lsl bit);
+          incr n
+        end
+      done;
+      (* a map that steers nothing arms nothing *)
+      if !n = 0 then t.steering <- None
+      else begin
+        let st_spare = Array.make t.bpc 0
+        and st_off = Array.make (t.bpc + 1) 0
+        and st_pairs = Array.make (2 * !n) 0 in
+        let j = ref 0 in
+        for col = 0 to t.bpc - 1 do
+          st_off.(col) <- !j;
+          for bit = 0 to t.bpw - 1 do
+            if (st_mask.(col) lsr bit) land 1 = 1 then begin
+              let k = g ((bit * t.bpc) + col) - t.cols in
+              let spare = st_spare.(col) in
+              st_spare.(col) <-
+                (if k < 0 || spare < 0 || (spare lsr k) land 1 = 1 then -1
+                 else spare lor (1 lsl k));
+              st_pairs.(!j) <- bit;
+              st_pairs.(!j + 1) <- k;
+              j := !j + 2
+            end
+          done
+        done;
+        st_off.(t.bpc) <- !j;
+        t.steering <- Some { st_mask; st_spare; st_off; st_pairs }
+      end
 
 (* Coupling-driven store: respects pins (a stuck node cannot be flipped
    by crosstalk) but bypasses transition faults. *)
@@ -438,92 +464,104 @@ let physical_row t row =
    read masks (open, victim) or write masks (open, pinned, no-rise,
    no-fall, aggressor) go through [read_bit]/[write_bit] (every bit,
    mask -1, with the fast path off); the others are plain bits of the
-   packed word.  A steered slot (non-zero steer mask [s]) whose steered bits
-   all land on unflagged spare-column cells ([steer_plain]) is the
-   packed word outside [s] plus those spare bits, and nothing it
-   touches can fire; any other steered slot resolves every bit through
-   the column map.  Writes go bit by bit, I/O 0 first, which keeps the
-   legacy order of coupling side effects within a word: a masked
-   aggressor may flip a later, unmasked bit before that bit is written.
-   Every read, on any path, leaves the word it returns as the sense
-   residue. *)
+   packed word.  A steered slot (non-zero steer mask [s]) is plain
+   ([steer_plain]) when each steered bit lands on a spare column of its
+   own, its own slot's armed bits all lie in [s] (cells the map steers
+   away, which no steered access touches) and the spare-column cells
+   it lands on are unarmed: it is the packed word outside [s] plus
+   those spare bits, gathered and scattered over the position's pairs,
+   and nothing it touches can fire.  Any other steered slot resolves
+   every bit through the column map.  Writes go bit by bit, I/O 0
+   first, which keeps the legacy order of coupling side effects within
+   a word: a masked aggressor may flip a later, unmasked bit before
+   that bit is written.  Every read, on any path, leaves the word it
+   returns as the sense residue. *)
 
-(* Can the steered slot at mux position [col] skip the per-bit path?
-   Its own slot must be unarmed and each steered bit's target a
-   spare-column cell that the spare word's summary leaves unarmed. *)
-let steer_plain t st ~row ~col s =
-  let ms = Array.unsafe_get t.row_masks row in
-  fast_slot t ms col
-  &&
-  let armed = if Array.length ms = 0 then 0 else mask ms t.bpc 0 in
-  let ok = ref true and bit = ref 0 in
-  while !ok && !bit < t.bpw do
-    if (s lsr !bit) land 1 = 1 then begin
-      let q = Array.unsafe_get st.st_target ((!bit * t.bpc) + col) in
-      ok := q >= t.cols && (armed lsr (q - t.cols)) land 1 = 0
-    end;
-    incr bit
+(* Is the steered slot at mux position [col] (steer mask [s]) of a row
+   with masks [ms] plain? *)
+let[@inline] steer_plain t st ms col s =
+  let spare = Array.unsafe_get st.st_spare col in
+  t.fast && spare >= 0
+  && (Array.length ms = 0
+     || (mask ms col 0 land lnot s = 0 && mask ms t.bpc 0 land spare = 0))
+
+(* The word the plain steered slot at mux position [col] (steer mask
+   [s]) holds: its packed word outside [s], and inside it the bits of
+   its row's spare word that its pairs name. *)
+let read_plain t st ~row ~col s =
+  let p = st.st_pairs and e = Array.unsafe_get st.st_off (col + 1) in
+  let sw = Array.unsafe_get t.spare row in
+  let v = ref (Array.unsafe_get t.packed ((row * t.bpc) + col) land lnot s) in
+  let j = ref (Array.unsafe_get st.st_off col) in
+  while !j < e do
+    let io = Array.unsafe_get p !j and k = Array.unsafe_get p (!j + 1) in
+    v := !v lor (((sw lsr k) land 1) lsl io);
+    j := !j + 2
   done;
-  !ok
+  !v
+
+(* Word [v] written to the plain steered slot at mux position [col]
+   (steer mask [s]): the steered-away cells keep their bits, and the
+   steered bits go to the spare word's bits its pairs name. *)
+let write_plain t st ~row ~col s v =
+  let slot = (row * t.bpc) + col in
+  Array.unsafe_set t.packed slot
+    (Array.unsafe_get t.packed slot land s lor (v land lnot s));
+  let p = st.st_pairs and e = Array.unsafe_get st.st_off (col + 1) in
+  let sw = ref (Array.unsafe_get t.spare row) in
+  let j = ref (Array.unsafe_get st.st_off col) in
+  while !j < e do
+    let io = Array.unsafe_get p !j and k = Array.unsafe_get p (!j + 1) in
+    sw := !sw land lnot (1 lsl k) lor (((v lsr io) land 1) lsl k);
+    j := !j + 2
+  done;
+  Array.unsafe_set t.spare row !sw
 
 (* The physical column that I/O [bit] of mux position [col] reaches
    through steering [st]. *)
 let steered_col t st ~col bit =
-  Array.unsafe_get st.st_target ((bit * t.bpc) + col)
-
-(* A write to the steered slot at mux position [col] (steer mask
-   [s]). *)
-let write_steered t st ~row ~col s v =
-  let slot = (row * t.bpc) + col and base = row * t.tcols in
-  if steer_plain t st ~row ~col s then begin
-    let cur = Array.unsafe_get t.packed slot in
-    Array.unsafe_set t.packed slot ((cur land s) lor (v land lnot s));
-    for bit = 0 to t.bpw - 1 do
-      if (s lsr bit) land 1 = 1 then
-        store t (base + steered_col t st ~col bit) ((v lsr bit) land 1 = 1)
+  let c = (bit * t.bpc) + col in
+  if (Array.unsafe_get st.st_mask col lsr bit) land 1 = 0 then c
+  else begin
+    let j = ref (Array.unsafe_get st.st_off col) in
+    while Array.unsafe_get st.st_pairs !j <> bit do
+      j := !j + 2
     done;
-    if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
-    else t.n_fast_writes <- t.n_fast_writes + 1
+    t.cols + Array.unsafe_get st.st_pairs (!j + 1)
   end
-  else
-    for bit = 0 to t.bpw - 1 do
-      write_bit t (base + steered_col t st ~col bit) ((v lsr bit) land 1 = 1)
-    done
 
-(* A read of the steered slot at mux position [col] (steer mask [s]);
-   the caller leaves the word as the residue. *)
-let read_steered t st ~row ~col s =
-  let slot = (row * t.bpc) + col and base = row * t.tcols in
-  let v = ref 0 in
-  if steer_plain t st ~row ~col s then begin
-    if row_is_faulty t row then t.n_armed_packed <- t.n_armed_packed + 1
-    else t.n_fast_reads <- t.n_fast_reads + 1;
-    v := Array.unsafe_get t.packed slot land lnot s;
-    for bit = 0 to t.bpw - 1 do
-      if (s lsr bit) land 1 = 1 && stored t (base + steered_col t st ~col bit)
-      then v := !v lor (1 lsl bit)
-    done
-  end
-  else
-    for bit = 0 to t.bpw - 1 do
-      if read_bit t ~io:bit (base + steered_col t st ~col bit) then
-        v := !v lor (1 lsl bit)
-    done;
-  !v
+(* A packed access to a slot of a row with masks [ms]: [n_fast_*] count
+   only rows with no armed machinery. *)
+let[@inline] count_packed_write t ms =
+  if Array.length ms > 0 then t.n_armed_packed <- t.n_armed_packed + 1
+  else t.n_fast_writes <- t.n_fast_writes + 1
+
+let[@inline] count_packed_read t ms =
+  if Array.length ms > 0 then t.n_armed_packed <- t.n_armed_packed + 1
+  else t.n_fast_reads <- t.n_fast_reads + 1
 
 let write_at t ~row ~col v =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
+  let ms = Array.unsafe_get t.row_masks row in
   (match t.steering with
   | Some st when Array.unsafe_get st.st_mask col <> 0 ->
-      write_steered t st ~row ~col (Array.unsafe_get st.st_mask col) v
+      let s = Array.unsafe_get st.st_mask col in
+      if steer_plain t st ms col s then begin
+        write_plain t st ~row ~col s v;
+        count_packed_write t ms
+      end
+      else
+        let base = row * t.tcols in
+        for bit = 0 to t.bpw - 1 do
+          write_bit t
+            (base + steered_col t st ~col bit)
+            ((v lsr bit) land 1 = 1)
+        done
   | _ ->
       let slot = (row * t.bpc) + col in
-      let ms = Array.unsafe_get t.row_masks row in
       if fast_slot t ms col then begin
         Array.unsafe_set t.packed slot v;
-        (* [n_fast_*] count only rows with no armed machinery *)
-        if Array.length ms > 0 then t.n_armed_packed <- t.n_armed_packed + 1
-        else t.n_fast_writes <- t.n_fast_writes + 1
+        count_packed_write t ms
       end
       else begin
         let m =
@@ -548,35 +586,48 @@ let write_at t ~row ~col v =
 let read_at t ~row ~col =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
   t.n_reads <- t.n_reads + 1;
-  match t.steering with
-  | Some st when Array.unsafe_get st.st_mask col <> 0 ->
-      let v = read_steered t st ~row ~col (Array.unsafe_get st.st_mask col) in
-      t.residue <- v;
-      v
-  | _ ->
-      let slot = (row * t.bpc) + col in
-      let ms = Array.unsafe_get t.row_masks row in
-      if fast_slot t ms col then begin
-        if Array.length ms > 0 then t.n_armed_packed <- t.n_armed_packed + 1
-        else t.n_fast_reads <- t.n_fast_reads + 1;
-        let v = Array.unsafe_get t.packed slot in
-        t.residue <- v;
-        v
-      end
-      else begin
-        (* a read mutates no cell, so the unmasked bits come in one step *)
-        let m =
-          if t.fast then mask ms col k_open lor mask ms col k_victim else -1
-        in
-        let base = (row * t.tcols) + col in
-        let v = ref (Array.unsafe_get t.packed slot land lnot m) in
-        for bit = 0 to t.bpw - 1 do
-          if (m lsr bit) land 1 = 1 && read_bit t ~io:bit (base + (bit * t.bpc))
-          then v := !v lor (1 lsl bit)
-        done;
-        t.residue <- !v;
-        !v
-      end
+  let ms = Array.unsafe_get t.row_masks row in
+  let v =
+    match t.steering with
+    | Some st when Array.unsafe_get st.st_mask col <> 0 ->
+        let s = Array.unsafe_get st.st_mask col in
+        if steer_plain t st ms col s then begin
+          count_packed_read t ms;
+          read_plain t st ~row ~col s
+        end
+        else begin
+          let base = row * t.tcols and v = ref 0 in
+          for bit = 0 to t.bpw - 1 do
+            if read_bit t ~io:bit (base + steered_col t st ~col bit) then
+              v := !v lor (1 lsl bit)
+          done;
+          !v
+        end
+    | _ ->
+        let slot = (row * t.bpc) + col in
+        if fast_slot t ms col then begin
+          count_packed_read t ms;
+          Array.unsafe_get t.packed slot
+        end
+        else begin
+          (* a read mutates no cell, so the unmasked bits come in one
+             step *)
+          let m =
+            if t.fast then mask ms col k_open lor mask ms col k_victim else -1
+          in
+          let base = (row * t.tcols) + col in
+          let v = ref (Array.unsafe_get t.packed slot land lnot m) in
+          for bit = 0 to t.bpw - 1 do
+            if
+              (m lsr bit) land 1 = 1
+              && read_bit t ~io:bit (base + (bit * t.bpc))
+            then v := !v lor (1 lsl bit)
+          done;
+          !v
+        end
+  in
+  t.residue <- v;
+  v
 
 let check_addr t a =
   if a < 0 || a >= t.org.Org.words then
@@ -655,8 +706,8 @@ let bitwise_ops ms col ~is_write ~op_word ~m w r =
   done;
   if !ok then !w else -1
 
-(* One march element over a run of unarmed, unsteered slots, on clean
-   and fault-armed rows alike.  On such a slot the element's effect on a
+(* One march element over a run of word slots, on clean and fault-armed
+   rows alike.  On an unarmed, unsteered slot the element's effect on a
    word is decided by the element alone: reads
    before its first write compare the stored word against [pre] (all
    of them the same word, or the element mismatches everywhere), reads
@@ -665,11 +716,14 @@ let bitwise_ops ms col ~is_write ~op_word ~m w r =
    op word, so [pre], [final] and the last read too, through [lxor alt].
    So each address is one load, compare and store, and the counters and
    the residue (the last read's word, a match) are settled once for the
-   whole run.  On a fault-armed row an armed slot runs too when it has
-   no victim or aggressor bit: its ops run on a copy of the
-   word and of the residue ([bitwise_ops]), committed only if every read
-   matches, so the address that stops a run still mismatches, or holds
-   coupling machinery, as the per-op path would find it. *)
+   whole run.  A plain steered slot ([steer_plain]) is such a word too,
+   gathered for the compare and scattered by the final write.  On a
+   fault-armed row an armed, unsteered slot runs too when it has no
+   victim or aggressor bit: its ops run on a copy of the word and of the
+   residue ([bitwise_ops]), committed only if every read matches, so
+   the address that stops a run still mismatches, or holds coupling
+   machinery or a steered bit off the plain path, as the per-op path
+   would find it. *)
 let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
   let n_ops = Array.length is_write in
   if Array.length op_word <> n_ops then
@@ -701,29 +755,10 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
       if first < 0 || first >= words then 0
       else Int.min count (if up then words - first else first + 1)
     in
-    (* a column map steers the same mux positions on every row, so the
-       run ends before the first address at a steered position: capped
-       here, once, at most [bpc] addresses on ([set_col_remap] arms no
-       map that steers nothing) *)
-    let count =
-      match t.steering with
-      | None -> count
-      | Some st ->
-          let j = ref 0 in
-          while
-            !j < count
-            &&
-            let a = first + (stride * !j) in
-            Array.unsafe_get st.st_mask
-              (a - (Array.unsafe_get t.addr_row a * t.bpc))
-            = 0
-          do
-            incr j
-          done;
-          !j
-    in
     let bpc = t.bpc and packed = t.packed and nrows = t.nrows in
     let mapped = t.row_mapped and row_map = t.row_map in
+    let steering = t.steering in
+    let steered = Option.is_some steering in
     let n = ref 0 and n_armed = ref 0 and n_bitwise = ref 0 in
     let stop = ref (not !ok) and last_read = !last_read in
     while (not !stop) && !n < count do
@@ -737,12 +772,14 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
         let col = a - (lrow * bpc) in
         let head = Int.min (count - !n) (if up then bpc - col else col + 1) in
         let slot = (row * bpc) + col in
-        (* the run's slots: this row's; a clean row's run goes on through
-           each next logical row that is clean too and lies in step
-           physically, so its slots follow on in [packed].  A
-           fault-armed row's run goes slot by slot. *)
+        (* the run's slots: this row's; a clean row's run, while no
+           column map is armed, goes on through each next logical row
+           that is clean too and lies in step physically, so its slots
+           follow on in [packed].  A fault-armed row's run, and every
+           row's under a column map, goes slot by slot. *)
+        let by_slot = armed_row || steered in
         let len = ref head in
-        if not armed_row then begin
+        if not by_slot then begin
           let j = ref 1 in
           while
             !n + !len < count
@@ -760,38 +797,53 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
         let len = !len in
         let m = alt land -(a land 1) in
         let k =
-          if not armed_row then
+          if not by_slot then
             span_slots packed ~slot ~stride ~len ~pre ~final ~alt m
           else begin
             (* slot by slot, up to the first that does not complete: an
-               unarmed slot packed, an armed one bitwise unless it holds
-               coupling machinery *)
+               unarmed or plain steered slot packed, an armed one
+               bitwise unless it holds coupling machinery *)
             let k = ref 0 and go = ref true in
             while !go && !k < len do
-              let s = slot + (stride * !k) and c = col + (stride * !k) in
+              let sl = slot + (stride * !k) and c = col + (stride * !k) in
               let mk = m lxor (alt land -(!k land 1)) in
-              (if mask ms c 0 = 0 then
-                 go :=
-                   span_slots packed ~slot:s ~stride ~len:1 ~pre ~final ~alt mk
-                   = 1
-               else if mask ms c k_victim lor mask ms c k_aggressor <> 0 then
-                 go := false
-               else
-                 (* from the residue the previous address's last read
-                    left *)
-                 let r =
-                   if !n + !k > 0 && n_r > 0 then last_read lxor mk lxor alt
-                   else t.residue
-                 in
-                 let w =
-                   bitwise_ops ms c ~is_write ~op_word ~m:mk
-                     (Array.unsafe_get packed s) r
-                 in
-                 if w < 0 then go := false
-                 else begin
-                   Array.unsafe_set packed s w;
-                   incr n_bitwise
-                 end);
+              (match steering with
+               | Some st when Array.unsafe_get st.st_mask c <> 0 ->
+                   let s = Array.unsafe_get st.st_mask c in
+                   if
+                     steer_plain t st ms c s
+                     && (pre < 0 || read_plain t st ~row ~col:c s = pre lxor mk)
+                   then begin
+                     if final >= 0 then
+                       write_plain t st ~row ~col:c s (final lxor mk)
+                   end
+                   else go := false
+               | _ ->
+                   if (not armed_row) || mask ms c 0 = 0 then begin
+                     let w = Array.unsafe_get packed sl in
+                     if pre >= 0 && w <> pre lxor mk then go := false
+                     else if final >= 0 then
+                       Array.unsafe_set packed sl (final lxor mk)
+                   end
+                   else if mask ms c k_victim lor mask ms c k_aggressor <> 0
+                   then go := false
+                   else
+                     (* from the residue the previous address's last
+                        read left *)
+                     let r =
+                       if !n + !k > 0 && n_r > 0 then
+                         last_read lxor mk lxor alt
+                       else t.residue
+                     in
+                     let w =
+                       bitwise_ops ms c ~is_write ~op_word ~m:mk
+                         (Array.unsafe_get packed sl) r
+                     in
+                     if w < 0 then go := false
+                     else begin
+                       Array.unsafe_set packed sl w;
+                       incr n_bitwise
+                     end);
               if !go then incr k
             done;
             !k
@@ -813,7 +865,7 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
       end
     done;
     (* a bitwise address counts as the per-op path counts it: as reads
-       and writes only *)
+       and writes only; a plain steered one as a packed one *)
     let n = !n and n_armed = !n_armed in
     let n_w = n_ops - n_r in
     t.n_reads <- t.n_reads + (n * n_r);

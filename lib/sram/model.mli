@@ -19,10 +19,11 @@
     victims, retention cells and state-coupling aggressors — is served
     packed, a single array load/store of {!Word.to_int}/{!Word.of_int}.
     Column steering ({!set_col_remap}) serves a steered bit from the
-    spare-column cells.  The sense residue is packed too, one bit per
-    I/O: a packed read sets it to the word read, exactly what the
-    per-bit path would leave, so a stuck-open cell elsewhere in the
-    array does not slow other reads down.  Address and cell decoding
+    spare-column cells, packed too while the word is plain.  The sense
+    residue is packed too, one bit per I/O: a packed read sets it to
+    the word read, exactly what the per-bit path would leave, so a
+    stuck-open cell elsewhere in the array does not slow other reads
+    down.  Address and cell decoding
     go through per-model tables, so no access divides. *)
 
 type t
@@ -54,15 +55,19 @@ val set_remap : t -> (int -> int) option -> unit
     BIRA allocation's output): a word access to mux position [col]
     resolves bit [b] at physical column [f (b*bpc + col)] instead of
     [b*bpc + col].  Spare columns occupy physical columns
-    [cols .. total_cols - 1].  The map is validated and tabulated once
-    here, so [f] is never called again: per column-mux position, the
-    I/O bits whose column is steered away from itself.  A slot with no
-    steered bit keeps its unsteered access (packed or fault-masked).  A
-    steered unarmed slot whose steered bits all land on spare-column
-    cells without fault machinery is the packed word with those bits
-    replaced by the spare cells; any other steered slot resolves every
-    bit through the map, I/O 0 first.  [None], or a map that steers no
-    column, restores identity.
+    [cols .. total_cols - 1].  The map is validated and tabulated
+    here, [f] called at most twice per regular column and never again:
+    per column-mux position, the I/O bits whose column is steered away
+    from itself, the spare columns they land on, and their (I/O, spare
+    column) pairs.  A slot with no steered bit keeps its unsteered
+    access (packed or fault-masked).  A steered slot is plain when each
+    steered bit lands on a spare column of its own, every armed cell of
+    its own slot is one the map steers away (no steered access touches
+    it), and the spare-column cells it lands on carry no fault
+    machinery: it is then the packed word with the steered bits
+    gathered from, and scattered to, those spare cells.  Any other
+    steered slot resolves every bit through the map, I/O 0 first.
+    [None], or a map that steers no column, restores identity.
     @raise Invalid_argument if the map sends any regular column outside
     [0 .. total_cols - 1]; the previous map then stays armed. *)
 val set_col_remap : t -> (int -> int) option -> unit
@@ -102,17 +107,21 @@ val write_int : t -> int -> int -> unit
     stuck-open faults: the element's ops run on its word a word at a
     time, pinned and open bits kept, blocked transitions held, open
     bits read from the running sense residue, and the address commits
-    only if every read matches.  The run stops before the first
-    address whose physical row (through the remap) is out of range,
-    whose slot holds a coupling aggressor or state-coupling victim bit,
-    whose mux position is steered by the column map, or on which a read
-    mismatches; that address is left untouched for
-    {!read_int}/{!write_int}.  The cells, the written-row marks, the
-    sense residue and every {!stats} counter end exactly as the per-op
-    accesses would leave them: an armed slot's ops count as reads and
-    writes only, as on the per-op path, and not in [s_fast_*] or
-    [s_armed_packed].  Returns 0 while the fast path is off, or when an
-    op word or [alt] is wider than [bpw].
+    only if every read matches.  While a column map is armed the run
+    goes word by word, and a plain steered slot (see {!set_col_remap})
+    is run through as its gathered word, the element's final write
+    scattered back.  The run stops before the first address whose
+    physical row (through the remap) is out of range, whose unsteered
+    slot holds a coupling aggressor or state-coupling victim bit, whose
+    steered slot is not plain, or on which a read mismatches; that
+    address is left untouched for {!read_int}/{!write_int}.  The cells,
+    the written-row marks, the sense residue and every {!stats} counter
+    end exactly as the per-op accesses would leave them: an armed
+    slot's ops count as reads and writes only, as on the per-op path,
+    and not in [s_fast_*] or [s_armed_packed]; a plain steered slot's
+    count as packed, in [s_fast_*] on a clean row and in
+    [s_armed_packed] on a fault-armed one.  Returns 0 while the fast
+    path is off, or when an op word or [alt] is wider than [bpw].
     @raise Invalid_argument if the two arrays differ in length. *)
 val march_span :
   ?alt:int ->
@@ -143,15 +152,15 @@ type stats = {
   s_writes : int;  (** word writes (= {!writes}) *)
   s_fast_reads : int;
       (** reads of rows with no armed fault machinery on the packed
-          path (a steered word's steered bits come from spare-column
-          cells) *)
+          path, spans included (a plain steered word's steered bits
+          come from spare-column cells) *)
   s_fast_writes : int;
       (** writes to rows with no armed fault machinery on the packed
-          path *)
+          path, spans included *)
   s_armed_packed : int;
-      (** word ops on fault-armed rows that the packed path served
-          (their unarmed slots, steered ones included), spans
-          included *)
+      (** word ops on fault-armed rows that the packed path served:
+          their unarmed slots, and their plain steered ones, whose
+          armed cells are all steered away; spans included *)
   s_rows_cleared : int;  (** dirty rows zeroed by {!clear} *)
 }
 

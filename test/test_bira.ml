@@ -197,6 +197,25 @@ let test_remap_paths () =
   Alcotest.(check int) "col 5 -> spare 1" (Org.cols org_2d + 1) (cr 5);
   Alcotest.(check int) "col 6 identity" 6 (cr 6)
 
+(* Each line and each spare appears once in a remap's pairs: two lines
+   on one spare would alias one physical line. *)
+let test_remap_duplicates () =
+  let refused msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  refused "Remap2d.col_remap: spare 1 given twice" (fun () ->
+      Remap2d.col_remap org_2d [ (5, 1); (7, 1) ]);
+  refused "Remap2d.col_remap: col 5 given twice" (fun () ->
+      Remap2d.col_remap org_2d [ (5, 0); (5, 1) ]);
+  refused "Remap2d.row_remap: spare 0 given twice" (fun () ->
+      Remap2d.row_remap org_2d [ (3, 0); (9, 0) ]);
+  refused "Remap2d.row_remap: row 3 given twice" (fun () ->
+      Remap2d.row_remap org_2d [ (3, 0); (3, 2) ]);
+  let cr = Remap2d.col_remap org_2d [ (5, 1); (7, 0) ] in
+  Alcotest.(check (list int)) "distinct pairs still map"
+    [ Org.cols org_2d + 1; Org.cols org_2d ]
+    [ cr 5; cr 7 ]
+
 let test_model_col_steering () =
   (* writes land in the steered spare column: a fault in the regular
      column becomes invisible once steering is armed *)
@@ -239,6 +258,40 @@ let test_bira_col_repair () =
   match r.Bira.b_alloc with
   | Some a -> Alcotest.(check (list int)) "column 11" [ 11 ] a.Bira.a_cols
   | None -> Alcotest.fail "no allocation reported"
+
+(* A column repair keeps the verify march on the packed path: the faulty
+   cells of column 11 are all steered away, so every steered word is
+   plain and every op of the passing verify march is served packed,
+   none bit by bit.  The flow's ops are its detection march's, as a fresh
+   model with the same faults counts them, plus its verify march's. *)
+let test_bira_col_repair_packed () =
+  let faults =
+    List.map (fun row -> F.Stuck_at ({ F.row; col = 11 }, false)) [ 0; 2; 4; 6; 8 ]
+  in
+  let backgrounds = Datagen.required_backgrounds ~bpw:8 in
+  let off_packed m =
+    let s = Model.stats m in
+    s.Model.s_reads + s.Model.s_writes - s.Model.s_fast_reads
+    - s.Model.s_fast_writes - s.Model.s_armed_packed
+  in
+  let detect = Model.create org_2d in
+  Model.set_faults detect faults;
+  Alcotest.(check bool) "detection fails" true
+    (Engine.run detect Alg.ifa_9 ~backgrounds <> []);
+  let model = Model.create org_2d in
+  Model.set_faults model faults;
+  let r = Bira.run ~fast:true Bira.Exhaustive model Alg.ifa_9 ~backgrounds in
+  Alcotest.(check bool) "repaired" true
+    (match r.Bira.b_outcome with
+    | Bisram_bisr.Repair.Repaired _ -> true
+    | _ -> false);
+  Alcotest.(check int) "first verify passes" 1 r.Bira.b_rounds;
+  Alcotest.(check (option (list int))) "column 11" (Some [ 11 ])
+    (Option.map (fun a -> a.Bira.a_cols) r.Bira.b_alloc);
+  Alcotest.(check bool) "the verify march runs ops" true
+    (Model.reads model > Model.reads detect);
+  Alcotest.(check int) "verify march ops off the packed path" 0
+    (off_packed model - off_packed detect)
 
 let test_bira_strategies_agree_on_verdict () =
   let faults =
@@ -566,12 +619,16 @@ let () =
     ; ( "remap2d"
       , [ Alcotest.test_case "spare assignment" `Quick test_remap_assign
         ; Alcotest.test_case "row/col remap paths" `Quick test_remap_paths
+        ; Alcotest.test_case "duplicate lines or spares refused" `Quick
+            test_remap_duplicates
         ; Alcotest.test_case "model column steering" `Quick
             test_model_col_steering
         ] )
     ; ( "flow"
       , [ Alcotest.test_case "clean pass" `Quick test_bira_clean
         ; Alcotest.test_case "column repair" `Quick test_bira_col_repair
+        ; Alcotest.test_case "column repair verifies packed" `Quick
+            test_bira_col_repair_packed
         ; Alcotest.test_case "strategies agree" `Quick
             test_bira_strategies_agree_on_verdict
         ; QCheck_alcotest.to_alcotest prop_flow_fast_paths_agree

@@ -590,7 +590,11 @@ let test_stuck_open_fast_read () =
    latter the ops open by steering a regular column onto one faulty
    spare-column cell's column and writing and reading the word that
    reaches it (through a row remap when the cell is on a spare row),
-   so a steered word must consult that cell's fault flags. *)
+   so a steered word must consult that cell's fault flags.  They then
+   steer another column onto a spare column and write and read the
+   word that reaches it, with a fault of any class in the cell the map
+   steers away, which that word, plain while its target is unarmed,
+   must never touch. *)
 let prop_fast_path_equals_legacy_remap =
   QCheck.Test.make ~name:"fast path agrees with legacy path under remap"
     ~count:150
@@ -625,10 +629,15 @@ let prop_fast_path_equals_legacy_remap =
             spare_cells
       in
       let spare = Org.rows org in
+      (* write [v], its complement and [v] again to address [a], reading
+         it back after each write: a steered bit rises and falls from
+         power-up zero *)
+      let triplet a =
+        let v = Random.State.int rng 256 in
+        List.concat_map (fun v -> [ `W (a, v); `R a ]) [ v; v lxor 255; v ]
+      in
       (* steer column [c] onto the first faulty spare-column cell's
-         column, then write [v], its complement and [v] again to the
-         word that reaches the cell, reading it back after each write:
-         the steered bit rises and falls from power-up zero *)
+         column, then drive the word that reaches the cell *)
       let hot_ops =
         match spare_cells with
         | [] -> []
@@ -640,15 +649,45 @@ let prop_fast_path_equals_legacy_remap =
                 let r = Random.State.int rng spare in
                 (r, [ `Remap (r, row - spare) ])
             in
-            let a = (lrow * org.Org.bpc) + (c mod org.Org.bpc) in
-            let v = Random.State.int rng 256 in
             (`Steer (c, q) :: remap)
-            @ List.concat_map
-                (fun v -> [ `W (a, v); `R a ])
-                [ v; v lxor 255; v ]
+            @ triplet ((lrow * org.Org.bpc) + (c mod org.Org.bpc))
       in
+      (* steer regular column [c] of row [r] onto a spare column, with a
+         fault in the cell it steers away *)
+      let away_faults, away_ops =
+        if spare_cols = 0 then ([], [])
+        else
+          let r = Random.State.int rng spare and c = Random.State.int rng cols in
+          let away = { F.row = r; col = c } in
+          let other =
+            { F.row = Random.State.int rng (Org.total_rows org)
+            ; col = Random.State.int rng cols
+            }
+          in
+          let flip () = Random.State.bool rng in
+          let fault =
+            match Random.State.int rng 7 with
+            | 0 -> F.Stuck_at (away, flip ())
+            | 1 -> F.Transition (away, flip ())
+            | 2 -> F.Stuck_open away
+            | 3 -> F.Data_retention (away, flip ())
+            | 4 -> F.Coupling_inversion { aggressor = away; victim = other }
+            | 5 ->
+                F.Coupling_idempotent
+                  { aggressor = away; rising = flip (); victim = other
+                  ; forces = flip () }
+            | _ ->
+                F.State_coupling
+                  { aggressor = other; when_state = flip (); victim = away
+                  ; reads_as = flip () }
+          in
+          ( [ fault ],
+            `Unmap :: `Steer (c, steer_target ())
+            :: triplet ((r * org.Org.bpc) + (c mod org.Org.bpc)) )
+      in
+      let faults = faults @ away_faults in
       let ops =
-        hot_ops
+        hot_ops @ away_ops
         @ List.init 300 (fun _ ->
             match Random.State.int rng 14 with
             | 0 -> `Wait
@@ -732,18 +771,23 @@ let prop_fast_path_equals_legacy_remap =
    a random remap sends logical rows onto spares.  Half the cases arm
    no column map, so spans run through many rows; the other half arm a
    random non-identity one steering up to three regular columns
-   (mostly onto spare columns, so a steered slot takes the spare-bit
-   path when its targets are unflagged and the per-bit path when they
-   are not), and the span must stop at its steered slots.  The element
-   mixes reads and writes in any order (reads before the first write
-   included) over an array whose rows either hold a fill word (often
-   the one those reads expect) or are still power-up zeros and
-   clean.  In a third of the cases the mix is replaced by single-cell
-   faults (stuck-at, transition, stuck-open) on filled regular rows,
-   each stuck value the fill's bit, so those slots read the fill back
-   and a span can run through them; [armed_commits] counts the spans
-   that did. *)
+   (mostly onto spare columns, often two onto one, now and then two
+   bits of one word onto one), with faults of any class in the cells
+   it steers away and, now and then, single-cell faults on the spare
+   cells it steers onto: a steered word is plain, and a span runs
+   through it, while each steered bit has an unarmed spare cell of its
+   own and the word's other bits are unarmed, and it goes bit by bit
+   otherwise.  The element mixes reads and writes in any order (reads
+   before the first write included) over an array whose rows either
+   hold a fill word (often the one those reads expect) or are still
+   power-up zeros and clean.  In a third of the cases the mix is
+   replaced by single-cell faults (stuck-at, transition, stuck-open)
+   on filled regular rows, each stuck value the fill's bit, so those
+   slots read the fill back and a span can run through them;
+   [armed_commits] counts the spans that did, and [steered_commits]
+   the spans that completed an address at a steered mux position. *)
 let armed_commits = ref 0
+let steered_commits = ref 0
 
 let march_span_case ~with_alt (seed, n) =
   let module I = Bisram_faults.Injection in
@@ -797,6 +841,49 @@ let march_span_case ~with_alt (seed, n) =
               let aggressor, victim = if flip () then (reg, c) else (c, reg) in
               F.Coupling_inversion { aggressor; victim })
   in
+  let col_pairs =
+    if flip () then []
+    else
+      let pairs =
+        List.init (1 + int 3) (fun _ ->
+            ( int cols,
+              if tcols = cols || int 5 = 0 then int tcols
+              else cols + int (tcols - cols) ))
+      in
+      (* now and then another I/O of the first pair's mux position onto
+         the same target: one word with two bits on one cell *)
+      match pairs with
+      | (c, q) :: _ when flip () ->
+          let b = (c / bpc) + 1 + int (org.Org.bpw - 1) in
+          pairs @ [ (((b mod org.Org.bpw) * bpc) + (c mod bpc), q) ]
+      | _ -> pairs
+  in
+  (* a fault in a cell the map steers away, which no steered access
+     touches, and now and then one on the spare cell it steers onto *)
+  let faults =
+    faults
+    @ List.concat_map
+        (fun (c, q) ->
+          let away = cell (int rows) c and other = cell (int rows) (int cols) in
+          (match int 5 with
+          | 0 -> F.Stuck_at (away, flip ())
+          | 1 -> F.Transition (away, flip ())
+          | 2 -> F.Stuck_open away
+          | 3 -> F.Coupling_inversion { aggressor = away; victim = other }
+          | _ ->
+              F.State_coupling
+                { aggressor = other; when_state = flip (); victim = away
+                ; reads_as = flip () })
+          ::
+          (if q < cols || int 3 > 0 then []
+           else
+             let target = cell (int rows) q in
+             [ (match int 3 with
+               | 0 -> F.Stuck_at (target, flip ())
+               | 1 -> F.Transition (target, flip ())
+               | _ -> F.Stuck_open target) ]))
+        col_pairs
+  in
   let remap =
     let pairs =
       List.init (int 3) (fun _ -> (int spare, spare + int org.Org.spares))
@@ -807,16 +894,14 @@ let march_span_case ~with_alt (seed, n) =
         (fun row ->
           match List.assoc_opt row pairs with Some s -> s | None -> row)
   in
-  let col_remap =
-    if flip () then None
-    else
-      let pairs =
-        List.init (1 + int 3) (fun _ ->
-            ( int cols,
-              if tcols = cols || int 5 = 0 then int tcols
-              else cols + int (tcols - cols) ))
-      in
-      Some (fun c -> match List.assoc_opt c pairs with Some q -> q | None -> c)
+  let steer c = match List.assoc_opt c col_pairs with Some q -> q | None -> c in
+  let col_remap = if col_pairs = [] then None else Some steer in
+  let steered_at a =
+    List.exists
+      (fun b ->
+        let c = (b * bpc) + (a mod bpc) in
+        steer c <> c)
+      (List.init org.Org.bpw Fun.id)
   in
   let n_ops = 1 + int 4 in
   let is_write = Array.init n_ops (fun _ -> flip ()) in
@@ -882,6 +967,10 @@ let march_span_case ~with_alt (seed, n) =
     > d (fun s ->
           s.Model.s_fast_reads + s.Model.s_fast_writes + s.Model.s_armed_packed)
   then incr armed_commits;
+  if
+    List.exists steered_at
+      (List.init k (fun i -> if up then first + i else first - i))
+  then incr steered_commits;
   let log_span = per_op m_span ~from:k in
   let m_ref = build () in
   let log_ref = per_op m_ref ~from:0 in
@@ -891,16 +980,20 @@ let march_span_case ~with_alt (seed, n) =
   && observe m_span = observe m_ref
   && Model.march_span ~alt off ~up ~first ~count ~is_write ~op_word = 0
 
-(* The property, then: some of its spans ran an armed slot bitwise. *)
-let committing_armed_slots prop =
+(* The property, then: some of its spans ran an armed slot bitwise, and
+   some ran through a steered word. *)
+let committing_spans prop =
   let name, speed, run = QCheck_alcotest.to_alcotest prop in
   ( name,
     speed,
     fun () ->
       armed_commits := 0;
+      steered_commits := 0;
       run ();
       Alcotest.(check bool) "some span committed an armed slot" true
-        (!armed_commits > 0) )
+        (!armed_commits > 0);
+      Alcotest.(check bool) "some span committed a steered word" true
+        (!steered_commits > 0) )
 
 let prop_march_span_equals_per_op =
   QCheck.Test.make ~name:"march span = per-op accesses" ~count:300
@@ -1224,8 +1317,8 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_fast_path_equals_legacy_remap
         ; Alcotest.test_case "march span on a clean array" `Quick
             test_march_span_clean_array
-        ; committing_armed_slots prop_march_span_equals_per_op
-        ; committing_armed_slots prop_march_span_alt_equals_per_op
+        ; committing_spans prop_march_span_equals_per_op
+        ; committing_spans prop_march_span_alt_equals_per_op
         ; Alcotest.test_case "march span through armed rows" `Quick
             test_march_span_armed_rows
         ; Alcotest.test_case "march span through one fault slot" `Quick
