@@ -127,18 +127,20 @@ let delay_penalty p ~org ~word_registers =
   (* the word-register CAM matches in parallel with the row TLB; its
      match line carries the full word address (log2 words bits instead
      of log2 rows), and the total is max of the two matches plus the
-     shared encode/drive path *)
-  ignore word_registers;
+     shared encode/drive path.  With no registers there is no word CAM,
+     only the row TLB. *)
   let row = Tlb_timing.delay p ~org in
-  let log2i n =
-    let rec go acc k = if k <= 1 then acc else go (acc + 1) (k / 2) in
-    go 0 n
-  in
-  let row_bits = max 1 (log2i (Org.rows org)) in
-  let word_bits = max 1 (log2i org.Org.words) in
-  let word_match =
-    row.Tlb_timing.match_line *. float_of_int word_bits
-    /. float_of_int row_bits
-  in
-  Tlb_timing.total row -. row.Tlb_timing.match_line
-  +. max row.Tlb_timing.match_line word_match
+  if word_registers = 0 then Tlb_timing.total row
+  else
+    let log2i n =
+      let rec go acc k = if k <= 1 then acc else go (acc + 1) (k / 2) in
+      go 0 n
+    in
+    let row_bits = max 1 (log2i (Org.rows org)) in
+    let word_bits = max 1 (log2i org.Org.words) in
+    let word_match =
+      row.Tlb_timing.match_line *. float_of_int word_bits
+      /. float_of_int row_bits
+    in
+    Tlb_timing.total row -. row.Tlb_timing.match_line
+    +. max row.Tlb_timing.match_line word_match

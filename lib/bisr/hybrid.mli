@@ -39,8 +39,10 @@ val repair :
   backgrounds:Bisram_sram.Word.t list ->
   [ `Passed_clean | `Repaired of plan | `Unsuccessful ]
 
-(** Additional delay vs the plain TLB: one more parallel CAM bank
-    (word registers) — still one match time, not sequential. *)
+(** Total TLB delay, seconds, with [word_registers] word registers
+    beside the row TLB: they add one more parallel CAM bank, so the
+    path still holds one match time, not two in sequence.  With 0
+    registers it is the plain [Tlb_timing.total]. *)
 val delay_penalty :
   Bisram_tech.Process.t -> org:Bisram_sram.Org.t -> word_registers:int ->
   float

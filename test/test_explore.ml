@@ -488,21 +488,6 @@ let test_report_roundtrip () =
           Alcotest.(check bool) "pretty = compact document" true (compact = doc)
       | Error e -> Alcotest.fail ("compact form does not re-parse: " ^ e)
 
-(* The smoke sweep's report bytes (the golden file is the CLI output of
-   `explore --spec examples/explore_smoke.spec --jobs 1`, captured
-   while MTTF was still computed by numeric integration).  It pins
-   every evaluator, the Fig.-5 crossover ages included. *)
-let test_golden_smoke_bytes () =
-  let spec =
-    match Spec.of_string (Fixture.read "../examples/explore_smoke.spec") with
-    | Ok s -> s
-    | Error e -> Alcotest.fail ("smoke spec rejected: " ^ e)
-  in
-  Alcotest.(check string)
-    "explore_smoke report is byte-identical to the golden capture"
-    (Fixture.read "golden_explore_smoke.json")
-    (Explore.pretty_json_string (Explore.run ~jobs:1 spec))
-
 (* ------------------------------------------------------------------ *)
 (* pareto frontier *)
 
@@ -563,8 +548,6 @@ let () =
             test_evaluator_raise_propagates
         ; Alcotest.test_case "diskless run" `Quick test_diskless_run
         ; Alcotest.test_case "report round-trip" `Quick test_report_roundtrip
-        ; Alcotest.test_case "golden explore_smoke bytes" `Quick
-            test_golden_smoke_bytes
         ] )
     ; ( "self-heal",
         [ Alcotest.test_case "corrupt entries quarantined" `Quick
