@@ -1,4 +1,4 @@
-.PHONY: all build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact ci loc clean
+.PHONY: all build test hot-path-lint campaign-smoke campaign-determinism estimator-smoke trace-smoke events-smoke explore-smoke chaos-smoke bira-smoke resume-determinism perfbench-exact ci profile loc clean
 
 all: build
 
@@ -319,6 +319,14 @@ LOC_FILES = bin/bisramgen.ml lib/campaign/campaign.ml \
   lib/campaign/trial.ml lib/campaign/record.ml lib/campaign/tally.ml \
   lib/sram/model.ml lib/bist/controller.ml
 GATE_FILES = $(wildcard test/*.ml) test/dune test/cli_errors.sh Makefile
+
+# Where a repair-limited campaign spends its time (not in ci): a ptrace
+# instruction-pointer sampler stops the run every millisecond and prints
+# per-function and per-line sample shares.  Shares only, not timings:
+# perfbench is the timing harness.
+profile: build
+	python3 bench/ipsample.py --lines -- _build/default/bin/bisramgen.exe \
+	  campaign --mode poisson --mean 3 --trials 8000 --seed 7
 
 loc:
 	@printf '%7d  %s\n' $$(cat $$(find bin lib -name '*.ml' -o -name '*.mli') | wc -l) 'bin/ + lib/'

@@ -258,7 +258,7 @@ type arch = {
    sweep, and the analog's verdict is reported for both flows.  The
    analog checks each failure bit by bit; only a disagreement runs the
    reference, on a model of its own. *)
-let arch cfg =
+let build_arch cfg =
   let bgs = backgrounds cfg and march = cfg.march in
   let side ?(rounds = 1) s_run s_outcome s_alloc s_model =
     { s_outcome; s_alloc; s_rounds = rounds; s_run; s_model }
@@ -308,6 +308,19 @@ let arch cfg =
       ; check_span = "oracle"
       ; iterated_by_check = false
       }
+
+(* The last configuration's architecture, shared by every domain: a
+   campaign runs every trial, and every shrink step, with one
+   configuration, and an architecture only closes over it. *)
+let last_arch : (config * arch) option Atomic.t = Atomic.make None
+
+let arch cfg =
+  match Atomic.get last_arch with
+  | Some (c, a) when c == cfg -> a
+  | _ ->
+      let a = build_arch cfg in
+      Atomic.set last_arch (Some (cfg, a));
+      a
 
 (* The differential oracle on an under-test/oracle pair: outcome first,
    then the allocation both passing sides armed. *)

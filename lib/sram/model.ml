@@ -83,6 +83,38 @@ type t = {
      zeros. *)
   row_written : Bytes.t;
   mutable fast : bool; (* test seam: disable to force the legacy path *)
+  (* Lazy clean rows (see [lz_mark]): [lz_phys] marks, per physical
+     row, a row that stores no words but holds the march's image, and
+     [lz_run], per logical row [r], the lazy runs from [r] upward (byte
+     [2r]) and downward ([2r + 1]), 0 on an eager row and capped at
+     255, so a span skips a run in one step.  [lz_lo] is the first
+     address of the lowest lazy logical row and [lz_hi] one past the
+     highest's last.  Both tables are zero while no row is lazy. *)
+  lz_phys : Bytes.t;
+  lz_run : Bytes.t;
+  mutable lz_on : bool;
+  mutable lz_intact : bool; (* every eligible row is lazy *)
+  mutable lz_lo : int;
+  mutable lz_hi : int;
+  (* The image a lazy row holds until the element in flight reaches
+     it: its even- and odd-column words and whether an element since
+     [clear] wrote it. *)
+  mutable img_even : int;
+  mutable img_odd : int;
+  mutable img_w : bool;
+  (* The element in flight: its direction, the word its reads before a
+     write expect and its final write (-1 for none), its parity mask,
+     the next address it processes, and whether its last span stopped
+     there (on an eager row, which the caller then runs per op).  A
+     lazy row it has passed holds its final write instead of the
+     image. *)
+  mutable el_on : bool;
+  mutable el_up : bool;
+  mutable el_pre : int;
+  mutable el_final : int;
+  mutable el_alt : int;
+  mutable el_next : int;
+  mutable el_stop : bool;
 }
 
 let org t = t.org
@@ -164,6 +196,22 @@ let create org =
   ; n_rows_cleared = 0
   ; row_written = Bytes.make nrows '\000'
   ; fast = true
+  ; lz_phys = Bytes.make nrows '\000'
+  ; lz_run = Bytes.make (2 * Org.rows org) '\000'
+  ; lz_on = false
+  ; lz_intact = false
+  ; lz_lo = 0
+  ; lz_hi = 0
+  ; img_even = 0
+  ; img_odd = 0
+  ; img_w = false
+  ; el_on = false
+  ; el_up = true
+  ; el_pre = -1
+  ; el_final = -1
+  ; el_alt = 0
+  ; el_next = 0
+  ; el_stop = false
   }
 
 let idx t (c : F.cell) =
@@ -229,6 +277,157 @@ let arm t (c : F.cell) k =
 
 let mark_row_written t row = Bytes.unsafe_set t.row_written row '\001'
 
+let physical_row t row =
+  if t.row_mapped then Array.unsafe_get t.row_map row else row
+
+(* ------------------------------------------------------------------ *)
+(* Lazy clean rows.  A lazy row reached by logical row [lr] holds the
+   element in flight's final write (its parity mask on the odd columns)
+   once the element has passed [lr], and the image otherwise; it counts
+   as written when the word it holds was.  Any access the span kernel
+   does not account for writes every lazy row out first ([lz_write_out])
+   and ends laziness until the next [clear]. *)
+
+let[@inline] is_lazy t row = Bytes.unsafe_get t.lz_phys row <> '\000'
+let[@inline] lz_run t i = Char.code (Bytes.unsafe_get t.lz_run i)
+let lz_rows t = Bytes.length t.lz_run lsr 1
+
+(* Has the element in flight passed logical row [lr]? *)
+let lz_reached t lr =
+  t.el_on
+  && if t.el_up then (lr + 1) * t.bpc <= t.el_next else lr * t.bpc > t.el_next
+
+(* Store words [even] and [odd] in physical row [row]'s slots by column
+   parity, and mark it written if [w]. *)
+let lz_fill t row ~even ~odd ~w =
+  let base = row * t.bpc in
+  for col = 0 to t.bpc - 1 do
+    Array.unsafe_set t.packed (base + col) (if col land 1 = 0 then even else odd)
+  done;
+  if w then mark_row_written t row
+
+let lz_off t =
+  t.lz_on <- false;
+  t.lz_intact <- false;
+  t.el_on <- false;
+  Bytes.fill t.lz_phys 0 t.nrows '\000';
+  Bytes.fill t.lz_run 0 (Bytes.length t.lz_run) '\000'
+
+(* Every lazy row's words and written mark, stored as the eager path
+   would have left them; laziness ends. *)
+let lz_write_out t =
+  if t.lz_on then begin
+    let fin = t.el_final in
+    for lr = 0 to lz_rows t - 1 do
+      if lz_run t (2 * lr) > 0 then
+        let row = physical_row t lr in
+        if fin >= 0 && lz_reached t lr then
+          lz_fill t row ~even:fin ~odd:(fin lxor t.el_alt) ~w:true
+        else lz_fill t row ~even:t.img_even ~odd:t.img_odd ~w:t.img_w
+    done;
+    lz_off t
+  end
+
+(* The lazy rows the eager path would have marked written. *)
+let lz_written_rows t =
+  let n = ref 0 in
+  for lr = 0 to lz_rows t - 1 do
+    if
+      lz_run t (2 * lr) > 0
+      && (t.img_w || (t.el_final >= 0 && lz_reached t lr))
+    then incr n
+  done;
+  !n
+
+(* Between elements: an element in flight that has passed every lazy
+   row leaves its final write as the image; one that has not is written
+   out. *)
+let lz_settle t =
+  if t.lz_on && t.el_on then
+    if if t.el_up then t.el_next >= t.lz_hi else t.el_next < t.lz_lo then begin
+      if t.el_final >= 0 then begin
+        t.img_even <- t.el_final;
+        t.img_odd <- t.el_final lxor t.el_alt;
+        t.img_w <- true
+      end;
+      t.el_on <- false
+    end
+    else lz_write_out t
+
+(* The run tables and address bounds of the rows [lz_phys] marks. *)
+let lz_tabulate t =
+  let rows = lz_rows t and run = t.lz_run in
+  let lo = ref (-1) and hi = ref (-1) in
+  for lr = 0 to rows - 1 do
+    let row = physical_row t lr in
+    let d =
+      if row < 0 || row >= t.nrows || not (is_lazy t row) then 0
+      else if lr = 0 then 1
+      else Int.min 255 (1 + lz_run t ((2 * lr) - 1))
+    in
+    Bytes.unsafe_set run ((2 * lr) + 1) (Char.unsafe_chr d);
+    if d > 0 then begin
+      if !lo < 0 then lo := lr;
+      hi := lr
+    end
+  done;
+  for lr = rows - 1 downto 0 do
+    let u =
+      if lz_run t ((2 * lr) + 1) = 0 then 0
+      else if lr = rows - 1 then 1
+      else Int.min 255 (1 + lz_run t ((2 * lr) + 2))
+    in
+    Bytes.unsafe_set run (2 * lr) (Char.unsafe_chr u)
+  done;
+  t.lz_on <- !lo >= 0;
+  t.lz_lo <- !lo * t.bpc;
+  t.lz_hi <- (!hi + 1) * t.bpc
+
+(* Mark the lazy rows: an unarmed physical row that exactly one logical
+   row reaches and that holds no state-coupling aggressor (whose victim
+   reads its cells).  With [~keep] (a new row map between elements) a
+   row stays lazy only if it was, and a lazy row the map no longer
+   reaches exactly once is stored with the image.  Each [lz_phys] byte
+   counts its row's logical rows in bits 0-1 (2 for two or more) and
+   keeps its old mark in bit 2. *)
+let lz_mark t ~keep =
+  let ph = t.lz_phys in
+  for row = 0 to t.nrows - 1 do
+    Bytes.unsafe_set ph row (if keep && is_lazy t row then '\004' else '\000')
+  done;
+  let reach row n =
+    let b = Char.code (Bytes.unsafe_get ph row) in
+    Bytes.unsafe_set ph row
+      (Char.unsafe_chr (b land 4 lor Int.min 2 ((b land 3) + n)))
+  in
+  for lr = 0 to lz_rows t - 1 do
+    let row = physical_row t lr in
+    if row >= 0 && row < t.nrows then reach row 1
+  done;
+  List.iter (fun (_, agg, _, _) -> reach t.cell_row.(agg) 2) t.state_cpl;
+  t.lz_intact <- true;
+  for row = 0 to t.nrows - 1 do
+    let b = Char.code (Bytes.unsafe_get ph row) in
+    let eligible = b land 3 = 1 && not (row_is_faulty t row) in
+    let was = b land 4 <> 0 in
+    if was && not eligible then
+      lz_fill t row ~even:t.img_even ~odd:t.img_odd ~w:t.img_w;
+    let lazy_row = eligible && (was || not keep) in
+    if eligible && not lazy_row then t.lz_intact <- false;
+    Bytes.unsafe_set ph row (if lazy_row then '\001' else '\000')
+  done;
+  lz_tabulate t
+
+(* At [clear]: every eligible row lazy, unless the access path, a
+   column map or an odd [bpc] rules laziness out. *)
+let lz_rebuild t =
+  if t.fast && Option.is_none t.steering && t.bpc land 1 = 0 then
+    lz_mark t ~keep:false
+  else begin
+    lz_off t;
+    t.lz_intact <- true
+  end
+
 (* Can the word slot at mux position [col] of a row with masks [ms] take
    the packed path: plain loads and stores of [packed], no per-cell
    machinery?  Only an armed slot leaves it, and only a fault-armed row
@@ -242,6 +441,7 @@ let with_bit w bit v = if v then w lor (1 lsl bit) else w land lnot (1 lsl bit)
    is a bit of its word slot, or of its row's spare int. *)
 let stored t i =
   let row = t.cell_row.(i) in
+  if is_lazy t row then lz_write_out t;
   let c = i - (row * t.tcols) in
   if c < t.cols then
     let bit = Array.unsafe_get t.col_bit c in
@@ -252,6 +452,7 @@ let stored t i =
 
 let store t i v =
   let row = t.cell_row.(i) in
+  if is_lazy t row then lz_write_out t;
   let c = i - (row * t.tcols) in
   if c < t.cols then begin
     let bit = Array.unsafe_get t.col_bit c in
@@ -263,12 +464,21 @@ let store t i v =
     Array.unsafe_set t.spare row
       (with_bit (Array.unsafe_get t.spare row) (c - t.cols) v)
 
-let set_fast_path t on = t.fast <- on
+let set_fast_path t on =
+  if on <> t.fast then begin
+    lz_write_out t;
+    t.lz_intact <- false;
+    t.fast <- on
+  end
 
 let clear t =
   (* power-up fill, dirty rows only: a row holds non-zero data only if
      it was written (or force-stored / decayed, which is confined to
-     fault-armed rows) since the previous clear *)
+     fault-armed rows) since the previous clear.  A lazy row stores
+     nothing: it is only counted, when the eager path would have
+     written it. *)
+  if t.lz_on then
+    t.n_rows_cleared <- t.n_rows_cleared + lz_written_rows t;
   for row = 0 to t.nrows - 1 do
     if
       Bytes.unsafe_get t.row_written row <> '\000' || row_is_faulty t row
@@ -279,6 +489,11 @@ let clear t =
       t.n_rows_cleared <- t.n_rows_cleared + 1
     end
   done;
+  t.img_even <- 0;
+  t.img_odd <- 0;
+  t.img_w <- false;
+  t.el_on <- false;
+  if not t.lz_intact then lz_rebuild t;
   (* re-assert pinned cells: the last Stuck_at on a cell wins *)
   List.iter
     (fun f -> match f with F.Stuck_at (c, v) -> store t (idx t c) v | _ -> ())
@@ -288,6 +503,8 @@ let clear t =
 let set_faults t faults =
   (* refuse a bad list before the old configuration goes *)
   List.iter (fun f -> List.iter (fun c -> ignore (idx t c)) (F.cells f)) faults;
+  lz_write_out t;
+  t.lz_intact <- false;
   (* tear down the previous fault machinery, armed rows only *)
   for row = 0 to t.nrows - 1 do
     if row_is_faulty t row then begin
@@ -342,21 +559,40 @@ let set_faults t faults =
    learns only in the controller's first pass, with no remap armed,
    and in [Repair.iterate]'s learn step, which its arm step always
    follows. *)
+(* After a new row map: the lazy rows it still reaches exactly once
+   stay lazy. *)
+let remapped t = if t.lz_on then lz_mark t ~keep:true else t.lz_intact <- false
+
 let set_remap t f =
-  t.row_mapped <- false;
   match f with
-  | None -> ()
-  | Some f ->
+  | None when not t.row_mapped -> () (* identity stays identity *)
+  | None ->
+      lz_settle t;
+      t.row_mapped <- false;
+      remapped t
+  | Some f -> (
+      lz_settle t;
+      t.row_mapped <- false;
       let n = Org.rows t.org in
       if Array.length t.row_map <> n then t.row_map <- Array.make n 0;
-      for r = 0 to n - 1 do
-        Array.unsafe_set t.row_map r (f r)
-      done;
-      t.row_mapped <- true
+      match
+        for r = 0 to n - 1 do
+          Array.unsafe_set t.row_map r (f r)
+        done
+      with
+      | () ->
+          t.row_mapped <- true;
+          remapped t
+      | exception e ->
+          remapped t;
+          raise e)
 
+(* A column map ends laziness, and [clear] looks again once it goes. *)
 let set_col_remap t f =
   match f with
-  | None -> t.steering <- None
+  | None ->
+      if Option.is_some t.steering then t.lz_intact <- false;
+      t.steering <- None
   | Some g ->
       (* validate and tabulate the whole map up front, so the hot path
          neither checks nor calls [g]: a first pass over the columns
@@ -375,8 +611,13 @@ let set_col_remap t f =
         end
       done;
       (* a map that steers nothing arms nothing *)
-      if !n = 0 then t.steering <- None
+      if !n = 0 then begin
+        if Option.is_some t.steering then t.lz_intact <- false;
+        t.steering <- None
+      end
       else begin
+        lz_write_out t;
+        t.lz_intact <- false;
         let st_spare = Array.make t.bpc 0
         and st_off = Array.make (t.bpc + 1) 0
         and st_pairs = Array.make (2 * !n) 0 in
@@ -451,9 +692,6 @@ let read_bit t ~io i =
   if has f k_open then (t.residue lsr io) land 1 = 1
   else if not (has f k_victim) then stored t i
   else sense_coupled t i (stored t i) t.state_cpl
-
-let physical_row t row =
-  if t.row_mapped then Array.unsafe_get t.row_map row else row
 
 (* A word access is fast when its slot is unarmed ([fast_slot]) and
    unsteered: no pin, transition or open fault to consult, no aggressor
@@ -542,6 +780,7 @@ let[@inline] count_packed_read t ms =
 
 let write_at t ~row ~col v =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
+  if is_lazy t row then lz_write_out t;
   let ms = Array.unsafe_get t.row_masks row in
   (match t.steering with
   | Some st when Array.unsafe_get st.st_mask col <> 0 ->
@@ -585,6 +824,7 @@ let write_at t ~row ~col v =
 
 let read_at t ~row ~col =
   if row < 0 || row >= t.nrows then invalid_arg "Model: row out of range";
+  if is_lazy t row then lz_write_out t;
   t.n_reads <- t.n_reads + 1;
   let ms = Array.unsafe_get t.row_masks row in
   let v =
@@ -724,6 +964,35 @@ let bitwise_ops ms col ~is_write ~op_word ~m w r =
    the address that stops a run still mismatches, or holds coupling
    machinery or a steered bit off the plain path, as the per-op path
    would find it. *)
+(* Place a span of [count] addresses from [first] in the element in
+   flight: its continuation (the same words, parity and direction, from
+   the address the last span ended at, or from the next one when the
+   last span stopped there, on an eager row the caller ran per op) or a
+   new element's first call (its first address, every address left),
+   which settles the last element.  Anything else writes every lazy row
+   out. *)
+let lz_enter t ~up ~first ~count ~pre ~final ~alt =
+  let next = t.el_next in
+  if
+    not
+      (t.el_on && t.el_up = up && t.el_pre = pre && t.el_final = final
+     && t.el_alt = alt
+      && (first = next || (t.el_stop && first = next + if up then 1 else -1))
+      )
+  then
+    if count = t.org.Org.words then begin
+      lz_settle t;
+      if t.lz_on then begin
+        t.el_on <- true;
+        t.el_up <- up;
+        t.el_pre <- pre;
+        t.el_final <- final;
+        t.el_alt <- alt;
+        t.el_next <- first
+      end
+    end
+    else lz_write_out t
+
 let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
   let n_ops = Array.length is_write in
   if Array.length op_word <> n_ops then
@@ -755,6 +1024,14 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
       if first < 0 || first >= words then 0
       else Int.min count (if up then words - first else first + 1)
     in
+    let tracked =
+      t.lz_on && !ok && count > 0
+      && begin
+           lz_enter t ~up ~first ~count ~pre ~final ~alt;
+           t.lz_on
+         end
+    in
+    let dn = if up then 0 else 1 and edge = if up then 0 else t.bpc - 1 in
     let bpc = t.bpc and packed = t.packed and nrows = t.nrows in
     let mapped = t.row_mapped and row_map = t.row_map in
     let steering = t.steering in
@@ -765,11 +1042,30 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
       let a = first + (stride * !n) in
       let lrow = Array.unsafe_get t.addr_row a in
       let row = if mapped then Array.unsafe_get row_map lrow else lrow in
-      if row < 0 || row >= nrows then stop := true
+      let col = a - (lrow * bpc) in
+      (* a run of lazy rows, entered at its edge, is passed whole when
+         their image matches the element's first reads; otherwise every
+         lazy row is written out and this one goes the eager way *)
+      let run = lz_run t ((2 * lrow) + dn) in
+      let skip =
+        if run = 0 then 0
+        else
+          let k = Int.min run ((count - !n) / bpc) in
+          if
+            k > 0 && col = edge
+            && (pre < 0 || (pre = t.img_even && pre lxor alt = t.img_odd))
+          then k * bpc
+          else begin
+            t.el_next <- a;
+            lz_write_out t;
+            0
+          end
+      in
+      if skip > 0 then n := !n + skip
+      else if row < 0 || row >= nrows then stop := true
       else begin
         let ms = Array.unsafe_get t.row_masks row in
         let armed_row = Array.length ms > 0 in
-        let col = a - (lrow * bpc) in
         let head = Int.min (count - !n) (if up then bpc - col else col + 1) in
         let slot = (row * bpc) + col in
         (* the run's slots: this row's; a clean row's run, while no
@@ -788,7 +1084,8 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
             let r = if mapped then Array.unsafe_get row_map lr else lr in
             r = row + (stride * !j)
             && r >= 0 && r < nrows
-            && not (row_is_faulty t r)
+            && (not (row_is_faulty t r))
+            && not (is_lazy t r)
           do
             len := Int.min (count - !n) (!len + bpc);
             incr j
@@ -867,6 +1164,10 @@ let march_span ?(alt = 0) t ~up ~first ~count ~is_write ~op_word =
     (* a bitwise address counts as the per-op path counts it: as reads
        and writes only; a plain steered one as a packed one *)
     let n = !n and n_armed = !n_armed in
+    if tracked && t.lz_on then begin
+      t.el_next <- first + (stride * n);
+      t.el_stop <- n < count
+    end;
     let n_w = n_ops - n_r in
     t.n_reads <- t.n_reads + (n * n_r);
     t.n_fast_reads <- t.n_fast_reads + ((n - n_armed) * n_r);
@@ -927,3 +1228,10 @@ let stats t =
   ; s_armed_packed = t.n_armed_packed
   ; s_rows_cleared = t.n_rows_cleared
   }
+
+let lazy_rows t =
+  let n = ref 0 in
+  for row = 0 to t.nrows - 1 do
+    if is_lazy t row then incr n
+  done;
+  !n

@@ -24,7 +24,13 @@
     the word read, exactly what the per-bit path would leave, so a
     stuck-open cell elsewhere in the array does not slow other reads
     down.  Address and cell decoding
-    go through per-model tables, so no access divides. *)
+    go through per-model tables, so no access divides.
+
+    Fault-free rows are lazy (see {!clear}): between clears, a row that
+    only whole march elements have touched stores no words and holds
+    the last element's image, and {!march_span} passes a run of such
+    rows in one step.  Any other access writes them out first, so
+    laziness is invisible to every reader. *)
 
 type t
 
@@ -48,7 +54,12 @@ val set_faults : t -> Bisram_faults.Fault.t list -> unit
     install it again (the row TLB is re-armed after every round it
     learns).  Rows outside [0 .. total_rows - 1] are accepted here and
     refused by the access that reaches them.  If [f] raises, no map
-    stays armed. *)
+    stays armed.  Installed between march elements, a map keeps lazy
+    (see {!clear}) each lazy row it still reaches from exactly one
+    logical row and writes the others out; the rows it newly reaches
+    stay eager until the next {!clear}.  Installed while an element has
+    lazy rows still to pass, it writes every lazy row out.  [None]
+    while no map is armed changes nothing. *)
 val set_remap : t -> (int -> int) option -> unit
 
 (** [set_col_remap t f] installs a physical-column steering map (the 2D
@@ -122,6 +133,18 @@ val write_int : t -> int -> int -> unit
     count as packed, in [s_fast_*] on a clean row and in
     [s_armed_packed] on a fault-armed one.  Returns 0 while the fast
     path is off, or when an op word or [alt] is wider than [bpw].
+
+    Lazy rows (see {!clear}) are passed a run at a time, in one step,
+    when the call is an element's first (its first address, every
+    address left) or its continuation (the same op words, parity and
+    direction, resuming where the last span ended or, if it stopped
+    there, at the next address), the run's rows enter whole, and the
+    element's first reads match the lazy rows' image.  An element's
+    first call settles the previous one: if that passed every lazy
+    row, its final write becomes the image; if not, the lazy rows are
+    written out.  Any other call, a read that disagrees with the image
+    and a run cut short by [count] write every lazy row out first,
+    and the span goes on through those rows as through any eager row.
     @raise Invalid_argument if the two arrays differ in length. *)
 val march_span :
   ?alt:int ->
@@ -167,15 +190,34 @@ type stats = {
 (** Access-path counters since creation.  [s_fast_*] keep meaning
     "rows with no armed machinery", so traffic on fault-armed rows is
     [s_reads - s_fast_reads] / [s_writes - s_fast_writes], of which
-    [s_armed_packed] ops were packed loads or stores.  These are
+    [s_armed_packed] ops were packed loads or stores.  A lazy row's
+    ops count as the packed ops on a clean row they stand for, and
+    [s_rows_cleared] counts a lazy row an element wrote as the dirty
+    row it would have been.  These are
     plain per-model ints (no global telemetry involved); the campaign
     flushes them into the {!Bisram_obs.Obs} registry per trial. *)
 val stats : t -> stats
 
 (** Forget all stored data (power-up state: zeros, pinned cells at their
     stuck value); counters and faults are preserved.  Only rows written
-    since the previous clear (plus fault-armed rows) are touched. *)
+    since the previous clear (plus fault-armed rows) are touched.
+
+    Then every row that is unarmed, reached by exactly one logical row
+    of the row map and holds no state-coupling aggressor goes lazy,
+    while the fast path is on, no column map is armed and [bpc] is
+    even: it stores no words, and holds the march's image, the last
+    whole element's final write (with its parity mask on the odd
+    columns), or the image before that until the element in flight
+    passes it.  A per-op access or cell-level store on a lazy row,
+    {!set_col_remap} with a map that steers a column,
+    {!set_fast_path} and {!set_faults} first write every lazy row out,
+    with the words and written marks the eager path would have left,
+    and end laziness until the next [clear]. *)
 val clear : t -> unit
+
+(** How many physical rows are lazy right now (see {!clear}): a seam
+    for tests and profiling, it changes nothing. *)
+val lazy_rows : t -> int
 
 (** Testing seam: [set_fast_path t false] forces every access through
     the per-cell fault machinery, on every bit, even on fault-free

@@ -247,6 +247,27 @@ let test_engine_detects_retention_only_with_wait () =
   Alcotest.(check bool) "MATS+ misses DRF" true
     (Engine.passes m Alg.mats_plus ~backgrounds:bgs8)
 
+(* The engine and the controller drive every element through
+   [Model.march_span] in the calls it recognises as one element, so no
+   fault-free row of the array is written out: 16 lazy rows clean, 15
+   with row 3 armed (the spare rows are unreached). *)
+let test_runs_keep_rows_lazy () =
+  let ctl = Controller.compile Alg.ifa_9 ~words:64 ~backgrounds:bgs8 in
+  List.iter
+    (fun (faults, want) ->
+      let label = Printf.sprintf "%d fault(s)" (List.length faults) in
+      let m = Model.create (small ()) in
+      Model.set_faults m faults;
+      ignore (Engine.run m Alg.ifa_9 ~backgrounds:bgs8);
+      Alcotest.(check int) ("Engine.run, " ^ label) want (Model.lazy_rows m);
+      let m = Model.create (small ()) in
+      Model.set_faults m faults;
+      ignore (Controller.run ctl m Controller.no_repair_hooks);
+      Alcotest.(check int)
+        ("Controller.run, " ^ label)
+        want (Model.lazy_rows m))
+    [ ([], 16); ([ F.Stuck_at (cell 3 9, true) ], 15) ]
+
 let test_engine_op_count () =
   let org = small () in
   Alcotest.(check int) "12N x words x bgs" (12 * 64 * 5)
@@ -867,6 +888,8 @@ let () =
         ; Alcotest.test_case "retention needs wait" `Quick
             test_engine_detects_retention_only_with_wait
         ; Alcotest.test_case "op count" `Quick test_engine_op_count
+        ; Alcotest.test_case "runs keep clean rows lazy" `Quick
+            test_runs_keep_rows_lazy
         ] )
     ; ( "controller",
         [ Alcotest.test_case "clean run" `Quick test_controller_clean

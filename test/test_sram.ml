@@ -1253,6 +1253,44 @@ let test_march_span_many_armed_rows () =
   Alcotest.(check (list (triple int int int))) "no mismatch per op" [] !log;
   Alcotest.(check bool) "same as per-op" true (observe m = observe per_op)
 
+(* Which rows go lazy: after [clear], every unarmed row exactly one
+   logical row reaches, except a state-coupling aggressor's, whose
+   victim reads its cells; a new row map keeps only the lazy rows it
+   still reaches once, and the rows it newly reaches wait for the next
+   [clear]; a per-op access, a column map or an odd [bpc] ends
+   laziness. *)
+let test_lazy_row_choice () =
+  let org = small () in
+  let m = Model.create org in
+  let lazy_rows what n = Alcotest.(check int) what n (Model.lazy_rows m) in
+  lazy_rows "none before a clear" 0;
+  Model.set_faults m
+    [ F.Stuck_at (cell 3 9, true)
+    ; F.State_coupling
+        { aggressor = cell 5 0; when_state = true; victim = cell 7 1
+        ; reads_as = false }
+    ];
+  lazy_rows "16 regular rows less 3, 7 (armed) and 5 (aggressor)" 13;
+  Model.set_remap m
+    (Some (fun r -> if r = 0 then Org.rows org else if r = 1 then 2 else r));
+  lazy_rows "rows 0 and 1 unreached, row 2 reached twice" 10;
+  Model.clear m;
+  lazy_rows "the spare row logical row 0 reaches, after a clear" 11;
+  ignore (Model.read_int m 40);
+  lazy_rows "a per-op access writes every lazy row out" 0;
+  Model.clear m;
+  lazy_rows "back after a clear" 11;
+  Model.set_col_remap m (Some (fun c -> if c = 0 then 1 else c));
+  lazy_rows "a column map writes them out" 0;
+  Model.clear m;
+  lazy_rows "none while it is armed" 0;
+  Model.set_col_remap m None;
+  Model.clear m;
+  lazy_rows "back once it goes" 11;
+  let odd = Model.create (Org.make ~words:64 ~bpw:8 ~bpc:1 ~spares:4 ()) in
+  Model.set_faults odd [];
+  Alcotest.(check int) "odd bpc: none" 0 (Model.lazy_rows odd)
+
 let test_clear_touches_only_dirty_rows () =
   (* behavioural check of the dirty-row invariant: after clear,
      every cell reads zero again regardless of what was written,
@@ -1275,6 +1313,232 @@ let test_clear_touches_only_dirty_rows () =
   done;
   Alcotest.check word "spare row cleared" (Word.zero 8)
     (Model.read_row_word m ~row:(Org.rows org) ~col:2)
+
+(* Lazy clean rows against per-op accesses.  One random program runs on
+   two models of one fault set: [span] drives every march element
+   through [march_span] and runs the address that stops a span per op,
+   as the engine does; [per_op] runs every op per op.  Organizations:
+   bpc 4, 2 and 1 (odd: no row goes lazy), with 0 or 2 spare columns.
+   Faults: the full mix over every row, stuck-at cells on spare rows, a
+   word of stuck-open cells (a read there returns the sense residue
+   whole), and now and then a state-coupling aggressor on a regular
+   row.  Steps: whole elements up and down, with and without parity,
+   their first reads mostly matching what the last element left (so
+   lazy rows are passed) and sometimes not; elements abandoned at their
+   first failing read past a random address, as a stop-at-first run
+   abandons one, or cut short by the span count; per-op reads and
+   writes at any address between elements or in the middle of one; row
+   maps between and inside elements (onto spares, aliasing two rows
+   onto one, out of range, or raising while tabulated); column maps;
+   retention waits and clears.  Every read and failure, the residue,
+   the array and all six counters, before and after a last [clear],
+   must agree.  [lazy_passes] counts the elements that left rows lazy
+   after passing them. *)
+let lazy_passes = ref 0
+
+type lazy_elem = {
+  up : bool;
+  alt : int;
+  is_write : bool array;
+  op_word : int array;
+  len : int; (* the addresses driven, from the element's first *)
+  stop_from : int; (* abandoned at a failing read from this address on *)
+}
+
+let lazy_case (seed, n) =
+  let module I = Bisram_faults.Injection in
+  let rng = Random.State.make [| 0x1A2F; seed |] in
+  let int k = Random.State.int rng k and flip () = Random.State.bool rng in
+  let bpc = [| 4; 2; 1 |].(int 3) in
+  let bpw = if flip () then 8 else 4 in
+  let spare_cols = if flip () then 0 else 2 in
+  let org = Org.make ~words:32 ~bpw ~bpc ~spares:4 ~spare_cols () in
+  let rows = Org.total_rows org and regular = Org.rows org in
+  let cols = Org.cols org and tcols = Org.total_cols org in
+  let words = org.Org.words and wmask = (1 lsl bpw) - 1 in
+  let spare_row () = regular + int org.Org.spares in
+  let open_row = spare_row () and open_col = int bpc in
+  let faults =
+    I.inject rng ~rows ~cols:tcols ~mix:I.default_mix ~n
+    @ List.init bpw (fun b ->
+          F.Stuck_open (cell open_row ((b * bpc) + open_col)))
+    @ List.init (int 2) (fun _ ->
+          F.Stuck_at (cell (spare_row ()) (int tcols), flip ()))
+    @
+    if flip () then
+      [ F.State_coupling
+          { aggressor = cell (int regular) (int cols)
+          ; when_state = flip ()
+          ; victim = cell (int rows) (int cols)
+          ; reads_as = flip ()
+          } ]
+    else []
+  in
+  let remap () =
+    match int 5 with
+    | 0 -> `Unmap
+    | 1 ->
+        let r = int regular and p = int rows in
+        `Map [ (r, p); ((r + 1 + int (regular - 1)) mod regular, p) ]
+    | 2 -> `Map [ (int regular, if flip () then rows + int 3 else -1 - int 3) ]
+    | 3 -> `Raise (int regular)
+    | _ -> `Map (List.init (1 + int 3) (fun _ -> (int regular, spare_row ())))
+  in
+  let word () = int (wmask + 1) in
+  (* what the last element wrote, so most elements' first reads match *)
+  let last = ref (0, 0) in
+  let element ~len ~stop_from =
+    let alt = if int 3 = 0 then 1 + int wmask else 0 in
+    let fin, palt = !last in
+    let cur = ref (if int 5 > 0 && alt = palt then fin else word ()) in
+    let is_write = Array.init (1 + int 4) (fun i -> i > 0 && flip ()) in
+    is_write.(0) <- int 4 = 0;
+    let op_word =
+      Array.map
+        (fun w ->
+          if w then begin
+            cur := word ();
+            last := (!cur, alt);
+            !cur
+          end
+          else if int 12 = 0 then word ()
+          else !cur)
+        is_write
+    in
+    `Elem { up = flip (); alt; is_write; op_word; len; stop_from }
+  in
+  let access () =
+    match int 4 with
+    | 0 -> `W (int words, word ())
+    | 1 -> `Row (int rows, int bpc)
+    | _ -> `R (int words)
+  in
+  let cuts k =
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (List.init k (fun _ ->
+           (int words, match int 5 with 0 -> remap () | 1 -> `Wait | _ -> access ())))
+  in
+  let steer () =
+    `Steer
+      (List.init (1 + int 2) (fun _ ->
+           ( int cols,
+             if spare_cols > 0 && flip () then cols + int spare_cols
+             else int cols )))
+  in
+  let program =
+    List.init (10 + int 30) (fun _ ->
+        match int 16 with
+        | 0 | 1 -> remap ()
+        | 2 -> if int 3 = 0 then steer () else `Unsteer
+        | 3 -> `Wait
+        | 4 -> `Clear
+        | 5 | 6 -> access ()
+        | 7 -> `Cut (element ~len:(int words) ~stop_from:words, [])
+        | 8 | 9 -> `Cut (element ~len:words ~stop_from:(int words), [])
+        | 10 -> `Cut (element ~len:words ~stop_from:words, cuts (1 + int 2))
+        | _ -> `Cut (element ~len:words ~stop_from:words, []))
+  in
+  let drive ~span =
+    let m = Model.create org in
+    Model.set_faults m faults;
+    let log = ref [] in
+    let note x = log := x :: !log in
+    let guard f = try f () with Invalid_argument _ -> note (-1, -1, -1) in
+    let remap_of pairs r =
+      match List.assoc_opt r pairs with Some p -> p | None -> r
+    in
+    let rec act = function
+      | `Unmap -> Model.set_remap m None
+      | `Map pairs -> Model.set_remap m (Some (remap_of pairs))
+      | `Raise r ->
+          guard (fun () ->
+              Model.set_remap m
+                (Some (fun x -> if x = r then invalid_arg "raise" else x)))
+      | `Steer pairs -> Model.set_col_remap m (Some (remap_of pairs))
+      | `Unsteer -> Model.set_col_remap m None
+      | `Wait -> Model.retention_wait m
+      | `Clear -> Model.clear m
+      | `W (a, v) -> guard (fun () -> Model.write_int m a v)
+      | `R a -> guard (fun () -> note (a, -2, Model.read_int m a))
+      | `Row (row, col) ->
+          note (row, -3, Word.to_int (Model.read_row_word m ~row ~col))
+      | `Cut (`Elem e, cuts) -> run_element e cuts
+    (* the element's ops at its [i]th address; false once it is
+       abandoned *)
+    and per_op e i =
+      let a = if e.up then i else words - 1 - i in
+      let p = e.alt land -(a land 1) and go = ref true and j = ref 0 in
+      while !go && !j < Array.length e.op_word do
+        let w = e.op_word.(!j) lxor p in
+        guard (fun () ->
+            if e.is_write.(!j) then Model.write_int m a w
+            else
+              let got = Model.read_int m a in
+              if got <> w then begin
+                note (a, !j, got);
+                if i >= e.stop_from then go := false
+              end);
+        incr j
+      done;
+      !go
+    (* the cuts due at address [i] run first; then, as far as the next
+       cut, spans and the addresses that stop them, or per op *)
+    and run_element e cuts =
+      let lazy_before = Model.lazy_rows m in
+      let cuts = ref cuts and i = ref 0 and go = ref true in
+      while !go && !i < e.len do
+        (match !cuts with
+        | (c, x) :: rest when c <= !i ->
+            cuts := rest;
+            act x
+        | _ ->
+            let limit =
+              match !cuts with (c, _) :: _ -> Int.min c e.len | [] -> e.len
+            in
+            if span then
+              i :=
+                !i
+                + Model.march_span ~alt:e.alt m ~up:e.up
+                    ~first:(if e.up then !i else words - 1 - !i)
+                    ~count:(limit - !i) ~is_write:e.is_write
+                    ~op_word:e.op_word;
+            if !i < limit then begin
+              go := per_op e !i;
+              incr i
+            end)
+      done;
+      if span && e.len = words && lazy_before > 0 && Model.lazy_rows m > 0
+      then incr lazy_passes
+    in
+    List.iter act program;
+    Model.set_col_remap m None;
+    let residue = Model.read_row_word m ~row:open_row ~col:open_col in
+    let array =
+      List.init rows (fun row ->
+          List.init bpc (fun col ->
+              Word.to_int (Model.read_row_word m ~row ~col)))
+    in
+    let st = Model.stats m in
+    Model.clear m;
+    (List.rev !log, residue, array, st, Model.stats m)
+  in
+  drive ~span:true = drive ~span:false
+
+let prop_lazy_rows_equal_per_op =
+  QCheck.Test.make ~name:"lazy rows = per-op accesses" ~count:1000
+    QCheck.(pair (int_range 0 100_000) (int_range 0 4))
+    lazy_case
+
+let lazy_rows_passed prop =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name,
+    speed,
+    fun () ->
+      lazy_passes := 0;
+      run ();
+      Alcotest.(check bool) "some element passed lazy rows" true
+        (!lazy_passes > 0) )
 
 let () =
   Alcotest.run "sram"
@@ -1329,6 +1593,8 @@ let () =
             test_stuck_open_fast_read
         ; Alcotest.test_case "clear covers dirty rows" `Quick
             test_clear_touches_only_dirty_rows
+        ; lazy_rows_passed prop_lazy_rows_equal_per_op
+        ; Alcotest.test_case "lazy row choice" `Quick test_lazy_row_choice
         ] )
     ; ( "timing",
         [ Alcotest.test_case "magnitudes" `Quick test_timing_magnitudes
